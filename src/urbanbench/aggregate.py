@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .core import HIGHER_BETTER, LOWER_BETTER, ResultRecord, ValidationError
 
@@ -199,6 +198,8 @@ def spearman_factor_correlation(factors: Mapping[str, float],
     if abs(rho) >= 1.0:
         p_value = 0.0
     else:
+        from scipy import stats  # deferred: only `report --factors` needs scipy
+
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p_value = float(2.0 * _scipy_stats.t.sf(abs(t), df=n - 2))
+        p_value = float(2.0 * stats.t.sf(abs(t), df=n - 2))
     return SpearmanResult(rho=rho, p_value=p_value, n=n, approximate=n < 10)

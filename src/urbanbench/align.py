@@ -358,19 +358,22 @@ def read_entity_csv(path: str | Path) -> EntitySetSupport:
     path = Path(path)
     lons, lats, vecs = [], [], []
     with path.open("r", encoding="utf-8", newline="") as f:
-        rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
+        reader = csv.reader(f)
+        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     if not rows:
         raise ValidationError(f"{path}: empty entity file")
-    header, data = rows[0], rows[1:]
+    (_, header), data = rows[0], rows[1:]
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    for ln, r in enumerate(data, start=2):
+    for ln, r in data:
+        if len(r) != dim + 2:
+            raise ValidationError(f"{path}:{ln}: expected {dim + 2} values, got {len(r)}")
         try:
             lons.append(float(r[0]))
             lats.append(float(r[1]))
             vecs.append([float(v) for v in r[2:]])
-        except (ValueError, IndexError):
+        except ValueError:
             raise ValidationError(f"{path}:{ln}: malformed entity row") from None
     return EntitySetSupport(
         lons=np.array(lons), lats=np.array(lats),

@@ -125,10 +125,16 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
         if header != list(STORE_HEADER):
             raise ValidationError(f"{path}: unexpected result store header {header}")
         for row in reader:
-            out.append(ResultRecord(
-                model_id=row[0], task=row[1], city=row[2], seed=int(row[3]),
-                protocol=row[4], metric=row[5], value=float(row[6]), n_test=int(row[7]),
-            ))
+            if len(row) != len(STORE_HEADER):
+                raise ValidationError(f"{path}:{reader.line_num}: expected {len(STORE_HEADER)} "
+                                      f"fields, got {len(row)}")
+            try:
+                out.append(ResultRecord(
+                    model_id=row[0], task=row[1], city=row[2], seed=int(row[3]),
+                    protocol=row[4], metric=row[5], value=float(row[6]), n_test=int(row[7]),
+                ))
+            except ValueError:
+                raise ValidationError(f"{path}:{reader.line_num}: malformed result row") from None
     return out
 
 
@@ -451,8 +457,9 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
     paths["ranks"] = out_dir / "ranks.csv"
     _write_csv(paths["ranks"], ["model", "task", "mean_city_rank"], rank_rows)
 
-    overall = overall_rank(task_mean_ranks)
-    overall_rows = [[m, _fmt(r)] for m, r in sorted(overall.ranks.items(), key=lambda kv: (kv[1], kv[0]))]
+    # ranks come from the spatial protocol only; a random-only store has none
+    overall = overall_rank(task_mean_ranks).ranks if task_mean_ranks else {}
+    overall_rows = [[m, _fmt(r)] for m, r in sorted(overall.items(), key=lambda kv: (kv[1], kv[0]))]
     paths["overall"] = out_dir / "overall.csv"
     _write_csv(paths["overall"], ["model", "overall_rank"], overall_rows)
 
@@ -487,11 +494,13 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
     # leaderboard: fixed width, ordered by overall rank ascending
     tasks = sorted({t for _, t in summaries})
     lines = []
-    name_w = max([len(m) for m in overall.ranks] + [5]) + 2
+    name_w = max([len(m) for m in overall] + [5]) + 2
     header = f"{'model':<{name_w}}{'overall':>9}" + "".join(f"{t:>10}" for t in tasks)
     lines.append(header)
     lines.append("-" * len(header))
-    for m, r in sorted(overall.ranks.items(), key=lambda kv: (kv[1], kv[0])):
+    if not overall:
+        lines.append("no spatial-protocol results to rank")
+    for m, r in sorted(overall.items(), key=lambda kv: (kv[1], kv[0])):
         cells = []
         for t in tasks:
             ts = summaries.get((m, t))

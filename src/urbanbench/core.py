@@ -607,9 +607,17 @@ def load_manifest(path: str | Path) -> Manifest:
         cities[city] = dict(tasks)
     models = {}
     for model_id, entry in doc.get("models", {}).items():
+        missing = [k for k in ("dim", "support") if k not in entry]
+        if missing:
+            raise ValidationError(f"{path}: model {model_id}: missing {', '.join(missing)}")
+        try:
+            dim = int(entry["dim"])
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{path}: model {model_id}: dim must be an integer, got {entry['dim']!r}") from None
         models[model_id] = ManifestModel(
             model_id=model_id,
-            dim=int(entry["dim"]),
+            dim=dim,
             support=entry["support"],
             files=dict(entry.get("files", {})),
             encoder=entry.get("encoder"),

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .align import (
     AlignedMatrix,
@@ -78,6 +77,8 @@ class SynthConfig:
 def generate_field(extent: Rect, n: int, length_scale: float, seed: int) -> np.ndarray:
     """White noise smoothed by a Gaussian kernel of sd `length_scale` (extent
     units, reflect-padded), standardized to mean 0 and variance 1."""
+    from scipy import ndimage  # deferred: keeps scipy off the CLI's import path
+
     if n < 8:
         raise ValidationError("need n >= 8")
     rng = np.random.default_rng(seed)

@@ -285,6 +285,13 @@ class TestFileFormats:
         np.testing.assert_array_equal(back.vectors, rep.vectors)
         assert peek_embedding_dim(p, "entity_set") == 2
 
+    def test_entity_csv_ragged_row_names_file_line(self, tmp_path):
+        # the line number counts comment lines too, so it points into the file
+        p = tmp_path / "ents.csv"
+        p.write_text("# comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n# another\n0.3,0.4,1.0,9.0\n")
+        with pytest.raises(ValidationError, match=r"ents\.csv:5: expected 3 values, got 4"):
+            read_entity_csv(p)
+
     def test_cell_table_round_trip(self, tmp_path):
         grid = HexGrid(1.0, 2.0)
         table = CellTableSupport(grid=grid, table={(0, 0): np.array([1.0]), (2, -1): np.array([5.0])})

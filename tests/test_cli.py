@@ -1,6 +1,10 @@
 """End-to-end orchestrator tests: run, resume, determinism, report, verbs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,25 @@ class TestRun:
         assert out.exit_code == 2
         assert (bench / "out" / "failures.csv").exists()
 
+    def test_ragged_entity_row_fails_pair_and_run_continues(self, bench):
+        manifest = json.loads((bench / "manifest.json").read_text())
+        with open(bench / "ragged.csv", "w") as f:
+            f.write("key_or_lon,lat,v_0,v_1,v_2,v_3\n0.0,0.0,1.0,1.0,1.0,1.0\n"
+                    "0.01,0.01,1.0,1.0,1.0,1.0,5.0\n")
+        manifest["models"]["ragged"] = {"dim": 4, "support": "entity_set",
+                                        "files": {"synthA": "ragged.csv"}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        plan = quick_plan(bench, models=("ragged", "field"), seeds=(42,))  # bad pair first
+        out = run(plan, log=lambda *a: None)
+        assert out.exit_code == 2
+        failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 2  # one per protocol
+        assert all(f.startswith("ragged|POP|synthA|42|") and "ragged.csv:3:" in f
+                   for f in failures)
+        records = read_result_store(bench / "out" / "results.csv")
+        assert {r.model_id for r in records} == {"field"}
+        assert len(records) == 6
+
     def test_manifest_error_exits_1(self, bench):
         manifest = json.loads((bench / "manifest.json").read_text())
         manifest["models"]["bad"] = {"dim": 4, "support": "hologram"}
@@ -154,6 +177,26 @@ class TestResultStore:
         records = {r.metric: r for r in read_result_store(tmp_path / "out" / "results.csv")}
         assert records["r2"].degenerate
         assert np.isfinite(records["mae"].value)
+
+    def _store_with_extra_line(self, bench, line):
+        run(quick_plan(bench, models=("field",), seeds=(42,)), log=lambda *a: None)
+        path = bench / "out" / "results.csv"
+        n_lines = len(path.read_text().splitlines())
+        with path.open("a") as f:
+            f.write(line + "\n")
+        return path, n_lines + 1
+
+    def test_short_row_names_file_line(self, bench):
+        path, ln = self._store_with_extra_line(bench, "a,b")
+        with pytest.raises(ValidationError, match=rf"results\.csv:{ln}: expected 8 fields, got 2"):
+            read_result_store(path)
+        assert main(["report", str(path.parent)]) == 1
+
+    def test_non_numeric_row_names_file_line(self, bench):
+        path, ln = self._store_with_extra_line(bench, "field,POP,synthA,42,spatial,r2,high,5")
+        with pytest.raises(ValidationError, match=rf"results\.csv:{ln}: malformed result row"):
+            read_result_store(path)
+        assert main(["report", str(path.parent)]) == 1
 
 
 class TestReportDirections:
@@ -282,6 +325,20 @@ class TestReport:
         assert len(rows) == 2
         assert rows[1].startswith("POP,area,")
 
+    def test_report_after_random_only_run(self, bench):
+        assert main(["run", str(bench / "manifest.json"), "--out", str(bench / "rnd"),
+                     "--seeds", "42", "--protocols", "random", "--head", "linear",
+                     "--batch-size", "64", "--max-epochs", "20"]) == 0
+        assert main(["report", str(bench / "rnd")]) == 0
+        out = bench / "rnd"
+        for name in ("task_summary.csv", "split_delta.csv", "factor_corr.csv"):
+            assert (out / name).exists()
+        # ranks come from the spatial protocol only: headers, no rows
+        assert (out / "ranks.csv").read_text() == "model,task,mean_city_rank\n"
+        assert (out / "overall.csv").read_text() == "model,overall_rank\n"
+        board = (out / "leaderboard.txt").read_text()
+        assert "no spatial-protocol results to rank" in board
+
     def test_empty_store_errors(self, tmp_path):
         (tmp_path / "results.csv").write_text("model,task,city,seed,protocol,metric,value,n_test\n")
         with pytest.raises(ValidationError, match="empty"):
@@ -298,6 +355,20 @@ class TestVerbs:
         manifest["models"]["bad"] = {"dim": 4, "support": "hologram"}
         (bench / "manifest.json").write_text(json.dumps(manifest))
         assert main(["validate", str(bench / "manifest.json")]) == 1
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"support": "raster"}, "model bad: missing dim"),
+        ({"dim": 4}, "model bad: missing support"),
+        ({"dim": "four", "support": "raster"}, "model bad: dim must be an integer"),
+    ])
+    def test_validate_malformed_model_entry(self, bench, capsys, entry, message):
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["models"]["bad"] = {**entry, "files": {"synthA": "field.erf"}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(bench / "manifest.json")]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck"]) == 0
@@ -332,3 +403,24 @@ class TestVerbs:
         out = run(plan, log=lambda *a: None)
         assert out.exit_code == 0
         assert out.new_records == 3
+
+
+class TestImportPath:
+    def test_run_and_report_load_no_scipy(self, bench):
+        # scipy is only needed by synthetic-city generation and report --factors
+        import urbanbench
+
+        script = (
+            "import sys\n"
+            "from urbanbench.cli import main\n"
+            f"codes = [main(['run', {str(bench / 'manifest.json')!r}, '--out', {str(bench / 'out')!r},"
+            " '--seeds', '42', '--head', 'linear', '--batch-size', '64', '--max-epochs', '10',"
+            " '--patience', '3']),\n"
+            f"         main(['report', {str(bench / 'out')!r}])]\n"
+            "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(urbanbench.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
