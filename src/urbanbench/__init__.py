@@ -18,6 +18,6 @@ from .grid import BlockGrid, HexGrid, build_block_grid
 from .heads import HeadConfig, fit_scaler, gradient_check, predict, train_head
 from .metrics import classification_metrics, distribution_metrics, regression_metrics
 from .split import SplitAssignment, random_split, spatial_split, test_block_frequency
-from .synth import SynthConfig, generate_field, leakage_experiment, synth_city
+from .synth import SynthConfig, generate_field, synth_city
 
 __version__ = "0.1.0"

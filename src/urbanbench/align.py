@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +32,6 @@ from .core import (
 )
 from .grid import (
     HexGrid,
-    hex_cell_center_xy,
     hex_cell_key,
     hex_cell_of,
     hex_cell_of_xy,
@@ -320,15 +318,18 @@ def read_erf(path: str | Path) -> RasterSupport:
         fields = header.decode("ascii").split()
         if len(fields) != 8 or fields[0] != _ERF_MAGIC:
             raise ValidationError(f"{path}: not an erf1 file")
+        body = f.read()
+    try:  # ValidationError is a ValueError, so every message gets the path
         x0, y0, dx, dy = (float(v) for v in fields[1:5])
         ncols, nrows, dim = (int(v) for v in fields[5:8])
-        body = f.read()
-    expected = ncols * nrows * dim * 4
-    if len(body) != expected:
-        raise ValidationError(f"{path}: erf body has {len(body)} bytes, expected {expected}")
-    values = np.frombuffer(body, dtype="<f4").reshape(nrows, ncols, dim)
-    return RasterSupport(x0=x0, y0=y0, dx=dx, dy=dy, ncols=ncols, nrows=nrows,
-                         values=values.copy())
+        expected = ncols * nrows * dim * 4
+        if len(body) != expected:
+            raise ValidationError(f"erf body has {len(body)} bytes, expected {expected}")
+        values = np.frombuffer(body, dtype="<f4").reshape(nrows, ncols, dim)
+        return RasterSupport(x0=x0, y0=y0, dx=dx, dy=dy, ncols=ncols, nrows=nrows,
+                             values=values.copy())
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def _peek_erf_dim(path: Path) -> int:

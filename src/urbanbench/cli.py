@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -48,19 +47,23 @@ from .aggregate import (
 from .core import (
     AGE_CITIES,
     BENCHMARK_CITIES,
-    METRIC_DIRECTION,
     METRICS_FOR_KIND,
     TASK_PRIMARY_METRIC,
+    CellTableSupport,
     CoordinateEncoderSupport,
+    EntitySetSupport,
     Manifest,
+    RasterSupport,
     Rect,
     TaskDataset,
     ValidationError,
+    _fmt,
     get_encoder,
     load_manifest,
     load_task_dataset,
     stable_seed,
     task_direction,
+    validate_manifest,
     write_task_dataset,
 )
 from .grid import H3_RES8_EDGE_M, HexGrid, build_block_grid
@@ -72,10 +75,6 @@ from .synth import SynthConfig, synth_city
 
 STORE_HEADER = ("model", "task", "city", "seed", "protocol", "metric", "value", "n_test")
 _METRIC_ORDER = {m: i for kind in METRICS_FOR_KIND.values() for i, m in enumerate(kind)}
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 class ResultStore:
@@ -197,9 +196,9 @@ def _load_representation_support(manifest: Manifest, model_id: str, city: str,
         return read_cell_table_csv(path, grid=default_hexgrid)
 
 
-def _align(support, task: TaskDataset, model_id: str, hexgrid: HexGrid) -> AlignedMatrix:
-    from .core import CellTableSupport, EntitySetSupport, RasterSupport
-
+def align_support(support, task: TaskDataset, model_id: str, hexgrid: HexGrid) -> AlignedMatrix:
+    """The one alignment dispatch: each support kind onto the task units
+    (entity sets are pooled h3-first on `hexgrid`)."""
     if isinstance(support, RasterSupport):
         return align_raster(support, task, model_id=model_id)
     if isinstance(support, EntitySetSupport):
@@ -211,8 +210,9 @@ def _align(support, task: TaskDataset, model_id: str, hexgrid: HexGrid) -> Align
     raise ValidationError(f"unsupported representation support {type(support).__name__}")
 
 
-def _evaluate(task: TaskDataset, features: AlignedMatrix, split, cfg: HeadConfig,
-              run_seed: int) -> list[ResultRecord]:
+def evaluate(task: TaskDataset, features: AlignedMatrix, split, cfg: HeadConfig,
+             run_seed: int) -> list[ResultRecord]:
+    """The one evaluate step: train a head on the split, score its test units."""
     head = train_head(features, task.labels, split, cfg, run_seed)
     preds = predict(head, features)
     mask = split.mask(TEST) & features.valid
@@ -249,8 +249,6 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     """Execute the plan; resumable and deterministic. Splits are computed and
     hashed before any representation is loaded, so they cannot depend on
     models. Per-group failures are recorded and skipped."""
-    from .core import validate_manifest
-
     manifest = load_manifest(plan.manifest_path)
     report_v = validate_manifest(manifest)
     if not report_v.ok:
@@ -343,7 +341,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
             try:
                 support = _load_representation_support(manifest, model_id, city,
                                                        hexgrids[(city, task_name)])
-                features = _align(support, ds, model_id, hexgrids[(city, task_name)])
+                features = align_support(support, ds, model_id, hexgrids[(city, task_name)])
                 cfg = _head_config(plan, ds)
             except (ValidationError, KeyError, OSError) as e:
                 for protocol, seed in pending:
@@ -353,7 +351,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 a = splits[(city, task_name, protocol, seed)]
                 run_seed = stable_seed(model_id, task_name, city, seed, protocol)
                 try:
-                    records = _evaluate(ds, features, a, cfg, run_seed)
+                    records = evaluate(ds, features, a, cfg, run_seed)
                 except ValidationError as e:
                     failures.append((f"{model_id}|{task_name}|{city}|{seed}|{protocol}", str(e)))
                     continue
@@ -397,6 +395,44 @@ def harness_constants() -> dict:
         "raster_coarse_rule": "rep_cell_contains_representative_point",
         "rng": "numpy_pcg64_sha256_keyed",
     }
+
+
+# ---------------------------------------------------------------------------
+# Leakage experiment
+
+@dataclass(frozen=True)
+class LeakageResult:
+    spatial_r2: tuple[float, ...]
+    random_r2: tuple[float, ...]
+
+    @property
+    def deltas(self) -> tuple[float, ...]:
+        return tuple(r - s for r, s in zip(self.random_r2, self.spatial_r2))
+
+    @property
+    def mean_delta(self) -> float:
+        return float(np.mean(self.deltas))
+
+
+def leakage_experiment(cfg: SynthConfig, head_cfg: HeadConfig,
+                       seeds=(42, 24, 7, 0, 100), nx: int = 10, ny: int = 10) -> LeakageResult:
+    """One synthetic city through `align_support` and `evaluate` under both
+    split protocols; returns the per-seed test R2.
+
+    mean_delta = mean(random R2 - spatial R2) is the leakage diagnostic.
+    """
+    if cfg.label_kind != "scalar":
+        raise ValidationError("leakage experiment uses scalar labels")
+    task, rep = synth_city(cfg)
+    features = align_support(rep.support, task, rep.model_id, HexGrid(*task.extent.center))
+    grid = build_block_grid(task.extent, nx, ny)
+    r2: dict[str, list[float]] = {"spatial": [], "random": []}
+    for seed in seeds:
+        run_seed = stable_seed(cfg.city, cfg.embedding_kind, seed)
+        for split in (spatial_split(task, grid, seed), random_split(task, seed)):
+            records = evaluate(task, features, split, head_cfg, run_seed)
+            r2[split.protocol].append(next(r.value for r in records if r.metric == "r2"))
+    return LeakageResult(spatial_r2=tuple(r2["spatial"]), random_r2=tuple(r2["random"]))
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +552,20 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
     """CSV `city,<factor>,<factor>,...` -> factor name -> city -> value."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0][:1] != ["city"]:
-        raise ValidationError(f"{path}: factors header must start with 'city'")
-    names = rows[0][1:]
-    out: dict[str, dict[str, float]] = {n: {} for n in names}
-    for r in rows[1:]:
-        for n, v in zip(names, r[1:]):
-            if v != "":
-                out[n][r[0]] = float(v)
+        reader = csv.reader(f)
+        header = next(reader, [])
+        if header[:1] != ["city"]:
+            raise ValidationError(f"{path}: factors header must start with 'city'")
+        names = header[1:]
+        out: dict[str, dict[str, float]] = {n: {} for n in names}
+        for r in reader:
+            for n, v in zip(names, r[1:]):
+                if v != "":
+                    try:
+                        out[n][r[0]] = float(v)
+                    except ValueError:
+                        raise ValidationError(f"{path}:{reader.line_num}: factor {n!r} value "
+                                              f"{v!r} is not a number") from None
     return out
 
 
@@ -541,8 +582,6 @@ def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
     write_task_dataset(task_path, task)
     model_entry: dict = {"dim": rep.dim, "support": None}
     emb_path = None
-    from .core import EntitySetSupport, RasterSupport
-
     if isinstance(rep.support, RasterSupport):
         emb_path = out_dir / f"{rep.model_id}_{cfg.city}.erf"
         write_erf(emb_path, rep.support)
@@ -573,8 +612,6 @@ def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
 # Entry points
 
 def _cmd_validate(args) -> int:
-    from .core import validate_manifest
-
     report_v = validate_manifest(load_manifest(args.manifest))
     for e in report_v.errors:
         print(f"error: {e}")
@@ -602,7 +639,7 @@ def _cmd_run(args) -> int:
         models=tuple(args.models.split(",")) if args.models else None,
         cities=tuple(args.cities.split(",")) if args.cities else None,
         tasks=tuple(args.tasks.split(",")) if args.tasks else None,
-        seeds=tuple(int(s) for s in args.seeds.split(",")) if args.seeds else DEFAULT_SEEDS,
+        seeds=tuple(int(s) for s in args.seeds.split(",")) if args.seeds else RunPlan.seeds,
         protocols=tuple(args.protocols.split(",")),
         nx=args.grid[0], ny=args.grid[1], head=args.head,
         batch_size=args.batch_size, max_epochs=args.max_epochs,
@@ -665,18 +702,18 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run the benchmark for a manifest")
     p.add_argument("manifest")
-    p.add_argument("--grid", type=_parse_grid, default=(10, 10))
-    p.add_argument("--protocols", default="spatial,random")
+    p.add_argument("--grid", type=_parse_grid, default=(RunPlan.nx, RunPlan.ny))
+    p.add_argument("--protocols", default=",".join(RunPlan.protocols))
     p.add_argument("--seeds", default=None)
-    p.add_argument("--head", choices=["linear", "mlp"], default="mlp")
+    p.add_argument("--head", choices=["linear", "mlp"], default=RunPlan.head)
     p.add_argument("--out", default="runs/out")
     p.add_argument("--models", default=None)
     p.add_argument("--cities", default=None)
     p.add_argument("--tasks", default=None)
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--hidden-dim", type=int, default=1024)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--batch-size", type=int, default=RunPlan.batch_size)
+    p.add_argument("--max-epochs", type=int, default=RunPlan.max_epochs)
+    p.add_argument("--hidden-dim", type=int, default=RunPlan.hidden_dim)
+    p.add_argument("--patience", type=int, default=RunPlan.patience)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("report", help="aggregate a result store into summaries")

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Callable, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class ValidationError(ValueError):
     """Raised when an input file or domain object violates an invariant."""
 
 
-GEOMETRY_KINDS = ("point", "raster_cell", "polygon_rep_point")
+GEOMETRY_KINDS = ("point", "raster_cell")
 LABEL_KINDS = ("scalar", "class", "distribution")
 
 TASKS = ("LUC", "RDE", "POP", "AGE", "GDP", "NTL", "PM25", "LST")
@@ -144,9 +144,6 @@ class Rect:
     def contains(self, lon: float, lat: float) -> bool:
         return self.x0 <= lon <= self.x1 and self.y0 <= lat <= self.y1
 
-    def contains_half_open(self, lon: float, lat: float) -> bool:
-        return self.x0 <= lon < self.x1 and self.y0 <= lat < self.y1
-
     @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
@@ -178,18 +175,6 @@ class TaskUnit:
                 raise ValidationError(f"unit {self.unit_id}: cell_extent does not contain its point")
         elif self.cell_extent is not None:
             raise ValidationError(f"unit {self.unit_id}: cell_extent only allowed for raster_cell units")
-
-
-@dataclass(frozen=True)
-class Label:
-    """A single label payload; used at parse time before packing into arrays."""
-
-    kind: str
-    value: float | int | np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in LABEL_KINDS:
-            raise ValidationError(f"unknown label kind {self.kind!r}")
 
 
 class TaskDataset:
@@ -270,22 +255,6 @@ class TaskDataset:
     @property
     def n(self) -> int:
         return len(self.units)
-
-    @property
-    def primary_metric(self) -> str:
-        return TASK_PRIMARY_METRIC[self.task]
-
-    @property
-    def metric_direction(self) -> str:
-        return task_direction(self.task)
-
-    @property
-    def lons(self) -> np.ndarray:
-        return np.array([u.lon for u in self.units], dtype=np.float64)
-
-    @property
-    def lats(self) -> np.ndarray:
-        return np.array([u.lat for u in self.units], dtype=np.float64)
 
 
 def _fmt(v: float) -> str:
@@ -456,6 +425,8 @@ class RasterSupport:
     values: np.ndarray
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x0, self.y0, self.dx, self.dy)):
+            raise ValidationError("raster origin and cell sizes must be finite")
         if self.dx <= 0 or self.dy <= 0:
             raise ValidationError("raster cell sizes must be positive")
         if self.ncols < 1 or self.nrows < 1:
@@ -595,18 +566,26 @@ class Manifest:
         return p if p.is_absolute() else self.base_dir / p
 
 
+def _json_object(value, path: Path, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: {key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON ({e})") from None
+    doc = _json_object(doc, path, "manifest")
     cities = {}
-    for city, entry in doc.get("cities", {}).items():
-        tasks = entry.get("tasks", {})
-        cities[city] = dict(tasks)
+    for city, entry in _json_object(doc.get("cities", {}), path, "cities").items():
+        entry = _json_object(entry, path, f"cities.{city}")
+        cities[city] = dict(_json_object(entry.get("tasks", {}), path, f"cities.{city}.tasks"))
     models = {}
-    for model_id, entry in doc.get("models", {}).items():
+    for model_id, entry in _json_object(doc.get("models", {}), path, "models").items():
+        entry = _json_object(entry, path, f"models.{model_id}")
         missing = [k for k in ("dim", "support") if k not in entry]
         if missing:
             raise ValidationError(f"{path}: model {model_id}: missing {', '.join(missing)}")

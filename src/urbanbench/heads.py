@@ -9,7 +9,7 @@ bit-deterministic given the run seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -307,20 +307,6 @@ def predict(head: TrainedHead, features) -> np.ndarray:
     if head.cfg.output == "logits":
         return np.argmax(z, axis=1)
     return softmax(z)
-
-
-def dump_head(path, head: TrainedHead) -> None:
-    """Debug dump: text header naming each parameter block, then the blocks
-    as little-endian float32 (erf-style). Not read back by the harness."""
-    from pathlib import Path
-
-    parts = [f"{k}:{'x'.join(str(s) for s in head.params[k].shape)}"
-             for k in sorted(head.params)]
-    header = f"head1 {head.cfg.kind} {head.cfg.output} {' '.join(parts)}\n"
-    with Path(path).open("wb") as f:
-        f.write(header.encode("ascii"))
-        for k in sorted(head.params):
-            f.write(np.ascontiguousarray(head.params[k], dtype="<f4").tobytes())
 
 
 # ---------------------------------------------------------------------------

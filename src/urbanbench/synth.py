@@ -1,7 +1,9 @@
 """Synthetic cities: autocorrelated label fields plus matching representations.
 
-Lets every pipeline property (leakage inflation, coverage gains, metric
-correctness) be verified without external data. Fields are Gaussian-smoothed
+This module only generates data. Writing a city to disk
+(`cli.write_synth_city`) and running it through the pipeline
+(`cli.leakage_experiment`) live in `cli`, so synthetic cities take the same
+alignment and evaluate step as loaded data. Fields are Gaussian-smoothed
 white noise standardized to mean 0, variance 1; the smoothing scale controls
 the spatial autocorrelation length.
 """
@@ -12,14 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import (
-    AlignedMatrix,
-    align_coordinate_encoder,
-    align_entities_direct,
-    align_entities_h3_first,
-    align_raster,
-)
 from .core import (
+    LABEL_KINDS,
     EntitySetSupport,
     RasterSupport,
     Rect,
@@ -29,14 +25,9 @@ from .core import (
     ValidationError,
     stable_seed,
 )
-from .grid import HexGrid, build_block_grid
-from .heads import HeadConfig, predict, train_head
-from .metrics import regression_metrics
 from .pe_encoder import pe_support
-from .split import SplitAssignment, TEST, random_split, spatial_split
 
 EMBEDDING_KINDS = ("field_value", "field_plus_noise", "coordinate_pe", "sparse_entities")
-LABEL_KINDS = ("scalar", "class", "distribution")
 
 _TASK_FOR_KIND = {"scalar": "POP", "class": "LUC", "distribution": "AGE"}
 
@@ -166,60 +157,3 @@ def synth_city(cfg: SynthConfig) -> tuple[TaskDataset, Representation]:
         support = EntitySetSupport(lons=lons, lats=lats, vectors=base)
         rep = Representation(model_id="sparse_entities", dim=cfg.dim, support=support)
     return task, rep
-
-
-def align_synth(task: TaskDataset, rep: Representation,
-                strategy: str = "h3_first") -> AlignedMatrix:
-    """Align a synthetic representation; entity sets use the given strategy."""
-    sup = rep.support
-    if isinstance(sup, RasterSupport):
-        return align_raster(sup, task, model_id=rep.model_id)
-    if isinstance(sup, EntitySetSupport):
-        hexgrid = HexGrid(*task.extent.center)
-        if strategy == "direct":
-            return align_entities_direct(sup, task, model_id=rep.model_id)
-        return align_entities_h3_first(sup, hexgrid, task, model_id=rep.model_id)
-    return align_coordinate_encoder(sup, task, model_id=rep.model_id)
-
-
-def _test_r2(task: TaskDataset, features: AlignedMatrix, split: SplitAssignment,
-             head_cfg: HeadConfig, run_seed: int) -> float:
-    head = train_head(features, task.labels, split, head_cfg, run_seed)
-    preds = predict(head, features)
-    mask = split.mask(TEST) & features.valid
-    return regression_metrics(task.labels[mask], preds[mask])["r2"].value
-
-
-@dataclass(frozen=True)
-class LeakageResult:
-    spatial_r2: tuple[float, ...]
-    random_r2: tuple[float, ...]
-
-    @property
-    def deltas(self) -> tuple[float, ...]:
-        return tuple(r - s for r, s in zip(self.random_r2, self.spatial_r2))
-
-    @property
-    def mean_delta(self) -> float:
-        return float(np.mean(self.deltas))
-
-
-def leakage_experiment(cfg: SynthConfig, head_cfg: HeadConfig,
-                       seeds=(42, 24, 7, 0, 100), nx: int = 10, ny: int = 10) -> LeakageResult:
-    """Full pipeline under both split protocols; returns per-seed test R2.
-
-    mean_delta = mean(random R2 - spatial R2) is the leakage diagnostic.
-    """
-    if cfg.label_kind != "scalar":
-        raise ValidationError("leakage experiment uses scalar labels")
-    task, rep = synth_city(cfg)
-    features = align_synth(task, rep)
-    grid = build_block_grid(task.extent, nx, ny)
-    spatial_scores, random_scores = [], []
-    for seed in seeds:
-        run_seed = stable_seed(cfg.city, cfg.embedding_kind, seed)
-        spatial_scores.append(_test_r2(task, features, spatial_split(task, grid, seed),
-                                       head_cfg, run_seed))
-        random_scores.append(_test_r2(task, features, random_split(task, seed),
-                                      head_cfg, run_seed))
-    return LeakageResult(spatial_r2=tuple(spatial_scores), random_r2=tuple(random_scores))

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from urbanbench.aggregate import city_ranks, overall_rank
-from urbanbench.align import coverage, write_erf
-from urbanbench.cli import RunPlan, read_result_store, run
+from urbanbench.align import align_entities_direct, coverage, write_erf
+from urbanbench.cli import RunPlan, align_support, evaluate, leakage_experiment, read_result_store, run
 from urbanbench.core import HIGHER_BETTER, Rect, ValidationError, write_task_dataset
-from urbanbench.grid import build_block_grid
+from urbanbench.grid import HexGrid, build_block_grid
 from urbanbench.heads import HeadConfig, gradient_check
 from urbanbench.metrics import (
     KL_EPSILON,
@@ -23,7 +23,7 @@ from urbanbench.metrics import (
     regression_metrics,
 )
 from urbanbench.split import spatial_split
-from urbanbench.synth import SynthConfig, _test_r2, align_synth, leakage_experiment, synth_city
+from urbanbench.synth import SynthConfig, synth_city
 
 from test_metrics import (
     brute_classification,
@@ -35,6 +35,10 @@ from test_metrics import (
 
 def ok(name):
     print(f"ACCEPTANCE {name}: PASS")
+
+
+def r2_of(records):
+    return next(r.value for r in records if r.metric == "r2")
 
 
 LINEAR_HEAD = HeadConfig(kind="linear", output="scalar", n_out=1,
@@ -202,17 +206,17 @@ class TestH3FirstCoverageDirection:
                           noise_sd=1.0, label_kind="scalar",
                           embedding_kind="sparse_entities", density=0.05, dim=4, seed=3)
         task, rep = synth_city(cfg)
-        m_h3 = align_synth(task, rep, "h3_first")
-        m_direct = align_synth(task, rep, "direct")
+        m_h3 = align_support(rep.support, task, rep.model_id, HexGrid(*task.extent.center))
+        m_direct = align_entities_direct(rep.support, task, model_id=rep.model_id)
         cov_h3, cov_direct = coverage(m_h3), coverage(m_direct)
         assert cov_h3 > cov_direct
         grid = build_block_grid(task.extent, 10, 10)
         wins = 0
         for seed in seeds:
             split = spatial_split(task, grid, seed)
-            r_h3 = _test_r2(task, m_h3, split, LINEAR_HEAD, run_seed=seed)
+            r_h3 = r2_of(evaluate(task, m_h3, split, LINEAR_HEAD, run_seed=seed))
             try:
-                r_direct = _test_r2(task, m_direct, split, LINEAR_HEAD, run_seed=seed)
+                r_direct = r2_of(evaluate(task, m_direct, split, LINEAR_HEAD, run_seed=seed))
             except ValidationError:
                 wins += 1  # direct could not even train/evaluate on this seed
                 continue

@@ -275,6 +275,16 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="bytes"):
             read_erf(p)
 
+    @pytest.mark.parametrize("header", [
+        b"erf1 nan 0.0 1.0 1.0 1 1 1", b"erf1 0.0 inf 1.0 1.0 1 1 1",
+        b"erf1 0.0 0.0 nan 1.0 1 1 1", b"erf1 0.0 0.0 1.0 inf 1 1 1",
+    ])
+    def test_erf_non_finite_header(self, tmp_path, header):
+        p = tmp_path / "bad.erf"
+        p.write_bytes(header + b"\n" + b"\x00" * 4)
+        with pytest.raises(ValidationError, match="bad.erf: .*finite"):
+            read_erf(p)
+
     def test_entity_csv_round_trip(self, tmp_path):
         rep = EntitySetSupport(lons=np.array([0.1, 0.2]), lats=np.array([0.3, 0.4]),
                                vectors=np.array([[1.0, 2.0], [3.0, 4.0]]))

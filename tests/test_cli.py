@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urbanbench.align import write_erf
+import urbanbench.cli as cli
+from urbanbench.align import write_cell_table_csv, write_erf
 from urbanbench.cli import (
     ResultStore,
+    RunOutcome,
     RunPlan,
     main,
     read_result_store,
@@ -19,7 +21,8 @@ from urbanbench.cli import (
     run,
     write_synth_city,
 )
-from urbanbench.core import AGE_CITIES, BENCHMARK_CITIES, Rect, ValidationError
+from urbanbench.core import AGE_CITIES, BENCHMARK_CITIES, CellTableSupport, Rect, ValidationError
+from urbanbench.grid import HexGrid, hex_cell_of
 from urbanbench.split import spatial_split
 from urbanbench.synth import SynthConfig, synth_city
 
@@ -136,6 +139,62 @@ class TestRun:
         assert {r.model_id for r in records} == {"field"}
         assert len(records) == 6
 
+    def test_non_finite_erf_header_fails_pair_and_run_continues(self, bench):
+        manifest = json.loads((bench / "manifest.json").read_text())
+        header, _, body = (bench / "field.erf").read_bytes().partition(b"\n")
+        fields = header.split()
+        fields[1] = b"nan"  # x0
+        (bench / "nan.erf").write_bytes(b" ".join(fields) + b"\n" + body)
+        manifest["models"]["nan"] = {"dim": 4, "support": "raster", "files": {"synthA": "nan.erf"}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        plan = quick_plan(bench, models=("nan", "field"), seeds=(42,))  # bad pair first
+        out = run(plan, log=lambda *a: None)
+        assert out.exit_code == 2
+        failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 2  # one per protocol
+        assert all(f.startswith("nan|POP|synthA|42|") and "nan.erf: " in f for f in failures)
+        records = read_result_store(bench / "out" / "results.csv")
+        assert {r.model_id for r in records} == {"field"}
+        assert len(records) == 6
+
+    def test_cell_table_grid_sources(self, bench):
+        # Tables keyed on a grid anchored ~80 km from the task only align when
+        # that grid reaches the reader: from the manifest or the file comment.
+        # The task-centred fallback serves a table keyed on the task's grid.
+        from urbanbench.core import load_task_dataset
+
+        task = load_task_dataset(bench / "task.csv")
+        far, centred = HexGrid(0.5, 0.5), HexGrid(*task.extent.center)
+
+        def write_table(name, grid, comment):
+            cells: dict = {}
+            for u, y in zip(task.units, task.labels):
+                cells.setdefault(hex_cell_of(u.lon, u.lat, grid), []).append(y)
+            table = {c: np.full(2, np.mean(v)) for c, v in cells.items()}
+            path = bench / f"{name}.csv"
+            write_cell_table_csv(path, CellTableSupport(grid=grid, table=table))
+            if not comment:
+                path.write_text(path.read_text().split("\n", 1)[1])
+            return {"dim": 2, "support": "cell_table", "files": {"synthA": path.name}}
+
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["models"].update({
+            "ct_manifest": {**write_table("ct_manifest", far, comment=False),
+                            "hexgrid": {"lon0": far.lon0, "lat0": far.lat0}},
+            "ct_comment": write_table("ct_comment", far, comment=True),
+            "ct_fallback": write_table("ct_fallback", centred, comment=False),
+            "ct_no_grid": write_table("ct_no_grid", far, comment=False),  # control
+        })
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        models = ("ct_manifest", "ct_comment", "ct_fallback", "ct_no_grid")
+        out = run(quick_plan(bench, models=models, seeds=(42,)), log=lambda *a: None)
+        assert out.exit_code == 2
+        assert {f[0].split("|")[0] for f in out.failures} == {"ct_no_grid"}
+        records = read_result_store(bench / "out" / "results.csv")
+        per_model = {m: sum(r.model_id == m for r in records) for m in models}
+        assert per_model == {"ct_manifest": 6, "ct_comment": 6, "ct_fallback": 6, "ct_no_grid": 0}
+        assert all(r.n_test > 0 for r in records)
+
     def test_manifest_error_exits_1(self, bench):
         manifest = json.loads((bench / "manifest.json").read_text())
         manifest["models"]["bad"] = {"dim": 4, "support": "hologram"}
@@ -215,22 +274,6 @@ class TestReportDirections:
         overall = [line.split(",")[0] for line in
                    paths["overall"].read_text().splitlines()[1:]]
         assert overall == ["good", "bad"]
-
-
-class TestHeadDump:
-    def test_dump_writes_header_and_blocks(self, tmp_path):
-        from urbanbench.heads import HeadConfig, TrainedHead, dump_head
-
-        cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=8,
-                         max_epochs=5, patience=2)
-        head = TrainedHead(cfg=cfg, params={"W": np.ones((3, 1)), "b": np.zeros(1)},
-                           input_dim=3, scaler=None, best_val_loss=0.0, epochs_run=1)
-        p = tmp_path / "head.bin"
-        dump_head(p, head)
-        data = p.read_bytes()
-        header, _, body = data.partition(b"\n")
-        assert header.startswith(b"head1 linear scalar")
-        assert len(body) == 4 * 4  # W (3x1) + b (1) as float32
 
 
 class TestAgeRestriction:
@@ -339,6 +382,17 @@ class TestReport:
         board = (out / "leaderboard.txt").read_text()
         assert "no spatial-protocol results to rank" in board
 
+    def test_non_numeric_factor_names_file_line(self, bench, capsys):
+        assert main(["run", str(bench / "manifest.json"), "--out", str(bench / "out"),
+                     "--seeds", "42", "--protocols", "spatial", "--head", "linear",
+                     "--models", "field", "--batch-size", "64", "--max-epochs", "20"]) == 0
+        (bench / "factors.csv").write_text("city,area\nc,abc\n")
+        capsys.readouterr()
+        assert main(["report", str(bench / "out"), "--factors", str(bench / "factors.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "factors.csv:2: factor 'area' value 'abc' is not a number" in err
+        assert "Traceback" not in err
+
     def test_empty_store_errors(self, tmp_path):
         (tmp_path / "results.csv").write_text("model,task,city,seed,protocol,metric,value,n_test\n")
         with pytest.raises(ValidationError, match="empty"):
@@ -369,6 +423,27 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda m: m.update(cities={"c": ["x"]}), "cities.c must be a JSON object, got list"),
+        (lambda m: m["cities"]["synthA"].update(tasks=["POP"]),
+         "cities.synthA.tasks must be a JSON object, got list"),
+        (lambda m: m["models"].update(bad=[4, "raster"]), "models.bad must be a JSON object, got list"),
+    ], ids=["city", "tasks", "model"])
+    def test_validate_non_object_entry(self, bench, capsys, edit, key):
+        manifest = json.loads((bench / "manifest.json").read_text())
+        edit(manifest)
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(bench / "manifest.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"manifest.json: {key}" in err
+        assert "Traceback" not in err
+
+    def test_run_defaults_are_run_plan_defaults(self, monkeypatch):
+        plans = []
+        monkeypatch.setattr(cli, "run", lambda plan: plans.append(plan) or RunOutcome(0, 0, 0))
+        assert main(["run", "m.json", "--out", "d"]) == 0
+        assert plans == [RunPlan(Path("m.json"), Path("d"))]
 
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck"]) == 0

@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from urbanbench.align import coverage
+from urbanbench.align import align_entities_direct, coverage
+from urbanbench.cli import align_support, leakage_experiment
 from urbanbench.core import Rect, ValidationError
+from urbanbench.grid import HexGrid
 from urbanbench.heads import HeadConfig
-from urbanbench.synth import (
-    SynthConfig,
-    align_synth,
-    generate_field,
-    lag1_autocorr,
-    leakage_experiment,
-    synth_city,
-)
+from urbanbench.synth import SynthConfig, generate_field, lag1_autocorr, synth_city
 
 EXTENT32 = Rect(-0.1, -0.1, 0.1, 0.1)
 CELL32 = 0.2 / 32  # one cell in extent units
@@ -74,7 +69,7 @@ class TestSynthCity:
     def test_scalar_labels_equal_field(self):
         cfg = SynthConfig(n=16, seed=7, label_kind="scalar", embedding_kind="field_value")
         task, rep = synth_city(cfg)
-        m = align_synth(task, rep)
+        m = align_support(rep.support, task, rep.model_id, HexGrid(*task.extent.center))
         # embedding replicates the label across dim (up to float32 storage)
         np.testing.assert_allclose(m.rows[:, 0], task.labels, atol=1e-6)
 
@@ -106,8 +101,9 @@ class TestSparseCoverage:
         cfg = SynthConfig(n=40, extent=Rect(-0.05, -0.05, 0.05, 0.05), length_scale=0.025,
                           noise_sd=1.0, embedding_kind="sparse_entities", density=0.05, seed=3)
         task, rep = synth_city(cfg)
-        cov_h3 = coverage(align_synth(task, rep, "h3_first"))
-        cov_direct = coverage(align_synth(task, rep, "direct"))
+        cov_h3 = coverage(align_support(rep.support, task, rep.model_id,
+                                        HexGrid(*task.extent.center)))
+        cov_direct = coverage(align_entities_direct(rep.support, task, model_id=rep.model_id))
         assert cov_h3 > cov_direct
 
 
