@@ -315,11 +315,11 @@ def read_erf(path: str | Path) -> RasterSupport:
             if b == b"\n":
                 break
             header.extend(b)
+        body = f.read()
+    try:  # ValidationError and UnicodeDecodeError are ValueErrors: each gets the path
         fields = header.decode("ascii").split()
         if len(fields) != 8 or fields[0] != _ERF_MAGIC:
-            raise ValidationError(f"{path}: not an erf1 file")
-        body = f.read()
-    try:  # ValidationError is a ValueError, so every message gets the path
+            raise ValidationError("not an erf1 file")
         x0, y0, dx, dy = (float(v) for v in fields[1:5])
         ncols, nrows, dim = (int(v) for v in fields[5:8])
         expected = ncols * nrows * dim * 4
@@ -405,7 +405,12 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
             break
         parts = line[1:].split()
         if parts and parts[0] == "hexgrid":
-            file_grid = HexGrid(float(parts[1]), float(parts[2]), float(parts[3]))
+            try:
+                lon0, lat0, edge = (float(v) for v in parts[1:])
+                file_grid = HexGrid(lon0, lat0, edge)
+            except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
+                raise ValidationError(
+                    f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
     grid = grid or file_grid
     if grid is None:
         raise ValidationError(f"{path}: cell table carries no hex grid and none was supplied")

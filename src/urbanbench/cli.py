@@ -633,13 +633,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"grid must look like 10x10, got {text!r}") from None
 
 
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seeds must look like 42,24,7, got {text!r}") from None
+
+
 def _cmd_run(args) -> int:
     plan = RunPlan(
         manifest_path=Path(args.manifest), out_dir=Path(args.out),
         models=tuple(args.models.split(",")) if args.models else None,
         cities=tuple(args.cities.split(",")) if args.cities else None,
         tasks=tuple(args.tasks.split(",")) if args.tasks else None,
-        seeds=tuple(int(s) for s in args.seeds.split(",")) if args.seeds else RunPlan.seeds,
+        seeds=args.seeds,
         protocols=tuple(args.protocols.split(",")),
         nx=args.grid[0], ny=args.grid[1], head=args.head,
         batch_size=args.batch_size, max_epochs=args.max_epochs,
@@ -704,7 +711,7 @@ def main(argv=None) -> int:
     p.add_argument("manifest")
     p.add_argument("--grid", type=_parse_grid, default=(RunPlan.nx, RunPlan.ny))
     p.add_argument("--protocols", default=",".join(RunPlan.protocols))
-    p.add_argument("--seeds", default=None)
+    p.add_argument("--seeds", type=_parse_seeds, default=RunPlan.seeds)
     p.add_argument("--head", choices=["linear", "mlp"], default=RunPlan.head)
     p.add_argument("--out", default="runs/out")
     p.add_argument("--models", default=None)

@@ -85,8 +85,10 @@ class HexGrid:
     edge_len_m: float = H3_RES8_EDGE_M
 
     def __post_init__(self):
-        if self.edge_len_m <= 0:
-            raise ValidationError("hex edge length must be positive")
+        if not (math.isfinite(self.lon0) and math.isfinite(self.lat0)):
+            raise ValidationError("hex grid anchor must be finite")
+        if not (0 < self.edge_len_m < math.inf):
+            raise ValidationError("hex edge length must be positive and finite")
 
     def signature(self) -> tuple:
         return (self.lon0, self.lat0, self.edge_len_m)

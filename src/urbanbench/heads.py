@@ -3,7 +3,8 @@
 Protocol defaults: hidden 1024, batch 512, lr 1e-3, at most 100 epochs,
 validation early stopping with patience 10, regression targets
 standardized on the training units. Training is float64 throughout and
-bit-deterministic given the run seed.
+bit-deterministic given the run seed. `train_head` reuses one hidden-layer
+buffer across its batches.
 """
 
 from __future__ import annotations
@@ -114,10 +115,13 @@ def _init_params(cfg: HeadConfig, dim: int, rng: np.random.Generator) -> dict[st
     }
 
 
-def _forward(params: dict, cfg: HeadConfig, x: np.ndarray):
+def _forward(params: dict, cfg: HeadConfig, x: np.ndarray, h: np.ndarray | None = None):
+    """Output and hidden activations; an MLP writes the hidden ones into `h` if given."""
     if cfg.kind == "linear":
         return x @ params["W"] + params["b"], None
-    h = np.maximum(x @ params["W1"] + params["b1"], 0.0)
+    h = np.matmul(x, params["W1"], out=h)
+    h += params["b1"]
+    np.maximum(h, 0.0, out=h)
     return h @ params["W2"] + params["b2"], h
 
 
@@ -159,7 +163,7 @@ def _backward(params: dict, cfg: HeadConfig, x: np.ndarray, h: np.ndarray | None
     if cfg.kind == "linear":
         return {"W": x.T @ dz, "b": dz.sum(axis=0)}
     dh = dz @ params["W2"].T
-    dh[h <= 0.0] = 0.0
+    dh *= h > 0.0
     return {
         "W1": x.T @ dh, "b1": dh.sum(axis=0),
         "W2": h.T @ dz, "b2": dz.sum(axis=0),
@@ -172,9 +176,9 @@ def batch_loss(params: dict, cfg: HeadConfig, x: np.ndarray, y: np.ndarray) -> f
     return loss
 
 
-def batch_gradients(params: dict, cfg: HeadConfig, x: np.ndarray, y: np.ndarray
-                    ) -> tuple[float, dict[str, np.ndarray]]:
-    z, h = _forward(params, cfg, x)
+def batch_gradients(params: dict, cfg: HeadConfig, x: np.ndarray, y: np.ndarray,
+                    h: np.ndarray | None = None) -> tuple[float, dict[str, np.ndarray]]:
+    z, h = _forward(params, cfg, x, h)
     loss, dz = _loss_and_dz(z, y, cfg.output)
     return loss, _backward(params, cfg, x, h, dz)
 
@@ -268,13 +272,15 @@ def train_head(
     best_params = {k: v.copy() for k, v in params.items()}
     best_val = math.inf
     n_train = x_train.shape[0]
+    hbuf = np.empty((min(cfg.batch_size, n_train), cfg.hidden_dim))
     epochs = 0
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            loss, grads = batch_gradients(params, cfg, x_train[sel], y_train[sel])
+            loss, grads = batch_gradients(params, cfg, x_train[sel], y_train[sel],
+                                          h=hbuf[:len(sel)])
             if not math.isfinite(loss):
                 raise ValidationError(f"non-finite training loss at epoch {epoch}")
             adam.step(params, grads)

@@ -285,6 +285,12 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="bad.erf: .*finite"):
             read_erf(p)
 
+    def test_erf_non_ascii_header_names_file(self, tmp_path):
+        p = tmp_path / "bad.erf"
+        p.write_bytes(b"erf1 \xff 0 1 1 1 1 1\n" + b"\x00" * 4)
+        with pytest.raises(ValidationError, match="bad.erf: .*ascii"):
+            read_erf(p)
+
     def test_entity_csv_round_trip(self, tmp_path):
         rep = EntitySetSupport(lons=np.array([0.1, 0.2]), lats=np.array([0.3, 0.4]),
                                vectors=np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -315,4 +321,14 @@ class TestFileFormats:
         p = tmp_path / "table.csv"
         p.write_text("# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n0:0,,1.0\n0:0,,2.0\n")
         with pytest.raises(ValidationError, match="duplicate"):
+            read_cell_table_csv(p)
+
+    @pytest.mark.parametrize("comment", [
+        "# hexgrid abc 0 461", "# hexgrid 0 461", "# hexgrid", "# hexgrid 0 0 461 7",
+        "# hexgrid 0 0 -461", "# hexgrid 0 0 nan", "# hexgrid nan 0 461",
+    ])
+    def test_cell_table_bad_hexgrid_comment_names_file_line(self, tmp_path, comment):
+        p = tmp_path / "table.csv"
+        p.write_text(f"# made by hand\n{comment}\nkey_or_lon,lat,v_0\n0:0,,1.0\n")
+        with pytest.raises(ValidationError, match=r"table\.csv:2: bad '# hexgrid"):
             read_cell_table_csv(p)

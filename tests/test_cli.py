@@ -157,6 +157,25 @@ class TestRun:
         assert {r.model_id for r in records} == {"field"}
         assert len(records) == 6
 
+    @pytest.mark.parametrize("file,support,content", [
+        ("badgrid.csv", "cell_table", b"# hexgrid abc 0 461\nkey_or_lon,lat,v_0,v_1\n0:0,,1,2\n"),
+        ("ascii.erf", "raster", b"erf1 \xff 0 1 1 1 1 2\n" + b"\x00" * 8),
+    ], ids=["hexgrid-comment", "erf-non-ascii"])
+    def test_unreadable_header_fails_pair_and_run_continues(self, bench, file, support, content):
+        (bench / file).write_bytes(content)
+        name = file.split(".")[0]
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["models"][name] = {"dim": 2, "support": support, "files": {"synthA": file}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        plan = quick_plan(bench, models=(name, "field"), seeds=(42,))  # bad pair first
+        out = run(plan, log=lambda *a: None)
+        assert out.exit_code == 2
+        failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 2  # one per protocol
+        assert all(f.startswith(f"{name}|POP|synthA|42|") and f"{file}:" in f for f in failures)
+        records = read_result_store(bench / "out" / "results.csv")
+        assert {r.model_id for r in records} == {"field"}
+
     def test_cell_table_grid_sources(self, bench):
         # Tables keyed on a grid anchored ~80 km from the task only align when
         # that grid reaches the reader: from the manifest or the file comment.
@@ -444,6 +463,22 @@ class TestVerbs:
         monkeypatch.setattr(cli, "run", lambda plan: plans.append(plan) or RunOutcome(0, 0, 0))
         assert main(["run", "m.json", "--out", "d"]) == 0
         assert plans == [RunPlan(Path("m.json"), Path("d"))]
+
+    def test_run_seeds_parsed(self, monkeypatch):
+        plans = []
+        monkeypatch.setattr(cli, "run", lambda plan: plans.append(plan) or RunOutcome(0, 0, 0))
+        assert main(["run", "m.json", "--out", "d", "--seeds", "3,-1"]) == 0
+        assert plans[0].seeds == (3, -1)
+
+    @pytest.mark.parametrize("seeds", ["a,b", "1,,2", ""])
+    def test_run_bad_seeds_usage_error(self, monkeypatch, capsys, seeds):
+        monkeypatch.setattr(cli, "run", lambda plan: pytest.fail("run must not start"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "m.json", "--seeds", seeds])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"seeds must look like 42,24,7, got {seeds!r}" in err
+        assert "Traceback" not in err
 
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck"]) == 0

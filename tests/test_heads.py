@@ -1,6 +1,8 @@
 """Tests for the downstream predictors: scaler, training, early stopping,
 prediction, and gradient verification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,72 @@ class TestHeadConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             HeadConfig(kind="transformer")
+
+
+def _golden_case(kind, output, n_out, n, dim, batch_size, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim))
+    if output == "scalar":
+        y = x @ rng.standard_normal(dim) + 0.3 * rng.standard_normal(n)
+    elif output == "logits":
+        y = rng.integers(0, n_out, size=n)
+    else:
+        p = rng.random((n, n_out))
+        y = p / p.sum(axis=1, keepdims=True)
+    split = make_split(n, n // 6, n // 6, seed=seed)
+    cfg = HeadConfig(kind=kind, output=output, n_out=n_out, hidden_dim=64,
+                     batch_size=batch_size, max_epochs=12, patience=11)
+    return matrix(x), y, split, cfg
+
+
+def _head_digest(head, features):
+    h = hashlib.sha256()
+    for k in sorted(head.params):
+        h.update(k.encode())
+        h.update(head.params[k].tobytes())
+    h.update(np.ascontiguousarray(predict(head, features)).tobytes())
+    h.update(repr((head.best_val_loss, head.epochs_run)).encode())
+    return h.hexdigest()
+
+
+class TestGoldenTraining:
+    """Pinned digests of trained parameters and predictions.
+
+    Training must stay bit-identical under refactors of the training step;
+    a digest change means the floats changed. The digests assume a BLAS
+    that gives the same bits for the same matmul (OpenBLAS with one or
+    more threads does), like the digests pinned in `perfbench/workloads.py`.
+    """
+
+    # (kind, output, n_out, n, dim, batch_size, seed) -> sha256
+    CASES = [
+        # n_train = 200, not a multiple of the batch size
+        (("mlp", "scalar", 1, 300, 8, 64, 1),
+         "0f66e24340a83934d36ee76e0fe0de16382c8d614cc67819e6e0248501bfba64"),
+        (("mlp", "logits", 3, 300, 8, 64, 2),
+         "0c3d93bb20f72763b4c1fe0894cb4bac724f9c1c589ba6018f83d42f198a7e56"),
+        (("mlp", "distribution", 4, 300, 8, 64, 3),
+         "8b0ca74a3dd075e7df8595a20b8794105fd28ab90224ce099cc03bb0c92f0fe7"),
+        (("linear", "scalar", 1, 300, 8, 64, 4),
+         "ab94cee0448da7924daa264251c8643431cc66f98d7aa6ad7ebc1da489c65fc5"),
+        # n_train = 134 < batch_size
+        (("mlp", "scalar", 1, 200, 16, 512, 5),
+         "1f79ce8a0a04ec548485ead0bea77f0beec2e5b4e46527f16651690d5c09087c"),
+    ]
+
+    @pytest.mark.parametrize("args,digest", CASES)
+    def test_train_head_digest(self, args, digest):
+        features, y, split, cfg = _golden_case(*args)
+        head = train_head(features, y, split, cfg, run_seed=args[-1])
+        assert _head_digest(head, features) == digest
+
+    def test_forward_with_buffer_matches(self):
+        from urbanbench.heads import _forward, _init_params
+
+        features, _, _, cfg = _golden_case("mlp", "scalar", 1, 50, 8, 64, 6)
+        params = _init_params(cfg, features.dim, np.random.default_rng(6))
+        z0, h0 = _forward(params, cfg, features.rows)
+        buf = np.full((64, cfg.hidden_dim), np.nan)
+        z1, h1 = _forward(params, cfg, features.rows, h=buf[:features.n])
+        assert z1.tobytes() == z0.tobytes()
+        assert h1.tobytes() == h0.tobytes()
