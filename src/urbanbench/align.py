@@ -29,6 +29,7 @@ from .core import (
     RasterSupport,
     TaskDataset,
     ValidationError,
+    open_text,
 )
 from .grid import (
     HexGrid,
@@ -304,24 +305,26 @@ def write_erf(path: str | Path, rep: RasterSupport) -> None:
         f.write(body)
 
 
-def read_erf(path: str | Path) -> RasterSupport:
-    path = Path(path)
-    with path.open("rb") as f:
-        header = bytearray()
-        while True:
-            b = f.read(1)
-            if not b:
-                raise ValidationError(f"{path}: truncated erf header")
-            if b == b"\n":
-                break
-            header.extend(b)
-        body = f.read()
+def _read_erf_header(path: Path, f) -> tuple:
+    """(x0, y0, dx, dy, ncols, nrows, dim) from the header line of an open erf file."""
+    header = f.readline()
+    if not header.endswith(b"\n"):
+        raise ValidationError(f"{path}: truncated erf header")
     try:  # ValidationError and UnicodeDecodeError are ValueErrors: each gets the path
         fields = header.decode("ascii").split()
         if len(fields) != 8 or fields[0] != _ERF_MAGIC:
             raise ValidationError("not an erf1 file")
-        x0, y0, dx, dy = (float(v) for v in fields[1:5])
-        ncols, nrows, dim = (int(v) for v in fields[5:8])
+        return (*(float(v) for v in fields[1:5]), *(int(v) for v in fields[5:8]))
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
+def read_erf(path: str | Path) -> RasterSupport:
+    path = Path(path)
+    with path.open("rb") as f:
+        x0, y0, dx, dy, ncols, nrows, dim = _read_erf_header(path, f)
+        body = f.read()
+    try:
         expected = ncols * nrows * dim * 4
         if len(body) != expected:
             raise ValidationError(f"erf body has {len(body)} bytes, expected {expected}")
@@ -330,15 +333,6 @@ def read_erf(path: str | Path) -> RasterSupport:
                              values=values.copy())
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from None
-
-
-def _peek_erf_dim(path: Path) -> int:
-    with path.open("rb") as f:
-        line = f.readline(256).decode("ascii", errors="replace").strip()
-    fields = line.split()
-    if len(fields) != 8 or fields[0] != _ERF_MAGIC:
-        raise ValidationError(f"{path}: not an erf1 file")
-    return int(fields[7])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +352,7 @@ def write_entity_csv(path: str | Path, rep: EntitySetSupport) -> None:
 def read_entity_csv(path: str | Path) -> EntitySetSupport:
     path = Path(path)
     lons, lats, vecs = [], [], []
-    with path.open("r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     if not rows:
@@ -395,7 +389,7 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
 
 def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTableSupport:
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         lines = f.read().splitlines()
     file_grid = None
     body_start = 0
@@ -440,9 +434,10 @@ def peek_embedding_dim(path: str | Path, support: str) -> int:
     """Cheap dim probe of an embedding file, used by manifest validation."""
     path = Path(path)
     if support == "raster":
-        return _peek_erf_dim(path)
+        with path.open("rb") as f:
+            return _read_erf_header(path, f)[-1]
     if support in ("entity_set", "cell_table"):
-        with path.open("r", encoding="utf-8", newline="") as f:
+        with open_text(path) as f:
             for line in f:
                 if line.startswith("#"):
                     continue

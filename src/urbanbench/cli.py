@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,7 @@ from .core import (
     get_encoder,
     load_manifest,
     load_task_dataset,
+    open_text,
     stable_seed,
     task_direction,
     validate_manifest,
@@ -75,6 +76,7 @@ from .synth import SynthConfig, synth_city
 
 STORE_HEADER = ("model", "task", "city", "seed", "protocol", "metric", "value", "n_test")
 _METRIC_ORDER = {m: i for kind in METRICS_FOR_KIND.values() for i, m in enumerate(kind)}
+_HEAD_OUTPUT = {"scalar": "scalar", "class": "logits", "distribution": "distribution"}
 
 
 class ResultStore:
@@ -87,13 +89,10 @@ class ResultStore:
         if self.path.exists():
             self.records = read_result_store(self.path)
 
-    def group_key(self, r: ResultRecord) -> tuple:
-        return (r.model_id, r.task, r.city, r.seed, r.protocol)
-
     def completed_groups(self) -> set[tuple]:
         counts: dict[tuple, set[str]] = {}
         for r in self.records:
-            counts.setdefault(self.group_key(r), set()).add(r.metric)
+            counts.setdefault((r.model_id, r.task, r.city, r.seed, r.protocol), set()).add(r.metric)
         return {k for k, metrics in counts.items() if len(metrics) >= 3}
 
     def add(self, records: list[ResultRecord]) -> None:
@@ -118,7 +117,7 @@ class ResultStore:
 def read_result_store(path: str | Path) -> list[ResultRecord]:
     path = Path(path)
     out: list[ResultRecord] = []
-    with path.open("r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != list(STORE_HEADER):
@@ -148,14 +147,7 @@ class RunPlan:
     protocols: tuple[str, ...] = ("spatial", "random")
     nx: int = 10
     ny: int = 10
-    head: str = "mlp"
-    hidden_dim: int = 1024
-    batch_size: int = 512
-    learning_rate: float = 1e-3
-    max_epochs: int = 100
-    patience: int = 10
-    test_frac: float = DEFAULT_TEST_FRAC
-    val_frac: float = DEFAULT_VAL_FRAC
+    head: HeadConfig = HeadConfig()  # output and n_out are set per task
 
     def __post_init__(self):
         bad = set(self.protocols) - {"spatial", "random"}
@@ -163,17 +155,6 @@ class RunPlan:
             raise ValidationError(f"protocols must be a nonempty subset of spatial,random; got {self.protocols}")
         if not self.seeds:
             raise ValidationError("need at least one seed")
-        if self.patience >= self.max_epochs:
-            raise ValidationError("patience must be < max_epochs")
-
-
-def _head_config(plan: RunPlan, ds: TaskDataset) -> HeadConfig:
-    output = {"scalar": "scalar", "class": "logits", "distribution": "distribution"}[ds.label_kind]
-    n_out = 1 if output == "scalar" else int(ds.n_classes)
-    return HeadConfig(kind=plan.head, output=output, n_out=n_out,
-                      hidden_dim=plan.hidden_dim, batch_size=plan.batch_size,
-                      learning_rate=plan.learning_rate, max_epochs=plan.max_epochs,
-                      patience=plan.patience)
 
 
 def _load_representation_support(manifest: Manifest, model_id: str, city: str,
@@ -187,9 +168,7 @@ def _load_representation_support(manifest: Manifest, model_id: str, city: str,
     if m.support == "entity_set":
         return read_entity_csv(path)
     if m.hexgrid is not None:
-        grid = HexGrid(float(m.hexgrid["lon0"]), float(m.hexgrid["lat0"]),
-                       float(m.hexgrid.get("edge_len_m", H3_RES8_EDGE_M)))
-        return read_cell_table_csv(path, grid=grid)
+        return read_cell_table_csv(path, grid=m.hexgrid)
     try:
         return read_cell_table_csv(path)  # grid from the file comment
     except ValidationError:
@@ -250,7 +229,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     hashed before any representation is loaded, so they cannot depend on
     models. Per-group failures are recorded and skipped."""
     manifest = load_manifest(plan.manifest_path)
-    report_v = validate_manifest(manifest)
+    report_v = validate_manifest(manifest, probe_files=False)
     if not report_v.ok:
         for e in report_v.errors:
             log(f"manifest error: {e}")
@@ -272,14 +251,10 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     cities = [c for c in sorted(manifest.cities) if plan.cities is None or c in plan.cities]
     started = time.time()
 
-    # Phase 1: datasets, grids, and model-invariant splits (hashed before any
+    # Phase 1: datasets and model-invariant splits (hashed before any
     # representation is touched).
     datasets: dict[tuple[str, str], TaskDataset] = {}
     splits: dict[tuple[str, str, str, int], object] = {}
-    split_hashes: dict[str, str] = {}
-    grids: dict[tuple[str, str], tuple] = {}
-    hexgrids: dict[tuple[str, str], HexGrid] = {}
-    plan_rows: list[tuple[str, str]] = []
     for city in cities:
         for task_name in sorted(manifest.cities[city]):
             if plan.tasks is not None and task_name not in plan.tasks:
@@ -293,34 +268,31 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                     f"task file metadata ({ds.city},{ds.task}) != manifest entry ({city},{task_name})")
             datasets[(city, task_name)] = ds
             grid = build_block_grid(ds.extent, plan.nx, plan.ny)
-            grids[(city, task_name)] = grid.signature()
-            hexgrids[(city, task_name)] = HexGrid(*ds.extent.center)
-            plan_rows.append((city, task_name))
             for protocol in plan.protocols:
                 for seed in plan.seeds:
-                    a = (spatial_split(ds, grid, seed, plan.test_frac, plan.val_frac)
-                         if protocol == "spatial"
-                         else random_split(ds, seed, plan.test_frac, plan.val_frac))
+                    a = spatial_split(ds, grid, seed) if protocol == "spatial" else random_split(ds, seed)
                     splits[(city, task_name, protocol, seed)] = a
-                    key = f"{city}|{task_name}|{protocol}|{seed}"
-                    split_hashes[key] = a.assignment_hash()
-                    write_split_csv(out_dir / "splits" / f"{key.replace('|', '_')}.csv", a)
+                    write_split_csv(out_dir / "splits" / f"{city}_{task_name}_{protocol}_{seed}.csv", a)
 
+    # json.dumps(sort_keys=True) orders every table below
+    head = plan.head
     meta = {
         "plan": {
             "models": models, "cities": cities,
-            "tasks": sorted({t for _, t in plan_rows}),
+            "tasks": sorted({t for _, t in datasets}),
             "seeds": list(plan.seeds), "protocols": list(plan.protocols),
-            "grid": [plan.nx, plan.ny], "head": plan.head,
-            "hidden_dim": plan.hidden_dim, "batch_size": plan.batch_size,
-            "learning_rate": plan.learning_rate, "max_epochs": plan.max_epochs,
-            "patience": plan.patience,
-            "test_frac": plan.test_frac, "val_frac": plan.val_frac,
+            "grid": [plan.nx, plan.ny], "head": head.kind,
+            "hidden_dim": head.hidden_dim, "batch_size": head.batch_size,
+            "learning_rate": head.learning_rate, "max_epochs": head.max_epochs,
+            "patience": head.patience,
+            "test_frac": DEFAULT_TEST_FRAC, "val_frac": DEFAULT_VAL_FRAC,
         },
         "constants": harness_constants(),
-        "grids": {f"{c}|{t}": list(sig) for (c, t), sig in sorted(grids.items())},
-        "hexgrids": {f"{c}|{t}": list(g.signature()) for (c, t), g in sorted(hexgrids.items())},
-        "splits": dict(sorted(split_hashes.items())),
+        "grids": {f"{c}|{t}": list(build_block_grid(ds.extent, plan.nx, plan.ny).signature())
+                  for (c, t), ds in datasets.items()},
+        "hexgrids": {f"{c}|{t}": list(HexGrid(*ds.extent.center).signature())
+                     for (c, t), ds in datasets.items()},
+        "splits": {"|".join(map(str, key)): a.assignment_hash() for key, a in splits.items()},
     }
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                            encoding="utf-8")
@@ -330,8 +302,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     new_records = 0
     skipped = 0
     for model_id in models:
-        for (city, task_name) in plan_rows:
-            ds = datasets[(city, task_name)]
+        for (city, task_name), ds in datasets.items():
             pending = [(protocol, seed)
                        for protocol in plan.protocols for seed in plan.seeds
                        if (model_id, task_name, city, seed, protocol) not in completed]
@@ -339,10 +310,14 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
             if not pending:
                 continue
             try:
-                support = _load_representation_support(manifest, model_id, city,
-                                                       hexgrids[(city, task_name)])
-                features = align_support(support, ds, model_id, hexgrids[(city, task_name)])
-                cfg = _head_config(plan, ds)
+                hexgrid = HexGrid(*ds.extent.center)
+                support = _load_representation_support(manifest, model_id, city, hexgrid)
+                declared = manifest.models[model_id].dim
+                if support.dim != declared:
+                    raise ValidationError(f"file dim {support.dim} != declared {declared}")
+                features = align_support(support, ds, model_id, hexgrid)
+                output = _HEAD_OUTPUT[ds.label_kind]
+                cfg = replace(plan.head, output=output, n_out=1 if output == "scalar" else int(ds.n_classes))
             except (ValidationError, KeyError, OSError) as e:
                 for protocol, seed in pending:
                     failures.append((f"{model_id}|{task_name}|{city}|{seed}|{protocol}", str(e)))
@@ -360,12 +335,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 store.flush()
 
     if failures:
-        fail_path = out_dir / "failures.csv"
-        with fail_path.open("w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["run_key", "error"])
-            for key, err in sorted(failures):
-                w.writerow([key, err])
+        _write_csv(out_dir / "failures.csv", ["run_key", "error"], sorted(failures))
     (out_dir / "run_times.json").write_text(
         json.dumps({"started": started, "finished": time.time()}) + "\n", encoding="utf-8")
     log(f"run complete: {new_records} new records, {skipped} groups skipped, "
@@ -551,7 +521,7 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
 def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
     """CSV `city,<factor>,<factor>,...` -> factor name -> city -> value."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         header = next(reader, [])
         if header[:1] != ["city"]:
@@ -648,9 +618,9 @@ def _cmd_run(args) -> int:
         tasks=tuple(args.tasks.split(",")) if args.tasks else None,
         seeds=args.seeds,
         protocols=tuple(args.protocols.split(",")),
-        nx=args.grid[0], ny=args.grid[1], head=args.head,
-        batch_size=args.batch_size, max_epochs=args.max_epochs,
-        hidden_dim=args.hidden_dim, patience=args.patience,
+        nx=args.grid[0], ny=args.grid[1],
+        head=HeadConfig(kind=args.head, batch_size=args.batch_size, max_epochs=args.max_epochs,
+                        hidden_dim=args.hidden_dim, patience=args.patience),
     )
     return run(plan).exit_code
 
@@ -712,15 +682,15 @@ def main(argv=None) -> int:
     p.add_argument("--grid", type=_parse_grid, default=(RunPlan.nx, RunPlan.ny))
     p.add_argument("--protocols", default=",".join(RunPlan.protocols))
     p.add_argument("--seeds", type=_parse_seeds, default=RunPlan.seeds)
-    p.add_argument("--head", choices=["linear", "mlp"], default=RunPlan.head)
+    p.add_argument("--head", choices=["linear", "mlp"], default=HeadConfig.kind)
     p.add_argument("--out", default="runs/out")
     p.add_argument("--models", default=None)
     p.add_argument("--cities", default=None)
     p.add_argument("--tasks", default=None)
-    p.add_argument("--batch-size", type=int, default=RunPlan.batch_size)
-    p.add_argument("--max-epochs", type=int, default=RunPlan.max_epochs)
-    p.add_argument("--hidden-dim", type=int, default=RunPlan.hidden_dim)
-    p.add_argument("--patience", type=int, default=RunPlan.patience)
+    p.add_argument("--batch-size", type=int, default=HeadConfig.batch_size)
+    p.add_argument("--max-epochs", type=int, default=HeadConfig.max_epochs)
+    p.add_argument("--hidden-dim", type=int, default=HeadConfig.hidden_dim)
+    p.add_argument("--patience", type=int, default=HeadConfig.patience)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("report", help="aggregate a result store into summaries")
@@ -739,7 +709,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TYPE_CHECKING
@@ -262,6 +264,17 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+@contextmanager
+def open_text(path: Path):
+    """Open a UTF-8 text input for reading (newlines untranslated, as the csv
+    module wants); bytes that are not UTF-8 raise a ValidationError naming it."""
+    try:
+        with path.open("r", encoding="utf-8", newline="") as f:
+            yield f
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def load_task_dataset(path: str | Path) -> TaskDataset:
     """Load a task dataset from its canonical CSV form.
 
@@ -271,7 +284,7 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     """
     path = Path(path)
     meta: dict[str, str] = {}
-    with path.open("r", encoding="utf-8", newline="") as f:
+    with open_text(path) as f:
         raw_lines = f.read().splitlines()
 
     lineno = 0
@@ -366,7 +379,10 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         ys = [u.lat for u in units] + [v for u in units if u.cell_extent for v in (u.cell_extent.y0, u.cell_extent.y1)]
         extent = Rect(min(xs), min(ys), max(xs), max(ys))
 
-    n_classes = int(meta["classes"]) if "classes" in meta else None
+    try:
+        n_classes = int(meta["classes"]) if "classes" in meta else None
+    except ValueError:
+        raise ValidationError(f"{path}: malformed '# classes' line") from None
     return TaskDataset(city, task, units, labels, extent, n_classes=n_classes)
 
 
@@ -550,7 +566,7 @@ class ManifestModel:
     support: str
     files: Mapping[str, str] = field(default_factory=dict)
     encoder: str | None = None
-    hexgrid: Mapping[str, float] | None = None
+    hexgrid: HexGrid | None = None
 
 
 @dataclass(frozen=True)
@@ -572,17 +588,43 @@ def _json_object(value, path: Path, key: str) -> dict:
     return value
 
 
+def _json_paths(value, path: Path, key: str) -> dict[str, str]:
+    """A JSON object whose values are file paths."""
+    for name, rel in _json_object(value, path, key).items():
+        if not isinstance(rel, str):
+            raise ValidationError(f"{path}: {key}.{name} must be a path string, got {rel!r}")
+    return dict(value)
+
+
+def _json_hexgrid(value, path: Path, key: str) -> HexGrid:
+    """A manifest `hexgrid` entry: numbers lon0, lat0 and optionally edge_len_m."""
+    from .grid import HexGrid
+
+    entry = _json_object(value, path, key)
+    if not {"lon0", "lat0"} <= entry.keys() <= {"lon0", "lat0", "edge_len_m"}:
+        raise ValidationError(f"{path}: {key} needs lon0 and lat0 and may have edge_len_m, "
+                              f"got {sorted(entry)}")
+    for name, v in entry.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"{path}: {key}.{name} must be a number, got {v!r}")
+    try:
+        return HexGrid(**{name: float(v) for name, v in entry.items()})
+    except (ValidationError, OverflowError) as e:
+        raise ValidationError(f"{path}: {key}: {e}") from None
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        with open_text(path) as f:
+            doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON ({e})") from None
     doc = _json_object(doc, path, "manifest")
     cities = {}
     for city, entry in _json_object(doc.get("cities", {}), path, "cities").items():
         entry = _json_object(entry, path, f"cities.{city}")
-        cities[city] = dict(_json_object(entry.get("tasks", {}), path, f"cities.{city}.tasks"))
+        cities[city] = _json_paths(entry.get("tasks", {}), path, f"cities.{city}.tasks")
     models = {}
     for model_id, entry in _json_object(doc.get("models", {}), path, "models").items():
         entry = _json_object(entry, path, f"models.{model_id}")
@@ -591,16 +633,17 @@ def load_manifest(path: str | Path) -> Manifest:
             raise ValidationError(f"{path}: model {model_id}: missing {', '.join(missing)}")
         try:
             dim = int(entry["dim"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"{path}: model {model_id}: dim must be an integer, got {entry['dim']!r}") from None
         models[model_id] = ManifestModel(
             model_id=model_id,
             dim=dim,
             support=entry["support"],
-            files=dict(entry.get("files", {})),
+            files=_json_paths(entry.get("files", {}), path, f"models.{model_id}.files"),
             encoder=entry.get("encoder"),
-            hexgrid=entry.get("hexgrid"),
+            hexgrid=(None if entry.get("hexgrid") is None
+                     else _json_hexgrid(entry["hexgrid"], path, f"models.{model_id}.hexgrid")),
         )
     return Manifest(cities=cities, models=models, base_dir=path.parent)
 
@@ -621,11 +664,13 @@ class ValidationReport:
                 f"{len(self.warnings)} warnings, {len(self.errors)} errors")
 
 
-def validate_manifest(manifest: Manifest) -> ValidationReport:
+def validate_manifest(manifest: Manifest, probe_files: bool = True) -> ValidationReport:
     """Cross-check every (model, city, task) combination without side effects.
 
     Missing embedding files are gaps, not fatal; structural problems (bad
-    support kind, dim mismatches across cities) are errors.
+    support kind, dim mismatches across cities) are errors. With
+    `probe_files=False` embedding files are not opened: `run` reads each one
+    anyway and checks its dim there, so a bad file fails only its own pairs.
     """
     from . import align  # file probing lives with the file formats
 
@@ -638,7 +683,7 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
                 task_meta[(city, task)] = False
                 continue
             p = manifest.resolve(manifest.cities[city][task])
-            if not p.exists():
+            if not os.path.isfile(p):
                 report.errors.append(f"city {city}: task file missing: {p}")
                 task_meta[(city, task)] = False
                 continue
@@ -669,15 +714,15 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
             city_ok = True
             if m.support != "coordinate_encoder":
                 rel = m.files.get(city)
-                if rel is None or not manifest.resolve(rel).exists():
+                if rel is None or not os.path.isfile(manifest.resolve(rel)):
                     for task, ok in sorted(task_meta.items()):
                         if task[0] == city and ok:
                             report.gaps.append((model_id, city, task[1], "embedding file missing"))
                     continue
                 fpath = manifest.resolve(rel)
                 try:
-                    file_dim = align.peek_embedding_dim(fpath, m.support)
-                except ValidationError as e:
+                    file_dim = align.peek_embedding_dim(fpath, m.support) if probe_files else m.dim
+                except (ValidationError, OSError) as e:
                     report.errors.append(f"model {model_id}, city {city}: {e}")
                     continue
                 seen_dims[city] = file_dim

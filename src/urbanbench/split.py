@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TaskDataset, ValidationError, stable_seed
+from .core import TaskDataset, ValidationError, open_text, stable_seed
 from .grid import BlockGrid, assign_block
 
 TRAIN, VAL, TEST = "train", "val", "test"
@@ -180,7 +180,9 @@ def write_split_csv(path: str | Path, a: SplitAssignment) -> None:
 def read_split_labels(path: str | Path) -> dict[str, str]:
     path = Path(path)
     out: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    with open_text(path) as f:
+        lines = f.read().splitlines()
+    for line in lines:
         if line.startswith("#") or not line or line == "unit_id,label":
             continue
         uid, _, lab = line.rpartition(",")

@@ -148,8 +148,8 @@ class TestModelInvarianceOfSplits:
         }
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         plan = RunPlan(manifest_path=tmp_path / "manifest.json", out_dir=tmp_path / "out",
-                       seeds=(42,), protocols=("spatial",), head="linear",
-                       batch_size=64, max_epochs=20, patience=5)
+                       seeds=(42,), protocols=("spatial",),
+                       head=HeadConfig(kind="linear", batch_size=64, max_epochs=20, patience=5))
         assert run(plan, log=lambda *a: None).exit_code == 0
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
         # exactly one hash per (city, task, protocol, seed): nothing per-model
@@ -283,8 +283,8 @@ class TestFullRunDeterminism:
         for out in ("run1", "run2"):
             plan = RunPlan(manifest_path=tmp_path / "manifest.json",
                            out_dir=tmp_path / out, seeds=(42, 24),
-                           protocols=("spatial", "random"), head="linear",
-                           batch_size=64, max_epochs=30, patience=5)
+                           protocols=("spatial", "random"),
+                           head=HeadConfig(kind="linear", batch_size=64, max_epochs=30, patience=5))
             assert run(plan, log=lambda *a: None).exit_code == 0
             stores.append((tmp_path / out / "results.csv").read_bytes())
         assert stores[0] == stores[1]

@@ -1,5 +1,6 @@
 """End-to-end orchestrator tests: run, resume, determinism, report, verbs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from urbanbench.cli import (
 )
 from urbanbench.core import AGE_CITIES, BENCHMARK_CITIES, CellTableSupport, Rect, ValidationError
 from urbanbench.grid import HexGrid, hex_cell_of
+from urbanbench.heads import HeadConfig
 from urbanbench.split import spatial_split
 from urbanbench.synth import SynthConfig, synth_city
 
@@ -52,8 +54,8 @@ def bench(tmp_path):
 def quick_plan(bench, out="out", **kw):
     defaults = dict(
         manifest_path=bench / "manifest.json", out_dir=bench / out,
-        seeds=(42, 24), protocols=("spatial", "random"), head="linear",
-        batch_size=64, max_epochs=30, patience=5,
+        seeds=(42, 24), protocols=("spatial", "random"),
+        head=HeadConfig(kind="linear", batch_size=64, max_epochs=30, patience=5),
     )
     defaults.update(kw)
     return RunPlan(**defaults)
@@ -83,6 +85,17 @@ class TestRun:
         run(plan_b, log=lambda *a: None)
         assert (bench / "a" / "results.csv").read_bytes() == (bench / "b" / "results.csv").read_bytes()
         assert (bench / "a" / "run_meta.json").read_bytes() == (bench / "b" / "run_meta.json").read_bytes()
+
+    def test_quick_plan_outputs_pinned(self, bench):
+        # sha256 of the outputs recorded with the code before RunPlan held a
+        # HeadConfig; the plan refactor must leave both files byte-identical
+        run(quick_plan(bench), log=lambda *a: None)
+        digests = {name: hashlib.sha256((bench / "out" / name).read_bytes()).hexdigest()
+                   for name in ("run_meta.json", "results.csv")}
+        assert digests == {
+            "run_meta.json": "aa88d51d6f0d38aa4cc0e13146e0401b9ef8d0fe6b74dbb739dde1b9518a3bee",
+            "results.csv": "25bf4045b33543a0edb1e4db680d52c107f2b8a8a9e1eefd58b49f918d04a66c",
+        }
 
     def test_interrupted_run_resumes_to_same_store(self, bench):
         # partial plan first (one seed), then the full plan in the same dir
@@ -160,7 +173,9 @@ class TestRun:
     @pytest.mark.parametrize("file,support,content", [
         ("badgrid.csv", "cell_table", b"# hexgrid abc 0 461\nkey_or_lon,lat,v_0,v_1\n0:0,,1,2\n"),
         ("ascii.erf", "raster", b"erf1 \xff 0 1 1 1 1 2\n" + b"\x00" * 8),
-    ], ids=["hexgrid-comment", "erf-non-ascii"])
+        ("intdim.erf", "raster", b"erf1 0 0 1 1 1 1 abc\n" + b"\x00" * 8),
+        ("utf8.csv", "entity_set", b"key_or_lon,lat,v_0,v_1\n0.0,0.0,1.0,\xff\n"),
+    ], ids=["hexgrid-comment", "erf-non-ascii", "erf-bad-dim", "entity-non-utf8"])
     def test_unreadable_header_fails_pair_and_run_continues(self, bench, file, support, content):
         (bench / file).write_bytes(content)
         name = file.split(".")[0]
@@ -214,6 +229,15 @@ class TestRun:
         assert per_model == {"ct_manifest": 6, "ct_comment": 6, "ct_fallback": 6, "ct_no_grid": 0}
         assert all(r.n_test > 0 for r in records)
 
+    def test_file_dim_mismatch_fails_pair_and_run_continues(self, bench):
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["models"]["wide"] = {"dim": 5, "support": "raster", "files": {"synthA": "field.erf"}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        out = run(quick_plan(bench, models=("wide", "field"), seeds=(42,)), log=lambda *a: None)
+        assert out.exit_code == 2
+        assert [f for _, f in out.failures] == ["file dim 4 != declared 5"] * 2
+        assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
+
     def test_manifest_error_exits_1(self, bench):
         manifest = json.loads((bench / "manifest.json").read_text())
         manifest["models"]["bad"] = {"dim": 4, "support": "hologram"}
@@ -248,8 +272,8 @@ class TestResultStore:
                                       "encoder": "pe_spherec_approx"}}}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         plan = RunPlan(manifest_path=tmp_path / "manifest.json", out_dir=tmp_path / "out",
-                       seeds=(42,), protocols=("random",), head="linear",
-                       batch_size=32, max_epochs=12, patience=4, nx=5, ny=5)
+                       seeds=(42,), protocols=("random",), nx=5, ny=5,
+                       head=HeadConfig(kind="linear", batch_size=32, max_epochs=12, patience=4))
         out = run(plan, log=lambda *a: None)
         assert out.exit_code == 0
         records = {r.metric: r for r in read_result_store(tmp_path / "out" / "results.csv")}
@@ -312,8 +336,8 @@ class TestAgeRestriction:
                                       "encoder": "pe_spherec_approx"}}}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         plan = RunPlan(manifest_path=tmp_path / "manifest.json", out_dir=tmp_path / "out",
-                       seeds=(42,), protocols=("spatial",), head="linear",
-                       batch_size=32, max_epochs=12, patience=4, nx=4, ny=4)
+                       seeds=(42,), protocols=("spatial",), nx=4, ny=4,
+                       head=HeadConfig(kind="linear", batch_size=32, max_epochs=12, patience=4))
         out = run(plan, log=lambda *a: None)
         assert out.exit_code == 0
         records = read_result_store(tmp_path / "out" / "results.csv")
@@ -375,8 +399,8 @@ class TestReport:
                                          "files": {c: f"{c}.erf" for c in cities}}}}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         plan = RunPlan(manifest_path=tmp_path / "manifest.json", out_dir=tmp_path / "out",
-                       seeds=(42,), protocols=("spatial",), head="linear",
-                       batch_size=32, max_epochs=12, patience=4, nx=4, ny=4)
+                       seeds=(42,), protocols=("spatial",), nx=4, ny=4,
+                       head=HeadConfig(kind="linear", batch_size=32, max_epochs=12, patience=4))
         run(plan, log=lambda *a: None)
         (tmp_path / "factors.csv").write_text(
             "city,area\ncityA,10\ncityB,20\ncityC,30\ncityD,40\n")
@@ -458,6 +482,74 @@ class TestVerbs:
         assert f"manifest.json: {key}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda m: m["models"]["field"].update(hexgrid={"lon0": "x", "lat0": 0}),
+         "models.field.hexgrid.lon0 must be a number, got 'x'"),
+        (lambda m: m["models"]["field"].update(hexgrid=5),
+         "models.field.hexgrid must be a JSON object, got int"),
+        (lambda m: m["models"]["field"].update(hexgrid={"lat0": 0}),
+         "models.field.hexgrid needs lon0 and lat0"),
+        (lambda m: m["models"]["field"].update(files=["f.erf"]),
+         "models.field.files must be a JSON object, got list"),
+        (lambda m: m["models"]["field"].update(files={"synthA": 5}),
+         "models.field.files.synthA must be a path string, got 5"),
+        (lambda m: m["cities"]["synthA"]["tasks"].update(POP=5),
+         "cities.synthA.tasks.POP must be a path string, got 5"),
+    ], ids=["hexgrid-value", "hexgrid-int", "hexgrid-keys", "files-list", "file-int", "task-int"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_manifest_value_types(self, bench, capsys, edit, key, verb):
+        manifest = json.loads((bench / "manifest.json").read_text())
+        edit(manifest)
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        args = ["--out", str(bench / "out")] if verb == "run" else []
+        assert main([verb, str(bench / "manifest.json"), *args]) == 1
+        err = capsys.readouterr().err
+        assert f"manifest.json: {key}" in err
+        assert "Traceback" not in err
+        assert not (bench / "out").exists()
+
+    def test_validate_bad_erf_dim_names_model_city_file(self, bench, capsys):
+        (bench / "bad.erf").write_bytes(b"erf1 0 0 1 1 1 1 abc\n")
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["models"]["bad"] = {"dim": 4, "support": "raster", "files": {"synthA": "bad.erf"}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["validate", str(bench / "manifest.json")]) == 1
+        out = capsys.readouterr().out
+        assert "error: model bad, city synthA: " in out and "bad.erf: invalid literal for int()" in out
+
+    @pytest.mark.parametrize("args", [
+        ["validate", "nope.json"],
+        ["report", "."],
+        ["report", ".", "--factors", "nope.csv"],
+    ], ids=["validate", "report-no-store", "report-no-factors"])
+    def test_missing_file_is_an_error_line(self, bench, capsys, monkeypatch, args):
+        monkeypatch.chdir(bench)
+        if "--factors" in args:
+            run(quick_plan(bench, out=".", models=("field",), seeds=(42,)), log=lambda *a: None)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["out/results.csv", "factors.csv"])
+    def test_report_non_utf8_input_exits_1(self, bench, capsys, target):
+        run(quick_plan(bench, models=("field",), seeds=(42,)), log=lambda *a: None)
+        (bench / "factors.csv").write_text("city,area\nsynthA,1\n")
+        with (bench / target).open("ab") as f:
+            f.write(b"\xff\n")
+        assert main(["report", str(bench / "out"), "--factors", str(bench / "factors.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{target}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--hidden-dim", "--patience"])
+    def test_bad_head_flag_exits_1_and_writes_nothing(self, bench, capsys, flag):
+        assert main(["run", str(bench / "manifest.json"), "--out", str(bench / "out"),
+                     flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag[2:].replace('-', '_')} must be a positive integer\n"
+        assert not (bench / "out").exists()
+
     def test_run_defaults_are_run_plan_defaults(self, monkeypatch):
         plans = []
         monkeypatch.setattr(cli, "run", lambda plan: plans.append(plan) or RunOutcome(0, 0, 0))
@@ -508,8 +600,8 @@ class TestVerbs:
                           density=0.5, dim=3, seed=6, city="synthC")
         paths = write_synth_city(cfg, tmp_path / "city")
         plan = RunPlan(manifest_path=paths["manifest"], out_dir=tmp_path / "out",
-                       seeds=(42,), protocols=("spatial",), head="linear",
-                       batch_size=32, max_epochs=12, patience=4, nx=5, ny=5)
+                       seeds=(42,), protocols=("spatial",), nx=5, ny=5,
+                       head=HeadConfig(kind="linear", batch_size=32, max_epochs=12, patience=4))
         out = run(plan, log=lambda *a: None)
         assert out.exit_code == 0
         assert out.new_records == 3

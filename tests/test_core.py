@@ -107,6 +107,13 @@ class TestLoadTaskDataset:
         with pytest.raises(ValidationError):
             load_task_dataset(p)
 
+    def test_malformed_classes_line_names_file(self, tmp_path):
+        p = tmp_path / "luc.csv"
+        p.write_text("# task LUC\n# city demo\n# extent 0.0 0.0 1.0 1.0\n# classes abc\n"
+                     "unit_id,lon,lat,class\nu0,0.1,0.1,0\n")
+        with pytest.raises(ValidationError, match=r"luc\.csv: malformed '# classes' line"):
+            load_task_dataset(p)
+
     def test_raster_cell_columns(self, tmp_path):
         p = tmp_path / "pop.csv"
         p.write_text("# task POP\n# city demo\n# extent 0.0 0.0 1.0 1.0\n"
