@@ -1,6 +1,5 @@
 """Spatial-unit-agnostic evaluation harness for urban/geospatial embeddings."""
 
-from . import pe_encoder as _pe  # noqa: F401  (registers the built-in encoder)
 from .align import AlignedMatrix, coverage
 from .core import (
     Manifest,
@@ -17,7 +16,7 @@ from .core import (
 from .grid import BlockGrid, HexGrid, build_block_grid
 from .heads import HeadConfig, fit_scaler, gradient_check, predict, train_head
 from .metrics import classification_metrics, distribution_metrics, regression_metrics
-from .split import SplitAssignment, random_split, spatial_split, test_block_frequency
+from .split import SplitAssignment, random_split, spatial_split
 from .synth import SynthConfig, generate_field, synth_city
 
 __version__ = "0.1.0"

@@ -34,8 +34,8 @@ from .core import (
 from .grid import (
     HexGrid,
     hex_cell_key,
+    hex_axial_xy,
     hex_cell_of,
-    hex_cell_of_xy,
     hex_cell_vertices_xy,
     parse_hex_cell_key,
     project,
@@ -76,9 +76,16 @@ def coverage(m: AlignedMatrix) -> float:
     return float(np.count_nonzero(m.valid)) / m.n
 
 
-def _finish(model_id: str, rows: np.ndarray, valid: np.ndarray) -> AlignedMatrix:
-    rows = rows.astype(np.float64, copy=False)
-    rows[~valid] = 0.0
+def _align_units(model_id: str, task: TaskDataset, dim: int, vec_of) -> AlignedMatrix:
+    """One row per task unit from `vec_of(unit)`; a unit it maps to None is
+    invalid and keeps a zero row."""
+    rows = np.zeros((task.n, dim), dtype=np.float64)
+    valid = np.zeros(task.n, dtype=bool)
+    for i, unit in enumerate(task.units):
+        vec = vec_of(unit)
+        if vec is not None:
+            rows[i] = vec
+            valid[i] = True
     rows.setflags(write=False)
     valid.setflags(write=False)
     return AlignedMatrix(model_id=model_id, rows=rows, valid=valid)
@@ -86,16 +93,6 @@ def _finish(model_id: str, rows: np.ndarray, valid: np.ndarray) -> AlignedMatrix
 
 # ---------------------------------------------------------------------------
 # Raster alignment
-
-def _cell_vector(rep: RasterSupport, lon: float, lat: float) -> np.ndarray | None:
-    idx = rep.cell_index(lon, lat)
-    if idx is None:
-        return None
-    vec = rep.values[idx[0], idx[1]]
-    if np.any(np.isnan(vec)):
-        return None
-    return np.asarray(vec, dtype=np.float64)
-
 
 def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster") -> AlignedMatrix:
     """Align a raster representation to the task units.
@@ -106,11 +103,7 @@ def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster"
     shares the vector of the raster cell containing its representative
     point. Units touching no valid raster cell become invalid.
     """
-    n = task.n
-    rows = np.zeros((n, rep.dim), dtype=np.float64)
-    valid = np.zeros(n, dtype=bool)
-    for i, unit in enumerate(task.units):
-        vec = None
+    def vec_of(unit):
         if unit.geometry_kind == "raster_cell":
             ce = unit.cell_extent
             c_lo = max(0, math.ceil((ce.x0 - rep.x0) / rep.dx - 0.5))
@@ -128,13 +121,14 @@ def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster"
                               & (cy[:, None] >= ce.y0) & (cy[:, None] < ce.y1)).reshape(-1)
                     ok &= inside
                 if np.any(ok):
-                    vec = block[ok].mean(axis=0)
-        if vec is None:
-            vec = _cell_vector(rep, unit.lon, unit.lat)
-        if vec is not None:
-            rows[i] = vec
-            valid[i] = True
-    return _finish(model_id, rows, valid)
+                    return block[ok].mean(axis=0)
+        idx = rep.cell_index(unit.lon, unit.lat)
+        if idx is None:
+            return None
+        vec = rep.values[idx[0], idx[1]]
+        return None if np.any(np.isnan(vec)) else vec
+
+    return _align_units(model_id, task, rep.dim, vec_of)
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +164,17 @@ def _convex_overlap(poly_a: list[tuple[float, float]], poly_b: list[tuple[float,
 
 
 def _hex_cells_intersecting(ce, hexgrid: HexGrid) -> list[tuple[int, int]]:
-    """Hex cells whose closed hexagon overlaps the (projected) unit rectangle."""
+    """Hex cells whose closed hexagon overlaps the (projected) unit rectangle, sorted."""
     corners = [project(hexgrid, x, y)
                for x, y in ((ce.x0, ce.y0), (ce.x1, ce.y0), (ce.x1, ce.y1), (ce.x0, ce.y1))]
-    a = hexgrid.edge_len_m
-    xs = [p[0] for p in corners]
-    ys = [p[1] for p in corners]
-    pad = 2.0 * a
-    candidates = set()
-    for x, y in corners:
-        candidates.add(hex_cell_of_xy(x, y, hexgrid))
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
-    step = a  # finer than both hex spacings
-    ny = int((y1 - y0) / step) + 1
-    nx = int((x1 - x0) / step) + 1
-    for iy in range(ny + 1):
-        for ix in range(nx + 1):
-            candidates.add(hex_cell_of_xy(x0 + ix * step, y0 + iy * step, hexgrid))
-    out = []
-    for cell in candidates:
-        if _convex_overlap(hex_cell_vertices_xy(cell, hexgrid), corners):
-            out.append(cell)
-    return sorted(out)
+    qs, rs = zip(*(hex_axial_xy(x, y, hexgrid) for x, y in corners))
+    # A closed hexagon spans at most 2/3 in each axial coordinate about its
+    # cell, so every cell that can reach the quad lies in the corners'
+    # fractional range padded by 1.
+    return [(q, r)
+            for q in range(math.ceil(min(qs) - 1), math.floor(max(qs) + 1) + 1)
+            for r in range(math.ceil(min(rs) - 1), math.floor(max(rs) + 1) + 1)
+            if _convex_overlap(hex_cell_vertices_xy((q, r), hexgrid), corners)]
 
 
 def align_entities_h3_first(
@@ -204,26 +186,19 @@ def align_entities_h3_first(
     cells take the mean over intersecting hex cells that received
     entities. Units whose cell(s) received no entities become invalid.
     """
-    n = task.n
-    rows = np.zeros((n, rep.dim), dtype=np.float64)
-    valid = np.zeros(n, dtype=bool)
     if rep.n == 0:
         warnings.warn("empty entity set: all task units invalid", stacklevel=2)
-        return _finish(model_id, rows, valid)
+        return _align_units(model_id, task, rep.dim, lambda unit: None)
     pooled = _pool_entities_by_hex(rep, hexgrid)
-    for i, unit in enumerate(task.units):
+
+    def vec_of(unit):
         if unit.geometry_kind == "raster_cell":
-            cells = _hex_cells_intersecting(unit.cell_extent, hexgrid)
-            vecs = [pooled[c] for c in cells if c in pooled]
-            if vecs:
-                rows[i] = np.mean(vecs, axis=0)
-                valid[i] = True
-        else:
-            cell = hex_cell_of(unit.lon, unit.lat, hexgrid)
-            if cell in pooled:
-                rows[i] = pooled[cell]
-                valid[i] = True
-    return _finish(model_id, rows, valid)
+            vecs = [pooled[c] for c in _hex_cells_intersecting(unit.cell_extent, hexgrid)
+                    if c in pooled]
+            return np.mean(vecs, axis=0) if vecs else None
+        return pooled.get(hex_cell_of(unit.lon, unit.lat, hexgrid))
+
+    return _align_units(model_id, task, rep.dim, vec_of)
 
 
 def align_entities_direct(
@@ -234,46 +209,33 @@ def align_entities_direct(
     Point units carry no containment region and are always invalid; this is
     the ablation arm that h3-first aggregation is compared against.
     """
-    n = task.n
-    rows = np.zeros((n, rep.dim), dtype=np.float64)
-    valid = np.zeros(n, dtype=bool)
     if rep.n == 0:
         warnings.warn("empty entity set: all task units invalid", stacklevel=2)
-        return _finish(model_id, rows, valid)
+        return _align_units(model_id, task, rep.dim, lambda unit: None)
     lons = np.asarray(rep.lons, dtype=np.float64)
     lats = np.asarray(rep.lats, dtype=np.float64)
-    for i, unit in enumerate(task.units):
+
+    def vec_of(unit):
         ce = unit.cell_extent
         if ce is None:
-            continue
+            return None
         inside = (lons >= ce.x0) & (lons < ce.x1) & (lats >= ce.y0) & (lats < ce.y1)
-        if np.any(inside):
-            rows[i] = rep.vectors[inside].mean(axis=0)
-            valid[i] = True
-    return _finish(model_id, rows, valid)
+        return rep.vectors[inside].mean(axis=0) if np.any(inside) else None
+
+    return _align_units(model_id, task, rep.dim, vec_of)
 
 
 def align_cell_table(rep: CellTableSupport, task: TaskDataset, model_id: str = "table") -> AlignedMatrix:
     """Look up each unit's containing hex cell in the keyed table."""
-    n = task.n
-    rows = np.zeros((n, rep.dim), dtype=np.float64)
-    valid = np.zeros(n, dtype=bool)
-    for i, unit in enumerate(task.units):
-        cell = hex_cell_of(unit.lon, unit.lat, rep.grid)
-        vec = rep.table.get(cell)
-        if vec is not None:
-            rows[i] = vec
-            valid[i] = True
-    return _finish(model_id, rows, valid)
+    return _align_units(model_id, task, rep.dim,
+                        lambda unit: rep.table.get(hex_cell_of(unit.lon, unit.lat, rep.grid)))
 
 
 def align_coordinate_encoder(
     enc: CoordinateEncoderSupport, task: TaskDataset, model_id: str | None = None
 ) -> AlignedMatrix:
     """Query the encoder at each unit's representative coordinate."""
-    n = task.n
-    rows = np.zeros((n, enc.dim), dtype=np.float64)
-    for i, unit in enumerate(task.units):
+    def vec_of(unit):
         vec = np.asarray(enc.fn(unit.lon, unit.lat), dtype=np.float64)
         if vec.shape != (enc.dim,):
             raise ValidationError(
@@ -283,8 +245,9 @@ def align_coordinate_encoder(
             raise ValidationError(
                 f"encoder {enc.encoder_id} returned non-finite values for unit {unit.unit_id}"
             )
-        rows[i] = vec
-    return _finish(model_id or enc.encoder_id, rows, np.ones(n, dtype=bool))
+        return vec
+
+    return _align_units(model_id or enc.encoder_id, task, enc.dim, vec_of)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pe_encoder  # noqa: F401  (registers the built-in encoder)
 from .align import (
     AlignedMatrix,
     align_cell_table,
@@ -54,11 +53,9 @@ from .core import (
     EntitySetSupport,
     Manifest,
     RasterSupport,
-    Rect,
     TaskDataset,
     ValidationError,
     _fmt,
-    get_encoder,
     load_manifest,
     load_task_dataset,
     open_text,
@@ -70,9 +67,9 @@ from .core import (
 from .grid import H3_RES8_EDGE_M, HexGrid, build_block_grid
 from .heads import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, HeadConfig, gradient_check, predict, train_head
 from .metrics import KL_EPSILON, classification_metrics, distribution_metrics, regression_metrics
-from .pe_encoder import PEConfig
+from .pe_encoder import PE_ENCODER_ID, PEConfig, get_encoder
 from .split import DEFAULT_SEEDS, DEFAULT_TEST_FRAC, DEFAULT_VAL_FRAC, TEST, random_split, spatial_split, write_split_csv
-from .synth import SynthConfig, synth_city
+from .synth import SynthConfig, read_synth_config, synth_city
 
 STORE_HEADER = ("model", "task", "city", "seed", "protocol", "metric", "value", "n_test")
 _METRIC_ORDER = {m: i for kind in METRICS_FOR_KIND.values() for i, m in enumerate(kind)}
@@ -155,6 +152,8 @@ class RunPlan:
             raise ValidationError(f"protocols must be a nonempty subset of spatial,random; got {self.protocols}")
         if not self.seeds:
             raise ValidationError("need at least one seed")
+        if self.nx < 1 or self.ny < 1:
+            raise ValidationError(f"grid must be at least 1x1, got {self.nx}x{self.ny}")
 
 
 def _load_representation_support(manifest: Manifest, model_id: str, city: str,
@@ -238,17 +237,21 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     for w in report_v.warnings:
         log(f"warning: {w}")
 
+    models = list(plan.models) if plan.models else sorted(manifest.models)
+    manifest_tasks = {t for tasks in manifest.cities.values() for t in tasks}
+    for what, names, known in (("model", models, manifest.models),
+                               ("city", plan.cities or (), manifest.cities),
+                               ("task", plan.tasks or (), manifest_tasks)):
+        for name in names:
+            if name not in known:
+                raise ValidationError(f"{what} {name!r} not in manifest")
+    cities = [c for c in sorted(manifest.cities) if plan.cities is None or c in plan.cities]
+
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "splits").mkdir(exist_ok=True)
     store = ResultStore(out_dir / "results.csv")
     completed = store.completed_groups()
-
-    models = list(plan.models) if plan.models else sorted(manifest.models)
-    for m in models:
-        if m not in manifest.models:
-            raise ValidationError(f"model {m!r} not in manifest")
-    cities = [c for c in sorted(manifest.cities) if plan.cities is None or c in plan.cities]
     started = time.time()
 
     # Phase 1: datasets and model-invariant splits (hashed before any
@@ -358,7 +361,7 @@ def harness_constants() -> dict:
         "block_boundary": "half_open_max_closed",
         "grid_units": "degrees_over_task_extent",
         "hex": {"edge_len_m": H3_RES8_EDGE_M, "scheme": "axial_aeqd_approx"},
-        "pe": {"id": pe_encoder.PE_ENCODER_ID, "n_freq": pe.n_freq,
+        "pe": {"id": PE_ENCODER_ID, "n_freq": pe.n_freq,
                "r_min_m": pe.r_min_m, "r_max_m": pe.r_max_m},
         "entity_pooling": "unweighted_mean",
         "invalid_rows": "dropped",
@@ -564,7 +567,7 @@ def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
         model_entry["files"] = {cfg.city: emb_path.name}
     else:
         model_entry["support"] = "coordinate_encoder"
-        model_entry["encoder"] = pe_encoder.PE_ENCODER_ID
+        model_entry["encoder"] = PE_ENCODER_ID
     manifest_doc = {
         "cities": {cfg.city: {"tasks": {task.task: task_path.name}}},
         "models": {rep.model_id: model_entry},
@@ -631,11 +634,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if "extent" in doc:
-        doc["extent"] = Rect(*doc["extent"])
-    cfg = SynthConfig(**doc)
-    paths = write_synth_city(cfg, args.out)
+    paths = write_synth_city(read_synth_config(args.config), args.out)
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")
     return 0

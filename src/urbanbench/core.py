@@ -1,8 +1,8 @@
 """Domain model for cities, tasks, units, labels, and representations.
 
-Also owns the task-dataset CSV format, the run manifest, and the encoder
-registry. Everything here is immutable after load and safe to share
-across concurrent evaluation runs.
+Also owns the task-dataset CSV format and the run manifest. Everything
+here is immutable after load and safe to share across concurrent
+evaluation runs.
 """
 
 from __future__ import annotations
@@ -537,26 +537,6 @@ class Representation:
 
 
 # ---------------------------------------------------------------------------
-# Encoder registry
-
-_ENCODERS: dict[str, Callable[[], CoordinateEncoderSupport]] = {}
-
-
-def register_encoder(encoder_id: str, factory: Callable[[], CoordinateEncoderSupport]) -> None:
-    _ENCODERS[encoder_id] = factory
-
-
-def get_encoder(encoder_id: str) -> CoordinateEncoderSupport:
-    if encoder_id not in _ENCODERS:
-        raise ValidationError(f"unknown coordinate encoder {encoder_id!r}")
-    return _ENCODERS[encoder_id]()
-
-
-def known_encoders() -> tuple[str, ...]:
-    return tuple(sorted(_ENCODERS))
-
-
-# ---------------------------------------------------------------------------
 # Manifest
 
 @dataclass(frozen=True)
@@ -613,14 +593,19 @@ def _json_hexgrid(value, path: Path, key: str) -> HexGrid:
         raise ValidationError(f"{path}: {key}: {e}") from None
 
 
-def load_manifest(path: str | Path) -> Manifest:
-    path = Path(path)
+def read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in a UTF-8 file; anything else is a ValidationError naming it."""
     try:
         with open_text(path) as f:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: invalid JSON ({e})") from None
-    doc = _json_object(doc, path, "manifest")
+    return _json_object(doc, path, what)
+
+
+def load_manifest(path: str | Path) -> Manifest:
+    path = Path(path)
+    doc = read_json_object(path, "manifest")
     cities = {}
     for city, entry in _json_object(doc.get("cities", {}), path, "cities").items():
         entry = _json_object(entry, path, f"cities.{city}")
@@ -668,11 +653,12 @@ def validate_manifest(manifest: Manifest, probe_files: bool = True) -> Validatio
     """Cross-check every (model, city, task) combination without side effects.
 
     Missing embedding files are gaps, not fatal; structural problems (bad
-    support kind, dim mismatches across cities) are errors. With
+    support kind, a file dim other than the declared one) are errors. With
     `probe_files=False` embedding files are not opened: `run` reads each one
     anyway and checks its dim there, so a bad file fails only its own pairs.
     """
     from . import align  # file probing lives with the file formats
+    from .pe_encoder import get_encoder
 
     report = ValidationReport()
     task_meta: dict[tuple[str, str], bool] = {}
@@ -700,16 +686,16 @@ def validate_manifest(manifest: Manifest, probe_files: bool = True) -> Validatio
             report.errors.append(f"model {model_id}: dim must be positive")
             continue
         if m.support == "coordinate_encoder":
-            if m.encoder is None or m.encoder not in known_encoders():
+            try:
+                enc = get_encoder(m.encoder)
+            except ValidationError:
                 report.errors.append(f"model {model_id}: unknown encoder {m.encoder!r}")
                 continue
-            enc = get_encoder(m.encoder)
             if enc.dim != m.dim:
                 report.errors.append(
                     f"model {model_id}: encoder dim {enc.dim} != declared {m.dim}"
                 )
                 continue
-        seen_dims: dict[str, int] = {}
         for city in sorted(manifest.cities):
             city_ok = True
             if m.support != "coordinate_encoder":
@@ -725,7 +711,6 @@ def validate_manifest(manifest: Manifest, probe_files: bool = True) -> Validatio
                 except (ValidationError, OSError) as e:
                     report.errors.append(f"model {model_id}, city {city}: {e}")
                     continue
-                seen_dims[city] = file_dim
                 if file_dim != m.dim:
                     report.errors.append(
                         f"model {model_id}, city {city}: file dim {file_dim} != declared {m.dim}"
@@ -736,8 +721,4 @@ def validate_manifest(manifest: Manifest, probe_files: bool = True) -> Validatio
             for (c, task), ok in sorted(task_meta.items()):
                 if c == city and ok:
                     report.resolvable.append((model_id, city, task))
-        if len(set(seen_dims.values())) > 1:
-            report.errors.append(
-                f"model {model_id}: dim mismatch across cities: {sorted(seen_dims.items())}"
-            )
     return report

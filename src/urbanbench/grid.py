@@ -151,11 +151,14 @@ def hex_cell_of(lon: float, lat: float, grid: HexGrid) -> tuple[int, int]:
     return hex_cell_of_xy(x, y, grid)
 
 
-def hex_cell_of_xy(x: float, y: float, grid: HexGrid) -> tuple[int, int]:
+def hex_axial_xy(x: float, y: float, grid: HexGrid) -> tuple[float, float]:
+    """Fractional axial (q, r) of a projected point."""
     a = grid.edge_len_m
-    qf = (_SQRT3 / 3.0 * x - y / 3.0) / a
-    rf = (2.0 / 3.0 * y) / a
-    return _axial_round(qf, rf)
+    return ((_SQRT3 / 3.0 * x - y / 3.0) / a, (2.0 / 3.0 * y) / a)
+
+
+def hex_cell_of_xy(x: float, y: float, grid: HexGrid) -> tuple[int, int]:
+    return _axial_round(*hex_axial_xy(x, y, grid))
 
 
 def hex_cell_center_xy(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]:

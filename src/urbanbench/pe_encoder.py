@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoordinateEncoderSupport, ValidationError, register_encoder
+from .core import CoordinateEncoderSupport, ValidationError
 from .grid import EARTH_RADIUS_M
 
 PE_ENCODER_ID = "pe_spherec_approx"
@@ -62,4 +62,8 @@ def pe_support(cfg: PEConfig = PEConfig()) -> CoordinateEncoderSupport:
     )
 
 
-register_encoder(PE_ENCODER_ID, pe_support)
+def get_encoder(encoder_id: str) -> CoordinateEncoderSupport:
+    """The support a manifest's `encoder` id names; the built-in encoder is the only one."""
+    if encoder_id != PE_ENCODER_ID:
+        raise ValidationError(f"unknown coordinate encoder {encoder_id!r}")
+    return pe_support()

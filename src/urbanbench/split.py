@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TaskDataset, ValidationError, open_text, stable_seed
+from .core import TaskDataset, ValidationError, stable_seed
 from .grid import BlockGrid, assign_block
 
 TRAIN, VAL, TEST = "train", "val", "test"
@@ -144,24 +144,6 @@ def random_split(
     )
 
 
-def test_block_frequency(assignments: list[SplitAssignment]) -> dict[int, int]:
-    """Per-block count of seeds in which the block lands in the test partition."""
-    if not assignments:
-        raise ValidationError("no assignments given")
-    sigs = {a.grid_sig for a in assignments}
-    keys = {(a.city, a.task) for a in assignments}
-    if None in sigs or len(sigs) > 1 or len(keys) > 1:
-        raise ValidationError("assignments must be spatial splits sharing one grid and task")
-    counts: dict[int, int] = {}
-    for a in assignments:
-        for blocks in (a.train_blocks, a.val_blocks, a.test_blocks):
-            for b in blocks:
-                counts.setdefault(b, 0)
-        for b in a.test_blocks:
-            counts[b] += 1
-    return counts
-
-
 def write_split_csv(path: str | Path, a: SplitAssignment) -> None:
     """Cache file: `unit_id,label` rows under a comment header recording the
     grid params, seed, fractions, and assignment hash."""
@@ -175,16 +157,3 @@ def write_split_csv(path: str | Path, a: SplitAssignment) -> None:
     ]
     lines += [f"{uid},{lab}" for uid, lab in zip(a.unit_ids, a.labels)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_split_labels(path: str | Path) -> dict[str, str]:
-    path = Path(path)
-    out: dict[str, str] = {}
-    with open_text(path) as f:
-        lines = f.read().splitlines()
-    for line in lines:
-        if line.startswith("#") or not line or line == "unit_id,label":
-            continue
-        uid, _, lab = line.rpartition(",")
-        out[uid] = lab
-    return out

@@ -10,7 +10,9 @@ the spatial autocorrelation length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .core import (
     TaskDataset,
     TaskUnit,
     ValidationError,
+    read_json_object,
     stable_seed,
 )
 from .pe_encoder import pe_support
@@ -59,10 +62,46 @@ class SynthConfig:
             raise ValidationError(f"unknown embedding kind {self.embedding_kind!r}")
         if self.noise_sd < 0:
             raise ValidationError("noise_sd must be >= 0")
+        if self.n_classes < 1 or self.dim < 1:
+            raise ValidationError("n_classes and dim must be positive")
 
     @property
     def task(self) -> str:
         return _TASK_FOR_KIND[self.label_kind]
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and math.isfinite(v))
+
+
+_CONFIG_VALUE_CHECKS = {  # SynthConfig field type -> (check of the JSON value, what it must be)
+    int: (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    float: (_is_number, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    Rect: (lambda v: isinstance(v, list) and len(v) == 4 and all(map(_is_number, v)),
+           "a list of four numbers"),
+}
+
+
+def read_synth_config(path: str | Path) -> SynthConfig:
+    """A SynthConfig from a JSON object of its fields (`extent` as a list of
+    four numbers); a bad document, key or value is a ValidationError naming
+    the file and the key."""
+    path = Path(path)
+    default = SynthConfig()
+    fields = read_json_object(path, "synth config")
+    for key, value in fields.items():
+        if key not in SynthConfig.__dataclass_fields__:
+            raise ValidationError(f"{path}: unknown key {key!r}")
+        check, what = _CONFIG_VALUE_CHECKS[type(getattr(default, key))]
+        if not check(value):
+            raise ValidationError(f"{path}: {key} must be {what}, got {value!r}")
+    try:
+        if "extent" in fields:
+            fields["extent"] = Rect(*fields["extent"])
+        return SynthConfig(**fields)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def generate_field(extent: Rect, n: int, length_scale: float, seed: int) -> np.ndarray:

@@ -1,9 +1,16 @@
 """Tests for spatial alignment of every support kind plus the file formats."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbanbench.align import (
+    _convex_overlap,
+    _hex_cells_intersecting,
     align_cell_table,
     align_coordinate_encoder,
     align_entities_direct,
@@ -28,7 +35,8 @@ from urbanbench.core import (
     TaskUnit,
     ValidationError,
 )
-from urbanbench.grid import HexGrid, hex_cell_center, hex_cell_of
+from urbanbench.grid import HexGrid, hex_cell_center, hex_cell_of, hex_cell_vertices_xy, project
+from urbanbench.pe_encoder import pe_support
 
 
 def point_task(points, city="demo", task="POP"):
@@ -332,3 +340,117 @@ class TestFileFormats:
         p.write_text(f"# made by hand\n{comment}\nkey_or_lon,lat,v_0\n0:0,,1.0\n")
         with pytest.raises(ValidationError, match=r"table\.csv:2: bad '# hexgrid"):
             read_cell_table_csv(p)
+
+
+# ---------------------------------------------------------------------------
+# Pinned aligned matrices
+
+def _golden_cases():
+    """Each aligner on an 8x8 raster-cell task and a 40-point task over the
+    same 0.04-degree square: a raster with NaN cells that stops short of the
+    task extent, sparse entities, a cell table covering about half of the
+    cells, and the built-in PE encoder."""
+    rng = np.random.default_rng(20261018)
+    step = 0.005
+    cells = cell_task([(-0.02 + i * step, -0.02 + j * step, -0.02 + (i + 1) * step,
+                        -0.02 + (j + 1) * step) for j in range(8) for i in range(8)])
+    points = point_task([tuple(p) for p in rng.uniform(-0.02, 0.02, size=(40, 2))])
+
+    vals = rng.standard_normal((12, 12, 3)).astype(np.float32)
+    vals[rng.random((12, 12)) < 0.15] = np.nan
+    vals[4:7, 2:5] = np.nan
+    ras = RasterSupport(x0=-0.018, y0=-0.021, dx=0.0033, dy=0.0034, ncols=12, nrows=12,
+                        values=vals)
+    ents = EntitySetSupport(lons=rng.uniform(-0.022, 0.022, 25),
+                            lats=rng.uniform(-0.022, 0.022, 25),
+                            vectors=rng.standard_normal((25, 3)))
+    hexgrid = HexGrid(0.001, -0.002)
+    keys = sorted({hex_cell_of(u.lon, u.lat, hexgrid) for t in (cells, points) for u in t.units})
+    keep = rng.random(len(keys)) < 0.5
+    table = CellTableSupport(grid=hexgrid, table={k: rng.standard_normal(3)
+                                                  for k, kept in zip(keys, keep) if kept})
+    aligners = {
+        "raster": lambda t: align_raster(ras, t),
+        "entities_h3_first": lambda t: align_entities_h3_first(ents, hexgrid, t),
+        "entities_direct": lambda t: align_entities_direct(ents, t),
+        "cell_table": lambda t: align_cell_table(table, t),
+        "coordinate_encoder": lambda t: align_coordinate_encoder(pe_support(), t),
+    }
+    return aligners, {"cells": cells, "points": points}
+
+
+def _aligned_digest(m) -> str:
+    return hashlib.sha256(m.rows.tobytes() + m.valid.tobytes()).hexdigest()
+
+
+GOLDEN_ALIGNED = {
+    "raster/cells": "5be3d83802ddff870be16d91439a9cd2072e402dcf8f5f66d08f775e243175aa",
+    "raster/points": "300b9734e6e6af0b4b2e13d445e9ecc099c3f32bf0e357102501f3dac5396227",
+    "entities_h3_first/cells": "524767d5f2b2b90b60b2eeb21acb34fcc0c51930a3da3e9fe9b6d213948121e3",
+    "entities_h3_first/points": "fdb3ca1b4e86c5848f30d1d47fb1ead76942622dee911fd6ef8d8080179de226",
+    "entities_direct/cells": "292fc7fad2883bc4a43b66cd5cca185f995275c4dd0460c2754373cb110c490f",
+    "entities_direct/points": "541b3e9daa09b20bf85fa273e5cbd3e80185aa4ec298e765db87742b70138a53",
+    "cell_table/cells": "f618d9f16a30f72846b058bdce0c3a6c8049dc496076cb2dc88940ab8c95821b",
+    "cell_table/points": "4fc85e22335b0bbdd288c4add87ae17767c661f03ab9117cde06ad97fd1757fc",
+    "coordinate_encoder/cells": "ef8f1b40be32bd6b7f3addb3f20839b9828cab9cb513838f339ec9b7c01b5044",
+    "coordinate_encoder/points": "33fb9ad29235149fd49d2f8e3325462c6baa86c4f7d2f40099d70f06737e2fe3",
+}
+
+
+class TestGoldenAlignment:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_ALIGNED))
+    def test_digest(self, case):
+        aligner, task = case.split("/")
+        aligners, tasks = _golden_cases()
+        assert _aligned_digest(aligners[aligner](tasks[task])) == GOLDEN_ALIGNED[case]
+
+    def test_cases_are_partial(self):
+        # the pins cover valid and invalid rows wherever the rule allows both
+        aligners, tasks = _golden_cases()
+        for name, aligner in aligners.items():
+            for task_name, task in tasks.items():
+                valid = aligner(task).valid
+                assert valid.any() or (name, task_name) == ("entities_direct", "points")
+                assert not valid.all() or name == "coordinate_encoder", (name, task_name)
+
+
+# ---------------------------------------------------------------------------
+# Hex cells under a raster-cell unit
+
+def _brute_force_hex_cells(ce, grid):
+    """SAT-test every cell whose center lies in the box of the projected
+    corners padded by one circumradius (a hexagon reaching the quad has its
+    center that close), plus one more cell on each side."""
+    corners = [project(grid, x, y)
+               for x, y in ((ce.x0, ce.y0), (ce.x1, ce.y0), (ce.x1, ce.y1), (ce.x0, ce.y1))]
+    a = grid.edge_len_m
+    xs = [p[0] for p in corners]
+    ys = [p[1] for p in corners]
+    w = math.sqrt(3.0) * a  # center spacing along a row
+    out = []
+    for r in range(math.floor((min(ys) - a) / (1.5 * a)) - 1, math.ceil((max(ys) + a) / (1.5 * a)) + 2):
+        for q in range(math.floor((min(xs) - a) / w - r / 2) - 1, math.ceil((max(xs) + a) / w - r / 2) + 2):
+            if _convex_overlap(hex_cell_vertices_xy((q, r), grid), corners):
+                out.append((q, r))
+    return sorted(out)
+
+
+@st.composite
+def unit_rectangles(draw):
+    """(extent, grid): a rectangle 1e-4 to 5 edge lengths a side, centred up
+    to one degree from the anchor of a grid with one of four edge lengths."""
+    edge = draw(st.sampled_from([50.0, 461.0, 1000.0, 5000.0]))
+    grid = HexGrid(draw(st.floats(-170.0, 170.0)), draw(st.floats(-60.0, 60.0)), edge)
+    cx = grid.lon0 + draw(st.floats(-1.0, 1.0))
+    cy = grid.lat0 + draw(st.floats(-1.0, 1.0))
+    deg = edge / 111_320.0
+    w = deg * draw(st.floats(1e-4, 5.0)) / math.cos(math.radians(cy))
+    h = deg * draw(st.floats(1e-4, 5.0))
+    return Rect(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), grid
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=unit_rectangles())
+def test_hex_cells_intersecting_matches_brute_force(case):
+    ce, grid = case
+    assert _hex_cells_intersecting(ce, grid) == _brute_force_hex_cells(ce, grid)

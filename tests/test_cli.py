@@ -550,6 +550,19 @@ class TestVerbs:
         assert err == f"error: {flag[2:].replace('-', '_')} must be a positive integer\n"
         assert not (bench / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "0x0"], "grid must be at least 1x1, got 0x0"),
+        (["--grid", "10x0"], "grid must be at least 1x1, got 10x0"),
+        (["--models", "nope"], "model 'nope' not in manifest"),
+        (["--cities", "nope"], "city 'nope' not in manifest"),
+        (["--tasks", "NOPE"], "task 'NOPE' not in manifest"),
+        (["--tasks", "POP,LST"], "task 'LST' not in manifest"),
+    ])
+    def test_bad_plan_exits_1_and_writes_nothing(self, bench, capsys, flags, message):
+        assert main(["run", str(bench / "manifest.json"), "--out", str(bench / "out"), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (bench / "out").exists()
+
     def test_run_defaults_are_run_plan_defaults(self, monkeypatch):
         plans = []
         monkeypatch.setattr(cli, "run", lambda plan: plans.append(plan) or RunOutcome(0, 0, 0))
@@ -585,6 +598,24 @@ class TestVerbs:
         assert main(["synth", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "city")]) == 0
         assert (tmp_path / "city" / "manifest.json").exists()
         assert (tmp_path / "city" / "synthB_POP.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 8, "bogus": 1}', "cfg.json: unknown key 'bogus'"),
+        ('{"n": 8', "cfg.json: invalid JSON"),
+        ('{"n": "x"}', "cfg.json: n must be an integer, got 'x'"),
+        ('{"extent": 5}', "cfg.json: extent must be a list of four numbers, got 5"),
+        ('[8]', "cfg.json: synth config must be a JSON object, got list"),
+        ('{"length_scale": true}', "cfg.json: length_scale must be a finite number, got True"),
+        ('{"extent": [1, 1, 0, 0]}', "cfg.json: inverted rectangle"),
+        ('{"n": 8, "n_classes": 0, "label_kind": "distribution"}',
+         "cfg.json: n_classes and dim must be positive"),
+    ])
+    def test_synth_bad_config_is_one_error_line(self, tmp_path, capsys, text, message):
+        (tmp_path / "cfg.json").write_text(text)
+        assert main(["synth", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "city")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "city").exists()
 
     def test_run_and_report_verbs(self, bench):
         code = main(["run", str(bench / "manifest.json"), "--out", str(bench / "cli_out"),

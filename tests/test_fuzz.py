@@ -38,7 +38,7 @@ from urbanbench.core import (
     write_task_dataset,
 )
 from urbanbench.grid import HexGrid
-from urbanbench.split import random_split, read_split_labels, write_split_csv
+from urbanbench.split import random_split, write_split_csv
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 GRID = HexGrid(0.0, 0.0)
@@ -115,7 +115,6 @@ READERS = {
     "manifest": lambda p: validate_manifest(load_manifest(p)),
     "result_store": read_result_store,
     "factors": _read_factors,
-    "split_cache": read_split_labels,
     **{f"peek_{kind}": (lambda p, kind=kind: peek_embedding_dim(p, kind))
        for kind in ("raster", "entity_set", "cell_table")},
 }

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from urbanbench.core import ValidationError, get_encoder
+from urbanbench.core import ValidationError
 from urbanbench.grid import EARTH_RADIUS_M
-from urbanbench.pe_encoder import PE_ENCODER_ID, PEConfig, encode, pe_support
+from urbanbench.pe_encoder import PE_ENCODER_ID, PEConfig, encode, get_encoder, pe_support
 
 
 class TestPEConfig:
@@ -75,3 +75,7 @@ class TestRegistry:
     def test_support_wraps_config(self):
         sup = pe_support(PEConfig(n_freq=8))
         assert sup.dim == 24
+
+    def test_unknown_encoder_rejected(self):
+        with pytest.raises(ValidationError, match="unknown coordinate encoder 'nope'"):
+            get_encoder("nope")

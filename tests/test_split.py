@@ -1,12 +1,11 @@
-"""Tests for spatial/random split generation and cross-seed statistics."""
+"""Tests for spatial/random split generation and the split cache file."""
 
 import numpy as np
 import pytest
 
 from urbanbench.core import Rect, TaskDataset, TaskUnit, ValidationError
 from urbanbench.grid import build_block_grid
-from urbanbench.split import DEFAULT_SEEDS, random_split, read_split_labels, spatial_split, write_split_csv
-from urbanbench.split import test_block_frequency as block_test_frequency
+from urbanbench.split import DEFAULT_SEEDS, random_split, spatial_split, write_split_csv
 
 EXTENT = Rect(0.0, 0.0, 10.0, 10.0)
 
@@ -156,30 +155,6 @@ class TestRandomSplit:
             random_split(task, seed=0)
 
 
-class TestTestBlockFrequency:
-    def test_counts(self):
-        task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
-        assignments = [spatial_split(task, grid, s) for s in DEFAULT_SEEDS]
-        freq = block_test_frequency(assignments)
-        assert set(freq) == set(range(100))
-        assert all(0 <= v <= 5 for v in freq.values())
-        # conservation: total test slots = seeds * blocks-per-seed
-        assert sum(freq.values()) == 5 * 20
-
-    def test_mixed_grids_error(self):
-        task = grid_task(10)
-        a = spatial_split(task, build_block_grid(EXTENT, 10, 10), 42)
-        b = spatial_split(task, build_block_grid(EXTENT, 5, 5), 42)
-        with pytest.raises(ValidationError, match="grid"):
-            block_test_frequency([a, b])
-
-    def test_random_assignments_rejected(self):
-        task = grid_task(10)
-        with pytest.raises(ValidationError):
-            block_test_frequency([random_split(task, 42)])
-
-
 class TestSplitCache:
     def test_write_and_read(self, tmp_path):
         task = grid_task(5)
@@ -189,5 +164,5 @@ class TestSplitCache:
         write_split_csv(p, a)
         text = p.read_text()
         assert f"# hash {a.assignment_hash()}" in text
-        labels = read_split_labels(p)
-        assert labels == dict(zip(a.unit_ids, a.labels))
+        rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+        assert rows == [["unit_id", "label"]] + [[u, lab] for u, lab in zip(a.unit_ids, a.labels)]
