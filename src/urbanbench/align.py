@@ -6,7 +6,7 @@ Alignment rules by support kind:
   entity_set   -> mean-pool entities into hex cells first (h3-first) or
                   directly into unit extents (the ablation arm)
   cell_table   -> hex-cell lookup at the unit's representative point
-  coordinate   -> query the encoder at the representative coordinate
+  coordinate   -> query the encoder at every representative coordinate in one call
 
 Also owns the embedding file formats: the ".erf" raster container and the
 CSV entity-set / cell-table formats.
@@ -29,6 +29,7 @@ from .core import (
     RasterSupport,
     TaskDataset,
     ValidationError,
+    _fmt,
     open_text,
 )
 from .grid import (
@@ -86,6 +87,10 @@ def _align_units(model_id: str, task: TaskDataset, dim: int, vec_of) -> AlignedM
         if vec is not None:
             rows[i] = vec
             valid[i] = True
+    return _read_only(model_id, rows, valid)
+
+
+def _read_only(model_id: str, rows: np.ndarray, valid: np.ndarray) -> AlignedMatrix:
     rows.setflags(write=False)
     valid.setflags(write=False)
     return AlignedMatrix(model_id=model_id, rows=rows, valid=valid)
@@ -234,20 +239,19 @@ def align_cell_table(rep: CellTableSupport, task: TaskDataset, model_id: str = "
 def align_coordinate_encoder(
     enc: CoordinateEncoderSupport, task: TaskDataset, model_id: str | None = None
 ) -> AlignedMatrix:
-    """Query the encoder at each unit's representative coordinate."""
-    def vec_of(unit):
-        vec = np.asarray(enc.fn(unit.lon, unit.lat), dtype=np.float64)
-        if vec.shape != (enc.dim,):
-            raise ValidationError(
-                f"encoder {enc.encoder_id} returned shape {vec.shape}, expected ({enc.dim},)"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(
-                f"encoder {enc.encoder_id} returned non-finite values for unit {unit.unit_id}"
-            )
-        return vec
-
-    return _align_units(model_id or enc.encoder_id, task, enc.dim, vec_of)
+    """Query the encoder once, at every unit's representative coordinate."""
+    rows = np.asarray(enc.fn(np.array([u.lon for u in task.units], dtype=np.float64),
+                             np.array([u.lat for u in task.units], dtype=np.float64)),
+                      dtype=np.float64)
+    if rows.shape != (task.n, enc.dim):
+        raise ValidationError(
+            f"encoder {enc.encoder_id} returned shape {rows.shape}, expected {(task.n, enc.dim)}"
+        )
+    bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+    if bad.size:
+        raise ValidationError(f"encoder {enc.encoder_id} returned non-finite values "
+                              f"for unit {task.units[bad[0]].unit_id}")
+    return _read_only(model_id or enc.encoder_id, rows, np.ones(task.n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +312,7 @@ def write_entity_csv(path: str | Path, rep: EntitySetSupport) -> None:
         w = csv.writer(f)
         w.writerow(["key_or_lon", "lat"] + [f"v_{j}" for j in range(dim)])
         for j in range(rep.n):
-            w.writerow([repr(float(rep.lons[j])), repr(float(rep.lats[j]))]
-                       + [repr(float(v)) for v in rep.vectors[j]])
+            w.writerow([_fmt(rep.lons[j]), _fmt(rep.lats[j])] + [_fmt(v) for v in rep.vectors[j]])
 
 
 def read_entity_csv(path: str | Path) -> EntitySetSupport:
@@ -347,7 +350,7 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
         w = csv.writer(f)
         w.writerow(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)])
         for cell in sorted(rep.table):
-            w.writerow([hex_cell_key(cell), ""] + [repr(float(v)) for v in rep.table[cell]])
+            w.writerow([hex_cell_key(cell), ""] + [_fmt(v) for v in rep.table[cell]])
 
 
 def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTableSupport:

@@ -67,7 +67,7 @@ from .core import (
 from .grid import H3_RES8_EDGE_M, HexGrid, build_block_grid
 from .heads import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, HeadConfig, gradient_check, predict, train_head
 from .metrics import KL_EPSILON, classification_metrics, distribution_metrics, regression_metrics
-from .pe_encoder import PE_ENCODER_ID, PEConfig, get_encoder
+from .pe_encoder import N_FREQ, PE_ENCODER_ID, R_MAX_M, R_MIN_M, get_encoder
 from .split import DEFAULT_SEEDS, DEFAULT_TEST_FRAC, DEFAULT_VAL_FRAC, TEST, random_split, spatial_split, write_split_csv
 from .synth import SynthConfig, read_synth_config, synth_city
 
@@ -349,7 +349,6 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
 
 def harness_constants() -> dict:
     """Every harness-chosen constant, inspectable next to the numbers it produced."""
-    pe = PEConfig()
     return {
         "kl_epsilon": KL_EPSILON,
         "kl_log": "natural",
@@ -361,8 +360,7 @@ def harness_constants() -> dict:
         "block_boundary": "half_open_max_closed",
         "grid_units": "degrees_over_task_extent",
         "hex": {"edge_len_m": H3_RES8_EDGE_M, "scheme": "axial_aeqd_approx"},
-        "pe": {"id": PE_ENCODER_ID, "n_freq": pe.n_freq,
-               "r_min_m": pe.r_min_m, "r_max_m": pe.r_max_m},
+        "pe": {"id": PE_ENCODER_ID, "n_freq": N_FREQ, "r_min_m": R_MIN_M, "r_max_m": R_MAX_M},
         "entity_pooling": "unweighted_mean",
         "invalid_rows": "dropped",
         "raster_coarse_rule": "rep_cell_contains_representative_point",

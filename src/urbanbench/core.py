@@ -511,11 +511,11 @@ class CellTableSupport:
 
 @dataclass(frozen=True)
 class CoordinateEncoderSupport:
-    """A deterministic function lon,lat -> embedding vector."""
+    """A deterministic function of n coordinates: (lons, lats) -> (n, dim) embedding rows."""
 
     encoder_id: str
     dim: int
-    fn: Callable[[float, float], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)

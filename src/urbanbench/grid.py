@@ -100,6 +100,8 @@ def project(grid: HexGrid, lon: float, lat: float) -> tuple[float, float]:
     Valid to PROJECTION_VALIDITY_M from the anchor; beyond that the local
     plane no longer approximates distances and an error is raised.
     """
+    if not (math.isfinite(lon) and math.isfinite(lat)):
+        raise ValidationError(f"point ({lon},{lat}) is not finite")
     lam0, phi0 = math.radians(grid.lon0), math.radians(grid.lat0)
     lam, phi = math.radians(lon), math.radians(lat)
     dlam = lam - lam0

@@ -22,6 +22,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EARLY_STOP_TOL = 1e-7
+GRADIENT_CHECK_STEP = 1e-5
 
 OUTPUT_KINDS = ("scalar", "logits", "distribution")
 
@@ -79,18 +80,17 @@ def fit_scaler(train_labels) -> TargetScaler:
 
 
 class EarlyStopper:
-    """Stops after `patience` epochs without strict improvement (tolerance 1e-7)."""
+    """Stops after `patience` epochs without an improvement of more than EARLY_STOP_TOL."""
 
-    def __init__(self, patience: int, tol: float = EARLY_STOP_TOL):
+    def __init__(self, patience: int):
         self.patience = patience
-        self.tol = tol
         self.best = math.inf
         self.stale = 0
         self.improved = False
 
     def update(self, loss: float) -> bool:
         """Record one validation loss; True means stop now."""
-        self.improved = loss < self.best - self.tol
+        self.improved = loss < self.best - EARLY_STOP_TOL
         if self.improved:
             self.best = loss
             self.stale = 0
@@ -318,11 +318,10 @@ def predict(head: TrainedHead, features) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Gradient verification
 
-def gradient_check(cfg: HeadConfig, batch: tuple[np.ndarray, np.ndarray],
-                   run_seed: int, h: float = 1e-5) -> float:
+def gradient_check(cfg: HeadConfig, batch: tuple[np.ndarray, np.ndarray], run_seed: int) -> float:
     """Max relative error between analytic gradients and central finite
-    differences over every parameter element. Meant for small batches
-    (<= 8) and small dims (<= 16)."""
+    differences (step GRADIENT_CHECK_STEP) over every parameter element.
+    Meant for small batches (<= 8) and small dims (<= 16)."""
     x, y_raw = batch
     x = np.asarray(x, dtype=np.float64)
     y = _prepare_labels(y_raw, cfg)
@@ -335,12 +334,12 @@ def gradient_check(cfg: HeadConfig, batch: tuple[np.ndarray, np.ndarray],
         g_flat = grads[k].reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + GRADIENT_CHECK_STEP
             up = batch_loss(params, cfg, x, y)
-            flat[idx] = orig - h
+            flat[idx] = orig - GRADIENT_CHECK_STEP
             down = batch_loss(params, cfg, x, y)
             flat[idx] = orig
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * GRADIENT_CHECK_STEP)
             denom = max(abs(g_flat[idx]) + abs(numeric), 1e-8)
             worst = max(worst, abs(g_flat[idx] - numeric) / denom)
     return worst

@@ -8,9 +8,6 @@ external inputs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CoordinateEncoderSupport, ValidationError
@@ -18,48 +15,30 @@ from .grid import EARTH_RADIUS_M
 
 PE_ENCODER_ID = "pe_spherec_approx"
 
+N_FREQ = 64
+R_MIN_M = 10.0
+R_MAX_M = 10_000_000.0  # 10,000 km
+PE_DIM = 3 * N_FREQ
 
-@dataclass(frozen=True)
-class PEConfig:
-    n_freq: int = 64
-    r_min_m: float = 10.0
-    r_max_m: float = 10_000_000.0  # 10,000 km
-
-    def __post_init__(self):
-        if self.n_freq < 1:
-            raise ValidationError("n_freq must be positive")
-        if not (0 < self.r_min_m < self.r_max_m):
-            raise ValidationError("need 0 < r_min < r_max")
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.n_freq
-
-    def scales_m(self) -> np.ndarray:
-        i = np.arange(self.n_freq, dtype=np.float64)
-        return self.r_min_m * (self.r_max_m / self.r_min_m) ** (i / (self.n_freq - 1))
+# Length scales in radians: R_MIN_M to R_MAX_M in geometric steps.
+_ALPHA = (R_MIN_M * (R_MAX_M / R_MIN_M) ** (np.arange(N_FREQ, dtype=np.float64) / (N_FREQ - 1))
+          / EARTH_RADIUS_M)
 
 
-def encode(lon: float, lat: float, cfg: PEConfig = PEConfig()) -> np.ndarray:
-    """Encode one coordinate; deterministic and bounded in [-1, 1]."""
-    lam = math.radians(lon)
-    phi = math.radians(lat)
-    alpha = cfg.scales_m() / EARTH_RADIUS_M
-    out = np.empty(cfg.dim, dtype=np.float64)
-    for i, a in enumerate(alpha):
-        s = 3 * i
-        out[s] = math.sin(phi / a)
-        out[s + 1] = math.cos(phi / a) * math.sin(lam / a)
-        out[s + 2] = math.cos(phi / a) * math.cos(lam / a)
-    return out
+def encode(lons, lats) -> np.ndarray:
+    """Encode n coordinates into an (n, PE_DIM) array; deterministic and bounded in [-1, 1]."""
+    lam = np.radians(np.asarray(lons, dtype=np.float64)).reshape(-1, 1) / _ALPHA
+    phi = np.radians(np.asarray(lats, dtype=np.float64)).reshape(-1, 1) / _ALPHA
+    cos_phi = np.cos(phi)
+    out = np.empty((lam.shape[0], N_FREQ, 3), dtype=np.float64)
+    out[:, :, 0] = np.sin(phi)
+    out[:, :, 1] = cos_phi * np.sin(lam)
+    out[:, :, 2] = cos_phi * np.cos(lam)
+    return out.reshape(-1, PE_DIM)
 
 
-def pe_support(cfg: PEConfig = PEConfig()) -> CoordinateEncoderSupport:
-    return CoordinateEncoderSupport(
-        encoder_id=PE_ENCODER_ID,
-        dim=cfg.dim,
-        fn=lambda lon, lat: encode(lon, lat, cfg),
-    )
+def pe_support() -> CoordinateEncoderSupport:
+    return CoordinateEncoderSupport(encoder_id=PE_ENCODER_ID, dim=PE_DIM, fn=encode)
 
 
 def get_encoder(encoder_id: str) -> CoordinateEncoderSupport:

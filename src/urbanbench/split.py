@@ -42,8 +42,6 @@ class SplitAssignment:
     protocol: str
     unit_ids: tuple[str, ...]
     labels: np.ndarray
-    test_frac: float
-    val_frac: float
     grid_sig: tuple | None = None
     train_blocks: frozenset[int] | None = None
     val_blocks: frozenset[int] | None = None
@@ -66,46 +64,33 @@ class SplitAssignment:
         h = hashlib.sha256()
         h.update(
             f"{self.city}|{self.task}|{self.protocol}|{self.seed}|"
-            f"{self.test_frac!r}|{self.val_frac!r}|{self.grid_sig}\n".encode()
+            f"{DEFAULT_TEST_FRAC!r}|{DEFAULT_VAL_FRAC!r}|{self.grid_sig}\n".encode()
         )
         for uid, lab in zip(self.unit_ids, self.labels):
             h.update(f"{uid},{lab}\n".encode())
         return h.hexdigest()
 
 
-def _partition_counts(n: int, test_frac: float, val_frac: float, what: str) -> tuple[int, int, int]:
-    if not (0.0 < test_frac < 1.0):
-        raise ValidationError(f"test_frac must be in (0,1), got {test_frac}")
-    if not (0.0 <= val_frac < 1.0):
-        raise ValidationError(f"val_frac must be in [0,1), got {val_frac}")
+def _partition_counts(n: int, what: str) -> tuple[int, int]:
+    """(n_val, n_test) of n items; at least one each, which leaves at least one
+    for training whenever n >= 3."""
     if n < 3:
         raise ValidationError(f"need at least 3 {what} to form three partitions, got {n}")
-    n_test = max(1, _round_half_up(test_frac * n))
-    n_rem = n - n_test
-    n_val = max(1, _round_half_up(val_frac * n_rem)) if val_frac > 0 else 0
-    n_train = n_rem - n_val
-    if n_train < 1:
-        raise ValidationError(f"fractions leave no training {what} (n={n})")
-    return n_train, n_val, n_test
+    n_test = max(1, _round_half_up(DEFAULT_TEST_FRAC * n))
+    return max(1, _round_half_up(DEFAULT_VAL_FRAC * (n - n_test))), n_test
 
 
-def spatial_split(
-    task: TaskDataset,
-    grid: BlockGrid,
-    seed: int,
-    test_frac: float = DEFAULT_TEST_FRAC,
-    val_frac: float = DEFAULT_VAL_FRAC,
-) -> SplitAssignment:
+def spatial_split(task: TaskDataset, grid: BlockGrid, seed: int) -> SplitAssignment:
     """Assign occupied blocks (not units) to train/val/test; unit labels follow
     block membership. Only blocks containing at least one unit participate."""
     block_of = np.array([assign_block(u, grid) for u in task.units], dtype=np.int64)
     occupied = np.unique(block_of)
-    _, n_val, n_test = _partition_counts(len(occupied), test_frac, val_frac, "occupied blocks")
+    n_val, n_test = _partition_counts(len(occupied), "occupied blocks")
 
     rng = _rng(task.city, task.task, "spatial", seed)
     test_blocks = set(rng.choice(occupied, size=n_test, replace=False).tolist())
     remaining = np.array(sorted(set(occupied.tolist()) - test_blocks), dtype=np.int64)
-    val_blocks = set(rng.choice(remaining, size=n_val, replace=False).tolist()) if n_val else set()
+    val_blocks = set(rng.choice(remaining, size=n_val, replace=False).tolist())
     train_blocks = set(remaining.tolist()) - val_blocks
 
     labels = np.empty(task.n, dtype="<U5")
@@ -114,33 +99,27 @@ def spatial_split(
     return SplitAssignment(
         city=task.city, task=task.task, seed=seed, protocol="spatial",
         unit_ids=tuple(u.unit_id for u in task.units), labels=labels,
-        test_frac=test_frac, val_frac=val_frac, grid_sig=grid.signature(),
+        grid_sig=grid.signature(),
         train_blocks=frozenset(train_blocks), val_blocks=frozenset(val_blocks),
         test_blocks=frozenset(test_blocks),
     )
 
 
-def random_split(
-    task: TaskDataset,
-    seed: int,
-    test_frac: float = DEFAULT_TEST_FRAC,
-    val_frac: float = DEFAULT_VAL_FRAC,
-) -> SplitAssignment:
+def random_split(task: TaskDataset, seed: int) -> SplitAssignment:
     """Unit-level uniform split with the same fractions and seed derivation."""
     n = task.n
-    _, n_val, n_test = _partition_counts(n, test_frac, val_frac, "units")
+    n_val, n_test = _partition_counts(n, "units")
     rng = _rng(task.city, task.task, "random", seed)
     idx = np.arange(n)
     test_idx = rng.choice(idx, size=n_test, replace=False)
     remaining = np.setdiff1d(idx, test_idx)
-    val_idx = rng.choice(remaining, size=n_val, replace=False) if n_val else np.array([], dtype=int)
+    val_idx = rng.choice(remaining, size=n_val, replace=False)
     labels = np.full(n, TRAIN, dtype="<U5")
     labels[test_idx] = TEST
     labels[val_idx] = VAL
     return SplitAssignment(
         city=task.city, task=task.task, seed=seed, protocol="random",
         unit_ids=tuple(u.unit_id for u in task.units), labels=labels,
-        test_frac=test_frac, val_frac=val_frac,
     )
 
 
@@ -150,7 +129,7 @@ def write_split_csv(path: str | Path, a: SplitAssignment) -> None:
     path = Path(path)
     lines = [
         f"# split city={a.city} task={a.task} protocol={a.protocol} seed={a.seed}",
-        f"# fractions test={a.test_frac!r} val={a.val_frac!r}",
+        f"# fractions test={DEFAULT_TEST_FRAC!r} val={DEFAULT_VAL_FRAC!r}",
         f"# grid {a.grid_sig}",
         f"# hash {a.assignment_hash()}",
         "unit_id,label",

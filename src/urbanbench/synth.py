@@ -50,8 +50,9 @@ class SynthConfig:
     city: str = "synth"
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValidationError("synthetic grid needs n >= 8")
+        # Each field is an n x n float64 grid: n = 2048 is 32 MiB per field.
+        if not 8 <= self.n <= 2048:
+            raise ValidationError(f"synthetic grid needs 8 <= n <= 2048, got {self.n}")
         if self.length_scale <= 0:
             raise ValidationError("length_scale must be positive")
         if not (0.0 < self.density <= 1.0):

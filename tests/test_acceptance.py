@@ -117,11 +117,11 @@ class TestSplitProtocolConstants:
         grid = build_block_grid(task.extent, 10, 10)
         seeds = (42, 24, 7, 0, 100)
         for seed in seeds:
-            a = spatial_split(task, grid, seed, test_frac=0.2, val_frac=0.1)
+            a = spatial_split(task, grid, seed)
             assert len(a.test_blocks) == 20
             assert len(a.val_blocks) == 8
             assert len(a.train_blocks) == 72
-            b = spatial_split(task, grid, seed, test_frac=0.2, val_frac=0.1)
+            b = spatial_split(task, grid, seed)
             np.testing.assert_array_equal(a.labels, b.labels)
             assert a.assignment_hash() == b.assignment_hash()
             assert not (a.train_blocks & a.test_blocks)

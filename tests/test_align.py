@@ -218,29 +218,54 @@ class TestAlignCellTable:
 
 class TestAlignCoordinateEncoder:
     def test_constant_encoder(self):
-        enc = CoordinateEncoderSupport("const", 2, lambda lon, lat: np.array([1.0, 2.0]))
+        enc = CoordinateEncoderSupport(
+            "const", 2, lambda lons, lats: np.tile([1.0, 2.0], (len(lons), 1)))
         m = align_coordinate_encoder(enc, point_task([(0.0, 0.0), (0.5, 0.5)]))
         assert m.valid.all()
         np.testing.assert_array_equal(m.rows[0], m.rows[1])
 
     def test_pe_encoder_dim(self):
-        from urbanbench.pe_encoder import pe_support
-
         m = align_coordinate_encoder(pe_support(), point_task([(0.1, 0.2)]))
         assert m.dim == 192
         assert m.valid.all()
 
     def test_determinism(self):
-        enc = CoordinateEncoderSupport("f", 1, lambda lon, lat: np.array([lon * lat]))
+        enc = CoordinateEncoderSupport("f", 1, lambda lons, lats: (lons * lats)[:, None])
         task = point_task([(0.3, 0.7)])
         a = align_coordinate_encoder(enc, task)
         b = align_coordinate_encoder(enc, task)
         np.testing.assert_array_equal(a.rows, b.rows)
 
+    def test_one_call_per_matrix(self):
+        calls = []
+
+        def fn(lons, lats):
+            calls.append((lons.copy(), lats.copy()))
+            return np.stack([lons, lats], axis=1)
+
+        task = point_task([(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
+        m = align_coordinate_encoder(CoordinateEncoderSupport("xy", 2, fn), task)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][0], [0.1, 0.3, 0.5])
+        np.testing.assert_array_equal(calls[0][1], [0.2, 0.4, 0.6])
+        np.testing.assert_array_equal(m.rows, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+
     def test_non_finite_error_names_unit(self):
-        enc = CoordinateEncoderSupport("bad", 1, lambda lon, lat: np.array([np.inf]))
+        enc = CoordinateEncoderSupport("bad", 1, lambda lons, lats: np.full((len(lons), 1), np.inf))
         with pytest.raises(ValidationError, match="u0"):
             align_coordinate_encoder(enc, point_task([(0.0, 0.0)]))
+
+    def test_non_finite_error_names_first_bad_unit(self):
+        enc = CoordinateEncoderSupport(
+            "bad", 1, lambda lons, lats: np.where(lons == 0, np.nan, lons)[:, None])
+        with pytest.raises(ValidationError, match="for unit u1$"):
+            align_coordinate_encoder(enc, point_task([(1.0, 0.0), (0.0, 0.0), (0.0, 0.5)]))
+
+    @pytest.mark.parametrize("shape_of", [lambda n: (2,), lambda n: (n, 3)], ids=["dim", "n-by-dim+1"])
+    def test_wrong_shape_rejected(self, shape_of):
+        enc = CoordinateEncoderSupport("odd", 2, lambda lons, lats: np.zeros(shape_of(len(lons))))
+        with pytest.raises(ValidationError, match=r"odd returned shape .*, expected \(2, 2\)"):
+            align_coordinate_encoder(enc, point_task([(0.0, 0.0), (0.5, 0.5)]))
 
 
 class TestCoverage:

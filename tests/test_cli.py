@@ -170,6 +170,26 @@ class TestRun:
         assert {r.model_id for r in records} == {"field"}
         assert len(records) == 6
 
+    @pytest.mark.parametrize("lon,lat", [("inf", "0.01"), ("0.01", "-inf")])
+    def test_infinite_entity_fails_pair_and_run_continues(self, bench, lon, lat):
+        manifest = json.loads((bench / "manifest.json").read_text())
+        with open(bench / "inf.csv", "w") as f:
+            f.write("key_or_lon,lat,v_0,v_1,v_2,v_3\n0.0,0.0,1.0,1.0,1.0,1.0\n"
+                    f"{lon},{lat},1.0,1.0,1.0,1.0\n")
+        manifest["models"]["inf"] = {"dim": 4, "support": "entity_set",
+                                     "files": {"synthA": "inf.csv"}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        plan = quick_plan(bench, models=("inf", "field"), seeds=(42,))  # bad pair first
+        out = run(plan, log=lambda *a: None)
+        assert out.exit_code == 2
+        failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 2  # one per protocol
+        assert all(f.startswith("inf|POP|synthA|42|") and f"point ({float(lon)},{float(lat)}) "
+                   "is not finite" in f for f in failures)
+        records = read_result_store(bench / "out" / "results.csv")
+        assert {r.model_id for r in records} == {"field"}
+        assert len(records) == 6
+
     @pytest.mark.parametrize("file,support,content", [
         ("badgrid.csv", "cell_table", b"# hexgrid abc 0 461\nkey_or_lon,lat,v_0,v_1\n0:0,,1,2\n"),
         ("ascii.erf", "raster", b"erf1 \xff 0 1 1 1 1 2\n" + b"\x00" * 8),
@@ -609,6 +629,7 @@ class TestVerbs:
         ('{"extent": [1, 1, 0, 0]}', "cfg.json: inverted rectangle"),
         ('{"n": 8, "n_classes": 0, "label_kind": "distribution"}',
          "cfg.json: n_classes and dim must be positive"),
+        ('{"n": 10000000000}', "cfg.json: synthetic grid needs 8 <= n <= 2048, got 10000000000"),
     ])
     def test_synth_bad_config_is_one_error_line(self, tmp_path, capsys, text, message):
         (tmp_path / "cfg.json").write_text(text)

@@ -103,6 +103,14 @@ class TestProjection:
         with pytest.raises(ValidationError, match="validity"):
             project(g, 10.0, 0.0)  # ~1100 km away
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        g = HexGrid(0.0, 0.0)
+        with pytest.raises(ValidationError, match=r"point \(.*\) is not finite"):
+            project(g, bad, 0.0)
+        with pytest.raises(ValidationError, match=r"point \(.*\) is not finite"):
+            project(g, 0.0, bad)
+
 
 class TestHexGrid:
     def test_center_is_fixed_point(self):

@@ -34,8 +34,7 @@ def make_split(n, n_val, n_test, seed=0):
     labels[idx[:n_test]] = "test"
     labels[idx[n_test:n_test + n_val]] = "val"
     return SplitAssignment(city="c", task="POP", seed=seed, protocol="random",
-                           unit_ids=tuple(f"u{i}" for i in range(n)), labels=labels,
-                           test_frac=n_test / n, val_frac=n_val / n)
+                           unit_ids=tuple(f"u{i}" for i in range(n)), labels=labels)
 
 
 class TestScaler:
@@ -80,7 +79,7 @@ class TestEarlyStopper:
         assert stopper.update(0.7)
 
     def test_tolerance(self):
-        stopper = EarlyStopper(patience=1, tol=1e-7)
+        stopper = EarlyStopper(patience=1)
         stopper.update(1.0)
         assert stopper.update(1.0 - 1e-9)  # within tolerance: not an improvement
 

@@ -5,7 +5,14 @@ import pytest
 
 from urbanbench.core import Rect, TaskDataset, TaskUnit, ValidationError
 from urbanbench.grid import build_block_grid
-from urbanbench.split import DEFAULT_SEEDS, random_split, spatial_split, write_split_csv
+from urbanbench.split import (
+    DEFAULT_SEEDS,
+    DEFAULT_TEST_FRAC,
+    DEFAULT_VAL_FRAC,
+    random_split,
+    spatial_split,
+    write_split_csv,
+)
 
 EXTENT = Rect(0.0, 0.0, 10.0, 10.0)
 
@@ -24,7 +31,7 @@ class TestSpatialSplit:
     def test_default_fractions_100_blocks(self):
         task = grid_task(10)
         grid = build_block_grid(EXTENT, 10, 10)
-        a = spatial_split(task, grid, seed=42, test_frac=0.2, val_frac=0.1)
+        a = spatial_split(task, grid, seed=42)
         assert len(a.test_blocks) == 20
         assert len(a.val_blocks) == 8
         assert len(a.train_blocks) == 72
@@ -95,15 +102,14 @@ class TestSpatialSplit:
         assert all(grid.block_colrow(b)[0] < 5 for b in occupied)
 
     def test_fraction_accuracy(self):
-        rng = np.random.default_rng(0)
         for n_side in (5, 7, 9):
             task = grid_task(n_side)
             grid = build_block_grid(EXTENT, n_side, n_side)
             for seed in (1, 2, 3):
-                frac = float(rng.uniform(0.1, 0.4))
-                a = spatial_split(task, grid, seed, test_frac=frac)
+                a = spatial_split(task, grid, seed)
                 occ = len(a.train_blocks | a.val_blocks | a.test_blocks)
-                assert abs(len(a.test_blocks) - frac * occ) <= 1
+                assert abs(len(a.test_blocks) - DEFAULT_TEST_FRAC * occ) <= 1
+                assert abs(len(a.val_blocks) - DEFAULT_VAL_FRAC * (occ - len(a.test_blocks))) <= 1
 
     def test_single_block_errors(self):
         units = [TaskUnit(f"u{i}", 0.5, 0.5) for i in range(10)]
@@ -125,7 +131,7 @@ class TestSpatialSplit:
 class TestRandomSplit:
     def test_default_fractions_100_units(self):
         task = grid_task(10)
-        a = random_split(task, seed=42, test_frac=0.2, val_frac=0.1)
+        a = random_split(task, seed=42)
         c = a.counts()
         assert c == {"train": 72, "val": 8, "test": 20}
 
