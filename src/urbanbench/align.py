@@ -272,26 +272,19 @@ def write_erf(path: str | Path, rep: RasterSupport) -> None:
         f.write(body)
 
 
-def _read_erf_header(path: Path, f) -> tuple:
-    """(x0, y0, dx, dy, ncols, nrows, dim) from the header line of an open erf file."""
-    header = f.readline()
+def read_erf(path: str | Path) -> RasterSupport:
+    path = Path(path)
+    with path.open("rb") as f:
+        header = f.readline()
+        body = f.read()
     if not header.endswith(b"\n"):
         raise ValidationError(f"{path}: truncated erf header")
     try:  # ValidationError and UnicodeDecodeError are ValueErrors: each gets the path
         fields = header.decode("ascii").split()
         if len(fields) != 8 or fields[0] != _ERF_MAGIC:
             raise ValidationError("not an erf1 file")
-        return (*(float(v) for v in fields[1:5]), *(int(v) for v in fields[5:8]))
-    except ValueError as e:
-        raise ValidationError(f"{path}: {e}") from None
-
-
-def read_erf(path: str | Path) -> RasterSupport:
-    path = Path(path)
-    with path.open("rb") as f:
-        x0, y0, dx, dy, ncols, nrows, dim = _read_erf_header(path, f)
-        body = f.read()
-    try:
+        x0, y0, dx, dy = (float(v) for v in fields[1:5])
+        ncols, nrows, dim = (int(v) for v in fields[5:8])
         expected = ncols * nrows * dim * 4
         if len(body) != expected:
             raise ValidationError(f"erf body has {len(body)} bytes, expected {expected}")
@@ -354,10 +347,10 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
 
 
 def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTableSupport:
+    """A cell table keyed on the grid of its `# hexgrid` comment, else on `grid`."""
     path = Path(path)
     with open_text(path) as f:
         lines = f.read().splitlines()
-    file_grid = None
     body_start = 0
     for i, line in enumerate(lines):
         if not line.startswith("#"):
@@ -367,11 +360,10 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
         if parts and parts[0] == "hexgrid":
             try:
                 lon0, lat0, edge = (float(v) for v in parts[1:])
-                file_grid = HexGrid(lon0, lat0, edge)
+                grid = HexGrid(lon0, lat0, edge)
             except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
                 raise ValidationError(
                     f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
-    grid = grid or file_grid
     if grid is None:
         raise ValidationError(f"{path}: cell table carries no hex grid and none was supplied")
     rows = list(csv.reader(lines[body_start:]))
@@ -394,22 +386,3 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
             raise ValidationError(f"{path}:{ln}: duplicate key {r[0]!r}")
         table[cell] = vec
     return CellTableSupport(grid=grid, table=table)
-
-
-def peek_embedding_dim(path: str | Path, support: str) -> int:
-    """Cheap dim probe of an embedding file, used by manifest validation."""
-    path = Path(path)
-    if support == "raster":
-        with path.open("rb") as f:
-            return _read_erf_header(path, f)[-1]
-    if support in ("entity_set", "cell_table"):
-        with open_text(path) as f:
-            for line in f:
-                if line.startswith("#"):
-                    continue
-                header = next(csv.reader([line]))
-                if len(header) < 3 or header[:2] != ["key_or_lon", "lat"]:
-                    raise ValidationError(f"{path}: bad entity/cell-table header")
-                return len(header) - 2
-        raise ValidationError(f"{path}: empty embedding file")
-    raise ValidationError(f"no file format for support kind {support!r}")

@@ -65,7 +65,8 @@ from .core import (
     write_task_dataset,
 )
 from .grid import H3_RES8_EDGE_M, HexGrid, build_block_grid
-from .heads import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, HeadConfig, gradient_check, predict, train_head
+from .heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, LEARNING_RATE, HeadConfig,
+                    gradient_check, predict, train_head)
 from .metrics import KL_EPSILON, classification_metrics, distribution_metrics, regression_metrics
 from .pe_encoder import N_FREQ, PE_ENCODER_ID, R_MAX_M, R_MIN_M, get_encoder
 from .split import DEFAULT_SEEDS, DEFAULT_TEST_FRAC, DEFAULT_VAL_FRAC, TEST, random_split, spatial_split, write_split_csv
@@ -156,22 +157,33 @@ class RunPlan:
             raise ValidationError(f"grid must be at least 1x1, got {self.nx}x{self.ny}")
 
 
-def _load_representation_support(manifest: Manifest, model_id: str, city: str,
-                                 default_hexgrid: HexGrid):
+def _load_task(manifest: Manifest, city: str, task: str) -> TaskDataset:
+    """A manifest task file, loaded and checked against its manifest entry."""
+    path = manifest.resolve(manifest.cities[city][task])
+    ds = load_task_dataset(path)
+    if (ds.city, ds.task) != (city, task):
+        raise ValidationError(
+            f"{path}: task file metadata ({ds.city},{ds.task}) != manifest entry ({city},{task})")
+    return ds
+
+
+def _load_support(manifest: Manifest, model_id: str, city: str, hexgrid: HexGrid):
+    """A model's support for one city, checked against its declared dim. A cell table's
+    grid is the manifest `hexgrid`, else the file comment, else `hexgrid` (task-centred)."""
     m = manifest.models[model_id]
     if m.support == "coordinate_encoder":
-        return get_encoder(m.encoder)
-    path = manifest.resolve(m.files[city])
-    if m.support == "raster":
-        return read_erf(path)
-    if m.support == "entity_set":
-        return read_entity_csv(path)
-    if m.hexgrid is not None:
-        return read_cell_table_csv(path, grid=m.hexgrid)
-    try:
-        return read_cell_table_csv(path)  # grid from the file comment
-    except ValidationError:
-        return read_cell_table_csv(path, grid=default_hexgrid)
+        support = get_encoder(m.encoder)
+    elif m.support == "raster":
+        support = read_erf(manifest.resolve(m.files[city]))
+    elif m.support == "entity_set":
+        support = read_entity_csv(manifest.resolve(m.files[city]))
+    else:
+        support = read_cell_table_csv(manifest.resolve(m.files[city]), hexgrid)
+        if m.hexgrid is not None:
+            support = replace(support, grid=m.hexgrid)
+    if support.dim != m.dim:
+        raise ValidationError(f"file dim {support.dim} != declared {m.dim}")
+    return support
 
 
 def align_support(support, task: TaskDataset, model_id: str, hexgrid: HexGrid) -> AlignedMatrix:
@@ -224,11 +236,12 @@ class RunOutcome:
 
 
 def run(plan: RunPlan, log=print) -> RunOutcome:
-    """Execute the plan; resumable and deterministic. Splits are computed and
-    hashed before any representation is loaded, so they cannot depend on
-    models. Per-group failures are recorded and skipped."""
+    """Execute the plan; resumable and deterministic. Every task file loads before
+    anything is written, and splits are hashed before any representation is read,
+    so they cannot depend on models. Gaps are logged and skipped; per-group
+    failures are recorded and skipped."""
     manifest = load_manifest(plan.manifest_path)
-    report_v = validate_manifest(manifest, probe_files=False)
+    report_v = validate_manifest(manifest)
     if not report_v.ok:
         for e in report_v.errors:
             log(f"manifest error: {e}")
@@ -247,17 +260,9 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 raise ValidationError(f"{what} {name!r} not in manifest")
     cities = [c for c in sorted(manifest.cities) if plan.cities is None or c in plan.cities]
 
-    out_dir = Path(plan.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "splits").mkdir(exist_ok=True)
-    store = ResultStore(out_dir / "results.csv")
-    completed = store.completed_groups()
-    started = time.time()
-
-    # Phase 1: datasets and model-invariant splits (hashed before any
-    # representation is touched).
+    # Phase 1: every planned task file, loaded and checked before anything is
+    # written; then the model-invariant splits, hashed before any support is read.
     datasets: dict[tuple[str, str], TaskDataset] = {}
-    splits: dict[tuple[str, str, str, int], object] = {}
     for city in cities:
         for task_name in sorted(manifest.cities[city]):
             if plan.tasks is not None and task_name not in plan.tasks:
@@ -265,17 +270,25 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
             if task_name == "AGE" and city in BENCHMARK_CITIES and city not in AGE_CITIES:
                 log(f"AGE restricted: skipping {city}")
                 continue
-            ds = load_task_dataset(manifest.resolve(manifest.cities[city][task_name]))
-            if (ds.city, ds.task) != (city, task_name):
-                raise ValidationError(
-                    f"task file metadata ({ds.city},{ds.task}) != manifest entry ({city},{task_name})")
-            datasets[(city, task_name)] = ds
-            grid = build_block_grid(ds.extent, plan.nx, plan.ny)
-            for protocol in plan.protocols:
-                for seed in plan.seeds:
-                    a = spatial_split(ds, grid, seed) if protocol == "spatial" else random_split(ds, seed)
-                    splits[(city, task_name, protocol, seed)] = a
-                    write_split_csv(out_dir / "splits" / f"{city}_{task_name}_{protocol}_{seed}.csv", a)
+            datasets[(city, task_name)] = _load_task(manifest, city, task_name)
+    for model_id, city, task_name, reason in report_v.gaps:
+        if model_id in models and (city, task_name) in datasets:
+            log(f"gap: {model_id} / {city} / {task_name}: {reason}")
+
+    out_dir = Path(plan.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "splits").mkdir(exist_ok=True)
+    store = ResultStore(out_dir / "results.csv")
+    completed = store.completed_groups()
+    started = time.time()
+    splits: dict[tuple[str, str, str, int], object] = {}
+    for (city, task_name), ds in datasets.items():
+        grid = build_block_grid(ds.extent, plan.nx, plan.ny)
+        for protocol in plan.protocols:
+            for seed in plan.seeds:
+                a = spatial_split(ds, grid, seed) if protocol == "spatial" else random_split(ds, seed)
+                splits[(city, task_name, protocol, seed)] = a
+                write_split_csv(out_dir / "splits" / f"{city}_{task_name}_{protocol}_{seed}.csv", a)
 
     # json.dumps(sort_keys=True) orders every table below
     head = plan.head
@@ -286,7 +299,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
             "seeds": list(plan.seeds), "protocols": list(plan.protocols),
             "grid": [plan.nx, plan.ny], "head": head.kind,
             "hidden_dim": head.hidden_dim, "batch_size": head.batch_size,
-            "learning_rate": head.learning_rate, "max_epochs": head.max_epochs,
+            "learning_rate": LEARNING_RATE, "max_epochs": head.max_epochs,
             "patience": head.patience,
             "test_frac": DEFAULT_TEST_FRAC, "val_frac": DEFAULT_VAL_FRAC,
         },
@@ -300,12 +313,15 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                            encoding="utf-8")
 
-    # Phase 2: align and evaluate.
+    # Phase 2: align and evaluate every resolved pair.
+    resolved = set(report_v.resolvable)
     failures: list[tuple[str, str]] = []
     new_records = 0
     skipped = 0
     for model_id in models:
         for (city, task_name), ds in datasets.items():
+            if (model_id, city, task_name) not in resolved:
+                continue
             pending = [(protocol, seed)
                        for protocol in plan.protocols for seed in plan.seeds
                        if (model_id, task_name, city, seed, protocol) not in completed]
@@ -314,14 +330,11 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 continue
             try:
                 hexgrid = HexGrid(*ds.extent.center)
-                support = _load_representation_support(manifest, model_id, city, hexgrid)
-                declared = manifest.models[model_id].dim
-                if support.dim != declared:
-                    raise ValidationError(f"file dim {support.dim} != declared {declared}")
+                support = _load_support(manifest, model_id, city, hexgrid)
                 features = align_support(support, ds, model_id, hexgrid)
                 output = _HEAD_OUTPUT[ds.label_kind]
                 cfg = replace(plan.head, output=output, n_out=1 if output == "scalar" else int(ds.n_classes))
-            except (ValidationError, KeyError, OSError) as e:
+            except (ValidationError, OSError) as e:
                 for protocol, seed in pending:
                     failures.append((f"{model_id}|{task_name}|{city}|{seed}|{protocol}", str(e)))
                 continue
@@ -583,7 +596,29 @@ def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
 # Entry points
 
 def _cmd_validate(args) -> int:
-    report_v = validate_manifest(load_manifest(args.manifest))
+    """The structural checks, then every task file and every (model, city)
+    embedding file of a pair read once, by the loaders `run` uses."""
+    manifest = load_manifest(args.manifest)
+    report_v = validate_manifest(manifest)
+    errors = list(report_v.errors)
+    datasets: dict[tuple[str, str], TaskDataset] = {}
+    for city, task in sorted({(c, t) for _, c, t, *_ in report_v.resolvable + report_v.gaps}):
+        try:
+            datasets[(city, task)] = _load_task(manifest, city, task)
+        except (ValidationError, OSError) as e:
+            errors.append(f"city {city}, task {task}: {e}")
+    failed: set[tuple[str, str]] = set()  # (model, city) whose embedding file fails to load
+    for model, city in sorted({(m, c) for m, c, _ in report_v.resolvable}):
+        loaded = [ds for (c, _), ds in datasets.items() if c == city]
+        if not loaded:
+            continue  # no task to align onto; the task errors say why
+        try:
+            _load_support(manifest, model, city, HexGrid(*loaded[0].extent.center))
+        except (ValidationError, OSError) as e:
+            failed.add((model, city))
+            errors.append(f"model {model}, city {city}: {e}")
+    report_v = replace(report_v, errors=errors, resolvable=[
+        (m, c, t) for m, c, t in report_v.resolvable if (c, t) in datasets and (m, c) not in failed])
     for e in report_v.errors:
         print(f"error: {e}")
     for w in report_v.warnings:

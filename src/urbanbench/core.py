@@ -383,7 +383,10 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         n_classes = int(meta["classes"]) if "classes" in meta else None
     except ValueError:
         raise ValidationError(f"{path}: malformed '# classes' line") from None
-    return TaskDataset(city, task, units, labels, extent, n_classes=n_classes)
+    try:
+        return TaskDataset(city, task, units, labels, extent, n_classes=n_classes)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:
@@ -649,31 +652,25 @@ class ValidationReport:
                 f"{len(self.warnings)} warnings, {len(self.errors)} errors")
 
 
-def validate_manifest(manifest: Manifest, probe_files: bool = True) -> ValidationReport:
-    """Cross-check every (model, city, task) combination without side effects.
-
-    Missing embedding files are gaps, not fatal; structural problems (bad
-    support kind, a file dim other than the declared one) are errors. With
-    `probe_files=False` embedding files are not opened: `run` reads each one
-    anyway and checks its dim there, so a bad file fails only its own pairs.
-    """
-    from . import align  # file probing lives with the file formats
+def validate_manifest(manifest: Manifest) -> ValidationReport:
+    """Structural checks of every (model, city, task) combination; opens no file.
+    Unknown tasks, support kinds or encoders, missing task files and bad dims are
+    errors. A pair whose embedding file is not listed or not present is a gap,
+    which `run` skips; the loaders that `validate` and `run` share read the files."""
     from .pe_encoder import get_encoder
 
     report = ValidationReport()
-    task_meta: dict[tuple[str, str], bool] = {}
+    tasks: list[tuple[str, str]] = []  # (city, task) whose file is present
     for city in sorted(manifest.cities):
         for task in sorted(manifest.cities[city]):
             if task not in TASKS:
                 report.errors.append(f"city {city}: unknown task {task!r}")
-                task_meta[(city, task)] = False
                 continue
             p = manifest.resolve(manifest.cities[city][task])
             if not os.path.isfile(p):
                 report.errors.append(f"city {city}: task file missing: {p}")
-                task_meta[(city, task)] = False
                 continue
-            task_meta[(city, task)] = True
+            tasks.append((city, task))
             if task == "AGE" and city in BENCHMARK_CITIES and city not in AGE_CITIES:
                 report.warnings.append(f"AGE restricted: {city} is outside the four AGE cities")
 
@@ -692,33 +689,13 @@ def validate_manifest(manifest: Manifest, probe_files: bool = True) -> Validatio
                 report.errors.append(f"model {model_id}: unknown encoder {m.encoder!r}")
                 continue
             if enc.dim != m.dim:
-                report.errors.append(
-                    f"model {model_id}: encoder dim {enc.dim} != declared {m.dim}"
-                )
+                report.errors.append(f"model {model_id}: encoder dim {enc.dim} != declared {m.dim}")
                 continue
-        for city in sorted(manifest.cities):
-            city_ok = True
-            if m.support != "coordinate_encoder":
-                rel = m.files.get(city)
-                if rel is None or not os.path.isfile(manifest.resolve(rel)):
-                    for task, ok in sorted(task_meta.items()):
-                        if task[0] == city and ok:
-                            report.gaps.append((model_id, city, task[1], "embedding file missing"))
-                    continue
-                fpath = manifest.resolve(rel)
-                try:
-                    file_dim = align.peek_embedding_dim(fpath, m.support) if probe_files else m.dim
-                except (ValidationError, OSError) as e:
-                    report.errors.append(f"model {model_id}, city {city}: {e}")
-                    continue
-                if file_dim != m.dim:
-                    report.errors.append(
-                        f"model {model_id}, city {city}: file dim {file_dim} != declared {m.dim}"
-                    )
-                    city_ok = False
-            if not city_ok:
-                continue
-            for (c, task), ok in sorted(task_meta.items()):
-                if c == city and ok:
-                    report.resolvable.append((model_id, city, task))
+        for city, task in tasks:
+            rel = m.files.get(city)
+            if m.support == "coordinate_encoder" or (
+                    rel is not None and os.path.isfile(manifest.resolve(rel))):
+                report.resolvable.append((model_id, city, task))
+            else:
+                report.gaps.append((model_id, city, task, "embedding file missing"))
     return report

@@ -23,6 +23,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EARLY_STOP_TOL = 1e-7
 GRADIENT_CHECK_STEP = 1e-5
+LEARNING_RATE = 1e-3
 
 OUTPUT_KINDS = ("scalar", "logits", "distribution")
 
@@ -34,7 +35,6 @@ class HeadConfig:
     n_out: int = 1                    # C for logits, K for distribution
     hidden_dim: int = 1024
     batch_size: int = 512
-    learning_rate: float = 1e-3
     max_epochs: int = 100
     patience: int = 10
 
@@ -48,8 +48,6 @@ class HeadConfig:
                 raise ValidationError(f"{name} must be a positive integer")
         if self.patience >= self.max_epochs:
             raise ValidationError("patience must be < max_epochs")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -267,7 +265,7 @@ def train_head(
 
     rng = np.random.default_rng(run_seed)
     params = _init_params(cfg, features.dim, rng)
-    adam = _Adam(params, cfg.learning_rate)
+    adam = _Adam(params, LEARNING_RATE)
     stopper = EarlyStopper(cfg.patience)
     best_params = {k: v.copy() for k, v in params.items()}
     best_val = math.inf

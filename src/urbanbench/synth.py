@@ -65,6 +65,11 @@ class SynthConfig:
             raise ValidationError("noise_sd must be >= 0")
         if self.n_classes < 1 or self.dim < 1:
             raise ValidationError("n_classes and dim must be positive")
+        # The embedding and label arrays are n x n x dim and n x n x n_classes:
+        # 2**24 float64 values is 128 MiB per array.
+        if self.n * self.n * max(self.dim, self.n_classes) > 2**24:
+            raise ValidationError(f"synthetic arrays need n * n * max(dim, n_classes) <= 2**24, "
+                                  f"got {self.n} * {self.n} * {max(self.dim, self.n_classes)}")
 
     @property
     def task(self) -> str:

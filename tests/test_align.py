@@ -17,7 +17,6 @@ from urbanbench.align import (
     align_entities_h3_first,
     align_raster,
     coverage,
-    peek_embedding_dim,
     read_cell_table_csv,
     read_entity_csv,
     read_erf,
@@ -300,7 +299,6 @@ class TestFileFormats:
         back = read_erf(p)
         assert (back.x0, back.y0, back.dx, back.dy) == (1.0, 2.0, 0.5, 0.25)
         np.testing.assert_array_equal(back.values, vals)
-        assert peek_embedding_dim(p, "raster") == 2
 
     def test_erf_truncated_body(self, tmp_path):
         p = tmp_path / "bad.erf"
@@ -332,7 +330,6 @@ class TestFileFormats:
         back = read_entity_csv(p)
         np.testing.assert_array_equal(back.lons, rep.lons)
         np.testing.assert_array_equal(back.vectors, rep.vectors)
-        assert peek_embedding_dim(p, "entity_set") == 2
 
     def test_entity_csv_ragged_row_names_file_line(self, tmp_path):
         # the line number counts comment lines too, so it points into the file

@@ -61,6 +61,36 @@ def quick_plan(bench, out="out", **kw):
     return RunPlan(**defaults)
 
 
+def add_model(bench, name, support, dim, file=None, content=None):
+    """Add a model to the bench manifest, writing its one embedding file if given."""
+    manifest = json.loads((bench / "manifest.json").read_text())
+    entry = {"dim": dim, "support": support, "files": {}}
+    if file is not None:
+        entry["files"]["synthA"] = file
+        if content is not None:
+            (bench / file).write_bytes(content)
+    manifest["models"][name] = entry
+    (bench / "manifest.json").write_text(json.dumps(manifest))
+
+
+RAGGED = b"key_or_lon,lat,v_0,v_1,v_2,v_3\n0.0,0.0,1.0,1.0,1.0,1.0\n0.01,0.01,1.0,1.0,1.0,1.0,5.0\n"
+
+
+def add_bad_task_city(bench, kind):
+    """A second city, sorted after synthA, whose POP file fails to load;
+    returns the expected message."""
+    manifest = json.loads((bench / "manifest.json").read_text())
+    if kind == "metadata":  # synthA's file listed under synthB
+        rel, message = "task.csv", "task.csv: task file metadata (synthA,POP) != manifest entry (synthB,POP)"
+    else:
+        (bench / "bad.csv").write_text("# task POP\n# city synthB\n# extent 0 0 1 1\n"
+                                       "unit_id,lon,lat,value\nu0,0.5,0.5,1\nu0,0.6,0.6,2\n")
+        rel, message = "bad.csv", "bad.csv: duplicate unit_id 'u0'"
+    manifest["cities"]["synthB"] = {"tasks": {"POP": rel}}
+    (bench / "manifest.json").write_text(json.dumps(manifest))
+    return message
+
+
 class TestRun:
     def test_record_cardinality(self, bench):
         # 1 model x 1 city x 1 task x 5 seeds x 2 protocols x 3 metrics = 30
@@ -148,6 +178,19 @@ class TestRun:
         assert len(failures) == 2  # one per protocol
         assert all(f.startswith("ragged|POP|synthA|42|") and "ragged.csv:3:" in f
                    for f in failures)
+        records = read_result_store(bench / "out" / "results.csv")
+        assert {r.model_id for r in records} == {"field"}
+        assert len(records) == 6
+
+    @pytest.mark.parametrize("file", [None, "missing.erf"], ids=["unlisted", "absent"])
+    def test_missing_embedding_file_is_one_gap_line(self, bench, file):
+        add_model(bench, "nofile", "raster", 4, file)
+        lines = []
+        out = run(quick_plan(bench, models=("nofile", "field"), seeds=(42,)), log=lines.append)
+        assert out.exit_code == 0 and out.failures == []
+        assert not (bench / "out" / "failures.csv").exists()
+        assert [ln for ln in lines if ln.startswith("gap:")] == [
+            "gap: nofile / synthA / POP: embedding file missing"]
         records = read_result_store(bench / "out" / "results.csv")
         assert {r.model_id for r in records} == {"field"}
         assert len(records) == 6
@@ -528,6 +571,45 @@ class TestVerbs:
         assert "Traceback" not in err
         assert not (bench / "out").exists()
 
+    def test_validate_names_ragged_entity_row(self, bench, capsys):
+        add_model(bench, "ragged", "entity_set", 4, "ragged.csv", RAGGED)
+        assert main(["validate", str(bench / "manifest.json")]) == 1
+        out = capsys.readouterr().out
+        assert "error: model ragged, city synthA: " in out and "ragged.csv:3: expected 6 values" in out
+        assert "ok: ragged" not in out and "ok: field / synthA / POP\n" in out
+
+    def test_validate_and_run_agree(self, bench, capsys):
+        # every pair validate lists ok runs without a failure row, and every
+        # model whose file fails a pair in run is an error line in validate
+        magic, _, rest = (bench / "field.erf").read_bytes().split(b" ", 2)
+        add_model(bench, "ragged", "entity_set", 4, "ragged.csv", RAGGED)
+        add_model(bench, "wide", "raster", 5, "field.erf")
+        add_model(bench, "nan", "raster", 4, "nan.erf", b" ".join([magic, b"nan", rest]))  # x0
+        add_model(bench, "nofile", "raster", 4)
+        assert main(["validate", str(bench / "manifest.json")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        ok = {ln.split()[1] for ln in lines if ln.startswith("ok: ")}
+        errors = {ln.split()[2].rstrip(",") for ln in lines if ln.startswith("error: model ")}
+        out = run(quick_plan(bench, seeds=(42,)), log=lambda *a: None)
+        ran = {r.model_id for r in read_result_store(bench / "out" / "results.csv")}
+        assert ok == ran == {"field", "pe"}
+        assert errors == {k.split("|")[0] for k, _ in out.failures} == {"ragged", "wide", "nan"}
+
+    @pytest.mark.parametrize("kind", ["metadata", "duplicate"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_bad_task_file_names_it(self, bench, capsys, kind, verb):
+        message = add_bad_task_city(bench, kind)
+        args = ["--out", str(bench / "out"), "--seeds", "42"] if verb == "run" else []
+        assert main([verb, str(bench / "manifest.json"), *args]) == 1
+        captured = capsys.readouterr()
+        if verb == "run":  # checked before anything is written
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert message in captured.err
+            assert not (bench / "out").exists()
+        else:
+            assert "error: city synthB, task POP: " in captured.out and message in captured.out
+            assert "ok: field / synthA / POP\n" in captured.out and "ok: pe / synthB" not in captured.out
+
     def test_validate_bad_erf_dim_names_model_city_file(self, bench, capsys):
         (bench / "bad.erf").write_bytes(b"erf1 0 0 1 1 1 1 abc\n")
         manifest = json.loads((bench / "manifest.json").read_text())
@@ -630,6 +712,9 @@ class TestVerbs:
         ('{"n": 8, "n_classes": 0, "label_kind": "distribution"}',
          "cfg.json: n_classes and dim must be positive"),
         ('{"n": 10000000000}', "cfg.json: synthetic grid needs 8 <= n <= 2048, got 10000000000"),
+        ('{"n": 8, "dim": 100000000000, "embedding_kind": "field_plus_noise", "noise_sd": 0.1}',
+         "cfg.json: synthetic arrays need n * n * max(dim, n_classes) <= 2**24, "
+         "got 8 * 8 * 100000000000"),
     ])
     def test_synth_bad_config_is_one_error_line(self, tmp_path, capsys, text, message):
         (tmp_path / "cfg.json").write_text(text)

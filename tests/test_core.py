@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import urbanbench.core as core
+from urbanbench.cli import main
 from urbanbench.core import (
     Rect,
     TaskDataset,
@@ -106,6 +107,20 @@ class TestLoadTaskDataset:
                      "unit_id,lon,lat,class\nu0,0.1,0.1,5\n")
         with pytest.raises(ValidationError):
             load_task_dataset(p)
+
+    @pytest.mark.parametrize("body, message", [
+        ("unit_id,lon,lat,value\nu0,1,1,1.0\nu0,2,2,2.0\n", "duplicate unit_id 'u0'"),
+        ("unit_id,lon,lat,value\nu0,1,1,1.0\nu1,50,50,2.0\n", "unit u1 outside dataset extent"),
+        ("# classes 2\nunit_id,lon,lat,class\nu0,1,1,2\n", "class index outside [0,2)"),
+        ("unit_id,lon,lat,value\nu0,1,1,nan\n", "scalar labels must be finite"),
+    ], ids=["duplicate", "outside-extent", "class-index", "non-finite"])
+    def test_dataset_error_names_file(self, tmp_path, body, message):
+        p = tmp_path / "task.csv"
+        task = "LUC" if "class" in body else "POP"
+        p.write_text(f"# task {task}\n# city demo\n# extent 0 0 10 10\n{body}")
+        with pytest.raises(ValidationError) as e:
+            load_task_dataset(p)
+        assert str(e.value) == f"{p}: {message}"
 
     def test_malformed_classes_line_names_file(self, tmp_path):
         p = tmp_path / "luc.csv"
@@ -214,7 +229,7 @@ class TestManifest:
         assert report.ok
         assert report.gaps and report.gaps[0][3] == "embedding file missing"
 
-    def test_dim_mismatch_is_error(self, tmp_path):
+    def test_dim_mismatch_is_error(self, tmp_path, capsys):
         from urbanbench.align import write_erf
         from urbanbench.core import RasterSupport
 
@@ -224,11 +239,12 @@ class TestManifest:
         p = make_manifest(tmp_path, {"demo_city": {"tasks": tasks}},
                           {"m": {"dim": 4, "support": "raster",
                                  "files": {"demo_city": "emb.erf"}}})
-        report = validate_manifest(load_manifest(p))
-        assert not report.ok
-        assert any("dim" in e for e in report.errors)
+        assert main(["validate", str(p)]) == 1
+        out = capsys.readouterr().out
+        assert "error: model m, city demo_city: file dim 3 != declared 4\n" in out
+        assert "ok: " not in out
 
-    def test_dim_mismatch_across_cities(self, tmp_path):
+    def test_dim_mismatch_across_cities(self, tmp_path, capsys):
         from urbanbench.align import write_erf
         from urbanbench.core import RasterSupport
 
@@ -241,8 +257,10 @@ class TestManifest:
         p = make_manifest(tmp_path, city_entries,
                           {"m": {"dim": 3, "support": "raster",
                                  "files": {"a_city": "a_city.erf", "b_city": "b_city.erf"}}})
-        report = validate_manifest(load_manifest(p))
-        assert any("mismatch across cities" in e or "file dim" in e for e in report.errors)
+        assert main(["validate", str(p)]) == 1
+        out = capsys.readouterr().out
+        assert "error: model m, city b_city: file dim 5 != declared 3\n" in out
+        assert "ok: m / a_city / POP\n" in out and "ok: m / b_city" not in out
 
     def test_unknown_encoder_is_error(self, tmp_path):
         tasks = self._write_tasks(tmp_path, "demo_city", ["POP"])

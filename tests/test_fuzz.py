@@ -1,7 +1,9 @@
 """Property tests: every reader either loads its input or raises
 ValidationError, whatever the bytes; the manifest loader and validator do
-the same for any JSON document."""
+the same for any JSON document, and `urbanbench validate` exits 0 or 1."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -12,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanbench.align import (
-    peek_embedding_dim,
     read_cell_table_csv,
     read_entity_csv,
     read_erf,
@@ -20,7 +21,7 @@ from urbanbench.align import (
     write_entity_csv,
     write_erf,
 )
-from urbanbench.cli import ResultStore, _read_factors, read_result_store
+from urbanbench.cli import ResultStore, _read_factors, main, read_result_store
 from urbanbench.core import (
     SUPPORT_KINDS,
     TASKS,
@@ -115,8 +116,6 @@ READERS = {
     "manifest": lambda p: validate_manifest(load_manifest(p)),
     "result_store": read_result_store,
     "factors": _read_factors,
-    **{f"peek_{kind}": (lambda p, kind=kind: peek_embedding_dim(p, kind))
-       for kind in ("raster", "entity_set", "cell_table")},
 }
 
 
@@ -187,11 +186,19 @@ def test_manifest_loads_and_validates_or_raises_validation_error(workdir, doc):
     except ValidationError as e:
         assert str(path) in str(e)
         return
-    for probe_files in (True, False):
-        validate_manifest(manifest, probe_files=probe_files)
+    validate_manifest(manifest)
 
 
-@pytest.mark.parametrize("reader", sorted(set(READERS) - {"erf", "peek_raster"}))
+@SETTINGS
+@given(doc=MANIFEST)
+def test_validate_verb_exits_0_or_1(workdir, doc):
+    path = workdir / "fuzz_manifest.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["validate", str(path)]) in (0, 1)
+
+
+@pytest.mark.parametrize("reader", sorted(set(READERS) - {"erf"}))
 def test_non_utf8_text_names_file(workdir, reader):
     path = workdir / f"latin1_{reader}"
     path.write_bytes("key_or_lon,lat,caf\xe9\n".encode("latin-1"))

@@ -9,6 +9,7 @@ import pytest
 from urbanbench.align import AlignedMatrix
 from urbanbench.core import ValidationError
 from urbanbench.heads import (
+    LEARNING_RATE,
     EarlyStopper,
     HeadConfig,
     TrainedHead,
@@ -179,7 +180,7 @@ class TestTraining:
         x = rng.standard_normal((32, 3))
         y = x @ np.array([0.5, -1.0, 2.0])
         cfg = HeadConfig(kind="mlp", output="scalar", n_out=1, hidden_dim=8,
-                         batch_size=32, max_epochs=2, patience=1, learning_rate=1e-6)
+                         batch_size=32, max_epochs=2, patience=1)
         from urbanbench.heads import _Adam, _init_params
 
         params = _init_params(cfg, 3, np.random.default_rng(0))
@@ -264,7 +265,7 @@ class TestHeadConfig:
         cfg = HeadConfig()
         assert cfg.hidden_dim == 1024
         assert cfg.batch_size == 512
-        assert cfg.learning_rate == 1e-3
+        assert LEARNING_RATE == 1e-3
         assert cfg.max_epochs == 100
         assert cfg.patience == 10
 
