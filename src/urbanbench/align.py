@@ -36,8 +36,8 @@ from .grid import (
     HexGrid,
     hex_cell_key,
     hex_axial_xy,
+    hex_cell_center_xy,
     hex_cell_of,
-    hex_cell_vertices_xy,
     parse_hex_cell_key,
     project,
 )
@@ -97,6 +97,42 @@ def _read_only(model_id: str, rows: np.ndarray, valid: np.ndarray) -> AlignedMat
 
 
 # ---------------------------------------------------------------------------
+# Array passes shared by the raster and h3-first aligners
+
+def _windows(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, i, j) of every cell of each owner's rows x cols window,
+    owner-major and row-major within an owner."""
+    size = rows * cols
+    owner = np.repeat(np.arange(size.size), size)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+    return owner, k // cols[owner], k % cols[owner]
+
+
+def _run_means(owner: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(means, has): the mean of each owner's run of `values` rows (`owner` sorted).
+
+    The runs of one length go through one np.mean over an (owners, length,
+    dim) block. numpy reduces each run in it as it reduces the run alone
+    (from +0.0; in order for dim > 1, pairwise for dim 1), so every mean is
+    bit for bit np.mean(run, axis=0)."""
+    counts = np.bincount(owner, minlength=n)
+    starts = np.cumsum(counts) - counts
+    means = np.zeros((n, values.shape[1]), dtype=values.dtype)
+    for k in np.unique(counts[counts > 0]):
+        who = np.flatnonzero(counts == k)
+        means[who] = values[starts[who, None] + np.arange(k)].mean(axis=1)
+    return means, counts > 0
+
+
+def _raster_cell_units(task: TaskDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the raster-cell units and their extents as (x0, y0, x1, y1) rows."""
+    quads = [i for i, u in enumerate(task.units) if u.geometry_kind == "raster_cell"]
+    ces = [task.units[i].cell_extent for i in quads]
+    return (np.array(quads, dtype=np.int64),
+            np.array([(ce.x0, ce.y0, ce.x1, ce.y1) for ce in ces], dtype=np.float64).reshape(-1, 4))
+
+
+# ---------------------------------------------------------------------------
 # Raster alignment
 
 def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster") -> AlignedMatrix:
@@ -108,32 +144,38 @@ def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster"
     shares the vector of the raster cell containing its representative
     point. Units touching no valid raster cell become invalid.
     """
-    def vec_of(unit):
-        if unit.geometry_kind == "raster_cell":
-            ce = unit.cell_extent
-            c_lo = max(0, math.ceil((ce.x0 - rep.x0) / rep.dx - 0.5))
-            c_hi = min(rep.ncols - 1, math.floor((ce.x1 - rep.x0) / rep.dx - 0.5))
-            r_lo = max(0, math.ceil((ce.y0 - rep.y0) / rep.dy - 0.5))
-            r_hi = min(rep.nrows - 1, math.floor((ce.y1 - rep.y0) / rep.dy - 0.5))
-            if c_hi >= c_lo and r_hi >= r_lo:
-                block = rep.values[r_lo:r_hi + 1, c_lo:c_hi + 1].reshape(-1, rep.dim)
-                ok = ~np.any(np.isnan(block), axis=1)
-                # drop centers exactly on the closed max edge of the unit extent
-                if np.any(ok):
-                    cx = rep.x0 + (np.arange(c_lo, c_hi + 1) + 0.5) * rep.dx
-                    cy = rep.y0 + (np.arange(r_lo, r_hi + 1) + 0.5) * rep.dy
-                    inside = ((cx[None, :] >= ce.x0) & (cx[None, :] < ce.x1)
-                              & (cy[:, None] >= ce.y0) & (cy[:, None] < ce.y1)).reshape(-1)
-                    ok &= inside
-                if np.any(ok):
-                    return block[ok].mean(axis=0)
-        idx = rep.cell_index(unit.lon, unit.lat)
-        if idx is None:
-            return None
-        vec = rep.values[idx[0], idx[1]]
-        return None if np.any(np.isnan(vec)) else vec
+    quads, extents = _raster_cell_units(task)
+    x0, y0, x1, y1 = extents.T
+    # each unit's window of raster cells, clipped to the raster (an empty one
+    # stays empty; clipping first keeps far-off units inside int64)
+    c_lo = np.clip(np.ceil((x0 - rep.x0) / rep.dx - 0.5), 0, rep.ncols).astype(np.int64)
+    c_hi = np.clip(np.floor((x1 - rep.x0) / rep.dx - 0.5), -1, rep.ncols - 1).astype(np.int64)
+    r_lo = np.clip(np.ceil((y0 - rep.y0) / rep.dy - 0.5), 0, rep.nrows).astype(np.int64)
+    r_hi = np.clip(np.floor((y1 - rep.y0) / rep.dy - 0.5), -1, rep.nrows - 1).astype(np.int64)
+    owner, dr, dc = _windows(np.maximum(r_hi - r_lo + 1, 0), np.maximum(c_hi - c_lo + 1, 0))
+    r, c = r_lo[owner] + dr, c_lo[owner] + dc
+    vals = rep.values[r, c]
+    cx = rep.x0 + (c + 0.5) * rep.dx
+    cy = rep.y0 + (r + 0.5) * rep.dy
+    # a center exactly on the closed max edge of the unit extent is outside
+    hit = (~np.any(np.isnan(vals), axis=1) & (cx >= x0[owner]) & (cx < x1[owner])
+           & (cy >= y0[owner]) & (cy < y1[owner]))
+    means, has = _run_means(owner[hit], vals[hit], quads.size)
 
-    return _align_units(model_id, task, rep.dim, vec_of)
+    rows = np.zeros((task.n, rep.dim), dtype=np.float64)
+    valid = np.zeros(task.n, dtype=bool)
+    rows[quads[has]] = means[has]
+    valid[quads[has]] = True
+    # every other unit shares the raster cell containing its point
+    rest = np.flatnonzero(~valid)
+    inside, row, col = rep.cell_index(np.array([task.units[i].lon for i in rest]),
+                                      np.array([task.units[i].lat for i in rest]))
+    rest, row, col = rest[inside], row[inside], col[inside]
+    vec = rep.values[row, col]
+    ok = ~np.any(np.isnan(vec), axis=1)
+    rows[rest[ok]] = vec[ok]
+    valid[rest[ok]] = True
+    return _read_only(model_id, rows, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -153,33 +195,42 @@ def _pool_entities_by_hex(rep: EntitySetSupport, hexgrid: HexGrid) -> dict[tuple
     return {c: sums[c] / counts[c] for c in sums}
 
 
-def _convex_overlap(poly_a: list[tuple[float, float]], poly_b: list[tuple[float, float]]) -> bool:
-    """Separating-axis test between two convex polygons (closed regions)."""
-    for poly in (poly_a, poly_b):
-        m = len(poly)
-        for i in range(m):
-            ex = poly[(i + 1) % m][0] - poly[i][0]
-            ey = poly[(i + 1) % m][1] - poly[i][1]
-            ax, ay = -ey, ex
-            a_proj = [ax * px + ay * py for px, py in poly_a]
-            b_proj = [ax * px + ay * py for px, py in poly_b]
-            if max(a_proj) < min(b_proj) or max(b_proj) < min(a_proj):
-                return False
-    return True
+_HEX_COS = np.array([math.cos(math.radians(60.0 * i + 30.0)) for i in range(6)])
+_HEX_SIN = np.array([math.sin(math.radians(60.0 * i + 30.0)) for i in range(6)])
 
 
-def _hex_cells_intersecting(ce, hexgrid: HexGrid) -> list[tuple[int, int]]:
-    """Hex cells whose closed hexagon overlaps the (projected) unit rectangle, sorted."""
-    corners = [project(hexgrid, x, y)
-               for x, y in ((ce.x0, ce.y0), (ce.x1, ce.y0), (ce.x1, ce.y1), (ce.x0, ce.y1))]
-    qs, rs = zip(*(hex_axial_xy(x, y, hexgrid) for x, y in corners))
+def _hex_cells_overlapping(corners: np.ndarray, hexgrid: HexGrid) -> tuple[np.ndarray, ...]:
+    """(quad, q, r) of every hex cell whose closed hexagon overlaps a projected
+    quad, sorted by quad and then by (q, r). `corners` is (n, 4, 2), each
+    quad's corners in order."""
+    qf, rf = hex_axial_xy(corners[..., 0], corners[..., 1], hexgrid)
     # A closed hexagon spans at most 2/3 in each axial coordinate about its
     # cell, so every cell that can reach the quad lies in the corners'
     # fractional range padded by 1.
-    return [(q, r)
-            for q in range(math.ceil(min(qs) - 1), math.floor(max(qs) + 1) + 1)
-            for r in range(math.ceil(min(rs) - 1), math.floor(max(rs) + 1) + 1)
-            if _convex_overlap(hex_cell_vertices_xy((q, r), hexgrid), corners)]
+    q_lo = np.ceil(qf.min(axis=1) - 1).astype(np.int64)
+    q_hi = np.floor(qf.max(axis=1) + 1).astype(np.int64)
+    r_lo = np.ceil(rf.min(axis=1) - 1).astype(np.int64)
+    r_hi = np.floor(rf.max(axis=1) + 1).astype(np.int64)
+    quad, dq, dr = _windows(q_hi - q_lo + 1, r_hi - r_lo + 1)
+    q, r = q_lo[quad] + dq, r_lo[quad] + dr
+    cx, cy = hex_cell_center_xy((q, r), hexgrid)
+    a = hexgrid.edge_len_m
+    # polygons as (vertex, candidate) arrays, so each reduction runs across rows
+    hex_x = cx + (a * _HEX_COS)[:, None]
+    hex_y = cy + (a * _HEX_SIN)[:, None]
+    quad_x, quad_y = np.ascontiguousarray(corners[quad].transpose(2, 1, 0))
+    # separating-axis test on the edge normals of both polygons (closed regions)
+    overlap = np.ones(quad.size, dtype=bool)
+    for xs, ys in ((hex_x, hex_y), (quad_x, quad_y)):
+        m = len(xs)
+        for i in range(m):
+            ax = -(ys[(i + 1) % m] - ys[i])
+            ay = xs[(i + 1) % m] - xs[i]
+            hex_proj = ax * hex_x + ay * hex_y
+            quad_proj = ax * quad_x + ay * quad_y
+            overlap &= ~((hex_proj.max(axis=0) < quad_proj.min(axis=0))
+                         | (quad_proj.max(axis=0) < hex_proj.min(axis=0)))
+    return quad[overlap], q[overlap], r[overlap]
 
 
 def align_entities_h3_first(
@@ -195,15 +246,30 @@ def align_entities_h3_first(
         warnings.warn("empty entity set: all task units invalid", stacklevel=2)
         return _align_units(model_id, task, rep.dim, lambda unit: None)
     pooled = _pool_entities_by_hex(rep, hexgrid)
+    quads, extents = _raster_cell_units(task)
+    # each distinct corner is projected once: neighbouring cells share corners
+    corners = [tuple(p) for p in extents[:, [0, 1, 2, 1, 2, 3, 0, 3]].reshape(-1, 2).tolist()]
+    xy = {p: project(hexgrid, *p) for p in dict.fromkeys(corners)}
+    quad, q, r = _hex_cells_overlapping(
+        np.array([xy[p] for p in corners], dtype=np.float64).reshape(-1, 4, 2), hexgrid)
+    cells = sorted(pooled)
+    keys = np.array([cq * 2**32 + cr for cq, cr in cells], dtype=np.int64)  # sorted as cells are
+    cand = q * 2**32 + r
+    at = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
+    hit = keys[at] == cand
+    means, has = _run_means(quad[hit], np.array([pooled[c] for c in cells])[at[hit]], quads.size)
 
-    def vec_of(unit):
-        if unit.geometry_kind == "raster_cell":
-            vecs = [pooled[c] for c in _hex_cells_intersecting(unit.cell_extent, hexgrid)
-                    if c in pooled]
-            return np.mean(vecs, axis=0) if vecs else None
-        return pooled.get(hex_cell_of(unit.lon, unit.lat, hexgrid))
-
-    return _align_units(model_id, task, rep.dim, vec_of)
+    rows = np.zeros((task.n, rep.dim), dtype=np.float64)
+    valid = np.zeros(task.n, dtype=bool)
+    rows[quads[has]] = means[has]
+    valid[quads[has]] = True
+    for i, u in enumerate(task.units):
+        if u.geometry_kind != "raster_cell":
+            vec = pooled.get(hex_cell_of(u.lon, u.lat, hexgrid))
+            if vec is not None:
+                rows[i] = vec
+                valid[i] = True
+    return _read_only(model_id, rows, valid)
 
 
 def align_entities_direct(
@@ -351,7 +417,7 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
     path = Path(path)
     with open_text(path) as f:
         lines = f.read().splitlines()
-    body_start = 0
+    body_start = len(lines)  # a file of only comments has no body
     for i, line in enumerate(lines):
         if not line.startswith("#"):
             body_start = i

@@ -318,6 +318,9 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     failures: list[tuple[str, str]] = []
     new_records = 0
     skipped = 0
+    # The current (model, city)'s support, or load error, read once for all of
+    # the city's tasks; a cell table once per task-centred grid (its fallback).
+    loaded: dict[tuple[str, str, HexGrid | None], object] = {}
     for model_id in models:
         for (city, task_name), ds in datasets.items():
             if (model_id, city, task_name) not in resolved:
@@ -330,8 +333,17 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 continue
             try:
                 hexgrid = HexGrid(*ds.extent.center)
-                support = _load_support(manifest, model_id, city, hexgrid)
-                features = align_support(support, ds, model_id, hexgrid)
+                key = (model_id, city,
+                       hexgrid if manifest.models[model_id].support == "cell_table" else None)
+                if key not in loaded:
+                    loaded = {k: v for k, v in loaded.items() if k[:2] == key[:2]}
+                    try:
+                        loaded[key] = _load_support(manifest, model_id, city, hexgrid)
+                    except (ValidationError, OSError) as e:
+                        loaded[key] = e
+                if isinstance(loaded[key], Exception):
+                    raise loaded[key]
+                features = align_support(loaded[key], ds, model_id, hexgrid)
                 output = _HEAD_OUTPUT[ds.label_kind]
                 cfg = replace(plan.head, output=output, n_out=1 if output == "scalar" else int(ds.n_classes))
             except (ValidationError, OSError) as e:

@@ -459,15 +459,17 @@ class RasterSupport:
     def dim(self) -> int:
         return self.values.shape[2]
 
-    def cell_index(self, lon: float, lat: float) -> tuple[int, int] | None:
-        """(row, col) of the cell containing the point; half-open, max edge closed."""
+    def cell_index(self, lons: np.ndarray, lats: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(inside, row, col) of the cells containing the points; half-open, max
+        edge closed. A point outside the raster gets row = col = 0."""
         x1 = self.x0 + self.ncols * self.dx
         y1 = self.y0 + self.nrows * self.dy
-        if not (self.x0 <= lon <= x1 and self.y0 <= lat <= y1):
-            return None
-        col = min(int((lon - self.x0) / self.dx), self.ncols - 1)
-        row = min(int((lat - self.y0) / self.dy), self.nrows - 1)
-        return (row, col)
+        inside = (self.x0 <= lons) & (lons <= x1) & (self.y0 <= lats) & (lats <= y1)
+        col = np.zeros(lons.shape, dtype=np.int64)
+        row = np.zeros(lats.shape, dtype=np.int64)
+        col[inside] = np.minimum(((lons[inside] - self.x0) / self.dx).astype(np.int64), self.ncols - 1)
+        row[inside] = np.minimum(((lats[inside] - self.y0) / self.dy).astype(np.int64), self.nrows - 1)
+        return inside, row, col
 
 
 @dataclass(frozen=True)

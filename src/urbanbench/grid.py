@@ -154,7 +154,7 @@ def hex_cell_of(lon: float, lat: float, grid: HexGrid) -> tuple[int, int]:
 
 
 def hex_axial_xy(x: float, y: float, grid: HexGrid) -> tuple[float, float]:
-    """Fractional axial (q, r) of a projected point."""
+    """Fractional axial (q, r) of a projected point; elementwise on numpy arrays."""
     a = grid.edge_len_m
     return ((_SQRT3 / 3.0 * x - y / 3.0) / a, (2.0 / 3.0 * y) / a)
 
@@ -164,6 +164,7 @@ def hex_cell_of_xy(x: float, y: float, grid: HexGrid) -> tuple[int, int]:
 
 
 def hex_cell_center_xy(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]:
+    """Projected center of the cell; elementwise on a pair of integer arrays."""
     q, r = cell
     a = grid.edge_len_m
     return (a * (_SQRT3 * q + _SQRT3 / 2.0 * r), a * 1.5 * r)
@@ -172,17 +173,6 @@ def hex_cell_center_xy(cell: tuple[int, int], grid: HexGrid) -> tuple[float, flo
 def hex_cell_center(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]:
     x, y = hex_cell_center_xy(cell, grid)
     return unproject(grid, x, y)
-
-
-def hex_cell_vertices_xy(cell: tuple[int, int], grid: HexGrid) -> list[tuple[float, float]]:
-    """Projected corners of the cell, pointy-top orientation."""
-    cx, cy = hex_cell_center_xy(cell, grid)
-    a = grid.edge_len_m
-    out = []
-    for i in range(6):
-        ang = math.radians(60.0 * i + 30.0)
-        out.append((cx + a * math.cos(ang), cy + a * math.sin(ang)))
-    return out
 
 
 def hex_cell_key(cell: tuple[int, int]) -> str:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from urbanbench.align import (
-    _convex_overlap,
-    _hex_cells_intersecting,
+    _align_units,
+    _hex_cells_overlapping,
     align_cell_table,
     align_coordinate_encoder,
     align_entities_direct,
@@ -34,7 +35,14 @@ from urbanbench.core import (
     TaskUnit,
     ValidationError,
 )
-from urbanbench.grid import HexGrid, hex_cell_center, hex_cell_of, hex_cell_vertices_xy, project
+from urbanbench.grid import (
+    HexGrid,
+    hex_axial_xy,
+    hex_cell_center,
+    hex_cell_center_xy,
+    hex_cell_of,
+    project,
+)
 from urbanbench.pe_encoder import pe_support
 
 
@@ -353,6 +361,12 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="duplicate"):
             read_cell_table_csv(p)
 
+    def test_cell_table_of_only_comments_is_empty(self, tmp_path):
+        p = tmp_path / "table.csv"
+        p.write_text("# hexgrid 0.0 0.0 461.0\n# no header, no rows\n")
+        with pytest.raises(ValidationError, match=r"table\.csv: empty cell table$"):
+            read_cell_table_csv(p)
+
     @pytest.mark.parametrize("comment", [
         "# hexgrid abc 0 461", "# hexgrid 0 461", "# hexgrid", "# hexgrid 0 0 461 7",
         "# hexgrid 0 0 -461", "# hexgrid 0 0 nan", "# hexgrid nan 0 461",
@@ -437,14 +451,204 @@ class TestGoldenAlignment:
 
 
 # ---------------------------------------------------------------------------
+# Per-unit reference implementations: the aligners compute every unit at once
+# and must match these bit for bit.
+
+def _convex_overlap(poly_a, poly_b):
+    """Separating-axis test between two convex polygons (closed regions)."""
+    for poly in (poly_a, poly_b):
+        m = len(poly)
+        for i in range(m):
+            ex = poly[(i + 1) % m][0] - poly[i][0]
+            ey = poly[(i + 1) % m][1] - poly[i][1]
+            ax, ay = -ey, ex
+            a_proj = [ax * px + ay * py for px, py in poly_a]
+            b_proj = [ax * px + ay * py for px, py in poly_b]
+            if max(a_proj) < min(b_proj) or max(b_proj) < min(a_proj):
+                return False
+    return True
+
+
+def _hex_cell_vertices_xy(cell, grid):
+    """Projected corners of the cell, pointy-top orientation."""
+    cx, cy = hex_cell_center_xy(cell, grid)
+    a = grid.edge_len_m
+    return [(cx + a * math.cos(math.radians(60.0 * i + 30.0)),
+             cy + a * math.sin(math.radians(60.0 * i + 30.0))) for i in range(6)]
+
+
+def _projected_corners(ce, grid):
+    return [project(grid, x, y)
+            for x, y in ((ce.x0, ce.y0), (ce.x1, ce.y0), (ce.x1, ce.y1), (ce.x0, ce.y1))]
+
+
+def _ref_hex_cells_intersecting(ce, grid):
+    corners = _projected_corners(ce, grid)
+    qs, rs = zip(*(hex_axial_xy(x, y, grid) for x, y in corners))
+    return [(q, r)
+            for q in range(math.ceil(min(qs) - 1), math.floor(max(qs) + 1) + 1)
+            for r in range(math.ceil(min(rs) - 1), math.floor(max(rs) + 1) + 1)
+            if _convex_overlap(_hex_cell_vertices_xy((q, r), grid), corners)]
+
+
+def _ref_align_raster(rep, task):
+    def cell_index(lon, lat):
+        x1 = rep.x0 + rep.ncols * rep.dx
+        y1 = rep.y0 + rep.nrows * rep.dy
+        if not (rep.x0 <= lon <= x1 and rep.y0 <= lat <= y1):
+            return None
+        return (min(int((lat - rep.y0) / rep.dy), rep.nrows - 1),
+                min(int((lon - rep.x0) / rep.dx), rep.ncols - 1))
+
+    def vec_of(unit):
+        if unit.geometry_kind == "raster_cell":
+            ce = unit.cell_extent
+            c_lo = max(0, math.ceil((ce.x0 - rep.x0) / rep.dx - 0.5))
+            c_hi = min(rep.ncols - 1, math.floor((ce.x1 - rep.x0) / rep.dx - 0.5))
+            r_lo = max(0, math.ceil((ce.y0 - rep.y0) / rep.dy - 0.5))
+            r_hi = min(rep.nrows - 1, math.floor((ce.y1 - rep.y0) / rep.dy - 0.5))
+            if c_hi >= c_lo and r_hi >= r_lo:
+                block = rep.values[r_lo:r_hi + 1, c_lo:c_hi + 1].reshape(-1, rep.dim)
+                ok = ~np.any(np.isnan(block), axis=1)
+                cx = rep.x0 + (np.arange(c_lo, c_hi + 1) + 0.5) * rep.dx
+                cy = rep.y0 + (np.arange(r_lo, r_hi + 1) + 0.5) * rep.dy
+                ok &= ((cx[None, :] >= ce.x0) & (cx[None, :] < ce.x1)
+                       & (cy[:, None] >= ce.y0) & (cy[:, None] < ce.y1)).reshape(-1)
+                if np.any(ok):
+                    return block[ok].mean(axis=0)
+        idx = cell_index(unit.lon, unit.lat)
+        if idx is None:
+            return None
+        vec = rep.values[idx[0], idx[1]]
+        return None if np.any(np.isnan(vec)) else vec
+
+    return _align_units("raster", task, rep.dim, vec_of)
+
+
+def _ref_align_entities_h3_first(rep, grid, task):
+    sums, counts = {}, {}
+    for j in range(rep.n):
+        cell = hex_cell_of(float(rep.lons[j]), float(rep.lats[j]), grid)
+        if cell in sums:
+            sums[cell] = sums[cell] + rep.vectors[j]
+            counts[cell] += 1
+        else:
+            sums[cell] = rep.vectors[j].astype(np.float64)
+            counts[cell] = 1
+    pooled = {c: sums[c] / counts[c] for c in sums}
+
+    def vec_of(unit):
+        if unit.geometry_kind == "raster_cell":
+            vecs = [pooled[c] for c in _ref_hex_cells_intersecting(unit.cell_extent, grid)
+                    if c in pooled]
+            return np.mean(vecs, axis=0) if vecs else None
+        return pooled.get(hex_cell_of(unit.lon, unit.lat, grid))
+
+    return _align_units("entities", task, rep.dim, vec_of)
+
+
+# A small pool of components with signed zeros, so a mean that keeps or
+# loses the sign of a zero shows in the bytes.
+COMPONENTS = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.1, 1e-8, -3.5]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def alignment_cases(draw):
+    """(raster, entities, hexgrid, task) over a 0.05-degree square: a raster
+    with NaN cells that may stop short of the task extent, sparse entities,
+    and a task mixing point units and raster-cell units 0.3x to 3x the
+    raster cell (possibly only points), some with edges on raster-cell centers."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dx, dy = draw(st.floats(0.002, 0.008)), draw(st.floats(0.002, 0.008))
+    values = draw(arrays(np.float32, (nrows, ncols, dim), elements=COMPONENTS.map(np.float32)))
+    values[draw(arrays(bool, (nrows, ncols)))] = np.nan
+    ras = RasterSupport(x0=draw(st.floats(-0.03, 0.0)), y0=draw(st.floats(-0.03, 0.0)),
+                        dx=dx, dy=dy, ncols=ncols, nrows=nrows, values=values)
+
+    n_ent = draw(st.integers(1, 12))
+    coords = st.floats(-0.025, 0.025)
+    ents = EntitySetSupport(
+        lons=np.array(draw(st.lists(coords, min_size=n_ent, max_size=n_ent))),
+        lats=np.array(draw(st.lists(coords, min_size=n_ent, max_size=n_ent))),
+        vectors=draw(arrays(np.float64, (n_ent, dim), elements=COMPONENTS)))
+    hexgrid = HexGrid(draw(st.floats(-0.01, 0.01)), draw(st.floats(-0.01, 0.01)),
+                      draw(st.sampled_from([150.0, 461.0, 900.0])))
+
+    units = []
+    for i in range(draw(st.integers(1, 10))):
+        x, y = draw(coords), draw(coords)
+        kind = draw(st.sampled_from(["point", "cell", "snapped"]))
+        if kind == "cell":
+            w = dx * draw(st.floats(0.3, 3.0)) / 2
+            h = dy * draw(st.floats(0.3, 3.0)) / 2
+            ce = Rect(x - w, y - h, x + w, y + h)
+        elif kind == "snapped":  # edges on raster-cell centers, computed as the aligner does
+            c, r = draw(st.integers(-1, ncols)), draw(st.integers(-1, nrows))
+            c1, r1 = c + draw(st.integers(1, 3)), r + draw(st.integers(1, 3))
+            ce = Rect(ras.x0 + (c + 0.5) * dx, ras.y0 + (r + 0.5) * dy,
+                      ras.x0 + (c1 + 0.5) * dx, ras.y0 + (r1 + 0.5) * dy)
+            x, y = ce.center
+        if kind == "point":
+            units.append(TaskUnit(f"u{i}", x, y))
+        else:
+            units.append(TaskUnit(f"u{i}", x, y, "raster_cell", ce))
+    task = TaskDataset("demo", "POP", units, np.zeros(len(units)), Rect(-1, -1, 1, 1))
+    return ras, ents, hexgrid, task
+
+
+def _bytes(m):
+    return m.rows.tobytes() + m.valid.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=alignment_cases())
+def test_aligners_match_per_unit_reference(case):
+    ras, ents, hexgrid, task = case
+    assert _bytes(align_raster(ras, task)) == _bytes(_ref_align_raster(ras, task))
+    assert (_bytes(align_entities_h3_first(ents, hexgrid, task))
+            == _bytes(_ref_align_entities_h3_first(ents, hexgrid, task)))
+
+
+def test_point_only_task_has_no_candidates():
+    grid = HexGrid(0.0, 0.0)
+    lon, lat = hex_cell_center((1, 2), grid)
+    ents = EntitySetSupport(lons=np.array([lon]), lats=np.array([lat]), vectors=np.array([[-0.0, 2.0]]))
+    task = point_task([(lon, lat), (0.3, 0.3)])
+    m = align_entities_h3_first(ents, grid, task)
+    assert _bytes(m) == _bytes(_ref_align_entities_h3_first(ents, grid, task))
+    assert m.valid.tolist() == [True, False]
+    assert math.copysign(1.0, m.rows[0, 0]) == -1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_raster_mean_sums_as_np_mean(dim):
+    # np.mean sums from +0.0, so a unit over four -0.0 cells gets +0.0, while a
+    # point unit sharing one cell keeps its -0.0
+    units = [TaskUnit("cell", 0.5, 0.5, "raster_cell", Rect(0.0, 0.0, 1.0, 1.0)),
+             TaskUnit("point", 0.25, 0.25)]
+    task = TaskDataset("demo", "POP", units, np.zeros(2), Rect(-1, -1, 1, 1))
+    m = align_raster(raster(np.full((2, 2, dim), -0.0), x0=0.0, y0=0.0, dx=0.5, dy=0.5), task)
+    assert m.valid.all()
+    assert not np.signbit(m.rows[0]).any() and np.signbit(m.rows[1]).all()
+    # 20 cells, 1e8 first and -1e8 last in row-major order, 1.0 between: a
+    # float32 sum in order loses every 1.0 (dim > 1), while numpy sums a
+    # (20, 1) block pairwise and keeps some of them
+    vals = np.ones((5, 4, dim))
+    vals[0, 0], vals[4, 3] = 1e8, -1e8
+    rep = raster(vals, x0=0.0, y0=0.0, dx=0.25, dy=0.2)
+    m = align_raster(rep, task)
+    assert _bytes(m) == _bytes(_ref_align_raster(rep, task))
+    assert m.rows[0, 0] == (np.float32(8.0) / np.float32(20) if dim == 1 else 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Hex cells under a raster-cell unit
 
-def _brute_force_hex_cells(ce, grid):
+def _brute_force_hex_cells(corners, grid):
     """SAT-test every cell whose center lies in the box of the projected
     corners padded by one circumradius (a hexagon reaching the quad has its
     center that close), plus one more cell on each side."""
-    corners = [project(grid, x, y)
-               for x, y in ((ce.x0, ce.y0), (ce.x1, ce.y0), (ce.x1, ce.y1), (ce.x0, ce.y1))]
     a = grid.edge_len_m
     xs = [p[0] for p in corners]
     ys = [p[1] for p in corners]
@@ -452,7 +656,7 @@ def _brute_force_hex_cells(ce, grid):
     out = []
     for r in range(math.floor((min(ys) - a) / (1.5 * a)) - 1, math.ceil((max(ys) + a) / (1.5 * a)) + 2):
         for q in range(math.floor((min(xs) - a) / w - r / 2) - 1, math.ceil((max(xs) + a) / w - r / 2) + 2):
-            if _convex_overlap(hex_cell_vertices_xy((q, r), grid), corners):
+            if _convex_overlap(_hex_cell_vertices_xy((q, r), grid), corners):
                 out.append((q, r))
     return sorted(out)
 
@@ -475,4 +679,22 @@ def unit_rectangles(draw):
 @given(case=unit_rectangles())
 def test_hex_cells_intersecting_matches_brute_force(case):
     ce, grid = case
-    assert _hex_cells_intersecting(ce, grid) == _brute_force_hex_cells(ce, grid)
+    corners = _projected_corners(ce, grid)
+    _, q, r = _hex_cells_overlapping(np.array([corners]), grid)
+    assert list(zip(q.tolist(), r.tolist())) == _brute_force_hex_cells(corners, grid)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(cell=st.tuples(st.integers(-5, 5), st.integers(-5, 5)), vertex=st.integers(0, 5),
+       w=st.floats(1.0, 2000.0), h=st.floats(1.0, 2000.0), sx=st.sampled_from([-1, 1]),
+       sy=st.sampled_from([-1, 1]))
+def test_quad_touching_a_hex_vertex_matches_brute_force(cell, vertex, w, h, sx, sy):
+    # a projected quad with one corner exactly on a hex vertex: closed
+    # polygons that only touch overlap, so the touching cells are listed
+    grid = HexGrid(0.0, 0.0)
+    vx, vy = _hex_cell_vertices_xy(cell, grid)[vertex]
+    xs, ys = sorted((vx, vx + sx * w)), sorted((vy, vy + sy * h))
+    corners = [(xs[0], ys[0]), (xs[1], ys[0]), (xs[1], ys[1]), (xs[0], ys[1])]
+    _, q, r = _hex_cells_overlapping(np.array([corners]), grid)
+    assert list(zip(q.tolist(), r.tolist())) == _brute_force_hex_cells(corners, grid)
+    assert cell in _brute_force_hex_cells(corners, grid)

@@ -292,6 +292,63 @@ class TestRun:
         assert per_model == {"ct_manifest": 6, "ct_comment": 6, "ct_fallback": 6, "ct_no_grid": 0}
         assert all(r.n_test > 0 for r in records)
 
+    def _two_task_city(self, bench, monkeypatch, entities):
+        """POP (the bench task) and LUC on one city, their extents (so their
+        hex grids) apart, a raster and an entity model; returns the
+        per-reader call counts of a run."""
+        from urbanbench.align import write_entity_csv
+        from urbanbench.core import write_task_dataset
+
+        cfg = SynthConfig(n=12, extent=Rect(-0.04, -0.05, 0.06, 0.05), length_scale=0.02,
+                          label_kind="class", embedding_kind="sparse_entities", dim=4,
+                          seed=2, city="synthA", density=0.5)
+        task, rep = synth_city(cfg)
+        write_task_dataset(bench / "luc.csv", task)
+        if entities is None:
+            write_entity_csv(bench / "ents.csv", rep.support)
+        else:
+            (bench / "ents.csv").write_bytes(entities)
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["cities"]["synthA"]["tasks"]["LUC"] = "luc.csv"
+        manifest["models"]["ents"] = {"dim": 4, "support": "entity_set",
+                                      "files": {"synthA": "ents.csv"}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        calls = {"read_erf": 0, "read_entity_csv": 0}
+        for name in calls:
+            def counted(*args, _name=name, _read=getattr(cli, name)):
+                calls[_name] += 1
+                return _read(*args)
+            monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    def test_one_embedding_read_per_model_and_city(self, bench, monkeypatch):
+        calls = self._two_task_city(bench, monkeypatch, entities=None)
+        out = run(quick_plan(bench, models=("ents", "field"), seeds=(42,)), log=lambda *a: None)
+        assert out.exit_code == 0
+        assert calls == {"read_erf": 1, "read_entity_csv": 1}
+        records = read_result_store(bench / "out" / "results.csv")
+        assert {(r.model_id, r.task) for r in records} == {
+            (m, t) for m in ("ents", "field") for t in ("LUC", "POP")}
+
+    def test_one_read_error_fails_every_pending_group(self, bench, monkeypatch):
+        calls = self._two_task_city(bench, monkeypatch, entities=RAGGED)
+        out = run(quick_plan(bench, models=("ents", "field"), seeds=(42,)), log=lambda *a: None)
+        assert out.exit_code == 2
+        assert calls == {"read_erf": 1, "read_entity_csv": 1}
+        failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert sorted(f.split(",")[0] for f in failures) == [
+            f"ents|{t}|synthA|42|{p}" for t in ("LUC", "POP") for p in ("random", "spatial")]
+        assert all("ents.csv:3:" in f for f in failures)
+        assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
+
+    def test_empty_cell_table_fails_pair_and_run_continues(self, bench):
+        add_model(bench, "empty", "cell_table", 4, "empty.csv",
+                  b"# hexgrid 0.0 0.0 461.0\n# nothing else\n")
+        out = run(quick_plan(bench, models=("empty", "field"), seeds=(42,)), log=lambda *a: None)
+        assert out.exit_code == 2
+        assert [f for _, f in out.failures] == [f"{bench / 'empty.csv'}: empty cell table"] * 2
+        assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
+
     def test_file_dim_mismatch_fails_pair_and_run_continues(self, bench):
         manifest = json.loads((bench / "manifest.json").read_text())
         manifest["models"]["wide"] = {"dim": 5, "support": "raster", "files": {"synthA": "field.erf"}}
