@@ -18,6 +18,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,9 @@ from .grid import (
     hex_cell_key,
     hex_axial_xy,
     hex_cell_center_xy,
-    hex_cell_of,
+    hex_cells_of,
     parse_hex_cell_key,
-    project,
+    project_points,
 )
 
 
@@ -58,7 +59,7 @@ class AlignedMatrix:
     def __post_init__(self):
         if self.rows.ndim != 2 or self.valid.shape != (self.rows.shape[0],):
             raise ValidationError("aligned matrix shape mismatch")
-        if self.rows[self.valid].size and not np.all(np.isfinite(self.rows[self.valid])):
+        if not np.all(np.isfinite(self.rows[self.valid])):
             raise ValidationError("valid rows must be finite")
 
     @property
@@ -77,17 +78,9 @@ def coverage(m: AlignedMatrix) -> float:
     return float(np.count_nonzero(m.valid)) / m.n
 
 
-def _align_units(model_id: str, task: TaskDataset, dim: int, vec_of) -> AlignedMatrix:
-    """One row per task unit from `vec_of(unit)`; a unit it maps to None is
-    invalid and keeps a zero row."""
-    rows = np.zeros((task.n, dim), dtype=np.float64)
-    valid = np.zeros(task.n, dtype=bool)
-    for i, unit in enumerate(task.units):
-        vec = vec_of(unit)
-        if vec is not None:
-            rows[i] = vec
-            valid[i] = True
-    return _read_only(model_id, rows, valid)
+def _none_valid(model_id: str, task: TaskDataset, dim: int) -> AlignedMatrix:
+    return _read_only(model_id, np.zeros((task.n, dim), dtype=np.float64),
+                      np.zeros(task.n, dtype=bool))
 
 
 def _read_only(model_id: str, rows: np.ndarray, valid: np.ndarray) -> AlignedMatrix:
@@ -126,10 +119,21 @@ def _run_means(owner: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarra
 
 def _raster_cell_units(task: TaskDataset) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the raster-cell units and their extents as (x0, y0, x1, y1) rows."""
-    quads = [i for i, u in enumerate(task.units) if u.geometry_kind == "raster_cell"]
-    ces = [task.units[i].cell_extent for i in quads]
-    return (np.array(quads, dtype=np.int64),
-            np.array([(ce.x0, ce.y0, ce.x1, ce.y1) for ce in ces], dtype=np.float64).reshape(-1, 4))
+    quads = np.flatnonzero(task.is_cell)
+    return quads, task.cell_extents[quads]
+
+
+def _cell_keys(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One int64 per hex cell, ordered as the (q, r) pairs are."""
+    return q * 2**32 + r
+
+
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, hit): the place of each wanted key in the sorted `keys`, and whether it is there."""
+    if keys.size == 0:
+        return np.zeros(wanted.shape, dtype=np.int64), np.zeros(wanted.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return at, keys[at] == wanted
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +172,7 @@ def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster"
     valid[quads[has]] = True
     # every other unit shares the raster cell containing its point
     rest = np.flatnonzero(~valid)
-    inside, row, col = rep.cell_index(np.array([task.units[i].lon for i in rest]),
-                                      np.array([task.units[i].lat for i in rest]))
+    inside, row, col = rep.cell_index(task.lons[rest], task.lats[rest])
     rest, row, col = rest[inside], row[inside], col[inside]
     vec = rep.values[row, col]
     ok = ~np.any(np.isnan(vec), axis=1)
@@ -181,18 +184,21 @@ def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster"
 # ---------------------------------------------------------------------------
 # Entity alignment
 
-def _pool_entities_by_hex(rep: EntitySetSupport, hexgrid: HexGrid) -> dict[tuple[int, int], np.ndarray]:
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for j in range(rep.n):
-        cell = hex_cell_of(float(rep.lons[j]), float(rep.lats[j]), hexgrid)
-        if cell in sums:
-            sums[cell] = sums[cell] + rep.vectors[j]
-            counts[cell] += 1
-        else:
-            sums[cell] = rep.vectors[j].astype(np.float64)
-            counts[cell] = 1
-    return {c: sums[c] / counts[c] for c in sums}
+def _pool_entities_by_hex(rep: EntitySetSupport, hexgrid: HexGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, means): the sorted `_cell_keys` of the hex cells holding entities
+    and each cell's mean entity vector, summed in entity order from its first
+    vector, as a running float64 sum over the entities would."""
+    keys, cell = np.unique(_cell_keys(*hex_cells_of(rep.lons, rep.lats, hexgrid)),
+                           return_inverse=True)
+    order = np.argsort(cell, kind="stable")
+    cell, vectors = cell[order], rep.vectors[order]
+    counts = np.bincount(cell, minlength=keys.size)
+    rank = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    sums = vectors[rank == 0].astype(np.float64)  # one per cell, in cell order
+    for k in range(1, int(counts.max())):  # the k-th entities of their cells, all at once
+        at = rank == k
+        sums[cell[at]] += vectors[at]
+    return keys, sums / counts[:, None]
 
 
 _HEX_COS = np.array([math.cos(math.radians(60.0 * i + 30.0)) for i in range(6)])
@@ -244,31 +250,24 @@ def align_entities_h3_first(
     """
     if rep.n == 0:
         warnings.warn("empty entity set: all task units invalid", stacklevel=2)
-        return _align_units(model_id, task, rep.dim, lambda unit: None)
-    pooled = _pool_entities_by_hex(rep, hexgrid)
+        return _none_valid(model_id, task, rep.dim)
+    keys, pooled = _pool_entities_by_hex(rep, hexgrid)
     quads, extents = _raster_cell_units(task)
-    # each distinct corner is projected once: neighbouring cells share corners
-    corners = [tuple(p) for p in extents[:, [0, 1, 2, 1, 2, 3, 0, 3]].reshape(-1, 2).tolist()]
-    xy = {p: project(hexgrid, *p) for p in dict.fromkeys(corners)}
-    quad, q, r = _hex_cells_overlapping(
-        np.array([xy[p] for p in corners], dtype=np.float64).reshape(-1, 4, 2), hexgrid)
-    cells = sorted(pooled)
-    keys = np.array([cq * 2**32 + cr for cq, cr in cells], dtype=np.int64)  # sorted as cells are
-    cand = q * 2**32 + r
-    at = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
-    hit = keys[at] == cand
-    means, has = _run_means(quad[hit], np.array([pooled[c] for c in cells])[at[hit]], quads.size)
+    corners = extents[:, [0, 1, 2, 1, 2, 3, 0, 3]].reshape(-1, 2)
+    x, y = project_points(hexgrid, corners[:, 0], corners[:, 1])
+    quad, q, r = _hex_cells_overlapping(np.stack([x, y], axis=1).reshape(-1, 4, 2), hexgrid)
+    at, hit = _lookup(keys, _cell_keys(q, r))
+    means, has = _run_means(quad[hit], pooled[at[hit]], quads.size)
 
     rows = np.zeros((task.n, rep.dim), dtype=np.float64)
     valid = np.zeros(task.n, dtype=bool)
     rows[quads[has]] = means[has]
     valid[quads[has]] = True
-    for i, u in enumerate(task.units):
-        if u.geometry_kind != "raster_cell":
-            vec = pooled.get(hex_cell_of(u.lon, u.lat, hexgrid))
-            if vec is not None:
-                rows[i] = vec
-                valid[i] = True
+    # a point unit takes its containing cell's pooled vector
+    points = np.flatnonzero(~task.is_cell)
+    at, hit = _lookup(keys, _cell_keys(*hex_cells_of(task.lons[points], task.lats[points], hexgrid)))
+    rows[points[hit]] = pooled[at[hit]]
+    valid[points[hit]] = True
     return _read_only(model_id, rows, valid)
 
 
@@ -282,33 +281,35 @@ def align_entities_direct(
     """
     if rep.n == 0:
         warnings.warn("empty entity set: all task units invalid", stacklevel=2)
-        return _align_units(model_id, task, rep.dim, lambda unit: None)
+        return _none_valid(model_id, task, rep.dim)
     lons = np.asarray(rep.lons, dtype=np.float64)
     lats = np.asarray(rep.lats, dtype=np.float64)
-
-    def vec_of(unit):
-        ce = unit.cell_extent
-        if ce is None:
-            return None
-        inside = (lons >= ce.x0) & (lons < ce.x1) & (lats >= ce.y0) & (lats < ce.y1)
-        return rep.vectors[inside].mean(axis=0) if np.any(inside) else None
-
-    return _align_units(model_id, task, rep.dim, vec_of)
+    rows = np.zeros((task.n, rep.dim), dtype=np.float64)
+    valid = np.zeros(task.n, dtype=bool)
+    for i, (x0, y0, x1, y1) in zip(*_raster_cell_units(task)):
+        inside = (lons >= x0) & (lons < x1) & (lats >= y0) & (lats < y1)
+        if np.any(inside):
+            rows[i] = rep.vectors[inside].mean(axis=0)
+            valid[i] = True
+    return _read_only(model_id, rows, valid)
 
 
 def align_cell_table(rep: CellTableSupport, task: TaskDataset, model_id: str = "table") -> AlignedMatrix:
     """Look up each unit's containing hex cell in the keyed table."""
-    return _align_units(model_id, task, rep.dim,
-                        lambda unit: rep.table.get(hex_cell_of(unit.lon, unit.lat, rep.grid)))
+    cells = sorted(rep.table)
+    vectors = np.array([rep.table[c] for c in cells], dtype=np.float64).reshape(len(cells), rep.dim)
+    keys = _cell_keys(*np.array(cells, dtype=np.int64).reshape(-1, 2).T)
+    at, valid = _lookup(keys, _cell_keys(*hex_cells_of(task.lons, task.lats, rep.grid)))
+    rows = np.zeros((task.n, rep.dim), dtype=np.float64)
+    rows[valid] = vectors[at[valid]]
+    return _read_only(model_id, rows, valid)
 
 
 def align_coordinate_encoder(
     enc: CoordinateEncoderSupport, task: TaskDataset, model_id: str | None = None
 ) -> AlignedMatrix:
     """Query the encoder once, at every unit's representative coordinate."""
-    rows = np.asarray(enc.fn(np.array([u.lon for u in task.units], dtype=np.float64),
-                             np.array([u.lat for u in task.units], dtype=np.float64)),
-                      dtype=np.float64)
+    rows = np.asarray(enc.fn(task.lons, task.lats), dtype=np.float64)
     if rows.shape != (task.n, enc.dim):
         raise ValidationError(
             f"encoder {enc.encoder_id} returned shape {rows.shape}, expected {(task.n, enc.dim)}"
@@ -316,7 +317,7 @@ def align_coordinate_encoder(
     bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
     if bad.size:
         raise ValidationError(f"encoder {enc.encoder_id} returned non-finite values "
-                              f"for unit {task.units[bad[0]].unit_id}")
+                              f"for unit {task.unit_ids[bad[0]]}")
     return _read_only(model_id or enc.encoder_id, rows, np.ones(task.n, dtype=bool))
 
 
@@ -376,7 +377,6 @@ def write_entity_csv(path: str | Path, rep: EntitySetSupport) -> None:
 
 def read_entity_csv(path: str | Path) -> EntitySetSupport:
     path = Path(path)
-    lons, lats, vecs = [], [], []
     with open_text(path) as f:
         reader = csv.reader(f)
         rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
@@ -386,19 +386,31 @@ def read_entity_csv(path: str | Path) -> EntitySetSupport:
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    for ln, r in data:
-        if len(r) != dim + 2:
-            raise ValidationError(f"{path}:{ln}: expected {dim + 2} values, got {len(r)}")
-        try:
-            lons.append(float(r[0]))
-            lats.append(float(r[1]))
-            vecs.append([float(v) for v in r[2:]])
-        except ValueError:
-            raise ValidationError(f"{path}:{ln}: malformed entity row") from None
-    return EntitySetSupport(
-        lons=np.array(lons), lats=np.array(lats),
-        vectors=np.array(vecs, dtype=np.float64).reshape(len(lons), dim),
-    )
+    try:
+        values = _float_matrix([r for _, r in data], dim + 2)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values[:, 2:]).all():
+        for ln, r in data:  # the first bad row, for its message
+            if len(r) != dim + 2:
+                raise ValidationError(f"{path}:{ln}: expected {dim + 2} values, got {len(r)}")
+            try:
+                vec = [float(v) for v in r]
+            except ValueError:
+                raise ValidationError(f"{path}:{ln}: malformed entity row") from None
+            if not all(map(math.isfinite, vec[2:])):
+                raise ValidationError(f"{path}:{ln}: non-finite value")
+    return EntitySetSupport(lons=values[:, 0].copy(), lats=values[:, 1].copy(),
+                            vectors=values[:, 2:].copy())
+
+
+def _float_matrix(rows: list[list[str]], ncols: int) -> np.ndarray:
+    """The rows' values through float() as one (len(rows), ncols) matrix;
+    ValueError when a row has another length or a value is not a number."""
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    return np.array(list(map(float, chain.from_iterable(rows))),
+                    dtype=np.float64).reshape(len(rows), ncols)
 
 
 def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
@@ -439,16 +451,24 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    table: dict[tuple[int, int], np.ndarray] = {}
-    for ln, r in enumerate(data, start=body_start + 2):
-        try:
-            cell = parse_hex_cell_key(r[0])
-            vec = np.array([float(v) for v in r[2:]], dtype=np.float64)
-        except (ValueError, IndexError):
-            raise ValidationError(f"{path}:{ln}: malformed cell-table row") from None
-        if vec.shape != (dim,):
-            raise ValidationError(f"{path}:{ln}: expected {dim} components")
-        if cell in table:
-            raise ValidationError(f"{path}:{ln}: duplicate key {r[0]!r}")
-        table[cell] = vec
-    return CellTableSupport(grid=grid, table=table)
+    try:
+        cells = [parse_hex_cell_key(r[0]) for r in data]
+        vectors = _float_matrix([r[2:] for r in data], dim)
+    except (ValueError, IndexError):
+        vectors = None
+    if vectors is None or not np.isfinite(vectors).all() or len(set(cells)) < len(cells):
+        seen = set()
+        for ln, r in enumerate(data, start=body_start + 2):  # the first bad row, for its message
+            try:
+                cell = parse_hex_cell_key(r[0])
+                vec = [float(v) for v in r[2:]]
+            except (ValueError, IndexError):
+                raise ValidationError(f"{path}:{ln}: malformed cell-table row") from None
+            if len(vec) != dim:
+                raise ValidationError(f"{path}:{ln}: expected {dim} components")
+            if not all(map(math.isfinite, vec)):
+                raise ValidationError(f"{path}:{ln}: non-finite value")
+            if cell in seen:
+                raise ValidationError(f"{path}:{ln}: duplicate key {r[0]!r}")
+            seen.add(cell)
+    return CellTableSupport(grid=grid, table=dict(zip(cells, vectors)))

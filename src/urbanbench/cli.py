@@ -260,8 +260,8 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 raise ValidationError(f"{what} {name!r} not in manifest")
     cities = [c for c in sorted(manifest.cities) if plan.cities is None or c in plan.cities]
 
-    # Phase 1: every planned task file, loaded and checked before anything is
-    # written; then the model-invariant splits, hashed before any support is read.
+    # Phase 1: every planned task file loaded and checked, and every
+    # model-invariant split drawn, before anything is written or any support read.
     datasets: dict[tuple[str, str], TaskDataset] = {}
     for city in cities:
         for task_name in sorted(manifest.cities[city]):
@@ -271,6 +271,18 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 log(f"AGE restricted: skipping {city}")
                 continue
             datasets[(city, task_name)] = _load_task(manifest, city, task_name)
+    grids = {}
+    splits: dict[tuple[str, str, str, int], object] = {}
+    for (city, task_name), ds in datasets.items():
+        try:
+            grids[(city, task_name)] = grid = build_block_grid(ds.extent, plan.nx, plan.ny)
+            for protocol in plan.protocols:
+                for seed in plan.seeds:
+                    splits[(city, task_name, protocol, seed)] = (
+                        spatial_split(ds, grid, seed) if protocol == "spatial"
+                        else random_split(ds, seed))
+        except ValidationError as e:
+            raise ValidationError(f"city {city}, task {task_name}: {e}") from None
     for model_id, city, task_name, reason in report_v.gaps:
         if model_id in models and (city, task_name) in datasets:
             log(f"gap: {model_id} / {city} / {task_name}: {reason}")
@@ -281,14 +293,8 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     store = ResultStore(out_dir / "results.csv")
     completed = store.completed_groups()
     started = time.time()
-    splits: dict[tuple[str, str, str, int], object] = {}
-    for (city, task_name), ds in datasets.items():
-        grid = build_block_grid(ds.extent, plan.nx, plan.ny)
-        for protocol in plan.protocols:
-            for seed in plan.seeds:
-                a = spatial_split(ds, grid, seed) if protocol == "spatial" else random_split(ds, seed)
-                splits[(city, task_name, protocol, seed)] = a
-                write_split_csv(out_dir / "splits" / f"{city}_{task_name}_{protocol}_{seed}.csv", a)
+    for (city, task_name, protocol, seed), a in splits.items():
+        write_split_csv(out_dir / "splits" / f"{city}_{task_name}_{protocol}_{seed}.csv", a)
 
     # json.dumps(sort_keys=True) orders every table below
     head = plan.head
@@ -304,8 +310,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
             "test_frac": DEFAULT_TEST_FRAC, "val_frac": DEFAULT_VAL_FRAC,
         },
         "constants": harness_constants(),
-        "grids": {f"{c}|{t}": list(build_block_grid(ds.extent, plan.nx, plan.ny).signature())
-                  for (c, t), ds in datasets.items()},
+        "grids": {f"{c}|{t}": list(grid.signature()) for (c, t), grid in grids.items()},
         "hexgrids": {f"{c}|{t}": list(HexGrid(*ds.extent.center).signature())
                      for (c, t), ds in datasets.items()},
         "splits": {"|".join(map(str, key)): a.assignment_hash() for key, a in splits.items()},

@@ -182,8 +182,11 @@ class TaskUnit:
 class TaskDataset:
     """One city-task pair: units, parallel labels, and spatial extent.
 
-    Immutable after construction. Labels are packed into numpy arrays:
-    scalar -> (n,) float, class -> (n,) int, distribution -> (n, K) float.
+    Immutable after construction. Units are held as columns: `unit_ids`,
+    float64 `lons` and `lats`, and `cell_extents`, one (x0, y0, x1, y1) row
+    per unit and NaN for a point unit (`is_cell` marks the raster cells).
+    Labels are packed into numpy arrays: scalar -> (n,) float, class -> (n,)
+    int, distribution -> (n, K) float.
     """
 
     def __init__(
@@ -195,27 +198,57 @@ class TaskDataset:
         extent: Rect,
         n_classes: int | None = None,
     ):
+        units = tuple(units)
+        nan4 = (math.nan,) * 4
+        cells = np.array([nan4 if u.cell_extent is None else
+                          (u.cell_extent.x0, u.cell_extent.y0, u.cell_extent.x1, u.cell_extent.y1)
+                          for u in units], dtype=np.float64).reshape(-1, 4)
+        self._init_columns(city, task, tuple(u.unit_id for u in units),
+                           np.array([u.lon for u in units], dtype=np.float64),
+                           np.array([u.lat for u in units], dtype=np.float64),
+                           cells, labels, extent, n_classes)
+        self._units = units
+
+    @classmethod
+    def _from_columns(cls, city: str, task: str, unit_ids: tuple[str, ...], lons: np.ndarray,
+                      lats: np.ndarray, cell_extents: np.ndarray, labels: np.ndarray,
+                      extent: Rect, n_classes: int | None = None) -> TaskDataset:
+        """A dataset over unit columns that already satisfy every TaskUnit
+        invariant (`load_task_dataset` checks them as array passes)."""
+        ds = cls.__new__(cls)
+        ds._init_columns(city, task, unit_ids, lons, lats, cell_extents, labels, extent, n_classes)
+        ds._units = None
+        return ds
+
+    def _init_columns(self, city, task, unit_ids, lons, lats, cell_extents, labels, extent, n_classes):
         if task not in TASKS:
             raise ValidationError(f"unknown task {task!r}; expected one of {TASKS}")
         if not city:
             raise ValidationError("city must be nonempty")
         self.city = city
         self.task = task
-        self.units = tuple(units)
+        self.unit_ids = unit_ids
+        self.lons, self.lats, self.cell_extents = lons, lats, cell_extents
+        self.is_cell = ~np.isnan(cell_extents[:, 0])
+        for a in (lons, lats, cell_extents, self.is_cell):
+            a.setflags(write=False)
         self.extent = extent
         self.label_kind = TASK_LABEL_KIND[task]
         labels = np.asarray(labels)
 
-        n = len(self.units)
+        n = len(unit_ids)
         if labels.shape[0] != n:
             raise ValidationError(f"{labels.shape[0]} labels for {n} units")
-        seen: set[str] = set()
-        for u in self.units:
-            if u.unit_id in seen:
-                raise ValidationError(f"duplicate unit_id {u.unit_id!r}")
-            seen.add(u.unit_id)
-            if not extent.contains(u.lon, u.lat):
-                raise ValidationError(f"unit {u.unit_id} outside dataset extent")
+        outside = ~((extent.x0 <= lons) & (lons <= extent.x1)
+                    & (extent.y0 <= lats) & (lats <= extent.y1))
+        if len(set(unit_ids)) < n or outside.any():
+            seen: set[str] = set()
+            for uid, out in zip(unit_ids, outside.tolist()):
+                if uid in seen:
+                    raise ValidationError(f"duplicate unit_id {uid!r}")
+                seen.add(uid)
+                if out:
+                    raise ValidationError(f"unit {uid} outside dataset extent")
 
         if self.label_kind == "scalar":
             if labels.ndim != 1:
@@ -227,7 +260,10 @@ class TaskDataset:
         elif self.label_kind == "class":
             if labels.ndim != 1:
                 raise ValidationError("class labels must be 1-d")
-            labels = labels.astype(np.int64)
+            try:
+                labels = labels.astype(np.int64)
+            except OverflowError:  # a Python int past int64 in an object array
+                raise ValidationError("class index outside the int64 range") from None
             if n_classes is None:
                 n_classes = int(labels.max()) + 1 if n else 0
             if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
@@ -242,7 +278,7 @@ class TaskDataset:
             sums = labels.sum(axis=1)
             bad = np.nonzero(np.abs(sums - 1.0) > DISTRIBUTION_SUM_TOL)[0]
             if bad.size:
-                ids = ", ".join(self.units[i].unit_id for i in bad[:5])
+                ids = ", ".join(unit_ids[i] for i in bad[:5])
                 raise ValidationError(f"distributions do not sum to 1 for units: {ids}")
             # Renormalize CSV round-off after validation; exact sums stay bit-identical.
             off = sums != 1.0
@@ -255,8 +291,19 @@ class TaskDataset:
         self.labels = labels
 
     @property
+    def units(self) -> tuple[TaskUnit, ...]:
+        """The units as TaskUnit objects; a loaded dataset builds them on first use."""
+        if self._units is None:
+            self._units = tuple(
+                TaskUnit(uid, lon, lat, "raster_cell", Rect(*ce)) if cell else TaskUnit(uid, lon, lat)
+                for uid, lon, lat, ce, cell in zip(self.unit_ids, self.lons.tolist(),
+                                                   self.lats.tolist(), self.cell_extents.tolist(),
+                                                   self.is_cell.tolist()))
+        return self._units
+
+    @property
     def n(self) -> int:
-        return len(self.units)
+        return len(self.unit_ids)
 
 
 def _fmt(v: float) -> str:
@@ -328,55 +375,58 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
             f"{path}:{header_line}: label columns {label_cols} do not match task {task} ({expected})"
         )
 
-    units: list[TaskUnit] = []
-    rows: list = []
-    for offset, line in enumerate(raw_lines[lineno:]):
-        ln = lineno + offset + 1
-        if not line:
-            continue
-        fields = next(csv.reader([line]))
-        if len(fields) != len(header):
-            raise ValidationError(f"{path}:{ln}: expected {len(header)} fields, got {len(fields)}")
+    numbered = [(ln, line) for ln, line in enumerate(raw_lines[lineno:], lineno + 1) if line]
+    rows = _csv_rows([line for _, line in numbered])
+    n, width = len(rows), len(header)
+    # Every TaskUnit, Rect and label check of a row, as array passes over the
+    # columns; a row that fails any of them is flagged in `bad`.
+    bad = np.fromiter(map(len, rows), np.int64, n) != width
+    padded = [r if len(r) == width else [""] * width for r in rows] if bad.any() else rows
+    cols = list(zip(*padded)) or [()] * width
+    lons = _parsed(cols[1], float, bad)
+    lats = _parsed(cols[2], float, bad)
+    bad |= np.fromiter(map(len, cols[0]), np.int64, n) == 0
+    bad |= ~((-180.0 <= lons) & (lons <= 180.0) & (-90.0 <= lats) & (lats <= 90.0))
+    if has_extent:
+        cells = np.column_stack([_parsed(c, float, bad) for c in cols[3:7]]).reshape(n, 4)
+        x0, y0, x1, y1 = cells.T
+        # finite, positive area (for finite floats x1 > x0 is x1 - x0 > 0) and
+        # containing the unit's point
+        bad |= ~(np.isfinite(cells).all(axis=1) & (x1 > x0) & (y1 > y0)
+                 & (x0 <= lons) & (lons <= x1) & (y0 <= lats) & (lats <= y1))
+    else:
+        cells = np.full((n, 4), np.nan)
+    payload = cols[7:] if has_extent else cols[3:]
+    if kind == "scalar":
+        labels = _parsed(payload[0], float, bad)
+    elif kind == "class":
+        labels = _parsed(payload[0], int, bad)
+    else:
+        labels = np.column_stack([_parsed(c, float, bad) for c in payload]) if n else np.zeros((0, 2))
+        bad |= (labels < 0).any(axis=1)
+        bad |= np.abs(_parsed(labels.tolist(), math.fsum, bad) - 1.0) > DISTRIBUTION_SUM_TOL
+    if bad.any():
+        # the first bad row again, through the scalar constructors, for its message
+        i = int(np.argmax(bad))
         try:
-            unit_id = fields[0]
-            lon = float(fields[1])
-            lat = float(fields[2])
-            if has_extent:
-                cell = Rect(*(float(v) for v in fields[3:7]))
-                unit = TaskUnit(unit_id, lon, lat, "raster_cell", cell)
-                payload = fields[7:]
-            else:
-                unit = TaskUnit(unit_id, lon, lat)
-                payload = fields[3:]
-            if kind == "scalar":
-                rows.append(float(payload[0]))
-            elif kind == "class":
-                rows.append(int(payload[0]))
-            else:
-                vec = np.array([float(v) for v in payload], dtype=np.float64)
-                if np.any(vec < 0):
-                    raise ValidationError(f"unit {unit_id}: negative probability")
-                s = math.fsum(vec.tolist())
-                if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
-                    raise ValidationError(f"unit {unit_id}: distribution sums to {s!r}, not 1")
-                rows.append(vec)
+            _check_task_row(rows[i], width, has_extent, kind)
         except ValidationError as e:
-            raise ValidationError(f"{path}:{ln}: {e}") from None
-        except (ValueError, IndexError) as e:
-            raise ValidationError(f"{path}:{ln}: malformed row ({e})") from None
-        units.append(unit)
+            raise ValidationError(f"{path}:{numbered[i][0]}: {e}") from None
+        except (ValueError, OverflowError) as e:
+            raise ValidationError(f"{path}:{numbered[i][0]}: malformed row ({e})") from None
+        raise AssertionError(f"{path}:{numbered[i][0]}: row fails a column check only")
 
-    labels = np.array(rows) if kind != "distribution" else np.vstack(rows) if rows else np.zeros((0, 2))
     if "extent" in meta:
         try:
             extent = Rect(*(float(v) for v in meta["extent"].split()))
         except (TypeError, ValueError):
             raise ValidationError(f"{path}: malformed '# extent' line") from None
     else:
-        if not units:
+        if not n:
             raise ValidationError(f"{path}: empty dataset and no extent metadata")
-        xs = [u.lon for u in units] + [v for u in units if u.cell_extent for v in (u.cell_extent.x0, u.cell_extent.x1)]
-        ys = [u.lat for u in units] + [v for u in units if u.cell_extent for v in (u.cell_extent.y0, u.cell_extent.y1)]
+        # Python's min and max keep the first of 0.0 and -0.0; np.min may not
+        xs = lons.tolist() + (cells[:, [0, 2]].ravel().tolist() if has_extent else [])
+        ys = lats.tolist() + (cells[:, [1, 3]].ravel().tolist() if has_extent else [])
         extent = Rect(min(xs), min(ys), max(xs), max(ys))
 
     try:
@@ -384,15 +434,72 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     except ValueError:
         raise ValidationError(f"{path}: malformed '# classes' line") from None
     try:
-        return TaskDataset(city, task, units, labels, extent, n_classes=n_classes)
+        return TaskDataset._from_columns(city, task, cols[0], lons, lats, cells, labels, extent,
+                                         n_classes=n_classes)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
+
+
+def _csv_rows(lines: list[str]) -> list[list[str]]:
+    """The fields of each line, parsed on its own: an open quote never runs on
+    into the next line."""
+    reader = csv.reader(lines)
+    rows = list(reader)
+    if reader.line_num == len(rows):
+        return rows
+    return [next(csv.reader([line])) for line in lines]
+
+
+def _parsed(values: Sequence, convert, bad: np.ndarray) -> np.ndarray:
+    """`convert` of every value as an array; a value it rejects flags its row
+    in `bad` and reads 0."""
+    try:
+        out = list(map(convert, values))
+    except (ValueError, OverflowError):
+        out = []
+        for i, v in enumerate(values):
+            try:
+                out.append(convert(v))
+            except (ValueError, OverflowError):
+                bad[i] = True
+                out.append(0)
+    return np.array(out)
+
+
+def _check_task_row(fields: list[str], width: int, has_extent: bool, kind: str) -> None:
+    """One task-CSV body row through the TaskUnit and Rect constructors and the
+    label parse; raises the row's error."""
+    if len(fields) != width:
+        raise ValidationError(f"expected {width} fields, got {len(fields)}")
+    unit_id = fields[0]
+    lon = float(fields[1])
+    lat = float(fields[2])
+    if has_extent:
+        TaskUnit(unit_id, lon, lat, "raster_cell", Rect(*(float(v) for v in fields[3:7])))
+        payload = fields[7:]
+    else:
+        TaskUnit(unit_id, lon, lat)
+        payload = fields[3:]
+    if kind == "scalar":
+        float(payload[0])
+    elif kind == "class":
+        int(payload[0])
+    else:
+        vec = [float(v) for v in payload]
+        if any(v < 0 for v in vec):
+            raise ValidationError(f"unit {unit_id}: negative probability")
+        s = math.fsum(vec)
+        if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
+            raise ValidationError(f"unit {unit_id}: distribution sums to {s!r}, not 1")
 
 
 def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:
     """Write the canonical CSV form; load(write(ds)) round-trips byte-identically."""
     path = Path(path)
-    has_extent = any(u.geometry_kind == "raster_cell" for u in ds.units)
+    has_extent = bool(ds.is_cell.any())
+    if has_extent and not ds.is_cell.all():
+        uid = ds.unit_ids[int(np.argmin(ds.is_cell))]
+        raise ValidationError(f"unit {uid}: mixed geometries in raster_cell dataset")
     lines = [f"# task {ds.task}", f"# city {ds.city}",
              f"# extent {_fmt(ds.extent.x0)} {_fmt(ds.extent.y0)} {_fmt(ds.extent.x1)} {_fmt(ds.extent.y1)}"]
     if ds.label_kind == "class":
@@ -407,20 +514,11 @@ def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:
     else:
         header += [f"p_{i}" for i in range(ds.n_classes)]
     lines.append(",".join(header))
-    for i, u in enumerate(ds.units):
-        row = [u.unit_id, _fmt(u.lon), _fmt(u.lat)]
-        if has_extent:
-            ce = u.cell_extent
-            if ce is None:
-                raise ValidationError(f"unit {u.unit_id}: mixed geometries in raster_cell dataset")
-            row += [_fmt(ce.x0), _fmt(ce.y0), _fmt(ce.x1), _fmt(ce.y1)]
-        if ds.label_kind == "scalar":
-            row.append(_fmt(ds.labels[i]))
-        elif ds.label_kind == "class":
-            row.append(str(int(ds.labels[i])))
-        else:
-            row += [_fmt(v) for v in ds.labels[i]]
-        lines.append(",".join(row))
+    coords = np.column_stack([ds.lons, ds.lats, *(ds.cell_extents.T if has_extent else ())])
+    labels = ds.labels[:, None] if ds.labels.ndim == 1 else ds.labels
+    fmt_label = str if ds.label_kind == "class" else _fmt
+    for uid, xy, lab in zip(ds.unit_ids, coords.tolist(), labels.tolist()):
+        lines.append(",".join([uid, *map(_fmt, xy), *map(fmt_label, lab)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Rect, TaskUnit, ValidationError
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -73,6 +75,16 @@ def assign_block(unit: TaskUnit, grid: BlockGrid) -> int:
     return assign_block_point(unit.lon, unit.lat, grid)
 
 
+def assign_blocks(lons: np.ndarray, lats: np.ndarray, grid: BlockGrid) -> np.ndarray:
+    """`assign_block_point` of every point, with the same float arithmetic."""
+    e = grid.extent
+    col = np.minimum(((np.clip(lons, e.x0, e.x1) - e.x0) / e.width * grid.nx).astype(np.int64),
+                     grid.nx - 1)
+    row = np.minimum(((np.clip(lats, e.y0, e.y1) - e.y0) / e.height * grid.ny).astype(np.int64),
+                     grid.ny - 1)
+    return row * grid.nx + col
+
+
 # ---------------------------------------------------------------------------
 # Local projection and hex cells
 
@@ -119,6 +131,34 @@ def project(grid: HexGrid, lon: float, lat: float) -> tuple[float, float]:
     return (x, y)
 
 
+def project_points(grid: HexGrid, lons: np.ndarray, lats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`project` of every point, bit for bit: numpy's sin and cos gave libm's
+    results where the digests were pinned, its arccos differed on about one
+    input in ten, so the angle takes math.acos per point (a tier-1 property
+    checks the whole function against `project`). The first point `project`
+    rejects raises its error."""
+    lons = np.asarray(lons, dtype=np.float64)
+    lats = np.asarray(lats, dtype=np.float64)
+    ok = np.isfinite(lons) & np.isfinite(lats)
+    lam0, phi0 = math.radians(grid.lon0), math.radians(grid.lat0)
+    # math.radians multiplies by pi / 180; a non-finite point stands at the anchor
+    lam = np.where(ok, lons, grid.lon0) * (math.pi / 180.0)
+    phi = np.where(ok, lats, grid.lat0) * (math.pi / 180.0)
+    dlam = lam - lam0
+    cos_phi, cos_dlam = np.cos(phi), np.cos(dlam)
+    cos_c = math.sin(phi0) * np.sin(phi) + math.cos(phi0) * cos_phi * cos_dlam
+    c = np.array(list(map(math.acos, np.clip(cos_c, -1.0, 1.0).tolist())), dtype=np.float64)
+    bad = ~ok | (c * EARTH_RADIUS_M > PROJECTION_VALIDITY_M)
+    if bad.any():
+        i = int(np.argmax(bad))
+        project(grid, float(lons[i]), float(lats[i]))  # raises
+    with np.errstate(invalid="ignore"):  # 0 / sin(0), where the series term is taken
+        k = np.where(c < 1e-9, 1.0 + c * c / 6.0, c / np.sin(c))
+    x = EARTH_RADIUS_M * k * cos_phi * np.sin(dlam)
+    y = EARTH_RADIUS_M * k * (math.cos(phi0) * np.sin(phi) - math.sin(phi0) * cos_phi * cos_dlam)
+    return x, y
+
+
 def unproject(grid: HexGrid, x: float, y: float) -> tuple[float, float]:
     lam0, phi0 = math.radians(grid.lon0), math.radians(grid.lat0)
     rho = math.hypot(x, y)
@@ -151,6 +191,24 @@ def hex_cell_of(lon: float, lat: float, grid: HexGrid) -> tuple[int, int]:
     """Axial (q, r) id of the hex cell whose center is nearest in the projected plane."""
     x, y = project(grid, lon, lat)
     return hex_cell_of_xy(x, y, grid)
+
+
+def hex_cells_of(lons: np.ndarray, lats: np.ndarray, grid: HexGrid) -> tuple[np.ndarray, np.ndarray]:
+    """`hex_cell_of` of every point, as (q, r) int64 arrays."""
+    return hex_cells_of_xy(*project_points(grid, lons, lats), grid)
+
+
+def hex_cells_of_xy(x: np.ndarray, y: np.ndarray, grid: HexGrid) -> tuple[np.ndarray, np.ndarray]:
+    """`hex_cell_of_xy` of every projected point: `_axial_round` on arrays,
+    where np.rint rounds half to even as round() does."""
+    qf, rf = hex_axial_xy(x, y, grid)
+    sf = -qf - rf
+    q, s, r = np.rint(qf), np.rint(sf), np.rint(rf)
+    dq, ds, dr = np.abs(q - qf), np.abs(s - sf), np.abs(r - rf)
+    fix_q = (dq > ds) & (dq > dr)
+    fix_r = ~fix_q & ~(ds > dr)
+    return (np.where(fix_q, -s - r, q).astype(np.int64),
+            np.where(fix_r, -q - s, r).astype(np.int64))
 
 
 def hex_axial_xy(x: float, y: float, grid: HexGrid) -> tuple[float, float]:

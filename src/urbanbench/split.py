@@ -10,12 +10,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .core import TaskDataset, ValidationError, stable_seed
-from .grid import BlockGrid, assign_block
+from .grid import BlockGrid, assign_blocks
 
 TRAIN, VAL, TEST = "train", "val", "test"
 
@@ -60,15 +61,19 @@ class SplitAssignment:
     def counts(self) -> dict[str, int]:
         return {s: int(np.count_nonzero(self.labels == s)) for s in (TRAIN, VAL, TEST)}
 
+    @cached_property
+    def rows_text(self) -> str:
+        """The `unit_id,label` lines, as the split CSV holds them and the hash reads them."""
+        return "".join(f"{uid},{lab}\n" for uid, lab in zip(self.unit_ids, self.labels.tolist()))
+
+    @cached_property
+    def _hash(self) -> str:
+        head = (f"{self.city}|{self.task}|{self.protocol}|{self.seed}|"
+                f"{DEFAULT_TEST_FRAC!r}|{DEFAULT_VAL_FRAC!r}|{self.grid_sig}\n")
+        return hashlib.sha256((head + self.rows_text).encode()).hexdigest()
+
     def assignment_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(
-            f"{self.city}|{self.task}|{self.protocol}|{self.seed}|"
-            f"{DEFAULT_TEST_FRAC!r}|{DEFAULT_VAL_FRAC!r}|{self.grid_sig}\n".encode()
-        )
-        for uid, lab in zip(self.unit_ids, self.labels):
-            h.update(f"{uid},{lab}\n".encode())
-        return h.hexdigest()
+        return self._hash
 
 
 def _partition_counts(n: int, what: str) -> tuple[int, int]:
@@ -83,7 +88,7 @@ def _partition_counts(n: int, what: str) -> tuple[int, int]:
 def spatial_split(task: TaskDataset, grid: BlockGrid, seed: int) -> SplitAssignment:
     """Assign occupied blocks (not units) to train/val/test; unit labels follow
     block membership. Only blocks containing at least one unit participate."""
-    block_of = np.array([assign_block(u, grid) for u in task.units], dtype=np.int64)
+    block_of = assign_blocks(task.lons, task.lats, grid)
     occupied = np.unique(block_of)
     n_val, n_test = _partition_counts(len(occupied), "occupied blocks")
 
@@ -93,12 +98,12 @@ def spatial_split(task: TaskDataset, grid: BlockGrid, seed: int) -> SplitAssignm
     val_blocks = set(rng.choice(remaining, size=n_val, replace=False).tolist())
     train_blocks = set(remaining.tolist()) - val_blocks
 
-    labels = np.empty(task.n, dtype="<U5")
-    for i, b in enumerate(block_of):
-        labels[i] = TEST if b in test_blocks else VAL if b in val_blocks else TRAIN
+    labels = np.full(task.n, TRAIN, dtype="<U5")
+    labels[np.isin(block_of, list(val_blocks))] = VAL
+    labels[np.isin(block_of, list(test_blocks))] = TEST
     return SplitAssignment(
         city=task.city, task=task.task, seed=seed, protocol="spatial",
-        unit_ids=tuple(u.unit_id for u in task.units), labels=labels,
+        unit_ids=task.unit_ids, labels=labels,
         grid_sig=grid.signature(),
         train_blocks=frozenset(train_blocks), val_blocks=frozenset(val_blocks),
         test_blocks=frozenset(test_blocks),
@@ -119,7 +124,7 @@ def random_split(task: TaskDataset, seed: int) -> SplitAssignment:
     labels[val_idx] = VAL
     return SplitAssignment(
         city=task.city, task=task.task, seed=seed, protocol="random",
-        unit_ids=tuple(u.unit_id for u in task.units), labels=labels,
+        unit_ids=task.unit_ids, labels=labels,
     )
 
 
@@ -132,7 +137,6 @@ def write_split_csv(path: str | Path, a: SplitAssignment) -> None:
         f"# fractions test={DEFAULT_TEST_FRAC!r} val={DEFAULT_VAL_FRAC!r}",
         f"# grid {a.grid_sig}",
         f"# hash {a.assignment_hash()}",
-        "unit_id,label",
+        "unit_id,label\n",
     ]
-    lines += [f"{uid},{lab}" for uid, lab in zip(a.unit_ids, a.labels)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + a.rows_text, encoding="utf-8")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from urbanbench.align import (
-    _align_units,
+    AlignedMatrix,
     _hex_cells_overlapping,
     align_cell_table,
     align_coordinate_encoder,
@@ -453,6 +453,19 @@ class TestGoldenAlignment:
 # ---------------------------------------------------------------------------
 # Per-unit reference implementations: the aligners compute every unit at once
 # and must match these bit for bit.
+
+def _align_units(model_id, task, dim, vec_of):
+    """One row per task unit from `vec_of(unit)`; a unit it maps to None is
+    invalid and keeps a zero row."""
+    rows = np.zeros((task.n, dim), dtype=np.float64)
+    valid = np.zeros(task.n, dtype=bool)
+    for i, unit in enumerate(task.units):
+        vec = vec_of(unit)
+        if vec is not None:
+            rows[i] = vec
+            valid[i] = True
+    return AlignedMatrix(model_id=model_id, rows=rows, valid=valid)
+
 
 def _convex_overlap(poly_a, poly_b):
     """Separating-axis test between two convex polygons (closed regions)."""

@@ -213,6 +213,44 @@ class TestRun:
         assert {r.model_id for r in records} == {"field"}
         assert len(records) == 6
 
+    @pytest.mark.parametrize("file,support,content,line", [
+        ("infent.csv", "entity_set", b"key_or_lon,lat,v_0,v_1,v_2,v_3\n0.0,0.0,1,1,1,1\n"
+                                     b"0.01,0.01,1,inf,1,1\n", 3),
+        ("nantab.csv", "cell_table", b"key_or_lon,lat,v_0,v_1,v_2,v_3\n0:0,,1,1,1,1\n"
+                                     b"1:0,,1,1,nan,1\n", 3),
+    ], ids=["entity-inf", "cell-table-nan"])
+    def test_non_finite_component_names_file_line(self, bench, capsys, file, support, content, line):
+        name = file.split(".")[0]
+        add_model(bench, name, support, 4, file, content)
+        message = f"{file}:{line}: non-finite value"
+        assert main(["validate", str(bench / "manifest.json")]) == 1
+        out = capsys.readouterr().out
+        assert f"error: model {name}, city synthA: " in out and message in out
+        assert f"ok: {name}" not in out and "ok: field / synthA / POP\n" in out
+        out = run(quick_plan(bench, models=(name, "field"), seeds=(42,)), log=lambda *a: None)
+        assert out.exit_code == 2
+        failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 2  # one per protocol
+        assert all(f.startswith(f"{name}|POP|synthA|42|") and message in f for f in failures)
+        assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
+
+    @pytest.mark.parametrize("text, message", [
+        ("# extent 0 0 1 1\nunit_id,lon,lat,value\nu0,0.5,0.5,1\nu1,0.6,0.6,2\n",
+         "need at least 3 occupied blocks to form three partitions, got 2"),
+        ("# extent 0.5 0 0.5 1\nunit_id,lon,lat,value\nu0,0.5,0.5,1\nu1,0.5,0.6,2\n",
+         "block grid extent must have positive area"),
+    ], ids=["two-units", "zero-area"])
+    def test_unsplittable_task_fails_before_writing(self, bench, capsys, text, message):
+        # a second city, sorted after the good one, whose task cannot be split
+        (bench / "small.csv").write_text("# task POP\n# city synthB\n" + text)
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["cities"]["synthB"] = {"tasks": {"POP": "small.csv"}}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["run", str(bench / "manifest.json"), "--out", str(bench / "out"),
+                     "--seeds", "42"]) == 1
+        assert capsys.readouterr().err == f"error: city synthB, task POP: {message}\n"
+        assert not (bench / "out").exists()
+
     @pytest.mark.parametrize("lon,lat", [("inf", "0.01"), ("0.01", "-inf")])
     def test_infinite_entity_fails_pair_and_run_continues(self, bench, lon, lat):
         manifest = json.loads((bench / "manifest.json").read_text())

@@ -1,19 +1,27 @@
 """Tests for the domain model, task-dataset format, and manifest validation."""
 
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import urbanbench.core as core
 from urbanbench.cli import main
 from urbanbench.core import (
+    DISTRIBUTION_SUM_TOL,
+    TASK_LABEL_KIND,
+    TASKS,
     Rect,
     TaskDataset,
     TaskUnit,
     ValidationError,
     load_manifest,
     load_task_dataset,
+    open_text,
     validate_manifest,
     write_task_dataset,
 )
@@ -136,6 +144,233 @@ class TestLoadTaskDataset:
         ds = load_task_dataset(p)
         assert ds.units[0].geometry_kind == "raster_cell"
         assert ds.units[0].cell_extent == Rect(0, 0, 1, 1)
+
+
+    def test_lazy_units_match_columns(self, tmp_path):
+        p = tmp_path / "lst.csv"
+        p.write_text("# task LST\n# city demo\n# extent 0.0 0.0 2.0 1.0\n"
+                     "unit_id,lon,lat,x0,y0,x1,y1,value\n"
+                     "a,0.5,0.5,0.0,0.0,1.0,1.0,3.0\nb,1.5,0.5,1.0,0.0,2.0,1.0,4.0\n")
+        ds = load_task_dataset(p)
+        assert ds.unit_ids == ("a", "b") and ds.is_cell.tolist() == [True, True]
+        assert ds.lons.tolist() == [0.5, 1.5] and ds.lats.tolist() == [0.5, 0.5]
+        assert ds.cell_extents.tolist() == [[0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 2.0, 1.0]]
+        assert ds.units == (TaskUnit("a", 0.5, 0.5, "raster_cell", Rect(0, 0, 1, 1)),
+                            TaskUnit("b", 1.5, 0.5, "raster_cell", Rect(1, 0, 2, 1)))
+        assert not ds.lons.flags.writeable and not ds.cell_extents.flags.writeable
+
+    def test_distribution_sum_overflow_names_line(self, tmp_path):
+        p = tmp_path / "age.csv"
+        p.write_text("# task AGE\n# city London\n# extent 0.0 0.0 1.0 1.0\n"
+                     "unit_id,lon,lat,p_0,p_1\nu1,0.5,0.5,1e308,1e308\n")
+        with pytest.raises(ValidationError) as e:
+            load_task_dataset(p)
+        assert str(e.value) == f"{p}:5: malformed row (intermediate overflow in fsum)"
+
+    def test_class_index_past_int64_names_file(self, tmp_path):
+        p = tmp_path / "luc.csv"
+        p.write_text("# task LUC\n# city demo\n# extent 0.0 0.0 1.0 1.0\n"
+                     "unit_id,lon,lat,class\nu0,0.1,0.1,0\nu1,0.2,0.2,100000000000000000000\n")
+        with pytest.raises(ValidationError) as e:
+            load_task_dataset(p)
+        assert str(e.value) == f"{p}: class index outside the int64 range"
+
+
+def _ref_load_task_dataset(path):
+    """The per-row loader that `load_task_dataset` replaced: one TaskUnit and
+    Rect per row, each row checked before the next. Catching OverflowError
+    (math.fsum's intermediate overflow) is the one change."""
+    meta = {}
+    with open_text(path) as f:
+        raw_lines = f.read().splitlines()
+
+    lineno = 0
+    n_lines = len(raw_lines)
+    while lineno < n_lines and raw_lines[lineno].startswith("#"):
+        body = raw_lines[lineno][1:].strip()
+        if body:
+            key, _, rest = body.partition(" ")
+            meta[key] = rest.strip()
+        lineno += 1
+    if lineno >= n_lines:
+        raise ValidationError(f"{path}: no header row")
+    if "task" not in meta or "city" not in meta:
+        raise ValidationError(f"{path}: missing '# task ...' / '# city ...' metadata")
+    task = meta["task"]
+    city = meta["city"]
+    if task not in TASKS:
+        raise ValidationError(f"{path}: unknown task {task!r}")
+
+    header = next(csv.reader([raw_lines[lineno]]))
+    header_line = lineno + 1
+    lineno += 1
+    if header[:3] != ["unit_id", "lon", "lat"]:
+        raise ValidationError(f"{path}:{header_line}: header must start with unit_id,lon,lat")
+    rest = header[3:]
+    has_extent = rest[:4] == ["x0", "y0", "x1", "y1"]
+    label_cols = rest[4:] if has_extent else rest
+
+    kind = TASK_LABEL_KIND[task]
+    if kind == "scalar":
+        expected = ["value"]
+    elif kind == "class":
+        expected = ["class"]
+    else:
+        k = len(label_cols)
+        expected = [f"p_{i}" for i in range(k)]
+        if k < 2:
+            raise ValidationError(f"{path}:{header_line}: distribution needs >= 2 p_ columns")
+    if label_cols != expected:
+        raise ValidationError(
+            f"{path}:{header_line}: label columns {label_cols} do not match task {task} ({expected})"
+        )
+
+    units = []
+    rows = []
+    for offset, line in enumerate(raw_lines[lineno:]):
+        ln = lineno + offset + 1
+        if not line:
+            continue
+        fields = next(csv.reader([line]))
+        if len(fields) != len(header):
+            raise ValidationError(f"{path}:{ln}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            unit_id = fields[0]
+            lon = float(fields[1])
+            lat = float(fields[2])
+            if has_extent:
+                cell = Rect(*(float(v) for v in fields[3:7]))
+                unit = TaskUnit(unit_id, lon, lat, "raster_cell", cell)
+                payload = fields[7:]
+            else:
+                unit = TaskUnit(unit_id, lon, lat)
+                payload = fields[3:]
+            if kind == "scalar":
+                rows.append(float(payload[0]))
+            elif kind == "class":
+                rows.append(int(payload[0]))
+            else:
+                vec = np.array([float(v) for v in payload], dtype=np.float64)
+                if np.any(vec < 0):
+                    raise ValidationError(f"unit {unit_id}: negative probability")
+                s = math.fsum(vec.tolist())
+                if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
+                    raise ValidationError(f"unit {unit_id}: distribution sums to {s!r}, not 1")
+                rows.append(vec)
+        except ValidationError as e:
+            raise ValidationError(f"{path}:{ln}: {e}") from None
+        except (ValueError, IndexError, OverflowError) as e:
+            raise ValidationError(f"{path}:{ln}: malformed row ({e})") from None
+        units.append(unit)
+
+    labels = np.array(rows) if kind != "distribution" else np.vstack(rows) if rows else np.zeros((0, 2))
+    if "extent" in meta:
+        try:
+            extent = Rect(*(float(v) for v in meta["extent"].split()))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{path}: malformed '# extent' line") from None
+    else:
+        if not units:
+            raise ValidationError(f"{path}: empty dataset and no extent metadata")
+        xs = [u.lon for u in units] + [v for u in units if u.cell_extent for v in (u.cell_extent.x0, u.cell_extent.x1)]
+        ys = [u.lat for u in units] + [v for u in units if u.cell_extent for v in (u.cell_extent.y0, u.cell_extent.y1)]
+        extent = Rect(min(xs), min(ys), max(xs), max(ys))
+
+    try:
+        n_classes = int(meta["classes"]) if "classes" in meta else None
+    except ValueError:
+        raise ValidationError(f"{path}: malformed '# classes' line") from None
+    # the per-unit checks of the dataset, in unit order
+    seen = set()
+    for u in units:
+        if u.unit_id in seen:
+            raise ValidationError(f"{path}: duplicate unit_id {u.unit_id!r}")
+        seen.add(u.unit_id)
+        if not extent.contains(u.lon, u.lat):
+            raise ValidationError(f"{path}: unit {u.unit_id} outside dataset extent")
+    try:
+        return TaskDataset(city, task, units, labels, extent, n_classes=n_classes)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
+# Replacements for one field of a fuzzed row: numbers Python's float() and
+# int() read in their own ways, out-of-range and non-finite values, and text.
+ODD_FIELDS = st.sampled_from([
+    "", "nan", "inf", "-inf", "abc", "190", "-181", "95", "-91", "-1", "5", "1.5", "2",
+    "1e308", "99999999999999999999", "-0.0", "0.0", " 0.5", "0.5 ", "1_0", "0x10",
+    '"0.5"', '"0.5', "0.3,0.7", "u0",
+])
+
+
+@st.composite
+def task_csvs(draw):
+    """Task CSV text near the canonical form: clean rows, up to two of them
+    with one field replaced, dropped or doubled, blank lines between rows, and
+    the extent comment present, absent or malformed."""
+    task = draw(st.sampled_from(["POP", "LUC", "AGE"]))
+    kind = TASK_LABEL_KIND[task]
+    cells = draw(st.booleans())
+    k = draw(st.integers(2, 3))
+    lines = [f"# task {task}", "# city c"]
+    extent = draw(st.sampled_from(["0 0 1 1", "0.0 0.0 1.0 1.0", "-1 -1 2 2", "-1 -1 2 2",
+                                   "0.25 0.25 1 1", None, None, "0 0 1", "nan 0 1 1"]))
+    if extent is not None:
+        lines.append(f"# extent {extent}")
+    if kind == "class" and draw(st.booleans()):
+        lines.append(f"# classes {draw(st.sampled_from(['3', '3', '2', 'x']))}")
+    header = ["unit_id", "lon", "lat"] + (["x0", "y0", "x1", "y1"] if cells else [])
+    header += {"scalar": ["value"], "class": ["class"]}.get(kind, [f"p_{i}" for i in range(k)])
+    lines.append(",".join(header))
+    n = draw(st.integers(0, 8))
+    mutated = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 if n else 0))
+    coord = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 0.5, 1.0])
+    for i in range(n):
+        lon, lat = draw(coord), draw(coord)
+        fields = [draw(st.sampled_from([f"u{i}", f"u{i}", f"u{i}", f'"u,{i}"'])), repr(lon), repr(lat)]
+        if cells:
+            w, h = (draw(st.sampled_from([0.1, 0.5, 0.01])) for _ in range(2))
+            fields += [repr(lon - w), repr(lat - h), repr(lon + w), repr(lat + h)]
+        if kind == "scalar":
+            fields.append(repr(draw(st.floats(-10.0, 10.0))))
+        elif kind == "class":
+            fields.append(str(draw(st.integers(0, 2))))
+        else:
+            p = draw(st.floats(0.0, 1.0))
+            fields += [repr(p), repr(1.0 - p)] if k == 2 else [repr(p), *[repr((1 - p) / 2)] * 2]
+        for _ in range(mutated.count(i)):
+            j = draw(st.integers(0, len(fields) - 1))
+            mutation = draw(st.sampled_from(["replace", "replace", "replace", "drop", "double"]))
+            if mutation == "replace":
+                fields[j] = draw(ODD_FIELDS)
+            elif mutation == "drop":
+                del fields[j]
+            else:
+                fields.insert(j, fields[j])
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path)
+    except ValidationError as e:
+        return ("error", str(e))
+    e = ds.extent
+    return ("ok", ds.city, ds.task, ds.unit_ids, ds.lons.tobytes(), ds.lats.tobytes(),
+            ds.cell_extents.tobytes(), ds.is_cell.tobytes(), ds.labels.dtype.str,
+            ds.labels.shape, ds.labels.tobytes(), np.array([e.x0, e.y0, e.x1, e.y1]).tobytes(),
+            ds.n_classes, ds.units)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=task_csvs())
+def test_columnar_loader_matches_per_row_reference(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "fuzz_task.csv"
+    p.write_text(text, encoding="utf-8")
+    assert _outcome(load_task_dataset, p) == _outcome(_ref_load_task_dataset, p)
 
 
 class TestRoundTrip:

@@ -4,18 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbanbench.core import Rect, TaskUnit, ValidationError
 from urbanbench.grid import (
     HexGrid,
     assign_block,
     assign_block_point,
+    assign_blocks,
     build_block_grid,
     hex_cell_center,
     hex_cell_center_xy,
     hex_cell_of,
     hex_cell_of_xy,
+    hex_cells_of,
+    hex_cells_of_xy,
     project,
+    project_points,
     unproject,
 )
 
@@ -170,3 +176,98 @@ class TestHexGrid:
         g = HexGrid(0.0, 0.0)
         with pytest.raises(ValidationError):
             hex_cell_of(20.0, 20.0, g)
+
+
+# ---------------------------------------------------------------------------
+# Array paths: bit for bit the scalar functions, errors included
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+HEXGRIDS = st.builds(HexGrid, st.floats(-179.0, 179.0), st.floats(-80.0, 80.0),
+                     st.sampled_from([150.0, 461.0, 900.0]))
+OFFSETS = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1e-12, -1e-10])
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@SETTINGS
+@given(grid=HEXGRIDS, offsets=st.lists(st.tuples(OFFSETS, OFFSETS), min_size=1, max_size=40))
+def test_project_points_matches_project(grid, offsets):
+    lons = [grid.lon0 + dx for dx, _ in offsets]
+    lats = [grid.lat0 + dy for _, dy in offsets]
+    x, y = project_points(grid, np.array(lons), np.array(lats))
+    ref = [project(grid, lon, lat) for lon, lat in zip(lons, lats)]
+    assert _bits(x) == _bits([p[0] for p in ref]) and _bits(y) == _bits([p[1] for p in ref])
+    q, r = hex_cells_of(np.array(lons), np.array(lats), grid)
+    assert list(zip(q.tolist(), r.tolist())) == [hex_cell_of(lon, lat, grid)
+                                                 for lon, lat in zip(lons, lats)]
+
+
+@SETTINGS
+@given(grid=HEXGRIDS, spots=st.lists(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(0, 5),
+              st.sampled_from([0.0, 0.5, 1.0, 0.25]) | st.floats(0.0, 1.0)),
+    min_size=1, max_size=30))
+def test_hex_cells_match_scalar_on_edges_and_vertices(grid, spots):
+    # points on cell boundaries, where the rounding ties: vertices (t = 0 or
+    # 1), edge midpoints and points along an edge, in the plane and back
+    # through the projection
+    a = grid.edge_len_m
+    xs, ys = [], []
+    for q, r, i, t in spots:
+        cx, cy = hex_cell_center_xy((q, r), grid)
+        v0, v1 = math.radians(60.0 * i + 30.0), math.radians(60.0 * i + 90.0)
+        xs.append(cx + a * ((1 - t) * math.cos(v0) + t * math.cos(v1)))
+        ys.append(cy + a * ((1 - t) * math.sin(v0) + t * math.sin(v1)))
+    q, r = hex_cells_of_xy(np.array(xs), np.array(ys), grid)
+    assert list(zip(q.tolist(), r.tolist())) == [hex_cell_of_xy(x, y, grid) for x, y in zip(xs, ys)]
+    lonlat = [unproject(grid, x, y) for x, y in zip(xs, ys)]
+    q, r = hex_cells_of(np.array([p[0] for p in lonlat]), np.array([p[1] for p in lonlat]), grid)
+    assert list(zip(q.tolist(), r.tolist())) == [hex_cell_of(lon, lat, grid) for lon, lat in lonlat]
+
+
+def _first_scalar_error(grid, lons, lats) -> str:
+    for lon, lat in zip(lons, lats):
+        try:
+            project(grid, lon, lat)
+        except ValidationError as e:
+            return str(e)
+    raise AssertionError("no point fails")
+
+
+@SETTINGS
+@given(grid=HEXGRIDS, n=st.integers(1, 12), data=st.data())
+def test_array_paths_raise_the_first_scalar_error(grid, n, data):
+    lons = [grid.lon0 + 0.01 * i for i in range(n)]
+    lats = [grid.lat0 - 0.01 * i for i in range(n)]
+    far = grid.lat0 - 10.0 if grid.lat0 > 0 else grid.lat0 + 10.0  # about 1100 km
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, n - 1))
+        bad = data.draw(st.sampled_from(["nan", "inf", "-inf", "far"]))
+        if bad == "far":
+            lats[i] = far
+        elif data.draw(st.booleans()):
+            lons[i] = float(bad)
+        else:
+            lats[i] = float(bad)
+    message = _first_scalar_error(grid, lons, lats)
+    for array_path in (lambda: project_points(grid, np.array(lons), np.array(lats)),
+                       lambda: hex_cells_of(np.array(lons), np.array(lats), grid)):
+        with pytest.raises(ValidationError) as e:
+            array_path()
+        assert str(e.value) == message
+
+
+@SETTINGS
+@given(extent=st.sampled_from([UNIT10, Rect(-0.1, -0.1, 0.1, 0.1), Rect(-0.0, 0.0, 3.0, 1e-3)]),
+       nx=st.integers(1, 12), ny=st.integers(1, 12),
+       points=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=30))
+def test_assign_blocks_matches_assign_block_point(extent, nx, ny, points):
+    grid = build_block_grid(extent, nx, ny)
+    # points given as fractions of the extent, block edges among them
+    pts = [(extent.x0 + fx * extent.width, extent.y0 + fy * extent.height) for fx, fy in points]
+    pts += [(extent.x0 + c * extent.width / nx, extent.y0 + c * extent.height / ny)
+            for c in range(max(nx, ny) + 1)]
+    blocks = assign_blocks(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]), grid)
+    assert blocks.tolist() == [assign_block_point(x, y, grid) for x, y in pts]
