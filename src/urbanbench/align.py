@@ -188,17 +188,14 @@ def _pool_entities_by_hex(rep: EntitySetSupport, hexgrid: HexGrid) -> tuple[np.n
     """(keys, means): the sorted `_cell_keys` of the hex cells holding entities
     and each cell's mean entity vector, summed in entity order from its first
     vector, as a running float64 sum over the entities would."""
-    keys, cell = np.unique(_cell_keys(*hex_cells_of(rep.lons, rep.lats, hexgrid)),
-                           return_inverse=True)
-    order = np.argsort(cell, kind="stable")
-    cell, vectors = cell[order], rep.vectors[order]
-    counts = np.bincount(cell, minlength=keys.size)
-    rank = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    sums = vectors[rank == 0].astype(np.float64)  # one per cell, in cell order
-    for k in range(1, int(counts.max())):  # the k-th entities of their cells, all at once
-        at = rank == k
-        sums[cell[at]] += vectors[at]
-    return keys, sums / counts[:, None]
+    keys, first, cell = np.unique(_cell_keys(*hex_cells_of(rep.lons, rep.lats, hexgrid)),
+                                  return_index=True, return_inverse=True)
+    sums = rep.vectors[first].astype(np.float64)
+    rest = np.ones(cell.size, dtype=bool)
+    rest[first] = False
+    # add.at adds repeated indices one at a time, in index order
+    np.add.at(sums, cell[rest], rep.vectors[rest])
+    return keys, sums / np.bincount(cell, minlength=keys.size)[:, None]
 
 
 _HEX_COS = np.array([math.cos(math.radians(60.0 * i + 30.0)) for i in range(6)])

@@ -179,6 +179,28 @@ class TaskUnit:
             raise ValidationError(f"unit {self.unit_id}: cell_extent only allowed for raster_cell units")
 
 
+def bad_unit_rows(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray,
+                  cell_extents: np.ndarray, is_cell: np.ndarray) -> np.ndarray:
+    """Every TaskUnit check (with the Rect of a raster cell) as array passes
+    over unit columns: True for each row whose TaskUnit would not construct.
+    A raster cell's (x0, y0, x1, y1) row must be finite with positive area
+    (for finite floats x1 > x0 is x1 - x0 > 0) and contain the unit's point;
+    a point unit's row is all NaN."""
+    x0, y0, x1, y1 = cell_extents.T
+    cell_ok = (np.isfinite(cell_extents).all(axis=1) & (x1 > x0) & (y1 > y0)
+               & (x0 <= lons) & (lons <= x1) & (y0 <= lats) & (lats <= y1))
+    return ((np.fromiter(map(len, unit_ids), np.int64, len(unit_ids)) == 0)
+            | ~((-180.0 <= lons) & (lons <= 180.0) & (-90.0 <= lats) & (lats <= 90.0))
+            | ~np.where(is_cell, cell_ok, np.isnan(cell_extents).all(axis=1)))
+
+
+def _task_unit(unit_id: str, lon: float, lat: float, cell_extent: list[float], is_cell: bool) -> TaskUnit:
+    """The TaskUnit of one row of unit columns."""
+    if is_cell:
+        return TaskUnit(unit_id, lon, lat, "raster_cell", Rect(*cell_extent))
+    return TaskUnit(unit_id, lon, lat)
+
+
 class TaskDataset:
     """One city-task pair: units, parallel labels, and spatial extent.
 
@@ -213,8 +235,8 @@ class TaskDataset:
     def _from_columns(cls, city: str, task: str, unit_ids: tuple[str, ...], lons: np.ndarray,
                       lats: np.ndarray, cell_extents: np.ndarray, labels: np.ndarray,
                       extent: Rect, n_classes: int | None = None) -> TaskDataset:
-        """A dataset over unit columns that already satisfy every TaskUnit
-        invariant (`load_task_dataset` checks them as array passes)."""
+        """A dataset over unit columns, with no TaskUnit built until `units`
+        is asked for; the columns get the same checks as the units would."""
         ds = cls.__new__(cls)
         ds._init_columns(city, task, unit_ids, lons, lats, cell_extents, labels, extent, n_classes)
         ds._units = None
@@ -232,6 +254,14 @@ class TaskDataset:
         self.is_cell = ~np.isnan(cell_extents[:, 0])
         for a in (lons, lats, cell_extents, self.is_cell):
             a.setflags(write=False)
+        bad = bad_unit_rows(unit_ids, lons, lats, cell_extents, self.is_cell)
+        if bad.any():
+            # the first bad unit again, through the scalar constructors, for its message
+            i = int(np.argmax(bad))
+            _task_unit(unit_ids[i], float(lons[i]), float(lats[i]), cell_extents[i].tolist(),
+                       bool(self.is_cell[i]))
+            # only a point unit with a partly set extent row passes its constructor
+            raise ValidationError(f"unit {unit_ids[i]}: cell_extent only allowed for raster_cell units")
         self.extent = extent
         self.label_kind = TASK_LABEL_KIND[task]
         labels = np.asarray(labels)
@@ -294,11 +324,8 @@ class TaskDataset:
     def units(self) -> tuple[TaskUnit, ...]:
         """The units as TaskUnit objects; a loaded dataset builds them on first use."""
         if self._units is None:
-            self._units = tuple(
-                TaskUnit(uid, lon, lat, "raster_cell", Rect(*ce)) if cell else TaskUnit(uid, lon, lat)
-                for uid, lon, lat, ce, cell in zip(self.unit_ids, self.lons.tolist(),
-                                                   self.lats.tolist(), self.cell_extents.tolist(),
-                                                   self.is_cell.tolist()))
+            self._units = tuple(map(_task_unit, self.unit_ids, self.lons.tolist(), self.lats.tolist(),
+                                    self.cell_extents.tolist(), self.is_cell.tolist()))
         return self._units
 
     @property
@@ -378,24 +405,18 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     numbered = [(ln, line) for ln, line in enumerate(raw_lines[lineno:], lineno + 1) if line]
     rows = _csv_rows([line for _, line in numbered])
     n, width = len(rows), len(header)
-    # Every TaskUnit, Rect and label check of a row, as array passes over the
-    # columns; a row that fails any of them is flagged in `bad`.
+    # Every parse, TaskUnit, Rect and label check of a row, as array passes
+    # over the columns; a row that fails any of them is flagged in `bad`.
     bad = np.fromiter(map(len, rows), np.int64, n) != width
     padded = [r if len(r) == width else [""] * width for r in rows] if bad.any() else rows
     cols = list(zip(*padded)) or [()] * width
     lons = _parsed(cols[1], float, bad)
     lats = _parsed(cols[2], float, bad)
-    bad |= np.fromiter(map(len, cols[0]), np.int64, n) == 0
-    bad |= ~((-180.0 <= lons) & (lons <= 180.0) & (-90.0 <= lats) & (lats <= 90.0))
     if has_extent:
         cells = np.column_stack([_parsed(c, float, bad) for c in cols[3:7]]).reshape(n, 4)
-        x0, y0, x1, y1 = cells.T
-        # finite, positive area (for finite floats x1 > x0 is x1 - x0 > 0) and
-        # containing the unit's point
-        bad |= ~(np.isfinite(cells).all(axis=1) & (x1 > x0) & (y1 > y0)
-                 & (x0 <= lons) & (lons <= x1) & (y0 <= lats) & (lats <= y1))
     else:
         cells = np.full((n, 4), np.nan)
+    bad |= bad_unit_rows(cols[0], lons, lats, cells, np.full(n, has_extent))
     payload = cols[7:] if has_extent else cols[3:]
     if kind == "scalar":
         labels = _parsed(payload[0], float, bad)
@@ -414,7 +435,7 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
             raise ValidationError(f"{path}:{numbered[i][0]}: {e}") from None
         except (ValueError, OverflowError) as e:
             raise ValidationError(f"{path}:{numbered[i][0]}: malformed row ({e})") from None
-        raise AssertionError(f"{path}:{numbered[i][0]}: row fails a column check only")
+        raise ValidationError(f"{path}:{numbered[i][0]}: malformed row (fails a column check only)")
 
     if "extent" in meta:
         try:

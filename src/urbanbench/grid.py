@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rect, TaskUnit, ValidationError
+from .core import Rect, ValidationError
 
 EARTH_RADIUS_M = 6_371_000.0
 H3_RES8_EDGE_M = 461.0
@@ -61,22 +61,12 @@ def build_block_grid(extent: Rect, nx: int, ny: int) -> BlockGrid:
     return BlockGrid(extent, nx, ny)
 
 
-def assign_block_point(lon: float, lat: float, grid: BlockGrid) -> int:
-    """Block id of a point; points outside the extent clamp to the boundary."""
-    e = grid.extent
-    lon = min(max(lon, e.x0), e.x1)
-    lat = min(max(lat, e.y0), e.y1)
-    col = min(int((lon - e.x0) / e.width * grid.nx), grid.nx - 1)
-    row = min(int((lat - e.y0) / e.height * grid.ny), grid.ny - 1)
-    return grid.block_id(col, row)
-
-
-def assign_block(unit: TaskUnit, grid: BlockGrid) -> int:
-    return assign_block_point(unit.lon, unit.lat, grid)
-
-
 def assign_blocks(lons: np.ndarray, lats: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """`assign_block_point` of every point, with the same float arithmetic."""
+    """Block id of every point; points outside the extent clamp to the boundary.
+
+    Half-open blocks with the max edge closed: a point is clipped into the
+    extent, then its column is the truncated fraction of the width times nx,
+    capped at nx - 1 (rows likewise)."""
     e = grid.extent
     col = np.minimum(((np.clip(lons, e.x0, e.x1) - e.x0) / e.width * grid.nx).astype(np.int64),
                      grid.nx - 1)
@@ -132,11 +122,9 @@ def project(grid: HexGrid, lon: float, lat: float) -> tuple[float, float]:
 
 
 def project_points(grid: HexGrid, lons: np.ndarray, lats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`project` of every point, bit for bit: numpy's sin and cos gave libm's
-    results where the digests were pinned, its arccos differed on about one
-    input in ten, so the angle takes math.acos per point (a tier-1 property
-    checks the whole function against `project`). The first point `project`
-    rejects raises its error."""
+    """`project` of every point, bit for bit: the sums and products are numpy's
+    (IEEE, as Python's), and every sin, cos and acos is libm's, taken per
+    element through `math`. The first point `project` rejects raises its error."""
     lons = np.asarray(lons, dtype=np.float64)
     lats = np.asarray(lats, dtype=np.float64)
     ok = np.isfinite(lons) & np.isfinite(lats)
@@ -145,18 +133,24 @@ def project_points(grid: HexGrid, lons: np.ndarray, lats: np.ndarray) -> tuple[n
     lam = np.where(ok, lons, grid.lon0) * (math.pi / 180.0)
     phi = np.where(ok, lats, grid.lat0) * (math.pi / 180.0)
     dlam = lam - lam0
-    cos_phi, cos_dlam = np.cos(phi), np.cos(dlam)
-    cos_c = math.sin(phi0) * np.sin(phi) + math.cos(phi0) * cos_phi * cos_dlam
-    c = np.array(list(map(math.acos, np.clip(cos_c, -1.0, 1.0).tolist())), dtype=np.float64)
+    sin_phi, cos_phi = _libm(math.sin, phi), _libm(math.cos, phi)
+    sin_dlam, cos_dlam = _libm(math.sin, dlam), _libm(math.cos, dlam)
+    cos_c = math.sin(phi0) * sin_phi + math.cos(phi0) * cos_phi * cos_dlam
+    c = _libm(math.acos, np.clip(cos_c, -1.0, 1.0))
     bad = ~ok | (c * EARTH_RADIUS_M > PROJECTION_VALIDITY_M)
     if bad.any():
         i = int(np.argmax(bad))
         project(grid, float(lons[i]), float(lats[i]))  # raises
-    with np.errstate(invalid="ignore"):  # 0 / sin(0), where the series term is taken
-        k = np.where(c < 1e-9, 1.0 + c * c / 6.0, c / np.sin(c))
-    x = EARTH_RADIUS_M * k * cos_phi * np.sin(dlam)
-    y = EARTH_RADIUS_M * k * (math.cos(phi0) * np.sin(phi) - math.sin(phi0) * cos_phi * cos_dlam)
+    series = c < 1e-9
+    k = np.where(series, 1.0 + c * c / 6.0, c / _libm(math.sin, np.where(series, 1.0, c)))
+    x = EARTH_RADIUS_M * k * cos_phi * sin_dlam
+    y = EARTH_RADIUS_M * k * (math.cos(phi0) * sin_phi - math.sin(phi0) * cos_phi * cos_dlam)
     return x, y
+
+
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """A `math` function of every element, as a float64 array."""
+    return np.fromiter(map(f, a.tolist()), np.float64, a.size)
 
 
 def unproject(grid: HexGrid, x: float, y: float) -> tuple[float, float]:

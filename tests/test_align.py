@@ -634,6 +634,24 @@ def test_point_only_task_has_no_candidates():
     assert math.copysign(1.0, m.rows[0, 0]) == -1.0
 
 
+def test_clustered_entities_pool_as_running_sums():
+    # thousands of entities in a few hex cells, with signed zeros: each cell's
+    # sum runs from its first vector in file order
+    grid = HexGrid(0.0, 0.0)
+    rng = np.random.default_rng(7)
+    centers = np.array([hex_cell_center(c, grid) for c in [(0, 0), (3, -1), (-2, 5)]])
+    pick = rng.integers(0, 3, 3000)
+    lons, lats = (centers[pick] + rng.uniform(-1e-4, 1e-4, (3000, 2))).T
+    vectors = rng.choice([-0.0, 0.0, 1e-8, 0.1, -3.5, 1e3], size=(3000, 2))
+    vectors[pick == 2] = -0.0
+    ents = EntitySetSupport(lons=lons, lats=lats, vectors=vectors)
+    task = point_task([tuple(c) for c in centers] + [(0.3, 0.3)])
+    m = align_entities_h3_first(ents, grid, task)
+    assert _bytes(m) == _bytes(_ref_align_entities_h3_first(ents, grid, task))
+    assert m.valid.tolist() == [True, True, True, False]
+    assert math.copysign(1.0, m.rows[2, 0]) == -1.0
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_raster_mean_sums_as_np_mean(dim):
     # np.mean sums from +0.0, so a unit over four -0.0 cells gets +0.0, while a

@@ -159,6 +159,25 @@ class TestLoadTaskDataset:
                             TaskUnit("b", 1.5, 0.5, "raster_cell", Rect(1, 0, 2, 1)))
         assert not ds.lons.flags.writeable and not ds.cell_extents.flags.writeable
 
+    @pytest.mark.parametrize("row, message", [
+        (("", 0.5, 0.5, math.nan, math.nan, math.nan, math.nan), "unit_id must be nonempty"),
+        (("u", 0.5, 91.0, math.nan, math.nan, math.nan, math.nan), "unit u: lat 91.0 out of [-90,90]"),
+        (("u", 0.5, 0.5, 0.0, 0.0, 0.0, 1.0), "unit u: raster_cell requires a nonempty cell_extent"),
+        (("u", 0.5, 0.5, 0.0, 0.0, 0.4, 1.0), "unit u: cell_extent does not contain its point"),
+        (("u", 0.5, 0.5, 0.0, 0.0, math.inf, 1.0), "rectangle coordinates must be finite"),
+        (("u", 0.5, 0.5, math.nan, 0.0, 1.0, 1.0),
+         "unit u: cell_extent only allowed for raster_cell units"),
+    ])
+    def test_columns_get_the_unit_checks(self, row, message):
+        # a dataset built from columns runs the TaskUnit checks on them
+        uid, lon, lat, *ce = row
+        with pytest.raises(ValidationError) as e:
+            TaskDataset._from_columns("demo", "POP", ("ok", uid), np.array([0.5, lon]),
+                                      np.array([0.5, lat]),
+                                      np.array([[math.nan] * 4, ce], dtype=np.float64),
+                                      np.zeros(2), Rect(0, 0, 1, 1))
+        assert str(e.value) == message
+
     def test_distribution_sum_overflow_names_line(self, tmp_path):
         p = tmp_path / "age.csv"
         p.write_text("# task AGE\n# city London\n# extent 0.0 0.0 1.0 1.0\n"

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from urbanbench.core import Rect, TaskUnit, ValidationError
 from urbanbench.grid import (
+    BlockGrid,
     HexGrid,
-    assign_block,
-    assign_block_point,
     assign_blocks,
     build_block_grid,
     hex_cell_center,
@@ -26,6 +25,20 @@ from urbanbench.grid import (
 )
 
 UNIT10 = Rect(0.0, 0.0, 10.0, 10.0)
+
+
+def assign_block_point(lon: float, lat: float, grid: BlockGrid) -> int:
+    """Reference for `assign_blocks`: the block id of one point, in Python floats."""
+    e = grid.extent
+    lon = min(max(lon, e.x0), e.x1)
+    lat = min(max(lat, e.y0), e.y1)
+    col = min(int((lon - e.x0) / e.width * grid.nx), grid.nx - 1)
+    row = min(int((lat - e.y0) / e.height * grid.ny), grid.ny - 1)
+    return grid.block_id(col, row)
+
+
+def assign_block(unit: TaskUnit, grid: BlockGrid) -> int:
+    return assign_block_point(unit.lon, unit.lat, grid)
 
 
 class TestBlockGrid:

@@ -68,7 +68,7 @@ class TestSpatialSplit:
         assert a.train_blocks | a.val_blocks | a.test_blocks == set(range(100))
 
     def test_membership_induced_labels(self):
-        from urbanbench.grid import assign_block
+        from test_grid import assign_block
 
         task = grid_task(10)
         grid = build_block_grid(EXTENT, 10, 10)
@@ -81,7 +81,7 @@ class TestSpatialSplit:
 
     def test_no_train_test_block_overlap(self):
         # spatial separation: train and test units never share a block
-        from urbanbench.grid import assign_block
+        from test_grid import assign_block
 
         task = grid_task(10)
         grid = build_block_grid(EXTENT, 10, 10)
