@@ -31,6 +31,7 @@ from .core import (
     TaskDataset,
     ValidationError,
     _fmt,
+    csv_rows,
     open_text,
 )
 from .grid import (
@@ -375,8 +376,7 @@ def write_entity_csv(path: str | Path, rep: EntitySetSupport) -> None:
 def read_entity_csv(path: str | Path) -> EntitySetSupport:
     path = Path(path)
     with open_text(path) as f:
-        reader = csv.reader(f)
-        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+        rows = [(ln, r) for ln, r in csv_rows(path, f) if r and not r[0].startswith("#")]
     if not rows:
         raise ValidationError(f"{path}: empty entity file")
     (_, header), data = rows[0], rows[1:]
@@ -441,7 +441,7 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
                     f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
     if grid is None:
         raise ValidationError(f"{path}: cell table carries no hex grid and none was supplied")
-    rows = list(csv.reader(lines[body_start:]))
+    rows = [r for _, r in csv_rows(path, lines[body_start:], body_start + 1)]
     if not rows:
         raise ValidationError(f"{path}: empty cell table")
     header, data = rows[0], rows[1:]

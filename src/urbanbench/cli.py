@@ -56,6 +56,7 @@ from .core import (
     TaskDataset,
     ValidationError,
     _fmt,
+    csv_rows,
     load_manifest,
     load_task_dataset,
     open_text,
@@ -116,13 +117,13 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
     path = Path(path)
     out: list[ResultRecord] = []
     with open_text(path) as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
+        reader = csv_rows(path, f)
+        header = next(reader, (0, None))[1]
         if header != list(STORE_HEADER):
             raise ValidationError(f"{path}: unexpected result store header {header}")
-        for row in reader:
+        for ln, row in reader:
             if len(row) != len(STORE_HEADER):
-                raise ValidationError(f"{path}:{reader.line_num}: expected {len(STORE_HEADER)} "
+                raise ValidationError(f"{path}:{ln}: expected {len(STORE_HEADER)} "
                                       f"fields, got {len(row)}")
             try:
                 out.append(ResultRecord(
@@ -130,7 +131,7 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
                     protocol=row[4], metric=row[5], value=float(row[6]), n_test=int(row[7]),
                 ))
             except ValueError:
-                raise ValidationError(f"{path}:{reader.line_num}: malformed result row") from None
+                raise ValidationError(f"{path}:{ln}: malformed result row") from None
     return out
 
 
@@ -553,19 +554,19 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
     """CSV `city,<factor>,<factor>,...` -> factor name -> city -> value."""
     path = Path(path)
     with open_text(path) as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
+        reader = csv_rows(path, f)
+        header = next(reader, (0, []))[1]
         if header[:1] != ["city"]:
             raise ValidationError(f"{path}: factors header must start with 'city'")
         names = header[1:]
         out: dict[str, dict[str, float]] = {n: {} for n in names}
-        for r in reader:
+        for ln, r in reader:
             for n, v in zip(names, r[1:]):
                 if v != "":
                     try:
                         out[n][r[0]] = float(v)
                     except ValueError:
-                        raise ValidationError(f"{path}:{reader.line_num}: factor {n!r} value "
+                        raise ValidationError(f"{path}:{ln}: factor {n!r} value "
                                               f"{v!r} is not a number") from None
     return out
 

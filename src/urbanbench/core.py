@@ -12,10 +12,11 @@ import hashlib
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TYPE_CHECKING
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -27,7 +28,6 @@ class ValidationError(ValueError):
     """Raised when an input file or domain object violates an invariant."""
 
 
-GEOMETRY_KINDS = ("point", "raster_cell")
 LABEL_KINDS = ("scalar", "class", "distribution")
 
 TASKS = ("LUC", "RDE", "POP", "AGE", "GDP", "NTL", "PM25", "LST")
@@ -143,62 +143,68 @@ class Rect:
     def nondegenerate(self) -> bool:
         return self.width > 0 and self.height > 0
 
-    def contains(self, lon: float, lat: float) -> bool:
-        return self.x0 <= lon <= self.x1 and self.y0 <= lat <= self.y1
-
     @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
 
 
-@dataclass(frozen=True)
-class TaskUnit:
-    """One prediction target: a point or raster cell with a representative point."""
+class TaskUnit(NamedTuple):
+    """One unit of a TaskDataset as a record, built from its columns by
+    `TaskDataset.units`; `cell_extent` is (x0, y0, x1, y1), or None for a point."""
 
     unit_id: str
     lon: float
     lat: float
-    geometry_kind: str = "point"
-    cell_extent: Rect | None = None
+    cell_extent: tuple[float, float, float, float] | None
 
-    def __post_init__(self):
-        if not self.unit_id:
-            raise ValidationError("unit_id must be nonempty")
-        if self.geometry_kind not in GEOMETRY_KINDS:
-            raise ValidationError(f"unknown geometry kind {self.geometry_kind!r}")
-        if not (-180.0 <= self.lon <= 180.0):
-            raise ValidationError(f"unit {self.unit_id}: lon {self.lon} out of [-180,180]")
-        if not (-90.0 <= self.lat <= 90.0):
-            raise ValidationError(f"unit {self.unit_id}: lat {self.lat} out of [-90,90]")
-        if self.geometry_kind == "raster_cell":
-            if self.cell_extent is None or not self.cell_extent.nondegenerate:
-                raise ValidationError(f"unit {self.unit_id}: raster_cell requires a nonempty cell_extent")
-            if not self.cell_extent.contains(self.lon, self.lat):
-                raise ValidationError(f"unit {self.unit_id}: cell_extent does not contain its point")
-        elif self.cell_extent is not None:
-            raise ValidationError(f"unit {self.unit_id}: cell_extent only allowed for raster_cell units")
+
+# A unit_id with one of these would not survive the task CSV's unquoted fields.
+_ID_FORBIDDEN = re.compile('[,"\r\n]')
 
 
 def bad_unit_rows(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray,
-                  cell_extents: np.ndarray, is_cell: np.ndarray) -> np.ndarray:
-    """Every TaskUnit check (with the Rect of a raster cell) as array passes
-    over unit columns: True for each row whose TaskUnit would not construct.
-    A raster cell's (x0, y0, x1, y1) row must be finite with positive area
-    (for finite floats x1 > x0 is x1 - x0 > 0) and contain the unit's point;
-    a point unit's row is all NaN."""
+                  cell_extents: np.ndarray, is_cell: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """Every rule for a valid unit, as array passes over unit columns: True for
+    each row that breaks one, and the message of the first such row (None if
+    every row holds). A point unit's (x0, y0, x1, y1) row is all NaN. A raster
+    cell's row is a finite, non-inverted Rect (those errors are Rect's own);
+    then, for every unit: a nonempty unit_id without ',', '"', CR or LF, lon in
+    [-180, 180] and lat in [-90, 90]; then a raster cell has positive area
+    (for finite floats x1 > x0 is x1 - x0 > 0) and contains the unit's point."""
+    n = len(unit_ids)
     x0, y0, x1, y1 = cell_extents.T
-    cell_ok = (np.isfinite(cell_extents).all(axis=1) & (x1 > x0) & (y1 > y0)
-               & (x0 <= lons) & (lons <= x1) & (y0 <= lats) & (lats <= y1))
-    return ((np.fromiter(map(len, unit_ids), np.int64, len(unit_ids)) == 0)
-            | ~((-180.0 <= lons) & (lons <= 180.0) & (-90.0 <= lats) & (lats <= 90.0))
-            | ~np.where(is_cell, cell_ok, np.isnan(cell_extents).all(axis=1)))
+    finite = np.isfinite(cell_extents).all(axis=1)
+    rules = [  # (rows that break the rule, message of row i), in check order
+        (is_cell & ~finite, lambda i: _rect_error(cell_extents[i])),
+        (is_cell & finite & ((x1 < x0) | (y1 < y0)), lambda i: _rect_error(cell_extents[i])),
+        (np.fromiter(map(len, unit_ids), np.int64, n) == 0, lambda i: "unit_id must be nonempty"),
+        (np.fromiter(map(bool, map(_ID_FORBIDDEN.search, unit_ids)), bool, n),
+         lambda i: f"unit_id {unit_ids[i]!r} contains ',', '\"', CR or LF"),
+        (~((-180.0 <= lons) & (lons <= 180.0)),
+         lambda i: f"unit {unit_ids[i]}: lon {lons[i].item()} out of [-180,180]"),
+        (~((-90.0 <= lats) & (lats <= 90.0)),
+         lambda i: f"unit {unit_ids[i]}: lat {lats[i].item()} out of [-90,90]"),
+        (is_cell & ~((x1 > x0) & (y1 > y0)),
+         lambda i: f"unit {unit_ids[i]}: raster_cell requires a nonempty cell_extent"),
+        (is_cell & ~((x0 <= lons) & (lons <= x1) & (y0 <= lats) & (lats <= y1)),
+         lambda i: f"unit {unit_ids[i]}: cell_extent does not contain its point"),
+        (~is_cell & ~np.isnan(cell_extents).all(axis=1),
+         lambda i: f"unit {unit_ids[i]}: cell_extent only allowed for raster_cell units"),
+    ]
+    bad = np.any([rows for rows, _ in rules], axis=0)
+    if not bad.any():
+        return bad, None
+    i = int(np.argmax(bad))
+    return bad, next(message(i) for rows, message in rules if rows[i])
 
 
-def _task_unit(unit_id: str, lon: float, lat: float, cell_extent: list[float], is_cell: bool) -> TaskUnit:
-    """The TaskUnit of one row of unit columns."""
-    if is_cell:
-        return TaskUnit(unit_id, lon, lat, "raster_cell", Rect(*cell_extent))
-    return TaskUnit(unit_id, lon, lat)
+def _rect_error(row: np.ndarray) -> str:
+    """The error Rect raises for an (x0, y0, x1, y1) row it rejects."""
+    try:
+        Rect(*row.tolist())
+    except ValidationError as e:
+        return str(e)
+    raise AssertionError(f"Rect accepts {row}")
 
 
 class TaskDataset:
@@ -207,61 +213,30 @@ class TaskDataset:
     Immutable after construction. Units are held as columns: `unit_ids`,
     float64 `lons` and `lats`, and `cell_extents`, one (x0, y0, x1, y1) row
     per unit and NaN for a point unit (`is_cell` marks the raster cells).
-    Labels are packed into numpy arrays: scalar -> (n,) float, class -> (n,)
-    int, distribution -> (n, K) float.
+    Every unit must pass `bad_unit_rows`. Labels are packed into numpy
+    arrays: scalar -> (n,) float, class -> (n,) int, distribution -> (n, K)
+    float.
     """
 
-    def __init__(
-        self,
-        city: str,
-        task: str,
-        units: Sequence[TaskUnit],
-        labels: np.ndarray,
-        extent: Rect,
-        n_classes: int | None = None,
-    ):
-        units = tuple(units)
-        nan4 = (math.nan,) * 4
-        cells = np.array([nan4 if u.cell_extent is None else
-                          (u.cell_extent.x0, u.cell_extent.y0, u.cell_extent.x1, u.cell_extent.y1)
-                          for u in units], dtype=np.float64).reshape(-1, 4)
-        self._init_columns(city, task, tuple(u.unit_id for u in units),
-                           np.array([u.lon for u in units], dtype=np.float64),
-                           np.array([u.lat for u in units], dtype=np.float64),
-                           cells, labels, extent, n_classes)
-        self._units = units
-
-    @classmethod
-    def _from_columns(cls, city: str, task: str, unit_ids: tuple[str, ...], lons: np.ndarray,
-                      lats: np.ndarray, cell_extents: np.ndarray, labels: np.ndarray,
-                      extent: Rect, n_classes: int | None = None) -> TaskDataset:
-        """A dataset over unit columns, with no TaskUnit built until `units`
-        is asked for; the columns get the same checks as the units would."""
-        ds = cls.__new__(cls)
-        ds._init_columns(city, task, unit_ids, lons, lats, cell_extents, labels, extent, n_classes)
-        ds._units = None
-        return ds
-
-    def _init_columns(self, city, task, unit_ids, lons, lats, cell_extents, labels, extent, n_classes):
+    def __init__(self, city: str, task: str, unit_ids: Sequence[str], lons: np.ndarray,
+                 lats: np.ndarray, cell_extents: np.ndarray, labels: np.ndarray, extent: Rect,
+                 n_classes: int | None = None):
         if task not in TASKS:
             raise ValidationError(f"unknown task {task!r}; expected one of {TASKS}")
         if not city:
             raise ValidationError("city must be nonempty")
         self.city = city
         self.task = task
-        self.unit_ids = unit_ids
-        self.lons, self.lats, self.cell_extents = lons, lats, cell_extents
-        self.is_cell = ~np.isnan(cell_extents[:, 0])
-        for a in (lons, lats, cell_extents, self.is_cell):
+        self.unit_ids = unit_ids = tuple(unit_ids)
+        self.lons = lons = np.asarray(lons, dtype=np.float64)
+        self.lats = lats = np.asarray(lats, dtype=np.float64)
+        self.cell_extents = np.asarray(cell_extents, dtype=np.float64).reshape(-1, 4)
+        self.is_cell = ~np.isnan(self.cell_extents[:, 0])
+        for a in (lons, lats, self.cell_extents, self.is_cell):
             a.setflags(write=False)
-        bad = bad_unit_rows(unit_ids, lons, lats, cell_extents, self.is_cell)
-        if bad.any():
-            # the first bad unit again, through the scalar constructors, for its message
-            i = int(np.argmax(bad))
-            _task_unit(unit_ids[i], float(lons[i]), float(lats[i]), cell_extents[i].tolist(),
-                       bool(self.is_cell[i]))
-            # only a point unit with a partly set extent row passes its constructor
-            raise ValidationError(f"unit {unit_ids[i]}: cell_extent only allowed for raster_cell units")
+        _, error = bad_unit_rows(unit_ids, lons, lats, self.cell_extents, self.is_cell)
+        if error is not None:
+            raise ValidationError(error)
         self.extent = extent
         self.label_kind = TASK_LABEL_KIND[task]
         labels = np.asarray(labels)
@@ -322,11 +297,9 @@ class TaskDataset:
 
     @property
     def units(self) -> tuple[TaskUnit, ...]:
-        """The units as TaskUnit objects; a loaded dataset builds them on first use."""
-        if self._units is None:
-            self._units = tuple(map(_task_unit, self.unit_ids, self.lons.tolist(), self.lats.tolist(),
-                                    self.cell_extents.tolist(), self.is_cell.tolist()))
-        return self._units
+        """Every unit as a TaskUnit record, built from the columns on each call."""
+        cells = [tuple(c) if k else None for c, k in zip(self.cell_extents.tolist(), self.is_cell.tolist())]
+        return tuple(map(TaskUnit, self.unit_ids, self.lons.tolist(), self.lats.tolist(), cells))
 
     @property
     def n(self) -> int:
@@ -349,17 +322,35 @@ def open_text(path: Path):
         raise ValidationError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
+def csv_rows(path: Path, lines: Iterable[str], first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """`csv.reader` over `lines`, numbered from `first_line`: the (line number,
+    fields) of each row, where a row's number is that of its last line. A line
+    the csv module rejects raises a ValidationError naming path:line."""
+    reader = csv.reader(lines)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise ValidationError(f"{path}:{first_line - 1 + reader.line_num}: malformed CSV ({e})") from None
+        yield first_line - 1 + reader.line_num, row
+
+
 def load_task_dataset(path: str | Path) -> TaskDataset:
     """Load a task dataset from its canonical CSV form.
 
     Leading `# key value...` comment lines carry task, city, extent, and
     (for class labels) the declared class count. Load is deterministic and
-    order-preserving; malformed rows fail with their line number.
+    order-preserving; malformed rows fail with their line number. Lines end
+    at CR, LF or CRLF only, as the csv module reads them.
     """
     path = Path(path)
     meta: dict[str, str] = {}
     with open_text(path) as f:
-        raw_lines = f.read().splitlines()
+        raw_lines = f.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if raw_lines[-1] == "":  # the end of the last line
+        raw_lines.pop()
 
     lineno = 0
     n_lines = len(raw_lines)
@@ -378,8 +369,8 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     if task not in TASKS:
         raise ValidationError(f"{path}: unknown task {task!r}")
 
-    header = next(csv.reader([raw_lines[lineno]]))
     header_line = lineno + 1
+    header = next(csv_rows(path, [raw_lines[lineno]], header_line))[1]
     lineno += 1
     if header[:3] != ["unit_id", "lon", "lat"]:
         raise ValidationError(f"{path}:{header_line}: header must start with unit_id,lon,lat")
@@ -403,10 +394,10 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         )
 
     numbered = [(ln, line) for ln, line in enumerate(raw_lines[lineno:], lineno + 1) if line]
-    rows = _csv_rows([line for _, line in numbered])
+    rows = _task_rows(path, numbered)
     n, width = len(rows), len(header)
-    # Every parse, TaskUnit, Rect and label check of a row, as array passes
-    # over the columns; a row that fails any of them is flagged in `bad`.
+    # Every parse, unit and label check of a row, as array passes over the
+    # columns; a row that fails any of them is flagged in `bad`.
     bad = np.fromiter(map(len, rows), np.int64, n) != width
     padded = [r if len(r) == width else [""] * width for r in rows] if bad.any() else rows
     cols = list(zip(*padded)) or [()] * width
@@ -416,7 +407,8 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         cells = np.column_stack([_parsed(c, float, bad) for c in cols[3:7]]).reshape(n, 4)
     else:
         cells = np.full((n, 4), np.nan)
-    bad |= bad_unit_rows(cols[0], lons, lats, cells, np.full(n, has_extent))
+    unit_bad, unit_error = bad_unit_rows(cols[0], lons, lats, cells, np.full(n, has_extent))
+    bad |= unit_bad
     payload = cols[7:] if has_extent else cols[3:]
     if kind == "scalar":
         labels = _parsed(payload[0], float, bad)
@@ -427,15 +419,10 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         bad |= (labels < 0).any(axis=1)
         bad |= np.abs(_parsed(labels.tolist(), math.fsum, bad) - 1.0) > DISTRIBUTION_SUM_TOL
     if bad.any():
-        # the first bad row again, through the scalar constructors, for its message
+        # no row before the first bad row breaks a unit rule, so `unit_error` is its own
         i = int(np.argmax(bad))
-        try:
-            _check_task_row(rows[i], width, has_extent, kind)
-        except ValidationError as e:
-            raise ValidationError(f"{path}:{numbered[i][0]}: {e}") from None
-        except (ValueError, OverflowError) as e:
-            raise ValidationError(f"{path}:{numbered[i][0]}: malformed row ({e})") from None
-        raise ValidationError(f"{path}:{numbered[i][0]}: malformed row (fails a column check only)")
+        message = _row_error(rows[i], width, has_extent, kind, unit_error if unit_bad[i] else None)
+        raise ValidationError(f"{path}:{numbered[i][0]}: {message}")
 
     if "extent" in meta:
         try:
@@ -455,20 +442,22 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     except ValueError:
         raise ValidationError(f"{path}: malformed '# classes' line") from None
     try:
-        return TaskDataset._from_columns(city, task, cols[0], lons, lats, cells, labels, extent,
-                                         n_classes=n_classes)
+        return TaskDataset(city, task, cols[0], lons, lats, cells, labels, extent, n_classes=n_classes)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
 
-def _csv_rows(lines: list[str]) -> list[list[str]]:
-    """The fields of each line, parsed on its own: an open quote never runs on
-    into the next line."""
-    reader = csv.reader(lines)
-    rows = list(reader)
-    if reader.line_num == len(rows):
-        return rows
-    return [next(csv.reader([line])) for line in lines]
+def _task_rows(path: Path, numbered: list[tuple[int, str]]) -> list[list[str]]:
+    """The fields of each numbered line, parsed on its own: an open quote
+    never runs on into the next line."""
+    reader = csv.reader([line for _, line in numbered])
+    try:
+        rows = list(reader)
+        if reader.line_num == len(rows):
+            return rows
+    except csv.Error:
+        pass
+    return [next(csv_rows(path, [line], ln))[1] for ln, line in numbered]
 
 
 def _parsed(values: Sequence, convert, bad: np.ndarray) -> np.ndarray:
@@ -487,31 +476,32 @@ def _parsed(values: Sequence, convert, bad: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _check_task_row(fields: list[str], width: int, has_extent: bool, kind: str) -> None:
-    """One task-CSV body row through the TaskUnit and Rect constructors and the
-    label parse; raises the row's error."""
+def _row_error(fields: list[str], width: int, has_extent: bool, kind: str,
+               unit_error: str | None) -> str:
+    """The message of a task-CSV body row that fails a check, in the order a
+    row is read: its field count, its numbers, `unit_error` (the message of
+    `bad_unit_rows` for the row, if it breaks a unit rule), then its label."""
     if len(fields) != width:
-        raise ValidationError(f"expected {width} fields, got {len(fields)}")
-    unit_id = fields[0]
-    lon = float(fields[1])
-    lat = float(fields[2])
-    if has_extent:
-        TaskUnit(unit_id, lon, lat, "raster_cell", Rect(*(float(v) for v in fields[3:7])))
-        payload = fields[7:]
-    else:
-        TaskUnit(unit_id, lon, lat)
-        payload = fields[3:]
-    if kind == "scalar":
-        float(payload[0])
-    elif kind == "class":
-        int(payload[0])
-    else:
-        vec = [float(v) for v in payload]
-        if any(v < 0 for v in vec):
-            raise ValidationError(f"unit {unit_id}: negative probability")
-        s = math.fsum(vec)
-        if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
-            raise ValidationError(f"unit {unit_id}: distribution sums to {s!r}, not 1")
+        return f"expected {width} fields, got {len(fields)}"
+    n_coords = 7 if has_extent else 3
+    try:
+        for v in fields[1:n_coords]:
+            float(v)
+        if unit_error is not None:
+            return unit_error
+        payload = fields[n_coords:]
+        if kind == "scalar":
+            float(payload[0])
+        elif kind == "class":
+            int(payload[0])
+        else:
+            vec = [float(v) for v in payload]
+            if any(v < 0 for v in vec):
+                return f"unit {fields[0]}: negative probability"
+            return f"unit {fields[0]}: distribution sums to {math.fsum(vec)!r}, not 1"
+    except (ValueError, OverflowError) as e:
+        return f"malformed row ({e})"
+    raise AssertionError(f"row {fields} passes every check")
 
 
 def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:

@@ -35,23 +35,6 @@ class BlockGrid:
         if not self.extent.nondegenerate:
             raise ValidationError("block grid extent must have positive area")
 
-    @property
-    def n_blocks(self) -> int:
-        return self.nx * self.ny
-
-    def block_id(self, col: int, row: int) -> int:
-        return row * self.nx + col
-
-    def block_colrow(self, block_id: int) -> tuple[int, int]:
-        return (block_id % self.nx, block_id // self.nx)
-
-    def block_extent(self, block_id: int) -> Rect:
-        col, row = self.block_colrow(block_id)
-        dx = self.extent.width / self.nx
-        dy = self.extent.height / self.ny
-        return Rect(self.extent.x0 + col * dx, self.extent.y0 + row * dy,
-                    self.extent.x0 + (col + 1) * dx, self.extent.y0 + (row + 1) * dy)
-
     def signature(self) -> tuple:
         e = self.extent
         return (e.x0, e.y0, e.x1, e.y1, self.nx, self.ny)
@@ -153,19 +136,6 @@ def _libm(f, a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, a.tolist()), np.float64, a.size)
 
 
-def unproject(grid: HexGrid, x: float, y: float) -> tuple[float, float]:
-    lam0, phi0 = math.radians(grid.lon0), math.radians(grid.lat0)
-    rho = math.hypot(x, y)
-    if rho == 0.0:
-        return (grid.lon0, grid.lat0)
-    c = rho / EARTH_RADIUS_M
-    sin_c, cos_c = math.sin(c), math.cos(c)
-    phi = math.asin(cos_c * math.sin(phi0) + y * sin_c * math.cos(phi0) / rho)
-    lam = lam0 + math.atan2(x * sin_c,
-                            rho * math.cos(phi0) * cos_c - y * math.sin(phi0) * sin_c)
-    return (math.degrees(lam), math.degrees(phi))
-
-
 def _axial_round(qf: float, rf: float) -> tuple[int, int]:
     # cube rounding; fixes the axis with the largest rounding error
     xf, zf = qf, rf
@@ -220,11 +190,6 @@ def hex_cell_center_xy(cell: tuple[int, int], grid: HexGrid) -> tuple[float, flo
     q, r = cell
     a = grid.edge_len_m
     return (a * (_SQRT3 * q + _SQRT3 / 2.0 * r), a * 1.5 * r)
-
-
-def hex_cell_center(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]:
-    x, y = hex_cell_center_xy(cell, grid)
-    return unproject(grid, x, y)
 
 
 def hex_cell_key(cell: tuple[int, int]) -> str:

@@ -23,7 +23,6 @@ from .core import (
     Rect,
     Representation,
     TaskDataset,
-    TaskUnit,
     ValidationError,
     read_json_object,
     stable_seed,
@@ -151,18 +150,15 @@ def synth_city(cfg: SynthConfig) -> tuple[TaskDataset, Representation]:
     dx = extent.width / n
     dy = extent.height / n
 
-    units: list[TaskUnit] = []
-    for iy in range(n):
-        for ix in range(n):
-            cell = Rect(extent.x0 + ix * dx, extent.y0 + iy * dy,
-                        extent.x0 + (ix + 1) * dx, extent.y0 + (iy + 1) * dy)
-            units.append(TaskUnit(
-                unit_id=f"c{iy:03d}_{ix:03d}",
-                lon=extent.x0 + (ix + 0.5) * dx,
-                lat=extent.y0 + (iy + 0.5) * dy,
-                geometry_kind="raster_cell",
-                cell_extent=cell,
-            ))
+    # unit ix + n * iy is the cell in column ix and row iy; x0 + (ix + 0.5) * dx
+    # and the rest are the float operations of one unit at a time, elementwise
+    ix = np.tile(np.arange(n, dtype=np.float64), n)
+    iy = np.repeat(np.arange(n, dtype=np.float64), n)
+    unit_ids = [f"c{r:03d}_{c:03d}" for r in range(n) for c in range(n)]
+    lons = extent.x0 + (ix + 0.5) * dx
+    lats = extent.y0 + (iy + 0.5) * dy
+    cells = np.column_stack([extent.x0 + ix * dx, extent.y0 + iy * dy,
+                             extent.x0 + (ix + 1) * dx, extent.y0 + (iy + 1) * dy])
     flat = field_grid.reshape(-1)
 
     if cfg.label_kind == "scalar":
@@ -178,7 +174,7 @@ def synth_city(cfg: SynthConfig) -> tuple[TaskDataset, Representation]:
         e = np.exp(z)
         labels = e / e.sum(axis=1, keepdims=True)
 
-    task = TaskDataset(cfg.city, cfg.task, units, labels, extent,
+    task = TaskDataset(cfg.city, cfg.task, unit_ids, lons, lats, cells, labels, extent,
                        n_classes=cfg.n_classes if cfg.label_kind == "class" else None)
 
     rng = np.random.default_rng(stable_seed(cfg.seed, "embedding"))
@@ -194,11 +190,9 @@ def synth_city(cfg: SynthConfig) -> tuple[TaskDataset, Representation]:
         rep = Representation(model_id="pe", dim=support.dim, support=support)
     else:
         keep = rng.random(n * n) < cfg.density
-        lons = np.array([u.lon for u in units])[keep]
-        lats = np.array([u.lat for u in units])[keep]
         base = flat[keep][:, None].repeat(cfg.dim, axis=1)
         if cfg.noise_sd > 0:
             base = base + cfg.noise_sd * rng.standard_normal(base.shape)
-        support = EntitySetSupport(lons=lons, lats=lats, vectors=base)
+        support = EntitySetSupport(lons=task.lons[keep], lats=task.lats[keep], vectors=base)
         rep = Representation(model_id="sparse_entities", dim=cfg.dim, support=support)
     return task, rep

@@ -106,11 +106,11 @@ class TestHandDerivedValues:
 
 class TestSplitProtocolConstants:
     def grid_task(self):
-        from urbanbench.core import TaskDataset, TaskUnit
+        from reference import TaskUnit, dataset
 
         units = [TaskUnit(f"u{iy}_{ix}", (ix + 0.5), (iy + 0.5))
                  for iy in range(10) for ix in range(10)]
-        return TaskDataset("demo", "POP", units, np.zeros(100), Rect(0, 0, 10, 10))
+        return dataset("demo", "POP", units, np.zeros(100), Rect(0, 0, 10, 10))
 
     def test_block_counts_and_reproducibility(self):
         task = self.grid_task()

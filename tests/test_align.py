@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import TaskUnit, dataset, hex_cell_center, units_of
 from urbanbench.align import (
     AlignedMatrix,
     _hex_cells_overlapping,
@@ -31,14 +32,11 @@ from urbanbench.core import (
     EntitySetSupport,
     RasterSupport,
     Rect,
-    TaskDataset,
-    TaskUnit,
     ValidationError,
 )
 from urbanbench.grid import (
     HexGrid,
     hex_axial_xy,
-    hex_cell_center,
     hex_cell_center_xy,
     hex_cell_of,
     project,
@@ -49,7 +47,7 @@ from urbanbench.pe_encoder import pe_support
 def point_task(points, city="demo", task="POP"):
     units = [TaskUnit(f"u{i}", x, y) for i, (x, y) in enumerate(points)]
     labels = np.zeros(len(units))
-    return TaskDataset(city, task, units, labels, Rect(-1, -1, 1, 1))
+    return dataset(city, task, units, labels, Rect(-1, -1, 1, 1))
 
 
 def cell_task(extents, city="demo", task="POP"):
@@ -57,7 +55,7 @@ def cell_task(extents, city="demo", task="POP"):
     for i, (x0, y0, x1, y1) in enumerate(extents):
         units.append(TaskUnit(f"u{i}", (x0 + x1) / 2, (y0 + y1) / 2, "raster_cell",
                               Rect(x0, y0, x1, y1)))
-    return TaskDataset(city, task, units, np.zeros(len(units)), Rect(-1, -1, 1, 1))
+    return dataset(city, task, units, np.zeros(len(units)), Rect(-1, -1, 1, 1))
 
 
 def raster(values, x0=-1.0, y0=-1.0, dx=None, dy=None):
@@ -401,7 +399,7 @@ def _golden_cases():
                             lats=rng.uniform(-0.022, 0.022, 25),
                             vectors=rng.standard_normal((25, 3)))
     hexgrid = HexGrid(0.001, -0.002)
-    keys = sorted({hex_cell_of(u.lon, u.lat, hexgrid) for t in (cells, points) for u in t.units})
+    keys = sorted({hex_cell_of(u.lon, u.lat, hexgrid) for t in (cells, points) for u in units_of(t)})
     keep = rng.random(len(keys)) < 0.5
     table = CellTableSupport(grid=hexgrid, table={k: rng.standard_normal(3)
                                                   for k, kept in zip(keys, keep) if kept})
@@ -459,7 +457,7 @@ def _align_units(model_id, task, dim, vec_of):
     invalid and keeps a zero row."""
     rows = np.zeros((task.n, dim), dtype=np.float64)
     valid = np.zeros(task.n, dtype=bool)
-    for i, unit in enumerate(task.units):
+    for i, unit in enumerate(units_of(task)):
         vec = vec_of(unit)
         if vec is not None:
             rows[i] = vec
@@ -606,7 +604,7 @@ def alignment_cases(draw):
             units.append(TaskUnit(f"u{i}", x, y))
         else:
             units.append(TaskUnit(f"u{i}", x, y, "raster_cell", ce))
-    task = TaskDataset("demo", "POP", units, np.zeros(len(units)), Rect(-1, -1, 1, 1))
+    task = dataset("demo", "POP", units, np.zeros(len(units)), Rect(-1, -1, 1, 1))
     return ras, ents, hexgrid, task
 
 
@@ -658,7 +656,7 @@ def test_raster_mean_sums_as_np_mean(dim):
     # point unit sharing one cell keeps its -0.0
     units = [TaskUnit("cell", 0.5, 0.5, "raster_cell", Rect(0.0, 0.0, 1.0, 1.0)),
              TaskUnit("point", 0.25, 0.25)]
-    task = TaskDataset("demo", "POP", units, np.zeros(2), Rect(-1, -1, 1, 1))
+    task = dataset("demo", "POP", units, np.zeros(2), Rect(-1, -1, 1, 1))
     m = align_raster(raster(np.full((2, 2, dim), -0.0), x0=0.0, y0=0.0, dx=0.5, dy=0.5), task)
     assert m.valid.all()
     assert not np.signbit(m.rows[0]).any() and np.signbit(m.rows[1]).all()

@@ -303,8 +303,8 @@ class TestRun:
 
         def write_table(name, grid, comment):
             cells: dict = {}
-            for u, y in zip(task.units, task.labels):
-                cells.setdefault(hex_cell_of(u.lon, u.lat, grid), []).append(y)
+            for lon, lat, y in zip(task.lons.tolist(), task.lats.tolist(), task.labels):
+                cells.setdefault(hex_cell_of(lon, lat, grid), []).append(y)
             table = {c: np.full(2, np.mean(v)) for c, v in cells.items()}
             path = bench / f"{name}.csv"
             write_cell_table_csv(path, CellTableSupport(grid=grid, table=table))
@@ -419,11 +419,12 @@ class TestResultStore:
 
     def test_constant_labels_yield_degenerate_r2(self, tmp_path):
         # zero-variance targets: scaler disabled, R2 flagged NaN, run continues
-        from urbanbench.core import write_task_dataset, TaskDataset, TaskUnit
+        from reference import TaskUnit, dataset
+        from urbanbench.core import write_task_dataset
 
         units = [TaskUnit(f"u{iy}_{ix}", 0.1 * ix + 0.05, 0.1 * iy + 0.05)
                  for iy in range(10) for ix in range(10)]
-        ds = TaskDataset("flat", "POP", units, np.full(100, 7.0), Rect(0, 0, 1, 1))
+        ds = dataset("flat", "POP", units, np.full(100, 7.0), Rect(0, 0, 1, 1))
         write_task_dataset(tmp_path / "task.csv", ds)
         manifest = {"cities": {"flat": {"tasks": {"POP": "task.csv"}}},
                     "models": {"pe": {"dim": 192, "support": "coordinate_encoder",
@@ -858,3 +859,16 @@ class TestImportPath:
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+    def test_package_import_loads_no_submodule(self):
+        # `import urbanbench` is only the package; each verb imports what it uses
+        import urbanbench
+
+        script = ("import sys, urbanbench\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('urbanbench.')))\n"
+                  "from urbanbench import cli, heads\n")
+        src = str(Path(urbanbench.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import urbanbench.core as core
+from reference import TaskUnit, contains, dataset, units_of
 from urbanbench.cli import main
 from urbanbench.core import (
     DISTRIBUTION_SUM_TOL,
@@ -17,7 +19,6 @@ from urbanbench.core import (
     TASKS,
     Rect,
     TaskDataset,
-    TaskUnit,
     ValidationError,
     load_manifest,
     load_task_dataset,
@@ -35,28 +36,6 @@ def scalar_file(tmp_path, rows, task="POP", city="demo", extent="0.0 0.0 10.0 10
     return p
 
 
-class TestTaskUnit:
-    def test_valid_point(self):
-        u = TaskUnit("u1", 1.0, 2.0)
-        assert u.geometry_kind == "point"
-
-    def test_lon_out_of_range(self):
-        with pytest.raises(ValidationError, match="lon"):
-            TaskUnit("u1", 190.0, 0.0)
-
-    def test_lat_out_of_range(self):
-        with pytest.raises(ValidationError, match="lat"):
-            TaskUnit("u1", 0.0, 91.0)
-
-    def test_raster_cell_requires_extent(self):
-        with pytest.raises(ValidationError, match="cell_extent"):
-            TaskUnit("u1", 0.0, 0.0, "raster_cell")
-
-    def test_raster_cell_extent_must_contain_point(self):
-        with pytest.raises(ValidationError, match="contain"):
-            TaskUnit("u1", 5.0, 5.0, "raster_cell", Rect(0, 0, 1, 1))
-
-
 class TestLoadTaskDataset:
     def test_four_scalar_rows(self, tmp_path):
         p = scalar_file(tmp_path, [f"u{i},{i}.0,{i}.0,{i}.5" for i in range(4)])
@@ -69,7 +48,7 @@ class TestLoadTaskDataset:
     def test_order_preserved(self, tmp_path):
         p = scalar_file(tmp_path, ["b,1.0,1.0,1.0", "a,2.0,2.0,2.0"])
         ds = load_task_dataset(p)
-        assert [u.unit_id for u in ds.units] == ["b", "a"]
+        assert ds.unit_ids == ("b", "a")
 
     def test_age_distribution_accepted(self, tmp_path):
         p = tmp_path / "age.csv"
@@ -142,8 +121,8 @@ class TestLoadTaskDataset:
         p.write_text("# task POP\n# city demo\n# extent 0.0 0.0 1.0 1.0\n"
                      "unit_id,lon,lat,x0,y0,x1,y1,value\nu0,0.5,0.5,0.0,0.0,1.0,1.0,3.0\n")
         ds = load_task_dataset(p)
-        assert ds.units[0].geometry_kind == "raster_cell"
-        assert ds.units[0].cell_extent == Rect(0, 0, 1, 1)
+        assert ds.is_cell.tolist() == [True]
+        assert ds.cell_extents.tolist() == [[0.0, 0.0, 1.0, 1.0]]
 
 
     def test_lazy_units_match_columns(self, tmp_path):
@@ -155,8 +134,8 @@ class TestLoadTaskDataset:
         assert ds.unit_ids == ("a", "b") and ds.is_cell.tolist() == [True, True]
         assert ds.lons.tolist() == [0.5, 1.5] and ds.lats.tolist() == [0.5, 0.5]
         assert ds.cell_extents.tolist() == [[0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 2.0, 1.0]]
-        assert ds.units == (TaskUnit("a", 0.5, 0.5, "raster_cell", Rect(0, 0, 1, 1)),
-                            TaskUnit("b", 1.5, 0.5, "raster_cell", Rect(1, 0, 2, 1)))
+        assert units_of(ds) == (TaskUnit("a", 0.5, 0.5, "raster_cell", Rect(0, 0, 1, 1)),
+                                TaskUnit("b", 1.5, 0.5, "raster_cell", Rect(1, 0, 2, 1)))
         assert not ds.lons.flags.writeable and not ds.cell_extents.flags.writeable
 
     @pytest.mark.parametrize("row, message", [
@@ -167,16 +146,39 @@ class TestLoadTaskDataset:
         (("u", 0.5, 0.5, 0.0, 0.0, math.inf, 1.0), "rectangle coordinates must be finite"),
         (("u", 0.5, 0.5, math.nan, 0.0, 1.0, 1.0),
          "unit u: cell_extent only allowed for raster_cell units"),
+        pytest.param(("u1", 190.0, 0.0, *[math.nan] * 4), "unit u1: lon 190.0 out of [-180,180]",
+                     id="lon-out-of-range"),
+        pytest.param(("u1", 0.0, 91.0, *[math.nan] * 4), "unit u1: lat 91.0 out of [-90,90]",
+                     id="lat-out-of-range"),
+        pytest.param(("u1", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                     "unit u1: raster_cell requires a nonempty cell_extent", id="raster-needs-extent"),
+        pytest.param(("u1", 5.0, 5.0, 0.0, 0.0, 1.0, 1.0),
+                     "unit u1: cell_extent does not contain its point", id="extent-contains-point"),
+        pytest.param(("u", 0.5, 0.5, 1.0, 0.0, 0.0, 1.0),
+                     "inverted rectangle Rect(x0=1.0, y0=0.0, x1=0.0, y1=1.0)", id="inverted"),
+        pytest.param(("u", 0.5, 0.5, 0.0, 0.0, 0.0, math.nan), "rectangle coordinates must be finite",
+                     id="rect-checks-first"),
+        pytest.param(("u,1", 0.5, 0.5, *[math.nan] * 4),
+                     "unit_id 'u,1' contains ',', '\"', CR or LF", id="id-comma"),
+        pytest.param(('"u"', 0.5, 0.5, *[math.nan] * 4),
+                     "unit_id '\"u\"' contains ',', '\"', CR or LF", id="id-quote"),
+        pytest.param(("u\r", 190.0, 91.0, *[math.nan] * 4),
+                     "unit_id 'u\\r' contains ',', '\"', CR or LF", id="id-before-coordinates"),
+        pytest.param(("a\nb", 0.5, 0.5, *[math.nan] * 4),
+                     "unit_id 'a\\nb' contains ',', '\"', CR or LF", id="id-newline"),
     ])
     def test_columns_get_the_unit_checks(self, row, message):
-        # a dataset built from columns runs the TaskUnit checks on them
+        # the constructor runs every unit rule on its columns, in order
         uid, lon, lat, *ce = row
         with pytest.raises(ValidationError) as e:
-            TaskDataset._from_columns("demo", "POP", ("ok", uid), np.array([0.5, lon]),
-                                      np.array([0.5, lat]),
-                                      np.array([[math.nan] * 4, ce], dtype=np.float64),
-                                      np.zeros(2), Rect(0, 0, 1, 1))
+            TaskDataset("demo", "POP", ("ok", uid), np.array([0.5, lon]), np.array([0.5, lat]),
+                        np.array([[math.nan] * 4, ce]), np.zeros(2), Rect(0, 0, 1, 1))
         assert str(e.value) == message
+
+    def test_valid_point_columns(self):
+        ds = TaskDataset("demo", "POP", ["u1"], [1.0], [2.0], [[math.nan] * 4], [0.5],
+                         Rect(0, 0, 2, 2))
+        assert ds.unit_ids == ("u1",) and not ds.is_cell.any()
 
     def test_distribution_sum_overflow_names_line(self, tmp_path):
         p = tmp_path / "age.csv"
@@ -197,11 +199,14 @@ class TestLoadTaskDataset:
 
 def _ref_load_task_dataset(path):
     """The per-row loader that `load_task_dataset` replaced: one TaskUnit and
-    Rect per row, each row checked before the next. Catching OverflowError
-    (math.fsum's intermediate overflow) is the one change."""
+    Rect per row, each row checked before the next. The changes: it catches
+    OverflowError (math.fsum's intermediate overflow), lines end at CR, LF or
+    CRLF only, and the TaskUnit rejects an id the CSV would not keep."""
     meta = {}
     with open_text(path) as f:
-        raw_lines = f.read().splitlines()
+        raw_lines = re.split(r"\r\n|\r|\n", f.read())
+    if raw_lines[-1] == "":
+        raw_lines.pop()
 
     lineno = 0
     n_lines = len(raw_lines)
@@ -305,10 +310,10 @@ def _ref_load_task_dataset(path):
         if u.unit_id in seen:
             raise ValidationError(f"{path}: duplicate unit_id {u.unit_id!r}")
         seen.add(u.unit_id)
-        if not extent.contains(u.lon, u.lat):
+        if not contains(extent, u.lon, u.lat):
             raise ValidationError(f"{path}: unit {u.unit_id} outside dataset extent")
     try:
-        return TaskDataset(city, task, units, labels, extent, n_classes=n_classes)
+        return dataset(city, task, units, labels, extent, n_classes=n_classes)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
@@ -381,7 +386,7 @@ def _outcome(load, path):
     return ("ok", ds.city, ds.task, ds.unit_ids, ds.lons.tobytes(), ds.lats.tobytes(),
             ds.cell_extents.tobytes(), ds.is_cell.tobytes(), ds.labels.dtype.str,
             ds.labels.shape, ds.labels.tobytes(), np.array([e.x0, e.y0, e.x1, e.y1]).tobytes(),
-            ds.n_classes, ds.units)
+            ds.n_classes)
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -400,11 +405,39 @@ class TestRoundTrip:
     ])
     def test_write_load_write_identical(self, tmp_path, task, labels, n_classes):
         units = [TaskUnit(f"u{i}", 0.25 * i, 0.5 * i) for i in range(3)]
-        ds = TaskDataset("demo", task, units, labels, Rect(0, 0, 2, 2), n_classes=n_classes)
+        ds = dataset("demo", task, units, labels, Rect(0, 0, 2, 2), n_classes=n_classes)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_task_dataset(p1, ds)
         write_task_dataset(p2, load_task_dataset(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_comma_id_does_not_load(self, tmp_path):
+        # "u,1" would be written unquoted and read back as two fields
+        p = scalar_file(tmp_path, ["u0,0.5,0.5,1.0", '"u,1",0.5,0.5,1.0'])
+        with pytest.raises(ValidationError) as e:
+            load_task_dataset(p)
+        assert str(e.value) == f"{p}:6: unit_id 'u,1' contains ',', '\"', CR or LF"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(ids=st.lists(st.text(), min_size=1, max_size=6, unique=True),
+       data=st.data())
+def test_every_accepted_dataset_round_trips(tmp_path_factory, ids, data):
+    lons = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(ids), max_size=len(ids)))
+    lats = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(ids), max_size=len(ids)))
+    try:
+        ds = TaskDataset("c", "POP", ids, lons, lats, np.full((len(ids), 4), math.nan),
+                         np.arange(len(ids), dtype=float), Rect(-1, -1, 1, 1))
+    except ValidationError:
+        assert any(not uid or re.search('[,"\r\n]', uid) for uid in ids)
+        return
+    p1 = tmp_path_factory.getbasetemp() / "round_trip_a.csv"
+    p2 = tmp_path_factory.getbasetemp() / "round_trip_b.csv"
+    write_task_dataset(p1, ds)
+    back = load_task_dataset(p1)
+    write_task_dataset(p2, back)
+    assert back.unit_ids == ds.unit_ids
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestTaskMetadata:

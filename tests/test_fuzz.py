@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import TaskUnit, dataset
 from urbanbench.align import (
     read_cell_table_csv,
     read_entity_csv,
@@ -30,8 +31,6 @@ from urbanbench.core import (
     RasterSupport,
     Rect,
     ResultRecord,
-    TaskDataset,
-    TaskUnit,
     ValidationError,
     load_manifest,
     load_task_dataset,
@@ -55,14 +54,12 @@ def _valid_files() -> dict[str, bytes]:
             ResultRecord("m", "POP", "c", 42, "spatial", "mae", float("nan"), 7)]
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
-        pop = TaskDataset("c", "POP", units, np.arange(4.0), Rect(0.0, 0.0, 1.0, 1.0))
+        pop = dataset("c", "POP", units, np.arange(4.0), Rect(0.0, 0.0, 1.0, 1.0))
         write_task_dataset(d / "pop.csv", pop)
-        write_task_dataset(d / "luc.csv", TaskDataset("c", "LUC", units, np.array([0, 1, 2, 1]),
-                                                      Rect(0.0, 0.0, 1.0, 1.0), n_classes=3))
-        write_task_dataset(d / "age.csv", TaskDataset("c", "AGE", units, probs,
-                                                      Rect(0.0, 0.0, 1.0, 1.0)))
-        write_task_dataset(d / "lst.csv", TaskDataset("c", "LST", cells, np.ones(3),
-                                                      Rect(0.0, 0.0, 3.0, 1.0)))
+        write_task_dataset(d / "luc.csv", dataset("c", "LUC", units, np.array([0, 1, 2, 1]),
+                                                  Rect(0.0, 0.0, 1.0, 1.0), n_classes=3))
+        write_task_dataset(d / "age.csv", dataset("c", "AGE", units, probs, Rect(0.0, 0.0, 1.0, 1.0)))
+        write_task_dataset(d / "lst.csv", dataset("c", "LST", cells, np.ones(3), Rect(0.0, 0.0, 3.0, 1.0)))
         write_erf(d / "r.erf", RasterSupport(0.0, 0.0, 0.5, 0.5, 2, 2,
                                              np.arange(8, dtype=np.float32).reshape(2, 2, 2)))
         write_entity_csv(d / "e.csv", EntitySetSupport(np.array([0.1, 0.2]), np.array([0.3, 0.4]),
@@ -86,7 +83,8 @@ def _valid_files() -> dict[str, bytes]:
 
 VALID = _valid_files()
 TOKENS = [b"nan", b"inf", b"-1", b"0", b"1e400", b"abc", b",", b"\n", b"\r", b"#", b'"', b":",
-          b" ", b"\xff", b"\xc3", b"\x00", b"# classes x\n", b"# extent 1 2\n", b"# hexgrid 0 0\n"]
+          b" ", b"\xff", b"\xc3", b"\x00", b"# classes x\n", b"# extent 1 2\n", b"# hexgrid 0 0\n",
+          b"9" * 200_001]  # past the csv module's field size limit
 
 
 @st.composite
@@ -204,3 +202,27 @@ def test_non_utf8_text_names_file(workdir, reader):
     path.write_bytes("key_or_lon,lat,caf\xe9\n".encode("latin-1"))
     with pytest.raises(ValidationError, match=f"latin1_{reader}: not UTF-8 text"):
         READERS[reader](path)
+
+
+# One field past the csv module's 131072-character limit, in the first body
+# row of each CSV format: the reader names the file and the line.
+OVERLONG = {
+    "task_csv": ("pop.csv", 5),
+    "entity_csv": ("e.csv", 2),
+    "cell_table": ("t.csv", 3),
+    "cell_table_with_grid": ("t.csv", 3),
+    "result_store": ("results.csv", 2),
+    "factors": ("factors.csv", 2),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(OVERLONG))
+def test_overlong_csv_field_names_file_and_line(workdir, reader):
+    name, line = OVERLONG[reader]
+    lines = VALID[name].split(b"\n")
+    lines[line - 1] = b"9" * 200_001 + lines[line - 1]
+    path = workdir / f"overlong_{reader}"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValidationError) as e:
+        READERS[reader](path)
+    assert str(e.value).startswith(f"{path}:{line}: malformed CSV (field larger than field limit")

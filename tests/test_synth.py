@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference import dataset, synth_units
 
 from urbanbench.align import align_entities_direct, coverage
 from urbanbench.cli import align_support, leakage_experiment
-from urbanbench.core import Rect, ValidationError
+from urbanbench.core import Rect, ValidationError, write_task_dataset
 from urbanbench.grid import HexGrid
 from urbanbench.heads import HeadConfig
 from urbanbench.synth import SynthConfig, generate_field, lag1_autocorr, synth_city
@@ -15,6 +19,31 @@ CELL32 = 0.2 / 32  # one cell in extent units
 
 LINEAR_HEAD = HeadConfig(kind="linear", output="scalar", n_out=1,
                          batch_size=128, max_epochs=150, patience=10)
+
+
+# Corners and sizes with a signed zero, widths that are not a power of two
+# times an integer, and arbitrary ones.
+CORNERS = st.sampled_from([-0.0, 0.0, -0.1, 0.3, -73.99]) | st.floats(-10.0, 10.0)
+SIZES = st.sampled_from([0.2, 0.1, 1 / 3, 0.7, 0.0123]) | st.floats(1e-3, 5.0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n=st.integers(8, 40), x0=CORNERS, y0=CORNERS, w=SIZES, h=SIZES,
+       label_kind=st.sampled_from(["scalar", "class"]))
+def test_synth_columns_match_per_unit_loop(tmp_path_factory, n, x0, y0, w, h, label_kind):
+    extent = Rect(x0, y0, x0 + w, y0 + h)
+    cfg = SynthConfig(n=n, extent=extent, length_scale=min(extent.width, extent.height) / 4,
+                      label_kind=label_kind, n_classes=3)
+    task, _ = synth_city(cfg)
+    ref = dataset(cfg.city, cfg.task, synth_units(extent, n), task.labels, extent,
+                  n_classes=task.n_classes if label_kind == "class" else None)
+    assert task.unit_ids == ref.unit_ids
+    for column in ("lons", "lats", "cell_extents", "is_cell", "labels"):
+        assert getattr(task, column).tobytes() == getattr(ref, column).tobytes(), column
+    paths = [tmp_path_factory.getbasetemp() / f"synth_{name}.csv" for name in ("columns", "loop")]
+    for path, ds in zip(paths, (task, ref)):
+        write_task_dataset(path, ds)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestGenerateField:
@@ -61,10 +90,10 @@ class TestSynthCity:
         cfg = SynthConfig(n=8, extent=Rect(0.0, 0.0, 0.8, 0.8))
         task, _ = synth_city(cfg)
         assert task.n == 64
-        u = task.units[0]
-        assert u.geometry_kind == "raster_cell"
-        assert u.lon == pytest.approx(0.05)
-        assert u.cell_extent.contains(u.lon, u.lat)
+        assert task.is_cell.all()
+        assert task.lons[0] == pytest.approx(0.05)
+        x0, y0, x1, y1 = task.cell_extents[0]
+        assert x0 <= task.lons[0] <= x1 and y0 <= task.lats[0] <= y1
 
     def test_scalar_labels_equal_field(self):
         cfg = SynthConfig(n=16, seed=7, label_kind="scalar", embedding_kind="field_value")
