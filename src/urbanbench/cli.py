@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,17 +33,6 @@ from .align import (
     write_entity_csv,
     write_erf,
 )
-from .aggregate import (
-    CityScore,
-    ResultRecord,
-    city_ranks,
-    city_score,
-    mean_city_rank,
-    overall_rank,
-    spearman_factor_correlation,
-    split_delta,
-    task_summary,
-)
 from .core import (
     AGE_CITIES,
     BENCHMARK_CITIES,
@@ -53,6 +43,7 @@ from .core import (
     EntitySetSupport,
     Manifest,
     RasterSupport,
+    ResultRecord,
     TaskDataset,
     ValidationError,
     _fmt,
@@ -71,7 +62,9 @@ from .heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, LEARNING_R
 from .metrics import KL_EPSILON, classification_metrics, distribution_metrics, regression_metrics
 from .pe_encoder import N_FREQ, PE_ENCODER_ID, R_MAX_M, R_MIN_M, get_encoder
 from .split import DEFAULT_SEEDS, DEFAULT_TEST_FRAC, DEFAULT_VAL_FRAC, TEST, random_split, spatial_split, write_split_csv
-from .synth import SynthConfig, read_synth_config, synth_city
+
+if TYPE_CHECKING:
+    from .synth import SynthConfig
 
 STORE_HEADER = ("model", "task", "city", "seed", "protocol", "metric", "value", "n_test")
 _METRIC_ORDER = {m: i for kind in METRICS_FOR_KIND.values() for i, m in enumerate(kind)}
@@ -423,6 +416,8 @@ def leakage_experiment(cfg: SynthConfig, head_cfg: HeadConfig,
 
     mean_delta = mean(random R2 - spatial R2) is the leakage diagnostic.
     """
+    from .synth import synth_city
+
     if cfg.label_kind != "scalar":
         raise ValidationError("leakage experiment uses scalar labels")
     task, rep = synth_city(cfg)
@@ -450,6 +445,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def report(out_dir: str | Path, factors_path: str | Path | None = None, log=print) -> dict[str, Path]:
     """Aggregate a result store into summary files and a text leaderboard."""
+    from .aggregate import (CityScore, city_ranks, city_score, mean_city_rank, overall_rank,
+                            spearman_factor_correlation, split_delta, task_summary)
+
     out_dir = Path(out_dir)
     store_path = out_dir / "results.csv"
     records = read_result_store(store_path)
@@ -577,6 +575,8 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
 def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
     """Persist a synthetic city in the standard formats plus a manifest, so
     the instance is indistinguishable from loaded real data downstream."""
+    from .synth import synth_city
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     task, rep = synth_city(cfg)
@@ -685,6 +685,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import read_synth_config
+
     paths = write_synth_city(read_synth_config(args.config), args.out)
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")

@@ -228,9 +228,10 @@ class TaskDataset:
         self.city = city
         self.task = task
         self.unit_ids = unit_ids = tuple(unit_ids)
-        self.lons = lons = np.asarray(lons, dtype=np.float64)
-        self.lats = lats = np.asarray(lats, dtype=np.float64)
-        self.cell_extents = np.asarray(cell_extents, dtype=np.float64).reshape(-1, 4)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        self.lons = lons = np.array(lons, dtype=np.float64)
+        self.lats = lats = np.array(lats, dtype=np.float64)
+        self.cell_extents = np.array(cell_extents, dtype=np.float64).reshape(-1, 4)
         self.is_cell = ~np.isnan(self.cell_extents[:, 0])
         for a in (lons, lats, self.cell_extents, self.is_cell):
             a.setflags(write=False)
@@ -280,6 +281,8 @@ class TaskDataset:
             labels = labels.astype(np.float64)
             if np.any(labels < 0):
                 raise ValidationError("distribution entries must be nonnegative")
+            if not np.all(np.isfinite(labels)):
+                raise ValidationError("distribution entries must be finite")
             sums = labels.sum(axis=1)
             bad = np.nonzero(np.abs(sums - 1.0) > DISTRIBUTION_SUM_TOL)[0]
             if bad.size:
@@ -416,7 +419,7 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         labels = _parsed(payload[0], int, bad)
     else:
         labels = np.column_stack([_parsed(c, float, bad) for c in payload]) if n else np.zeros((0, 2))
-        bad |= (labels < 0).any(axis=1)
+        bad |= (labels < 0).any(axis=1) | ~np.isfinite(labels).all(axis=1)
         bad |= np.abs(_parsed(labels.tolist(), math.fsum, bad) - 1.0) > DISTRIBUTION_SUM_TOL
     if bad.any():
         # no row before the first bad row breaks a unit rule, so `unit_error` is its own
@@ -498,6 +501,8 @@ def _row_error(fields: list[str], width: int, has_extent: bool, kind: str,
             vec = [float(v) for v in payload]
             if any(v < 0 for v in vec):
                 return f"unit {fields[0]}: negative probability"
+            if not all(map(math.isfinite, vec)):
+                return f"unit {fields[0]}: non-finite probability"
             return f"unit {fields[0]}: distribution sums to {math.fsum(vec)!r}, not 1"
     except (ValueError, OverflowError) as e:
         return f"malformed row ({e})"

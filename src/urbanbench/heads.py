@@ -3,8 +3,10 @@
 Protocol defaults: hidden 1024, batch 512, lr 1e-3, at most 100 epochs,
 validation early stopping with patience 10, regression targets
 standardized on the training units. Training is float64 throughout and
-bit-deterministic given the run seed. `train_head` reuses one hidden-layer
-buffer across its batches.
+bit-deterministic given the run seed. `train_head` allocates its arrays once
+per head: the parameters, their gradient and the Adam moments are flat
+vectors with a view per parameter, and every batch writes its hidden
+activations, their gradient and the ReLU mask into fixed buffers.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .split import SplitAssignment, TRAIN, VAL
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
+ADAM_BLOCK = 32768  # elements per in-place pass of an Adam step: 256 KiB per vector
 ADAM_EPS = 1e-8
 EARLY_STOP_TOL = 1e-7
 GRADIENT_CHECK_STEP = 1e-5
@@ -113,6 +116,29 @@ def _init_params(cfg: HeadConfig, dim: int, rng: np.random.Generator) -> dict[st
     }
 
 
+def _flat_views(flat: np.ndarray, like: dict) -> dict[str, np.ndarray]:
+    """Views into `flat` with the keys and shapes of `like`, laid end to end."""
+    views, start = {}, 0
+    for k, v in like.items():
+        views[k] = flat[start:start + v.size].reshape(v.shape)
+        start += v.size
+    return views
+
+
+class _BatchBuffers:
+    """What one batch step writes: a flat gradient vector (`grad`, with a view
+    per parameter in `grads`) and, for an MLP, the hidden activations `h`,
+    their gradient `dh` and the ReLU `mask` of up to `rows` units."""
+
+    def __init__(self, params: dict, cfg: HeadConfig, rows: int):
+        self.grad = np.empty(sum(p.size for p in params.values()))
+        self.grads = _flat_views(self.grad, params)
+        if cfg.kind == "mlp":
+            self.h = np.empty((rows, cfg.hidden_dim))
+            self.dh = np.empty_like(self.h)
+            self.mask = np.empty(self.h.shape, dtype=bool)
+
+
 def _forward(params: dict, cfg: HeadConfig, x: np.ndarray, h: np.ndarray | None = None):
     """Output and hidden activations; an MLP writes the hidden ones into `h` if given."""
     if cfg.kind == "linear":
@@ -157,45 +183,84 @@ def _loss_and_dz(z: np.ndarray, y: np.ndarray, output: str) -> tuple[float, np.n
 
 
 def _backward(params: dict, cfg: HeadConfig, x: np.ndarray, h: np.ndarray | None,
-              dz: np.ndarray) -> dict[str, np.ndarray]:
+              dz: np.ndarray, bufs: _BatchBuffers) -> None:
+    """Write the gradients of every parameter into `bufs.grads`."""
+    g = bufs.grads
     if cfg.kind == "linear":
-        return {"W": x.T @ dz, "b": dz.sum(axis=0)}
-    dh = dz @ params["W2"].T
-    dh *= h > 0.0
-    return {
-        "W1": x.T @ dh, "b1": dh.sum(axis=0),
-        "W2": h.T @ dz, "b2": dz.sum(axis=0),
-    }
+        np.matmul(x.T, dz, out=g["W"])
+        np.sum(dz, axis=0, out=g["b"])
+        return
+    dh = bufs.dh[:len(x)]
+    mask = bufs.mask[:len(x)]
+    if cfg.n_out == 1:
+        # W2[j] * dz[i]: one rounded product per element, as the k=1 matmul
+        # gives; filling then scaling in place is faster than the outer product
+        dh[...] = params["W2"].T
+        dh *= dz
+    else:
+        np.matmul(dz, params["W2"].T, out=dh)
+    np.greater(h, 0.0, out=mask)
+    np.multiply(dh, mask, out=dh)
+    np.matmul(x.T, dh, out=g["W1"])
+    np.sum(dh, axis=0, out=g["b1"])
+    np.matmul(h.T, dz, out=g["W2"])
+    np.sum(dz, axis=0, out=g["b2"])
 
 
-def batch_loss(params: dict, cfg: HeadConfig, x: np.ndarray, y: np.ndarray) -> float:
-    z, _ = _forward(params, cfg, x)
+def batch_loss(params: dict, cfg: HeadConfig, x: np.ndarray, y: np.ndarray,
+               h: np.ndarray | None = None) -> float:
+    z, _ = _forward(params, cfg, x, h)
     loss, _ = _loss_and_dz(z, y, cfg.output)
     return loss
 
 
 def batch_gradients(params: dict, cfg: HeadConfig, x: np.ndarray, y: np.ndarray,
-                    h: np.ndarray | None = None) -> tuple[float, dict[str, np.ndarray]]:
-    z, h = _forward(params, cfg, x, h)
+                    bufs: _BatchBuffers | None = None) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and gradients of one batch, written into `bufs` (throwaway
+    buffers if not given); the gradients returned are views into `bufs.grad`."""
+    if bufs is None:
+        bufs = _BatchBuffers(params, cfg, len(x))
+    z, h = _forward(params, cfg, x, bufs.h[:len(x)] if cfg.kind == "mlp" else None)
     loss, dz = _loss_and_dz(z, y, cfg.output)
-    return loss, _backward(params, cfg, x, h, dz)
+    _backward(params, cfg, x, h, dz, bufs)
+    return loss, bufs.grads
 
 
 class _Adam:
-    def __init__(self, params: dict, lr: float):
+    """Adam over one flat parameter vector, stepped in place one block of
+    ADAM_BLOCK elements at a time, so that a block's passes run in cache."""
+
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._tmp = np.empty((2, min(ADAM_BLOCK, params.size)))
         self.t = 0
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), each rounded as written."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for k, g in grads.items():
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
-            params[k] -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+        for start in range(0, params.size, ADAM_BLOCK):
+            s = slice(start, start + ADAM_BLOCK)
+            p, g, m, v = params[s], grad[s], self.m[s], self.v[s]
+            a, b = self._tmp[:, :p.size]
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            m += a
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            p -= a
 
 
 # ---------------------------------------------------------------------------
@@ -264,36 +329,38 @@ def train_head(
         y_val = scaler.transform(y_val)
 
     rng = np.random.default_rng(run_seed)
-    params = _init_params(cfg, features.dim, rng)
-    adam = _Adam(params, LEARNING_RATE)
+    init = _init_params(cfg, features.dim, rng)
+    flat = np.concatenate([v.ravel() for v in init.values()])
+    params = _flat_views(flat, init)
+    best = flat.copy()
+    adam = _Adam(flat, LEARNING_RATE)
     stopper = EarlyStopper(cfg.patience)
-    best_params = {k: v.copy() for k, v in params.items()}
     best_val = math.inf
     n_train = x_train.shape[0]
-    hbuf = np.empty((min(cfg.batch_size, n_train), cfg.hidden_dim))
+    bufs = _BatchBuffers(params, cfg, min(cfg.batch_size, n_train))
+    h_val = bufs.h[:len(x_val)] if cfg.kind == "mlp" and len(x_val) <= len(bufs.h) else None
     epochs = 0
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            loss, grads = batch_gradients(params, cfg, x_train[sel], y_train[sel],
-                                          h=hbuf[:len(sel)])
+            loss, _ = batch_gradients(params, cfg, x_train[sel], y_train[sel], bufs=bufs)
             if not math.isfinite(loss):
                 raise ValidationError(f"non-finite training loss at epoch {epoch}")
-            adam.step(params, grads)
-        val_loss = batch_loss(params, cfg, x_val, y_val)
+            adam.step(flat, bufs.grad)
+        val_loss = batch_loss(params, cfg, x_val, y_val, h=h_val)
         if not math.isfinite(val_loss):
             raise ValidationError(f"non-finite validation loss at epoch {epoch}")
         epochs = epoch + 1
         stop = stopper.update(val_loss)
         if stopper.improved:
             best_val = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            np.copyto(best, flat)
         if stop:
             break
 
-    return TrainedHead(cfg=cfg, params=best_params, input_dim=features.dim,
+    return TrainedHead(cfg=cfg, params=_flat_views(best, init), input_dim=features.dim,
                        scaler=scaler, best_val_loss=best_val, epochs_run=epochs,
                        degenerate=degenerate)
 

@@ -860,6 +860,29 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
+    def test_run_loads_neither_aggregate_nor_synth(self, bench):
+        # `run` needs neither module; `report` needs aggregate but not synth
+        import urbanbench
+
+        script = (
+            "import sys\n"
+            "from urbanbench.cli import main\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m in ('urbanbench.aggregate', 'urbanbench.synth'))\n"
+            f"code = main(['run', {str(bench / 'manifest.json')!r}, '--out', {str(bench / 'out')!r},"
+            " '--seeds', '42', '--head', 'linear', '--batch-size', '64', '--max-epochs', '10',"
+            " '--patience', '3'])\n"
+            "print('loaded', code, loaded())\n"
+            f"code = main(['report', {str(bench / 'out')!r}])\n"
+            "print('loaded', code, loaded())\n"
+        )
+        src = str(Path(urbanbench.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stdout.splitlines() if line.startswith("loaded ")] == [
+            "loaded 0 []", "loaded 0 ['urbanbench.aggregate']"]
+
     def test_package_import_loads_no_submodule(self):
         # `import urbanbench` is only the package; each verb imports what it uses
         import urbanbench

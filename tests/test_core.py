@@ -58,6 +58,14 @@ class TestLoadTaskDataset:
         assert ds.label_kind == "distribution"
         np.testing.assert_allclose(ds.labels, [[0.5, 0.5]])
 
+    def test_age_nan_probability_names_line(self, tmp_path):
+        p = tmp_path / "age.csv"
+        p.write_text("# task AGE\n# city London\n# extent 0.0 0.0 1.0 1.0\n"
+                     "unit_id,lon,lat,p_0,p_1\nu1,0.5,0.5,0.5,0.5\nu2,0.5,0.5,0.5,nan\n")
+        with pytest.raises(ValidationError) as e:
+            load_task_dataset(p)
+        assert str(e.value) == f"{p}:6: unit u2: non-finite probability"
+
     def test_age_bad_sum_names_unit(self, tmp_path):
         p = tmp_path / "age.csv"
         p.write_text("# task AGE\n# city London\n# extent 0.0 0.0 1.0 1.0\n"
@@ -175,6 +183,23 @@ class TestLoadTaskDataset:
                         np.array([[math.nan] * 4, ce]), np.zeros(2), Rect(0, 0, 1, 1))
         assert str(e.value) == message
 
+    def test_non_finite_distribution_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="distribution entries must be finite"):
+                TaskDataset("demo", "AGE", ["a", "b"], [0.5, 0.5], [0.5, 0.5],
+                            np.full((2, 4), math.nan), [[0.5, bad], [0.5, 0.5]], Rect(0, 0, 1, 1))
+
+    def test_caller_arrays_stay_writeable(self):
+        lons, lats = np.array([0.5, 1.0]), np.array([0.5, 1.0])
+        cells = np.full((2, 4), math.nan)
+        ds = TaskDataset("demo", "POP", ["a", "b"], lons, lats, cells, np.zeros(2), Rect(0, 0, 2, 2))
+        lons[0] = 0.25
+        lats[0] = 0.25
+        cells[0] = 0.0
+        assert ds.lons.tolist() == [0.5, 1.0] and ds.lats.tolist() == [0.5, 1.0]
+        assert np.isnan(ds.cell_extents).all()
+        assert not ds.lons.flags.writeable and not ds.cell_extents.flags.writeable
+
     def test_valid_point_columns(self):
         ds = TaskDataset("demo", "POP", ["u1"], [1.0], [2.0], [[math.nan] * 4], [0.5],
                          Rect(0, 0, 2, 2))
@@ -277,6 +302,8 @@ def _ref_load_task_dataset(path):
                 vec = np.array([float(v) for v in payload], dtype=np.float64)
                 if np.any(vec < 0):
                     raise ValidationError(f"unit {unit_id}: negative probability")
+                if not np.all(np.isfinite(vec)):
+                    raise ValidationError(f"unit {unit_id}: non-finite probability")
                 s = math.fsum(vec.tolist())
                 if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
                     raise ValidationError(f"unit {unit_id}: distribution sums to {s!r}, not 1")

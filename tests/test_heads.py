@@ -181,12 +181,15 @@ class TestTraining:
         y = x @ np.array([0.5, -1.0, 2.0])
         cfg = HeadConfig(kind="mlp", output="scalar", n_out=1, hidden_dim=8,
                          batch_size=32, max_epochs=2, patience=1)
-        from urbanbench.heads import _Adam, _init_params
+        from urbanbench.heads import _Adam, _BatchBuffers, _flat_views, _init_params
 
-        params = _init_params(cfg, 3, np.random.default_rng(0))
+        init = _init_params(cfg, 3, np.random.default_rng(0))
+        flat = np.concatenate([v.ravel() for v in init.values()])
+        params = _flat_views(flat, init)
         before = batch_loss(params, cfg, x, y)
-        loss, grads = batch_gradients(params, cfg, x, y)
-        _Adam(params, 1e-6).step(params, grads)
+        bufs = _BatchBuffers(params, cfg, len(x))
+        batch_gradients(params, cfg, x, y, bufs=bufs)
+        _Adam(flat, 1e-6).step(flat, bufs.grad)
         after = batch_loss(params, cfg, x, y)
         assert after <= before
 
@@ -327,6 +330,10 @@ class TestGoldenTraining:
         # n_train = 134 < batch_size
         (("mlp", "scalar", 1, 200, 16, 512, 5),
          "1f79ce8a0a04ec548485ead0bea77f0beec2e5b4e46527f16651690d5c09087c"),
+        (("linear", "logits", 3, 300, 8, 64, 7),
+         "7a43bb35fc75f26ceeb7de8bd267b50f1c2768c30c77dc13259cafabd4dcb3ef"),
+        (("linear", "distribution", 4, 300, 8, 64, 8),
+         "5b9a839443ecc645dd4065a4c4258b11351711ce4dacacde360a5b7ff441dd0a"),
     ]
 
     @pytest.mark.parametrize("args,digest", CASES)
@@ -345,3 +352,61 @@ class TestGoldenTraining:
         z1, h1 = _forward(params, cfg, features.rows, h=buf[:features.n])
         assert z1.tobytes() == z0.tobytes()
         assert h1.tobytes() == h0.tobytes()
+
+    def test_returned_params_outlive_the_next_head(self):
+        # a head's params must not share memory with any training buffer
+        features, y, split, cfg = _golden_case("mlp", "scalar", 1, 300, 8, 64, 1)
+        first = train_head(features, y, split, cfg, run_seed=1)
+        digest = _head_digest(first, features)
+        features2, y2, split2, cfg2 = _golden_case("mlp", "scalar", 1, 300, 8, 64, 9)
+        train_head(features2, y2, split2, cfg2, run_seed=9)
+        assert _head_digest(first, features) == digest
+
+
+class TestBatchBuffers:
+    """`batch_gradients` into reused buffers gives the bits of a throwaway-buffer call."""
+
+    @staticmethod
+    def _grad_bits(loss, grads):
+        return repr(loss), {k: v.tobytes() for k, v in grads.items()}
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("output,n_out", [("scalar", 1), ("logits", 3), ("distribution", 4)])
+    def test_reused_buffers_match_throwaway(self, kind, output, n_out):
+        from urbanbench.heads import _BatchBuffers, _init_params
+
+        features, y, _, _ = _golden_case(kind, output, n_out, 90, 8, 64, 11)
+        cfg = HeadConfig(kind=kind, output=output, n_out=n_out, hidden_dim=16,
+                         batch_size=64, max_epochs=2, patience=1)
+        params = _init_params(cfg, features.dim, np.random.default_rng(11))
+        bufs = _BatchBuffers(params, cfg, 64)
+        bufs.grad[:] = np.nan
+        if kind == "mlp":
+            for a in (bufs.h, bufs.dh):
+                a[:] = np.nan
+        x = features.rows
+        # a full batch, then a partial last batch into the same buffers
+        for sel in (slice(0, 64), slice(64, 90)):
+            ref = self._grad_bits(*batch_gradients(params, cfg, x[sel], y[sel]))
+            got = self._grad_bits(*batch_gradients(params, cfg, x[sel], y[sel], bufs=bufs))
+            assert got == ref
+
+
+def test_adam_blocks_match_whole_array_formula():
+    # the blocked in-place step gives the bits of the whole-array expressions
+    from urbanbench.heads import ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS, _Adam
+
+    rng = np.random.default_rng(12)
+    size = 2 * ADAM_BLOCK + 5
+    p = rng.standard_normal(size)
+    ref_p, ref_m, ref_v = p.copy(), np.zeros(size), np.zeros(size)
+    adam = _Adam(p, LEARNING_RATE)
+    for t in range(1, 4):
+        g = rng.standard_normal(size)
+        adam.step(p, g)
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
+        ref_m = ADAM_BETA1 * ref_m + (1.0 - ADAM_BETA1) * g
+        ref_v = ADAM_BETA2 * ref_v + (1.0 - ADAM_BETA2) * g * g
+        ref_p -= LEARNING_RATE * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + ADAM_EPS)
+        assert p.tobytes() == ref_p.tobytes()
