@@ -31,8 +31,11 @@ from .core import (
     TaskDataset,
     ValidationError,
     _fmt,
+    check_rows,
     csv_rows,
     open_text,
+    parse_column,
+    repeats,
 )
 from .grid import (
     HexGrid,
@@ -376,38 +379,39 @@ def write_entity_csv(path: str | Path, rep: EntitySetSupport) -> None:
 def read_entity_csv(path: str | Path) -> EntitySetSupport:
     path = Path(path)
     with open_text(path) as f:
-        rows = [(ln, r) for ln, r in csv_rows(path, f) if r and not r[0].startswith("#")]
-    if not rows:
+        numbered = [(ln, r) for ln, r in csv_rows(path, f) if r and not r[0].startswith("#")]
+    if not numbered:
         raise ValidationError(f"{path}: empty entity file")
-    (_, header), data = rows[0], rows[1:]
-    dim = len(header) - 2
-    if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
+    (_, header), numbered = numbered[0], numbered[1:]
+    width = len(header)
+    if width < 3 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    try:
-        values = _float_matrix([r for _, r in data], dim + 2)
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values[:, 2:]).all():
-        for ln, r in data:  # the first bad row, for its message
-            if len(r) != dim + 2:
-                raise ValidationError(f"{path}:{ln}: expected {dim + 2} values, got {len(r)}")
-            try:
-                vec = [float(v) for v in r]
-            except ValueError:
-                raise ValidationError(f"{path}:{ln}: malformed entity row") from None
-            if not all(map(math.isfinite, vec[2:])):
-                raise ValidationError(f"{path}:{ln}: non-finite value")
+    rows = [r for _, r in numbered]
+    values, ragged, unparsed = _float_rows(rows, width)
+    check_rows([
+        (ragged, lambda i: f"expected {width} values, got {len(rows[i])}"),
+        (unparsed, lambda i: "malformed entity row"),
+        (~np.isfinite(values[:, 2:]).all(axis=1), lambda i: "non-finite value"),
+    ], path, numbered)
     return EntitySetSupport(lons=values[:, 0].copy(), lats=values[:, 1].copy(),
                             vectors=values[:, 2:].copy())
 
 
-def _float_matrix(rows: list[list[str]], ncols: int) -> np.ndarray:
-    """The rows' values through float() as one (len(rows), ncols) matrix;
-    ValueError when a row has another length or a value is not a number."""
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged rows")
-    return np.array(list(map(float, chain.from_iterable(rows))),
-                    dtype=np.float64).reshape(len(rows), ncols)
+def _float_rows(rows: list[list[str]], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, ragged, unparsed): the rows' fields through float() as one
+    (len(rows), width) matrix, and True for each row of another length and for
+    each row holding a field that float() rejects. Such a row reads 0."""
+    ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != width
+    unparsed = np.zeros(len(rows), dtype=bool)
+    try:
+        if not ragged.any():
+            values = np.array(list(map(float, chain.from_iterable(rows))), dtype=np.float64)
+            return values.reshape(len(rows), width), ragged, unparsed
+    except ValueError:
+        pass
+    parsed = parse_column(rows, lambda r: list(map(float, r)), unparsed, fill=())
+    values = np.array([v if len(v) == width else [0.0] * width for v in parsed], dtype=np.float64)
+    return values.reshape(len(rows), width), ragged, unparsed
 
 
 def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
@@ -425,7 +429,7 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
     """A cell table keyed on the grid of its `# hexgrid` comment, else on `grid`."""
     path = Path(path)
     with open_text(path) as f:
-        lines = f.read().splitlines()
+        lines = f.readlines()  # split as the csv module splits them
     body_start = len(lines)  # a file of only comments has no body
     for i, line in enumerate(lines):
         if not line.startswith("#"):
@@ -441,31 +445,21 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
                     f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
     if grid is None:
         raise ValidationError(f"{path}: cell table carries no hex grid and none was supplied")
-    rows = [r for _, r in csv_rows(path, lines[body_start:], body_start + 1)]
-    if not rows:
+    numbered = list(csv_rows(path, lines[body_start:], body_start + 1))
+    if not numbered:
         raise ValidationError(f"{path}: empty cell table")
-    header, data = rows[0], rows[1:]
+    (_, header), numbered = numbered[0], numbered[1:]
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    try:
-        cells = [parse_hex_cell_key(r[0]) for r in data]
-        vectors = _float_matrix([r[2:] for r in data], dim)
-    except (ValueError, IndexError):
-        vectors = None
-    if vectors is None or not np.isfinite(vectors).all() or len(set(cells)) < len(cells):
-        seen = set()
-        for ln, r in enumerate(data, start=body_start + 2):  # the first bad row, for its message
-            try:
-                cell = parse_hex_cell_key(r[0])
-                vec = [float(v) for v in r[2:]]
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}:{ln}: malformed cell-table row") from None
-            if len(vec) != dim:
-                raise ValidationError(f"{path}:{ln}: expected {dim} components")
-            if not all(map(math.isfinite, vec)):
-                raise ValidationError(f"{path}:{ln}: non-finite value")
-            if cell in seen:
-                raise ValidationError(f"{path}:{ln}: duplicate key {r[0]!r}")
-            seen.add(cell)
+    rows = [r for _, r in numbered]
+    unparsed = np.zeros(len(rows), dtype=bool)
+    cells = parse_column([r[0] if r else "" for r in rows], parse_hex_cell_key, unparsed, fill=None)
+    vectors, ragged, bad_value = _float_rows([r[2:] for r in rows], dim)
+    check_rows([
+        (unparsed | bad_value, lambda i: "malformed cell-table row"),
+        (ragged, lambda i: f"expected {dim} components"),
+        (~np.isfinite(vectors).all(axis=1), lambda i: "non-finite value"),
+        (repeats(cells), lambda i: f"duplicate key {rows[i][0]!r}"),
+    ], path, numbered)
     return CellTableSupport(grid=grid, table=dict(zip(cells, vectors)))

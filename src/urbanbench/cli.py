@@ -34,8 +34,6 @@ from .align import (
     write_erf,
 )
 from .core import (
-    AGE_CITIES,
-    BENCHMARK_CITIES,
     METRICS_FOR_KIND,
     TASK_PRIMARY_METRIC,
     CellTableSupport,
@@ -47,10 +45,14 @@ from .core import (
     TaskDataset,
     ValidationError,
     _fmt,
+    age_restricted,
+    check_rows,
     csv_rows,
     load_manifest,
     load_task_dataset,
     open_text,
+    parse_column,
+    repeats,
     stable_seed,
     task_direction,
     validate_manifest,
@@ -261,7 +263,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
         for task_name in sorted(manifest.cities[city]):
             if plan.tasks is not None and task_name not in plan.tasks:
                 continue
-            if task_name == "AGE" and city in BENCHMARK_CITIES and city not in AGE_CITIES:
+            if age_restricted(city, task_name):
                 log(f"AGE restricted: skipping {city}")
                 continue
             datasets[(city, task_name)] = _load_task(manifest, city, task_name)
@@ -549,24 +551,31 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
 
 
 def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
-    """CSV `city,<factor>,<factor>,...` -> factor name -> city -> value."""
+    """CSV `city,<factor>,<factor>,...` -> factor name -> city -> value. Each row
+    holds the header's field count and a nonempty city of its own; "" is missing."""
     path = Path(path)
     with open_text(path) as f:
         reader = csv_rows(path, f)
         header = next(reader, (0, []))[1]
         if header[:1] != ["city"]:
             raise ValidationError(f"{path}: factors header must start with 'city'")
-        names = header[1:]
-        out: dict[str, dict[str, float]] = {n: {} for n in names}
-        for ln, r in reader:
-            for n, v in zip(names, r[1:]):
-                if v != "":
-                    try:
-                        out[n][r[0]] = float(v)
-                    except ValueError:
-                        raise ValidationError(f"{path}:{ln}: factor {n!r} value "
-                                              f"{v!r} is not a number") from None
-    return out
+        numbered = [(ln, r) for ln, r in reader if r]
+    names, width = header[1:], len(header)
+    rows = [r for _, r in numbered]
+    ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != width
+    cols = list(zip(*(r if len(r) == width else [""] * width for r in rows))) or [()] * width
+    cities = cols[0]
+    unparsed = [np.zeros(len(rows), dtype=bool) for _ in names]
+    values = [parse_column(c, lambda v: float(v or "nan"), bad) for c, bad in zip(cols[1:], unparsed)]
+    check_rows([
+        (ragged, lambda i: f"expected {width} fields, got {len(rows[i])}"),
+        (np.array([c == "" for c in cities], dtype=bool), lambda i: "empty city"),
+        (repeats(cities), lambda i: f"repeated city {cities[i]!r}"),
+        *((flags, lambda i, j=j: f"factor {names[j]!r} value {cols[j + 1][i]!r} is not a number")
+          for j, flags in enumerate(unparsed)),
+    ], path, numbered)
+    return {name: {c: v for c, text, v in zip(cities, col, vals) if text}
+            for name, col, vals in zip(names, cols[1:], values)}
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,11 @@ def task_direction(task: str) -> str:
     return METRIC_DIRECTION[TASK_PRIMARY_METRIC[task]]
 
 
+def age_restricted(city: str, task: str) -> bool:
+    """An AGE task in a benchmark city outside the four AGE cities: warned of, never run."""
+    return task == "AGE" and city in BENCHMARK_CITIES and city not in AGE_CITIES
+
+
 @dataclass(frozen=True)
 class ResultRecord:
     """The atom of all aggregation; value may be NaN when flagged degenerate."""
@@ -162,15 +167,52 @@ class TaskUnit(NamedTuple):
 _ID_FORBIDDEN = re.compile('[,"\r\n]')
 
 
-def bad_unit_rows(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray,
-                  cell_extents: np.ndarray, is_cell: np.ndarray) -> tuple[np.ndarray, str | None]:
-    """Every rule for a valid unit, as array passes over unit columns: True for
-    each row that breaks one, and the message of the first such row (None if
-    every row holds). A point unit's (x0, y0, x1, y1) row is all NaN. A raster
-    cell's row is a finite, non-inverted Rect (those errors are Rect's own);
-    then, for every unit: a nonempty unit_id without ',', '"', CR or LF, lon in
-    [-180, 180] and lat in [-90, 90]; then a raster cell has positive area
-    (for finite floats x1 > x0 is x1 - x0 > 0) and contains the unit's point."""
+def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]], path: Path | None = None,
+               numbered: Sequence[tuple] = ()) -> None:
+    """One flagged pass over a rule table: `rules` holds (rows that break the
+    rule, message of row i) pairs in check order. The first row that breaks a
+    rule raises the message of its first broken rule, as `path:line: message`
+    when a path is given (`numbered[i]` starts with row i's line number)."""
+    bad = np.any([rows for rows, _ in rules], axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(message(i) for rows, message in rules if rows[i])
+        raise ValidationError(message if path is None else f"{path}:{numbered[i][0]}: {message}")
+
+
+def repeats(keys: Sequence) -> np.ndarray:
+    """True for each key equal to an earlier one."""
+    if len(set(keys)) == len(keys):
+        return np.zeros(len(keys), dtype=bool)
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, keys), np.int64, len(keys)) != np.arange(len(keys))
+
+
+def distribution_sums(labels: np.ndarray) -> np.ndarray:
+    """What the sum rule checks and renormalisation divides by."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows break other rules
+        return labels.sum(axis=1)
+
+
+def class_count(labels: np.ndarray, n_classes: int | None) -> int:
+    """`n_classes` if declared, else one more than the largest class."""
+    return int(n_classes) if n_classes is not None else int(labels.max()) + 1 if labels.size else 0
+
+
+def task_row_rules(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray, cell_extents: np.ndarray,
+                   is_cell: np.ndarray, kind: str, labels: np.ndarray, n_classes: int | None,
+                   extent: Rect | None) -> list:
+    """Every rule for a valid task row, as a `check_rows` table over its columns.
+
+    Unit rules: a point unit's (x0, y0, x1, y1) row is all NaN. A raster cell's
+    row is a finite, non-inverted Rect (those errors are Rect's own); then, for
+    every unit: a nonempty unit_id without ',', '"', CR or LF, lon in [-180,
+    180] and lat in [-90, 90]; then a raster cell has positive area (for finite
+    floats x1 > x0 is x1 - x0 > 0) and contains the unit's point. Label rules:
+    a finite scalar; a class in [0, n_classes); a nonnegative, finite
+    distribution whose `distribution_sums` is 1 within DISTRIBUTION_SUM_TOL.
+    Dataset rules: no unit_id of an earlier row, and a unit inside `extent`
+    (None skips this rule: an extent derived from the units holds them all)."""
     n = len(unit_ids)
     x0, y0, x1, y1 = cell_extents.T
     finite = np.isfinite(cell_extents).all(axis=1)
@@ -178,7 +220,8 @@ def bad_unit_rows(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray,
         (is_cell & ~finite, lambda i: _rect_error(cell_extents[i])),
         (is_cell & finite & ((x1 < x0) | (y1 < y0)), lambda i: _rect_error(cell_extents[i])),
         (np.fromiter(map(len, unit_ids), np.int64, n) == 0, lambda i: "unit_id must be nonempty"),
-        (np.fromiter(map(bool, map(_ID_FORBIDDEN.search, unit_ids)), bool, n),
+        (np.fromiter(map(bool, map(_ID_FORBIDDEN.search, unit_ids)), bool, n)
+         if _ID_FORBIDDEN.search("".join(unit_ids)) else np.zeros(n, dtype=bool),
          lambda i: f"unit_id {unit_ids[i]!r} contains ',', '\"', CR or LF"),
         (~((-180.0 <= lons) & (lons <= 180.0)),
          lambda i: f"unit {unit_ids[i]}: lon {lons[i].item()} out of [-180,180]"),
@@ -191,11 +234,24 @@ def bad_unit_rows(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray,
         (~is_cell & ~np.isnan(cell_extents).all(axis=1),
          lambda i: f"unit {unit_ids[i]}: cell_extent only allowed for raster_cell units"),
     ]
-    bad = np.any([rows for rows, _ in rules], axis=0)
-    if not bad.any():
-        return bad, None
-    i = int(np.argmax(bad))
-    return bad, next(message(i) for rows, message in rules if rows[i])
+    if kind == "scalar":
+        rules.append((~np.isfinite(labels), lambda i: f"unit {unit_ids[i]}: non-finite label"))
+    elif kind == "class":
+        rules.append(((labels < 0) | (labels >= n_classes),
+                      lambda i: f"unit {unit_ids[i]}: class {labels[i]} outside [0,{n_classes})"))
+    else:
+        sums = distribution_sums(labels)
+        rules += [
+            ((labels < 0).any(axis=1), lambda i: f"unit {unit_ids[i]}: negative probability"),
+            (~np.isfinite(labels).all(axis=1), lambda i: f"unit {unit_ids[i]}: non-finite probability"),
+            (np.abs(sums - 1.0) > DISTRIBUTION_SUM_TOL,
+             lambda i: f"unit {unit_ids[i]}: distribution sums to {sums[i].item()!r}, not 1"),
+        ]
+    rules.append((repeats(unit_ids), lambda i: f"duplicate unit_id {unit_ids[i]!r}"))
+    if extent is not None:
+        rules.append((~((extent.x0 <= lons) & (lons <= extent.x1) & (extent.y0 <= lats) & (lats <= extent.y1)),
+                      lambda i: f"unit {unit_ids[i]} outside dataset extent"))
+    return rules
 
 
 def _rect_error(row: np.ndarray) -> str:
@@ -213,7 +269,7 @@ class TaskDataset:
     Immutable after construction. Units are held as columns: `unit_ids`,
     float64 `lons` and `lats`, and `cell_extents`, one (x0, y0, x1, y1) row
     per unit and NaN for a point unit (`is_cell` marks the raster cells).
-    Every unit must pass `bad_unit_rows`. Labels are packed into numpy
+    Every row must pass `task_row_rules`. Labels are packed into numpy
     arrays: scalar -> (n,) float, class -> (n,) int, distribution -> (n, K)
     float.
     """
@@ -235,65 +291,32 @@ class TaskDataset:
         self.is_cell = ~np.isnan(self.cell_extents[:, 0])
         for a in (lons, lats, self.cell_extents, self.is_cell):
             a.setflags(write=False)
-        _, error = bad_unit_rows(unit_ids, lons, lats, self.cell_extents, self.is_cell)
-        if error is not None:
-            raise ValidationError(error)
         self.extent = extent
-        self.label_kind = TASK_LABEL_KIND[task]
+        self.label_kind = kind = TASK_LABEL_KIND[task]
         labels = np.asarray(labels)
-
-        n = len(unit_ids)
-        if labels.shape[0] != n:
-            raise ValidationError(f"{labels.shape[0]} labels for {n} units")
-        outside = ~((extent.x0 <= lons) & (lons <= extent.x1)
-                    & (extent.y0 <= lats) & (lats <= extent.y1))
-        if len(set(unit_ids)) < n or outside.any():
-            seen: set[str] = set()
-            for uid, out in zip(unit_ids, outside.tolist()):
-                if uid in seen:
-                    raise ValidationError(f"duplicate unit_id {uid!r}")
-                seen.add(uid)
-                if out:
-                    raise ValidationError(f"unit {uid} outside dataset extent")
-
-        if self.label_kind == "scalar":
-            if labels.ndim != 1:
-                raise ValidationError("scalar labels must be 1-d")
-            labels = labels.astype(np.float64)
-            if not np.all(np.isfinite(labels)):
-                raise ValidationError("scalar labels must be finite")
-            self.n_classes = None
-        elif self.label_kind == "class":
-            if labels.ndim != 1:
-                raise ValidationError("class labels must be 1-d")
+        if labels.shape[0] != len(unit_ids):
+            raise ValidationError(f"{labels.shape[0]} labels for {len(unit_ids)} units")
+        if labels.ndim != (2 if kind == "distribution" else 1):
+            raise ValidationError(f"{kind} labels must be {2 if kind == 'distribution' else 1}-d")
+        if kind == "class":
             try:
                 labels = labels.astype(np.int64)
             except OverflowError:  # a Python int past int64 in an object array
                 raise ValidationError("class index outside the int64 range") from None
-            if n_classes is None:
-                n_classes = int(labels.max()) + 1 if n else 0
-            if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-                raise ValidationError(f"class index outside [0,{n_classes})")
-            self.n_classes = int(n_classes)
+            n_classes = class_count(labels, n_classes)
         else:
-            if labels.ndim != 2:
-                raise ValidationError("distribution labels must be 2-d")
             labels = labels.astype(np.float64)
-            if np.any(labels < 0):
-                raise ValidationError("distribution entries must be nonnegative")
-            if not np.all(np.isfinite(labels)):
-                raise ValidationError("distribution entries must be finite")
-            sums = labels.sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > DISTRIBUTION_SUM_TOL)[0]
-            if bad.size:
-                ids = ", ".join(unit_ids[i] for i in bad[:5])
-                raise ValidationError(f"distributions do not sum to 1 for units: {ids}")
+            n_classes = labels.shape[1] if kind == "distribution" else None
+        check_rows(task_row_rules(unit_ids, lons, lats, self.cell_extents, self.is_cell, kind, labels,
+                                  n_classes, extent))
+        self.n_classes = n_classes
+        if kind == "distribution":
             # Renormalize CSV round-off after validation; exact sums stay bit-identical.
+            sums = distribution_sums(labels)
             off = sums != 1.0
             if np.any(off):
                 labels = labels.copy()
                 labels[off] = labels[off] / sums[off, None]
-            self.n_classes = labels.shape[1]
 
         labels.setflags(write=False)
         self.labels = labels
@@ -367,10 +390,19 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         raise ValidationError(f"{path}: no header row")
     if "task" not in meta or "city" not in meta:
         raise ValidationError(f"{path}: missing '# task ...' / '# city ...' metadata")
-    task = meta["task"]
-    city = meta["city"]
+    task, city = meta["task"], meta["city"]
     if task not in TASKS:
         raise ValidationError(f"{path}: unknown task {task!r}")
+    extent = None  # without `# extent`, the extent of the units
+    if "extent" in meta:
+        try:
+            extent = Rect(*(float(v) for v in meta["extent"].split()))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{path}: malformed '# extent' line") from None
+    try:
+        n_classes = int(meta["classes"]) if "classes" in meta else None
+    except ValueError:
+        raise ValidationError(f"{path}: malformed '# classes' line") from None
 
     header_line = lineno + 1
     header = next(csv_rows(path, [raw_lines[lineno]], header_line))[1]
@@ -382,15 +414,9 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     label_cols = rest[4:] if has_extent else rest
 
     kind = TASK_LABEL_KIND[task]
-    if kind == "scalar":
-        expected = ["value"]
-    elif kind == "class":
-        expected = ["class"]
-    else:
-        k = len(label_cols)
-        expected = [f"p_{i}" for i in range(k)]
-        if k < 2:
-            raise ValidationError(f"{path}:{header_line}: distribution needs >= 2 p_ columns")
+    expected = {"scalar": ["value"], "class": ["class"]}.get(kind, [f"p_{i}" for i in range(len(label_cols))])
+    if kind == "distribution" and len(label_cols) < 2:
+        raise ValidationError(f"{path}:{header_line}: distribution needs >= 2 p_ columns")
     if label_cols != expected:
         raise ValidationError(
             f"{path}:{header_line}: label columns {label_cols} do not match task {task} ({expected})"
@@ -399,51 +425,33 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     numbered = [(ln, line) for ln, line in enumerate(raw_lines[lineno:], lineno + 1) if line]
     rows = _task_rows(path, numbered)
     n, width = len(rows), len(header)
-    # Every parse, unit and label check of a row, as array passes over the
-    # columns; a row that fails any of them is flagged in `bad`.
-    bad = np.fromiter(map(len, rows), np.int64, n) != width
-    padded = [r if len(r) == width else [""] * width for r in rows] if bad.any() else rows
+    # A row with another field count or a number that does not parse is
+    # flagged in `unread` (its fields read 0); every other rule is the table's.
+    unread = np.fromiter(map(len, rows), np.int64, n) != width
+    padded = [r if len(r) == width else ["0"] * width for r in rows] if unread.any() else rows
     cols = list(zip(*padded)) or [()] * width
-    lons = _parsed(cols[1], float, bad)
-    lats = _parsed(cols[2], float, bad)
-    if has_extent:
-        cells = np.column_stack([_parsed(c, float, bad) for c in cols[3:7]]).reshape(n, 4)
+    n_coords = 6 if has_extent else 2
+    coords = np.column_stack([parse_column(c, float, unread) for c in cols[1:1 + n_coords]]).reshape(n, n_coords)
+    lons, lats = coords[:, 0], coords[:, 1]
+    cells = coords[:, 2:] if has_extent else np.full((n, 4), np.nan)
+    payload = cols[1 + n_coords:]
+    if kind == "class":
+        labels = np.array(parse_column(payload[0], _class_index, unread), dtype=np.int64)
+        n_classes = class_count(labels[~unread], n_classes)  # of the rows that read
     else:
-        cells = np.full((n, 4), np.nan)
-    unit_bad, unit_error = bad_unit_rows(cols[0], lons, lats, cells, np.full(n, has_extent))
-    bad |= unit_bad
-    payload = cols[7:] if has_extent else cols[3:]
-    if kind == "scalar":
-        labels = _parsed(payload[0], float, bad)
-    elif kind == "class":
-        labels = _parsed(payload[0], int, bad)
-    else:
-        labels = np.column_stack([_parsed(c, float, bad) for c in payload]) if n else np.zeros((0, 2))
-        bad |= (labels < 0).any(axis=1) | ~np.isfinite(labels).all(axis=1)
-        bad |= np.abs(_parsed(labels.tolist(), math.fsum, bad) - 1.0) > DISTRIBUTION_SUM_TOL
-    if bad.any():
-        # no row before the first bad row breaks a unit rule, so `unit_error` is its own
-        i = int(np.argmax(bad))
-        message = _row_error(rows[i], width, has_extent, kind, unit_error if unit_bad[i] else None)
-        raise ValidationError(f"{path}:{numbered[i][0]}: {message}")
+        labels = np.column_stack([parse_column(c, float, unread) for c in payload]).reshape(n, len(payload))
+        labels = labels[:, 0] if kind == "scalar" else labels
+    check_rows([(unread, lambda i: _row_error(rows[i], width, kind)),
+                *task_row_rules(cols[0], lons, lats, cells, np.full(n, has_extent), kind, labels, n_classes,
+                                extent)], path, numbered)
 
-    if "extent" in meta:
-        try:
-            extent = Rect(*(float(v) for v in meta["extent"].split()))
-        except (TypeError, ValueError):
-            raise ValidationError(f"{path}: malformed '# extent' line") from None
-    else:
+    if extent is None:
         if not n:
             raise ValidationError(f"{path}: empty dataset and no extent metadata")
         # Python's min and max keep the first of 0.0 and -0.0; np.min may not
         xs = lons.tolist() + (cells[:, [0, 2]].ravel().tolist() if has_extent else [])
         ys = lats.tolist() + (cells[:, [1, 3]].ravel().tolist() if has_extent else [])
         extent = Rect(min(xs), min(ys), max(xs), max(ys))
-
-    try:
-        n_classes = int(meta["classes"]) if "classes" in meta else None
-    except ValueError:
-        raise ValidationError(f"{path}: malformed '# classes' line") from None
     try:
         return TaskDataset(city, task, cols[0], lons, lats, cells, labels, extent, n_classes=n_classes)
     except ValidationError as e:
@@ -463,11 +471,11 @@ def _task_rows(path: Path, numbered: list[tuple[int, str]]) -> list[list[str]]:
     return [next(csv_rows(path, [line], ln))[1] for ln, line in numbered]
 
 
-def _parsed(values: Sequence, convert, bad: np.ndarray) -> np.ndarray:
-    """`convert` of every value as an array; a value it rejects flags its row
-    in `bad` and reads 0."""
+def parse_column(values: Sequence, convert, bad: np.ndarray, fill=0) -> list:
+    """`convert` of every value; a value it rejects (ValueError or
+    OverflowError) flags its row in `bad` and reads `fill`."""
     try:
-        out = list(map(convert, values))
+        return list(map(convert, values))
     except (ValueError, OverflowError):
         out = []
         for i, v in enumerate(values):
@@ -475,38 +483,30 @@ def _parsed(values: Sequence, convert, bad: np.ndarray) -> np.ndarray:
                 out.append(convert(v))
             except (ValueError, OverflowError):
                 bad[i] = True
-                out.append(0)
-    return np.array(out)
+                out.append(fill)
+        return out
 
 
-def _row_error(fields: list[str], width: int, has_extent: bool, kind: str,
-               unit_error: str | None) -> str:
-    """The message of a task-CSV body row that fails a check, in the order a
-    row is read: its field count, its numbers, `unit_error` (the message of
-    `bad_unit_rows` for the row, if it breaks a unit rule), then its label."""
+def _class_index(text: str) -> int:
+    """A class index field: an int within int64."""
+    c = int(text)
+    if not -2**63 <= c < 2**63:
+        raise OverflowError("class index outside the int64 range")
+    return c
+
+
+def _row_error(fields: list[str], width: int, kind: str) -> str:
+    """The message of a task-CSV body row that `load_task_dataset` cannot
+    read: its field count, else the first of its numbers (coordinates, then
+    labels) that does not parse."""
     if len(fields) != width:
         return f"expected {width} fields, got {len(fields)}"
-    n_coords = 7 if has_extent else 3
     try:
-        for v in fields[1:n_coords]:
-            float(v)
-        if unit_error is not None:
-            return unit_error
-        payload = fields[n_coords:]
-        if kind == "scalar":
-            float(payload[0])
-        elif kind == "class":
-            int(payload[0])
-        else:
-            vec = [float(v) for v in payload]
-            if any(v < 0 for v in vec):
-                return f"unit {fields[0]}: negative probability"
-            if not all(map(math.isfinite, vec)):
-                return f"unit {fields[0]}: non-finite probability"
-            return f"unit {fields[0]}: distribution sums to {math.fsum(vec)!r}, not 1"
+        list(map(float, fields[1:-1]))
+        (_class_index if kind == "class" else float)(fields[-1])
     except (ValueError, OverflowError) as e:
         return f"malformed row ({e})"
-    raise AssertionError(f"row {fields} passes every check")
+    raise AssertionError(f"row {fields} parses")
 
 
 def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:
@@ -772,7 +772,8 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
     """Structural checks of every (model, city, task) combination; opens no file.
     Unknown tasks, support kinds or encoders, missing task files and bad dims are
     errors. A pair whose embedding file is not listed or not present is a gap,
-    which `run` skips; the loaders that `validate` and `run` share read the files."""
+    which `run` skips; an `age_restricted` task is a warning and in no pair.
+    The loaders that `validate` and `run` share read the files."""
     from .pe_encoder import get_encoder
 
     report = ValidationReport()
@@ -786,9 +787,10 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
             if not os.path.isfile(p):
                 report.errors.append(f"city {city}: task file missing: {p}")
                 continue
-            tasks.append((city, task))
-            if task == "AGE" and city in BENCHMARK_CITIES and city not in AGE_CITIES:
+            if age_restricted(city, task):
                 report.warnings.append(f"AGE restricted: {city} is outside the four AGE cities")
+                continue
+            tasks.append((city, task))
 
     for model_id in sorted(manifest.models):
         m = manifest.models[model_id]

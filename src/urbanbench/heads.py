@@ -59,14 +59,13 @@ class TargetScaler:
 
     mean: float = 0.0
     std: float = 1.0
-    enabled: bool = True
-    degenerate: bool = False
+    degenerate: bool = False  # constant targets: transform and inverse pass them through
 
     def transform(self, y: np.ndarray) -> np.ndarray:
-        return (y - self.mean) / self.std if self.enabled else np.asarray(y, dtype=np.float64)
+        return np.asarray(y, dtype=np.float64) if self.degenerate else (y - self.mean) / self.std
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        return y * self.std + self.mean if self.enabled else np.asarray(y, dtype=np.float64)
+        return np.asarray(y, dtype=np.float64) if self.degenerate else y * self.std + self.mean
 
 
 def fit_scaler(train_labels) -> TargetScaler:
@@ -76,7 +75,7 @@ def fit_scaler(train_labels) -> TargetScaler:
     mean = float(y.mean())
     std = float(np.sqrt(np.mean((y - mean) ** 2)))
     if std == 0.0:
-        return TargetScaler(mean=mean, std=1.0, enabled=False, degenerate=True)
+        return TargetScaler(mean=mean, std=1.0, degenerate=True)
     return TargetScaler(mean=mean, std=std)
 
 
@@ -274,7 +273,6 @@ class TrainedHead:
     scaler: TargetScaler | None
     best_val_loss: float
     epochs_run: int
-    degenerate: bool = False
 
 
 def _prepare_labels(labels, cfg: HeadConfig) -> np.ndarray:
@@ -320,11 +318,8 @@ def train_head(
     y_train = labels[train_mask]
     y_val = labels[val_mask]
 
-    scaler = None
-    degenerate = False
-    if cfg.output == "scalar":
-        scaler = fit_scaler(y_train)
-        degenerate = scaler.degenerate
+    scaler = fit_scaler(y_train) if cfg.output == "scalar" else None
+    if scaler is not None:
         y_train = scaler.transform(y_train)
         y_val = scaler.transform(y_val)
 
@@ -361,8 +356,7 @@ def train_head(
             break
 
     return TrainedHead(cfg=cfg, params=_flat_views(best, init), input_dim=features.dim,
-                       scaler=scaler, best_val_loss=best_val, epochs_run=epochs,
-                       degenerate=degenerate)
+                       scaler=scaler, best_val_loss=best_val, epochs_run=epochs)
 
 
 def predict(head: TrainedHead, features) -> np.ndarray:

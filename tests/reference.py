@@ -1,16 +1,19 @@
 """Reference code the tests check the package against: the checked per-unit
 `TaskUnit` that datasets were once built from, the per-unit synthetic-city
-loop, and scalar geometry that only tests call."""
+loop, scalar geometry that only tests call, and the CSV embedding and
+factor readers that check one row at a time."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from urbanbench.core import Rect, TaskDataset, ValidationError
-from urbanbench.grid import EARTH_RADIUS_M, BlockGrid, HexGrid, hex_cell_center_xy
+from urbanbench.core import (CellTableSupport, EntitySetSupport, Rect, TaskDataset, ValidationError,
+                             csv_rows, open_text)
+from urbanbench.grid import EARTH_RADIUS_M, BlockGrid, HexGrid, hex_cell_center_xy, parse_hex_cell_key
 
 
 def contains(rect: Rect, lon: float, lat: float) -> bool:
@@ -121,3 +124,108 @@ def unproject(grid: HexGrid, x: float, y: float) -> tuple[float, float]:
 def hex_cell_center(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]:
     x, y = hex_cell_center_xy(cell, grid)
     return unproject(grid, x, y)
+
+
+# ---------------------------------------------------------------------------
+# CSV readers, one row at a time: each row checked in full before the next
+
+def read_entity_csv(path) -> EntitySetSupport:
+    """`align.read_entity_csv` row by row: a row's field count, its numbers,
+    then the finiteness of its vector."""
+    path = Path(path)
+    with open_text(path) as f:
+        rows = [(ln, r) for ln, r in csv_rows(path, f) if r and not r[0].startswith("#")]
+    if not rows:
+        raise ValidationError(f"{path}: empty entity file")
+    (_, header), data = rows[0], rows[1:]
+    dim = len(header) - 2
+    if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
+        raise ValidationError(f"{path}: bad entity/cell-table header")
+    values = []
+    for ln, r in data:
+        if len(r) != dim + 2:
+            raise ValidationError(f"{path}:{ln}: expected {dim + 2} values, got {len(r)}")
+        try:
+            vec = [float(v) for v in r]
+        except ValueError:
+            raise ValidationError(f"{path}:{ln}: malformed entity row") from None
+        if not all(map(math.isfinite, vec[2:])):
+            raise ValidationError(f"{path}:{ln}: non-finite value")
+        values.append(vec)
+    values = np.array(values, dtype=np.float64).reshape(len(data), dim + 2)
+    return EntitySetSupport(lons=values[:, 0], lats=values[:, 1], vectors=values[:, 2:])
+
+
+def read_cell_table_csv(path, grid: HexGrid | None = None) -> CellTableSupport:
+    """`align.read_cell_table_csv` row by row: a row's key and numbers, the
+    length of its vector, its finiteness, then a key no earlier row has."""
+    path = Path(path)
+    with open_text(path) as f:
+        lines = f.readlines()
+    body_start = len(lines)
+    for i, line in enumerate(lines):
+        if not line.startswith("#"):
+            body_start = i
+            break
+        parts = line[1:].split()
+        if parts and parts[0] == "hexgrid":
+            try:
+                lon0, lat0, edge = (float(v) for v in parts[1:])
+                grid = HexGrid(lon0, lat0, edge)
+            except ValueError as e:
+                raise ValidationError(
+                    f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
+    if grid is None:
+        raise ValidationError(f"{path}: cell table carries no hex grid and none was supplied")
+    rows = list(csv_rows(path, lines[body_start:], body_start + 1))
+    if not rows:
+        raise ValidationError(f"{path}: empty cell table")
+    (_, header), data = rows[0], rows[1:]
+    dim = len(header) - 2
+    if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
+        raise ValidationError(f"{path}: bad entity/cell-table header")
+    table = {}
+    for ln, r in data:
+        try:
+            cell = parse_hex_cell_key(r[0])
+            vec = [float(v) for v in r[2:]]
+        except (ValueError, IndexError):
+            raise ValidationError(f"{path}:{ln}: malformed cell-table row") from None
+        if len(vec) != dim:
+            raise ValidationError(f"{path}:{ln}: expected {dim} components")
+        if not all(map(math.isfinite, vec)):
+            raise ValidationError(f"{path}:{ln}: non-finite value")
+        if cell in table:
+            raise ValidationError(f"{path}:{ln}: duplicate key {r[0]!r}")
+        table[cell] = np.array(vec, dtype=np.float64)
+    return CellTableSupport(grid=grid, table=table)
+
+
+def read_factors(path) -> dict[str, dict[str, float]]:
+    """`cli._read_factors` row by row: a row's field count, a nonempty city,
+    a city no earlier row names, then each value (empty is missing)."""
+    path = Path(path)
+    with open_text(path) as f:
+        reader = csv_rows(path, f)
+        header = next(reader, (0, []))[1]
+        if header[:1] != ["city"]:
+            raise ValidationError(f"{path}: factors header must start with 'city'")
+        data = [(ln, r) for ln, r in reader if r]
+    names = header[1:]
+    out: dict[str, dict[str, float]] = {n: {} for n in names}
+    seen = set()
+    for ln, r in data:
+        if len(r) != len(header):
+            raise ValidationError(f"{path}:{ln}: expected {len(header)} fields, got {len(r)}")
+        if r[0] == "":
+            raise ValidationError(f"{path}:{ln}: empty city")
+        if r[0] in seen:
+            raise ValidationError(f"{path}:{ln}: repeated city {r[0]!r}")
+        seen.add(r[0])
+        for n, v in zip(names, r[1:]):
+            if v != "":
+                try:
+                    out[n][r[0]] = float(v)
+                except ValueError:
+                    raise ValidationError(f"{path}:{ln}: factor {n!r} value {v!r} is not a number") from None
+    return out

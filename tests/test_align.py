@@ -359,6 +359,39 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="duplicate"):
             read_cell_table_csv(p)
 
+    def test_cell_table_line_after_multiline_field(self, tmp_path):
+        # the quoted lat field of line 3 runs on into line 4; the bad row is line 5
+        p = tmp_path / "ct.csv"
+        p.write_text('# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n0:0,"a\nb",1.0\n1:0,,nan\n')
+        with pytest.raises(ValidationError) as e:
+            read_cell_table_csv(p)
+        assert str(e.value) == f"{p}:5: non-finite value"
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0:0,,1.0\n0:x,,1.0,2.0\n", "4: malformed cell-table row"),
+        ("0:0,,1.0\n\n", "4: malformed cell-table row"),
+        ("0:0,,1.0\n1:0,,1.0,2.0\n", "4: expected 1 components"),
+        ("0:0,,1.0\n00:0,,2.0\n", "4: duplicate key '00:0'"),
+    ], ids=["key", "blank", "components", "duplicate"])
+    def test_cell_table_bad_row_names_line(self, tmp_path, rows, message):
+        p = tmp_path / "ct.csv"
+        p.write_text("# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n" + rows)
+        with pytest.raises(ValidationError) as e:
+            read_cell_table_csv(p)
+        assert str(e.value) == f"{p}:{message}"
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.1,0.2,1.0\n0.3,x,1.0,9.0\n", "4: expected 3 values, got 4"),
+        ("0.1,0.2,1.0\n0.3,x,1.0\n", "4: malformed entity row"),
+        ("0.1,0.2,1.0\n0.3,nan,inf\n", "4: non-finite value"),
+    ], ids=["ragged", "malformed", "non-finite"])
+    def test_entity_bad_row_names_line(self, tmp_path, rows, message):
+        p = tmp_path / "ents.csv"
+        p.write_text("# comment\nkey_or_lon,lat,v_0\n" + rows)
+        with pytest.raises(ValidationError) as e:
+            read_entity_csv(p)
+        assert str(e.value) == f"{p}:{message}"
+
     def test_cell_table_of_only_comments_is_empty(self, tmp_path):
         p = tmp_path / "table.csv"
         p.write_text("# hexgrid 0.0 0.0 461.0\n# no header, no rows\n")

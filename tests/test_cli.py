@@ -85,7 +85,7 @@ def add_bad_task_city(bench, kind):
     else:
         (bench / "bad.csv").write_text("# task POP\n# city synthB\n# extent 0 0 1 1\n"
                                        "unit_id,lon,lat,value\nu0,0.5,0.5,1\nu0,0.6,0.6,2\n")
-        rel, message = "bad.csv", "bad.csv: duplicate unit_id 'u0'"
+        rel, message = "bad.csv", "bad.csv:6: duplicate unit_id 'u0'"
     manifest["cities"]["synthB"] = {"tasks": {"POP": rel}}
     (bench / "manifest.json").write_text(json.dumps(manifest))
     return message
@@ -504,6 +504,22 @@ class TestAgeRestriction:
         assert len(records) == 4 * 3  # kl, chebyshev, l1 per city
 
 
+    def test_validate_lists_no_restricted_pair(self, tmp_path, capsys):
+        # validate agrees with run, which skips the pair: a warning, no ok: line
+        cfg = SynthConfig(n=8, extent=Rect(-0.02, -0.02, 0.02, 0.02), length_scale=0.01,
+                          label_kind="distribution", n_classes=3,
+                          embedding_kind="field_plus_noise", dim=2, seed=2, city="Mumbai")
+        manifest = write_synth_city(cfg, tmp_path / "city")["manifest"]
+        assert main(["validate", str(manifest)]) == 0
+        out = capsys.readouterr().out
+        assert out == ("warning: AGE restricted: Mumbai is outside the four AGE cities\n"
+                       "0 resolvable, 0 gaps, 1 warnings, 0 errors\n")
+        logs = []
+        outcome = run(RunPlan(manifest_path=manifest, out_dir=tmp_path / "out", seeds=(42,)),
+                      log=logs.append)
+        assert outcome.new_records == 0 and "AGE restricted: skipping Mumbai" in logs
+
+
 class TestReport:
     def test_report_files_and_leaderboard(self, bench):
         run(quick_plan(bench), log=lambda *a: None)
@@ -594,6 +610,25 @@ class TestReport:
         err = capsys.readouterr().err
         assert "factors.csv:2: factor 'area' value 'abc' is not a number" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("city,a,b\nLondon,1\nParis,1,2,3\n", "2: expected 3 fields, got 2"),
+        ("city,a,b\nLondon,1,2\nParis,1,2,3\n", "3: expected 3 fields, got 4"),
+        ("city,a,b\nLondon,1,2\n,7,8\n", "3: empty city"),
+        ("city,a,b\nParis,1,2\nLondon,3,4\nParis,5,6\n", "4: repeated city 'Paris'"),
+        ("city,a,b\nParis,1,x\nLondon,,y\n", "2: factor 'b' value 'x' is not a number"),
+    ], ids=["short", "long", "empty-city", "repeated-city", "value"])
+    def test_bad_factor_row_names_file_line(self, tmp_path, text, message):
+        p = tmp_path / "factors.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError) as e:
+            cli._read_factors(p)
+        assert str(e.value) == f"{p}:{message}"
+
+    def test_factor_rows_load(self, tmp_path):
+        p = tmp_path / "factors.csv"
+        p.write_text("city,a,b\nLondon,1,\n\nParis,5,6\n")
+        assert cli._read_factors(p) == {"a": {"London": 1.0, "Paris": 5.0}, "b": {"Paris": 6.0}}
 
     def test_empty_store_errors(self, tmp_path):
         (tmp_path / "results.csv").write_text("model,task,city,seed,protocol,metric,value,n_test\n")

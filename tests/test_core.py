@@ -1,6 +1,7 @@
 """Tests for the domain model, task-dataset format, and manifest validation."""
 
 import csv
+import io
 import json
 import math
 import re
@@ -104,10 +105,10 @@ class TestLoadTaskDataset:
             load_task_dataset(p)
 
     @pytest.mark.parametrize("body, message", [
-        ("unit_id,lon,lat,value\nu0,1,1,1.0\nu0,2,2,2.0\n", "duplicate unit_id 'u0'"),
-        ("unit_id,lon,lat,value\nu0,1,1,1.0\nu1,50,50,2.0\n", "unit u1 outside dataset extent"),
-        ("# classes 2\nunit_id,lon,lat,class\nu0,1,1,2\n", "class index outside [0,2)"),
-        ("unit_id,lon,lat,value\nu0,1,1,nan\n", "scalar labels must be finite"),
+        ("unit_id,lon,lat,value\nu0,1,1,1.0\nu0,2,2,2.0\n", "6: duplicate unit_id 'u0'"),
+        ("unit_id,lon,lat,value\nu0,1,1,1.0\nu1,50,50,2.0\n", "6: unit u1 outside dataset extent"),
+        ("# classes 2\nunit_id,lon,lat,class\nu0,1,1,2\n", "6: unit u0: class 2 outside [0,2)"),
+        ("unit_id,lon,lat,value\nu0,1,1,nan\n", "5: unit u0: non-finite label"),
     ], ids=["duplicate", "outside-extent", "class-index", "non-finite"])
     def test_dataset_error_names_file(self, tmp_path, body, message):
         p = tmp_path / "task.csv"
@@ -115,7 +116,7 @@ class TestLoadTaskDataset:
         p.write_text(f"# task {task}\n# city demo\n# extent 0 0 10 10\n{body}")
         with pytest.raises(ValidationError) as e:
             load_task_dataset(p)
-        assert str(e.value) == f"{p}: {message}"
+        assert str(e.value) == f"{p}:{message}"
 
     def test_malformed_classes_line_names_file(self, tmp_path):
         p = tmp_path / "luc.csv"
@@ -185,7 +186,7 @@ class TestLoadTaskDataset:
 
     def test_non_finite_distribution_rejected(self):
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValidationError, match="distribution entries must be finite"):
+            with pytest.raises(ValidationError, match="^unit a: non-finite probability$"):
                 TaskDataset("demo", "AGE", ["a", "b"], [0.5, 0.5], [0.5, 0.5],
                             np.full((2, 4), math.nan), [[0.5, bad], [0.5, 0.5]], Rect(0, 0, 1, 1))
 
@@ -211,7 +212,8 @@ class TestLoadTaskDataset:
                      "unit_id,lon,lat,p_0,p_1\nu1,0.5,0.5,1e308,1e308\n")
         with pytest.raises(ValidationError) as e:
             load_task_dataset(p)
-        assert str(e.value) == f"{p}:5: malformed row (intermediate overflow in fsum)"
+        # 1e308 + 1e308 is inf: the sum rule reads the sum renormalisation would divide by
+        assert str(e.value) == f"{p}:5: unit u1: distribution sums to inf, not 1"
 
     def test_class_index_past_int64_names_file(self, tmp_path):
         p = tmp_path / "luc.csv"
@@ -219,14 +221,15 @@ class TestLoadTaskDataset:
                      "unit_id,lon,lat,class\nu0,0.1,0.1,0\nu1,0.2,0.2,100000000000000000000\n")
         with pytest.raises(ValidationError) as e:
             load_task_dataset(p)
-        assert str(e.value) == f"{p}: class index outside the int64 range"
+        assert str(e.value) == f"{p}:6: malformed row (class index outside the int64 range)"
 
 
 def _ref_load_task_dataset(path):
-    """The per-row loader that `load_task_dataset` replaced: one TaskUnit and
-    Rect per row, each row checked before the next. The changes: it catches
-    OverflowError (math.fsum's intermediate overflow), lines end at CR, LF or
-    CRLF only, and the TaskUnit rejects an id the CSV would not keep."""
+    """A row-by-row loader to check `load_task_dataset` against: one TaskUnit
+    and Rect per row, each row checked before the next. A row's field count
+    and numbers come first, then its unit, its label, and the dataset rules (a
+    repeated unit_id, a unit outside the `# extent`). Without `# classes`, the
+    class count is one more than the largest class of the rows that read."""
     meta = {}
     with open_text(path) as f:
         raw_lines = re.split(r"\r\n|\r|\n", f.read())
@@ -249,6 +252,16 @@ def _ref_load_task_dataset(path):
     city = meta["city"]
     if task not in TASKS:
         raise ValidationError(f"{path}: unknown task {task!r}")
+    extent = None
+    if "extent" in meta:
+        try:
+            extent = Rect(*(float(v) for v in meta["extent"].split()))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{path}: malformed '# extent' line") from None
+    try:
+        n_classes = int(meta["classes"]) if "classes" in meta else None
+    except ValueError:
+        raise ValidationError(f"{path}: malformed '# classes' line") from None
 
     header = next(csv.reader([raw_lines[lineno]]))
     header_line = lineno + 1
@@ -274,71 +287,74 @@ def _ref_load_task_dataset(path):
             f"{path}:{header_line}: label columns {label_cols} do not match task {task} ({expected})"
         )
 
+    def read(fields):
+        """The row's numbers, or the message of the first that does not parse."""
+        if len(fields) != len(header):
+            return f"expected {len(header)} fields, got {len(fields)}"
+        try:
+            numbers = [float(v) for v in fields[1:-1]]
+            if kind == "class":
+                c = int(fields[-1])
+                if not -2**63 <= c < 2**63:
+                    raise OverflowError("class index outside the int64 range")
+                return numbers + [c]
+            return numbers + [float(fields[-1])]
+        except (ValueError, OverflowError) as e:
+            return f"malformed row ({e})"
+
+    numbered = [(lineno + offset + 1, next(csv.reader([line])))
+                for offset, line in enumerate(raw_lines[lineno:]) if line]
+    read_rows = [(ln, fields, read(fields)) for ln, fields in numbered]
+    if kind == "class" and n_classes is None:
+        n_classes = max([r[-1] for _, _, r in read_rows if not isinstance(r, str)], default=-1) + 1
     units = []
     rows = []
-    for offset, line in enumerate(raw_lines[lineno:]):
-        ln = lineno + offset + 1
-        if not line:
-            continue
-        fields = next(csv.reader([line]))
-        if len(fields) != len(header):
-            raise ValidationError(f"{path}:{ln}: expected {len(header)} fields, got {len(fields)}")
+    for ln, fields, numbers in read_rows:
         try:
-            unit_id = fields[0]
-            lon = float(fields[1])
-            lat = float(fields[2])
+            if isinstance(numbers, str):
+                raise ValidationError(numbers)
+            unit_id, (lon, lat) = fields[0], numbers[:2]
             if has_extent:
-                cell = Rect(*(float(v) for v in fields[3:7]))
-                unit = TaskUnit(unit_id, lon, lat, "raster_cell", cell)
-                payload = fields[7:]
+                unit = TaskUnit(unit_id, lon, lat, "raster_cell", Rect(*numbers[2:6]))
+                payload = numbers[6:]
             else:
                 unit = TaskUnit(unit_id, lon, lat)
-                payload = fields[3:]
+                payload = numbers[2:]
             if kind == "scalar":
-                rows.append(float(payload[0]))
+                if not math.isfinite(payload[0]):
+                    raise ValidationError(f"unit {unit_id}: non-finite label")
+                rows.append(payload[0])
             elif kind == "class":
-                rows.append(int(payload[0]))
+                if not 0 <= payload[0] < n_classes:
+                    raise ValidationError(f"unit {unit_id}: class {payload[0]} outside [0,{n_classes})")
+                rows.append(payload[0])
             else:
-                vec = np.array([float(v) for v in payload], dtype=np.float64)
+                vec = np.array(payload, dtype=np.float64)
                 if np.any(vec < 0):
                     raise ValidationError(f"unit {unit_id}: negative probability")
                 if not np.all(np.isfinite(vec)):
                     raise ValidationError(f"unit {unit_id}: non-finite probability")
-                s = math.fsum(vec.tolist())
+                with np.errstate(over="ignore"):
+                    s = vec.sum()
                 if abs(s - 1.0) > DISTRIBUTION_SUM_TOL:
-                    raise ValidationError(f"unit {unit_id}: distribution sums to {s!r}, not 1")
+                    raise ValidationError(f"unit {unit_id}: distribution sums to {s.item()!r}, not 1")
                 rows.append(vec)
+            if any(u.unit_id == unit_id for u in units):
+                raise ValidationError(f"duplicate unit_id {unit_id!r}")
+            if extent is not None and not contains(extent, lon, lat):
+                raise ValidationError(f"unit {unit_id} outside dataset extent")
         except ValidationError as e:
             raise ValidationError(f"{path}:{ln}: {e}") from None
-        except (ValueError, IndexError, OverflowError) as e:
-            raise ValidationError(f"{path}:{ln}: malformed row ({e})") from None
         units.append(unit)
 
-    labels = np.array(rows) if kind != "distribution" else np.vstack(rows) if rows else np.zeros((0, 2))
-    if "extent" in meta:
-        try:
-            extent = Rect(*(float(v) for v in meta["extent"].split()))
-        except (TypeError, ValueError):
-            raise ValidationError(f"{path}: malformed '# extent' line") from None
-    else:
+    labels = (np.array(rows) if kind != "distribution" else
+              np.vstack(rows) if rows else np.zeros((0, len(label_cols))))
+    if extent is None:
         if not units:
             raise ValidationError(f"{path}: empty dataset and no extent metadata")
         xs = [u.lon for u in units] + [v for u in units if u.cell_extent for v in (u.cell_extent.x0, u.cell_extent.x1)]
         ys = [u.lat for u in units] + [v for u in units if u.cell_extent for v in (u.cell_extent.y0, u.cell_extent.y1)]
         extent = Rect(min(xs), min(ys), max(xs), max(ys))
-
-    try:
-        n_classes = int(meta["classes"]) if "classes" in meta else None
-    except ValueError:
-        raise ValidationError(f"{path}: malformed '# classes' line") from None
-    # the per-unit checks of the dataset, in unit order
-    seen = set()
-    for u in units:
-        if u.unit_id in seen:
-            raise ValidationError(f"{path}: duplicate unit_id {u.unit_id!r}")
-        seen.add(u.unit_id)
-        if not contains(extent, u.lon, u.lat):
-            raise ValidationError(f"{path}: unit {u.unit_id} outside dataset extent")
     try:
         return dataset(city, task, units, labels, extent, n_classes=n_classes)
     except ValidationError as e:
@@ -422,6 +438,97 @@ def test_columnar_loader_matches_per_row_reference(tmp_path_factory, text):
     p = tmp_path_factory.getbasetemp() / "fuzz_task.csv"
     p.write_text(text, encoding="utf-8")
     assert _outcome(load_task_dataset, p) == _outcome(_ref_load_task_dataset, p)
+
+
+def test_sum_rule_reads_the_renormalised_sum(tmp_path):
+    # math.fsum puts this row within DISTRIBUTION_SUM_TOL of 1, labels.sum(axis=1) does not
+    row = [0.29860197216255235, 0.36607611598395706, 0.12871456260453518, 0.0627946019692693,
+           0.14381374727968613]
+    assert abs(math.fsum(row) - 1.0) <= DISTRIBUTION_SUM_TOL < abs(np.array([row]).sum(axis=1)[0] - 1.0)
+    message = f"unit u1: distribution sums to {np.array(row).sum().item()!r}, not 1"
+    with pytest.raises(ValidationError) as e:
+        TaskDataset("London", "AGE", ["u1"], [0.5], [0.5], [[math.nan] * 4], [row], Rect(0, 0, 1, 1))
+    assert str(e.value) == message
+    p = tmp_path / "age.csv"
+    p.write_text("# task AGE\n# city London\n# extent 0.0 0.0 1.0 1.0\n"
+                 "unit_id,lon,lat,p_0,p_1,p_2,p_3,p_4\nu1,0.5,0.5," + ",".join(map(repr, row)) + "\n")
+    with pytest.raises(ValidationError) as e:
+        load_task_dataset(p)
+    assert str(e.value) == f"{p}:5: {message}"
+
+
+@st.composite
+def bad_column_sets(draw):
+    """(task, columns) of up to six task rows, each value drawn to break a row
+    rule now and then: every unit, label and dataset rule can fire. The
+    extent is [0, 1] x [0, 1] and LUC declares 3 classes."""
+    task = draw(st.sampled_from(["POP", "LUC", "AGE"]))
+    cells = draw(st.booleans())
+    k = draw(st.integers(2, 3))
+    ids, lons, lats, extents, labels = [], [], [], [], []
+    for i in range(draw(st.integers(1, 6))):
+        ids.append(draw(st.sampled_from([f"u{i}"] * 8 + ["u0", "", "a,b", 'q"'])))
+        lon, lat = (draw(st.sampled_from([0.5, 0.25, 1.0, -0.0] * 4 + [1.5, 190.0, -91.0, math.nan]))
+                    for _ in range(2))
+        lons.append(lon)
+        lats.append(lat)
+        if cells:  # x0 stays a number: a NaN x0 makes a point unit of the row
+            w = draw(st.sampled_from([0.1] * 12 + [0.0, -0.05, -0.1, -2.0, math.inf, math.nan]))
+            extents.append([0.0 if math.isnan(lon) else lon - 0.1, lat - 0.1, lon + w, lat + 0.1])
+        else:
+            extents.append([math.nan] * 4)
+        if task == "POP":
+            labels.append(draw(st.sampled_from([1.5, -2.0, 0.0] * 3 + [math.nan, math.inf])))
+        elif task == "LUC":
+            labels.append(draw(st.sampled_from([0, 1, 2] * 3 + [3, -1])))
+        else:
+            p = draw(st.sampled_from([0.25, 0.5, 1.0, 0.1] * 3 + [-0.5, 1.5, math.nan, math.inf]))
+            off = draw(st.sampled_from([0.0] * 5 + [1e-7, 1e-5]))
+            labels.append([p, 1.0 - p + off] if k == 2 else [p, (1.0 - p) / 2, (1.0 - p) / 2 + off])
+    return task, ids, lons, lats, extents, labels
+
+
+def _columns_error(task, ids, lons, lats, extents, labels):
+    """The message TaskDataset raises for the columns, or None."""
+    try:
+        TaskDataset("c", task, ids, lons, lats, np.array(extents).reshape(-1, 4), labels, Rect(0, 0, 1, 1),
+                    n_classes=3 if task == "LUC" else None)
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(columns=bad_column_sets())
+def test_columns_and_their_csv_fail_alike(tmp_path_factory, columns):
+    # TaskDataset raises M exactly when loading the rows as CSV text raises
+    # path:line: M, where line holds the first row i whose prefix rows[:i+1] fails
+    task, ids, lons, lats, extents, labels = columns
+    message = _columns_error(*columns)
+    cells = not math.isnan(extents[0][0])
+    header = ["unit_id", "lon", "lat"] + (["x0", "y0", "x1", "y1"] if cells else [])
+    header += (["value"] if task == "POP" else ["class"] if task == "LUC"
+               else [f"p_{j}" for j in range(len(labels[0]))])
+    text = io.StringIO()
+    text.write(f"# task {task}\n# city c\n# extent 0.0 0.0 1.0 1.0\n" + ("# classes 3\n" if task == "LUC" else ""))
+    w = csv.writer(text, lineterminator="\n")
+    w.writerow(header)
+    for uid, lon, lat, ext, lab in zip(ids, lons, lats, extents, labels):
+        w.writerow([uid, repr(lon), repr(lat), *(map(repr, ext) if cells else ()),
+                    *(map(repr, lab) if task == "AGE" else [str(lab) if task == "LUC" else repr(lab)])])
+    p = tmp_path_factory.getbasetemp() / "columns.csv"
+    p.write_text(text.getvalue(), encoding="utf-8")
+    try:
+        load_task_dataset(p)
+        loaded = None
+    except ValidationError as e:
+        loaded = str(e)
+    if message is None:
+        assert loaded is None
+        return
+    i = next(i for i in range(len(ids)) if _columns_error(task, *(c[:i + 1] for c in columns[1:])))
+    first_row_line = 6 if task == "LUC" else 5
+    assert loaded == f"{p}:{first_row_line + i}: {message}"
 
 
 class TestRoundTrip:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import TaskUnit, dataset
 from urbanbench.align import (
     read_cell_table_csv,
@@ -88,9 +89,9 @@ TOKENS = [b"nan", b"inf", b"-1", b"0", b"1e400", b"abc", b",", b"\n", b"\r", b"#
 
 
 @st.composite
-def mutated(draw):
-    """A well-formed file of any format with a few bytes cut, changed or inserted."""
-    data = bytearray(VALID[draw(st.sampled_from(sorted(VALID)))])
+def mutated(draw, names=tuple(sorted(VALID))):
+    """A well-formed file of any format (of `names`) with a few bytes cut, changed or inserted."""
+    data = bytearray(VALID[draw(st.sampled_from(names))])
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(data)))
         op = draw(st.sampled_from(["cut", "set", "insert"]))
@@ -137,6 +138,39 @@ def test_reader_loads_or_raises_validation_error(workdir, reader, data):
         READERS[reader](path)
     except ValidationError as e:
         assert str(path) in str(e)
+
+
+def _outcome(read, path):
+    """What a CSV embedding or factors reader gives for a file, as comparable bytes."""
+    try:
+        out = read(path)
+    except ValidationError as e:
+        return ("error", str(e))
+    if isinstance(out, EntitySetSupport):
+        return ("ok", out.lons.tobytes(), out.lats.tobytes(), out.vectors.tobytes())
+    if isinstance(out, CellTableSupport):
+        return ("ok", out.grid.signature(), sorted((c, v.tobytes()) for c, v in out.table.items()))
+    return ("ok", out)
+
+
+# (reader, its row-by-row reference, the valid file the inputs are mutated from)
+ROW_READERS = {
+    "entity_csv": (read_entity_csv, reference.read_entity_csv, "e.csv"),
+    "cell_table": (read_cell_table_csv, reference.read_cell_table_csv, "t.csv"),
+    "cell_table_with_grid": (lambda p: read_cell_table_csv(p, grid=GRID),
+                             lambda p: reference.read_cell_table_csv(p, grid=GRID), "t.csv"),
+    "factors": (_read_factors, reference.read_factors, "factors.csv"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+@SETTINGS
+@given(data=st.data())
+def test_reader_matches_row_by_row_reference(workdir, reader, data):
+    read, ref, name = ROW_READERS[reader]
+    path = workdir / f"rows_{reader}"
+    path.write_bytes(data.draw(mutated((name,))))
+    assert _outcome(read, path) == _outcome(ref, path)
 
 
 JSON = st.recursive(

@@ -47,7 +47,6 @@ class TestScaler:
     def test_constant_targets_degenerate(self):
         s = fit_scaler([3.0, 3.0, 3.0])
         assert s.degenerate
-        assert not s.enabled
         np.testing.assert_array_equal(s.transform(np.array([3.0])), [3.0])
 
     def test_inverse_round_trip(self):
