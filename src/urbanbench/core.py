@@ -182,8 +182,6 @@ def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]], path: Path 
 
 def repeats(keys: Sequence) -> np.ndarray:
     """True for each key equal to an earlier one."""
-    if len(set(keys)) == len(keys):
-        return np.zeros(len(keys), dtype=bool)
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     return np.fromiter(map(first.__getitem__, keys), np.int64, len(keys)) != np.arange(len(keys))
 
@@ -196,7 +194,9 @@ def distribution_sums(labels: np.ndarray) -> np.ndarray:
 
 def class_count(labels: np.ndarray, n_classes: int | None) -> int:
     """`n_classes` if declared, else one more than the largest class."""
-    return int(n_classes) if n_classes is not None else int(labels.max()) + 1 if labels.size else 0
+    if n_classes is not None:
+        return int(n_classes)
+    return int(labels.max()) + 1 if labels.size else 0
 
 
 def task_row_rules(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray, cell_extents: np.ndarray,
@@ -220,8 +220,7 @@ def task_row_rules(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray, 
         (is_cell & ~finite, lambda i: _rect_error(cell_extents[i])),
         (is_cell & finite & ((x1 < x0) | (y1 < y0)), lambda i: _rect_error(cell_extents[i])),
         (np.fromiter(map(len, unit_ids), np.int64, n) == 0, lambda i: "unit_id must be nonempty"),
-        (np.fromiter(map(bool, map(_ID_FORBIDDEN.search, unit_ids)), bool, n)
-         if _ID_FORBIDDEN.search("".join(unit_ids)) else np.zeros(n, dtype=bool),
+        (np.fromiter(map(bool, map(_ID_FORBIDDEN.search, unit_ids)), bool, n),
          lambda i: f"unit_id {unit_ids[i]!r} contains ',', '\"', CR or LF"),
         (~((-180.0 <= lons) & (lons <= 180.0)),
          lambda i: f"unit {unit_ids[i]}: lon {lons[i].item()} out of [-180,180]"),
@@ -390,7 +389,8 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         raise ValidationError(f"{path}: no header row")
     if "task" not in meta or "city" not in meta:
         raise ValidationError(f"{path}: missing '# task ...' / '# city ...' metadata")
-    task, city = meta["task"], meta["city"]
+    task = meta["task"]
+    city = meta["city"]
     if task not in TASKS:
         raise ValidationError(f"{path}: unknown task {task!r}")
     extent = None  # without `# extent`, the extent of the units
@@ -414,9 +414,15 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     label_cols = rest[4:] if has_extent else rest
 
     kind = TASK_LABEL_KIND[task]
-    expected = {"scalar": ["value"], "class": ["class"]}.get(kind, [f"p_{i}" for i in range(len(label_cols))])
-    if kind == "distribution" and len(label_cols) < 2:
-        raise ValidationError(f"{path}:{header_line}: distribution needs >= 2 p_ columns")
+    if kind == "scalar":
+        expected = ["value"]
+    elif kind == "class":
+        expected = ["class"]
+    else:
+        k = len(label_cols)
+        expected = [f"p_{i}" for i in range(k)]
+        if k < 2:
+            raise ValidationError(f"{path}:{header_line}: distribution needs >= 2 p_ columns")
     if label_cols != expected:
         raise ValidationError(
             f"{path}:{header_line}: label columns {label_cols} do not match task {task} ({expected})"

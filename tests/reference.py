@@ -23,7 +23,8 @@ def contains(rect: Rect, lon: float, lat: float) -> bool:
 @dataclass(frozen=True)
 class TaskUnit:
     """One prediction target: a point or raster cell with a representative
-    point, checked one rule at a time in the order `bad_unit_rows` keeps."""
+    point, checked one rule at a time in the order of the unit rules of
+    `core.task_row_rules`."""
 
     unit_id: str
     lon: float
