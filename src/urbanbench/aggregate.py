@@ -178,9 +178,11 @@ def spearman_factor_correlation(factors: Mapping[str, float],
 
     Lower-better metrics are sign-flipped first so positive rho always
     means larger factor values go with better performance. p-values use
-    the t-approximation and are reported raw and unadjusted.
+    the t-approximation and are reported raw and unadjusted. A city whose
+    factor or performance is not finite is left out.
     """
-    common = sorted(set(factors) & set(perf))
+    common = sorted(c for c in set(factors) & set(perf)
+                    if math.isfinite(factors[c]) and math.isfinite(perf[c]))
     n = len(common)
     if n < 3:
         raise ValidationError(f"need >= 3 cities with both values, got {n}")

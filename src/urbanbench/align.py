@@ -295,12 +295,13 @@ def align_entities_direct(
     return _read_only(model_id, rows, valid)
 
 
-def align_cell_table(rep: CellTableSupport, task: TaskDataset, model_id: str = "table") -> AlignedMatrix:
-    """Look up each unit's containing hex cell in the keyed table."""
+def align_cell_table(rep: CellTableSupport, hexgrid: HexGrid, task: TaskDataset,
+                     model_id: str = "table") -> AlignedMatrix:
+    """Look up each unit's containing hex cell (of the table's grid, else `hexgrid`) in the table."""
     cells = sorted(rep.table)
     vectors = np.array([rep.table[c] for c in cells], dtype=np.float64).reshape(len(cells), rep.dim)
     keys = _cell_keys(*np.array(cells, dtype=np.int64).reshape(-1, 2).T)
-    at, valid = _lookup(keys, _cell_keys(*hex_cells_of(task.lons, task.lats, rep.grid)))
+    at, valid = _lookup(keys, _cell_keys(*hex_cells_of(task.lons, task.lats, rep.grid or hexgrid)))
     rows = np.zeros((task.n, rep.dim), dtype=np.float64)
     rows[valid] = vectors[at[valid]]
     return _read_only(model_id, rows, valid)
@@ -418,16 +419,18 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
     path = Path(path)
     g = rep.grid
     with path.open("w", encoding="utf-8", newline="") as f:
-        f.write(f"# hexgrid {g.lon0!r} {g.lat0!r} {g.edge_len_m!r}\n")
+        if g is not None:
+            f.write(f"# hexgrid {g.lon0!r} {g.lat0!r} {g.edge_len_m!r}\n")
         w = csv.writer(f)
         w.writerow(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)])
         for cell in sorted(rep.table):
             w.writerow([hex_cell_key(cell), ""] + [_fmt(v) for v in rep.table[cell]])
 
 
-def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTableSupport:
-    """A cell table keyed on the grid of its `# hexgrid` comment, else on `grid`."""
+def read_cell_table_csv(path: str | Path) -> CellTableSupport:
+    """A cell table keyed on the grid of its `# hexgrid` comment (None without one)."""
     path = Path(path)
+    grid = None
     with open_text(path) as f:
         lines = f.readlines()  # split as the csv module splits them
     body_start = len(lines)  # a file of only comments has no body
@@ -443,8 +446,6 @@ def read_cell_table_csv(path: str | Path, grid: HexGrid | None = None) -> CellTa
             except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
                 raise ValidationError(
                     f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
-    if grid is None:
-        raise ValidationError(f"{path}: cell table carries no hex grid and none was supplied")
     numbered = list(csv_rows(path, lines[body_start:], body_start + 1))
     if not numbered:
         raise ValidationError(f"{path}: empty cell table")

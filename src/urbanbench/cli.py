@@ -163,9 +163,9 @@ def _load_task(manifest: Manifest, city: str, task: str) -> TaskDataset:
     return ds
 
 
-def _load_support(manifest: Manifest, model_id: str, city: str, hexgrid: HexGrid):
-    """A model's support for one city, checked against its declared dim. A cell table's
-    grid is the manifest `hexgrid`, else the file comment, else `hexgrid` (task-centred)."""
+def _load_support(manifest: Manifest, model_id: str, city: str):
+    """A model's support for one city, checked against its declared dim. A cell
+    table's grid is the manifest `hexgrid`, else the file comment, else None."""
     m = manifest.models[model_id]
     if m.support == "coordinate_encoder":
         support = get_encoder(m.encoder)
@@ -174,7 +174,7 @@ def _load_support(manifest: Manifest, model_id: str, city: str, hexgrid: HexGrid
     elif m.support == "entity_set":
         support = read_entity_csv(manifest.resolve(m.files[city]))
     else:
-        support = read_cell_table_csv(manifest.resolve(m.files[city]), hexgrid)
+        support = read_cell_table_csv(manifest.resolve(m.files[city]))
         if m.hexgrid is not None:
             support = replace(support, grid=m.hexgrid)
     if support.dim != m.dim:
@@ -182,15 +182,16 @@ def _load_support(manifest: Manifest, model_id: str, city: str, hexgrid: HexGrid
     return support
 
 
-def align_support(support, task: TaskDataset, model_id: str, hexgrid: HexGrid) -> AlignedMatrix:
-    """The one alignment dispatch: each support kind onto the task units
-    (entity sets are pooled h3-first on `hexgrid`)."""
+def align_support(support, task: TaskDataset, model_id: str) -> AlignedMatrix:
+    """The one alignment dispatch: each support kind onto the task units, on the
+    grid centred on the task extent for entity sets and for a cell table without its own."""
+    hexgrid = HexGrid(*task.extent.center)
     if isinstance(support, RasterSupport):
         return align_raster(support, task, model_id=model_id)
     if isinstance(support, EntitySetSupport):
         return align_entities_h3_first(support, hexgrid, task, model_id=model_id)
     if isinstance(support, CellTableSupport):
-        return align_cell_table(support, task, model_id=model_id)
+        return align_cell_table(support, hexgrid, task, model_id=model_id)
     if isinstance(support, CoordinateEncoderSupport):
         return align_coordinate_encoder(support, task, model_id=model_id)
     raise ValidationError(f"unsupported representation support {type(support).__name__}")
@@ -319,9 +320,8 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     failures: list[tuple[str, str]] = []
     new_records = 0
     skipped = 0
-    # The current (model, city)'s support, or load error, read once for all of
-    # the city's tasks; a cell table once per task-centred grid (its fallback).
-    loaded: dict[tuple[str, str, HexGrid | None], object] = {}
+    # The current (model, city) and its support, or load error, read once for all its tasks.
+    loaded_for, loaded = None, None
     for model_id in models:
         for (city, task_name), ds in datasets.items():
             if (model_id, city, task_name) not in resolved:
@@ -333,18 +333,15 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
             if not pending:
                 continue
             try:
-                hexgrid = HexGrid(*ds.extent.center)
-                key = (model_id, city,
-                       hexgrid if manifest.models[model_id].support == "cell_table" else None)
-                if key not in loaded:
-                    loaded = {k: v for k, v in loaded.items() if k[:2] == key[:2]}
+                if loaded_for != (model_id, city):
+                    loaded_for = (model_id, city)
                     try:
-                        loaded[key] = _load_support(manifest, model_id, city, hexgrid)
+                        loaded = _load_support(manifest, model_id, city)
                     except (ValidationError, OSError) as e:
-                        loaded[key] = e
-                if isinstance(loaded[key], Exception):
-                    raise loaded[key]
-                features = align_support(loaded[key], ds, model_id, hexgrid)
+                        loaded = e
+                if isinstance(loaded, Exception):
+                    raise loaded
+                features = align_support(loaded, ds, model_id)
                 output = _HEAD_OUTPUT[ds.label_kind]
                 cfg = replace(plan.head, output=output, n_out=1 if output == "scalar" else int(ds.n_classes))
             except (ValidationError, OSError) as e:
@@ -423,7 +420,7 @@ def leakage_experiment(cfg: SynthConfig, head_cfg: HeadConfig,
     if cfg.label_kind != "scalar":
         raise ValidationError("leakage experiment uses scalar labels")
     task, rep = synth_city(cfg)
-    features = align_support(rep.support, task, rep.model_id, HexGrid(*task.extent.center))
+    features = align_support(rep.support, task, rep.model_id)
     grid = build_block_grid(task.extent, nx, ny)
     r2: dict[str, list[float]] = {"spatial": [], "random": []}
     for seed in seeds:
@@ -552,7 +549,8 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
 
 def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
     """CSV `city,<factor>,<factor>,...` -> factor name -> city -> value. Each row
-    holds the header's field count and a nonempty city of its own; "" is missing."""
+    holds the header's field count, a nonempty city of its own and finite
+    numbers; "" is missing."""
     path = Path(path)
     with open_text(path) as f:
         reader = csv_rows(path, f)
@@ -567,12 +565,15 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
     cities = cols[0]
     unparsed = [np.zeros(len(rows), dtype=bool) for _ in names]
     values = [parse_column(c, lambda v: float(v or "nan"), bad) for c, bad in zip(cols[1:], unparsed)]
+    given = [np.fromiter(map(bool, c), bool, len(rows)) for c in cols[1:]]
     check_rows([
         (ragged, lambda i: f"expected {width} fields, got {len(rows[i])}"),
         (np.array([c == "" for c in cities], dtype=bool), lambda i: "empty city"),
         (repeats(cities), lambda i: f"repeated city {cities[i]!r}"),
-        *((flags, lambda i, j=j: f"factor {names[j]!r} value {cols[j + 1][i]!r} is not a number")
-          for j, flags in enumerate(unparsed)),
+        *((bad, lambda i, j=j, what=what: f"factor {names[j]!r} value {cols[j + 1][i]!r} is not {what}")
+          for j in range(len(names))
+          for bad, what in ((unparsed[j], "a number"),
+                            (given[j] & ~np.isfinite(values[j]), "a finite number"))),
     ], path, numbered)
     return {name: {c: v for c, text, v in zip(cities, col, vals) if text}
             for name, col, vals in zip(names, cols[1:], values)}
@@ -636,11 +637,10 @@ def _cmd_validate(args) -> int:
             errors.append(f"city {city}, task {task}: {e}")
     failed: set[tuple[str, str]] = set()  # (model, city) whose embedding file fails to load
     for model, city in sorted({(m, c) for m, c, _ in report_v.resolvable}):
-        loaded = [ds for (c, _), ds in datasets.items() if c == city]
-        if not loaded:
+        if not any(c == city for c, _ in datasets):
             continue  # no task to align onto; the task errors say why
         try:
-            _load_support(manifest, model, city, HexGrid(*loaded[0].extent.center))
+            _load_support(manifest, model, city)
         except (ValidationError, OSError) as e:
             failed.add((model, city))
             errors.append(f"model {model}, city {city}: {e}")

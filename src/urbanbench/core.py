@@ -25,7 +25,10 @@ if TYPE_CHECKING:
 
 
 class ValidationError(ValueError):
-    """Raised when an input file or domain object violates an invariant."""
+    """Raised when an input file or domain object violates an invariant;
+    `row` is the index of the bad row when `check_rows` raised it."""
+
+    row: int | None = None
 
 
 LABEL_KINDS = ("scalar", "class", "distribution")
@@ -172,12 +175,15 @@ def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]], path: Path 
     """One flagged pass over a rule table: `rules` holds (rows that break the
     rule, message of row i) pairs in check order. The first row that breaks a
     rule raises the message of its first broken rule, as `path:line: message`
-    when a path is given (`numbered[i]` starts with row i's line number)."""
+    when a path is given (`numbered[i]` starts with row i's line number). The
+    error's `row` is i."""
     bad = np.any([rows for rows, _ in rules], axis=0)
     if bad.any():
         i = int(np.argmax(bad))
         message = next(message(i) for rows, message in rules if rows[i])
-        raise ValidationError(message if path is None else f"{path}:{numbered[i][0]}: {message}")
+        e = ValidationError(message if path is None else f"{path}:{numbered[i][0]}: {message}")
+        e.row = i
+        raise e
 
 
 def repeats(keys: Sequence) -> np.ndarray:
@@ -209,8 +215,8 @@ def task_row_rules(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray, 
     every unit: a nonempty unit_id without ',', '"', CR or LF, lon in [-180,
     180] and lat in [-90, 90]; then a raster cell has positive area (for finite
     floats x1 > x0 is x1 - x0 > 0) and contains the unit's point. Label rules:
-    a finite scalar; a class in [0, n_classes); a nonnegative, finite
-    distribution whose `distribution_sums` is 1 within DISTRIBUTION_SUM_TOL.
+    a finite scalar; a whole, finite class in [0, n_classes); a nonnegative,
+    finite distribution whose `distribution_sums` is 1 within DISTRIBUTION_SUM_TOL.
     Dataset rules: no unit_id of an earlier row, and a unit inside `extent`
     (None skips this rule: an extent derived from the units holds them all)."""
     n = len(unit_ids)
@@ -236,8 +242,13 @@ def task_row_rules(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray, 
     if kind == "scalar":
         rules.append((~np.isfinite(labels), lambda i: f"unit {unit_ids[i]}: non-finite label"))
     elif kind == "class":
-        rules.append(((labels < 0) | (labels >= n_classes),
-                      lambda i: f"unit {unit_ids[i]}: class {labels[i]} outside [0,{n_classes})"))
+        whole = (np.isfinite(labels) & (np.floor(labels) == labels) if labels.dtype.kind == "f"
+                 else np.ones(n, dtype=bool))
+        rules += [
+            (~whole, lambda i: f"unit {unit_ids[i]}: class {labels[i]} is not an integer"),
+            ((labels < 0) | (labels >= n_classes),
+             lambda i: f"unit {unit_ids[i]}: class {labels[i]} outside [0,{n_classes})"),
+        ]
     else:
         sums = distribution_sums(labels)
         rules += [
@@ -268,13 +279,14 @@ class TaskDataset:
     Immutable after construction. Units are held as columns: `unit_ids`,
     float64 `lons` and `lats`, and `cell_extents`, one (x0, y0, x1, y1) row
     per unit and NaN for a point unit (`is_cell` marks the raster cells).
-    Every row must pass `task_row_rules`. Labels are packed into numpy
-    arrays: scalar -> (n,) float, class -> (n,) int, distribution -> (n, K)
-    float.
+    Every row must pass `task_row_rules`, checked in one pass. Labels are
+    packed into numpy arrays: scalar -> (n,) float, class -> (n,) int,
+    distribution -> (n, K) float. An `extent` of None is the extent of the
+    units' points and cells.
     """
 
     def __init__(self, city: str, task: str, unit_ids: Sequence[str], lons: np.ndarray,
-                 lats: np.ndarray, cell_extents: np.ndarray, labels: np.ndarray, extent: Rect,
+                 lats: np.ndarray, cell_extents: np.ndarray, labels: np.ndarray, extent: Rect | None,
                  n_classes: int | None = None):
         if task not in TASKS:
             raise ValidationError(f"unknown task {task!r}; expected one of {TASKS}")
@@ -290,24 +302,33 @@ class TaskDataset:
         self.is_cell = ~np.isnan(self.cell_extents[:, 0])
         for a in (lons, lats, self.cell_extents, self.is_cell):
             a.setflags(write=False)
-        self.extent = extent
         self.label_kind = kind = TASK_LABEL_KIND[task]
-        labels = np.asarray(labels)
+        given = labels = np.asarray(labels)
         if labels.shape[0] != len(unit_ids):
             raise ValidationError(f"{labels.shape[0]} labels for {len(unit_ids)} units")
         if labels.ndim != (2 if kind == "distribution" else 1):
             raise ValidationError(f"{kind} labels must be {2 if kind == 'distribution' else 1}-d")
         if kind == "class":
             try:
-                labels = labels.astype(np.int64)
+                with np.errstate(invalid="ignore"):  # NaN and inf break the whole-class rule
+                    labels = labels.astype(np.int64)
             except OverflowError:  # a Python int past int64 in an object array
                 raise ValidationError("class index outside the int64 range") from None
             n_classes = class_count(labels, n_classes)
         else:
-            labels = labels.astype(np.float64)
+            given = labels = labels.astype(np.float64)
             n_classes = labels.shape[1] if kind == "distribution" else None
-        check_rows(task_row_rules(unit_ids, lons, lats, self.cell_extents, self.is_cell, kind, labels,
+        check_rows(task_row_rules(unit_ids, lons, lats, self.cell_extents, self.is_cell, kind, given,
                                   n_classes, extent))
+        if extent is None:
+            if not unit_ids:
+                raise ValidationError("empty dataset and no extent metadata")
+            # Python's min and max keep the first of 0.0 and -0.0; np.min may not
+            cells = self.cell_extents[self.is_cell]
+            xs = lons.tolist() + cells[:, [0, 2]].ravel().tolist()
+            ys = lats.tolist() + cells[:, [1, 3]].ravel().tolist()
+            extent = Rect(min(xs), min(ys), max(xs), max(ys))
+        self.extent = extent
         self.n_classes = n_classes
         if kind == "distribution":
             # Renormalize CSV round-off after validation; exact sums stay bit-identical.
@@ -447,21 +468,18 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     else:
         labels = np.column_stack([parse_column(c, float, unread) for c in payload]).reshape(n, len(payload))
         labels = labels[:, 0] if kind == "scalar" else labels
-    check_rows([(unread, lambda i: _row_error(rows[i], width, kind)),
-                *task_row_rules(cols[0], lons, lats, cells, np.full(n, has_extent), kind, labels, n_classes,
-                                extent)], path, numbered)
-
-    if extent is None:
-        if not n:
-            raise ValidationError(f"{path}: empty dataset and no extent metadata")
-        # Python's min and max keep the first of 0.0 and -0.0; np.min may not
-        xs = lons.tolist() + (cells[:, [0, 2]].ravel().tolist() if has_extent else [])
-        ys = lats.tolist() + (cells[:, [1, 3]].ravel().tolist() if has_extent else [])
-        extent = Rect(min(xs), min(ys), max(xs), max(ys))
+    # TaskDataset checks rows that read. A row that did not, or a raster cell
+    # whose x0 reads NaN (TaskDataset would take it for a point), breaks a rule
+    # of this combined pass, so the pass raises, at the first bad row.
+    if unread.any() or (has_extent and np.isnan(cells[:, 0]).any()):
+        check_rows([(unread, lambda i: _row_error(rows[i], width, kind)),
+                    *task_row_rules(cols[0], lons, lats, cells, np.full(n, has_extent), kind, labels,
+                                    n_classes, extent)], path, numbered)
     try:
         return TaskDataset(city, task, cols[0], lons, lats, cells, labels, extent, n_classes=n_classes)
     except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
+        where = path if e.row is None else f"{path}:{numbered[e.row][0]}"
+        raise ValidationError(f"{where}: {e}") from None
 
 
 def _task_rows(path: Path, numbered: list[tuple[int, str]]) -> list[list[str]]:
@@ -617,9 +635,9 @@ class EntitySetSupport:
 
 @dataclass(frozen=True)
 class CellTableSupport:
-    """Embedding table keyed by hex cell id of a specific HexGrid."""
+    """Embedding table keyed by hex cell id of `grid`; a None grid is the one alignment supplies."""
 
-    grid: "HexGrid"
+    grid: HexGrid | None
     table: Mapping[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
@@ -776,9 +794,10 @@ class ValidationReport:
 
 def validate_manifest(manifest: Manifest) -> ValidationReport:
     """Structural checks of every (model, city, task) combination; opens no file.
-    Unknown tasks, support kinds or encoders, missing task files and bad dims are
-    errors. A pair whose embedding file is not listed or not present is a gap,
-    which `run` skips; an `age_restricted` task is a warning and in no pair.
+    Unknown tasks, support kinds or encoders, missing task files, bad dims and a
+    `hexgrid` on a model that is not a cell table are errors. A pair whose
+    embedding file is not listed or not present is a gap, which `run` skips;
+    an `age_restricted` task is a warning and in no pair.
     The loaders that `validate` and `run` share read the files."""
     from .pe_encoder import get_encoder
 
@@ -805,6 +824,9 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
             continue
         if m.dim < 1:
             report.errors.append(f"model {model_id}: dim must be positive")
+            continue
+        if m.hexgrid is not None and m.support != "cell_table":
+            report.errors.append(f"model {model_id}: hexgrid applies only to cell_table models")
             continue
         if m.support == "coordinate_encoder":
             try:

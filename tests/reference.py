@@ -157,12 +157,13 @@ def read_entity_csv(path) -> EntitySetSupport:
     return EntitySetSupport(lons=values[:, 0], lats=values[:, 1], vectors=values[:, 2:])
 
 
-def read_cell_table_csv(path, grid: HexGrid | None = None) -> CellTableSupport:
+def read_cell_table_csv(path) -> CellTableSupport:
     """`align.read_cell_table_csv` row by row: a row's key and numbers, the
     length of its vector, its finiteness, then a key no earlier row has."""
     path = Path(path)
     with open_text(path) as f:
         lines = f.readlines()
+    grid = None
     body_start = len(lines)
     for i, line in enumerate(lines):
         if not line.startswith("#"):
@@ -176,8 +177,6 @@ def read_cell_table_csv(path, grid: HexGrid | None = None) -> CellTableSupport:
             except ValueError as e:
                 raise ValidationError(
                     f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
-    if grid is None:
-        raise ValidationError(f"{path}: cell table carries no hex grid and none was supplied")
     rows = list(csv_rows(path, lines[body_start:], body_start + 1))
     if not rows:
         raise ValidationError(f"{path}: empty cell table")
@@ -204,7 +203,7 @@ def read_cell_table_csv(path, grid: HexGrid | None = None) -> CellTableSupport:
 
 def read_factors(path) -> dict[str, dict[str, float]]:
     """`cli._read_factors` row by row: a row's field count, a nonempty city,
-    a city no earlier row names, then each value (empty is missing)."""
+    a city no earlier row names, then each value: empty (missing) or a finite number."""
     path = Path(path)
     with open_text(path) as f:
         reader = csv_rows(path, f)
@@ -229,4 +228,6 @@ def read_factors(path) -> dict[str, dict[str, float]]:
                     out[n][r[0]] = float(v)
                 except ValueError:
                     raise ValidationError(f"{path}:{ln}: factor {n!r} value {v!r} is not a number") from None
+                if not math.isfinite(out[n][r[0]]):
+                    raise ValidationError(f"{path}:{ln}: factor {n!r} value {v!r} is not a finite number")
     return out

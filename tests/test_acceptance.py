@@ -14,7 +14,7 @@ from urbanbench.aggregate import city_ranks, overall_rank
 from urbanbench.align import align_entities_direct, coverage, write_erf
 from urbanbench.cli import RunPlan, align_support, evaluate, leakage_experiment, read_result_store, run
 from urbanbench.core import HIGHER_BETTER, Rect, ValidationError, write_task_dataset
-from urbanbench.grid import HexGrid, build_block_grid
+from urbanbench.grid import build_block_grid
 from urbanbench.heads import HeadConfig, gradient_check
 from urbanbench.metrics import (
     KL_EPSILON,
@@ -206,7 +206,7 @@ class TestH3FirstCoverageDirection:
                           noise_sd=1.0, label_kind="scalar",
                           embedding_kind="sparse_entities", density=0.05, dim=4, seed=3)
         task, rep = synth_city(cfg)
-        m_h3 = align_support(rep.support, task, rep.model_id, HexGrid(*task.extent.center))
+        m_h3 = align_support(rep.support, task, rep.model_id)
         m_direct = align_entities_direct(rep.support, task, model_id=rep.model_id)
         cov_h3, cov_direct = coverage(m_h3), coverage(m_direct)
         assert cov_h3 > cov_direct

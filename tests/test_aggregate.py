@@ -203,6 +203,13 @@ class TestSpearman:
         res = spearman_factor_correlation({"a": 1, "b": 2, "c": 3}, {"a": 3, "b": 1, "c": 2})
         assert res.approximate
 
+    def test_non_finite_city_left_out(self):
+        perf = {"a": 10.0, "b": 20.0, "c": 30.0, "d": 40.0}
+        res = spearman_factor_correlation({"a": 1, "b": math.nan, "c": 3, "d": 4}, perf)
+        assert res.n == 3 and res.rho == pytest.approx(1.0)
+        res = spearman_factor_correlation({"a": 1, "b": 2, "c": 3, "d": 4}, {**perf, "a": math.inf})
+        assert res.n == 3
+
     def test_fewer_than_three_cities_errors(self):
         with pytest.raises(ValidationError):
             spearman_factor_correlation({"a": 1, "b": 2}, {"a": 1, "b": 2})

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,15 +210,25 @@ class TestAlignCellTable:
         c1 = hex_cell_of(0.0, 0.0, grid)
         table = CellTableSupport(grid=grid, table={c1: np.array([7.0])})
         lon2, lat2 = hex_cell_center((4, 4), grid)
-        m = align_cell_table(table, point_task([(0.0, 0.0), (lon2, lat2)]))
+        m = align_cell_table(table, grid, point_task([(0.0, 0.0), (lon2, lat2)]))
         assert m.valid.tolist() == [True, False]
         np.testing.assert_allclose(m.rows[0], [7.0])
+
+    def test_own_grid_before_supplied_grid(self):
+        # a table keyed on its own grid ignores the supplied one; a grid-less
+        # table is keyed on the supplied one
+        grid, far = HexGrid(0.0, 0.0), HexGrid(0.5, 0.5)
+        table = CellTableSupport(grid=grid, table={hex_cell_of(0.0, 0.0, grid): np.array([7.0])})
+        task = point_task([(0.0, 0.0)])
+        assert align_cell_table(table, far, task).valid.tolist() == [True]
+        assert align_cell_table(replace(table, grid=None), far, task).valid.tolist() == [False]
+        assert align_cell_table(replace(table, grid=None), grid, task).valid.tolist() == [True]
 
     def test_shared_support_identical_rows(self):
         grid = HexGrid(0.0, 0.0)
         c1 = hex_cell_of(0.0, 0.0, grid)
         table = CellTableSupport(grid=grid, table={c1: np.array([7.0, 8.0])})
-        m = align_cell_table(table, point_task([(0.0, 0.0), (0.0001, 0.0001)]))
+        m = align_cell_table(table, grid, point_task([(0.0, 0.0), (0.0001, 0.0001)]))
         np.testing.assert_array_equal(m.rows[0], m.rows[1])
 
 
@@ -353,6 +364,15 @@ class TestFileFormats:
         assert back.grid.signature() == grid.signature()
         np.testing.assert_array_equal(back.table[(2, -1)], [5.0])
 
+    def test_grid_less_cell_table_round_trip(self, tmp_path):
+        table = CellTableSupport(grid=None, table={(2, -1): np.array([5.0])})
+        p = tmp_path / "table.csv"
+        write_cell_table_csv(p, table)
+        assert p.read_text().startswith("key_or_lon,lat,v_0")
+        back = read_cell_table_csv(p)
+        assert back.grid is None
+        np.testing.assert_array_equal(back.table[(2, -1)], [5.0])
+
     def test_cell_table_key_collision(self, tmp_path):
         p = tmp_path / "table.csv"
         p.write_text("# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n0:0,,1.0\n0:0,,2.0\n")
@@ -440,7 +460,8 @@ def _golden_cases():
         "raster": lambda t: align_raster(ras, t),
         "entities_h3_first": lambda t: align_entities_h3_first(ents, hexgrid, t),
         "entities_direct": lambda t: align_entities_direct(ents, t),
-        "cell_table": lambda t: align_cell_table(table, t),
+        "cell_table": lambda t: align_cell_table(table, hexgrid, t),
+        "cell_table_fallback": lambda t: align_cell_table(replace(table, grid=None), hexgrid, t),
         "coordinate_encoder": lambda t: align_coordinate_encoder(pe_support(), t),
     }
     return aligners, {"cells": cells, "points": points}
@@ -470,6 +491,13 @@ class TestGoldenAlignment:
         aligner, task = case.split("/")
         aligners, tasks = _golden_cases()
         assert _aligned_digest(aligners[aligner](tasks[task])) == GOLDEN_ALIGNED[case]
+
+    @pytest.mark.parametrize("task", ["cells", "points"])
+    def test_grid_less_cell_table_on_supplied_grid(self, task):
+        # the pinned cell-table matrices, from a table without a grid of its own
+        aligners, tasks = _golden_cases()
+        assert (_aligned_digest(aligners["cell_table_fallback"](tasks[task]))
+                == GOLDEN_ALIGNED[f"cell_table/{task}"])
 
     def test_cases_are_partial(self):
         # the pins cover valid and invalid rows wherever the rule allows both

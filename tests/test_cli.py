@@ -307,9 +307,7 @@ class TestRun:
                 cells.setdefault(hex_cell_of(lon, lat, grid), []).append(y)
             table = {c: np.full(2, np.mean(v)) for c, v in cells.items()}
             path = bench / f"{name}.csv"
-            write_cell_table_csv(path, CellTableSupport(grid=grid, table=table))
-            if not comment:
-                path.write_text(path.read_text().split("\n", 1)[1])
+            write_cell_table_csv(path, CellTableSupport(grid=grid if comment else None, table=table))
             return {"dim": 2, "support": "cell_table", "files": {"synthA": path.name}}
 
         manifest = json.loads((bench / "manifest.json").read_text())
@@ -332,8 +330,8 @@ class TestRun:
 
     def _two_task_city(self, bench, monkeypatch, entities):
         """POP (the bench task) and LUC on one city, their extents (so their
-        hex grids) apart, a raster and an entity model; returns the
-        per-reader call counts of a run."""
+        hex grids) apart, a raster, an entity and a grid-less cell-table
+        model; returns the per-reader call counts of a run."""
         from urbanbench.align import write_entity_csv
         from urbanbench.core import write_task_dataset
 
@@ -350,8 +348,14 @@ class TestRun:
         manifest["cities"]["synthA"]["tasks"]["LUC"] = "luc.csv"
         manifest["models"]["ents"] = {"dim": 4, "support": "entity_set",
                                       "files": {"synthA": "ents.csv"}}
+        # keys around both tasks' anchors, so the table serves either grid
+        rng = np.random.default_rng(0)
+        write_cell_table_csv(bench / "table.csv", CellTableSupport(grid=None, table={
+            (q, r): rng.standard_normal(2) for q in range(-20, 21) for r in range(-20, 21)}))
+        manifest["models"]["table"] = {"dim": 2, "support": "cell_table",
+                                       "files": {"synthA": "table.csv"}}
         (bench / "manifest.json").write_text(json.dumps(manifest))
-        calls = {"read_erf": 0, "read_entity_csv": 0}
+        calls = {"read_erf": 0, "read_entity_csv": 0, "read_cell_table_csv": 0}
         for name in calls:
             def counted(*args, _name=name, _read=getattr(cli, name)):
                 calls[_name] += 1
@@ -361,23 +365,23 @@ class TestRun:
 
     def test_one_embedding_read_per_model_and_city(self, bench, monkeypatch):
         calls = self._two_task_city(bench, monkeypatch, entities=None)
-        out = run(quick_plan(bench, models=("ents", "field"), seeds=(42,)), log=lambda *a: None)
+        out = run(quick_plan(bench, models=("ents", "field", "table"), seeds=(42,)), log=lambda *a: None)
         assert out.exit_code == 0
-        assert calls == {"read_erf": 1, "read_entity_csv": 1}
+        assert calls == {"read_erf": 1, "read_entity_csv": 1, "read_cell_table_csv": 1}
         records = read_result_store(bench / "out" / "results.csv")
         assert {(r.model_id, r.task) for r in records} == {
-            (m, t) for m in ("ents", "field") for t in ("LUC", "POP")}
+            (m, t) for m in ("ents", "field", "table") for t in ("LUC", "POP")}
 
     def test_one_read_error_fails_every_pending_group(self, bench, monkeypatch):
         calls = self._two_task_city(bench, monkeypatch, entities=RAGGED)
-        out = run(quick_plan(bench, models=("ents", "field"), seeds=(42,)), log=lambda *a: None)
+        out = run(quick_plan(bench, models=("ents", "field", "table"), seeds=(42,)), log=lambda *a: None)
         assert out.exit_code == 2
-        assert calls == {"read_erf": 1, "read_entity_csv": 1}
+        assert calls == {"read_erf": 1, "read_entity_csv": 1, "read_cell_table_csv": 1}
         failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
         assert sorted(f.split(",")[0] for f in failures) == [
             f"ents|{t}|synthA|42|{p}" for t in ("LUC", "POP") for p in ("random", "spatial")]
         assert all("ents.csv:3:" in f for f in failures)
-        assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
+        assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field", "table"}
 
     def test_empty_cell_table_fails_pair_and_run_continues(self, bench):
         add_model(bench, "empty", "cell_table", 4, "empty.csv",
@@ -617,7 +621,9 @@ class TestReport:
         ("city,a,b\nLondon,1,2\n,7,8\n", "3: empty city"),
         ("city,a,b\nParis,1,2\nLondon,3,4\nParis,5,6\n", "4: repeated city 'Paris'"),
         ("city,a,b\nParis,1,x\nLondon,,y\n", "2: factor 'b' value 'x' is not a number"),
-    ], ids=["short", "long", "empty-city", "repeated-city", "value"])
+        ("city,a,b\nParis,1,2\nLondon,nan,x\n", "3: factor 'a' value 'nan' is not a finite number"),
+        ("city,a\nParis,1\nLondon,-inf\n", "3: factor 'a' value '-inf' is not a finite number"),
+    ], ids=["short", "long", "empty-city", "repeated-city", "value", "nan", "inf"])
     def test_bad_factor_row_names_file_line(self, tmp_path, text, message):
         p = tmp_path / "factors.csv"
         p.write_text(text)
@@ -629,6 +635,15 @@ class TestReport:
         p = tmp_path / "factors.csv"
         p.write_text("city,a,b\nLondon,1,\n\nParis,5,6\n")
         assert cli._read_factors(p) == {"a": {"London": 1.0, "Paris": 5.0}, "b": {"Paris": 6.0}}
+
+    def test_non_finite_factor_report_exits_1(self, bench, capsys):
+        assert main(["run", str(bench / "manifest.json"), "--out", str(bench / "out"),
+                     "--seeds", "42", "--protocols", "spatial", "--head", "linear",
+                     "--models", "field", "--batch-size", "64", "--max-epochs", "20"]) == 0
+        (bench / "f.csv").write_text("city,area\ndemoville,1\nx,nan\n")
+        capsys.readouterr()
+        assert main(["report", str(bench / "out"), "--factors", str(bench / "f.csv")]) == 1
+        assert "f.csv:3: factor 'area' value 'nan' is not a finite number" in capsys.readouterr().err
 
     def test_empty_store_errors(self, tmp_path):
         (tmp_path / "results.csv").write_text("model,task,city,seed,protocol,metric,value,n_test\n")
@@ -700,6 +715,16 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert f"manifest.json: {key}" in err
         assert "Traceback" not in err
+        assert not (bench / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_hexgrid_on_non_cell_table_model(self, bench, capsys, verb):
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["models"]["field"]["hexgrid"] = {"lon0": 0.0, "lat0": 0.0}
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        args = ["--out", str(bench / "out")] if verb == "run" else []
+        assert main([verb, str(bench / "manifest.json"), *args]) == 1
+        assert "model field: hexgrid applies only to cell_table models" in capsys.readouterr().out
         assert not (bench / "out").exists()
 
     def test_validate_names_ragged_entity_row(self, bench, capsys):

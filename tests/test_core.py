@@ -190,6 +190,37 @@ class TestLoadTaskDataset:
                 TaskDataset("demo", "AGE", ["a", "b"], [0.5, 0.5], [0.5, 0.5],
                             np.full((2, 4), math.nan), [[0.5, bad], [0.5, 0.5]], Rect(0, 0, 1, 1))
 
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+    def test_fractional_class_rejected(self, bad):
+        cells = np.full((2, 4), math.nan)
+        with pytest.raises(ValidationError) as e:
+            TaskDataset("demo", "LUC", ["a", "b"], [0.5, 0.5], [0.5, 0.5], cells, [bad, 2.9],
+                        Rect(0, 0, 1, 1))
+        assert str(e.value) == f"unit a: class {bad} is not an integer"
+        # the labels are read as given, so an earlier bad row still wins
+        with pytest.raises(ValidationError, match="^unit a: lon 190.0 out of"):
+            TaskDataset("demo", "LUC", ["a", "b"], [190.0, 0.5], [0.5, 0.5], cells, [0, bad],
+                        Rect(0, 0, 1, 1))
+
+    def test_whole_float_classes_load(self):
+        ds = TaskDataset("demo", "LUC", ["a", "b"], [0.5, 0.5], [0.5, 0.5], np.full((2, 4), math.nan),
+                         [1.0, 2.0], Rect(0, 0, 1, 1))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 2] and ds.n_classes == 3
+
+    def test_row_rules_run_once_per_load(self, tmp_path, monkeypatch):
+        calls = []
+        rules = core.task_row_rules
+        monkeypatch.setattr(core, "task_row_rules", lambda *a: calls.append(1) or rules(*a))
+        load_task_dataset(scalar_file(tmp_path, ["u1,1.0,1.0,3.0", "u2,2.0,2.0,4.0"]))
+        assert len(calls) == 1
+
+    def test_derived_extent_holds_points_and_cells(self):
+        ds = TaskDataset("demo", "POP", ["a", "b"], [0.5, 3.0], [0.5, 4.0],
+                         [[0.0, 0.0, 1.0, 1.0], [math.nan] * 4], [1.0, 2.0], None)
+        assert ds.extent == Rect(0.0, 0.0, 3.0, 4.0)
+        with pytest.raises(ValidationError, match="^empty dataset and no extent metadata$"):
+            TaskDataset("demo", "POP", [], [], [], np.zeros((0, 4)), np.zeros(0), None)
+
     def test_caller_arrays_stay_writeable(self):
         lons, lats = np.array([0.5, 1.0]), np.array([0.5, 1.0])
         cells = np.full((2, 4), math.nan)

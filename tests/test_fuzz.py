@@ -111,7 +111,6 @@ READERS = {
     "erf": read_erf,
     "entity_csv": read_entity_csv,
     "cell_table": read_cell_table_csv,
-    "cell_table_with_grid": lambda p: read_cell_table_csv(p, grid=GRID),
     "manifest": lambda p: validate_manifest(load_manifest(p)),
     "result_store": read_result_store,
     "factors": _read_factors,
@@ -149,7 +148,8 @@ def _outcome(read, path):
     if isinstance(out, EntitySetSupport):
         return ("ok", out.lons.tobytes(), out.lats.tobytes(), out.vectors.tobytes())
     if isinstance(out, CellTableSupport):
-        return ("ok", out.grid.signature(), sorted((c, v.tobytes()) for c, v in out.table.items()))
+        return ("ok", out.grid and out.grid.signature(),
+                sorted((c, v.tobytes()) for c, v in out.table.items()))
     return ("ok", out)
 
 
@@ -157,8 +157,6 @@ def _outcome(read, path):
 ROW_READERS = {
     "entity_csv": (read_entity_csv, reference.read_entity_csv, "e.csv"),
     "cell_table": (read_cell_table_csv, reference.read_cell_table_csv, "t.csv"),
-    "cell_table_with_grid": (lambda p: read_cell_table_csv(p, grid=GRID),
-                             lambda p: reference.read_cell_table_csv(p, grid=GRID), "t.csv"),
     "factors": (_read_factors, reference.read_factors, "factors.csv"),
 }
 
@@ -244,7 +242,6 @@ OVERLONG = {
     "task_csv": ("pop.csv", 5),
     "entity_csv": ("e.csv", 2),
     "cell_table": ("t.csv", 3),
-    "cell_table_with_grid": ("t.csv", 3),
     "result_store": ("results.csv", 2),
     "factors": ("factors.csv", 2),
 }

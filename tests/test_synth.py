@@ -10,7 +10,6 @@ from reference import dataset, synth_units
 from urbanbench.align import align_entities_direct, coverage
 from urbanbench.cli import align_support, leakage_experiment
 from urbanbench.core import Rect, ValidationError, write_task_dataset
-from urbanbench.grid import HexGrid
 from urbanbench.heads import HeadConfig
 from urbanbench.synth import SynthConfig, generate_field, lag1_autocorr, synth_city
 
@@ -98,7 +97,7 @@ class TestSynthCity:
     def test_scalar_labels_equal_field(self):
         cfg = SynthConfig(n=16, seed=7, label_kind="scalar", embedding_kind="field_value")
         task, rep = synth_city(cfg)
-        m = align_support(rep.support, task, rep.model_id, HexGrid(*task.extent.center))
+        m = align_support(rep.support, task, rep.model_id)
         # embedding replicates the label across dim (up to float32 storage)
         np.testing.assert_allclose(m.rows[:, 0], task.labels, atol=1e-6)
 
@@ -130,8 +129,7 @@ class TestSparseCoverage:
         cfg = SynthConfig(n=40, extent=Rect(-0.05, -0.05, 0.05, 0.05), length_scale=0.025,
                           noise_sd=1.0, embedding_kind="sparse_entities", density=0.05, seed=3)
         task, rep = synth_city(cfg)
-        cov_h3 = coverage(align_support(rep.support, task, rep.model_id,
-                                        HexGrid(*task.extent.center)))
+        cov_h3 = coverage(align_support(rep.support, task, rep.model_id))
         cov_direct = coverage(align_entities_direct(rep.support, task, model_id=rep.model_id))
         assert cov_h3 > cov_direct
 
