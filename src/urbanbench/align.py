@@ -32,9 +32,8 @@ from .core import (
     ValidationError,
     _fmt,
     check_rows,
-    csv_rows,
-    open_text,
     parse_column,
+    read_table,
     repeats,
 )
 from .grid import (
@@ -379,21 +378,19 @@ def write_entity_csv(path: str | Path, rep: EntitySetSupport) -> None:
 
 def read_entity_csv(path: str | Path) -> EntitySetSupport:
     path = Path(path)
-    with open_text(path) as f:
-        numbered = [(ln, r) for ln, r in csv_rows(path, f) if r and not r[0].startswith("#")]
-    if not numbered:
+    _, lines, rows = read_table(path)
+    if not rows:
         raise ValidationError(f"{path}: empty entity file")
-    (_, header), numbered = numbered[0], numbered[1:]
+    header, rows, lines = rows[0], rows[1:], lines[1:]
     width = len(header)
     if width < 3 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    rows = [r for _, r in numbered]
     values, ragged, unparsed = _float_rows(rows, width)
     check_rows([
         (ragged, lambda i: f"expected {width} values, got {len(rows[i])}"),
         (unparsed, lambda i: "malformed entity row"),
         (~np.isfinite(values[:, 2:]).all(axis=1), lambda i: "non-finite value"),
-    ], path, numbered)
+    ], path, lines)
     return EntitySetSupport(lons=values[:, 0].copy(), lats=values[:, 1].copy(),
                             vectors=values[:, 2:].copy())
 
@@ -430,37 +427,29 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
 def read_cell_table_csv(path: str | Path) -> CellTableSupport:
     """A cell table keyed on the grid of its `# hexgrid` comment (None without one)."""
     path = Path(path)
+    meta, lines, rows = read_table(path)
     grid = None
-    with open_text(path) as f:
-        lines = f.readlines()  # split as the csv module splits them
-    body_start = len(lines)  # a file of only comments has no body
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        parts = line[1:].split()
-        if parts and parts[0] == "hexgrid":
-            try:
-                lon0, lat0, edge = (float(v) for v in parts[1:])
-                grid = HexGrid(lon0, lat0, edge)
-            except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
-                raise ValidationError(
-                    f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
-    numbered = list(csv_rows(path, lines[body_start:], body_start + 1))
-    if not numbered:
+    if "hexgrid" in meta:
+        line, text = meta["hexgrid"]
+        try:
+            lon0, lat0, edge = map(float, text.split())
+            grid = HexGrid(lon0, lat0, edge)
+        except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
+            raise ValidationError(
+                f"{path}:{line}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
+    if not rows:
         raise ValidationError(f"{path}: empty cell table")
-    (_, header), numbered = numbered[0], numbered[1:]
+    header, rows, lines = rows[0], rows[1:], lines[1:]
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    rows = [r for _, r in numbered]
     unparsed = np.zeros(len(rows), dtype=bool)
-    cells = parse_column([r[0] if r else "" for r in rows], parse_hex_cell_key, unparsed, fill=None)
+    cells = parse_column([r[0] for r in rows], parse_hex_cell_key, unparsed, fill=None)
     vectors, ragged, bad_value = _float_rows([r[2:] for r in rows], dim)
     check_rows([
         (unparsed | bad_value, lambda i: "malformed cell-table row"),
         (ragged, lambda i: f"expected {dim} components"),
         (~np.isfinite(vectors).all(axis=1), lambda i: "non-finite value"),
         (repeats(cells), lambda i: f"duplicate key {rows[i][0]!r}"),
-    ], path, numbered)
+    ], path, lines)
     return CellTableSupport(grid=grid, table=dict(zip(cells, vectors)))

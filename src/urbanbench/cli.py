@@ -47,11 +47,11 @@ from .core import (
     _fmt,
     age_restricted,
     check_rows,
-    csv_rows,
     load_manifest,
     load_task_dataset,
-    open_text,
     parse_column,
+    read_json_object,
+    read_table,
     repeats,
     stable_seed,
     task_direction,
@@ -110,23 +110,21 @@ class ResultStore:
 
 def read_result_store(path: str | Path) -> list[ResultRecord]:
     path = Path(path)
+    _, lines, rows = read_table(path)
+    if rows[:1] != [list(STORE_HEADER)]:
+        raise ValidationError(f"{path}: unexpected result store header {rows[0] if rows else None}")
     out: list[ResultRecord] = []
-    with open_text(path) as f:
-        reader = csv_rows(path, f)
-        header = next(reader, (0, None))[1]
-        if header != list(STORE_HEADER):
-            raise ValidationError(f"{path}: unexpected result store header {header}")
-        for ln, row in reader:
-            if len(row) != len(STORE_HEADER):
-                raise ValidationError(f"{path}:{ln}: expected {len(STORE_HEADER)} "
-                                      f"fields, got {len(row)}")
-            try:
-                out.append(ResultRecord(
-                    model_id=row[0], task=row[1], city=row[2], seed=int(row[3]),
-                    protocol=row[4], metric=row[5], value=float(row[6]), n_test=int(row[7]),
-                ))
-            except ValueError:
-                raise ValidationError(f"{path}:{ln}: malformed result row") from None
+    for ln, row in zip(lines[1:], rows[1:]):
+        if len(row) != len(STORE_HEADER):
+            raise ValidationError(f"{path}:{ln}: expected {len(STORE_HEADER)} "
+                                  f"fields, got {len(row)}")
+        try:
+            out.append(ResultRecord(
+                model_id=row[0], task=row[1], city=row[2], seed=int(row[3]),
+                protocol=row[4], metric=row[5], value=float(row[6]), n_test=int(row[7]),
+            ))
+        except ValueError:
+            raise ValidationError(f"{path}:{ln}: malformed result row") from None
     return out
 
 
@@ -214,14 +212,9 @@ def evaluate(task: TaskDataset, features: AlignedMatrix, split, cfg: HeadConfig,
         computed = classification_metrics(y, p, task.n_classes)
     else:
         computed = distribution_metrics(y, p)
-    out = []
-    for name in METRICS_FOR_KIND[task.label_kind]:
-        mv = computed[name]
-        value = float("nan") if (name == "r2" and mv.degenerate) else mv.value
-        out.append(ResultRecord(model_id=features.model_id, task=task.task, city=task.city,
-                                seed=split.seed, protocol=split.protocol, metric=name,
-                                value=value, n_test=n_test))
-    return out
+    return [ResultRecord(model_id=features.model_id, task=task.task, city=task.city, seed=split.seed,
+                         protocol=split.protocol, metric=name, value=computed[name].value, n_test=n_test)
+            for name in METRICS_FOR_KIND[task.label_kind]]
 
 
 @dataclass
@@ -284,15 +277,6 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
         if model_id in models and (city, task_name) in datasets:
             log(f"gap: {model_id} / {city} / {task_name}: {reason}")
 
-    out_dir = Path(plan.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "splits").mkdir(exist_ok=True)
-    store = ResultStore(out_dir / "results.csv")
-    completed = store.completed_groups()
-    started = time.time()
-    for (city, task_name, protocol, seed), a in splits.items():
-        write_split_csv(out_dir / "splits" / f"{city}_{task_name}_{protocol}_{seed}.csv", a)
-
     # json.dumps(sort_keys=True) orders every table below
     head = plan.head
     meta = {
@@ -312,6 +296,15 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                      for (c, t), ds in datasets.items()},
         "splits": {"|".join(map(str, key)): a.assignment_hash() for key, a in splits.items()},
     }
+    out_dir = Path(plan.out_dir)
+    meta = bind_plan(out_dir / "run_meta.json", meta)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "splits").mkdir(exist_ok=True)
+    store = ResultStore(out_dir / "results.csv")
+    completed = store.completed_groups()
+    started = time.time()
+    for (city, task_name, protocol, seed), a in splits.items():
+        write_split_csv(out_dir / "splits" / f"{city}_{task_name}_{protocol}_{seed}.csv", a)
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                            encoding="utf-8")
 
@@ -368,6 +361,43 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
         f"{len(failures)} failures")
     return RunOutcome(exit_code=2 if failures else 0, new_records=new_records,
                       skipped_groups=skipped, failures=failures)
+
+
+def bind_plan(path: Path, meta: dict) -> dict:
+    """The run_meta.json to write: `meta` itself, or, if `path` holds the meta of
+    an earlier run, the two merged. The plan's lists (models, cities, tasks,
+    seeds, protocols) take the union, the recorded order first. Every other
+    plan field and the constants must equal the recorded ones, and so must
+    each `grids`, `hexgrids` and `splits` entry that both runs have; a run that
+    differs raises a ValidationError naming `path`."""
+    if not path.exists():
+        return meta
+    old = read_json_object(path, "run meta")
+    new = json.loads(json.dumps(meta))  # as the file would hold it
+
+    def same(name, was, now):
+        if was != now:
+            raise ValidationError(
+                f"{path}: recorded {name} {json.dumps(was)} != this run's {json.dumps(now)}")
+
+    try:
+        plan = {}
+        for key, now in new["plan"].items():
+            was = old["plan"][key]
+            if key in ("models", "cities", "tasks", "seeds", "protocols"):
+                plan[key] = was + [v for v in now if v not in was]
+            else:
+                same(key, was, now)
+                plan[key] = now
+        same("constants", old["constants"], new["constants"])
+        tables = {}
+        for table in ("grids", "hexgrids", "splits"):
+            for key in old[table].keys() & new[table].keys():
+                same(f"{table} entry {key}", old[table][key], new[table][key])
+            tables[table] = {**old[table], **new[table]}
+    except (KeyError, TypeError, AttributeError):
+        raise ValidationError(f"{path}: not the run meta of a run") from None
+    return {"plan": plan, "constants": new["constants"], **tables}
 
 
 def harness_constants() -> dict:
@@ -552,14 +582,12 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
     holds the header's field count, a nonempty city of its own and finite
     numbers; "" is missing."""
     path = Path(path)
-    with open_text(path) as f:
-        reader = csv_rows(path, f)
-        header = next(reader, (0, []))[1]
-        if header[:1] != ["city"]:
-            raise ValidationError(f"{path}: factors header must start with 'city'")
-        numbered = [(ln, r) for ln, r in reader if r]
+    _, lines, rows = read_table(path)
+    header = rows[0] if rows else []
+    if header[:1] != ["city"]:
+        raise ValidationError(f"{path}: factors header must start with 'city'")
+    rows, lines = rows[1:], lines[1:]
     names, width = header[1:], len(header)
-    rows = [r for _, r in numbered]
     ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != width
     cols = list(zip(*(r if len(r) == width else [""] * width for r in rows))) or [()] * width
     cities = cols[0]
@@ -574,7 +602,7 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
           for j in range(len(names))
           for bad, what in ((unparsed[j], "a number"),
                             (given[j] & ~np.isfinite(values[j]), "a finite number"))),
-    ], path, numbered)
+    ], path, lines)
     return {name: {c: v for c, text, v in zip(cities, col, vals) if text}
             for name, col, vals in zip(names, cols[1:], values)}
 

@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Callable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -171,17 +171,17 @@ _ID_FORBIDDEN = re.compile('[,"\r\n]')
 
 
 def check_rows(rules: list[tuple[np.ndarray, Callable[[int], str]]], path: Path | None = None,
-               numbered: Sequence[tuple] = ()) -> None:
+               lines: Sequence[int] = ()) -> None:
     """One flagged pass over a rule table: `rules` holds (rows that break the
     rule, message of row i) pairs in check order. The first row that breaks a
     rule raises the message of its first broken rule, as `path:line: message`
-    when a path is given (`numbered[i]` starts with row i's line number). The
-    error's `row` is i."""
+    when a path is given (`lines[i]` is row i's line number). The error's `row`
+    is i."""
     bad = np.any([rows for rows, _ in rules], axis=0)
     if bad.any():
         i = int(np.argmax(bad))
         message = next(message(i) for rows, message in rules if rows[i])
-        e = ValidationError(message if path is None else f"{path}:{numbered[i][0]}: {message}")
+        e = ValidationError(message if path is None else f"{path}:{lines[i]}: {message}")
         e.row = i
         raise e
 
@@ -368,66 +368,75 @@ def open_text(path: Path):
         raise ValidationError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
-def csv_rows(path: Path, lines: Iterable[str], first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
-    """`csv.reader` over `lines`, numbered from `first_line`: the (line number,
-    fields) of each row, where a row's number is that of its last line. A line
-    the csv module rejects raises a ValidationError naming path:line."""
-    reader = csv.reader(lines)
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as e:
-            raise ValidationError(f"{path}:{first_line - 1 + reader.line_num}: malformed CSV ({e})") from None
-        yield first_line - 1 + reader.line_num, row
+def read_table(path: Path) -> tuple[dict[str, tuple[int, str]], Sequence[int], list[list[str]]]:
+    """The one CSV dialect of every input table: UTF-8 text split into lines at
+    CR, LF or CRLF only, blank lines skipped. Each `#` line before the header
+    is a comment, and `meta[key]` is the (line, value) of `# key value`. The
+    header and each later line is one row, parsed on its own, so an open quote
+    never runs on into the next line. Returns (meta, lines, rows): `rows[0]` is
+    the header, and `lines[i]` is the physical line number of `rows[i]`. A
+    line the csv module rejects raises a ValidationError naming path:line."""
+    with open_text(path) as f:
+        text = f.readlines()  # split at CR, LF or CRLF, endings kept
+    meta: dict[str, tuple[int, str]] = {}
+    head = 0
+    while head < len(text) and (text[head].startswith("#") or text[head] in ("\n", "\r\n", "\r")):
+        words = text[head][1:].split(None, 1)
+        if words:
+            meta[words[0]] = (head + 1, words[1].rstrip() if len(words) > 1 else "")
+        head += 1
+    body = text[head:]
+    if body:  # so that a quote open on the last line closes with it, as on every other
+        body[-1] = body[-1].rstrip("\r\n")
+    try:
+        rows = list(csv.reader(body))
+    except csv.Error:
+        rows = []
+    if len(rows) != len(body):  # a quoted field ran on, or the csv module rejected a line
+        rows = [_csv_line(path, ln, line.rstrip("\r\n")) for ln, line in enumerate(body, head + 1)]
+    lines: Sequence[int] = range(head + 1, len(text) + 1)
+    if not all(rows):  # blank lines in the body
+        lines = [ln for ln, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    return meta, lines, rows
+
+
+def _csv_line(path: Path, ln: int, line: str) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as e:
+        raise ValidationError(f"{path}:{ln}: malformed CSV ({e})") from None
 
 
 def load_task_dataset(path: str | Path) -> TaskDataset:
-    """Load a task dataset from its canonical CSV form.
+    """Load a task dataset from its canonical CSV form, in the `read_table`
+    dialect.
 
     Leading `# key value...` comment lines carry task, city, extent, and
     (for class labels) the declared class count. Load is deterministic and
-    order-preserving; malformed rows fail with their line number. Lines end
-    at CR, LF or CRLF only, as the csv module reads them.
+    order-preserving; malformed rows and comments fail with their line number.
     """
     path = Path(path)
-    meta: dict[str, str] = {}
-    with open_text(path) as f:
-        raw_lines = f.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if raw_lines[-1] == "":  # the end of the last line
-        raw_lines.pop()
-
-    lineno = 0
-    n_lines = len(raw_lines)
-    while lineno < n_lines and raw_lines[lineno].startswith("#"):
-        body = raw_lines[lineno][1:].strip()
-        if body:
-            key, _, rest = body.partition(" ")
-            meta[key] = rest.strip()
-        lineno += 1
-    if lineno >= n_lines:
+    meta, lines, rows = read_table(path)
+    if not rows:
         raise ValidationError(f"{path}: no header row")
     if "task" not in meta or "city" not in meta:
         raise ValidationError(f"{path}: missing '# task ...' / '# city ...' metadata")
-    task = meta["task"]
-    city = meta["city"]
+    task_line, task = meta["task"]
+    city = meta["city"][1]
     if task not in TASKS:
-        raise ValidationError(f"{path}: unknown task {task!r}")
-    extent = None  # without `# extent`, the extent of the units
-    if "extent" in meta:
-        try:
-            extent = Rect(*(float(v) for v in meta["extent"].split()))
-        except (TypeError, ValueError):
-            raise ValidationError(f"{path}: malformed '# extent' line") from None
-    try:
-        n_classes = int(meta["classes"]) if "classes" in meta else None
-    except ValueError:
-        raise ValidationError(f"{path}: malformed '# classes' line") from None
+        raise ValidationError(f"{path}:{task_line}: unknown task {task!r}")
+    given = {}  # without `# extent` or `# classes`, each is derived from the rows
+    for key, parse in (("extent", lambda text: Rect(*map(float, text.split()))), ("classes", int)):
+        if key in meta:
+            line, text = meta[key]
+            try:
+                given[key] = parse(text)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{path}:{line}: malformed '# {key}' line") from None
+    extent, n_classes = given.get("extent"), given.get("classes")
 
-    header_line = lineno + 1
-    header = next(csv_rows(path, [raw_lines[lineno]], header_line))[1]
-    lineno += 1
+    header, header_line, rows, lines = rows[0], lines[0], rows[1:], lines[1:]
     if header[:3] != ["unit_id", "lon", "lat"]:
         raise ValidationError(f"{path}:{header_line}: header must start with unit_id,lon,lat")
     rest = header[3:]
@@ -449,8 +458,6 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
             f"{path}:{header_line}: label columns {label_cols} do not match task {task} ({expected})"
         )
 
-    numbered = [(ln, line) for ln, line in enumerate(raw_lines[lineno:], lineno + 1) if line]
-    rows = _task_rows(path, numbered)
     n, width = len(rows), len(header)
     # A row with another field count or a number that does not parse is
     # flagged in `unread` (its fields read 0); every other rule is the table's.
@@ -474,25 +481,12 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     if unread.any() or (has_extent and np.isnan(cells[:, 0]).any()):
         check_rows([(unread, lambda i: _row_error(rows[i], width, kind)),
                     *task_row_rules(cols[0], lons, lats, cells, np.full(n, has_extent), kind, labels,
-                                    n_classes, extent)], path, numbered)
+                                    n_classes, extent)], path, lines)
     try:
         return TaskDataset(city, task, cols[0], lons, lats, cells, labels, extent, n_classes=n_classes)
     except ValidationError as e:
-        where = path if e.row is None else f"{path}:{numbered[e.row][0]}"
+        where = path if e.row is None else f"{path}:{lines[e.row]}"
         raise ValidationError(f"{where}: {e}") from None
-
-
-def _task_rows(path: Path, numbered: list[tuple[int, str]]) -> list[list[str]]:
-    """The fields of each numbered line, parsed on its own: an open quote
-    never runs on into the next line."""
-    reader = csv.reader([line for _, line in numbered])
-    try:
-        rows = list(reader)
-        if reader.line_num == len(rows):
-            return rows
-    except csv.Error:
-        pass
-    return [next(csv_rows(path, [line], ln))[1] for ln, line in numbered]
 
 
 def parse_column(values: Sequence, convert, bad: np.ndarray, fill=0) -> list:
@@ -794,10 +788,10 @@ class ValidationReport:
 
 def validate_manifest(manifest: Manifest) -> ValidationReport:
     """Structural checks of every (model, city, task) combination; opens no file.
-    Unknown tasks, support kinds or encoders, missing task files, bad dims and a
-    `hexgrid` on a model that is not a cell table are errors. A pair whose
-    embedding file is not listed or not present is a gap, which `run` skips;
-    an `age_restricted` task is a warning and in no pair.
+    A model id with CR or LF, unknown tasks, support kinds or encoders, missing
+    task files, bad dims and a `hexgrid` on a model that is not a cell table are
+    errors. A pair whose embedding file is not listed or not present is a gap,
+    which `run` skips; an `age_restricted` task is a warning and in no pair.
     The loaders that `validate` and `run` share read the files."""
     from .pe_encoder import get_encoder
 
@@ -819,6 +813,9 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
 
     for model_id in sorted(manifest.models):
         m = manifest.models[model_id]
+        if "\r" in model_id or "\n" in model_id:  # results.csv holds one row per line
+            report.errors.append(f"model {model_id!r}: id contains CR or LF")
+            continue
         if m.support not in SUPPORT_KINDS:
             report.errors.append(f"model {model_id}: unknown support kind {m.support!r}")
             continue

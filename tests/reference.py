@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from urbanbench.core import (CellTableSupport, EntitySetSupport, Rect, TaskDataset, ValidationError,
-                             csv_rows, open_text)
+                             read_table)
 from urbanbench.grid import EARTH_RADIUS_M, BlockGrid, HexGrid, hex_cell_center_xy, parse_hex_cell_key
 
 
@@ -128,17 +128,17 @@ def hex_cell_center(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
-# CSV readers, one row at a time: each row checked in full before the next
+# CSV readers, one row at a time: each row checked in full before the next.
+# Their dialect (comments, blank lines, line numbers) is `read_table`'s.
 
 def read_entity_csv(path) -> EntitySetSupport:
     """`align.read_entity_csv` row by row: a row's field count, its numbers,
     then the finiteness of its vector."""
     path = Path(path)
-    with open_text(path) as f:
-        rows = [(ln, r) for ln, r in csv_rows(path, f) if r and not r[0].startswith("#")]
+    _, lines, rows = read_table(path)
     if not rows:
         raise ValidationError(f"{path}: empty entity file")
-    (_, header), data = rows[0], rows[1:]
+    header, data = rows[0], list(zip(lines[1:], rows[1:]))
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
@@ -161,26 +161,19 @@ def read_cell_table_csv(path) -> CellTableSupport:
     """`align.read_cell_table_csv` row by row: a row's key and numbers, the
     length of its vector, its finiteness, then a key no earlier row has."""
     path = Path(path)
-    with open_text(path) as f:
-        lines = f.readlines()
+    meta, lines, rows = read_table(path)
     grid = None
-    body_start = len(lines)
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        parts = line[1:].split()
-        if parts and parts[0] == "hexgrid":
-            try:
-                lon0, lat0, edge = (float(v) for v in parts[1:])
-                grid = HexGrid(lon0, lat0, edge)
-            except ValueError as e:
-                raise ValidationError(
-                    f"{path}:{i + 1}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
-    rows = list(csv_rows(path, lines[body_start:], body_start + 1))
+    if "hexgrid" in meta:
+        line, text = meta["hexgrid"]
+        try:
+            lon0, lat0, edge = (float(v) for v in text.split())
+            grid = HexGrid(lon0, lat0, edge)
+        except ValueError as e:
+            raise ValidationError(
+                f"{path}:{line}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
     if not rows:
         raise ValidationError(f"{path}: empty cell table")
-    (_, header), data = rows[0], rows[1:]
+    header, data = rows[0], list(zip(lines[1:], rows[1:]))
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
@@ -205,12 +198,11 @@ def read_factors(path) -> dict[str, dict[str, float]]:
     """`cli._read_factors` row by row: a row's field count, a nonempty city,
     a city no earlier row names, then each value: empty (missing) or a finite number."""
     path = Path(path)
-    with open_text(path) as f:
-        reader = csv_rows(path, f)
-        header = next(reader, (0, []))[1]
-        if header[:1] != ["city"]:
-            raise ValidationError(f"{path}: factors header must start with 'city'")
-        data = [(ln, r) for ln, r in reader if r]
+    _, lines, rows = read_table(path)
+    header = rows[0] if rows else []
+    if header[:1] != ["city"]:
+        raise ValidationError(f"{path}: factors header must start with 'city'")
+    data = zip(lines[1:], rows[1:])
     names = header[1:]
     out: dict[str, dict[str, float]] = {n: {} for n in names}
     seen = set()

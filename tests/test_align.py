@@ -349,10 +349,14 @@ class TestFileFormats:
         np.testing.assert_array_equal(back.vectors, rep.vectors)
 
     def test_entity_csv_ragged_row_names_file_line(self, tmp_path):
-        # the line number counts comment lines too, so it points into the file
+        # the line number counts comment and blank lines too, so it points into the file
         p = tmp_path / "ents.csv"
-        p.write_text("# comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n# another\n0.3,0.4,1.0,9.0\n")
+        p.write_text("# comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n\n0.3,0.4,1.0,9.0\n")
         with pytest.raises(ValidationError, match=r"ents\.csv:5: expected 3 values, got 4"):
+            read_entity_csv(p)
+        # after the header a '#' line is a row like any other
+        p.write_text("# comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n#0.3,0.4,1.0\n")
+        with pytest.raises(ValidationError, match=r"ents\.csv:4: malformed entity row$"):
             read_entity_csv(p)
 
     def test_cell_table_round_trip(self, tmp_path):
@@ -380,16 +384,21 @@ class TestFileFormats:
             read_cell_table_csv(p)
 
     def test_cell_table_line_after_multiline_field(self, tmp_path):
-        # the quoted lat field of line 3 runs on into line 4; the bad row is line 5
+        # a quote open on line 3 closes with its line: line 3 is a row of its own,
+        # with no vector, and line 4 (`b",1.0`) is another
         p = tmp_path / "ct.csv"
         p.write_text('# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n0:0,"a\nb",1.0\n1:0,,nan\n')
         with pytest.raises(ValidationError) as e:
             read_cell_table_csv(p)
-        assert str(e.value) == f"{p}:5: non-finite value"
+        assert str(e.value) == f"{p}:3: expected 1 components"
+        p.write_text('# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n0:0,,"1.0\n1:0,,nan\n')
+        with pytest.raises(ValidationError) as e:
+            read_cell_table_csv(p)
+        assert str(e.value) == f"{p}:4: non-finite value"
 
     @pytest.mark.parametrize("rows, message", [
         ("0:0,,1.0\n0:x,,1.0,2.0\n", "4: malformed cell-table row"),
-        ("0:0,,1.0\n\n", "4: malformed cell-table row"),
+        ("0:0,,1.0\n\n0:x,,1.0\n", "5: malformed cell-table row"),
         ("0:0,,1.0\n1:0,,1.0,2.0\n", "4: expected 1 components"),
         ("0:0,,1.0\n00:0,,2.0\n", "4: duplicate key '00:0'"),
     ], ids=["key", "blank", "components", "duplicate"])
@@ -411,6 +420,13 @@ class TestFileFormats:
         with pytest.raises(ValidationError) as e:
             read_entity_csv(p)
         assert str(e.value) == f"{p}:{message}"
+
+    def test_cell_table_blank_lines_load(self, tmp_path):
+        p = tmp_path / "ct.csv"
+        p.write_text("# hexgrid 0.0 0.0 461.0\n\nkey_or_lon,lat,v_0\n\n0:0,,1.0\n\n1:0,,2.0\n\n")
+        rep = read_cell_table_csv(p)
+        assert rep.grid.signature() == HexGrid(0.0, 0.0, 461.0).signature()
+        assert {c: v.tolist() for c, v in rep.table.items()} == {(0, 0): [1.0], (1, 0): [2.0]}
 
     def test_cell_table_of_only_comments_is_empty(self, tmp_path):
         p = tmp_path / "table.csv"

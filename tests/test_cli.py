@@ -408,6 +408,63 @@ class TestRun:
         assert out.exit_code == 1
 
 
+def snapshot(directory):
+    """Every file under `directory`, as bytes by relative path."""
+    return {str(f.relative_to(directory)): f.read_bytes() for f in sorted(directory.rglob("*")) if f.is_file()}
+
+
+class TestRunDirectoryPlan:
+    """A run directory is bound to the plan in its run_meta.json."""
+
+    QUICK = ["--seeds", "42", "--head", "linear", "--max-epochs", "3", "--patience", "2"]
+
+    @pytest.mark.parametrize("flags, recorded", [
+        (["--grid", "4x4"], "grid [10, 10] != this run's [4, 4]"),
+        (["--max-epochs", "4"], "max_epochs 3 != this run's 4"),
+        (["--head", "mlp"], 'head "linear" != this run\'s "mlp"'),
+    ], ids=["grid", "max-epochs", "head"])
+    def test_other_plan_exits_1_and_changes_nothing(self, bench, capsys, flags, recorded):
+        run_args = ["run", str(bench / "manifest.json"), "--out", str(bench / "out"), *self.QUICK]
+        assert main([*run_args, "--grid", "10x10"]) == 0
+        before = snapshot(bench / "out")
+        capsys.readouterr()
+        assert main([*run_args, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {bench / 'out' / 'run_meta.json'}: recorded {recorded}\n"
+        assert snapshot(bench / "out") == before
+
+    @pytest.mark.parametrize("first, then, fresh", [
+        (dict(seeds=(42,)), dict(seeds=(24,)), dict(seeds=(42, 24))),
+        (dict(models=("field",)), dict(models=("pe",)), dict()),
+        (dict(protocols=("spatial",)), dict(protocols=("random",), seeds=(24, 42)), dict()),
+    ], ids=["seed", "model", "protocol"])
+    def test_added_items_merge_run_meta(self, bench, first, then, fresh):
+        run(quick_plan(bench, **first), log=lambda *a: None)
+        assert run(quick_plan(bench, **then), log=lambda *a: None).exit_code == 0
+        run(quick_plan(bench, out="fresh", **fresh), log=lambda *a: None)
+        # the recorded order first: a fresh run of the union writes the same file
+        assert (bench / "out" / "run_meta.json").read_bytes() == (bench / "fresh" / "run_meta.json").read_bytes()
+
+    def test_merged_lists_keep_recorded_order(self, bench):
+        run(quick_plan(bench, seeds=(24,)), log=lambda *a: None)
+        run(quick_plan(bench, seeds=(42, 24)), log=lambda *a: None)
+        meta = json.loads((bench / "out" / "run_meta.json").read_text())
+        assert meta["plan"]["seeds"] == [24, 42]
+        assert len(meta["splits"]) == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid JSON"),
+        ("[]", "run meta must be a JSON object, got list"),
+        ('{"plan": []}', "not the run meta of a run"),
+    ], ids=["invalid", "list", "no-plan"])
+    def test_corrupt_run_meta_names_it(self, bench, capsys, text, message):
+        (bench / "out").mkdir()
+        (bench / "out" / "run_meta.json").write_text(text)
+        assert main(["run", str(bench / "manifest.json"), "--out", str(bench / "out"), *self.QUICK]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bench / 'out' / 'run_meta.json'}: {message}") and err.count("\n") == 1
+        assert snapshot(bench / "out") == {"run_meta.json": text.encode()}
+
+
 class TestResultStore:
     def test_nan_round_trip(self, tmp_path):
         from urbanbench.aggregate import ResultRecord
@@ -725,6 +782,18 @@ class TestVerbs:
         args = ["--out", str(bench / "out")] if verb == "run" else []
         assert main([verb, str(bench / "manifest.json"), *args]) == 1
         assert "model field: hexgrid applies only to cell_table models" in capsys.readouterr().out
+        assert not (bench / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("model_id", ["a\nb", "a\rb", "ab\r\n"])
+    def test_model_id_with_cr_or_lf(self, bench, capsys, verb, model_id):
+        # results.csv holds one row per line, so such an id could not be read back
+        manifest = json.loads((bench / "manifest.json").read_text())
+        manifest["models"][model_id] = manifest["models"]["pe"]
+        (bench / "manifest.json").write_text(json.dumps(manifest))
+        args = ["--out", str(bench / "out")] if verb == "run" else []
+        assert main([verb, str(bench / "manifest.json"), *args]) == 1
+        assert f"model {model_id!r}: id contains CR or LF\n" in capsys.readouterr().out
         assert not (bench / "out").exists()
 
     def test_validate_names_ragged_entity_row(self, bench, capsys):

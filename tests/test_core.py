@@ -23,7 +23,7 @@ from urbanbench.core import (
     ValidationError,
     load_manifest,
     load_task_dataset,
-    open_text,
+    read_table,
     validate_manifest,
     write_task_dataset,
 )
@@ -122,8 +122,21 @@ class TestLoadTaskDataset:
         p = tmp_path / "luc.csv"
         p.write_text("# task LUC\n# city demo\n# extent 0.0 0.0 1.0 1.0\n# classes abc\n"
                      "unit_id,lon,lat,class\nu0,0.1,0.1,0\n")
-        with pytest.raises(ValidationError, match=r"luc\.csv: malformed '# classes' line"):
+        with pytest.raises(ValidationError, match=r"luc\.csv:4: malformed '# classes' line$"):
             load_task_dataset(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("# task XYZ\n# city demo\nunit_id,lon,lat,value\n", "1: unknown task 'XYZ'"),
+        ("\n# city demo\n\n# task POP\n# extent 0 0 1\nunit_id,lon,lat,value\n", "5: malformed '# extent' line"),
+        ("# task POP\n\n# city demo\n# extent 0 0 1 1\nunit_id,lat,lon,value\n",
+         "5: header must start with unit_id,lon,lat"),
+    ], ids=["task", "extent", "header"])
+    def test_metadata_error_names_line(self, tmp_path, text, message):
+        p = tmp_path / "task.csv"
+        p.write_text(text + "u0,0.1,0.1,0\n")
+        with pytest.raises(ValidationError) as e:
+            load_task_dataset(p)
+        assert str(e.value) == f"{p}:{message}"
 
     def test_raster_cell_columns(self, tmp_path):
         p = tmp_path / "pop.csv"
@@ -261,42 +274,26 @@ def _ref_load_task_dataset(path):
     and numbers come first, then its unit, its label, and the dataset rules (a
     repeated unit_id, a unit outside the `# extent`). Without `# classes`, the
     class count is one more than the largest class of the rows that read."""
-    meta = {}
-    with open_text(path) as f:
-        raw_lines = re.split(r"\r\n|\r|\n", f.read())
-    if raw_lines[-1] == "":
-        raw_lines.pop()
-
-    lineno = 0
-    n_lines = len(raw_lines)
-    while lineno < n_lines and raw_lines[lineno].startswith("#"):
-        body = raw_lines[lineno][1:].strip()
-        if body:
-            key, _, rest = body.partition(" ")
-            meta[key] = rest.strip()
-        lineno += 1
-    if lineno >= n_lines:
+    meta, lines, rows = read_table(path)
+    if not rows:
         raise ValidationError(f"{path}: no header row")
     if "task" not in meta or "city" not in meta:
         raise ValidationError(f"{path}: missing '# task ...' / '# city ...' metadata")
-    task = meta["task"]
-    city = meta["city"]
+    (task_line, task), (_, city) = meta["task"], meta["city"]
     if task not in TASKS:
-        raise ValidationError(f"{path}: unknown task {task!r}")
+        raise ValidationError(f"{path}:{task_line}: unknown task {task!r}")
     extent = None
     if "extent" in meta:
         try:
-            extent = Rect(*(float(v) for v in meta["extent"].split()))
+            extent = Rect(*(float(v) for v in meta["extent"][1].split()))
         except (TypeError, ValueError):
-            raise ValidationError(f"{path}: malformed '# extent' line") from None
+            raise ValidationError(f"{path}:{meta['extent'][0]}: malformed '# extent' line") from None
     try:
-        n_classes = int(meta["classes"]) if "classes" in meta else None
+        n_classes = int(meta["classes"][1]) if "classes" in meta else None
     except ValueError:
-        raise ValidationError(f"{path}: malformed '# classes' line") from None
+        raise ValidationError(f"{path}:{meta['classes'][0]}: malformed '# classes' line") from None
 
-    header = next(csv.reader([raw_lines[lineno]]))
-    header_line = lineno + 1
-    lineno += 1
+    header, header_line = rows[0], lines[0]
     if header[:3] != ["unit_id", "lon", "lat"]:
         raise ValidationError(f"{path}:{header_line}: header must start with unit_id,lon,lat")
     rest = header[3:]
@@ -333,9 +330,7 @@ def _ref_load_task_dataset(path):
         except (ValueError, OverflowError) as e:
             return f"malformed row ({e})"
 
-    numbered = [(lineno + offset + 1, next(csv.reader([line])))
-                for offset, line in enumerate(raw_lines[lineno:]) if line]
-    read_rows = [(ln, fields, read(fields)) for ln, fields in numbered]
+    read_rows = [(ln, fields, read(fields)) for ln, fields in zip(lines[1:], rows[1:])]
     if kind == "class" and n_classes is None:
         n_classes = max([r[-1] for _, _, r in read_rows if not isinstance(r, str)], default=-1) + 1
     units = []
@@ -603,6 +598,42 @@ def test_every_accepted_dataset_round_trips(tmp_path_factory, ids, data):
     write_task_dataset(p2, back)
     assert back.unit_ids == ds.unit_ids
     assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestReadTable:
+    def _read(self, tmp_path, data: bytes):
+        p = tmp_path / "t.csv"
+        p.write_bytes(data)
+        meta, lines, rows = read_table(p)
+        return meta, list(lines), rows
+
+    def test_comments_blank_lines_and_line_numbers(self, tmp_path):
+        meta, lines, rows = self._read(tmp_path, b"\n# task POP\r\n#\n#  extent  0 0 1 1 \r\nh1,h2\n\na,b\r\n#c,d\n")
+        assert meta == {"task": (2, "POP"), "extent": (4, "0 0 1 1")}
+        assert lines == [5, 7, 8]
+        assert rows == [["h1", "h2"], ["a", "b"], ["#c", "d"]]  # a '#' line after the header is a row
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_lines_end_at_cr_lf_or_crlf_only(self, tmp_path, ending):
+        meta, lines, rows = self._read(tmp_path, ending.join([b"# k v", b"h", b"a\x0bb\x0cc\x1c\xc2\x85\xe2\x80\xa8"]))
+        assert meta == {"k": (1, "v")}
+        assert lines == [2, 3]
+        assert rows == [["h"], ["a\x0bb\x0cc\x1c\x85\u2028"]]
+
+    @pytest.mark.parametrize("data", [b'h\n"a\nb"\n', b'h\n"a\nb"'])
+    def test_open_quote_closes_with_its_line(self, tmp_path, data):
+        assert self._read(tmp_path, data)[1:] == ([1, 2, 3], [["h"], ["a"], ['b"']])
+        assert self._read(tmp_path, b'h\n"a\n')[1:] == ([1, 2], [["h"], ["a"]])
+
+    def test_only_comments(self, tmp_path):
+        assert self._read(tmp_path, b"# a 1\n\n# a 2\n") == ({"a": (3, "2")}, [], [])
+
+    def test_malformed_line_names_it(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"h\n\n" + b"9" * 200_001 + b"\n")
+        with pytest.raises(ValidationError) as e:
+            read_table(p)
+        assert str(e.value).startswith(f"{p}:3: malformed CSV (field larger than field limit")
 
 
 class TestTaskMetadata:

@@ -1,10 +1,12 @@
 """Property tests: every reader either loads its input or raises
-ValidationError, whatever the bytes; the manifest loader and validator do
-the same for any JSON document, and `urbanbench validate` exits 0 or 1."""
+ValidationError, whatever the bytes; every CSV reader gives the same result
+whatever the line endings and blank lines; the manifest loader and validator
+do the same for any JSON document, and `urbanbench validate` exits 0 or 1."""
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from urbanbench.core import (
     RasterSupport,
     Rect,
     ResultRecord,
+    TaskDataset,
     ValidationError,
     load_manifest,
     load_task_dataset,
@@ -140,11 +143,17 @@ def test_reader_loads_or_raises_validation_error(workdir, reader, data):
 
 
 def _outcome(read, path):
-    """What a CSV embedding or factors reader gives for a file, as comparable bytes."""
+    """What a CSV reader gives for a file, as comparable bytes."""
     try:
         out = read(path)
     except ValidationError as e:
         return ("error", str(e))
+    if isinstance(out, TaskDataset):
+        return ("ok", out.city, out.task, out.unit_ids, out.lons.tobytes(), out.lats.tobytes(),
+                out.cell_extents.tobytes(), out.labels.dtype.str, out.labels.tobytes(), repr(out.extent),
+                out.n_classes)
+    if isinstance(out, list):  # result records, whose NaN values compare unequal
+        return ("ok", repr(out))
     if isinstance(out, EntitySetSupport):
         return ("ok", out.lons.tobytes(), out.lats.tobytes(), out.vectors.tobytes())
     if isinstance(out, CellTableSupport):
@@ -169,6 +178,53 @@ def test_reader_matches_row_by_row_reference(workdir, reader, data):
     path = workdir / f"rows_{reader}"
     path.write_bytes(data.draw(mutated((name,))))
     assert _outcome(read, path) == _outcome(ref, path)
+
+
+# The readers of the one CSV dialect (`core.read_table`), with the valid files
+# their inputs are mutated from
+TABLE_READERS = {
+    "task_csv": ("pop.csv", "luc.csv", "age.csv", "lst.csv"),
+    "entity_csv": ("e.csv",),
+    "cell_table": ("t.csv",),
+    "result_store": ("results.csv",),
+    "factors": ("factors.csv",),
+}
+
+
+@st.composite
+def renderings(draw, names):
+    """One table, a mutated file of `names` split into lines at CR, LF and
+    CRLF, rendered twice: each line ended by LF, and with LF, CRLF or CR
+    endings, blank lines inserted anywhere and the last ending maybe left
+    out. Returns (plain bytes, rendered bytes, physical line in the rendered
+    bytes of each plain line)."""
+    lines = re.split(rb"\r\n|\r|\n", draw(mutated(names)))
+    if lines[-1] == b"":
+        lines.pop()
+    ending = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    blanks = draw(st.lists(st.integers(0, 2), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    rendered = b"".join(ending * k + line + ending for k, line in zip(blanks, lines))
+    if lines and draw(st.booleans()):
+        rendered = rendered[:-len(ending)]
+    else:
+        rendered += ending * blanks[-1]
+    physical = [k + 1 + sum(blanks[:k + 1]) for k in range(len(lines))]
+    return b"".join(line + b"\n" for line in lines), rendered, physical
+
+
+@pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+@SETTINGS
+@given(data=st.data())
+def test_line_endings_and_blank_lines_change_nothing(workdir, reader, data):
+    plain, rendered, physical = data.draw(renderings(TABLE_READERS[reader]))
+    path = workdir / f"dialect_{reader}"
+    path.write_bytes(plain)
+    expected = _outcome(READERS[reader], path)
+    if expected[0] == "error":  # the rendered file's error names the same row, at its physical line
+        expected = ("error", re.sub(rf"^{re.escape(str(path))}:(\d+):",
+                                    lambda m: f"{path}:{physical[int(m[1]) - 1]}:", expected[1]))
+    path.write_bytes(rendered)
+    assert _outcome(READERS[reader], path) == expected
 
 
 JSON = st.recursive(
