@@ -14,7 +14,6 @@ CSV entity-set / cell-table formats.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from .core import (
     parse_column,
     read_table,
     repeats,
+    write_rows,
 )
 from .grid import (
     HexGrid,
@@ -114,7 +114,7 @@ def _run_means(owner: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarra
     counts = np.bincount(owner, minlength=n)
     starts = np.cumsum(counts) - counts
     means = np.zeros((n, values.shape[1]), dtype=values.dtype)
-    for k in np.unique(counts[counts > 0]):
+    for k in set(counts.tolist()) - {0}:
         who = np.flatnonzero(counts == k)
         means[who] = values[starts[who, None] + np.arange(k)].mean(axis=1)
     return means, counts > 0
@@ -332,7 +332,7 @@ def write_erf(path: str | Path, rep: RasterSupport) -> None:
     """Header line `erf1 x0 y0 dx dy ncols nrows dim`, then little-endian
     float32 values, row-major, dim-interleaved per cell."""
     path = Path(path)
-    header = (f"{_ERF_MAGIC} {rep.x0!r} {rep.y0!r} {rep.dx!r} {rep.dy!r} "
+    header = (f"{_ERF_MAGIC} {_fmt(rep.x0)} {_fmt(rep.y0)} {_fmt(rep.dx)} {_fmt(rep.dy)} "
               f"{rep.ncols} {rep.nrows} {rep.dim}\n")
     body = np.ascontiguousarray(rep.values, dtype="<f4").tobytes()
     with path.open("wb") as f:
@@ -368,12 +368,9 @@ def read_erf(path: str | Path) -> RasterSupport:
 
 def write_entity_csv(path: str | Path, rep: EntitySetSupport) -> None:
     path = Path(path)
-    dim = rep.dim
     with path.open("w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["key_or_lon", "lat"] + [f"v_{j}" for j in range(dim)])
-        for j in range(rep.n):
-            w.writerow([_fmt(rep.lons[j]), _fmt(rep.lats[j])] + [_fmt(v) for v in rep.vectors[j]])
+        f.write(",".join(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)]) + "\r\n")
+        write_rows(f, "\r\n", np.column_stack([rep.lons, rep.lats, rep.vectors]))
 
 
 def read_entity_csv(path: str | Path) -> EntitySetSupport:
@@ -417,11 +414,11 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
     g = rep.grid
     with path.open("w", encoding="utf-8", newline="") as f:
         if g is not None:
-            f.write(f"# hexgrid {g.lon0!r} {g.lat0!r} {g.edge_len_m!r}\n")
-        w = csv.writer(f)
-        w.writerow(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)])
-        for cell in sorted(rep.table):
-            w.writerow([hex_cell_key(cell), ""] + [_fmt(v) for v in rep.table[cell]])
+            f.write(f"# hexgrid {_fmt(g.lon0)} {_fmt(g.lat0)} {_fmt(g.edge_len_m)}\n")
+        f.write(",".join(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)]) + "\r\n")
+        cells = sorted(rep.table)
+        vectors = np.array([rep.table[cell] for cell in cells], dtype=np.float64).reshape(len(cells), rep.dim)
+        write_rows(f, "\r\n", vectors, [list(map(hex_cell_key, cells)), [""] * len(cells)])
 
 
 def read_cell_table_csv(path: str | Path) -> CellTableSupport:

@@ -35,6 +35,7 @@ from .align import (
 )
 from .core import (
     METRICS_FOR_KIND,
+    TASK_LABEL_KIND,
     TASK_PRIMARY_METRIC,
     CellTableSupport,
     CoordinateEncoderSupport,
@@ -68,6 +69,7 @@ from .split import DEFAULT_SEEDS, DEFAULT_TEST_FRAC, DEFAULT_VAL_FRAC, TEST, ran
 if TYPE_CHECKING:
     from .synth import SynthConfig
 
+PROTOCOLS = ("spatial", "random")
 STORE_HEADER = ("model", "task", "city", "seed", "protocol", "metric", "value", "n_test")
 _METRIC_ORDER = {m: i for kind in METRICS_FOR_KIND.values() for i, m in enumerate(kind)}
 _HEAD_OUTPUT = {"scalar": "scalar", "class": "logits", "distribution": "distribution"}
@@ -109,23 +111,42 @@ class ResultStore:
 
 
 def read_result_store(path: str | Path) -> list[ResultRecord]:
+    """The records of a result store. Each row holds the header's field count,
+    an int seed and n_test and a float value, a known task and protocol, a
+    metric of the task's kind, n_test >= 1, and a (model, task, city, seed,
+    protocol, metric) key that no earlier row has."""
     path = Path(path)
     _, lines, rows = read_table(path)
     if rows[:1] != [list(STORE_HEADER)]:
         raise ValidationError(f"{path}: unexpected result store header {rows[0] if rows else None}")
-    out: list[ResultRecord] = []
-    for ln, row in zip(lines[1:], rows[1:]):
-        if len(row) != len(STORE_HEADER):
-            raise ValidationError(f"{path}:{ln}: expected {len(STORE_HEADER)} "
-                                  f"fields, got {len(row)}")
-        try:
-            out.append(ResultRecord(
-                model_id=row[0], task=row[1], city=row[2], seed=int(row[3]),
-                protocol=row[4], metric=row[5], value=float(row[6]), n_test=int(row[7]),
-            ))
-        except ValueError:
-            raise ValidationError(f"{path}:{ln}: malformed result row") from None
-    return out
+    rows, lines = rows[1:], lines[1:]
+    width = len(STORE_HEADER)
+    unparsed = np.zeros(len(rows), dtype=bool)
+    # a row that does not parse reads as this record, and fails on that rule first
+    records = parse_column(rows, _result_record, unparsed, fill=ResultRecord("", "", "", 0, "", "", 0.0, 0))
+
+    def breaks(rule) -> np.ndarray:
+        return np.fromiter(map(rule, records), bool, len(records))
+
+    check_rows([
+        (np.fromiter(map(len, rows), np.int64, len(rows)) != width,
+         lambda i: f"expected {width} fields, got {len(rows[i])}"),
+        (unparsed, lambda i: "malformed result row"),
+        (breaks(lambda r: r.task not in TASK_LABEL_KIND), lambda i: f"unknown task {records[i].task!r}"),
+        (breaks(lambda r: r.protocol not in PROTOCOLS), lambda i: f"unknown protocol {records[i].protocol!r}"),
+        (breaks(lambda r: r.metric not in METRICS_FOR_KIND.get(TASK_LABEL_KIND.get(r.task), ())),
+         lambda i: f"metric {records[i].metric!r} is not a {records[i].task} metric"),
+        (breaks(lambda r: r.n_test < 1), lambda i: f"n_test {records[i].n_test} < 1"),
+        (repeats([(r.model_id, r.task, r.city, r.seed, r.protocol, r.metric) for r in records]),
+         lambda i: "repeated (model, task, city, seed, protocol, metric) key"),
+    ], path, lines)
+    return records
+
+
+def _result_record(row: list[str]) -> ResultRecord:
+    model_id, task, city, seed, protocol, metric, value, n_test = row
+    return ResultRecord(model_id=model_id, task=task, city=city, seed=int(seed), protocol=protocol,
+                        metric=metric, value=float(value), n_test=int(n_test))
 
 
 @dataclass(frozen=True)
@@ -136,19 +157,24 @@ class RunPlan:
     cities: tuple[str, ...] | None = None
     tasks: tuple[str, ...] | None = None
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    protocols: tuple[str, ...] = ("spatial", "random")
+    protocols: tuple[str, ...] = PROTOCOLS
     nx: int = 10
     ny: int = 10
     head: HeadConfig = HeadConfig()  # output and n_out are set per task
 
     def __post_init__(self):
-        bad = set(self.protocols) - {"spatial", "random"}
+        bad = set(self.protocols) - set(PROTOCOLS)
         if bad or not self.protocols:
             raise ValidationError(f"protocols must be a nonempty subset of spatial,random; got {self.protocols}")
         if not self.seeds:
             raise ValidationError("need at least one seed")
         if self.nx < 1 or self.ny < 1:
             raise ValidationError(f"grid must be at least 1x1, got {self.nx}x{self.ny}")
+        for what, values in (("seed", self.seeds), ("protocol", self.protocols), ("model", self.models),
+                             ("city", self.cities), ("task", self.tasks)):
+            for i, v in enumerate(values or ()):
+                if v in values[:i]:
+                    raise ValidationError(f"repeated {what} {v!r}")
 
 
 def _load_task(manifest: Manifest, city: str, task: str) -> TaskDataset:

@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Callable, Mapping, NamedTuple, Sequence, TextIO, TYPE_CHECKING
 
 import numpy as np
 
@@ -357,6 +357,42 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+WRITE_BLOCK_ROWS = 256  # rows per write: a writer holds one block's text, never the whole file's
+
+
+class _FloatText(dict):
+    """`_fmt` text by value, formatted on first use. Zeros are never stored,
+    because 0.0 == -0.0 while their texts differ, and neither is NaN, which
+    equals no key."""
+
+    def __missing__(self, v: float) -> str:
+        text = _fmt(v)
+        if v and v == v:
+            self[v] = text
+        return text
+
+
+def _fmt_columns(block) -> list[list[str]]:
+    """The `_fmt` text of each column of a 2-D block of numbers, each distinct
+    value of the block formatted once: raster cells share their edges, and
+    labels and vectors repeat values."""
+    text = _FloatText().__getitem__
+    return [list(map(text, col)) for col in np.asarray(block, dtype=np.float64).T.tolist()]
+
+
+def write_rows(f: TextIO, newline: str, values: np.ndarray, before: Sequence[Sequence[str]] = (),
+               after: Sequence[Sequence[str]] = ()) -> None:
+    """Write one CSV line per row of the 2-D `values`: that row's fields of the
+    text columns `before`, the `_fmt` text of its values, then its fields of
+    the columns `after`, joined by ',' and ended by `newline`, a block of
+    WRITE_BLOCK_ROWS rows per write. No field is quoted, so none may hold
+    ',', '"', CR or LF."""
+    for start in range(0, len(values), WRITE_BLOCK_ROWS):
+        block = slice(start, start + WRITE_BLOCK_ROWS)
+        columns = [c[block] for c in before] + _fmt_columns(values[block]) + [c[block] for c in after]
+        f.write(newline.join(map(",".join, zip(*columns))) + newline)
+
+
 @contextmanager
 def open_text(path: Path):
     """Open a UTF-8 text input for reading (newlines untranslated, as the csv
@@ -548,12 +584,12 @@ def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:
     else:
         header += [f"p_{i}" for i in range(ds.n_classes)]
     lines.append(",".join(header))
-    coords = np.column_stack([ds.lons, ds.lats, *(ds.cell_extents.T if has_extent else ())])
-    labels = ds.labels[:, None] if ds.labels.ndim == 1 else ds.labels
-    fmt_label = str if ds.label_kind == "class" else _fmt
-    for uid, xy, lab in zip(ds.unit_ids, coords.tolist(), labels.tolist()):
-        lines.append(",".join([uid, *map(_fmt, xy), *map(fmt_label, lab)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    coords = [ds.lons, ds.lats, *(ds.cell_extents.T if has_extent else ())]
+    classes = [list(map(str, ds.labels.tolist()))] if ds.label_kind == "class" else ()
+    values = np.column_stack(coords if classes else [*coords, ds.labels])
+    with path.open("w", encoding="utf-8", newline="") as f:
+        f.write("\n".join(lines) + "\n")
+        write_rows(f, "\n", values, [ds.unit_ids], classes)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ class SplitAssignment:
     def __post_init__(self):
         if len(self.labels) != len(self.unit_ids):
             raise ValidationError("labels and unit_ids length mismatch")
-        bad = set(np.unique(self.labels)) - {TRAIN, VAL, TEST}
+        bad = set(self.labels.tolist()) - {TRAIN, VAL, TEST}
         if bad:
             raise ValidationError(f"unknown split labels {bad}")
 
@@ -89,7 +89,7 @@ def spatial_split(task: TaskDataset, grid: BlockGrid, seed: int) -> SplitAssignm
     """Assign occupied blocks (not units) to train/val/test; unit labels follow
     block membership. Only blocks containing at least one unit participate."""
     block_of = assign_blocks(task.lons, task.lats, grid)
-    occupied = np.unique(block_of)
+    occupied = np.flatnonzero(np.bincount(block_of))
     n_val, n_test = _partition_counts(len(occupied), "occupied blocks")
 
     rng = _rng(task.city, task.task, "spatial", seed)
@@ -117,7 +117,7 @@ def random_split(task: TaskDataset, seed: int) -> SplitAssignment:
     rng = _rng(task.city, task.task, "random", seed)
     idx = np.arange(n)
     test_idx = rng.choice(idx, size=n_test, replace=False)
-    remaining = np.setdiff1d(idx, test_idx)
+    remaining = np.delete(idx, test_idx)
     val_idx = rng.choice(remaining, size=n_val, replace=False)
     labels = np.full(n, TRAIN, dtype="<U5")
     labels[test_idx] = TEST

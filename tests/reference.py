@@ -1,10 +1,12 @@
 """Reference code the tests check the package against: the checked per-unit
 `TaskUnit` that datasets were once built from, the per-unit synthetic-city
-loop, scalar geometry that only tests call, and the CSV embedding and
-factor readers that check one row at a time."""
+loop, scalar geometry that only tests call, the CSV embedding and factor
+readers that check one row at a time, and the CSV writers that format one
+value and write one row at a time."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from urbanbench.core import (CellTableSupport, EntitySetSupport, Rect, TaskDataset, ValidationError,
-                             read_table)
-from urbanbench.grid import EARTH_RADIUS_M, BlockGrid, HexGrid, hex_cell_center_xy, parse_hex_cell_key
+                             _fmt, read_table)
+from urbanbench.grid import (EARTH_RADIUS_M, BlockGrid, HexGrid, hex_cell_center_xy, hex_cell_key,
+                             parse_hex_cell_key)
 
 
 def contains(rect: Rect, lon: float, lat: float) -> bool:
@@ -223,3 +226,56 @@ def read_factors(path) -> dict[str, dict[str, float]]:
                 if not math.isfinite(out[n][r[0]]):
                     raise ValidationError(f"{path}:{ln}: factor {n!r} value {v!r} is not a finite number")
     return out
+
+
+# ---------------------------------------------------------------------------
+# CSV writers, one value and one row at a time
+
+def write_task_dataset(path, ds: TaskDataset) -> None:
+    """`core.write_task_dataset` as one string of LF lines, each value through `_fmt`."""
+    path = Path(path)
+    has_extent = bool(ds.is_cell.any())
+    if has_extent and not ds.is_cell.all():
+        uid = ds.unit_ids[int(np.argmin(ds.is_cell))]
+        raise ValidationError(f"unit {uid}: mixed geometries in raster_cell dataset")
+    lines = [f"# task {ds.task}", f"# city {ds.city}",
+             f"# extent {_fmt(ds.extent.x0)} {_fmt(ds.extent.y0)} {_fmt(ds.extent.x1)} {_fmt(ds.extent.y1)}"]
+    if ds.label_kind == "class":
+        lines.append(f"# classes {ds.n_classes}")
+    header = ["unit_id", "lon", "lat"]
+    if has_extent:
+        header += ["x0", "y0", "x1", "y1"]
+    if ds.label_kind == "scalar":
+        header.append("value")
+    elif ds.label_kind == "class":
+        header.append("class")
+    else:
+        header += [f"p_{i}" for i in range(ds.n_classes)]
+    lines.append(",".join(header))
+    coords = np.column_stack([ds.lons, ds.lats, *(ds.cell_extents.T if has_extent else ())])
+    labels = ds.labels[:, None] if ds.labels.ndim == 1 else ds.labels
+    fmt_label = str if ds.label_kind == "class" else _fmt
+    for uid, xy, lab in zip(ds.unit_ids, coords.tolist(), labels.tolist()):
+        lines.append(",".join([uid, *map(_fmt, xy), *map(fmt_label, lab)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_entity_csv(path, rep: EntitySetSupport) -> None:
+    """`align.write_entity_csv` through `csv.writer` (CRLF lines), one row at a time."""
+    with Path(path).open("w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)])
+        for j in range(rep.n):
+            w.writerow([_fmt(rep.lons[j]), _fmt(rep.lats[j])] + [_fmt(v) for v in rep.vectors[j]])
+
+
+def write_cell_table_csv(path, rep: CellTableSupport) -> None:
+    """`align.write_cell_table_csv` through `csv.writer` (CRLF lines), one row at a time."""
+    g = rep.grid
+    with Path(path).open("w", encoding="utf-8", newline="") as f:
+        if g is not None:
+            f.write(f"# hexgrid {g.lon0!r} {g.lat0!r} {g.edge_len_m!r}\n")
+        w = csv.writer(f)
+        w.writerow(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)])
+        for cell in sorted(rep.table):
+            w.writerow([hex_cell_key(cell), ""] + [_fmt(v) for v in rep.table[cell]])

@@ -317,6 +317,15 @@ class TestFileFormats:
         assert (back.x0, back.y0, back.dx, back.dy) == (1.0, 2.0, 0.5, 0.25)
         np.testing.assert_array_equal(back.values, vals)
 
+    def test_erf_numpy_origin_round_trip(self, tmp_path):
+        # the header holds `_fmt` text, never the repr of a numpy scalar
+        rep = RasterSupport(x0=np.float64(0.1), y0=np.float64(-0.2), dx=np.float64(0.5),
+                            dy=np.float32(0.25), ncols=1, nrows=1, values=np.ones((1, 1, 1), np.float32))
+        p = tmp_path / "emb.erf"
+        write_erf(p, rep)
+        assert p.read_bytes().startswith(b"erf1 0.1 -0.2 0.5 0.25 1 1 1\n")
+        assert (read_erf(p).x0, read_erf(p).dy) == (0.1, 0.25)
+
     def test_erf_truncated_body(self, tmp_path):
         p = tmp_path / "bad.erf"
         p.write_bytes(b"erf1 0.0 0.0 1.0 1.0 2 2 1\n\x00\x00")
@@ -367,6 +376,14 @@ class TestFileFormats:
         back = read_cell_table_csv(p)
         assert back.grid.signature() == grid.signature()
         np.testing.assert_array_equal(back.table[(2, -1)], [5.0])
+
+    def test_numpy_anchored_cell_table_round_trip(self, tmp_path):
+        # the comment holds `_fmt` text, never the repr of a numpy scalar
+        grid = HexGrid(np.float64(0.1), np.float64(-0.2), np.float64(461.0))
+        p = tmp_path / "table.csv"
+        write_cell_table_csv(p, CellTableSupport(grid=grid, table={(2, -1): np.array([5.0])}))
+        assert p.read_text().startswith("# hexgrid 0.1 -0.2 461.0\n")
+        assert read_cell_table_csv(p).grid.signature() == grid.signature()
 
     def test_grid_less_cell_table_round_trip(self, tmp_path):
         table = CellTableSupport(grid=None, table={(2, -1): np.array([5.0])})

@@ -520,6 +520,23 @@ class TestResultStore:
             read_result_store(path)
         assert main(["report", str(path.parent)]) == 1
 
+    @pytest.mark.parametrize("line, message", [
+        ("field,XYZ,synthA,42,spatial,r2,0.5,3", "unknown task 'XYZ'"),
+        ("field,POP,synthA,42,sideways,r2,0.5,3", "unknown protocol 'sideways'"),
+        ("field,POP,synthA,42,spatial,kl,0.5,3", "metric 'kl' is not a POP metric"),
+        ("field,POP,synthA,7,spatial,r2,0.5,0", "n_test 0 < 1"),
+        ("field,POP,synthA,42,random,mae,0.5,3", "repeated (model, task, city, seed, protocol, metric) key"),
+    ], ids=["task", "protocol", "metric", "n_test", "repeated"])
+    def test_bad_record_stops_report_and_resume(self, bench, capsys, line, message):
+        path, ln = self._store_with_extra_line(bench, line)
+        before = snapshot(bench / "out")
+        capsys.readouterr()
+        assert main(["report", str(path.parent)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:{ln}: {message}\n"
+        with pytest.raises(ValidationError, match=rf"results\.csv:{ln}: "):
+            run(quick_plan(bench, models=("field",), seeds=(42,)), log=lambda *a: None)
+        assert snapshot(bench / "out") == before
+
 
 class TestReportDirections:
     def test_kl_ranked_ascending(self, tmp_path):
@@ -884,6 +901,11 @@ class TestVerbs:
         (["--cities", "nope"], "city 'nope' not in manifest"),
         (["--tasks", "NOPE"], "task 'NOPE' not in manifest"),
         (["--tasks", "POP,LST"], "task 'LST' not in manifest"),
+        (["--seeds", "42,42"], "repeated seed 42"),
+        (["--protocols", "random,spatial,random"], "repeated protocol 'random'"),
+        (["--models", "pe,field,pe"], "repeated model 'pe'"),
+        (["--cities", "synthA,synthA"], "repeated city 'synthA'"),
+        (["--tasks", "POP,POP"], "repeated task 'POP'"),
     ])
     def test_bad_plan_exits_1_and_writes_nothing(self, bench, capsys, flags, message):
         assert main(["run", str(bench / "manifest.json"), "--out", str(bench / "out"), *flags]) == 1
@@ -971,7 +993,8 @@ class TestVerbs:
 
 class TestImportPath:
     def test_run_and_report_load_no_scipy(self, bench):
-        # scipy is only needed by synthetic-city generation and report --factors
+        # scipy is only needed by synthetic-city generation and report --factors;
+        # numpy.ma by nothing, but a plain np.unique(x) imports it (numpy 2.4)
         import urbanbench
 
         script = (
@@ -981,7 +1004,7 @@ class TestImportPath:
             " '--seeds', '42', '--head', 'linear', '--batch-size', '64', '--max-epochs', '10',"
             " '--patience', '3']),\n"
             f"         main(['report', {str(bench / 'out')!r}])]\n"
-            "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
         )
         src = str(Path(urbanbench.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
