@@ -1,8 +1,10 @@
 """Benchmark orchestration: manifest -> alignment -> splits -> training ->
 metrics -> aggregation -> reports, with resumable runs and run metadata.
 
-The result store is an append-only CSV rewritten atomically per flush in a
-canonical order, so interrupted runs resume to byte-identical stores. All
+The result store is an append-only CSV rewritten per flush in a canonical
+order, so interrupted runs resume to byte-identical stores. Every file a run
+or report puts in the run directory goes through the one writer,
+`core.write_atomic`, so a failed write leaves the file as it was. All
 harness-chosen constants are serialized into run_meta.json; timestamps live
 in a separate run_times.json so complete stores compare byte-identical.
 """
@@ -11,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +59,7 @@ from .core import (
     stable_seed,
     task_direction,
     validate_manifest,
+    write_atomic,
     write_task_dataset,
 )
 from .grid import H3_RES8_EDGE_M, HexGrid, build_block_grid
@@ -76,8 +79,8 @@ _HEAD_OUTPUT = {"scalar": "scalar", "class": "logits", "distribution": "distribu
 
 
 class ResultStore:
-    """Append-only record sink; flush rewrites the CSV atomically in
-    canonical order so resumed runs converge to identical bytes."""
+    """Append-only record sink; flush rewrites the CSV in canonical order so
+    resumed runs converge to identical bytes."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -95,19 +98,10 @@ class ResultStore:
         self.records.extend(records)
 
     def flush(self) -> None:
-        ordered = sorted(
-            self.records,
-            key=lambda r: (r.model_id, r.task, r.city, r.protocol, r.seed,
-                           _METRIC_ORDER.get(r.metric, 99)),
-        )
-        tmp = self.path.with_suffix(".tmp")
-        with tmp.open("w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(STORE_HEADER)
-            for r in ordered:
-                w.writerow([r.model_id, r.task, r.city, r.seed, r.protocol,
-                            r.metric, _fmt(r.value), r.n_test])
-        os.replace(tmp, self.path)
+        ordered = sorted(self.records, key=lambda r: (r.model_id, r.task, r.city, r.protocol, r.seed,
+                                                      _METRIC_ORDER.get(r.metric, 99)))
+        _write_csv(self.path, STORE_HEADER, ([r.model_id, r.task, r.city, r.seed, r.protocol,
+                                              r.metric, _fmt(r.value), r.n_test] for r in ordered))
 
 
 def read_result_store(path: str | Path) -> list[ResultRecord]:
@@ -324,15 +318,13 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     }
     out_dir = Path(plan.out_dir)
     meta = bind_plan(out_dir / "run_meta.json", meta)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "splits").mkdir(exist_ok=True)
+    (out_dir / "splits").mkdir(parents=True, exist_ok=True)
     store = ResultStore(out_dir / "results.csv")
     completed = store.completed_groups()
     started = time.time()
     for (city, task_name, protocol, seed), a in splits.items():
         write_split_csv(out_dir / "splits" / f"{city}_{task_name}_{protocol}_{seed}.csv", a)
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                           encoding="utf-8")
+    write_atomic(out_dir / "run_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     # Phase 2: align and evaluate every resolved pair.
     resolved = set(report_v.resolvable)
@@ -379,10 +371,12 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 new_records += len(records)
                 store.flush()
 
+    # failures.csv lists this run's failures only
     if failures:
         _write_csv(out_dir / "failures.csv", ["run_key", "error"], sorted(failures))
-    (out_dir / "run_times.json").write_text(
-        json.dumps({"started": started, "finished": time.time()}) + "\n", encoding="utf-8")
+    else:
+        (out_dir / "failures.csv").unlink(missing_ok=True)
+    write_atomic(out_dir / "run_times.json", json.dumps({"started": started, "finished": time.time()}) + "\n")
     log(f"run complete: {new_records} new records, {skipped} groups skipped, "
         f"{len(failures)} failures")
     return RunOutcome(exit_code=2 if failures else 0, new_records=new_records,
@@ -490,12 +484,12 @@ def leakage_experiment(cfg: SynthConfig, head_cfg: HeadConfig,
 # ---------------------------------------------------------------------------
 # Reporting
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    write_atomic(path, buf.getvalue())
 
 
 def report(out_dir: str | Path, factors_path: str | Path | None = None, log=print) -> dict[str, Path]:
@@ -598,7 +592,7 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
             cells.append(f"{ts.avg:>10.4f}" if ts else f"{'-':>10}")
         lines.append(f"{m:<{name_w}}{r:>9.3f}" + "".join(cells))
     paths["leaderboard"] = out_dir / "leaderboard.txt"
-    paths["leaderboard"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(paths["leaderboard"], "\n".join(lines) + "\n")
     log("\n".join(lines))
     return paths
 

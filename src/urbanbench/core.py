@@ -49,17 +49,6 @@ TASK_LABEL_KIND = {
     "LST": "scalar",
 }
 
-TASK_PRIMARY_METRIC = {
-    "LUC": "macro_f1",
-    "AGE": "kl",
-    "RDE": "r2",
-    "POP": "r2",
-    "GDP": "r2",
-    "NTL": "r2",
-    "PM25": "r2",
-    "LST": "r2",
-}
-
 METRIC_DIRECTION = {
     "r2": HIGHER_BETTER,
     "mae": LOWER_BETTER,
@@ -78,6 +67,8 @@ METRICS_FOR_KIND = {
     "class": ("macro_f1", "macro_precision", "macro_recall"),
     "distribution": ("kl", "chebyshev", "l1"),
 }
+# A task's primary metric, the one that ranks models, is the first of its kind.
+TASK_PRIMARY_METRIC = {task: METRICS_FOR_KIND[kind][0] for task, kind in TASK_LABEL_KIND.items()}
 
 BENCHMARK_CITIES = (
     "London", "New York", "Singapore", "Sydney",
@@ -391,6 +382,20 @@ def write_rows(f: TextIO, newline: str, values: np.ndarray, before: Sequence[Seq
         block = slice(start, start + WRITE_BLOCK_ROWS)
         columns = [c[block] for c in before] + _fmt_columns(values[block]) + [c[block] for c in after]
         f.write(newline.join(map(",".join, zip(*columns))) + newline)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """The one writer of the run directory: `text` as UTF-8, newlines as given,
+    into a sibling `<name>.tmp` that then replaces `path`. A failed write
+    removes the temp file and leaves `path` as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager

@@ -166,18 +166,18 @@ def _loss_and_dz(z: np.ndarray, y: np.ndarray, output: str) -> tuple[float, np.n
     n = z.shape[0]
     if output == "scalar":
         diff = z[:, 0] - y
-        return float(np.mean(diff * diff)), (2.0 / n) * diff[:, None]
+        return float(np.add.reduce(diff * diff) / n), (2.0 / n) * diff[:, None]
     log_q = _log_softmax(z)
     q = np.exp(log_q)
     if output == "logits":
-        loss = float(-np.mean(log_q[np.arange(n), y]))
+        loss = float(-(np.add.reduce(log_q[np.arange(n), y]) / n))
         dz = q.copy()
         dz[np.arange(n), y] -= 1.0
         return loss, dz / n
     p_log_p = np.zeros_like(y)
     nz = y > 0
     p_log_p[nz] = y[nz] * np.log(y[nz])
-    loss = float(np.mean(np.sum(p_log_p - y * log_q, axis=1)))
+    loss = float(np.add.reduce(np.sum(p_log_p - y * log_q, axis=1)) / n)
     return loss, (q - y) / n
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TaskDataset, ValidationError, stable_seed
+from .core import TaskDataset, ValidationError, stable_seed, write_atomic
 from .grid import BlockGrid, assign_blocks
 
 TRAIN, VAL, TEST = "train", "val", "test"
@@ -131,7 +131,6 @@ def random_split(task: TaskDataset, seed: int) -> SplitAssignment:
 def write_split_csv(path: str | Path, a: SplitAssignment) -> None:
     """Cache file: `unit_id,label` rows under a comment header recording the
     grid params, seed, fractions, and assignment hash."""
-    path = Path(path)
     lines = [
         f"# split city={a.city} task={a.task} protocol={a.protocol} seed={a.seed}",
         f"# fractions test={DEFAULT_TEST_FRAC!r} val={DEFAULT_VAL_FRAC!r}",
@@ -139,4 +138,4 @@ def write_split_csv(path: str | Path, a: SplitAssignment) -> None:
         f"# hash {a.assignment_hash()}",
         "unit_id,label\n",
     ]
-    path.write_text("\n".join(lines) + a.rows_text, encoding="utf-8")
+    write_atomic(Path(path), "\n".join(lines) + a.rows_text)

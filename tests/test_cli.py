@@ -134,6 +134,28 @@ class TestRun:
         run(quick_plan(bench, out="fresh"), log=lambda *a: None)
         assert (bench / "resume" / "results.csv").read_bytes() == (bench / "fresh" / "results.csv").read_bytes()
 
+    def test_run_stopped_partway_resumes_to_same_store(self, bench, monkeypatch):
+        # the third group's evaluate is interrupted; a rerun of the same plan finishes the run
+        calls = []
+        evaluate = cli.evaluate
+
+        def stop_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "evaluate", stop_third)
+        with pytest.raises(KeyboardInterrupt):
+            run(quick_plan(bench, out="resume"), log=lambda *a: None)
+        assert len(read_result_store(bench / "resume" / "results.csv")) == 6
+        out = run(quick_plan(bench, out="resume"), log=lambda *a: None)
+        assert (out.exit_code, out.new_records, out.skipped_groups) == (0, 18, 2)
+        run(quick_plan(bench, out="fresh"), log=lambda *a: None)
+        for name in ("results.csv", "run_meta.json"):
+            assert (bench / "resume" / name).read_bytes() == (bench / "fresh" / name).read_bytes()
+        assert list(bench.rglob("*.tmp")) == []
+
     def test_split_hashes_model_invariant(self, bench):
         plan = quick_plan(bench)  # both models
         run(plan, log=lambda *a: None)
@@ -162,6 +184,19 @@ class TestRun:
         out = run(plan, log=lambda *a: None)
         assert out.exit_code == 2
         assert (bench / "out" / "failures.csv").exists()
+
+    def test_run_without_failures_removes_failures_csv(self, bench):
+        # a truncated embedding file fails every group; once it is restored, the
+        # rerun succeeds and no failures.csv lists the old error
+        erf = (bench / "field.erf").read_bytes()
+        (bench / "field.erf").write_bytes(erf[:len(erf) // 2])
+        plan = quick_plan(bench, models=("field",), seeds=(42,))
+        assert run(plan, log=lambda *a: None).exit_code == 2
+        assert (bench / "out" / "failures.csv").exists()
+        (bench / "field.erf").write_bytes(erf)
+        out = run(plan, log=lambda *a: None)
+        assert (out.exit_code, out.new_records) == (0, 6)
+        assert not (bench / "out" / "failures.csv").exists()
 
     def test_ragged_entity_row_fails_pair_and_run_continues(self, bench):
         manifest = json.loads((bench / "manifest.json").read_text())
@@ -450,6 +485,39 @@ class TestRunDirectoryPlan:
         meta = json.loads((bench / "out" / "run_meta.json").read_text())
         assert meta["plan"]["seeds"] == [24, 42]
         assert len(meta["splits"]) == 4
+
+    def test_failed_run_meta_write_leaves_it_intact(self, bench, capsys):
+        # A child run of a plan with one more seed, whose file size limit stops it
+        # partway through the larger run_meta.json: Python ignores SIGXFSZ, so the
+        # write raises EFBIG. The child exits 1, the recorded file stays whole, and
+        # the next run of that plan succeeds. A small city keeps each split file
+        # below the limit, so run_meta.json is the first write that passes it.
+        import urbanbench
+        from urbanbench.core import write_task_dataset
+
+        cfg = SynthConfig(n=8, extent=Rect(-0.05, -0.05, 0.05, 0.05), length_scale=0.02,
+                          label_kind="scalar", embedding_kind="field_value", dim=4, seed=1, city="synthA")
+        task, rep = synth_city(cfg)
+        write_task_dataset(bench / "task.csv", task)
+        write_erf(bench / "field.erf", rep.support)
+        run_args = ["run", str(bench / "manifest.json"), "--out", str(bench / "out"), *self.QUICK]
+        assert main(run_args) == 0
+        meta = (bench / "out" / "run_meta.json").read_bytes()
+        limit = len(meta) + 8
+        assert max(f.stat().st_size for f in (bench / "out" / "splits").iterdir()) < limit
+        more = [*run_args, "--seeds", "42,24"]
+        script = ("import resource, sys\n"
+                  f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+                  "from urbanbench.cli import main\n"
+                  f"sys.exit(main({more!r}))\n")
+        src = str(Path(urbanbench.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 1 and "File too large" in proc.stderr, proc.stderr
+        kept, left = (bench / "out" / "run_meta.json").read_bytes(), list((bench / "out").rglob("*.tmp"))
+        # a torn run_meta.json would refuse this run as "invalid JSON"
+        assert (main(more), capsys.readouterr().err) == (0, "")
+        assert kept == meta and left == []
 
     @pytest.mark.parametrize("text, message", [
         ("{not json", "invalid JSON"),
