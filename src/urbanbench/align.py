@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .core import (
     ValidationError,
     _fmt,
     check_rows,
-    parse_column,
+    parse_rows,
     read_table,
     repeats,
     write_rows,
@@ -379,34 +378,24 @@ def read_entity_csv(path: str | Path) -> EntitySetSupport:
     if not rows:
         raise ValidationError(f"{path}: empty entity file")
     header, rows, lines = rows[0], rows[1:], lines[1:]
-    width = len(header)
-    if width < 3 or header[:2] != ["key_or_lon", "lat"]:
+    if len(header) < 3 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    values, ragged, unparsed = _float_rows(rows, width)
+    columns, read_rules = parse_rows(header, rows, [float] * len(header))
+    values = np.column_stack(columns).reshape(len(rows), len(header))
     check_rows([
-        (ragged, lambda i: f"expected {width} values, got {len(rows[i])}"),
-        (unparsed, lambda i: "malformed entity row"),
+        *read_rules,
+        (~np.isfinite(values[:, :2]).all(axis=1), lambda i: "non-finite coordinate"),
         (~np.isfinite(values[:, 2:]).all(axis=1), lambda i: "non-finite value"),
     ], path, lines)
     return EntitySetSupport(lons=values[:, 0].copy(), lats=values[:, 1].copy(),
                             vectors=values[:, 2:].copy())
 
 
-def _float_rows(rows: list[list[str]], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, ragged, unparsed): the rows' fields through float() as one
-    (len(rows), width) matrix, and True for each row of another length and for
-    each row holding a field that float() rejects. Such a row reads 0."""
-    ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != width
-    unparsed = np.zeros(len(rows), dtype=bool)
-    try:
-        if not ragged.any():
-            values = np.array(list(map(float, chain.from_iterable(rows))), dtype=np.float64)
-            return values.reshape(len(rows), width), ragged, unparsed
-    except ValueError:
-        pass
-    parsed = parse_column(rows, lambda r: list(map(float, r)), unparsed, fill=())
-    values = np.array([v if len(v) == width else [0.0] * width for v in parsed], dtype=np.float64)
-    return values.reshape(len(rows), width), ragged, unparsed
+def _empty_field(text: str) -> str:
+    """A field the writer always leaves empty."""
+    if text:
+        raise ValueError(f"expected an empty field, got {text!r}")
+    return text
 
 
 def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
@@ -440,12 +429,10 @@ def read_cell_table_csv(path: str | Path) -> CellTableSupport:
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["key_or_lon", "lat"]:
         raise ValidationError(f"{path}: bad entity/cell-table header")
-    unparsed = np.zeros(len(rows), dtype=bool)
-    cells = parse_column([r[0] for r in rows], parse_hex_cell_key, unparsed, fill=None)
-    vectors, ragged, bad_value = _float_rows([r[2:] for r in rows], dim)
+    columns, read_rules = parse_rows(header, rows, [parse_hex_cell_key, _empty_field] + [float] * dim)
+    cells, vectors = columns[0], np.column_stack(columns[2:]).reshape(len(rows), dim)
     check_rows([
-        (unparsed | bad_value, lambda i: "malformed cell-table row"),
-        (ragged, lambda i: f"expected {dim} components"),
+        *read_rules,
         (~np.isfinite(vectors).all(axis=1), lambda i: "non-finite value"),
         (repeats(cells), lambda i: f"duplicate key {rows[i][0]!r}"),
     ], path, lines)

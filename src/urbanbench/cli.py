@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -52,7 +53,7 @@ from .core import (
     check_rows,
     load_manifest,
     load_task_dataset,
-    parse_column,
+    parse_rows,
     read_json_object,
     read_table,
     repeats,
@@ -114,18 +115,14 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
     if rows[:1] != [list(STORE_HEADER)]:
         raise ValidationError(f"{path}: unexpected result store header {rows[0] if rows else None}")
     rows, lines = rows[1:], lines[1:]
-    width = len(STORE_HEADER)
-    unparsed = np.zeros(len(rows), dtype=bool)
-    # a row that does not parse reads as this record, and fails on that rule first
-    records = parse_column(rows, _result_record, unparsed, fill=ResultRecord("", "", "", 0, "", "", 0.0, 0))
+    columns, read_rules = parse_rows(STORE_HEADER, rows, (None, None, None, int, None, None, float, int))
+    records = list(map(ResultRecord, *columns))
 
     def breaks(rule) -> np.ndarray:
         return np.fromiter(map(rule, records), bool, len(records))
 
     check_rows([
-        (np.fromiter(map(len, rows), np.int64, len(rows)) != width,
-         lambda i: f"expected {width} fields, got {len(rows[i])}"),
-        (unparsed, lambda i: "malformed result row"),
+        *read_rules,
         (breaks(lambda r: r.task not in TASK_LABEL_KIND), lambda i: f"unknown task {records[i].task!r}"),
         (breaks(lambda r: r.protocol not in PROTOCOLS), lambda i: f"unknown protocol {records[i].protocol!r}"),
         (breaks(lambda r: r.metric not in METRICS_FOR_KIND.get(TASK_LABEL_KIND.get(r.task), ())),
@@ -135,12 +132,6 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
          lambda i: "repeated (model, task, city, seed, protocol, metric) key"),
     ], path, lines)
     return records
-
-
-def _result_record(row: list[str]) -> ResultRecord:
-    model_id, task, city, seed, protocol, metric, value, n_test = row
-    return ResultRecord(model_id=model_id, task=task, city=city, seed=int(seed), protocol=protocol,
-                        metric=metric, value=float(value), n_test=int(n_test))
 
 
 @dataclass(frozen=True)
@@ -248,15 +239,13 @@ class RunOutcome:
 def run(plan: RunPlan, log=print) -> RunOutcome:
     """Execute the plan; resumable and deterministic. Every task file loads before
     anything is written, and splits are hashed before any representation is read,
-    so they cannot depend on models. Gaps are logged and skipped; per-group
+    so they cannot depend on models. A manifest that fails validation raises
+    one ValidationError naming it. Gaps are logged and skipped; per-group
     failures are recorded and skipped."""
     manifest = load_manifest(plan.manifest_path)
     report_v = validate_manifest(manifest)
     if not report_v.ok:
-        for e in report_v.errors:
-            log(f"manifest error: {e}")
-        return RunOutcome(exit_code=1, new_records=0, skipped_groups=0,
-                          failures=[("manifest", e) for e in report_v.errors])
+        raise ValidationError(f"{plan.manifest_path}: " + "; ".join(report_v.errors))
     for w in report_v.warnings:
         log(f"warning: {w}")
 
@@ -607,24 +596,23 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
     if header[:1] != ["city"]:
         raise ValidationError(f"{path}: factors header must start with 'city'")
     rows, lines = rows[1:], lines[1:]
-    names, width = header[1:], len(header)
-    ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != width
-    cols = list(zip(*(r if len(r) == width else [""] * width for r in rows))) or [()] * width
-    cities = cols[0]
-    unparsed = [np.zeros(len(rows), dtype=bool) for _ in names]
-    values = [parse_column(c, lambda v: float(v or "nan"), bad) for c, bad in zip(cols[1:], unparsed)]
-    given = [np.fromiter(map(bool, c), bool, len(rows)) for c in cols[1:]]
+    names, n = header[1:], len(rows)
+    columns, read_rules = parse_rows(header, rows, [None] + [_factor_value] * len(names))
+    cities, values = columns[0], columns[1:]
     check_rows([
-        (ragged, lambda i: f"expected {width} fields, got {len(rows[i])}"),
+        *read_rules,
         (np.array([c == "" for c in cities], dtype=bool), lambda i: "empty city"),
         (repeats(cities), lambda i: f"repeated city {cities[i]!r}"),
-        *((bad, lambda i, j=j, what=what: f"factor {names[j]!r} value {cols[j + 1][i]!r} is not {what}")
-          for j in range(len(names))
-          for bad, what in ((unparsed[j], "a number"),
-                            (given[j] & ~np.isfinite(values[j]), "a finite number"))),
+        *((np.fromiter((v is not None and not math.isfinite(v) for v in col), bool, n),
+           lambda i, j=j: f"factor {names[j]!r} value {rows[i][j + 1]!r} is not a finite number")
+          for j, col in enumerate(values)),
     ], path, lines)
-    return {name: {c: v for c, text, v in zip(cities, col, vals) if text}
-            for name, col, vals in zip(names, cols[1:], values)}
+    return {name: {c: v for c, v in zip(cities, col) if v is not None} for name, col in zip(names, values)}
+
+
+def _factor_value(text: str) -> float | None:
+    """A factor field: a number, or None for an empty (missing) one."""
+    return float(text) if text else None
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,39 @@ def _csv_line(path: Path, ln: int, line: str) -> list[str]:
         raise ValidationError(f"{path}:{ln}: malformed CSV ({e})") from None
 
 
+def parse_rows(header: Sequence[str], rows: list[list[str]], parsers: Sequence) -> tuple[list, list]:
+    """The one row parser of every input table: field j of each row through
+    `parsers[j]` (None keeps the text), one sequence per column. Returns
+    (columns, rules), the two `check_rows` rules of a row that does not read:
+    a field count other than the header's, then the first field, in column
+    order, whose parser raises ValueError or OverflowError, named by its
+    header. A ragged row reads as a row of "0" fields, a field that does not
+    read as 0."""
+    n, width = len(rows), len(header)
+    ragged = np.fromiter(map(len, rows), np.int64, n) != width
+    padded = [r if len(r) == width else ["0"] * width for r in rows] if ragged.any() else rows
+    columns = list(zip(*padded)) or [()] * width
+    errors: dict[int, str] = {}  # row -> message of its first field that does not read
+    for j, parse in enumerate(parsers):
+        if parse is None:
+            continue
+        try:
+            columns[j] = list(map(parse, columns[j]))
+        except (ValueError, OverflowError):
+            out = []
+            for i, text in enumerate(columns[j]):
+                try:
+                    out.append(parse(text))
+                except (ValueError, OverflowError) as e:
+                    errors.setdefault(i, f"column {header[j]!r}: {e}")
+                    out.append(0)
+            columns[j] = out
+    unread = np.zeros(n, dtype=bool)
+    unread[list(errors)] = True
+    return columns, [(ragged, lambda i: f"expected {width} fields, got {len(rows[i])}"),
+                     (unread, errors.__getitem__)]
+
+
 def load_task_dataset(path: str | Path) -> TaskDataset:
     """Load a task dataset from its canonical CSV form, in the `read_table`
     dialect.
@@ -499,51 +532,30 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
             f"{path}:{header_line}: label columns {label_cols} do not match task {task} ({expected})"
         )
 
-    n, width = len(rows), len(header)
-    # A row with another field count or a number that does not parse is
-    # flagged in `unread` (its fields read 0); every other rule is the table's.
-    unread = np.fromiter(map(len, rows), np.int64, n) != width
-    padded = [r if len(r) == width else ["0"] * width for r in rows] if unread.any() else rows
-    cols = list(zip(*padded)) or [()] * width
-    n_coords = 6 if has_extent else 2
-    coords = np.column_stack([parse_column(c, float, unread) for c in cols[1:1 + n_coords]]).reshape(n, n_coords)
+    n, n_coords = len(rows), 6 if has_extent else 2
+    label = _class_index if kind == "class" else float
+    cols, read_rules = parse_rows(header, rows, [None] + [float] * n_coords + [label] * len(label_cols))
+    coords = np.column_stack(cols[1:1 + n_coords]).reshape(n, n_coords)
     lons, lats = coords[:, 0], coords[:, 1]
     cells = coords[:, 2:] if has_extent else np.full((n, 4), np.nan)
-    payload = cols[1 + n_coords:]
+    unread = read_rules[0][0] | read_rules[1][0]
     if kind == "class":
-        labels = np.array(parse_column(payload[0], _class_index, unread), dtype=np.int64)
+        labels = np.array(cols[-1], dtype=np.int64)
         n_classes = class_count(labels[~unread], n_classes)  # of the rows that read
     else:
-        labels = np.column_stack([parse_column(c, float, unread) for c in payload]).reshape(n, len(payload))
+        labels = np.column_stack(cols[1 + n_coords:]).reshape(n, len(label_cols))
         labels = labels[:, 0] if kind == "scalar" else labels
     # TaskDataset checks rows that read. A row that did not, or a raster cell
     # whose x0 reads NaN (TaskDataset would take it for a point), breaks a rule
     # of this combined pass, so the pass raises, at the first bad row.
     if unread.any() or (has_extent and np.isnan(cells[:, 0]).any()):
-        check_rows([(unread, lambda i: _row_error(rows[i], width, kind)),
-                    *task_row_rules(cols[0], lons, lats, cells, np.full(n, has_extent), kind, labels,
-                                    n_classes, extent)], path, lines)
+        check_rows([*read_rules, *task_row_rules(cols[0], lons, lats, cells, np.full(n, has_extent), kind,
+                                                 labels, n_classes, extent)], path, lines)
     try:
         return TaskDataset(city, task, cols[0], lons, lats, cells, labels, extent, n_classes=n_classes)
     except ValidationError as e:
         where = path if e.row is None else f"{path}:{lines[e.row]}"
         raise ValidationError(f"{where}: {e}") from None
-
-
-def parse_column(values: Sequence, convert, bad: np.ndarray, fill=0) -> list:
-    """`convert` of every value; a value it rejects (ValueError or
-    OverflowError) flags its row in `bad` and reads `fill`."""
-    try:
-        return list(map(convert, values))
-    except (ValueError, OverflowError):
-        out = []
-        for i, v in enumerate(values):
-            try:
-                out.append(convert(v))
-            except (ValueError, OverflowError):
-                bad[i] = True
-                out.append(fill)
-        return out
 
 
 def _class_index(text: str) -> int:
@@ -552,20 +564,6 @@ def _class_index(text: str) -> int:
     if not -2**63 <= c < 2**63:
         raise OverflowError("class index outside the int64 range")
     return c
-
-
-def _row_error(fields: list[str], width: int, kind: str) -> str:
-    """The message of a task-CSV body row that `load_task_dataset` cannot
-    read: its field count, else the first of its numbers (coordinates, then
-    labels) that does not parse."""
-    if len(fields) != width:
-        return f"expected {width} fields, got {len(fields)}"
-    try:
-        list(map(float, fields[1:-1]))
-        (_class_index if kind == "class" else float)(fields[-1])
-    except (ValueError, OverflowError) as e:
-        return f"malformed row ({e})"
-    raise AssertionError(f"row {fields} parses")
 
 
 def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:

@@ -1,8 +1,8 @@
 """Reference code the tests check the package against: the checked per-unit
 `TaskUnit` that datasets were once built from, the per-unit synthetic-city
-loop, scalar geometry that only tests call, the CSV embedding and factor
-readers that check one row at a time, and the CSV writers that format one
-value and write one row at a time."""
+loop, scalar geometry that only tests call, the CSV embedding, factor and
+result-store readers that check one row at a time, and the CSV writers that
+format one value and write one row at a time."""
 
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from urbanbench.core import (CellTableSupport, EntitySetSupport, Rect, TaskDataset, ValidationError,
-                             _fmt, read_table)
+from urbanbench.cli import PROTOCOLS, STORE_HEADER
+from urbanbench.core import (METRICS_FOR_KIND, TASK_LABEL_KIND, CellTableSupport, EntitySetSupport, Rect,
+                             ResultRecord, TaskDataset, ValidationError, _fmt, read_table)
 from urbanbench.grid import (EARTH_RADIUS_M, BlockGrid, HexGrid, hex_cell_center_xy, hex_cell_key,
                              parse_hex_cell_key)
 
@@ -134,9 +135,23 @@ def hex_cell_center(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]
 # CSV readers, one row at a time: each row checked in full before the next.
 # Their dialect (comments, blank lines, line numbers) is `read_table`'s.
 
+def _read_row(path, ln: int, header, row: list[str], parsers) -> list:
+    """One row's fields through their column's parser (None keeps the text):
+    its field count first, then its fields in column order."""
+    if len(row) != len(header):
+        raise ValidationError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
+    out = []
+    for name, parse, text in zip(header, parsers, row):
+        try:
+            out.append(text if parse is None else parse(text))
+        except (ValueError, OverflowError) as e:
+            raise ValidationError(f"{path}:{ln}: column {name!r}: {e}") from None
+    return out
+
+
 def read_entity_csv(path) -> EntitySetSupport:
-    """`align.read_entity_csv` row by row: a row's field count, its numbers,
-    then the finiteness of its vector."""
+    """`align.read_entity_csv` row by row: a row's fields, the finiteness of
+    its coordinates, then of its vector."""
     path = Path(path)
     _, lines, rows = read_table(path)
     if not rows:
@@ -147,12 +162,9 @@ def read_entity_csv(path) -> EntitySetSupport:
         raise ValidationError(f"{path}: bad entity/cell-table header")
     values = []
     for ln, r in data:
-        if len(r) != dim + 2:
-            raise ValidationError(f"{path}:{ln}: expected {dim + 2} values, got {len(r)}")
-        try:
-            vec = [float(v) for v in r]
-        except ValueError:
-            raise ValidationError(f"{path}:{ln}: malformed entity row") from None
+        vec = _read_row(path, ln, header, r, [float] * len(header))
+        if not (math.isfinite(vec[0]) and math.isfinite(vec[1])):
+            raise ValidationError(f"{path}:{ln}: non-finite coordinate")
         if not all(map(math.isfinite, vec[2:])):
             raise ValidationError(f"{path}:{ln}: non-finite value")
         values.append(vec)
@@ -160,9 +172,16 @@ def read_entity_csv(path) -> EntitySetSupport:
     return EntitySetSupport(lons=values[:, 0], lats=values[:, 1], vectors=values[:, 2:])
 
 
+def _empty(text: str) -> str:
+    if text != "":
+        raise ValueError(f"expected an empty field, got {text!r}")
+    return text
+
+
 def read_cell_table_csv(path) -> CellTableSupport:
-    """`align.read_cell_table_csv` row by row: a row's key and numbers, the
-    length of its vector, its finiteness, then a key no earlier row has."""
+    """`align.read_cell_table_csv` row by row: a row's fields (a key, an
+    empty lat, numbers), the finiteness of its vector, then a key no earlier
+    row has."""
     path = Path(path)
     meta, lines, rows = read_table(path)
     grid = None
@@ -182,13 +201,7 @@ def read_cell_table_csv(path) -> CellTableSupport:
         raise ValidationError(f"{path}: bad entity/cell-table header")
     table = {}
     for ln, r in data:
-        try:
-            cell = parse_hex_cell_key(r[0])
-            vec = [float(v) for v in r[2:]]
-        except (ValueError, IndexError):
-            raise ValidationError(f"{path}:{ln}: malformed cell-table row") from None
-        if len(vec) != dim:
-            raise ValidationError(f"{path}:{ln}: expected {dim} components")
+        cell, _, *vec = _read_row(path, ln, header, r, [parse_hex_cell_key, _empty] + [float] * dim)
         if not all(map(math.isfinite, vec)):
             raise ValidationError(f"{path}:{ln}: non-finite value")
         if cell in table:
@@ -198,34 +211,58 @@ def read_cell_table_csv(path) -> CellTableSupport:
 
 
 def read_factors(path) -> dict[str, dict[str, float]]:
-    """`cli._read_factors` row by row: a row's field count, a nonempty city,
-    a city no earlier row names, then each value: empty (missing) or a finite number."""
+    """`cli._read_factors` row by row: a row's fields (a city, then numbers or
+    empty for missing), a nonempty city, a city no earlier row names, then
+    each given value finite."""
     path = Path(path)
     _, lines, rows = read_table(path)
     header = rows[0] if rows else []
     if header[:1] != ["city"]:
         raise ValidationError(f"{path}: factors header must start with 'city'")
-    data = zip(lines[1:], rows[1:])
     names = header[1:]
     out: dict[str, dict[str, float]] = {n: {} for n in names}
     seen = set()
-    for ln, r in data:
-        if len(r) != len(header):
-            raise ValidationError(f"{path}:{ln}: expected {len(header)} fields, got {len(r)}")
-        if r[0] == "":
+    for ln, r in zip(lines[1:], rows[1:]):
+        city, *values = _read_row(path, ln, header, r, [None] + [lambda v: float(v) if v else None] * len(names))
+        if city == "":
             raise ValidationError(f"{path}:{ln}: empty city")
-        if r[0] in seen:
-            raise ValidationError(f"{path}:{ln}: repeated city {r[0]!r}")
-        seen.add(r[0])
-        for n, v in zip(names, r[1:]):
-            if v != "":
-                try:
-                    out[n][r[0]] = float(v)
-                except ValueError:
-                    raise ValidationError(f"{path}:{ln}: factor {n!r} value {v!r} is not a number") from None
-                if not math.isfinite(out[n][r[0]]):
-                    raise ValidationError(f"{path}:{ln}: factor {n!r} value {v!r} is not a finite number")
+        if city in seen:
+            raise ValidationError(f"{path}:{ln}: repeated city {city!r}")
+        seen.add(city)
+        for n, text, v in zip(names, r[1:], values):
+            if v is not None and not math.isfinite(v):
+                raise ValidationError(f"{path}:{ln}: factor {n!r} value {text!r} is not a finite number")
+            if v is not None:
+                out[n][city] = v
     return out
+
+
+def read_result_store(path) -> list[ResultRecord]:
+    """`cli.read_result_store` row by row: a row's fields (an int seed and
+    n_test, a float value), a known task and protocol, a metric of the task's
+    kind, n_test >= 1, then a key no earlier row has."""
+    path = Path(path)
+    _, lines, rows = read_table(path)
+    if rows[:1] != [list(STORE_HEADER)]:
+        raise ValidationError(f"{path}: unexpected result store header {rows[0] if rows else None}")
+    records, keys = [], set()
+    for ln, r in zip(lines[1:], rows[1:]):
+        fields = _read_row(path, ln, STORE_HEADER, r, (None, None, None, int, None, None, float, int))
+        record = ResultRecord(*fields)
+        if record.task not in TASK_LABEL_KIND:
+            raise ValidationError(f"{path}:{ln}: unknown task {record.task!r}")
+        if record.protocol not in PROTOCOLS:
+            raise ValidationError(f"{path}:{ln}: unknown protocol {record.protocol!r}")
+        if record.metric not in METRICS_FOR_KIND[TASK_LABEL_KIND[record.task]]:
+            raise ValidationError(f"{path}:{ln}: metric {record.metric!r} is not a {record.task} metric")
+        if record.n_test < 1:
+            raise ValidationError(f"{path}:{ln}: n_test {record.n_test} < 1")
+        key = (record.model_id, record.task, record.city, record.seed, record.protocol, record.metric)
+        if key in keys:
+            raise ValidationError(f"{path}:{ln}: repeated (model, task, city, seed, protocol, metric) key")
+        keys.add(key)
+        records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

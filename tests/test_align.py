@@ -361,11 +361,12 @@ class TestFileFormats:
         # the line number counts comment and blank lines too, so it points into the file
         p = tmp_path / "ents.csv"
         p.write_text("# comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n\n0.3,0.4,1.0,9.0\n")
-        with pytest.raises(ValidationError, match=r"ents\.csv:5: expected 3 values, got 4"):
+        with pytest.raises(ValidationError, match=r"ents\.csv:5: expected 3 fields, got 4$"):
             read_entity_csv(p)
         # after the header a '#' line is a row like any other
         p.write_text("# comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n#0.3,0.4,1.0\n")
-        with pytest.raises(ValidationError, match=r"ents\.csv:4: malformed entity row$"):
+        with pytest.raises(ValidationError,
+                           match=r"ents\.csv:4: column 'key_or_lon': could not convert string to float: '#0\.3'$"):
             read_entity_csv(p)
 
     def test_cell_table_round_trip(self, tmp_path):
@@ -407,18 +408,19 @@ class TestFileFormats:
         p.write_text('# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n0:0,"a\nb",1.0\n1:0,,nan\n')
         with pytest.raises(ValidationError) as e:
             read_cell_table_csv(p)
-        assert str(e.value) == f"{p}:3: expected 1 components"
+        assert str(e.value) == f"{p}:3: expected 3 fields, got 2"
         p.write_text('# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n0:0,,"1.0\n1:0,,nan\n')
         with pytest.raises(ValidationError) as e:
             read_cell_table_csv(p)
         assert str(e.value) == f"{p}:4: non-finite value"
 
     @pytest.mark.parametrize("rows, message", [
-        ("0:0,,1.0\n0:x,,1.0,2.0\n", "4: malformed cell-table row"),
-        ("0:0,,1.0\n\n0:x,,1.0\n", "5: malformed cell-table row"),
-        ("0:0,,1.0\n1:0,,1.0,2.0\n", "4: expected 1 components"),
+        ("0:0,,1.0\n0:x,,1.0,2.0\n", "4: expected 3 fields, got 4"),
+        ("0:0,,1.0\n\n0:x,,1.0\n", "5: column 'key_or_lon': malformed hex cell key '0:x'"),
+        ("0:0,,1.0\n1:0,,1.0,2.0\n", "4: expected 3 fields, got 4"),
         ("0:0,,1.0\n00:0,,2.0\n", "4: duplicate key '00:0'"),
-    ], ids=["key", "blank", "components", "duplicate"])
+        ("0:0,,1.0\n1:0,garbage,1.0\n", "4: column 'lat': expected an empty field, got 'garbage'"),
+    ], ids=["key", "blank", "components", "duplicate", "lat"])
     def test_cell_table_bad_row_names_line(self, tmp_path, rows, message):
         p = tmp_path / "ct.csv"
         p.write_text("# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0\n" + rows)
@@ -427,10 +429,14 @@ class TestFileFormats:
         assert str(e.value) == f"{p}:{message}"
 
     @pytest.mark.parametrize("rows, message", [
-        ("0.1,0.2,1.0\n0.3,x,1.0,9.0\n", "4: expected 3 values, got 4"),
-        ("0.1,0.2,1.0\n0.3,x,1.0\n", "4: malformed entity row"),
-        ("0.1,0.2,1.0\n0.3,nan,inf\n", "4: non-finite value"),
-    ], ids=["ragged", "malformed", "non-finite"])
+        ("0.1,0.2,1.0\n0.3,x,1.0,9.0\n", "4: expected 3 fields, got 4"),
+        ("0.1,0.2,1.0\n0.3,x,1.0\n", "4: column 'lat': could not convert string to float: 'x'"),
+        ("0.1,0.2,1.0\ny,x,z\n", "4: column 'key_or_lon': could not convert string to float: 'y'"),
+        ("0.1,0.2,1.0\n0.3,nan,inf\n", "4: non-finite coordinate"),
+        ("0.1,0.2,1.0\n0.3,0.4,inf\n", "4: non-finite value"),
+        ("0.1,0.2,1.0\nnan,0.4,1.0\n", "4: non-finite coordinate"),
+        ("0.1,0.2,1.0\n0.3,-inf,1.0\n", "4: non-finite coordinate"),
+    ], ids=["ragged", "malformed", "first-column", "non-finite", "non-finite-value", "nan-lon", "inf-lat"])
     def test_entity_bad_row_names_line(self, tmp_path, rows, message):
         p = tmp_path / "ents.csv"
         p.write_text("# comment\nkey_or_lon,lat,v_0\n" + rows)

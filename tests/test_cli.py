@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,8 +301,9 @@ class TestRun:
         assert out.exit_code == 2
         failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
         assert len(failures) == 2  # one per protocol
-        assert all(f.startswith("inf|POP|synthA|42|") and f"point ({float(lon)},{float(lat)}) "
-                   "is not finite" in f for f in failures)
+        # the file's coordinate rule names its line; no point reaches alignment
+        assert all(f.startswith("inf|POP|synthA|42|") and f.endswith(f"{bench / 'inf.csv'}:3: non-finite coordinate")
+                   for f in failures)
         records = read_result_store(bench / "out" / "results.csv")
         assert {r.model_id for r in records} == {"field"}
         assert len(records) == 6
@@ -435,12 +437,17 @@ class TestRun:
         assert [f for _, f in out.failures] == ["file dim 4 != declared 5"] * 2
         assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
 
-    def test_manifest_error_exits_1(self, bench):
-        manifest = json.loads((bench / "manifest.json").read_text())
+    def test_manifest_error_exits_1(self, bench, capsys):
+        path = bench / "manifest.json"
+        manifest = json.loads(path.read_text())
         manifest["models"]["bad"] = {"dim": 4, "support": "hologram"}
-        (bench / "manifest.json").write_text(json.dumps(manifest))
-        out = run(quick_plan(bench), log=lambda *a: None)
-        assert out.exit_code == 1
+        path.write_text(json.dumps(manifest))
+        message = f"{path}: model bad: unknown support kind 'hologram'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run(quick_plan(bench), log=lambda *a: None)
+        assert main(["run", str(path), "--out", str(bench / "out")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (bench / "out").exists()
 
 
 def snapshot(directory):
@@ -584,7 +591,8 @@ class TestResultStore:
 
     def test_non_numeric_row_names_file_line(self, bench):
         path, ln = self._store_with_extra_line(bench, "field,POP,synthA,42,spatial,r2,high,5")
-        with pytest.raises(ValidationError, match=rf"results\.csv:{ln}: malformed result row"):
+        with pytest.raises(ValidationError,
+                           match=rf"results\.csv:{ln}: column 'value': could not convert string to float: 'high'$"):
             read_result_store(path)
         assert main(["report", str(path.parent)]) == 1
 
@@ -754,7 +762,7 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(bench / "out"), "--factors", str(bench / "factors.csv")]) == 1
         err = capsys.readouterr().err
-        assert "factors.csv:2: factor 'area' value 'abc' is not a number" in err
+        assert err == f"error: {bench / 'factors.csv'}:2: column 'area': could not convert string to float: 'abc'\n"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text, message", [
@@ -762,8 +770,8 @@ class TestReport:
         ("city,a,b\nLondon,1,2\nParis,1,2,3\n", "3: expected 3 fields, got 4"),
         ("city,a,b\nLondon,1,2\n,7,8\n", "3: empty city"),
         ("city,a,b\nParis,1,2\nLondon,3,4\nParis,5,6\n", "4: repeated city 'Paris'"),
-        ("city,a,b\nParis,1,x\nLondon,,y\n", "2: factor 'b' value 'x' is not a number"),
-        ("city,a,b\nParis,1,2\nLondon,nan,x\n", "3: factor 'a' value 'nan' is not a finite number"),
+        ("city,a,b\nParis,1,x\nLondon,,y\n", "2: column 'b': could not convert string to float: 'x'"),
+        ("city,a,b\nParis,1,2\nLondon,nan,x\n", "3: column 'b': could not convert string to float: 'x'"),
         ("city,a\nParis,1\nLondon,-inf\n", "3: factor 'a' value '-inf' is not a finite number"),
     ], ids=["short", "long", "empty-city", "repeated-city", "value", "nan", "inf"])
     def test_bad_factor_row_names_file_line(self, tmp_path, text, message):
@@ -866,7 +874,12 @@ class TestVerbs:
         (bench / "manifest.json").write_text(json.dumps(manifest))
         args = ["--out", str(bench / "out")] if verb == "run" else []
         assert main([verb, str(bench / "manifest.json"), *args]) == 1
-        assert "model field: hexgrid applies only to cell_table models" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        message = "model field: hexgrid applies only to cell_table models"
+        if verb == "validate":
+            assert f"error: {message}\n" in out
+        else:  # one error line naming the manifest
+            assert err == f"error: {bench / 'manifest.json'}: {message}\n"
         assert not (bench / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
@@ -878,14 +891,19 @@ class TestVerbs:
         (bench / "manifest.json").write_text(json.dumps(manifest))
         args = ["--out", str(bench / "out")] if verb == "run" else []
         assert main([verb, str(bench / "manifest.json"), *args]) == 1
-        assert f"model {model_id!r}: id contains CR or LF\n" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        message = f"model {model_id!r}: id contains CR or LF"
+        if verb == "validate":
+            assert f"error: {message}\n" in out
+        else:  # one error line naming the manifest
+            assert err == f"error: {bench / 'manifest.json'}: {message}\n"
         assert not (bench / "out").exists()
 
     def test_validate_names_ragged_entity_row(self, bench, capsys):
         add_model(bench, "ragged", "entity_set", 4, "ragged.csv", RAGGED)
         assert main(["validate", str(bench / "manifest.json")]) == 1
         out = capsys.readouterr().out
-        assert "error: model ragged, city synthA: " in out and "ragged.csv:3: expected 6 values" in out
+        assert "error: model ragged, city synthA: " in out and "ragged.csv:3: expected 6 fields, got 7\n" in out
         assert "ok: ragged" not in out and "ok: field / synthA / POP\n" in out
 
     def test_validate_and_run_agree(self, bench, capsys):

@@ -265,7 +265,7 @@ class TestLoadTaskDataset:
                      "unit_id,lon,lat,class\nu0,0.1,0.1,0\nu1,0.2,0.2,100000000000000000000\n")
         with pytest.raises(ValidationError) as e:
             load_task_dataset(p)
-        assert str(e.value) == f"{p}:6: malformed row (class index outside the int64 range)"
+        assert str(e.value) == f"{p}:6: column 'class': class index outside the int64 range"
 
 
 def _ref_load_task_dataset(path):
@@ -319,16 +319,19 @@ def _ref_load_task_dataset(path):
         """The row's numbers, or the message of the first that does not parse."""
         if len(fields) != len(header):
             return f"expected {len(header)} fields, got {len(fields)}"
-        try:
-            numbers = [float(v) for v in fields[1:-1]]
-            if kind == "class":
-                c = int(fields[-1])
-                if not -2**63 <= c < 2**63:
-                    raise OverflowError("class index outside the int64 range")
-                return numbers + [c]
-            return numbers + [float(fields[-1])]
-        except (ValueError, OverflowError) as e:
-            return f"malformed row ({e})"
+        numbers = []
+        for name, v in zip(header[1:], fields[1:]):
+            try:
+                if kind == "class" and name == "class":
+                    c = int(v)
+                    if not -2**63 <= c < 2**63:
+                        raise OverflowError("class index outside the int64 range")
+                    numbers.append(c)
+                else:
+                    numbers.append(float(v))
+            except (ValueError, OverflowError) as e:
+                return f"column {name!r}: {e}"
+        return numbers
 
     read_rows = [(ln, fields, read(fields)) for ln, fields in zip(lines[1:], rows[1:])]
     if kind == "class" and n_classes is None:

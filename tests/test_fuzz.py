@@ -167,6 +167,7 @@ ROW_READERS = {
     "entity_csv": (read_entity_csv, reference.read_entity_csv, "e.csv"),
     "cell_table": (read_cell_table_csv, reference.read_cell_table_csv, "t.csv"),
     "factors": (_read_factors, reference.read_factors, "factors.csv"),
+    "result_store": (read_result_store, reference.read_result_store, "results.csv"),
 }
 
 
