@@ -2,7 +2,7 @@
 
 All computations are pure batch functions over result records; reordering
 inputs never changes any output. Degenerate (non-finite) values are
-excluded with counts rather than propagated.
+excluded rather than propagated.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 from .core import HIGHER_BETTER, LOWER_BETTER, ResultRecord, ValidationError
 
 __all__ = [
-    "CityScore", "OverallRank", "RankResult", "ResultRecord", "SpearmanResult",
-    "SplitDelta", "TaskSummary", "city_ranks", "city_score", "mean_city_rank",
-    "overall_rank", "spearman_factor_correlation", "split_delta", "task_summary",
+    "CityScore", "ResultRecord", "SpearmanResult", "TaskSummary", "city_ranks",
+    "city_score", "mean_city_rank", "overall_rank", "spearman_factor_correlation",
+    "split_delta", "task_summary",
 ]
 
 
@@ -30,8 +30,6 @@ class CityScore:
     protocol: str
     metric: str
     value: float
-    n_seeds: int
-    n_excluded: int = 0
 
 
 def city_score(records: Sequence[ResultRecord]) -> CityScore:
@@ -46,9 +44,7 @@ def city_score(records: Sequence[ResultRecord]) -> CityScore:
         raise ValidationError("all seed values degenerate; no city score")
     model_id, task, city, protocol, metric = next(iter(keys))
     # fsum is exactly rounded, so the mean is invariant to record order
-    return CityScore(model_id, task, city, protocol, metric,
-                     value=math.fsum(finite) / len(finite), n_seeds=len(finite),
-                     n_excluded=len(records) - len(finite))
+    return CityScore(model_id, task, city, protocol, metric, value=math.fsum(finite) / len(finite))
 
 
 @dataclass(frozen=True)
@@ -77,27 +73,18 @@ def task_summary(scores: Sequence[CityScore]) -> TaskSummary:
     return TaskSummary(model_id, task, avg=avg, c_std=c_std, n_cities=len(values))
 
 
-@dataclass(frozen=True)
-class RankResult:
-    ranks: Mapping[str, int]
-    excluded: tuple[str, ...] = ()
-
-
-def city_ranks(scores: Mapping[str, float], direction: str) -> RankResult:
-    """Competition ranking: rank 1 is best under the metric direction, tied
-    models share the best rank, and the next rank skips by the tie size.
-    Non-finite scores exclude the model from this city's ranking."""
+def city_ranks(scores: Mapping[str, float], direction: str) -> dict[str, int]:
+    """{model: rank} by competition ranking: rank 1 is best under the metric
+    direction, tied models share the best rank, and the next rank skips by
+    the tie size. A model with a non-finite score is left out."""
     if direction not in (HIGHER_BETTER, LOWER_BETTER):
         raise ValidationError(f"unknown direction {direction!r}")
     if not scores:
         raise ValidationError("no scores to rank")
     ranked = {m: v for m, v in scores.items() if math.isfinite(v)}
-    excluded = tuple(sorted(set(scores) - set(ranked)))
     sign = -1.0 if direction == HIGHER_BETTER else 1.0
-    ranks = {}
-    for m, v in ranked.items():
-        ranks[m] = 1 + sum(1 for w in ranked.values() if sign * w < sign * v)
-    return RankResult(ranks=ranks, excluded=excluded)
+    return {m: 1 + sum(1 for w in ranked.values() if sign * w < sign * v)
+            for m, v in ranked.items()}
 
 
 def mean_city_rank(per_city_ranks: Sequence[Mapping[str, int]]) -> dict[str, float]:
@@ -109,44 +96,25 @@ def mean_city_rank(per_city_ranks: Sequence[Mapping[str, int]]) -> dict[str, flo
     return {m: math.fsum(v) / len(v) for m, v in ranks.items()}
 
 
-@dataclass(frozen=True)
-class OverallRank:
-    ranks: Mapping[str, float]
-    excluded: tuple[str, ...] = ()
-
-
-def overall_rank(task_mean_ranks: Mapping[str, Mapping[str, float]]) -> OverallRank:
-    """Equal-task average of per-task mean city ranks. Models missing from
-    any task are excluded (flagged), not partially averaged."""
+def overall_rank(task_mean_ranks: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
+    """{model: equal-task average of its per-task mean city ranks}. A model
+    missing from any task is left out, not partially averaged."""
     if not task_mean_ranks:
         raise ValidationError("no per-task rank tables")
     tasks = sorted(task_mean_ranks)
-    all_models = set()
-    for t in tasks:
-        all_models |= set(task_mean_ranks[t])
-    complete = [m for m in sorted(all_models)
-                if all(m in task_mean_ranks[t] for t in tasks)]
-    excluded = tuple(m for m in sorted(all_models) if m not in complete)
-    ranks = {m: math.fsum(task_mean_ranks[t][m] for t in tasks) / len(tasks)
-             for m in complete}
-    return OverallRank(ranks=ranks, excluded=excluded)
-
-
-@dataclass(frozen=True)
-class SplitDelta:
-    deltas: Mapping[tuple[str, str, str], float]   # (model, task, city) -> random - spatial
-    gaps: tuple[tuple[str, str, str], ...] = ()
+    complete = set.intersection(*(set(task_mean_ranks[t]) for t in tasks))
+    return {m: math.fsum(task_mean_ranks[t][m] for t in tasks) / len(tasks)
+            for m in sorted(complete)}
 
 
 def split_delta(random_scores: Sequence[CityScore],
-                spatial_scores: Sequence[CityScore]) -> SplitDelta:
-    """random minus spatial on the raw metric; sign interpretation is the
-    consumer's job via the metric direction."""
+                spatial_scores: Sequence[CityScore]) -> dict[tuple[str, str, str], float]:
+    """{(model, task, city): random minus spatial} on the raw metric, for the
+    keys both protocols scored; sign interpretation is the consumer's job via
+    the metric direction."""
     rand = {(s.model_id, s.task, s.city): s.value for s in random_scores}
     spat = {(s.model_id, s.task, s.city): s.value for s in spatial_scores}
-    deltas = {k: rand[k] - spat[k] for k in sorted(rand.keys() & spat.keys())}
-    gaps = tuple(sorted(rand.keys() ^ spat.keys()))
-    return SplitDelta(deltas=deltas, gaps=gaps)
+    return {k: rand[k] - spat[k] for k in sorted(rand.keys() & spat.keys())}
 
 
 @dataclass(frozen=True)

@@ -264,11 +264,8 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     datasets: dict[tuple[str, str], TaskDataset] = {}
     for city in cities:
         for task_name in sorted(manifest.cities[city]):
-            if plan.tasks is not None and task_name not in plan.tasks:
-                continue
-            if age_restricted(city, task_name):
-                log(f"AGE restricted: skipping {city}")
-                continue
+            if (plan.tasks is not None and task_name not in plan.tasks) or age_restricted(city, task_name):
+                continue  # an AGE-restricted pair was logged as a warning above
             datasets[(city, task_name)] = _load_task(manifest, city, task_name)
     grids = {}
     splits: dict[tuple[str, str, str, int], object] = {}
@@ -303,7 +300,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
         "grids": {f"{c}|{t}": list(grid.signature()) for (c, t), grid in grids.items()},
         "hexgrids": {f"{c}|{t}": list(HexGrid(*ds.extent.center).signature())
                      for (c, t), ds in datasets.items()},
-        "splits": {"|".join(map(str, key)): a.assignment_hash() for key, a in splits.items()},
+        "splits": {"|".join(map(str, key)): a.assignment_hash for key, a in splits.items()},
     }
     out_dir = Path(plan.out_dir)
     meta = bind_plan(out_dir / "run_meta.json", meta)
@@ -523,8 +520,8 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
         by_tc.setdefault((s.task, s.city), {})[s.model_id] = s.value
     per_task_tables: dict[str, list[dict[str, int]]] = {}
     for (task_name, _), model_scores in sorted(by_tc.items()):
-        rr = city_ranks(model_scores, task_direction(task_name))
-        per_task_tables.setdefault(task_name, []).append(dict(rr.ranks))
+        per_task_tables.setdefault(task_name, []).append(
+            city_ranks(model_scores, task_direction(task_name)))
     task_mean_ranks = {t: mean_city_rank(tables) for t, tables in per_task_tables.items()}
     rank_rows = [[m, t, _fmt(r)] for t in sorted(task_mean_ranks)
                  for m, r in sorted(task_mean_ranks[t].items())]
@@ -532,14 +529,13 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
     _write_csv(paths["ranks"], ["model", "task", "mean_city_rank"], rank_rows)
 
     # ranks come from the spatial protocol only; a random-only store has none
-    overall = overall_rank(task_mean_ranks).ranks if task_mean_ranks else {}
+    overall = overall_rank(task_mean_ranks) if task_mean_ranks else {}
     overall_rows = [[m, _fmt(r)] for m, r in sorted(overall.items(), key=lambda kv: (kv[1], kv[0]))]
     paths["overall"] = out_dir / "overall.csv"
     _write_csv(paths["overall"], ["model", "overall_rank"], overall_rows)
 
     # split_delta.csv
-    sd = split_delta(random_, spatial)
-    delta_rows = [[m, t, c, _fmt(d)] for (m, t, c), d in sorted(sd.deltas.items())]
+    delta_rows = [[m, t, c, _fmt(d)] for (m, t, c), d in split_delta(random_, spatial).items()]
     paths["split_delta"] = out_dir / "split_delta.csv"
     _write_csv(paths["split_delta"], ["model", "task", "city", "delta"], delta_rows)
 

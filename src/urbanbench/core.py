@@ -449,14 +449,20 @@ def _csv_line(path: Path, ln: int, line: str) -> list[str]:
         raise ValidationError(f"{path}:{ln}: malformed CSV ({e})") from None
 
 
+# The characters a parsed field may hold: printable ASCII other than space and '_'.
+# `float` and `int` would also read surrounding spaces and tabs, non-ASCII
+# digits and '_' as a digit separator, none of which a writer emits.
+_FIELD_CHARS = re.compile(r"[!-^`-~]*")
+
+
 def parse_rows(header: Sequence[str], rows: list[list[str]], parsers: Sequence) -> tuple[list, list]:
     """The one row parser of every input table: field j of each row through
     `parsers[j]` (None keeps the text), one sequence per column. Returns
     (columns, rules), the two `check_rows` rules of a row that does not read:
     a field count other than the header's, then the first field, in column
-    order, whose parser raises ValueError or OverflowError, named by its
-    header. A ragged row reads as a row of "0" fields, a field that does not
-    read as 0."""
+    order, that holds a character outside `_FIELD_CHARS` or whose parser
+    raises ValueError or OverflowError, named by its header. A ragged row
+    reads as a row of "0" fields, a field that does not read as 0."""
     n, width = len(rows), len(header)
     ragged = np.fromiter(map(len, rows), np.int64, n) != width
     padded = [r if len(r) == width else ["0"] * width for r in rows] if ragged.any() else rows
@@ -466,11 +472,15 @@ def parse_rows(header: Sequence[str], rows: list[list[str]], parsers: Sequence) 
         if parse is None:
             continue
         try:
+            if not _FIELD_CHARS.fullmatch("".join(columns[j])):
+                raise ValueError
             columns[j] = list(map(parse, columns[j]))
         except (ValueError, OverflowError):
             out = []
             for i, text in enumerate(columns[j]):
                 try:
+                    if (k := _FIELD_CHARS.match(text).end()) < len(text):
+                        raise ValueError(f"{text!r} holds {text[k]!r}")
                     out.append(parse(text))
                 except (ValueError, OverflowError) as e:
                     errors.setdefault(i, f"column {header[j]!r}: {e}")

@@ -44,9 +44,6 @@ class SplitAssignment:
     unit_ids: tuple[str, ...]
     labels: np.ndarray
     grid_sig: tuple | None = None
-    train_blocks: frozenset[int] | None = None
-    val_blocks: frozenset[int] | None = None
-    test_blocks: frozenset[int] | None = None
 
     def __post_init__(self):
         if len(self.labels) != len(self.unit_ids):
@@ -58,22 +55,16 @@ class SplitAssignment:
     def mask(self, label: str) -> np.ndarray:
         return self.labels == label
 
-    def counts(self) -> dict[str, int]:
-        return {s: int(np.count_nonzero(self.labels == s)) for s in (TRAIN, VAL, TEST)}
-
     @cached_property
     def rows_text(self) -> str:
         """The `unit_id,label` lines, as the split CSV holds them and the hash reads them."""
         return "".join(f"{uid},{lab}\n" for uid, lab in zip(self.unit_ids, self.labels.tolist()))
 
     @cached_property
-    def _hash(self) -> str:
+    def assignment_hash(self) -> str:
         head = (f"{self.city}|{self.task}|{self.protocol}|{self.seed}|"
                 f"{DEFAULT_TEST_FRAC!r}|{DEFAULT_VAL_FRAC!r}|{self.grid_sig}\n")
         return hashlib.sha256((head + self.rows_text).encode()).hexdigest()
-
-    def assignment_hash(self) -> str:
-        return self._hash
 
 
 def _partition_counts(n: int, what: str) -> tuple[int, int]:
@@ -93,20 +84,16 @@ def spatial_split(task: TaskDataset, grid: BlockGrid, seed: int) -> SplitAssignm
     n_val, n_test = _partition_counts(len(occupied), "occupied blocks")
 
     rng = _rng(task.city, task.task, "spatial", seed)
-    test_blocks = set(rng.choice(occupied, size=n_test, replace=False).tolist())
-    remaining = np.array(sorted(set(occupied.tolist()) - test_blocks), dtype=np.int64)
-    val_blocks = set(rng.choice(remaining, size=n_val, replace=False).tolist())
-    train_blocks = set(remaining.tolist()) - val_blocks
+    test_blocks = rng.choice(occupied, size=n_test, replace=False)
+    remaining = occupied[~np.isin(occupied, test_blocks)]
+    val_blocks = rng.choice(remaining, size=n_val, replace=False)
 
     labels = np.full(task.n, TRAIN, dtype="<U5")
-    labels[np.isin(block_of, list(val_blocks))] = VAL
-    labels[np.isin(block_of, list(test_blocks))] = TEST
+    labels[np.isin(block_of, val_blocks)] = VAL
+    labels[np.isin(block_of, test_blocks)] = TEST
     return SplitAssignment(
         city=task.city, task=task.task, seed=seed, protocol="spatial",
-        unit_ids=task.unit_ids, labels=labels,
-        grid_sig=grid.signature(),
-        train_blocks=frozenset(train_blocks), val_blocks=frozenset(val_blocks),
-        test_blocks=frozenset(test_blocks),
+        unit_ids=task.unit_ids, labels=labels, grid_sig=grid.signature(),
     )
 
 
@@ -135,7 +122,7 @@ def write_split_csv(path: str | Path, a: SplitAssignment) -> None:
         f"# split city={a.city} task={a.task} protocol={a.protocol} seed={a.seed}",
         f"# fractions test={DEFAULT_TEST_FRAC!r} val={DEFAULT_VAL_FRAC!r}",
         f"# grid {a.grid_sig}",
-        f"# hash {a.assignment_hash()}",
+        f"# hash {a.assignment_hash}",
         "unit_id,label\n",
     ]
     write_atomic(Path(path), "\n".join(lines) + a.rows_text)

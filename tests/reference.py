@@ -135,6 +135,14 @@ def hex_cell_center(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]
 # CSV readers, one row at a time: each row checked in full before the next.
 # Their dialect (comments, blank lines, line numbers) is `read_table`'s.
 
+def strict(text: str) -> str:
+    """A field a parser may read: printable ASCII other than space and '_'."""
+    for c in text:
+        if not " " < c <= "~" or c == "_":
+            raise ValueError(f"{text!r} holds {c!r}")
+    return text
+
+
 def _read_row(path, ln: int, header, row: list[str], parsers) -> list:
     """One row's fields through their column's parser (None keeps the text):
     its field count first, then its fields in column order."""
@@ -143,7 +151,7 @@ def _read_row(path, ln: int, header, row: list[str], parsers) -> list:
     out = []
     for name, parse, text in zip(header, parsers, row):
         try:
-            out.append(text if parse is None else parse(text))
+            out.append(text if parse is None else parse(strict(text)))
         except (ValueError, OverflowError) as e:
             raise ValidationError(f"{path}:{ln}: column {name!r}: {e}") from None
     return out

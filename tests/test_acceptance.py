@@ -31,6 +31,7 @@ from test_metrics import (
     brute_regression,
     random_distributions,
 )
+from test_split import assert_one_label_per_block, block_sets
 
 
 def ok(name):
@@ -118,15 +119,15 @@ class TestSplitProtocolConstants:
         seeds = (42, 24, 7, 0, 100)
         for seed in seeds:
             a = spatial_split(task, grid, seed)
-            assert len(a.test_blocks) == 20
-            assert len(a.val_blocks) == 8
-            assert len(a.train_blocks) == 72
+            # each unit's block from `assign_blocks`, its label from the split
+            assert_one_label_per_block(task, grid, a)
+            sets = block_sets(task, grid, a)
+            assert len(sets["test"]) == 20
+            assert len(sets["val"]) == 8
+            assert len(sets["train"]) == 72
             b = spatial_split(task, grid, seed)
             np.testing.assert_array_equal(a.labels, b.labels)
-            assert a.assignment_hash() == b.assignment_hash()
-            assert not (a.train_blocks & a.test_blocks)
-            assert not (a.val_blocks & a.test_blocks)
-            assert not (a.train_blocks & a.val_blocks)
+            assert a.assignment_hash == b.assignment_hash
         ok("split protocol constants (20/8/72, bit-identical seeds, no overlap)")
 
 
@@ -155,7 +156,7 @@ class TestModelInvarianceOfSplits:
         # exactly one hash per (city, task, protocol, seed): nothing per-model
         assert list(meta["splits"]) == ["synthA|POP|spatial|42"]
         recomputed = spatial_split(task, build_block_grid(task.extent, 10, 10), 42)
-        assert meta["splits"]["synthA|POP|spatial|42"] == recomputed.assignment_hash()
+        assert meta["splits"]["synthA|POP|spatial|42"] == recomputed.assignment_hash
         ok("model invariance of splits (hash precedes models, identical across)")
 
 
@@ -229,10 +230,9 @@ class TestH3FirstCoverageDirection:
 
 class TestRankingArithmetic:
     def test_tie_example_and_overall(self):
-        rr = city_ranks({"a": 0.9, "b": 0.7, "c": 0.9, "d": 0.5}, HIGHER_BETTER)
-        assert rr.ranks == {"a": 1, "b": 3, "c": 1, "d": 4}
-        out = overall_rank({"T1": {"m": 2.0}, "T2": {"m": 4.0}})
-        assert out.ranks == {"m": 3.0}
+        assert city_ranks({"a": 0.9, "b": 0.7, "c": 0.9, "d": 0.5}, HIGHER_BETTER) == {
+            "a": 1, "b": 3, "c": 1, "d": 4}
+        assert overall_rank({"T1": {"m": 2.0}, "T2": {"m": 4.0}}) == {"m": 3.0}
         ok("ranking arithmetic (tie example, equal-task average)")
 
     def test_permutation_invariance(self):
@@ -247,7 +247,7 @@ class TestRankingArithmetic:
         perm_scores = [scores[i] for i in rng.permutation(6)]
         assert task_summary(scores) == task_summary(perm_scores)
         ranks_a = city_ranks({f"m{i}": float(v) for i, v in enumerate(rng.standard_normal(7))},
-                             HIGHER_BETTER).ranks
+                             HIGHER_BETTER)
         assert sorted(ranks_a.values()) == list(range(1, 8))
         ok("aggregation permutation invariance")
 

@@ -26,7 +26,7 @@ def record(value, seed=0, model="m", task="POP", city="c", protocol="spatial", m
 
 def score(value, model="m", task="POP", city="c", protocol="spatial", metric="r2"):
     return CityScore(model_id=model, task=task, city=city, protocol=protocol,
-                     metric=metric, value=value, n_seeds=5)
+                     metric=metric, value=value)
 
 
 class TestCityScore:
@@ -35,15 +35,20 @@ class TestCityScore:
         assert abs(s.value - 0.6) < 1e-15
 
     def test_five_equal_values(self):
-        s = city_score([record(0.4, seed=i) for i in range(5)])
+        records = [record(0.4, seed=i) for i in range(5)]
+        s = city_score(records)
         assert s.value == 0.4
-        assert s.n_seeds == 5
+        assert s == CityScore("m", "POP", "c", "spatial", "r2", 0.4)
+        assert sum(not r.degenerate for r in records) == 5
 
     def test_degenerate_excluded_with_count(self):
-        s = city_score([record(0.2, 0), record(0.4, 1), record(float("nan"), 2)])
+        # the mean is over the two finite seeds: the NaN seed is left out, not
+        # averaged as zero (which would give 0.2)
+        records = [record(0.2, 0), record(0.4, 1), record(float("nan"), 2)]
+        s = city_score(records)
         assert abs(s.value - 0.3) < 1e-15
-        assert s.n_excluded == 1
-        assert s.n_seeds == 2
+        assert sum(r.degenerate for r in records) == 1
+        assert sum(not r.degenerate for r in records) == 2
 
     def test_all_degenerate_errors(self):
         with pytest.raises(ValidationError):
@@ -80,50 +85,48 @@ class TestTaskSummary:
 
 class TestCityRanks:
     def test_tie_example(self):
-        rr = city_ranks({"a": 0.9, "b": 0.7, "c": 0.9, "d": 0.5}, HIGHER_BETTER)
-        assert rr.ranks == {"a": 1, "c": 1, "b": 3, "d": 4}
+        ranks = city_ranks({"a": 0.9, "b": 0.7, "c": 0.9, "d": 0.5}, HIGHER_BETTER)
+        assert ranks == {"a": 1, "c": 1, "b": 3, "d": 4}
 
     def test_single_model(self):
-        rr = city_ranks({"only": 0.1}, HIGHER_BETTER)
-        assert rr.ranks == {"only": 1}
+        assert city_ranks({"only": 0.1}, HIGHER_BETTER) == {"only": 1}
 
     def test_lower_better_direction_flip(self):
-        rr = city_ranks({"a": 0.04, "b": 0.02}, LOWER_BETTER)
-        assert rr.ranks == {"a": 2, "b": 1}
+        assert city_ranks({"a": 0.04, "b": 0.02}, LOWER_BETTER) == {"a": 2, "b": 1}
 
     def test_non_finite_excluded(self):
-        rr = city_ranks({"a": 0.5, "b": float("nan")}, HIGHER_BETTER)
-        assert rr.ranks == {"a": 1}
-        assert rr.excluded == ("b",)
+        scores = {"a": 0.5, "b": float("nan"), "c": float("inf")}
+        ranks = city_ranks(scores, HIGHER_BETTER)
+        assert ranks == {"a": 1}
+        assert set(scores) - set(ranks) == {"b", "c"}
 
     def test_no_ties_gives_full_rank_set(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             vals = rng.permutation(rng.standard_normal(8))
-            rr = city_ranks({f"m{i}": v for i, v in enumerate(vals)}, HIGHER_BETTER)
-            assert sorted(rr.ranks.values()) == list(range(1, 9))
+            ranks = city_ranks({f"m{i}": v for i, v in enumerate(vals)}, HIGHER_BETTER)
+            assert sorted(ranks.values()) == list(range(1, 9))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
         scores = {f"m{i}": float(v) for i, v in enumerate(rng.standard_normal(6))}
-        base = city_ranks(scores, HIGHER_BETTER).ranks
+        base = city_ranks(scores, HIGHER_BETTER)
         transformed = {m: math.exp(3 * v) + 1 for m, v in scores.items()}
-        assert city_ranks(transformed, HIGHER_BETTER).ranks == base
+        assert city_ranks(transformed, HIGHER_BETTER) == base
 
 
 class TestOverallRank:
     def test_equal_task_average(self):
-        out = overall_rank({"POP": {"m": 2.0}, "LST": {"m": 4.0}})
-        assert out.ranks == {"m": 3.0}
+        assert overall_rank({"POP": {"m": 2.0}, "LST": {"m": 4.0}}) == {"m": 3.0}
 
     def test_single_task(self):
-        out = overall_rank({"POP": {"m": 1.5}})
-        assert out.ranks == {"m": 1.5}
+        assert overall_rank({"POP": {"m": 1.5}}) == {"m": 1.5}
 
     def test_missing_model_excluded(self):
-        out = overall_rank({"POP": {"a": 1.0, "b": 2.0}, "LST": {"a": 1.0}})
-        assert out.ranks == {"a": 1.0}
-        assert out.excluded == ("b",)
+        tables = {"POP": {"a": 1.0, "b": 2.0}, "LST": {"a": 1.0, "c": 2.0}}
+        ranks = overall_rank(tables)
+        assert ranks == {"a": 1.0}
+        assert set().union(*tables.values()) - set(ranks) == {"b", "c"}
 
     def test_conservation_with_eleven_models(self):
         # sum of overall ranks equals the task-mean of the rank sums
@@ -131,12 +134,13 @@ class TestOverallRank:
         models = [f"m{i}" for i in range(11)]
         tables = {}
         for t in ("A", "B", "C"):
-            per_city = [dict(city_ranks(
+            per_city = [city_ranks(
                 {m: float(v) for m, v in zip(models, rng.standard_normal(11))},
-                HIGHER_BETTER).ranks) for _ in range(4)]
+                HIGHER_BETTER) for _ in range(4)]
             tables[t] = mean_city_rank(per_city)
         out = overall_rank({t: tables[t] for t in tables})
-        lhs = sum(out.ranks.values())
+        assert sorted(out) == sorted(models)
+        lhs = sum(out.values())
         rhs = sum(sum(tables[t][m] for m in models) for t in tables) / len(tables)
         assert abs(lhs - rhs) < 1e-9
 
@@ -159,18 +163,23 @@ class TestPermutationInvariance:
 
 class TestSplitDelta:
     def test_basic_delta(self):
-        sd = split_delta([score(0.8, protocol="random")], [score(0.5, protocol="spatial")])
-        assert sd.deltas[("m", "POP", "c")] == pytest.approx(0.3)
+        deltas = split_delta([score(0.8, protocol="random")], [score(0.5, protocol="spatial")])
+        assert deltas == {("m", "POP", "c"): pytest.approx(0.3)}
 
     def test_equal_scores_zero(self):
-        sd = split_delta([score(0.5, protocol="random")], [score(0.5, protocol="spatial")])
-        assert sd.deltas[("m", "POP", "c")] == 0.0
+        deltas = split_delta([score(0.5, protocol="random")], [score(0.5, protocol="spatial")])
+        assert deltas == {("m", "POP", "c"): 0.0}
 
     def test_unmatched_key_is_gap(self):
-        sd = split_delta([score(0.8, protocol="random", city="a")],
-                         [score(0.5, protocol="spatial", city="b")])
-        assert not sd.deltas
-        assert set(sd.gaps) == {("m", "POP", "a"), ("m", "POP", "b")}
+        # a key only one protocol scored has no delta; the gaps are the
+        # symmetric difference of the two protocols' keys
+        random_ = [score(0.8, protocol="random", city="a"), score(0.7, protocol="random", city="c")]
+        spatial = [score(0.5, protocol="spatial", city="b"), score(0.6, protocol="spatial", city="c")]
+        deltas = split_delta(random_, spatial)
+        assert deltas == {("m", "POP", "c"): pytest.approx(0.1)}
+        keys = [{(s.model_id, s.task, s.city) for s in side} for side in (random_, spatial)]
+        assert keys[0] ^ keys[1] == {("m", "POP", "a"), ("m", "POP", "b")}
+        assert not set(deltas) & (keys[0] ^ keys[1])
 
 
 class TestSpearman:

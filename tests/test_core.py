@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import urbanbench.core as core
-from reference import TaskUnit, contains, dataset, units_of
+from reference import TaskUnit, contains, dataset, strict, units_of
 from urbanbench.cli import main
 from urbanbench.core import (
     DISTRIBUTION_SUM_TOL,
@@ -322,6 +322,7 @@ def _ref_load_task_dataset(path):
         numbers = []
         for name, v in zip(header[1:], fields[1:]):
             try:
+                strict(v)
                 if kind == "class" and name == "class":
                     c = int(v)
                     if not -2**63 <= c < 2**63:

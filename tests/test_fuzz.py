@@ -41,7 +41,7 @@ from urbanbench.core import (
     validate_manifest,
     write_task_dataset,
 )
-from urbanbench.grid import HexGrid
+from urbanbench.grid import HexGrid, parse_hex_cell_key
 from urbanbench.split import random_split, write_split_csv
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -87,8 +87,8 @@ def _valid_files() -> dict[str, bytes]:
 
 VALID = _valid_files()
 TOKENS = [b"nan", b"inf", b"-1", b"0", b"1e400", b"abc", b",", b"\n", b"\r", b"#", b'"', b":",
-          b" ", b"\xff", b"\xc3", b"\x00", b"# classes x\n", b"# extent 1 2\n", b"# hexgrid 0 0\n",
-          b"9" * 200_001]  # past the csv module's field size limit
+          b" ", b"\t", b"_", "\u0663".encode(), b"\xff", b"\xc3", b"\x00", b"# classes x\n",
+          b"# extent 1 2\n", b"# hexgrid 0 0\n", b"9" * 200_001]  # past the csv module's field size limit
 
 
 @st.composite
@@ -314,3 +314,39 @@ def test_overlong_csv_field_names_file_and_line(workdir, reader):
     with pytest.raises(ValidationError) as e:
         READERS[reader](path)
     assert str(e.value).startswith(f"{path}:{line}: malformed CSV (field larger than field limit")
+
+
+# (valid file, line, field index, column, the parser Python would read it with):
+# each bad form below reads under that parser, and no reader accepts it.
+STRICT = {
+    "task_csv": ("pop.csv", 6, 1, "lon", float),
+    "entity_csv": ("e.csv", 2, 2, "v_0", float),
+    "cell_table": ("t.csv", 4, 0, "key_or_lon", parse_hex_cell_key),
+    "result_store": ("results.csv", 2, 3, "seed", int),
+    "factors": ("factors.csv", 3, 1, "area", float),
+}
+# a valid field's text -> (bad form, its first character no reader reads)
+BAD_FORMS = [
+    (lambda t: t[0] + "_" + t[1:] if t[1].isdigit() else "1_" + t, "_"),
+    (lambda t: " " + t, " "),
+    (lambda t: t + "\t", "\t"),
+    (lambda t: t + "\x0b", "\x0b"),
+    (lambda t: "\u0661" + t[1:], "\u0661"),  # ARABIC-INDIC DIGIT ONE
+]
+
+
+@pytest.mark.parametrize("form", range(len(BAD_FORMS)))
+@pytest.mark.parametrize("reader", sorted(STRICT))
+def test_numeric_field_is_printable_ascii_without_underscore(workdir, reader, form):
+    name, line, field, column, loose = STRICT[reader]
+    lines = VALID[name].decode().split("\n")
+    fields = lines[line - 1].rstrip("\r").split(",")
+    make, char = BAD_FORMS[form]
+    fields[field] = bad = make(fields[field])
+    loose(bad)  # Python's own parser reads it
+    lines[line - 1] = ",".join(fields)
+    path = workdir / f"strict_{reader}"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValidationError) as e:
+        READERS[reader](path)
+    assert str(e.value) == f"{path}:{line}: column {column!r}: {bad!r} holds {char!r}"
