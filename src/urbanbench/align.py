@@ -30,6 +30,7 @@ from .core import (
     ValidationError,
     _fmt,
     check_rows,
+    parse_field,
     parse_rows,
     read_table,
     repeats,
@@ -350,8 +351,8 @@ def read_erf(path: str | Path) -> RasterSupport:
         fields = header.decode("ascii").split()
         if len(fields) != 8 or fields[0] != _ERF_MAGIC:
             raise ValidationError("not an erf1 file")
-        x0, y0, dx, dy = (float(v) for v in fields[1:5])
-        ncols, nrows, dim = (int(v) for v in fields[5:8])
+        x0, y0, dx, dy = (parse_field(float, v) for v in fields[1:5])
+        ncols, nrows, dim = (parse_field(int, v) for v in fields[5:8])
         expected = ncols * nrows * dim * 4
         if len(body) != expected:
             raise ValidationError(f"erf body has {len(body)} bytes, expected {expected}")
@@ -418,7 +419,7 @@ def read_cell_table_csv(path: str | Path) -> CellTableSupport:
     if "hexgrid" in meta:
         line, text = meta["hexgrid"]
         try:
-            lon0, lat0, edge = map(float, text.split())
+            lon0, lat0, edge = (parse_field(float, w) for w in text.split())
             grid = HexGrid(lon0, lat0, edge)
         except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
             raise ValidationError(

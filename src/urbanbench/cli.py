@@ -11,64 +11,78 @@ in a separate run_times.json so complete stores compare byte-identical.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import io
-import json
-import math
-import sys
-import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+import gc
 
-import numpy as np
+# Everything these imports create (numpy, the standard library, the harness
+# modules) lives as long as the process, so a collection during them frees
+# nothing. Pause the cyclic collector for them, then freeze what they made,
+# so that no later collection, nor those at interpreter exit, walks it again.
+# The collector is left on or off as it was found.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import csv
+    import io
+    import json
+    import math
+    import sys
+    import time
+    from dataclasses import dataclass, field, replace
+    from pathlib import Path
+    from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .align import (
-    AlignedMatrix,
-    align_cell_table,
-    align_coordinate_encoder,
-    align_entities_h3_first,
-    align_raster,
-    read_cell_table_csv,
-    read_entity_csv,
-    read_erf,
-    write_entity_csv,
-    write_erf,
-)
-from .core import (
-    METRICS_FOR_KIND,
-    TASK_LABEL_KIND,
-    TASK_PRIMARY_METRIC,
-    CellTableSupport,
-    CoordinateEncoderSupport,
-    EntitySetSupport,
-    Manifest,
-    RasterSupport,
-    ResultRecord,
-    TaskDataset,
-    ValidationError,
-    _fmt,
-    age_restricted,
-    check_rows,
-    load_manifest,
-    load_task_dataset,
-    parse_rows,
-    read_json_object,
-    read_table,
-    repeats,
-    stable_seed,
-    task_direction,
-    validate_manifest,
-    write_atomic,
-    write_task_dataset,
-)
-from .grid import H3_RES8_EDGE_M, HexGrid, build_block_grid
-from .heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, LEARNING_RATE, HeadConfig,
-                    gradient_check, predict, train_head)
-from .metrics import KL_EPSILON, classification_metrics, distribution_metrics, regression_metrics
-from .pe_encoder import N_FREQ, PE_ENCODER_ID, R_MAX_M, R_MIN_M, get_encoder
-from .split import DEFAULT_SEEDS, DEFAULT_TEST_FRAC, DEFAULT_VAL_FRAC, TEST, random_split, spatial_split, write_split_csv
+    import numpy as np
+
+    from .align import (
+        AlignedMatrix,
+        align_cell_table,
+        align_coordinate_encoder,
+        align_entities_h3_first,
+        align_raster,
+        read_cell_table_csv,
+        read_entity_csv,
+        read_erf,
+        write_entity_csv,
+        write_erf,
+    )
+    from .core import (
+        METRICS_FOR_KIND,
+        TASK_LABEL_KIND,
+        TASK_PRIMARY_METRIC,
+        CellTableSupport,
+        CoordinateEncoderSupport,
+        EntitySetSupport,
+        Manifest,
+        RasterSupport,
+        ResultRecord,
+        TaskDataset,
+        ValidationError,
+        _fmt,
+        age_restricted,
+        check_rows,
+        load_manifest,
+        load_task_dataset,
+        parse_rows,
+        read_json_object,
+        read_table,
+        repeats,
+        stable_seed,
+        task_direction,
+        validate_manifest,
+        write_atomic,
+        write_task_dataset,
+    )
+    from .grid import H3_RES8_EDGE_M, HexGrid, build_block_grid
+    from .heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, LEARNING_RATE, HeadConfig,
+                        gradient_check, predict, train_head)
+    from .metrics import KL_EPSILON, classification_metrics, distribution_metrics, regression_metrics
+    from .pe_encoder import N_FREQ, PE_ENCODER_ID, R_MAX_M, R_MIN_M, get_encoder
+    from .split import DEFAULT_SEEDS, DEFAULT_TEST_FRAC, DEFAULT_VAL_FRAC, TEST, random_split, spatial_split, write_split_csv
+finally:
+    gc.freeze()
+    if _gc_was_enabled:
+        gc.enable()
 
 if TYPE_CHECKING:
     from .synth import SynthConfig

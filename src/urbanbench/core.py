@@ -455,6 +455,14 @@ def _csv_line(path: Path, ln: int, line: str) -> list[str]:
 _FIELD_CHARS = re.compile(r"[!-^`-~]*")
 
 
+def parse_field(parse, text: str):
+    """`parse(text)` of a field that holds only `_FIELD_CHARS`; the ValueError
+    of any other text names its first other character."""
+    if (k := _FIELD_CHARS.match(text).end()) < len(text):
+        raise ValueError(f"{text!r} holds {text[k]!r}")
+    return parse(text)
+
+
 def parse_rows(header: Sequence[str], rows: list[list[str]], parsers: Sequence) -> tuple[list, list]:
     """The one row parser of every input table: field j of each row through
     `parsers[j]` (None keeps the text), one sequence per column. Returns
@@ -479,9 +487,7 @@ def parse_rows(header: Sequence[str], rows: list[list[str]], parsers: Sequence) 
             out = []
             for i, text in enumerate(columns[j]):
                 try:
-                    if (k := _FIELD_CHARS.match(text).end()) < len(text):
-                        raise ValueError(f"{text!r} holds {text[k]!r}")
-                    out.append(parse(text))
+                    out.append(parse_field(parse, text))
                 except (ValueError, OverflowError) as e:
                     errors.setdefault(i, f"column {header[j]!r}: {e}")
                     out.append(0)
@@ -511,7 +517,8 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     if task not in TASKS:
         raise ValidationError(f"{path}:{task_line}: unknown task {task!r}")
     given = {}  # without `# extent` or `# classes`, each is derived from the rows
-    for key, parse in (("extent", lambda text: Rect(*map(float, text.split()))), ("classes", int)):
+    for key, parse in (("extent", lambda text: Rect(*(parse_field(float, w) for w in text.split()))),
+                       ("classes", lambda text: parse_field(int, text))):
         if key in meta:
             line, text = meta[key]
             try:

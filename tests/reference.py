@@ -196,7 +196,7 @@ def read_cell_table_csv(path) -> CellTableSupport:
     if "hexgrid" in meta:
         line, text = meta["hexgrid"]
         try:
-            lon0, lat0, edge = (float(v) for v in text.split())
+            lon0, lat0, edge = (float(strict(v)) for v in text.split())
             grid = HexGrid(lon0, lat0, edge)
         except ValueError as e:
             raise ValidationError(

@@ -348,6 +348,23 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="bad.erf: .*ascii"):
             read_erf(p)
 
+    @pytest.mark.parametrize("header, body, message", [
+        ("erf1 0 0 1_0 1 1 1 1", 4, "'1_0' holds '_'"),
+        ("erf1 0 0 1 1 1_0 1 1", 40, "'1_0' holds '_'"),
+        ("erf1 0 0 \u0661 1 1 1 1", 4, "'ascii' codec can't decode"),
+    ], ids=["float-underscore", "int-underscore", "arabic-indic-digit"])
+    def test_erf_header_number_is_printable_ascii_without_underscore(self, tmp_path, header, body, message):
+        # Python's own float and int read each word, and the body fits what they read
+        words = header.split()
+        corner_and_steps = [float(w) for w in words[1:5]]
+        ncols, nrows, dim = (int(w) for w in words[5:8])
+        assert len(corner_and_steps) == 4 and ncols * nrows * dim * 4 == body
+        p = tmp_path / "bad.erf"
+        p.write_bytes(header.encode() + b"\n" + b"\x00" * body)
+        with pytest.raises(ValidationError) as e:
+            read_erf(p)
+        assert str(e.value).startswith(f"{p}: {message}")
+
     def test_entity_csv_round_trip(self, tmp_path):
         rep = EntitySetSupport(lons=np.array([0.1, 0.2]), lats=np.array([0.3, 0.4]),
                                vectors=np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -460,10 +477,11 @@ class TestFileFormats:
     @pytest.mark.parametrize("comment", [
         "# hexgrid abc 0 461", "# hexgrid 0 461", "# hexgrid", "# hexgrid 0 0 461 7",
         "# hexgrid 0 0 -461", "# hexgrid 0 0 nan", "# hexgrid nan 0 461",
+        "# hexgrid 0 0 4_61", "# hexgrid 0 \u0660 461",
     ])
     def test_cell_table_bad_hexgrid_comment_names_file_line(self, tmp_path, comment):
         p = tmp_path / "table.csv"
-        p.write_text(f"# made by hand\n{comment}\nkey_or_lon,lat,v_0\n0:0,,1.0\n")
+        p.write_text(f"# made by hand\n{comment}\nkey_or_lon,lat,v_0\n0:0,,1.0\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r"table\.csv:2: bad '# hexgrid"):
             read_cell_table_csv(p)
 

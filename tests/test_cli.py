@@ -1123,6 +1123,56 @@ class TestImportPath:
         assert [line for line in proc.stdout.splitlines() if line.startswith("loaded ")] == [
             "loaded 0 []", "loaded 0 ['urbanbench.aggregate']"]
 
+    @pytest.mark.parametrize("collector", ["enabled", "disabled"])
+    def test_import_freezes_heap_and_leaves_collector_as_found(self, bench, collector):
+        # what `import urbanbench.cli` creates lives as long as the process, so it
+        # is frozen out of every later collection; the collector is left as found.
+        # A frozen object that reference counting frees leaves the frozen set, so
+        # `main` may lower the count, but it never freezes more.
+        import urbanbench
+
+        script = (
+            "import gc\n"
+            f"{'gc.disable()' if collector == 'disabled' else 'gc.enable()'}\n"
+            "before = gc.isenabled()\n"
+            "import urbanbench.cli as cli\n"
+            "frozen = gc.get_freeze_count()\n"
+            "print('import', before, gc.isenabled(), frozen > 0)\n"
+            f"codes = [cli.main(['run', {str(bench / 'manifest.json')!r}, '--out', {str(bench / 'out')!r},"
+            " '--seeds', '42', '--head', 'linear', '--batch-size', '64', '--max-epochs', '10',"
+            " '--patience', '3']),\n"
+            f"         cli.main(['report', {str(bench / 'out')!r}])]\n"
+            "print('main', codes, gc.isenabled(), 0 < gc.get_freeze_count() <= frozen)\n"
+        )
+        src = str(Path(urbanbench.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        on = collector == "enabled"
+        assert [line for line in proc.stdout.splitlines() if line.startswith(("import ", "main "))] == [
+            f"import {on} {on} True", f"main [0, 0] {on} True"]
+
+    def test_cli_processes_match_in_process_run(self, bench):
+        # the benchmark's traffic, each verb a fresh `python -m urbanbench.cli`
+        # process: run, a rerun over the complete store, then report. The
+        # report's stdout is its leaderboard, so stdout is flushed at exit.
+        import urbanbench
+
+        src = str(Path(urbanbench.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0"}
+        manifest, out = str(bench / "manifest.json"), bench / "out"
+        opts = ["--seeds", "42,24", "--protocols", "spatial,random", "--head", "linear",
+                "--batch-size", "64", "--max-epochs", "10", "--patience", "3"]
+        procs = [subprocess.run([sys.executable, "-m", "urbanbench.cli", *argv], capture_output=True,
+                                text=True, env=env, timeout=120)
+                 for argv in (["run", manifest, "--out", str(out), *opts],
+                              ["run", manifest, "--out", str(out), *opts],
+                              ["report", str(out)])]
+        assert [p.returncode for p in procs] == [0, 0, 0], [p.stderr for p in procs]
+        assert main(["run", manifest, "--out", str(bench / "ref"), *opts]) == 0
+        assert (out / "results.csv").read_bytes() == (bench / "ref" / "results.csv").read_bytes()
+        assert procs[2].stdout == (out / "leaderboard.txt").read_text()
+
     def test_package_import_loads_no_submodule(self):
         # `import urbanbench` is only the package; each verb imports what it uses
         import urbanbench

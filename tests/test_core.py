@@ -130,10 +130,17 @@ class TestLoadTaskDataset:
         ("\n# city demo\n\n# task POP\n# extent 0 0 1\nunit_id,lon,lat,value\n", "5: malformed '# extent' line"),
         ("# task POP\n\n# city demo\n# extent 0 0 1 1\nunit_id,lat,lon,value\n",
          "5: header must start with unit_id,lon,lat"),
-    ], ids=["task", "extent", "header"])
+        # Python's float and int would read each of these words
+        ("# task POP\n# city demo\n# extent 0 0 1_0 1\nunit_id,lon,lat,value\n", "3: malformed '# extent' line"),
+        ("# task POP\n# city demo\n# extent 0 0 \u0661 1\nunit_id,lon,lat,value\n",
+         "3: malformed '# extent' line"),
+        ("# task LUC\n# city demo\n# classes 1_0\nunit_id,lon,lat,class\n", "3: malformed '# classes' line"),
+        ("# task LUC\n# city demo\n# classes \u0663\nunit_id,lon,lat,class\n", "3: malformed '# classes' line"),
+    ], ids=["task", "extent", "header", "extent-underscore", "extent-arabic-indic-digit",
+            "classes-underscore", "classes-arabic-indic-digit"])
     def test_metadata_error_names_line(self, tmp_path, text, message):
         p = tmp_path / "task.csv"
-        p.write_text(text + "u0,0.1,0.1,0\n")
+        p.write_text(text + "u0,0.1,0.1,0\n", encoding="utf-8")
         with pytest.raises(ValidationError) as e:
             load_task_dataset(p)
         assert str(e.value) == f"{p}:{message}"
@@ -285,11 +292,11 @@ def _ref_load_task_dataset(path):
     extent = None
     if "extent" in meta:
         try:
-            extent = Rect(*(float(v) for v in meta["extent"][1].split()))
+            extent = Rect(*(float(strict(v)) for v in meta["extent"][1].split()))
         except (TypeError, ValueError):
             raise ValidationError(f"{path}:{meta['extent'][0]}: malformed '# extent' line") from None
     try:
-        n_classes = int(meta["classes"][1]) if "classes" in meta else None
+        n_classes = int(strict(meta["classes"][1])) if "classes" in meta else None
     except ValueError:
         raise ValidationError(f"{path}:{meta['classes'][0]}: malformed '# classes' line") from None
 
