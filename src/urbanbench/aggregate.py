@@ -1,76 +1,44 @@
 """Seed/city aggregation, tie-aware ranks, split deltas, and factor correlations.
 
-All computations are pure batch functions over result records; reordering
-inputs never changes any output. Degenerate (non-finite) values are
-excluded rather than propagated.
+Every function takes and returns plain values: floats, tuples, and dicts
+keyed as the caller keys its scores; `cli.report` holds the (protocol,
+model, task, city) keys and groups by them once. Reordering inputs never
+changes any output. Non-finite values are left out rather than propagated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import HIGHER_BETTER, LOWER_BETTER, ResultRecord, ValidationError
+from .core import HIGHER_BETTER, LOWER_BETTER, ValidationError
 
 __all__ = [
-    "CityScore", "ResultRecord", "SpearmanResult", "TaskSummary", "city_ranks",
-    "city_score", "mean_city_rank", "overall_rank", "spearman_factor_correlation",
+    "city_ranks", "city_score", "mean_city_rank", "overall_rank", "spearman_factor_correlation",
     "split_delta", "task_summary",
 ]
 
 
-@dataclass(frozen=True)
-class CityScore:
-    model_id: str
-    task: str
-    city: str
-    protocol: str
-    metric: str
-    value: float
-
-
-def city_score(records: Sequence[ResultRecord]) -> CityScore:
-    """Mean of the metric over seeds, excluding degenerate seed values."""
-    if not records:
-        raise ValidationError("no records")
-    keys = {(r.model_id, r.task, r.city, r.protocol, r.metric) for r in records}
-    if len(keys) > 1:
-        raise ValidationError(f"records mix keys: {sorted(keys)}")
-    finite = [r.value for r in records if not r.degenerate]
+def city_score(values: Iterable[float]) -> float:
+    """Mean of one cell's seed values, leaving out the non-finite ones."""
+    finite = [v for v in values if math.isfinite(v)]
     if not finite:
         raise ValidationError("all seed values degenerate; no city score")
-    model_id, task, city, protocol, metric = next(iter(keys))
-    # fsum is exactly rounded, so the mean is invariant to record order
-    return CityScore(model_id, task, city, protocol, metric, value=math.fsum(finite) / len(finite))
+    # fsum is exactly rounded, so the mean is invariant to value order
+    return math.fsum(finite) / len(finite)
 
 
-@dataclass(frozen=True)
-class TaskSummary:
-    model_id: str
-    task: str
-    avg: float
-    c_std: float | None       # cross-city sample std (n-1); None for one city
-    n_cities: int
-
-
-def task_summary(scores: Sequence[CityScore]) -> TaskSummary:
-    if not scores:
+def task_summary(values: Sequence[float]) -> tuple[float, float | None]:
+    """(mean, cross-city sample std (n-1)) of a model's city scores on one
+    task; the std is None for one city."""
+    if not values:
         raise ValidationError("no city scores")
-    keys = {(s.model_id, s.task, s.protocol, s.metric) for s in scores}
-    if len(keys) > 1:
-        raise ValidationError(f"scores mix keys: {sorted(keys)}")
-    cities = [s.city for s in scores]
-    if len(set(cities)) != len(cities):
-        raise ValidationError("duplicate city in task summary input")
-    values = [s.value for s in scores]
-    model_id, task, _, _ = next(iter(keys))
     avg = math.fsum(values) / len(values)
     c_std = (math.sqrt(math.fsum((v - avg) ** 2 for v in values) / (len(values) - 1))
              if len(values) >= 2 else None)
-    return TaskSummary(model_id, task, avg=avg, c_std=c_std, n_cities=len(values))
+    return avg, c_std
 
 
 def city_ranks(scores: Mapping[str, float], direction: str) -> dict[str, int]:
@@ -107,23 +75,13 @@ def overall_rank(task_mean_ranks: Mapping[str, Mapping[str, float]]) -> dict[str
             for m in sorted(complete)}
 
 
-def split_delta(random_scores: Sequence[CityScore],
-                spatial_scores: Sequence[CityScore]) -> dict[tuple[str, str, str], float]:
+def split_delta(random_scores: Mapping[tuple[str, str, str], float],
+                spatial_scores: Mapping[tuple[str, str, str], float]) -> dict[tuple[str, str, str], float]:
     """{(model, task, city): random minus spatial} on the raw metric, for the
     keys both protocols scored; sign interpretation is the consumer's job via
     the metric direction."""
-    rand = {(s.model_id, s.task, s.city): s.value for s in random_scores}
-    spat = {(s.model_id, s.task, s.city): s.value for s in spatial_scores}
-    return {k: rand[k] - spat[k] for k in sorted(rand.keys() & spat.keys())}
-
-
-@dataclass(frozen=True)
-class SpearmanResult:
-    rho: float | None
-    p_value: float | None
-    n: int
-    approximate: bool         # t-approximation is rough below n=10
-    undefined: bool = False
+    return {k: random_scores[k] - spatial_scores[k]
+            for k in sorted(random_scores.keys() & spatial_scores.keys())}
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -141,8 +99,10 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman_factor_correlation(factors: Mapping[str, float],
                                 perf: Mapping[str, float],
-                                orientation: str = HIGHER_BETTER) -> SpearmanResult:
-    """Spearman rho between a per-city factor and per-city performance.
+                                orientation: str = HIGHER_BETTER) -> tuple[float, float, int] | None:
+    """(rho, p_value, n): Spearman rho between a per-city factor and per-city
+    performance over the n cities that have both, or None where rho is
+    undefined because either side is constant.
 
     Lower-better metrics are sign-flipped first so positive rho always
     means larger factor values go with better performance. p-values use
@@ -159,7 +119,7 @@ def spearman_factor_correlation(factors: Mapping[str, float],
     if orientation == LOWER_BETTER:
         p = -p
     if np.all(f == f[0]) or np.all(p == p[0]):
-        return SpearmanResult(rho=None, p_value=None, n=n, approximate=n < 10, undefined=True)
+        return None
     rf = _average_ranks(f)
     rp = _average_ranks(p)
     rf = rf - rf.mean()
@@ -172,4 +132,4 @@ def spearman_factor_correlation(factors: Mapping[str, float],
 
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p_value = float(2.0 * stats.t.sf(abs(t), df=n - 2))
-    return SpearmanResult(rho=rho, p_value=p_value, n=n, approximate=n < 10)
+    return rho, p_value, n

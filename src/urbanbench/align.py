@@ -30,6 +30,7 @@ from .core import (
     ValidationError,
     _fmt,
     check_rows,
+    header_words,
     parse_field,
     parse_rows,
     read_table,
@@ -348,7 +349,7 @@ def read_erf(path: str | Path) -> RasterSupport:
     if not header.endswith(b"\n"):
         raise ValidationError(f"{path}: truncated erf header")
     try:  # ValidationError and UnicodeDecodeError are ValueErrors: each gets the path
-        fields = header.decode("ascii").split()
+        fields = header_words(header.decode("ascii"))
         if len(fields) != 8 or fields[0] != _ERF_MAGIC:
             raise ValidationError("not an erf1 file")
         x0, y0, dx, dy = (parse_field(float, v) for v in fields[1:5])
@@ -419,7 +420,7 @@ def read_cell_table_csv(path: str | Path) -> CellTableSupport:
     if "hexgrid" in meta:
         line, text = meta["hexgrid"]
         try:
-            lon0, lat0, edge = (parse_field(float, w) for w in text.split())
+            lon0, lat0, edge = (parse_field(float, w) for w in header_words(text))
             grid = HexGrid(lon0, lat0, edge)
         except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
             raise ValidationError(

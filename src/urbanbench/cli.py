@@ -494,7 +494,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 def report(out_dir: str | Path, factors_path: str | Path | None = None, log=print) -> dict[str, Path]:
     """Aggregate a result store into summary files and a text leaderboard."""
-    from .aggregate import (CityScore, city_ranks, city_score, mean_city_rank, overall_rank,
+    from .aggregate import (city_ranks, city_score, mean_city_rank, overall_rank,
                             spearman_factor_correlation, split_delta, task_summary)
 
     out_dir = Path(out_dir)
@@ -503,35 +503,35 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
     if not records:
         raise ValidationError(f"{store_path}: result store is empty")
 
-    primary = {r for r in records if r.metric == TASK_PRIMARY_METRIC[r.task]}
-    by_group: dict[tuple, list[ResultRecord]] = {}
-    for r in primary:
-        by_group.setdefault((r.model_id, r.task, r.city, r.protocol), []).append(r)
-    scores: dict[tuple, CityScore] = {}
-    for key in sorted(by_group):
+    # {protocol: {(model, task, city): city score}}, filled in sorted key order:
+    # the factor table's np.mean over models is not invariant to their order
+    seed_values: dict[tuple, list[float]] = {}
+    for r in records:
+        if r.metric == TASK_PRIMARY_METRIC[r.task]:
+            seed_values.setdefault((r.protocol, r.model_id, r.task, r.city), []).append(r.value)
+    scores: dict[str, dict[tuple[str, str, str], float]] = {p: {} for p in PROTOCOLS}
+    for key in sorted(seed_values):
         try:
-            scores[key] = city_score(by_group[key])
+            scores[key[0]][key[1:]] = city_score(seed_values[key])
         except ValidationError:
             continue  # all seeds degenerate for this cell
-
+    spatial = scores["spatial"]
     paths: dict[str, Path] = {}
-    spatial = [s for s in scores.values() if s.protocol == "spatial"]
-    random_ = [s for s in scores.values() if s.protocol == "random"]
 
     # task_summary.csv
-    by_mt: dict[tuple[str, str], list[CityScore]] = {}
-    for s in spatial:
-        by_mt.setdefault((s.model_id, s.task), []).append(s)
+    by_mt: dict[tuple[str, str], list[float]] = {}
+    for (m, t, _), v in spatial.items():
+        by_mt.setdefault((m, t), []).append(v)
     summaries = {mt: task_summary(v) for mt, v in sorted(by_mt.items())}
-    rows = [[m, t, _fmt(ts.avg), "" if ts.c_std is None else _fmt(ts.c_std), ts.n_cities]
-            for (m, t), ts in summaries.items()]
+    rows = [[m, t, _fmt(avg), "" if c_std is None else _fmt(c_std), len(by_mt[m, t])]
+            for (m, t), (avg, c_std) in summaries.items()]
     paths["task_summary"] = out_dir / "task_summary.csv"
     _write_csv(paths["task_summary"], ["model", "task", "avg", "c_std", "n_cities"], rows)
 
     # ranks.csv (per-task mean city rank) and overall.csv
     by_tc: dict[tuple[str, str], dict[str, float]] = {}
-    for s in spatial:
-        by_tc.setdefault((s.task, s.city), {})[s.model_id] = s.value
+    for (m, t, c), v in spatial.items():
+        by_tc.setdefault((t, c), {})[m] = v
     per_task_tables: dict[str, list[dict[str, int]]] = {}
     for (task_name, _), model_scores in sorted(by_tc.items()):
         per_task_tables.setdefault(task_name, []).append(
@@ -549,7 +549,7 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
     _write_csv(paths["overall"], ["model", "overall_rank"], overall_rows)
 
     # split_delta.csv
-    delta_rows = [[m, t, c, _fmt(d)] for (m, t, c), d in split_delta(random_, spatial).items()]
+    delta_rows = [[m, t, c, _fmt(d)] for (m, t, c), d in split_delta(scores["random"], spatial).items()]
     paths["split_delta"] = out_dir / "split_delta.csv"
     _write_csv(paths["split_delta"], ["model", "task", "city", "delta"], delta_rows)
 
@@ -559,8 +559,8 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
     if factors_path is not None:
         factors = _read_factors(factors_path)
         perf_by_task: dict[str, dict[str, list[float]]] = {}
-        for s in spatial:
-            perf_by_task.setdefault(s.task, {}).setdefault(s.city, []).append(s.value)
+        for (_, t, c), v in spatial.items():
+            perf_by_task.setdefault(t, {}).setdefault(c, []).append(v)
         for task_name in sorted(perf_by_task):
             perf = {c: float(np.mean(v)) for c, v in perf_by_task[task_name].items()}
             direction = task_direction(task_name)
@@ -569,9 +569,9 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
                     res = spearman_factor_correlation(factors[fname], perf, direction)
                 except ValidationError:
                     continue
-                if not res.undefined:
-                    corr_rows.append([task_name, fname, _fmt(res.rho), _fmt(res.p_value),
-                                      res.n, int(res.approximate)])
+                if res is not None:  # the t-approximation is rough below 10 cities
+                    rho, p_value, n = res
+                    corr_rows.append([task_name, fname, _fmt(rho), _fmt(p_value), n, int(n < 10)])
     _write_csv(paths["factor_corr"], ["task", "factor", "rho", "p_value", "n", "approximate"],
                corr_rows)
 
@@ -588,7 +588,7 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
         cells = []
         for t in tasks:
             ts = summaries.get((m, t))
-            cells.append(f"{ts.avg:>10.4f}" if ts else f"{'-':>10}")
+            cells.append(f"{ts[0]:>10.4f}" if ts else f"{'-':>10}")
         lines.append(f"{m:<{name_w}}{r:>9.3f}" + "".join(cells))
     paths["leaderboard"] = out_dir / "leaderboard.txt"
     write_atomic(paths["leaderboard"], "\n".join(lines) + "\n")

@@ -93,7 +93,7 @@ def age_restricted(city: str, task: str) -> bool:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """The atom of all aggregation; value may be NaN when flagged degenerate."""
+    """The atom of all aggregation; value may be NaN where the metric is undefined."""
 
     model_id: str
     task: str
@@ -103,10 +103,6 @@ class ResultRecord:
     metric: str
     value: float
     n_test: int
-
-    @property
-    def degenerate(self) -> bool:
-        return not math.isfinite(self.value)
 
 
 def stable_seed(*parts) -> int:
@@ -409,22 +405,30 @@ def open_text(path: Path):
         raise ValidationError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
+def header_words(line: str, maxsplit: int = -1) -> list[str]:
+    """The words of a comment or header line, without its line end, split at
+    the single space the writers emit and nowhere else: other whitespace stays
+    inside a word, where `parse_field` or a key lookup rejects it."""
+    return line.rstrip("\r\n").split(" ", maxsplit)
+
+
 def read_table(path: Path) -> tuple[dict[str, tuple[int, str]], Sequence[int], list[list[str]]]:
     """The one CSV dialect of every input table: UTF-8 text split into lines at
     CR, LF or CRLF only, blank lines skipped. Each `#` line before the header
-    is a comment, and `meta[key]` is the (line, value) of `# key value`. The
-    header and each later line is one row, parsed on its own, so an open quote
-    never runs on into the next line. Returns (meta, lines, rows): `rows[0]` is
-    the header, and `lines[i]` is the physical line number of `rows[i]`. A
-    line the csv module rejects raises a ValidationError naming path:line."""
+    is a comment, and `meta[key]` is the (line, value) of `# key value`, split
+    by `header_words`. The header and each later line is one row, parsed on
+    its own, so an open quote never runs on into the next line. Returns (meta,
+    lines, rows): `rows[0]` is the header, and `lines[i]` is the physical line
+    number of `rows[i]`. A line the csv module rejects raises a
+    ValidationError naming path:line."""
     with open_text(path) as f:
         text = f.readlines()  # split at CR, LF or CRLF, endings kept
     meta: dict[str, tuple[int, str]] = {}
     head = 0
     while head < len(text) and (text[head].startswith("#") or text[head] in ("\n", "\r\n", "\r")):
-        words = text[head][1:].split(None, 1)
-        if words:
-            meta[words[0]] = (head + 1, words[1].rstrip() if len(words) > 1 else "")
+        words = header_words(text[head], 2)
+        if words[0] == "#" and len(words) > 1:
+            meta[words[1]] = (head + 1, words[2] if len(words) > 2 else "")
         head += 1
     body = text[head:]
     if body:  # so that a quote open on the last line closes with it, as on every other
@@ -517,7 +521,7 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     if task not in TASKS:
         raise ValidationError(f"{path}:{task_line}: unknown task {task!r}")
     given = {}  # without `# extent` or `# classes`, each is derived from the rows
-    for key, parse in (("extent", lambda text: Rect(*(parse_field(float, w) for w in text.split()))),
+    for key, parse in (("extent", lambda text: Rect(*(parse_field(float, w) for w in header_words(text)))),
                        ("classes", lambda text: parse_field(int, text))):
         if key in meta:
             line, text = meta[key]

@@ -330,7 +330,6 @@ def train_head(
     best = flat.copy()
     adam = _Adam(flat, LEARNING_RATE)
     stopper = EarlyStopper(cfg.patience)
-    best_val = math.inf
     n_train = x_train.shape[0]
     bufs = _BatchBuffers(params, cfg, min(cfg.batch_size, n_train))
     h_val = bufs.h[:len(x_val)] if cfg.kind == "mlp" and len(x_val) <= len(bufs.h) else None
@@ -350,13 +349,12 @@ def train_head(
         epochs = epoch + 1
         stop = stopper.update(val_loss)
         if stopper.improved:
-            best_val = val_loss
             np.copyto(best, flat)
         if stop:
             break
 
     return TrainedHead(cfg=cfg, params=_flat_views(best, init), input_dim=features.dim,
-                       scaler=scaler, best_val_loss=best_val, epochs_run=epochs)
+                       scaler=scaler, best_val_loss=stopper.best, epochs_run=epochs)
 
 
 def predict(head: TrainedHead, features) -> np.ndarray:

@@ -67,30 +67,30 @@ class SplitAssignment:
         return hashlib.sha256((head + self.rows_text).encode()).hexdigest()
 
 
-def _partition_counts(n: int, what: str) -> tuple[int, int]:
-    """(n_val, n_test) of n items; at least one each, which leaves at least one
-    for training whenever n >= 3."""
+def _draw(task: TaskDataset, protocol: str, seed: int, block_of: np.ndarray, what: str) -> np.ndarray:
+    """Unit labels from a draw over the occupied blocks: test blocks, then val
+    blocks among the rest, at least one each, so at least one block is left
+    for training whenever there are 3 or more. A unit takes its block's label."""
+    counts = np.bincount(block_of)
+    occupied = np.flatnonzero(counts)
+    n = len(occupied)
     if n < 3:
         raise ValidationError(f"need at least 3 {what} to form three partitions, got {n}")
     n_test = max(1, _round_half_up(DEFAULT_TEST_FRAC * n))
-    return max(1, _round_half_up(DEFAULT_VAL_FRAC * (n - n_test))), n_test
+    n_val = max(1, _round_half_up(DEFAULT_VAL_FRAC * (n - n_test)))
+    rng = _rng(task.city, task.task, protocol, seed)
+    test_blocks = rng.choice(occupied, size=n_test, replace=False)
+    val_blocks = rng.choice(occupied[~np.isin(occupied, test_blocks)], size=n_val, replace=False)
+    block_labels = np.full(len(counts), TRAIN, dtype="<U5")
+    block_labels[val_blocks] = VAL
+    block_labels[test_blocks] = TEST
+    return block_labels[block_of]
 
 
 def spatial_split(task: TaskDataset, grid: BlockGrid, seed: int) -> SplitAssignment:
     """Assign occupied blocks (not units) to train/val/test; unit labels follow
     block membership. Only blocks containing at least one unit participate."""
-    block_of = assign_blocks(task.lons, task.lats, grid)
-    occupied = np.flatnonzero(np.bincount(block_of))
-    n_val, n_test = _partition_counts(len(occupied), "occupied blocks")
-
-    rng = _rng(task.city, task.task, "spatial", seed)
-    test_blocks = rng.choice(occupied, size=n_test, replace=False)
-    remaining = occupied[~np.isin(occupied, test_blocks)]
-    val_blocks = rng.choice(remaining, size=n_val, replace=False)
-
-    labels = np.full(task.n, TRAIN, dtype="<U5")
-    labels[np.isin(block_of, val_blocks)] = VAL
-    labels[np.isin(block_of, test_blocks)] = TEST
+    labels = _draw(task, "spatial", seed, assign_blocks(task.lons, task.lats, grid), "occupied blocks")
     return SplitAssignment(
         city=task.city, task=task.task, seed=seed, protocol="spatial",
         unit_ids=task.unit_ids, labels=labels, grid_sig=grid.signature(),
@@ -98,17 +98,9 @@ def spatial_split(task: TaskDataset, grid: BlockGrid, seed: int) -> SplitAssignm
 
 
 def random_split(task: TaskDataset, seed: int) -> SplitAssignment:
-    """Unit-level uniform split with the same fractions and seed derivation."""
-    n = task.n
-    n_val, n_test = _partition_counts(n, "units")
-    rng = _rng(task.city, task.task, "random", seed)
-    idx = np.arange(n)
-    test_idx = rng.choice(idx, size=n_test, replace=False)
-    remaining = np.delete(idx, test_idx)
-    val_idx = rng.choice(remaining, size=n_val, replace=False)
-    labels = np.full(n, TRAIN, dtype="<U5")
-    labels[test_idx] = TEST
-    labels[val_idx] = VAL
+    """Unit-level uniform split with the same fractions and seed derivation:
+    the spatial draw with each unit as its own block."""
+    labels = _draw(task, "random", seed, np.arange(task.n), "units")
     return SplitAssignment(
         city=task.city, task=task.task, seed=seed, protocol="random",
         unit_ids=task.unit_ids, labels=labels,

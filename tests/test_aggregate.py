@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from urbanbench.aggregate import (
-    CityScore,
-    ResultRecord,
     city_ranks,
     city_score,
     mean_city_rank,
@@ -19,68 +17,39 @@ from urbanbench.aggregate import (
 from urbanbench.core import HIGHER_BETTER, LOWER_BETTER, ValidationError
 
 
-def record(value, seed=0, model="m", task="POP", city="c", protocol="spatial", metric="r2"):
-    return ResultRecord(model_id=model, task=task, city=city, seed=seed,
-                        protocol=protocol, metric=metric, value=value, n_test=10)
-
-
-def score(value, model="m", task="POP", city="c", protocol="spatial", metric="r2"):
-    return CityScore(model_id=model, task=task, city=city, protocol=protocol,
-                     metric=metric, value=value)
-
-
 class TestCityScore:
     def test_mean_over_seeds(self):
-        s = city_score([record(0.5, seed=0), record(0.7, seed=1)])
-        assert abs(s.value - 0.6) < 1e-15
+        assert abs(city_score([0.5, 0.7]) - 0.6) < 1e-15
 
     def test_five_equal_values(self):
-        records = [record(0.4, seed=i) for i in range(5)]
-        s = city_score(records)
-        assert s.value == 0.4
-        assert s == CityScore("m", "POP", "c", "spatial", "r2", 0.4)
-        assert sum(not r.degenerate for r in records) == 5
+        assert city_score([0.4] * 5) == 0.4
 
     def test_degenerate_excluded_with_count(self):
-        # the mean is over the two finite seeds: the NaN seed is left out, not
-        # averaged as zero (which would give 0.2)
-        records = [record(0.2, 0), record(0.4, 1), record(float("nan"), 2)]
-        s = city_score(records)
-        assert abs(s.value - 0.3) < 1e-15
-        assert sum(r.degenerate for r in records) == 1
-        assert sum(not r.degenerate for r in records) == 2
+        # the mean is over the two finite seeds: the NaN and infinite seeds are
+        # left out, not averaged as zero (which would give 0.12)
+        assert abs(city_score([0.2, 0.4, math.nan, math.inf, -math.inf]) - 0.3) < 1e-15
 
     def test_all_degenerate_errors(self):
-        with pytest.raises(ValidationError):
-            city_score([record(float("nan"), 0)])
-
-    def test_mixed_keys_rejected(self):
-        with pytest.raises(ValidationError):
-            city_score([record(0.1, city="a"), record(0.2, city="b")])
+        for values in ([math.nan], [math.nan, math.inf], []):
+            with pytest.raises(ValidationError):
+                city_score(values)
 
 
 class TestTaskSummary:
     def test_hand_example(self):
-        ts = task_summary([score(0.2, city="a"), score(0.4, city="b")])
-        assert abs(ts.avg - 0.3) < 1e-15
-        assert abs(ts.c_std - math.sqrt(0.02 / 1)) < 1e-12
+        avg, c_std = task_summary([0.2, 0.4])
+        assert abs(avg - 0.3) < 1e-15
+        assert abs(c_std - math.sqrt(0.02 / 1)) < 1e-12
 
     def test_equal_scores_zero_std(self):
-        ts = task_summary([score(0.5, city=c) for c in "abcd"])
-        assert ts.c_std == 0.0
+        assert task_summary([0.5] * 4) == (0.5, 0.0)
 
     def test_single_city_undefined_std(self):
-        ts = task_summary([score(0.5, city="a")])
-        assert ts.c_std is None
-        assert ts.n_cities == 1
+        assert task_summary([0.5]) == (0.5, None)
 
     def test_empty_errors(self):
         with pytest.raises(ValidationError):
             task_summary([])
-
-    def test_duplicate_city_rejected(self):
-        with pytest.raises(ValidationError):
-            task_summary([score(0.1, city="a"), score(0.2, city="a")])
 
 
 class TestCityRanks:
@@ -152,72 +121,66 @@ class TestOverallRank:
 class TestPermutationInvariance:
     def test_all_aggregations(self):
         rng = np.random.default_rng(3)
-        records = [record(float(v), seed=i) for i, v in enumerate(rng.standard_normal(5))]
-        shuffled = [records[i] for i in rng.permutation(5)]
-        assert city_score(records) == city_score(shuffled)
+        values = [float(v) for v in rng.standard_normal(5)]
+        shuffled = [values[i] for i in rng.permutation(5)]
+        assert city_score(values) == city_score(shuffled)
 
-        scores = [score(float(rng.standard_normal()), city=c) for c in "abcde"]
+        scores = [float(v) for v in rng.standard_normal(5)]
         shuffled_scores = [scores[i] for i in rng.permutation(5)]
         assert task_summary(scores) == task_summary(shuffled_scores)
 
 
 class TestSplitDelta:
     def test_basic_delta(self):
-        deltas = split_delta([score(0.8, protocol="random")], [score(0.5, protocol="spatial")])
+        deltas = split_delta({("m", "POP", "c"): 0.8}, {("m", "POP", "c"): 0.5})
         assert deltas == {("m", "POP", "c"): pytest.approx(0.3)}
 
     def test_equal_scores_zero(self):
-        deltas = split_delta([score(0.5, protocol="random")], [score(0.5, protocol="spatial")])
+        deltas = split_delta({("m", "POP", "c"): 0.5}, {("m", "POP", "c"): 0.5})
         assert deltas == {("m", "POP", "c"): 0.0}
 
     def test_unmatched_key_is_gap(self):
         # a key only one protocol scored has no delta; the gaps are the
         # symmetric difference of the two protocols' keys
-        random_ = [score(0.8, protocol="random", city="a"), score(0.7, protocol="random", city="c")]
-        spatial = [score(0.5, protocol="spatial", city="b"), score(0.6, protocol="spatial", city="c")]
+        random_ = {("m", "POP", "a"): 0.8, ("m", "POP", "c"): 0.7}
+        spatial = {("m", "POP", "b"): 0.5, ("m", "POP", "c"): 0.6}
         deltas = split_delta(random_, spatial)
         assert deltas == {("m", "POP", "c"): pytest.approx(0.1)}
-        keys = [{(s.model_id, s.task, s.city) for s in side} for side in (random_, spatial)]
-        assert keys[0] ^ keys[1] == {("m", "POP", "a"), ("m", "POP", "b")}
-        assert not set(deltas) & (keys[0] ^ keys[1])
+        assert random_.keys() ^ spatial.keys() == {("m", "POP", "a"), ("m", "POP", "b")}
+        assert not deltas.keys() & (random_.keys() ^ spatial.keys())
 
 
 class TestSpearman:
     def test_monotone_increasing(self):
-        res = spearman_factor_correlation({"a": 1, "b": 2, "c": 3}, {"a": 10, "b": 20, "c": 30})
-        assert res.rho == pytest.approx(1.0)
-        assert res.p_value == 0.0
+        rho, p_value, n = spearman_factor_correlation({"a": 1, "b": 2, "c": 3}, {"a": 10, "b": 20, "c": 30})
+        assert rho == pytest.approx(1.0)
+        assert p_value == 0.0
+        assert n == 3
 
     def test_monotone_decreasing(self):
-        res = spearman_factor_correlation({"a": 1, "b": 2, "c": 3}, {"a": 3, "b": 2, "c": 1})
-        assert res.rho == pytest.approx(-1.0)
+        rho, _, _ = spearman_factor_correlation({"a": 1, "b": 2, "c": 3}, {"a": 3, "b": 2, "c": 1})
+        assert rho == pytest.approx(-1.0)
 
     def test_hand_example(self):
-        res = spearman_factor_correlation({"a": 1, "b": 2, "c": 3}, {"a": 3, "b": 1, "c": 2})
-        assert res.rho == pytest.approx(-0.5)
+        rho, _, _ = spearman_factor_correlation({"a": 1, "b": 2, "c": 3}, {"a": 3, "b": 1, "c": 2})
+        assert rho == pytest.approx(-0.5)
 
     def test_lower_better_sign_flip(self):
         # smaller KL with larger factor => positive association after flip
-        res = spearman_factor_correlation({"a": 1, "b": 2, "c": 3},
-                                          {"a": 0.3, "b": 0.2, "c": 0.1},
-                                          orientation=LOWER_BETTER)
-        assert res.rho == pytest.approx(1.0)
+        rho, _, _ = spearman_factor_correlation({"a": 1, "b": 2, "c": 3},
+                                                {"a": 0.3, "b": 0.2, "c": 0.1},
+                                                orientation=LOWER_BETTER)
+        assert rho == pytest.approx(1.0)
 
     def test_constant_input_undefined(self):
-        res = spearman_factor_correlation({"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 2, "c": 3})
-        assert res.undefined
-        assert res.rho is None
-
-    def test_small_n_flagged_approximate(self):
-        res = spearman_factor_correlation({"a": 1, "b": 2, "c": 3}, {"a": 3, "b": 1, "c": 2})
-        assert res.approximate
+        assert spearman_factor_correlation({"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 2, "c": 3}) is None
 
     def test_non_finite_city_left_out(self):
         perf = {"a": 10.0, "b": 20.0, "c": 30.0, "d": 40.0}
-        res = spearman_factor_correlation({"a": 1, "b": math.nan, "c": 3, "d": 4}, perf)
-        assert res.n == 3 and res.rho == pytest.approx(1.0)
-        res = spearman_factor_correlation({"a": 1, "b": 2, "c": 3, "d": 4}, {**perf, "a": math.inf})
-        assert res.n == 3
+        rho, _, n = spearman_factor_correlation({"a": 1, "b": math.nan, "c": 3, "d": 4}, perf)
+        assert n == 3 and rho == pytest.approx(1.0)
+        _, _, n = spearman_factor_correlation({"a": 1, "b": 2, "c": 3, "d": 4}, {**perf, "a": math.inf})
+        assert n == 3
 
     def test_fewer_than_three_cities_errors(self):
         with pytest.raises(ValidationError):
@@ -231,8 +194,8 @@ class TestSpearman:
             n = int(rng.integers(4, 15))
             f = {f"c{i}": float(v) for i, v in enumerate(rng.standard_normal(n))}
             p = {f"c{i}": float(v) for i, v in enumerate(rng.standard_normal(n))}
-            res = spearman_factor_correlation(f, p)
+            rho, p_value, _ = spearman_factor_correlation(f, p)
             ref_rho, ref_p = stats.spearmanr([f[k] for k in sorted(f)],
                                              [p[k] for k in sorted(p)])
-            assert res.rho == pytest.approx(ref_rho, abs=1e-12)
-            assert res.p_value == pytest.approx(ref_p, abs=1e-9)
+            assert rho == pytest.approx(ref_rho, abs=1e-12)
+            assert p_value == pytest.approx(ref_p, abs=1e-9)

@@ -342,6 +342,16 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="bad.erf: .*finite"):
             read_erf(p)
 
+    @pytest.mark.parametrize("header", [b"erf1\t0 0 1 1 1 1 1", b"erf1 0\x1c0 1 1 1 1 1",
+                                        b"erf1  0 0 1 1 1 1 1", b"erf1 0 0 1 1 1 1 1 "],
+                             ids=["tab", "file-separator", "double-space", "trailing-space"])
+    def test_erf_header_splits_only_at_single_space(self, tmp_path, header):
+        p = tmp_path / "bad.erf"
+        p.write_bytes(header + b"\n" + b"\x00" * 4)
+        with pytest.raises(ValidationError) as e:
+            read_erf(p)
+        assert str(e.value).startswith(f"{p}: ")
+
     def test_erf_non_ascii_header_names_file(self, tmp_path):
         p = tmp_path / "bad.erf"
         p.write_bytes(b"erf1 \xff 0 1 1 1 1 1\n" + b"\x00" * 4)
@@ -478,6 +488,8 @@ class TestFileFormats:
         "# hexgrid abc 0 461", "# hexgrid 0 461", "# hexgrid", "# hexgrid 0 0 461 7",
         "# hexgrid 0 0 -461", "# hexgrid 0 0 nan", "# hexgrid nan 0 461",
         "# hexgrid 0 0 4_61", "# hexgrid 0 \u0660 461",
+        # the words are split only at the single space the writer emits
+        "# hexgrid 0\x1c0 461", "# hexgrid 0\u00a00 461", "# hexgrid 0 0\u2003461", "# hexgrid 0  0 461",
     ])
     def test_cell_table_bad_hexgrid_comment_names_file_line(self, tmp_path, comment):
         p = tmp_path / "table.csv"

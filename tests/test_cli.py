@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -542,7 +543,7 @@ class TestRunDirectoryPlan:
 
 class TestResultStore:
     def test_nan_round_trip(self, tmp_path):
-        from urbanbench.aggregate import ResultRecord
+        from urbanbench.core import ResultRecord
 
         store = ResultStore(tmp_path / "results.csv")
         store.add([ResultRecord("m", "POP", "c", 42, "spatial", "r2", float("nan"), 5),
@@ -550,7 +551,7 @@ class TestResultStore:
         store.flush()
         back = read_result_store(tmp_path / "results.csv")
         assert [r.metric for r in back] == ["r2", "mae"]  # canonical metric order
-        assert back[0].degenerate and np.isnan(back[0].value)
+        assert np.isnan(back[0].value)
         assert back[1].value == 0.25
 
     def test_constant_labels_yield_degenerate_r2(self, tmp_path):
@@ -572,7 +573,7 @@ class TestResultStore:
         out = run(plan, log=lambda *a: None)
         assert out.exit_code == 0
         records = {r.metric: r for r in read_result_store(tmp_path / "out" / "results.csv")}
-        assert records["r2"].degenerate
+        assert np.isnan(records["r2"].value)
         assert np.isfinite(records["mae"].value)
 
     def _store_with_extra_line(self, bench, line):
@@ -801,6 +802,102 @@ class TestReport:
         (tmp_path / "results.csv").write_text("model,task,city,seed,protocol,metric,value,n_test\n")
         with pytest.raises(ValidationError, match="empty"):
             report(tmp_path, log=lambda *a: None)
+
+
+def _unit(*key) -> float:
+    """A fixed value in [0, 1) for a key: six decimals of its sha256."""
+    return round(int.from_bytes(hashlib.sha256("|".join(map(str, key)).encode()).digest()[:4], "big")
+                 / 2**32, 6)
+
+
+def _golden_store(out: Path) -> dict:
+    """A hand-written result store and factor table for `TestReportGolden`.
+    Twelve cities, two tasks (POP ranks by r2, higher better; AGE by kl,
+    lower better), three models in both tasks and one in POP only, seeds 42,
+    24 and 7 under both protocols, and one more POP model in c00 only. Model b's spatial POP cell in c03 has only
+    NaN seeds, some other seeds are NaN, a and b tie in c05, c's POP cell in
+    c10 is spatial only and its AGE cell in c11 random only. Returns
+    {task: {city: [spatial city scores]}}, the performance factor_corr.csv
+    correlates, computed here on its own."""
+    metrics = {"POP": ("r2", "mae", "rmse"), "AGE": ("kl", "chebyshev", "l1")}
+    cities = [f"c{i:02d}" for i in range(12)]
+    rows, perf = ["model,task,city,seed,protocol,metric,value,n_test"], {}
+    for task, names in metrics.items():
+        for model in ("a", "b", "c") + (("d", "e") if task == "POP" else ()):
+            for city in cities[:1] if model == "e" else cities:
+                for protocol in ("spatial", "random"):
+                    if (model, task, city, protocol) in {("c", "POP", "c10", "random"),
+                                                         ("c", "AGE", "c11", "spatial")}:
+                        continue
+                    seeds = []
+                    for seed in (42, 24, 7):
+                        value = _unit(model, task, city, protocol, seed)
+                        if task == "POP" and model in "ab" and city == "c05":
+                            value = _unit("tie", protocol, seed)
+                        if ((model, task, city, protocol) == ("b", "POP", "c03", "spatial")
+                                or (seed == 7 and city in ("c01", "c07") and model != "d")):
+                            value = math.nan
+                        for k, metric in enumerate(names):
+                            rows.append(f"{model},{task},{city},{seed},{protocol},{metric},"
+                                        f"{value + k if k else value!r},{20 + seed}")
+                        seeds.append(value)
+                    finite = [v for v in seeds if math.isfinite(v)]
+                    if protocol == "spatial" and finite:
+                        perf.setdefault(task, {}).setdefault(city, []).append(
+                            math.fsum(finite) / len(finite))
+    (out / "results.csv").write_text("\n".join(rows) + "\n")
+    # area: every city (n = 12, approximate 0); const: one value (no row);
+    # gdp: four cities missing (n = 8, approximate 1); two: too few cities (no row)
+    factors = ["city,area,const,gdp,two"]
+    for i, city in enumerate(cities):
+        gdp = "" if i % 3 == 1 else repr(_unit("gdp", city) * 100)
+        two = repr(float(i)) if i < 2 else ""
+        factors.append(f"{city},{_unit('area', city)!r},5,{gdp},{two}")
+    factors.append("elsewhere,1,5,2,3")
+    (out / "factors.csv").write_text("\n".join(factors) + "\n")
+    return perf
+
+
+class TestReportGolden:
+    # sha256 of the bytes of each report file of `_golden_store`; factor_corr.csv
+    # without its p_value column, which is checked against scipy below
+    PINNED = {
+        "task_summary.csv": "98e2aba6952a8be0ca5e3c1958e53778d183baf66c8cc8d3f91380f1d99a4131",
+        "ranks.csv": "230696e4cf0e59dd3eedf820f82b62c30c1c6c1e8603d726c7ebf412147a3e50",
+        "overall.csv": "76abd2672a962477421717d4e0809eeebba7f2c24bd7e6386167f6a1babea94c",
+        "split_delta.csv": "1e67e76fc45c1319511ea6e77cac7b98bdc4f3dc4655ea9f2fa59f70478efe77",
+        "leaderboard.txt": "946062584ef14e0d12936520919036bc092f7f6051fa3270b5d9dc67277d4b20",
+        "factor_corr.csv": "24c4836959a8e4af816c907ca96902593ebb8d11cdd693907a3f6792e4067109",
+    }
+
+    def test_report_files_pinned(self, tmp_path, capsys):
+        from scipy import stats
+
+        perf = _golden_store(tmp_path)
+        assert main(["report", str(tmp_path), "--factors", str(tmp_path / "factors.csv")]) == 0
+        board = (tmp_path / "leaderboard.txt").read_text()
+        assert capsys.readouterr().out == board
+        rows = [r.split(",") for r in (tmp_path / "factor_corr.csv").read_text().splitlines()]
+        assert rows[0] == ["task", "factor", "rho", "p_value", "n", "approximate"]
+        assert [(r[0], r[1], r[4], r[5]) for r in rows[1:]] == [
+            ("AGE", "area", "12", "0"), ("AGE", "gdp", "8", "1"),
+            ("POP", "area", "12", "0"), ("POP", "gdp", "8", "1")]
+        factors = cli._read_factors(tmp_path / "factors.csv")
+        for task, factor, rho, p_value, _, _ in rows[1:]:
+            common = sorted(set(factors[factor]) & set(perf[task]))
+            sign = -1.0 if task == "AGE" else 1.0
+            ref_rho, ref_p = stats.spearmanr([factors[factor][c] for c in common],
+                                             [sign * float(np.mean(perf[task][c])) for c in common])
+            assert float(rho) == pytest.approx(ref_rho, abs=1e-12)
+            assert float(p_value) == pytest.approx(ref_p, abs=1e-9)
+        digests = {}
+        for name in self.PINNED:
+            data = (tmp_path / name).read_bytes()
+            if name == "factor_corr.csv":
+                data = b"\r\n".join(b",".join(f[:3] + f[4:])
+                                     for f in (line.split(b",") for line in data.split(b"\r\n")))
+            digests[name] = hashlib.sha256(data).hexdigest()
+        assert digests == self.PINNED
 
 
 class TestVerbs:

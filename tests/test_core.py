@@ -136,8 +136,12 @@ class TestLoadTaskDataset:
          "3: malformed '# extent' line"),
         ("# task LUC\n# city demo\n# classes 1_0\nunit_id,lon,lat,class\n", "3: malformed '# classes' line"),
         ("# task LUC\n# city demo\n# classes \u0663\nunit_id,lon,lat,class\n", "3: malformed '# classes' line"),
+        # each of these numbers reads, but the words are split only at the single space the writer emits
+        *((f"# task POP\n# city demo\n# extent {extent}\nunit_id,lon,lat,value\n", "3: malformed '# extent' line")
+          for extent in ("0\u00a00 1\u20031", "0\x1c0 1 1", "0  0 1 1", "0 0 1 1 ")),
     ], ids=["task", "extent", "header", "extent-underscore", "extent-arabic-indic-digit",
-            "classes-underscore", "classes-arabic-indic-digit"])
+            "classes-underscore", "classes-arabic-indic-digit", "extent-no-break-and-em-space",
+            "extent-file-separator", "extent-double-space", "extent-trailing-space"])
     def test_metadata_error_names_line(self, tmp_path, text, message):
         p = tmp_path / "task.csv"
         p.write_text(text + "u0,0.1,0.1,0\n", encoding="utf-8")
@@ -292,7 +296,7 @@ def _ref_load_task_dataset(path):
     extent = None
     if "extent" in meta:
         try:
-            extent = Rect(*(float(strict(v)) for v in meta["extent"][1].split()))
+            extent = Rect(*(float(strict(v)) for v in meta["extent"][1].split(" ")))
         except (TypeError, ValueError):
             raise ValidationError(f"{path}:{meta['extent'][0]}: malformed '# extent' line") from None
     try:
@@ -619,7 +623,7 @@ class TestReadTable:
         return meta, list(lines), rows
 
     def test_comments_blank_lines_and_line_numbers(self, tmp_path):
-        meta, lines, rows = self._read(tmp_path, b"\n# task POP\r\n#\n#  extent  0 0 1 1 \r\nh1,h2\n\na,b\r\n#c,d\n")
+        meta, lines, rows = self._read(tmp_path, b"\n# task POP\r\n#\n# extent 0 0 1 1\r\nh1,h2\n\na,b\r\n#c,d\n")
         assert meta == {"task": (2, "POP"), "extent": (4, "0 0 1 1")}
         assert lines == [5, 7, 8]
         assert rows == [["h1", "h2"], ["a", "b"], ["#c", "d"]]  # a '#' line after the header is a row
@@ -635,6 +639,18 @@ class TestReadTable:
     def test_open_quote_closes_with_its_line(self, tmp_path, data):
         assert self._read(tmp_path, data)[1:] == ([1, 2, 3], [["h"], ["a"], ['b"']])
         assert self._read(tmp_path, b'h\n"a\n')[1:] == ([1, 2], [["h"], ["a"]])
+
+    @pytest.mark.parametrize("line", ["# task\u00a0POP", "#\ttask POP", "#  task POP", "#task POP"],
+                             ids=["no-break-space", "tab", "double-space", "no-space"])
+    def test_key_splits_only_at_single_space(self, tmp_path, line):
+        # `# key value` is the writers' form; any other spacing is a plain comment
+        meta = self._read(tmp_path, f"{line}\n# city demo\nh\n".encode())[0]
+        assert "task" not in meta and meta["city"] == (2, "demo")
+        p = tmp_path / "task.csv"
+        p.write_text(f"{line}\n# city demo\nunit_id,lon,lat,value\nu0,0.1,0.1,0\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as e:
+            load_task_dataset(p)
+        assert str(e.value) == f"{p}: missing '# task ...' / '# city ...' metadata"
 
     def test_only_comments(self, tmp_path):
         assert self._read(tmp_path, b"# a 1\n\n# a 2\n") == ({"a": (3, "2")}, [], [])
