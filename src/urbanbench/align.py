@@ -56,7 +56,6 @@ class AlignedMatrix:
     metrics; valid rows are always finite.
     """
 
-    model_id: str
     rows: np.ndarray
     valid: np.ndarray
 
@@ -82,15 +81,15 @@ def coverage(m: AlignedMatrix) -> float:
     return float(np.count_nonzero(m.valid)) / m.n
 
 
-def _none_valid(model_id: str, task: TaskDataset, dim: int) -> AlignedMatrix:
-    return _read_only(model_id, np.zeros((task.n, dim), dtype=np.float64),
+def _none_valid(task: TaskDataset, dim: int) -> AlignedMatrix:
+    return _read_only(np.zeros((task.n, dim), dtype=np.float64),
                       np.zeros(task.n, dtype=bool))
 
 
-def _read_only(model_id: str, rows: np.ndarray, valid: np.ndarray) -> AlignedMatrix:
+def _read_only(rows: np.ndarray, valid: np.ndarray) -> AlignedMatrix:
     rows.setflags(write=False)
     valid.setflags(write=False)
-    return AlignedMatrix(model_id=model_id, rows=rows, valid=valid)
+    return AlignedMatrix(rows=rows, valid=valid)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 # Raster alignment
 
-def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster") -> AlignedMatrix:
+def align_raster(rep: RasterSupport, task: TaskDataset) -> AlignedMatrix:
     """Align a raster representation to the task units.
 
     Units coarser than the raster average the vectors of all valid raster
@@ -182,7 +181,7 @@ def align_raster(rep: RasterSupport, task: TaskDataset, model_id: str = "raster"
     ok = ~np.any(np.isnan(vec), axis=1)
     rows[rest[ok]] = vec[ok]
     valid[rest[ok]] = True
-    return _read_only(model_id, rows, valid)
+    return _read_only(rows, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +239,7 @@ def _hex_cells_overlapping(corners: np.ndarray, hexgrid: HexGrid) -> tuple[np.nd
     return quad[overlap], q[overlap], r[overlap]
 
 
-def align_entities_h3_first(
-    rep: EntitySetSupport, hexgrid: HexGrid, task: TaskDataset, model_id: str = "entities"
-) -> AlignedMatrix:
+def align_entities_h3_first(rep: EntitySetSupport, hexgrid: HexGrid, task: TaskDataset) -> AlignedMatrix:
     """Mean-pool entities into hex cells, then match cells to task units.
 
     Point-like units take their containing cell's pooled vector; raster
@@ -251,7 +248,7 @@ def align_entities_h3_first(
     """
     if rep.n == 0:
         warnings.warn("empty entity set: all task units invalid", stacklevel=2)
-        return _none_valid(model_id, task, rep.dim)
+        return _none_valid(task, rep.dim)
     keys, pooled = _pool_entities_by_hex(rep, hexgrid)
     quads, extents = _raster_cell_units(task)
     corners = extents[:, [0, 1, 2, 1, 2, 3, 0, 3]].reshape(-1, 2)
@@ -269,12 +266,10 @@ def align_entities_h3_first(
     at, hit = _lookup(keys, _cell_keys(*hex_cells_of(task.lons[points], task.lats[points], hexgrid)))
     rows[points[hit]] = pooled[at[hit]]
     valid[points[hit]] = True
-    return _read_only(model_id, rows, valid)
+    return _read_only(rows, valid)
 
 
-def align_entities_direct(
-    rep: EntitySetSupport, task: TaskDataset, model_id: str = "entities"
-) -> AlignedMatrix:
+def align_entities_direct(rep: EntitySetSupport, task: TaskDataset) -> AlignedMatrix:
     """Mean entity vectors inside each unit's own extent (no intermediate support).
 
     Point units carry no containment region and are always invalid; this is
@@ -282,7 +277,7 @@ def align_entities_direct(
     """
     if rep.n == 0:
         warnings.warn("empty entity set: all task units invalid", stacklevel=2)
-        return _none_valid(model_id, task, rep.dim)
+        return _none_valid(task, rep.dim)
     lons = np.asarray(rep.lons, dtype=np.float64)
     lats = np.asarray(rep.lats, dtype=np.float64)
     rows = np.zeros((task.n, rep.dim), dtype=np.float64)
@@ -292,11 +287,10 @@ def align_entities_direct(
         if np.any(inside):
             rows[i] = rep.vectors[inside].mean(axis=0)
             valid[i] = True
-    return _read_only(model_id, rows, valid)
+    return _read_only(rows, valid)
 
 
-def align_cell_table(rep: CellTableSupport, hexgrid: HexGrid, task: TaskDataset,
-                     model_id: str = "table") -> AlignedMatrix:
+def align_cell_table(rep: CellTableSupport, hexgrid: HexGrid, task: TaskDataset) -> AlignedMatrix:
     """Look up each unit's containing hex cell (of the table's grid, else `hexgrid`) in the table."""
     cells = sorted(rep.table)
     vectors = np.array([rep.table[c] for c in cells], dtype=np.float64).reshape(len(cells), rep.dim)
@@ -304,12 +298,10 @@ def align_cell_table(rep: CellTableSupport, hexgrid: HexGrid, task: TaskDataset,
     at, valid = _lookup(keys, _cell_keys(*hex_cells_of(task.lons, task.lats, rep.grid or hexgrid)))
     rows = np.zeros((task.n, rep.dim), dtype=np.float64)
     rows[valid] = vectors[at[valid]]
-    return _read_only(model_id, rows, valid)
+    return _read_only(rows, valid)
 
 
-def align_coordinate_encoder(
-    enc: CoordinateEncoderSupport, task: TaskDataset, model_id: str | None = None
-) -> AlignedMatrix:
+def align_coordinate_encoder(enc: CoordinateEncoderSupport, task: TaskDataset) -> AlignedMatrix:
     """Query the encoder once, at every unit's representative coordinate."""
     rows = np.asarray(enc.fn(task.lons, task.lats), dtype=np.float64)
     if rows.shape != (task.n, enc.dim):
@@ -320,7 +312,7 @@ def align_coordinate_encoder(
     if bad.size:
         raise ValidationError(f"encoder {enc.encoder_id} returned non-finite values "
                               f"for unit {task.unit_ids[bad[0]]}")
-    return _read_only(model_id or enc.encoder_id, rows, np.ones(task.n, dtype=bool))
+    return _read_only(rows, np.ones(task.n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

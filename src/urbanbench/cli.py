@@ -90,7 +90,6 @@ if TYPE_CHECKING:
 PROTOCOLS = ("spatial", "random")
 STORE_HEADER = ("model", "task", "city", "seed", "protocol", "metric", "value", "n_test")
 _METRIC_ORDER = {m: i for kind in METRICS_FOR_KIND.values() for i, m in enumerate(kind)}
-_HEAD_OUTPUT = {"scalar": "scalar", "class": "logits", "distribution": "distribution"}
 
 
 class ResultStore:
@@ -205,22 +204,22 @@ def _load_support(manifest: Manifest, model_id: str, city: str):
     return support
 
 
-def align_support(support, task: TaskDataset, model_id: str) -> AlignedMatrix:
+def align_support(support, task: TaskDataset) -> AlignedMatrix:
     """The one alignment dispatch: each support kind onto the task units, on the
     grid centred on the task extent for entity sets and for a cell table without its own."""
     hexgrid = HexGrid(*task.extent.center)
     if isinstance(support, RasterSupport):
-        return align_raster(support, task, model_id=model_id)
+        return align_raster(support, task)
     if isinstance(support, EntitySetSupport):
-        return align_entities_h3_first(support, hexgrid, task, model_id=model_id)
+        return align_entities_h3_first(support, hexgrid, task)
     if isinstance(support, CellTableSupport):
-        return align_cell_table(support, hexgrid, task, model_id=model_id)
+        return align_cell_table(support, hexgrid, task)
     if isinstance(support, CoordinateEncoderSupport):
-        return align_coordinate_encoder(support, task, model_id=model_id)
+        return align_coordinate_encoder(support, task)
     raise ValidationError(f"unsupported representation support {type(support).__name__}")
 
 
-def evaluate(task: TaskDataset, features: AlignedMatrix, split, cfg: HeadConfig,
+def evaluate(model_id: str, task: TaskDataset, features: AlignedMatrix, split, cfg: HeadConfig,
              run_seed: int) -> list[ResultRecord]:
     """The one evaluate step: train a head on the split, score its test units."""
     head = train_head(features, task.labels, split, cfg, run_seed)
@@ -237,8 +236,8 @@ def evaluate(task: TaskDataset, features: AlignedMatrix, split, cfg: HeadConfig,
         computed = classification_metrics(y, p, task.n_classes)
     else:
         computed = distribution_metrics(y, p)
-    return [ResultRecord(model_id=features.model_id, task=task.task, city=task.city, seed=split.seed,
-                         protocol=split.protocol, metric=name, value=computed[name].value, n_test=n_test)
+    return [ResultRecord(model_id=model_id, task=task.task, city=task.city, seed=split.seed,
+                         protocol=split.protocol, metric=name, value=computed[name], n_test=n_test)
             for name in METRICS_FOR_KIND[task.label_kind]]
 
 
@@ -352,9 +351,9 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                         loaded = e
                 if isinstance(loaded, Exception):
                     raise loaded
-                features = align_support(loaded, ds, model_id)
-                output = _HEAD_OUTPUT[ds.label_kind]
-                cfg = replace(plan.head, output=output, n_out=1 if output == "scalar" else int(ds.n_classes))
+                features = align_support(loaded, ds)
+                cfg = replace(plan.head, output=ds.label_kind,
+                              n_out=1 if ds.label_kind == "scalar" else int(ds.n_classes))
             except (ValidationError, OSError) as e:
                 for protocol, seed in pending:
                     failures.append((f"{model_id}|{task_name}|{city}|{seed}|{protocol}", str(e)))
@@ -363,7 +362,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 a = splits[(city, task_name, protocol, seed)]
                 run_seed = stable_seed(model_id, task_name, city, seed, protocol)
                 try:
-                    records = evaluate(ds, features, a, cfg, run_seed)
+                    records = evaluate(model_id, ds, features, a, cfg, run_seed)
                 except ValidationError as e:
                     failures.append((f"{model_id}|{task_name}|{city}|{seed}|{protocol}", str(e)))
                     continue
@@ -470,13 +469,13 @@ def leakage_experiment(cfg: SynthConfig, head_cfg: HeadConfig,
     if cfg.label_kind != "scalar":
         raise ValidationError("leakage experiment uses scalar labels")
     task, rep = synth_city(cfg)
-    features = align_support(rep.support, task, rep.model_id)
+    features = align_support(rep.support, task)
     grid = build_block_grid(task.extent, nx, ny)
     r2: dict[str, list[float]] = {"spatial": [], "random": []}
     for seed in seeds:
         run_seed = stable_seed(cfg.city, cfg.embedding_kind, seed)
         for split in (spatial_split(task, grid, seed), random_split(task, seed)):
-            records = evaluate(task, features, split, head_cfg, run_seed)
+            records = evaluate(rep.model_id, task, features, split, head_cfg, run_seed)
             r2[split.protocol].append(next(r.value for r in records if r.metric == "r2"))
     return LeakageResult(spatial_r2=tuple(r2["spatial"]), random_r2=tuple(r2["random"]))
 
@@ -759,7 +758,7 @@ def _cmd_gradcheck(args) -> int:
         ("linear+mse", HeadConfig(kind="linear", output="scalar", n_out=1,
                                   hidden_dim=8, batch_size=8, max_epochs=2, patience=1),
          (x, y_scalar), 1e-6),
-        ("mlp+cross_entropy", HeadConfig(kind="mlp", output="logits", n_out=3,
+        ("mlp+cross_entropy", HeadConfig(kind="mlp", output="class", n_out=3,
                                          hidden_dim=8, batch_size=8, max_epochs=2, patience=1),
          (x, y_class), 1e-4),
         ("mlp+kl", HeadConfig(kind="mlp", output="distribution", n_out=3,

@@ -416,19 +416,24 @@ def read_table(path: Path) -> tuple[dict[str, tuple[int, str]], Sequence[int], l
     """The one CSV dialect of every input table: UTF-8 text split into lines at
     CR, LF or CRLF only, blank lines skipped. Each `#` line before the header
     is a comment, and `meta[key]` is the (line, value) of `# key value`, split
-    by `header_words`. The header and each later line is one row, parsed on
-    its own, so an open quote never runs on into the next line. Returns (meta,
-    lines, rows): `rows[0]` is the header, and `lines[i]` is the physical line
-    number of `rows[i]`. A line the csv module rejects raises a
-    ValidationError naming path:line."""
+    by `header_words`. A comment whose `#` is followed by whitespace other than
+    one space, or whose key is empty or holds whitespace, raises a
+    ValidationError naming path:line, so a key is never dropped unseen. The
+    header and each later line is one row, parsed on its own, so an open quote
+    never runs on into the next line. Returns (meta, lines, rows): `rows[0]` is
+    the header, and `lines[i]` is the physical line number of `rows[i]`. A line
+    the csv module rejects raises a ValidationError naming path:line."""
     with open_text(path) as f:
         text = f.readlines()  # split at CR, LF or CRLF, endings kept
     meta: dict[str, tuple[int, str]] = {}
     head = 0
     while head < len(text) and (text[head].startswith("#") or text[head] in ("\n", "\r\n", "\r")):
         words = header_words(text[head], 2)
-        if words[0] == "#" and len(words) > 1:
-            meta[words[1]] = (head + 1, words[2] if len(words) > 2 else "")
+        key = words[1] if words[0] == "#" and len(words) > 1 else None
+        if words[0][1:2].isspace() or (key is not None and (not key or any(map(str.isspace, key)))):
+            raise ValidationError(f"{path}:{head + 1}: malformed comment")
+        if key is not None:
+            meta[key] = (head + 1, words[2] if len(words) > 2 else "")
         head += 1
     body = text[head:]
     if body:  # so that a quote open on the last line closes with it, as on every other

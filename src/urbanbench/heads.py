@@ -1,8 +1,10 @@
 """Fixed downstream predictors: linear probe and one-hidden-layer MLP.
 
-Protocol defaults: hidden 1024, batch 512, lr 1e-3, at most 100 epochs,
-validation early stopping with patience 10, regression targets
-standardized on the training units. Training is float64 throughout and
+A head's output is its task's label kind (`core.LABEL_KINDS`): scalar
+(MSE), class (softmax cross-entropy, argmax prediction) or distribution
+(KL to the softmax). Protocol defaults: hidden 1024, batch 512, lr 1e-3,
+at most 100 epochs, validation early stopping with patience 10, regression
+targets standardized on the training units. Training is float64 throughout and
 bit-deterministic given the run seed. `train_head` allocates its arrays once
 per head: the parameters, their gradient and the Adam moments are flat
 vectors with a view per parameter, and every batch writes its hidden
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignedMatrix
-from .core import ValidationError
+from .core import LABEL_KINDS, ValidationError
 from .split import SplitAssignment, TRAIN, VAL
 
 ADAM_BETA1 = 0.9
@@ -28,14 +30,12 @@ EARLY_STOP_TOL = 1e-7
 GRADIENT_CHECK_STEP = 1e-5
 LEARNING_RATE = 1e-3
 
-OUTPUT_KINDS = ("scalar", "logits", "distribution")
-
 
 @dataclass(frozen=True)
 class HeadConfig:
     kind: str = "mlp"                 # "linear" | "mlp"
-    output: str = "scalar"            # "scalar" | "logits" | "distribution"
-    n_out: int = 1                    # C for logits, K for distribution
+    output: str = "scalar"            # the task's label kind: "scalar" | "class" | "distribution"
+    n_out: int = 1                    # C for class, K for distribution
     hidden_dim: int = 1024
     batch_size: int = 512
     max_epochs: int = 100
@@ -44,7 +44,7 @@ class HeadConfig:
     def __post_init__(self):
         if self.kind not in ("linear", "mlp"):
             raise ValidationError(f"unknown head kind {self.kind!r}")
-        if self.output not in OUTPUT_KINDS:
+        if self.output not in LABEL_KINDS:
             raise ValidationError(f"unknown output kind {self.output!r}")
         for name in ("n_out", "hidden_dim", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
@@ -160,7 +160,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def _loss_and_dz(z: np.ndarray, y: np.ndarray, output: str) -> tuple[float, np.ndarray]:
     """Mean loss over the batch and its gradient wrt the output layer.
 
-    scalar: MSE; logits: softmax cross-entropy; distribution:
+    scalar: MSE; class: softmax cross-entropy; distribution:
     KL(target || softmax(z)) with 0*log(0) = 0.
     """
     n = z.shape[0]
@@ -169,7 +169,7 @@ def _loss_and_dz(z: np.ndarray, y: np.ndarray, output: str) -> tuple[float, np.n
         return float(np.add.reduce(diff * diff) / n), (2.0 / n) * diff[:, None]
     log_q = _log_softmax(z)
     q = np.exp(log_q)
-    if output == "logits":
+    if output == "class":
         loss = float(-(np.add.reduce(log_q[np.arange(n), y]) / n))
         dz = q.copy()
         dz[np.arange(n), y] -= 1.0
@@ -269,7 +269,6 @@ class _Adam:
 class TrainedHead:
     cfg: HeadConfig
     params: dict[str, np.ndarray]
-    input_dim: int
     scaler: TargetScaler | None
     best_val_loss: float
     epochs_run: int
@@ -281,9 +280,9 @@ def _prepare_labels(labels, cfg: HeadConfig) -> np.ndarray:
         if labels.ndim != 1:
             raise ValidationError("scalar head expects 1-d labels")
         return labels.astype(np.float64)
-    if cfg.output == "logits":
+    if cfg.output == "class":
         if labels.ndim != 1:
-            raise ValidationError("logits head expects 1-d class labels")
+            raise ValidationError("class head expects 1-d class labels")
         labels = labels.astype(np.int64)
         if labels.size and (labels.min() < 0 or labels.max() >= cfg.n_out):
             raise ValidationError(f"class labels outside [0,{cfg.n_out})")
@@ -353,21 +352,22 @@ def train_head(
         if stop:
             break
 
-    return TrainedHead(cfg=cfg, params=_flat_views(best, init), input_dim=features.dim,
-                       scaler=scaler, best_val_loss=stopper.best, epochs_run=epochs)
+    return TrainedHead(cfg=cfg, params=_flat_views(best, init), scaler=scaler,
+                       best_val_loss=stopper.best, epochs_run=epochs)
 
 
 def predict(head: TrainedHead, features) -> np.ndarray:
-    """scalar -> inverse-scaled reals; logits -> argmax class ids;
+    """scalar -> inverse-scaled reals; class -> argmax class ids;
     distribution -> softmax rows (each summing to 1 within 1e-9)."""
     x = features.rows if isinstance(features, AlignedMatrix) else np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != head.input_dim:
-        raise ValidationError(f"feature dim {x.shape} does not match training dim {head.input_dim}")
+    input_dim = head.params["W" if head.cfg.kind == "linear" else "W1"].shape[0]
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise ValidationError(f"feature dim {x.shape} does not match training dim {input_dim}")
     z, _ = _forward(head.params, head.cfg, x)
     if head.cfg.output == "scalar":
         out = z[:, 0]
         return head.scaler.inverse(out) if head.scaler is not None else out
-    if head.cfg.output == "logits":
+    if head.cfg.output == "class":
         return np.argmax(z, axis=1)
     return softmax(z)
 

@@ -1,4 +1,5 @@
-"""The nine evaluation metrics with degeneracy handling and direction metadata.
+"""The nine evaluation metrics, each function returning {name: float} in
+`core.METRICS_FOR_KIND` order (`core.METRIC_DIRECTION` says which way is better).
 
 Regression: r2, mae, rmse. Classification: macro_f1, macro_precision,
 macro_recall (unweighted over classes). Distribution: kl, chebyshev, l1
@@ -7,24 +8,11 @@ macro_recall (unweighted over classes). Distribution: kl, chebyshev, l1
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import METRIC_DIRECTION, ValidationError
+from .core import ValidationError
 
 KL_EPSILON = 1e-8
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    name: str
-    value: float
-    degenerate: bool = False
-
-    @property
-    def direction(self) -> str:
-        return METRIC_DIRECTION[self.name]
 
 
 def _check_pair(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,24 +27,21 @@ def _check_pair(y: np.ndarray, y_hat: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return y, y_hat
 
 
-def regression_metrics(y, y_hat) -> dict[str, MetricValue]:
-    """R2 = 1 - SS_res/SS_tot, MAE, RMSE. Zero target variance makes R2
-    degenerate (NaN value, flagged) rather than +-inf."""
+def regression_metrics(y, y_hat) -> dict[str, float]:
+    """R2 = 1 - SS_res/SS_tot, MAE, RMSE. Zero target variance makes R2 NaN
+    rather than +-inf."""
     y, y_hat = _check_pair(y, y_hat)
     err = y - y_hat
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err * err)))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = MetricValue("r2", float("nan"), degenerate=True)
-    else:
-        r2 = MetricValue("r2", 1.0 - float(np.sum(err * err)) / ss_tot)
-    return {"r2": r2, "mae": MetricValue("mae", mae), "rmse": MetricValue("rmse", rmse)}
+    r2 = float("nan") if ss_tot == 0.0 else 1.0 - float(np.sum(err * err)) / ss_tot
+    return {"r2": r2, "mae": mae, "rmse": rmse}
 
 
-def classification_metrics(y, y_hat, n_classes: int) -> dict[str, MetricValue]:
-    """Macro precision/recall/F1. A class whose denominator vanishes
-    contributes 0 to that macro average and flags the result degenerate."""
+def classification_metrics(y, y_hat, n_classes: int) -> dict[str, float]:
+    """Macro F1/precision/recall. A class whose denominator vanishes
+    contributes 0 to that macro average."""
     if n_classes < 1:
         raise ValidationError("n_classes must be >= 1")
     y = np.asarray(y, dtype=np.int64)
@@ -68,31 +53,21 @@ def classification_metrics(y, y_hat, n_classes: int) -> dict[str, MetricValue]:
     precision = np.zeros(n_classes)
     recall = np.zeros(n_classes)
     f1 = np.zeros(n_classes)
-    degenerate = False
     for c in range(n_classes):
         tp = int(np.count_nonzero((y == c) & (y_hat == c)))
         fp = int(np.count_nonzero((y != c) & (y_hat == c)))
         fn = int(np.count_nonzero((y == c) & (y_hat != c)))
         if tp + fp > 0:
             precision[c] = tp / (tp + fp)
-        else:
-            degenerate = True
         if tp + fn > 0:
             recall[c] = tp / (tp + fn)
-        else:
-            degenerate = True
         if precision[c] + recall[c] > 0:
             f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-        else:
-            degenerate = True
-    return {
-        "macro_f1": MetricValue("macro_f1", float(f1.mean()), degenerate),
-        "macro_precision": MetricValue("macro_precision", float(precision.mean()), degenerate),
-        "macro_recall": MetricValue("macro_recall", float(recall.mean()), degenerate),
-    }
+    return {"macro_f1": float(f1.mean()), "macro_precision": float(precision.mean()),
+            "macro_recall": float(recall.mean())}
 
 
-def distribution_metrics(p, q) -> dict[str, MetricValue]:
+def distribution_metrics(p, q) -> dict[str, float]:
     """Mean per-unit KL(p || q+eps) in nats, Chebyshev, and L1 distances."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -107,8 +82,4 @@ def distribution_metrics(p, q) -> dict[str, MetricValue]:
     diff = np.abs(p - q)
     cheb = float(np.mean(diff.max(axis=1)))
     l1 = float(np.mean(diff.sum(axis=1)))
-    return {
-        "kl": MetricValue("kl", kl),
-        "chebyshev": MetricValue("chebyshev", cheb),
-        "l1": MetricValue("l1", l1),
-    }
+    return {"kl": kl, "chebyshev": cheb, "l1": l1}

@@ -124,16 +124,6 @@ def generate_field(extent: Rect, n: int, length_scale: float, seed: int) -> np.n
     return (smooth - smooth.mean()) / smooth.std()
 
 
-def lag1_autocorr(field: np.ndarray) -> float:
-    """Mean of the row- and column-shift lag-1 correlations."""
-    a = field - field.mean()
-
-    def corr(u, v):
-        return float(np.sum(u * v) / np.sqrt(np.sum(u * u) * np.sum(v * v)))
-
-    return 0.5 * (corr(a[:, :-1], a[:, 1:]) + corr(a[:-1, :], a[1:, :]))
-
-
 def _quantile_bins(values: np.ndarray, n_classes: int) -> np.ndarray:
     order = np.argsort(values, kind="stable")
     ranks = np.empty_like(order)

@@ -55,9 +55,9 @@ class TestMetricOracleEquivalence:
             y_hat = y + rng.standard_normal(n)
             out = regression_metrics(y, y_hat)
             r2, mae, rmse = brute_regression(y.tolist(), y_hat.tolist())
-            assert abs(out["r2"].value - r2) < 1e-9
-            assert abs(out["mae"].value - mae) < 1e-9
-            assert abs(out["rmse"].value - rmse) < 1e-9
+            assert abs(out["r2"] - r2) < 1e-9
+            assert abs(out["mae"] - mae) < 1e-9
+            assert abs(out["rmse"] - rmse) < 1e-9
         for _ in range(1000):
             c = int(rng.integers(2, 6))
             n = int(rng.integers(2, 40))
@@ -65,9 +65,9 @@ class TestMetricOracleEquivalence:
             y_hat = rng.integers(0, c, size=n)
             out = classification_metrics(y, y_hat, c)
             f1, p, r = brute_classification(y.tolist(), y_hat.tolist(), c)
-            assert abs(out["macro_f1"].value - f1) < 1e-9
-            assert abs(out["macro_precision"].value - p) < 1e-9
-            assert abs(out["macro_recall"].value - r) < 1e-9
+            assert abs(out["macro_f1"] - f1) < 1e-9
+            assert abs(out["macro_precision"] - p) < 1e-9
+            assert abs(out["macro_recall"] - r) < 1e-9
         for _ in range(1000):
             k = int(rng.integers(2, 7))
             n = int(rng.integers(1, 15))
@@ -75,33 +75,33 @@ class TestMetricOracleEquivalence:
             q = random_distributions(rng, n, k)
             out = distribution_metrics(p, q)
             kl, cheb, l1 = brute_distribution(p.tolist(), q.tolist())
-            assert abs(out["kl"].value - kl) < 1e-9
-            assert abs(out["chebyshev"].value - cheb) < 1e-9
-            assert abs(out["l1"].value - l1) < 1e-9
+            assert abs(out["kl"] - kl) < 1e-9
+            assert abs(out["chebyshev"] - cheb) < 1e-9
+            assert abs(out["l1"] - l1) < 1e-9
         ok("metric oracle equivalence (9 metrics x 1000 instances, 1e-9)")
 
 
 class TestHandDerivedValues:
     def test_regression_hand_values(self):
         out = regression_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
-        assert abs(out["r2"].value - 0.5) < 1e-12
-        assert abs(out["mae"].value - 1.0 / 3.0) < 1e-12
-        assert abs(out["rmse"].value - math.sqrt(1.0 / 3.0)) < 1e-12
+        assert abs(out["r2"] - 0.5) < 1e-12
+        assert abs(out["mae"] - 1.0 / 3.0) < 1e-12
+        assert abs(out["rmse"] - math.sqrt(1.0 / 3.0)) < 1e-12
         ok("hand-derived regression values (1e-12)")
 
     def test_macro_f1_hand_value(self):
         out = classification_metrics([0, 0, 1, 1], [0, 1, 1, 1], 2)
-        assert abs(out["macro_f1"].value - 11.0 / 15.0) < 1e-12
+        assert abs(out["macro_f1"] - 11.0 / 15.0) < 1e-12
         ok("hand-derived macro-F1 11/15 (1e-12)")
 
     def test_kl_hand_value(self):
         out = distribution_metrics([[0.5, 0.5]], [[0.25, 0.75]])
         # hand evaluation of the implemented formula (epsilon inside)
         hand = 0.5 * math.log(0.5 / (0.25 + KL_EPSILON)) + 0.5 * math.log(0.5 / (0.75 + KL_EPSILON))
-        assert abs(out["kl"].value - hand) < 1e-12
+        assert abs(out["kl"] - hand) < 1e-12
         # epsilon-free closed form holds to the epsilon effect
         closed = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert abs(out["kl"].value - closed) < 1e-7
+        assert abs(out["kl"] - closed) < 1e-7
         ok("hand-derived KL 0.5*ln2+0.5*ln(2/3) (1e-12 vs formula, 1e-7 vs closed form)")
 
 
@@ -174,7 +174,7 @@ class TestGradientChecks:
                        batch_size=8, max_epochs=2, patience=1), (x, y_scalar), 0)
         assert err_lin < 1e-6
         err_ce = gradient_check(
-            HeadConfig(kind="mlp", output="logits", n_out=3, hidden_dim=8,
+            HeadConfig(kind="mlp", output="class", n_out=3, hidden_dim=8,
                        batch_size=8, max_epochs=2, patience=1), (x, y_class), 0)
         assert err_ce < 1e-4
         err_kl = gradient_check(
@@ -207,17 +207,17 @@ class TestH3FirstCoverageDirection:
                           noise_sd=1.0, label_kind="scalar",
                           embedding_kind="sparse_entities", density=0.05, dim=4, seed=3)
         task, rep = synth_city(cfg)
-        m_h3 = align_support(rep.support, task, rep.model_id)
-        m_direct = align_entities_direct(rep.support, task, model_id=rep.model_id)
+        m_h3 = align_support(rep.support, task)
+        m_direct = align_entities_direct(rep.support, task)
         cov_h3, cov_direct = coverage(m_h3), coverage(m_direct)
         assert cov_h3 > cov_direct
         grid = build_block_grid(task.extent, 10, 10)
         wins = 0
         for seed in seeds:
             split = spatial_split(task, grid, seed)
-            r_h3 = r2_of(evaluate(task, m_h3, split, LINEAR_HEAD, run_seed=seed))
+            r_h3 = r2_of(evaluate(rep.model_id, task, m_h3, split, LINEAR_HEAD, run_seed=seed))
             try:
-                r_direct = r2_of(evaluate(task, m_direct, split, LINEAR_HEAD, run_seed=seed))
+                r_direct = r2_of(evaluate(rep.model_id, task, m_direct, split, LINEAR_HEAD, run_seed=seed))
             except ValidationError:
                 wins += 1  # direct could not even train/evaluate on this seed
                 continue

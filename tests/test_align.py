@@ -288,19 +288,19 @@ class TestCoverage:
     def test_three_of_four(self):
         from urbanbench.align import AlignedMatrix
 
-        m = AlignedMatrix("m", np.zeros((4, 1)), np.array([True, True, True, False]))
+        m = AlignedMatrix(np.zeros((4, 1)), np.array([True, True, True, False]))
         assert coverage(m) == 0.75
 
     def test_all_valid(self):
         from urbanbench.align import AlignedMatrix
 
-        m = AlignedMatrix("m", np.zeros((3, 1)), np.ones(3, dtype=bool))
+        m = AlignedMatrix(np.zeros((3, 1)), np.ones(3, dtype=bool))
         assert coverage(m) == 1.0
 
     def test_empty_errors(self):
         from urbanbench.align import AlignedMatrix
 
-        m = AlignedMatrix("m", np.zeros((0, 1)), np.zeros(0, dtype=bool))
+        m = AlignedMatrix(np.zeros((0, 1)), np.zeros(0, dtype=bool))
         with pytest.raises(ValidationError):
             coverage(m)
 
@@ -582,7 +582,7 @@ class TestGoldenAlignment:
 # Per-unit reference implementations: the aligners compute every unit at once
 # and must match these bit for bit.
 
-def _align_units(model_id, task, dim, vec_of):
+def _align_units(task, dim, vec_of):
     """One row per task unit from `vec_of(unit)`; a unit it maps to None is
     invalid and keeps a zero row."""
     rows = np.zeros((task.n, dim), dtype=np.float64)
@@ -592,7 +592,7 @@ def _align_units(model_id, task, dim, vec_of):
         if vec is not None:
             rows[i] = vec
             valid[i] = True
-    return AlignedMatrix(model_id=model_id, rows=rows, valid=valid)
+    return AlignedMatrix(rows=rows, valid=valid)
 
 
 def _convex_overlap(poly_a, poly_b):
@@ -663,7 +663,7 @@ def _ref_align_raster(rep, task):
         vec = rep.values[idx[0], idx[1]]
         return None if np.any(np.isnan(vec)) else vec
 
-    return _align_units("raster", task, rep.dim, vec_of)
+    return _align_units(task, rep.dim, vec_of)
 
 
 def _ref_align_entities_h3_first(rep, grid, task):
@@ -685,7 +685,7 @@ def _ref_align_entities_h3_first(rep, grid, task):
             return np.mean(vecs, axis=0) if vecs else None
         return pooled.get(hex_cell_of(unit.lon, unit.lat, grid))
 
-    return _align_units("entities", task, rep.dim, vec_of)
+    return _align_units(task, rep.dim, vec_of)
 
 
 # A small pool of components with signed zeros, so a mean that keeps or

@@ -643,14 +643,22 @@ class TestReadTable:
     @pytest.mark.parametrize("line", ["# task\u00a0POP", "#\ttask POP", "#  task POP", "#task POP"],
                              ids=["no-break-space", "tab", "double-space", "no-space"])
     def test_key_splits_only_at_single_space(self, tmp_path, line):
-        # `# key value` is the writers' form; any other spacing is a plain comment
-        meta = self._read(tmp_path, f"{line}\n# city demo\nh\n".encode())[0]
-        assert "task" not in meta and meta["city"] == (2, "demo")
+        # `# key value` is the writers' form. Other whitespace after the '#' or
+        # in the key is an error; a '#' with no space after it is a plain comment.
         p = tmp_path / "task.csv"
         p.write_text(f"{line}\n# city demo\nunit_id,lon,lat,value\nu0,0.1,0.1,0\n", encoding="utf-8")
+        if line == "#task POP":
+            meta = self._read(tmp_path, f"{line}\n# city demo\nh\n".encode())[0]
+            assert "task" not in meta and meta["city"] == (2, "demo")
+            message = f"{p}: missing '# task ...' / '# city ...' metadata"
+        else:
+            with pytest.raises(ValidationError) as e:
+                self._read(tmp_path, f"{line}\n# city demo\nh\n".encode())
+            assert str(e.value) == f"{tmp_path / 't.csv'}:1: malformed comment"
+            message = f"{p}:1: malformed comment"
         with pytest.raises(ValidationError) as e:
             load_task_dataset(p)
-        assert str(e.value) == f"{p}: missing '# task ...' / '# city ...' metadata"
+        assert str(e.value) == message
 
     def test_only_comments(self, tmp_path):
         assert self._read(tmp_path, b"# a 1\n\n# a 2\n") == ({"a": (3, "2")}, [], [])

@@ -25,7 +25,7 @@ from urbanbench.split import SplitAssignment
 
 def matrix(x):
     x = np.asarray(x, dtype=np.float64)
-    return AlignedMatrix("m", x, np.ones(x.shape[0], dtype=bool))
+    return AlignedMatrix(x, np.ones(x.shape[0], dtype=bool))
 
 
 def make_split(n, n_val, n_test, seed=0):
@@ -92,7 +92,7 @@ class TestTraining:
         y = (x[:, 0] + x[:, 1] > 0).astype(int)
         x[y == 1] += 2.0  # widen the margin
         split = make_split(n, 30, 40)
-        cfg = HeadConfig(kind="mlp", output="logits", n_out=2, hidden_dim=16,
+        cfg = HeadConfig(kind="mlp", output="class", n_out=2, hidden_dim=16,
                          batch_size=32, max_epochs=100, patience=20)
         head = train_head(matrix(x), y, split, cfg, run_seed=1)
         preds = predict(head, matrix(x))
@@ -150,7 +150,7 @@ class TestTraining:
         split = make_split(10, 2, 2, seed=1)
         valid = np.ones(10, dtype=bool)
         valid[split.mask("val")] = False
-        feats = AlignedMatrix("m", x, valid)
+        feats = AlignedMatrix(x, valid)
         cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=4,
                          max_epochs=5, patience=2)
         with pytest.raises(ValidationError, match="validation"):
@@ -169,8 +169,8 @@ class TestTraining:
         x_corrupt[:10] = 1e9
         cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=16,
                          max_epochs=10, patience=3)
-        h1 = train_head(AlignedMatrix("m", x, valid), y, split, cfg, run_seed=7)
-        h2 = train_head(AlignedMatrix("m", x_corrupt, valid), y, split, cfg, run_seed=7)
+        h1 = train_head(AlignedMatrix(x, valid), y, split, cfg, run_seed=7)
+        h2 = train_head(AlignedMatrix(x_corrupt, valid), y, split, cfg, run_seed=7)
         for k in h1.params:
             np.testing.assert_array_equal(h1.params[k], h2.params[k])
 
@@ -223,7 +223,7 @@ class TestPredict:
         cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=8,
                          max_epochs=5, patience=2)
         head = TrainedHead(cfg=cfg, params={"W": np.zeros((3, 1)), "b": np.zeros(1)},
-                           input_dim=3, scaler=TargetScaler(mean=4.5, std=2.0),
+                           scaler=TargetScaler(mean=4.5, std=2.0),
                            best_val_loss=0.0, epochs_run=1)
         preds = predict(head, np.ones((5, 3)))
         np.testing.assert_allclose(preds, 4.5)
@@ -232,7 +232,7 @@ class TestPredict:
         cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=8,
                          max_epochs=5, patience=2)
         head = TrainedHead(cfg=cfg, params={"W": np.zeros((3, 1)), "b": np.zeros(1)},
-                           input_dim=3, scaler=None, best_val_loss=0.0, epochs_run=1)
+                           scaler=None, best_val_loss=0.0, epochs_run=1)
         with pytest.raises(ValidationError, match="dim"):
             predict(head, np.ones((5, 4)))
 
@@ -252,7 +252,7 @@ class TestGradientCheck:
         assert gradient_check(cfg, (self.x, self.y_scalar), run_seed=0) < 1e-6
 
     def test_mlp_cross_entropy(self):
-        cfg = HeadConfig(kind="mlp", output="logits", n_out=3, hidden_dim=8,
+        cfg = HeadConfig(kind="mlp", output="class", n_out=3, hidden_dim=8,
                          batch_size=8, max_epochs=2, patience=1)
         assert gradient_check(cfg, (self.x, self.y_class), run_seed=0) < 1e-4
 
@@ -275,9 +275,10 @@ class TestHeadConfig:
         with pytest.raises(ValidationError):
             HeadConfig(max_epochs=5, patience=5)
 
-    def test_unknown_kind(self):
+    @pytest.mark.parametrize("field", [{"kind": "transformer"}, {"output": "logits"}], ids=["kind", "output"])
+    def test_unknown_kind(self, field):
         with pytest.raises(ValidationError):
-            HeadConfig(kind="transformer")
+            HeadConfig(**field)
 
 
 def _golden_case(kind, output, n_out, n, dim, batch_size, seed):
@@ -285,7 +286,7 @@ def _golden_case(kind, output, n_out, n, dim, batch_size, seed):
     x = rng.standard_normal((n, dim))
     if output == "scalar":
         y = x @ rng.standard_normal(dim) + 0.3 * rng.standard_normal(n)
-    elif output == "logits":
+    elif output == "class":
         y = rng.integers(0, n_out, size=n)
     else:
         p = rng.random((n, n_out))
@@ -320,7 +321,7 @@ class TestGoldenTraining:
         # n_train = 200, not a multiple of the batch size
         (("mlp", "scalar", 1, 300, 8, 64, 1),
          "0f66e24340a83934d36ee76e0fe0de16382c8d614cc67819e6e0248501bfba64"),
-        (("mlp", "logits", 3, 300, 8, 64, 2),
+        (("mlp", "class", 3, 300, 8, 64, 2),
          "0c3d93bb20f72763b4c1fe0894cb4bac724f9c1c589ba6018f83d42f198a7e56"),
         (("mlp", "distribution", 4, 300, 8, 64, 3),
          "8b0ca74a3dd075e7df8595a20b8794105fd28ab90224ce099cc03bb0c92f0fe7"),
@@ -329,7 +330,7 @@ class TestGoldenTraining:
         # n_train = 134 < batch_size
         (("mlp", "scalar", 1, 200, 16, 512, 5),
          "1f79ce8a0a04ec548485ead0bea77f0beec2e5b4e46527f16651690d5c09087c"),
-        (("linear", "logits", 3, 300, 8, 64, 7),
+        (("linear", "class", 3, 300, 8, 64, 7),
          "7a43bb35fc75f26ceeb7de8bd267b50f1c2768c30c77dc13259cafabd4dcb3ef"),
         (("linear", "distribution", 4, 300, 8, 64, 8),
          "5b9a839443ecc645dd4065a4c4258b11351711ce4dacacde360a5b7ff441dd0a"),
@@ -370,7 +371,7 @@ class TestBatchBuffers:
         return repr(loss), {k: v.tobytes() for k, v in grads.items()}
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    @pytest.mark.parametrize("output,n_out", [("scalar", 1), ("logits", 3), ("distribution", 4)])
+    @pytest.mark.parametrize("output,n_out", [("scalar", 1), ("class", 3), ("distribution", 4)])
     def test_reused_buffers_match_throwaway(self, kind, output, n_out):
         from urbanbench.heads import _BatchBuffers, _init_params
 

@@ -71,71 +71,72 @@ def random_distributions(rng, n, k):
 class TestHandValues:
     def test_regression_example(self):
         out = regression_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
-        assert abs(out["r2"].value - 0.5) < 1e-12
-        assert abs(out["mae"].value - 1.0 / 3.0) < 1e-12
-        assert abs(out["rmse"].value - math.sqrt(1.0 / 3.0)) < 1e-12
+        assert abs(out["r2"] - 0.5) < 1e-12
+        assert abs(out["mae"] - 1.0 / 3.0) < 1e-12
+        assert abs(out["rmse"] - math.sqrt(1.0 / 3.0)) < 1e-12
 
     def test_perfect_prediction(self):
         out = regression_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert out["r2"].value == 1.0
-        assert out["mae"].value == 0.0
-        assert out["rmse"].value == 0.0
+        assert out["r2"] == 1.0
+        assert out["mae"] == 0.0
+        assert out["rmse"] == 0.0
 
     def test_mean_predictor_r2_zero(self):
         y = [1.0, 2.0, 3.0]
         out = regression_metrics(y, [2.0, 2.0, 2.0])
-        assert abs(out["r2"].value) < 1e-15
+        assert abs(out["r2"]) < 1e-15
 
     def test_macro_f1_example(self):
         # y=[0,0,1,1], yhat=[0,1,1,1] -> P=(1,2/3), R=(1/2,1), F1=(2/3,4/5)
         out = classification_metrics([0, 0, 1, 1], [0, 1, 1, 1], 2)
-        assert abs(out["macro_f1"].value - 11.0 / 15.0) < 1e-12
-        assert abs(out["macro_precision"].value - (1.0 + 2.0 / 3.0) / 2) < 1e-12
-        assert abs(out["macro_recall"].value - (0.5 + 1.0) / 2) < 1e-12
+        assert abs(out["macro_f1"] - 11.0 / 15.0) < 1e-12
+        assert abs(out["macro_precision"] - (1.0 + 2.0 / 3.0) / 2) < 1e-12
+        assert abs(out["macro_recall"] - (0.5 + 1.0) / 2) < 1e-12
 
     def test_perfect_classification(self):
         out = classification_metrics([0, 1, 2], [0, 1, 2], 3)
         for name in ("macro_f1", "macro_precision", "macro_recall"):
-            assert out[name].value == 1.0
+            assert out[name] == 1.0
 
     def test_all_predicted_class_zero(self):
         out = classification_metrics([0, 0, 1, 1], [0, 0, 0, 0], 2)
         # R1=0, F1_1=0 => macroF1 = F1_0/2 = (2*1*1/2)/2
         f1_0 = 2 * 0.5 * 1.0 / 1.5
-        assert abs(out["macro_f1"].value - f1_0 / 2) < 1e-12
-        assert out["macro_f1"].degenerate
+        assert abs(out["macro_f1"] - f1_0 / 2) < 1e-12
+        # class 1 is never predicted: its precision adds 0 to the macro average
+        assert out["macro_precision"] == 0.25
 
     def test_kl_example(self):
         p = [[0.5, 0.5]]
         q = [[0.25, 0.75]]
         expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
         out = distribution_metrics(p, q)
-        assert abs(out["kl"].value - expected) < 1e-7  # epsilon perturbs below this
-        assert abs(out["chebyshev"].value - 0.25) < 1e-12
-        assert abs(out["l1"].value - 0.5) < 1e-12
+        assert abs(out["kl"] - expected) < 1e-7  # epsilon perturbs below this
+        assert abs(out["chebyshev"] - 0.25) < 1e-12
+        assert abs(out["l1"] - 0.5) < 1e-12
 
     def test_one_hot_vs_uniform(self):
         out = distribution_metrics([[1.0, 0.0, 0.0, 0.0]], [[0.25] * 4])
-        assert abs(out["kl"].value - math.log(4.0)) < 1e-7
+        assert abs(out["kl"] - math.log(4.0)) < 1e-7
 
     def test_identical_distributions(self):
         p = [[0.3, 0.7], [0.5, 0.5]]
         out = distribution_metrics(p, p)
-        assert abs(out["kl"].value) < 1e-7
-        assert out["chebyshev"].value == 0.0
-        assert out["l1"].value == 0.0
+        assert abs(out["kl"]) < 1e-7
+        assert out["chebyshev"] == 0.0
+        assert out["l1"] == 0.0
 
 
 class TestDegeneracy:
     def test_zero_target_variance_flags_r2(self):
         out = regression_metrics([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-        assert out["r2"].degenerate
-        assert math.isnan(out["r2"].value)
-        assert not out["mae"].degenerate
+        assert math.isnan(out["r2"])
+        assert out["mae"] == 2.0 / 3.0
 
     def test_empty_class_flags(self):
+        # class 1 is neither present nor predicted: it adds 0 to each macro average
         out = classification_metrics([0, 0], [0, 0], 2)
-        assert out["macro_f1"].degenerate
+        assert out == {"macro_f1": 0.5, "macro_precision": 0.5, "macro_recall": 0.5}
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -159,9 +160,9 @@ class TestOracleEquivalence:
             y_hat = y + rng.standard_normal(n) * rng.uniform(0, 2)
             out = regression_metrics(y, y_hat)
             r2, mae, rmse = brute_regression(y.tolist(), y_hat.tolist())
-            assert abs(out["r2"].value - r2) < 1e-9
-            assert abs(out["mae"].value - mae) < 1e-9
-            assert abs(out["rmse"].value - rmse) < 1e-9
+            assert abs(out["r2"] - r2) < 1e-9
+            assert abs(out["mae"] - mae) < 1e-9
+            assert abs(out["rmse"] - rmse) < 1e-9
 
     def test_classification_1000_instances(self):
         rng = np.random.default_rng(101)
@@ -172,9 +173,9 @@ class TestOracleEquivalence:
             y_hat = rng.integers(0, c, size=n)
             out = classification_metrics(y, y_hat, c)
             f1, p, r = brute_classification(y.tolist(), y_hat.tolist(), c)
-            assert abs(out["macro_f1"].value - f1) < 1e-9
-            assert abs(out["macro_precision"].value - p) < 1e-9
-            assert abs(out["macro_recall"].value - r) < 1e-9
+            assert abs(out["macro_f1"] - f1) < 1e-9
+            assert abs(out["macro_precision"] - p) < 1e-9
+            assert abs(out["macro_recall"] - r) < 1e-9
 
     def test_distribution_1000_instances(self):
         rng = np.random.default_rng(102)
@@ -185,9 +186,9 @@ class TestOracleEquivalence:
             q = random_distributions(rng, n, k)
             out = distribution_metrics(p, q)
             kl, cheb, l1 = brute_distribution(p.tolist(), q.tolist())
-            assert abs(out["kl"].value - kl) < 1e-9
-            assert abs(out["chebyshev"].value - cheb) < 1e-9
-            assert abs(out["l1"].value - l1) < 1e-9
+            assert abs(out["kl"] - kl) < 1e-9
+            assert abs(out["chebyshev"] - cheb) < 1e-9
+            assert abs(out["l1"] - l1) < 1e-9
 
 
 class TestProperties:
@@ -197,7 +198,7 @@ class TestProperties:
             k = int(rng.integers(2, 6))
             p = random_distributions(rng, 5, k)
             q = random_distributions(rng, 5, k)
-            assert distribution_metrics(p, q)["kl"].value >= -1e-6
+            assert distribution_metrics(p, q)["kl"] >= -1e-6
 
     def test_chebyshev_le_l1_le_2(self):
         rng = np.random.default_rng(104)
@@ -205,8 +206,8 @@ class TestProperties:
             p = random_distributions(rng, 8, 5)
             q = random_distributions(rng, 8, 5)
             out = distribution_metrics(p, q)
-            assert out["chebyshev"].value <= out["l1"].value + 1e-12
-            assert out["l1"].value <= 2.0 + 1e-12
+            assert out["chebyshev"] <= out["l1"] + 1e-12
+            assert out["l1"] <= 2.0 + 1e-12
 
     def test_r2_at_most_one_and_mae_le_rmse(self):
         rng = np.random.default_rng(105)
@@ -215,8 +216,8 @@ class TestProperties:
             y = rng.standard_normal(n)
             y_hat = rng.standard_normal(n)
             out = regression_metrics(y, y_hat)
-            assert out["r2"].value <= 1.0
-            assert out["mae"].value <= out["rmse"].value + 1e-12
+            assert out["r2"] <= 1.0
+            assert out["mae"] <= out["rmse"] + 1e-12
 
     def test_result_store_metric_names_fixed(self):
         from urbanbench.core import METRICS_FOR_KIND
@@ -227,10 +228,15 @@ class TestProperties:
                          "macro_recall", "kl", "chebyshev", "l1"]
 
     def test_directions(self):
-        out = regression_metrics([1.0, 2.0], [1.0, 2.0])
-        assert out["r2"].direction == "higher_better"
-        assert out["mae"].direction == "lower_better"
-        cls = classification_metrics([0, 1], [0, 1], 2)
-        assert cls["macro_f1"].direction == "higher_better"
-        dist = distribution_metrics([[0.5, 0.5]], [[0.5, 0.5]])
-        assert dist["kl"].direction == "lower_better"
+        from urbanbench.core import METRIC_DIRECTION, METRICS_FOR_KIND
+
+        assert METRIC_DIRECTION["r2"] == "higher_better"
+        assert METRIC_DIRECTION["mae"] == "lower_better"
+        assert METRIC_DIRECTION["macro_f1"] == "higher_better"
+        assert METRIC_DIRECTION["kl"] == "lower_better"
+        # each function returns plain floats keyed in its kind's metric order
+        for kind, out in (("scalar", regression_metrics([1.0, 2.0], [1.0, 2.0])),
+                          ("class", classification_metrics([0, 1], [0, 1], 2)),
+                          ("distribution", distribution_metrics([[0.5, 0.5]], [[0.5, 0.5]]))):
+            assert list(out) == list(METRICS_FOR_KIND[kind])
+            assert all(type(v) is float for v in out.values())

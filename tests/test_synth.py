@@ -11,13 +11,23 @@ from urbanbench.align import align_entities_direct, coverage
 from urbanbench.cli import align_support, leakage_experiment
 from urbanbench.core import Rect, ValidationError, write_task_dataset
 from urbanbench.heads import HeadConfig
-from urbanbench.synth import SynthConfig, generate_field, lag1_autocorr, synth_city
+from urbanbench.synth import SynthConfig, generate_field, synth_city
 
 EXTENT32 = Rect(-0.1, -0.1, 0.1, 0.1)
 CELL32 = 0.2 / 32  # one cell in extent units
 
 LINEAR_HEAD = HeadConfig(kind="linear", output="scalar", n_out=1,
                          batch_size=128, max_epochs=150, patience=10)
+
+
+def lag1_autocorr(field: np.ndarray) -> float:
+    """Mean of the row- and column-shift lag-1 correlations."""
+    a = field - field.mean()
+
+    def corr(u, v):
+        return float(np.sum(u * v) / np.sqrt(np.sum(u * u) * np.sum(v * v)))
+
+    return 0.5 * (corr(a[:, :-1], a[:, 1:]) + corr(a[:-1, :], a[1:, :]))
 
 
 # Corners and sizes with a signed zero, widths that are not a power of two
@@ -97,7 +107,7 @@ class TestSynthCity:
     def test_scalar_labels_equal_field(self):
         cfg = SynthConfig(n=16, seed=7, label_kind="scalar", embedding_kind="field_value")
         task, rep = synth_city(cfg)
-        m = align_support(rep.support, task, rep.model_id)
+        m = align_support(rep.support, task)
         # embedding replicates the label across dim (up to float32 storage)
         np.testing.assert_allclose(m.rows[:, 0], task.labels, atol=1e-6)
 
@@ -129,8 +139,8 @@ class TestSparseCoverage:
         cfg = SynthConfig(n=40, extent=Rect(-0.05, -0.05, 0.05, 0.05), length_scale=0.025,
                           noise_sd=1.0, embedding_kind="sparse_entities", density=0.05, seed=3)
         task, rep = synth_city(cfg)
-        cov_h3 = coverage(align_support(rep.support, task, rep.model_id))
-        cov_direct = coverage(align_entities_direct(rep.support, task, model_id=rep.model_id))
+        cov_h3 = coverage(align_support(rep.support, task))
+        cov_direct = coverage(align_entities_direct(rep.support, task))
         assert cov_h3 > cov_direct
 
 
