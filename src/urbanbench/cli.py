@@ -59,7 +59,6 @@ try:
         TaskDataset,
         ValidationError,
         _fmt,
-        age_restricted,
         check_rows,
         load_manifest,
         load_task_dataset,
@@ -187,7 +186,8 @@ def _load_task(manifest: Manifest, city: str, task: str) -> TaskDataset:
 
 def _load_support(manifest: Manifest, model_id: str, city: str):
     """A model's support for one city, checked against its declared dim. A cell
-    table's grid is the manifest `hexgrid`, else the file comment, else None."""
+    table's grid is its file's `# hexgrid` comment, else None (`align_support`
+    then keys it on the task-centred grid)."""
     m = manifest.models[model_id]
     if m.support == "coordinate_encoder":
         support = get_encoder(m.encoder)
@@ -197,8 +197,6 @@ def _load_support(manifest: Manifest, model_id: str, city: str):
         support = read_entity_csv(manifest.resolve(m.files[city]))
     else:
         support = read_cell_table_csv(manifest.resolve(m.files[city]))
-        if m.hexgrid is not None:
-            support = replace(support, grid=m.hexgrid)
     if support.dim != m.dim:
         raise ValidationError(f"file dim {support.dim} != declared {m.dim}")
     return support
@@ -274,12 +272,9 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
 
     # Phase 1: every planned task file loaded and checked, and every
     # model-invariant split drawn, before anything is written or any support read.
-    datasets: dict[tuple[str, str], TaskDataset] = {}
-    for city in cities:
-        for task_name in sorted(manifest.cities[city]):
-            if (plan.tasks is not None and task_name not in plan.tasks) or age_restricted(city, task_name):
-                continue  # an AGE-restricted pair was logged as a warning above
-            datasets[(city, task_name)] = _load_task(manifest, city, task_name)
+    datasets: dict[tuple[str, str], TaskDataset] = {
+        (city, task_name): _load_task(manifest, city, task_name) for city, task_name in report_v.tasks
+        if city in cities and (plan.tasks is None or task_name in plan.tasks)}
     grids = {}
     splits: dict[tuple[str, str, str, int], object] = {}
     for (city, task_name), ds in datasets.items():
@@ -637,7 +632,7 @@ def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
     task, rep = synth_city(cfg)
     task_path = out_dir / f"{cfg.city}_{task.task}.csv"
     write_task_dataset(task_path, task)
-    model_entry: dict = {"dim": rep.dim, "support": None}
+    model_entry: dict = {"dim": rep.support.dim, "support": None}
     emb_path = None
     if isinstance(rep.support, RasterSupport):
         emb_path = out_dir / f"{rep.model_id}_{cfg.city}.erf"
@@ -669,13 +664,13 @@ def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
 # Entry points
 
 def _cmd_validate(args) -> int:
-    """The structural checks, then every task file and every (model, city)
-    embedding file of a pair read once, by the loaders `run` uses."""
+    """The structural checks, then every task file that `run` loads and every
+    (model, city) embedding file of a pair, each read once by the loaders `run` uses."""
     manifest = load_manifest(args.manifest)
     report_v = validate_manifest(manifest)
     errors = list(report_v.errors)
     datasets: dict[tuple[str, str], TaskDataset] = {}
-    for city, task in sorted({(c, t) for _, c, t, *_ in report_v.resolvable + report_v.gaps}):
+    for city, task in report_v.tasks:
         try:
             datasets[(city, task)] = _load_task(manifest, city, task)
         except (ValidationError, OSError) as e:

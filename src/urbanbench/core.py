@@ -725,17 +725,7 @@ class Representation:
     """An embedding with a declared spatial support."""
 
     model_id: str
-    dim: int
     support: RasterSupport | CellTableSupport | EntitySetSupport | CoordinateEncoderSupport
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("dim must be positive")
-        sup_dim = self.support.dim
-        if sup_dim and sup_dim != self.dim:
-            raise ValidationError(
-                f"model {self.model_id}: declared dim {self.dim} != support dim {sup_dim}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +738,6 @@ class ManifestModel:
     support: str
     files: Mapping[str, str] = field(default_factory=dict)
     encoder: str | None = None
-    hexgrid: HexGrid | None = None
 
 
 @dataclass(frozen=True)
@@ -778,21 +767,12 @@ def _json_paths(value, path: Path, key: str) -> dict[str, str]:
     return dict(value)
 
 
-def _json_hexgrid(value, path: Path, key: str) -> HexGrid:
-    """A manifest `hexgrid` entry: numbers lon0, lat0 and optionally edge_len_m."""
-    from .grid import HexGrid
-
-    entry = _json_object(value, path, key)
-    if not {"lon0", "lat0"} <= entry.keys() <= {"lon0", "lat0", "edge_len_m"}:
-        raise ValidationError(f"{path}: {key} needs lon0 and lat0 and may have edge_len_m, "
-                              f"got {sorted(entry)}")
-    for name, v in entry.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{path}: {key}.{name} must be a number, got {v!r}")
-    try:
-        return HexGrid(**{name: float(v) for name, v in entry.items()})
-    except (ValidationError, OverflowError) as e:
-        raise ValidationError(f"{path}: {key}: {e}") from None
+def only_keys(entry: dict, keys, at: str) -> dict:
+    """`entry`, if each of its keys is one of `keys`; `at` names it in the error."""
+    for k in entry:
+        if k not in keys:
+            raise ValidationError(f"{at}: unknown key {k!r}")
+    return entry
 
 
 def read_json_object(path: Path, what: str) -> dict:
@@ -806,37 +786,37 @@ def read_json_object(path: Path, what: str) -> dict:
 
 
 def load_manifest(path: str | Path) -> Manifest:
+    """The manifest in a JSON file. A key it does not read is an error, as is a
+    value of the wrong JSON type; each ValidationError names the file."""
     path = Path(path)
-    doc = read_json_object(path, "manifest")
+    doc = only_keys(read_json_object(path, "manifest"), ("cities", "models"), str(path))
     cities = {}
     for city, entry in _json_object(doc.get("cities", {}), path, "cities").items():
-        entry = _json_object(entry, path, f"cities.{city}")
+        entry = only_keys(_json_object(entry, path, f"cities.{city}"), ("tasks",), f"{path}: cities.{city}")
         cities[city] = _json_paths(entry.get("tasks", {}), path, f"cities.{city}.tasks")
     models = {}
     for model_id, entry in _json_object(doc.get("models", {}), path, "models").items():
-        entry = _json_object(entry, path, f"models.{model_id}")
+        entry = only_keys(_json_object(entry, path, f"models.{model_id}"),
+                          ("dim", "support", "files", "encoder"), f"{path}: models.{model_id}")
         missing = [k for k in ("dim", "support") if k not in entry]
         if missing:
             raise ValidationError(f"{path}: model {model_id}: missing {', '.join(missing)}")
-        try:
-            dim = int(entry["dim"])
-        except (TypeError, ValueError, OverflowError):
+        if isinstance(entry["dim"], bool) or not isinstance(entry["dim"], int):
             raise ValidationError(
-                f"{path}: model {model_id}: dim must be an integer, got {entry['dim']!r}") from None
+                f"{path}: model {model_id}: dim must be an integer, got {entry['dim']!r}")
         models[model_id] = ManifestModel(
             model_id=model_id,
-            dim=dim,
+            dim=entry["dim"],
             support=entry["support"],
             files=_json_paths(entry.get("files", {}), path, f"models.{model_id}.files"),
             encoder=entry.get("encoder"),
-            hexgrid=(None if entry.get("hexgrid") is None
-                     else _json_hexgrid(entry["hexgrid"], path, f"models.{model_id}.hexgrid")),
         )
     return Manifest(cities=cities, models=models, base_dir=path.parent)
 
 
 @dataclass
 class ValidationReport:
+    tasks: list[tuple[str, str]] = field(default_factory=list)  # (city, task) files that run loads
     resolvable: list[tuple[str, str, str]] = field(default_factory=list)  # (model, city, task)
     gaps: list[tuple[str, str, str, str]] = field(default_factory=list)   # + reason
     warnings: list[str] = field(default_factory=list)
@@ -854,14 +834,13 @@ class ValidationReport:
 def validate_manifest(manifest: Manifest) -> ValidationReport:
     """Structural checks of every (model, city, task) combination; opens no file.
     A model id with CR or LF, unknown tasks, support kinds or encoders, missing
-    task files, bad dims and a `hexgrid` on a model that is not a cell table are
-    errors. A pair whose embedding file is not listed or not present is a gap,
-    which `run` skips; an `age_restricted` task is a warning and in no pair.
-    The loaders that `validate` and `run` share read the files."""
+    task files and bad dims are errors. A pair whose embedding file is not
+    listed or not present is a gap, which `run` skips; an `age_restricted` task
+    is a warning and in no pair. `tasks` lists every other (city, task) file,
+    which both `validate` and `run` load with the loaders they share."""
     from .pe_encoder import get_encoder
 
     report = ValidationReport()
-    tasks: list[tuple[str, str]] = []  # (city, task) whose file is present
     for city in sorted(manifest.cities):
         for task in sorted(manifest.cities[city]):
             if task not in TASKS:
@@ -874,7 +853,7 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
             if age_restricted(city, task):
                 report.warnings.append(f"AGE restricted: {city} is outside the four AGE cities")
                 continue
-            tasks.append((city, task))
+            report.tasks.append((city, task))
 
     for model_id in sorted(manifest.models):
         m = manifest.models[model_id]
@@ -887,9 +866,6 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
         if m.dim < 1:
             report.errors.append(f"model {model_id}: dim must be positive")
             continue
-        if m.hexgrid is not None and m.support != "cell_table":
-            report.errors.append(f"model {model_id}: hexgrid applies only to cell_table models")
-            continue
         if m.support == "coordinate_encoder":
             try:
                 enc = get_encoder(m.encoder)
@@ -899,7 +875,7 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
             if enc.dim != m.dim:
                 report.errors.append(f"model {model_id}: encoder dim {enc.dim} != declared {m.dim}")
                 continue
-        for city, task in tasks:
+        for city, task in report.tasks:
             rel = m.files.get(city)
             if m.support == "coordinate_encoder" or (
                     rel is not None and os.path.isfile(manifest.resolve(rel))):

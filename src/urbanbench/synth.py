@@ -24,6 +24,7 @@ from .core import (
     Representation,
     TaskDataset,
     ValidationError,
+    only_keys,
     read_json_object,
     stable_seed,
 )
@@ -64,6 +65,10 @@ class SynthConfig:
             raise ValidationError("noise_sd must be >= 0")
         if self.n_classes < 1 or self.dim < 1:
             raise ValidationError("n_classes and dim must be positive")
+        if self.label_kind == "distribution" and self.n_classes < 2:
+            raise ValidationError(f"distribution labels need n_classes >= 2, got {self.n_classes}")
+        if not self.extent.nondegenerate:
+            raise ValidationError(f"extent needs positive area, got {self.extent}")
         # The embedding and label arrays are n x n x dim and n x n x n_classes:
         # 2**24 float64 values is 128 MiB per array.
         if self.n * self.n * max(self.dim, self.n_classes) > 2**24:
@@ -94,10 +99,8 @@ def read_synth_config(path: str | Path) -> SynthConfig:
     the file and the key."""
     path = Path(path)
     default = SynthConfig()
-    fields = read_json_object(path, "synth config")
+    fields = only_keys(read_json_object(path, "synth config"), SynthConfig.__dataclass_fields__, str(path))
     for key, value in fields.items():
-        if key not in SynthConfig.__dataclass_fields__:
-            raise ValidationError(f"{path}: unknown key {key!r}")
         check, what = _CONFIG_VALUE_CHECKS[type(getattr(default, key))]
         if not check(value):
             raise ValidationError(f"{path}: {key} must be {what}, got {value!r}")
@@ -174,15 +177,14 @@ def synth_city(cfg: SynthConfig) -> tuple[TaskDataset, Representation]:
             values = values + cfg.noise_sd * rng.standard_normal(values.shape)
         support = RasterSupport(x0=extent.x0, y0=extent.y0, dx=dx, dy=dy,
                                 ncols=n, nrows=n, values=values.astype(np.float32))
-        rep = Representation(model_id=cfg.embedding_kind, dim=cfg.dim, support=support)
+        rep = Representation(model_id=cfg.embedding_kind, support=support)
     elif cfg.embedding_kind == "coordinate_pe":
-        support = pe_support()
-        rep = Representation(model_id="pe", dim=support.dim, support=support)
+        rep = Representation(model_id="pe", support=pe_support())
     else:
         keep = rng.random(n * n) < cfg.density
         base = flat[keep][:, None].repeat(cfg.dim, axis=1)
         if cfg.noise_sd > 0:
             base = base + cfg.noise_sd * rng.standard_normal(base.shape)
         support = EntitySetSupport(lons=task.lons[keep], lats=task.lats[keep], vectors=base)
-        rep = Representation(model_id="sparse_entities", dim=cfg.dim, support=support)
+        rep = Representation(model_id="sparse_entities", support=support)
     return task, rep

@@ -331,9 +331,9 @@ class TestRun:
         assert {r.model_id for r in records} == {"field"}
 
     def test_cell_table_grid_sources(self, bench):
-        # Tables keyed on a grid anchored ~80 km from the task only align when
-        # that grid reaches the reader: from the manifest or the file comment.
-        # The task-centred fallback serves a table keyed on the task's grid.
+        # A table keyed on a grid anchored ~80 km from the task only aligns
+        # when that grid reaches the reader, through the file comment. The
+        # task-centred fallback serves a table keyed on the task's grid.
         from urbanbench.core import load_task_dataset
 
         task = load_task_dataset(bench / "task.csv")
@@ -350,20 +350,18 @@ class TestRun:
 
         manifest = json.loads((bench / "manifest.json").read_text())
         manifest["models"].update({
-            "ct_manifest": {**write_table("ct_manifest", far, comment=False),
-                            "hexgrid": {"lon0": far.lon0, "lat0": far.lat0}},
             "ct_comment": write_table("ct_comment", far, comment=True),
             "ct_fallback": write_table("ct_fallback", centred, comment=False),
             "ct_no_grid": write_table("ct_no_grid", far, comment=False),  # control
         })
         (bench / "manifest.json").write_text(json.dumps(manifest))
-        models = ("ct_manifest", "ct_comment", "ct_fallback", "ct_no_grid")
+        models = ("ct_comment", "ct_fallback", "ct_no_grid")
         out = run(quick_plan(bench, models=models, seeds=(42,)), log=lambda *a: None)
         assert out.exit_code == 2
         assert {f[0].split("|")[0] for f in out.failures} == {"ct_no_grid"}
         records = read_result_store(bench / "out" / "results.csv")
         per_model = {m: sum(r.model_id == m for r in records) for m in models}
-        assert per_model == {"ct_manifest": 6, "ct_comment": 6, "ct_fallback": 6, "ct_no_grid": 0}
+        assert per_model == {"ct_comment": 6, "ct_fallback": 6, "ct_no_grid": 0}
         assert all(r.n_test > 0 for r in records)
 
     def _two_task_city(self, bench, monkeypatch, entities):
@@ -915,6 +913,9 @@ class TestVerbs:
         ({"support": "raster"}, "model bad: missing dim"),
         ({"dim": 4}, "model bad: missing support"),
         ({"dim": "four", "support": "raster"}, "model bad: dim must be an integer"),
+        ({"dim": True, "support": "raster"}, "model bad: dim must be an integer, got True"),
+        ({"dim": 4.7, "support": "raster"}, "model bad: dim must be an integer, got 4.7"),
+        ({"dim": "4", "support": "raster"}, "model bad: dim must be an integer, got '4'"),
     ])
     def test_validate_malformed_model_entry(self, bench, capsys, entry, message):
         manifest = json.loads((bench / "manifest.json").read_text())
@@ -941,19 +942,21 @@ class TestVerbs:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit, key", [
-        (lambda m: m["models"]["field"].update(hexgrid={"lon0": "x", "lat0": 0}),
-         "models.field.hexgrid.lon0 must be a number, got 'x'"),
+        (lambda m: m["models"]["field"].update(hexgrid={"lon0": 0.0, "lat0": 0.0}),
+         "models.field: unknown key 'hexgrid'"),
         (lambda m: m["models"]["field"].update(hexgrid=5),
-         "models.field.hexgrid must be a JSON object, got int"),
+         "models.field: unknown key 'hexgrid'"),
         (lambda m: m["models"]["field"].update(hexgrid={"lat0": 0}),
-         "models.field.hexgrid needs lon0 and lat0"),
+         "models.field: unknown key 'hexgrid'"),
+        (lambda m: m["models"]["field"].update(file=m["models"]["field"].pop("files")),
+         "models.field: unknown key 'file'"),
         (lambda m: m["models"]["field"].update(files=["f.erf"]),
          "models.field.files must be a JSON object, got list"),
         (lambda m: m["models"]["field"].update(files={"synthA": 5}),
          "models.field.files.synthA must be a path string, got 5"),
         (lambda m: m["cities"]["synthA"]["tasks"].update(POP=5),
          "cities.synthA.tasks.POP must be a path string, got 5"),
-    ], ids=["hexgrid-value", "hexgrid-int", "hexgrid-keys", "files-list", "file-int", "task-int"])
+    ], ids=["hexgrid-value", "hexgrid-int", "hexgrid-keys", "file-for-files", "files-list", "file-int", "task-int"])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_manifest_value_types(self, bench, capsys, edit, key, verb):
         manifest = json.loads((bench / "manifest.json").read_text())
@@ -967,19 +970,15 @@ class TestVerbs:
         assert not (bench / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
-    def test_hexgrid_on_non_cell_table_model(self, bench, capsys, verb):
-        manifest = json.loads((bench / "manifest.json").read_text())
-        manifest["models"]["field"]["hexgrid"] = {"lon0": 0.0, "lat0": 0.0}
-        (bench / "manifest.json").write_text(json.dumps(manifest))
-        args = ["--out", str(bench / "out")] if verb == "run" else []
-        assert main([verb, str(bench / "manifest.json"), *args]) == 1
+    def test_task_file_without_models_is_loaded(self, tmp_path, capsys, verb):
+        # validate loads each task file that run loads, not only those in a pair
+        (tmp_path / "t.csv").write_text("# task POP\n# city c\nunit_id,lon,lat,value\nu1,0,0,nan\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({"cities": {"c": {"tasks": {"POP": "t.csv"}}}}))
+        args = ["--out", str(tmp_path / "out")] if verb == "run" else []
+        assert main([verb, str(tmp_path / "manifest.json"), *args]) == 1
         out, err = capsys.readouterr()
-        message = "model field: hexgrid applies only to cell_table models"
-        if verb == "validate":
-            assert f"error: {message}\n" in out
-        else:  # one error line naming the manifest
-            assert err == f"error: {bench / 'manifest.json'}: {message}\n"
-        assert not (bench / "out").exists()
+        assert "t.csv:4: unit u1: non-finite label" in (out if verb == "validate" else err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize("model_id", ["a\nb", "a\rb", "ab\r\n"])
@@ -1143,6 +1142,9 @@ class TestVerbs:
         ('{"extent": [1, 1, 0, 0]}', "cfg.json: inverted rectangle"),
         ('{"n": 8, "n_classes": 0, "label_kind": "distribution"}',
          "cfg.json: n_classes and dim must be positive"),
+        ('{"n": 8, "n_classes": 1, "label_kind": "distribution"}',
+         "cfg.json: distribution labels need n_classes >= 2, got 1"),
+        ('{"n": 8, "extent": [0, 0, 0, 0.1]}', "cfg.json: extent needs positive area"),
         ('{"n": 10000000000}', "cfg.json: synthetic grid needs 8 <= n <= 2048, got 10000000000"),
         ('{"n": 8, "dim": 100000000000, "embedding_kind": "field_plus_noise", "noise_sd": 0.1}',
          "cfg.json: synthetic arrays need n * n * max(dim, n_classes) <= 2**24, "

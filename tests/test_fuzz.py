@@ -79,8 +79,7 @@ def _valid_files() -> dict[str, bytes]:
     files["manifest.json"] = json.dumps({
         "cities": {"c": {"tasks": {"POP": "pop.csv"}}},
         "models": {"r": {"dim": 2, "support": "raster", "files": {"c": "r.erf"}},
-                   "t": {"dim": 2, "support": "cell_table", "files": {"c": "t.csv"},
-                         "hexgrid": {"lon0": 0.0, "lat0": 0.0}}},
+                   "t": {"dim": 2, "support": "cell_table", "files": {"c": "t.csv"}}},
     }).encode()
     return files
 
@@ -243,15 +242,12 @@ def mostly(good):
 
 PATHS = mostly(st.sampled_from(sorted(VALID) + ["junk.bin", "subdir", "missing.csv", "", ".", "/"]))
 CITIES = st.sampled_from(["c", "London", "Nairobi", ""])
-NUMBERS = mostly(st.integers() | st.floats())
 MODEL = mostly(st.fixed_dictionaries({
     "dim": mostly(st.sampled_from([2, 192]) | st.integers()),
     "support": mostly(st.sampled_from(SUPPORT_KINDS)),
 }, optional={
     "files": mostly(st.dictionaries(CITIES, PATHS, max_size=3)),
     "encoder": mostly(st.just("pe_spherec_approx")),
-    "hexgrid": mostly(st.fixed_dictionaries({"lon0": NUMBERS, "lat0": NUMBERS},
-                                            optional={"edge_len_m": NUMBERS})),
 }))
 CITY = mostly(st.fixed_dictionaries({
     "tasks": mostly(st.dictionaries(st.sampled_from(TASKS) | st.text(max_size=4), PATHS, max_size=3)),

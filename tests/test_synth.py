@@ -131,7 +131,7 @@ class TestSynthCity:
     def test_coordinate_pe_dim(self):
         cfg = SynthConfig(n=8, embedding_kind="coordinate_pe")
         _, rep = synth_city(cfg)
-        assert rep.dim == 192
+        assert rep.support.dim == 192
 
 
 class TestSparseCoverage:
