@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     CellTableSupport,
+    CheckedRecord,
     CoordinateEncoderSupport,
     EntitySetSupport,
     RasterSupport,
@@ -48,18 +49,21 @@ from .grid import (
 )
 
 
-@dataclass(frozen=True)
-class AlignedMatrix:
+class _AlignedMatrix(NamedTuple):
+    rows: np.ndarray
+    valid: np.ndarray
+
+
+class AlignedMatrix(CheckedRecord, _AlignedMatrix):
     """Per-task-unit feature rows with a validity mask.
 
     Rows with valid=False are excluded from all downstream training and
     metrics; valid rows are always finite.
     """
 
-    rows: np.ndarray
-    valid: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.rows.ndim != 2 or self.valid.shape != (self.rows.shape[0],):
             raise ValidationError("aligned matrix shape mismatch")
         if not np.all(np.isfinite(self.rows[self.valid])):

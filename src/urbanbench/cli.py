@@ -28,9 +28,8 @@ try:
     import math
     import sys
     import time
-    from dataclasses import dataclass, field, replace
     from pathlib import Path
-    from typing import TYPE_CHECKING, Iterable, Sequence
+    from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
     import numpy as np
 
@@ -51,6 +50,7 @@ try:
         TASK_LABEL_KIND,
         TASK_PRIMARY_METRIC,
         CellTableSupport,
+        CheckedRecord,
         CoordinateEncoderSupport,
         EntitySetSupport,
         Manifest,
@@ -146,8 +146,7 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class RunPlan:
+class _RunPlan(NamedTuple):
     manifest_path: Path
     out_dir: Path
     models: tuple[str, ...] | None = None
@@ -159,7 +158,11 @@ class RunPlan:
     ny: int = 10
     head: HeadConfig = HeadConfig()  # output and n_out are set per task
 
-    def __post_init__(self):
+
+class RunPlan(CheckedRecord, _RunPlan):
+    __slots__ = ()
+
+    def _check(self):
         bad = set(self.protocols) - set(PROTOCOLS)
         if bad or not self.protocols:
             raise ValidationError(f"protocols must be a nonempty subset of spatial,random; got {self.protocols}")
@@ -239,12 +242,11 @@ def evaluate(model_id: str, task: TaskDataset, features: AlignedMatrix, split, c
             for name in METRICS_FOR_KIND[task.label_kind]]
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     exit_code: int
     new_records: int
     skipped_groups: int
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    failures: Sequence[tuple[str, str]] = ()
 
 
 def run(plan: RunPlan, log=print) -> RunOutcome:
@@ -347,8 +349,8 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
                 if isinstance(loaded, Exception):
                     raise loaded
                 features = align_support(loaded, ds)
-                cfg = replace(plan.head, output=ds.label_kind,
-                              n_out=1 if ds.label_kind == "scalar" else int(ds.n_classes))
+                cfg = plan.head._replace(output=ds.label_kind,
+                                         n_out=1 if ds.label_kind == "scalar" else int(ds.n_classes))
             except (ValidationError, OSError) as e:
                 for protocol, seed in pending:
                     failures.append((f"{model_id}|{task_name}|{city}|{seed}|{protocol}", str(e)))
@@ -438,8 +440,7 @@ def harness_constants() -> dict:
 # ---------------------------------------------------------------------------
 # Leakage experiment
 
-@dataclass(frozen=True)
-class LeakageResult:
+class LeakageResult(NamedTuple):
     spatial_r2: tuple[float, ...]
     random_r2: tuple[float, ...]
 
@@ -684,7 +685,7 @@ def _cmd_validate(args) -> int:
         except (ValidationError, OSError) as e:
             failed.add((model, city))
             errors.append(f"model {model}, city {city}: {e}")
-    report_v = replace(report_v, errors=errors, resolvable=[
+    report_v = report_v._replace(errors=errors, resolvable=[
         (m, c, t) for m, c, t in report_v.resolvable if (c, t) in datasets and (m, c) not in failed])
     for e in report_v.errors:
         print(f"error: {e}")
@@ -778,20 +779,21 @@ def main(argv=None) -> int:
     p.add_argument("manifest")
     p.set_defaults(fn=_cmd_validate)
 
+    plan, head = RunPlan._field_defaults, HeadConfig._field_defaults
     p = sub.add_parser("run", help="run the benchmark for a manifest")
     p.add_argument("manifest")
-    p.add_argument("--grid", type=_parse_grid, default=(RunPlan.nx, RunPlan.ny))
-    p.add_argument("--protocols", default=",".join(RunPlan.protocols))
-    p.add_argument("--seeds", type=_parse_seeds, default=RunPlan.seeds)
-    p.add_argument("--head", choices=["linear", "mlp"], default=HeadConfig.kind)
+    p.add_argument("--grid", type=_parse_grid, default=(plan["nx"], plan["ny"]))
+    p.add_argument("--protocols", default=",".join(plan["protocols"]))
+    p.add_argument("--seeds", type=_parse_seeds, default=plan["seeds"])
+    p.add_argument("--head", choices=["linear", "mlp"], default=head["kind"])
     p.add_argument("--out", default="runs/out")
     p.add_argument("--models", default=None)
     p.add_argument("--cities", default=None)
     p.add_argument("--tasks", default=None)
-    p.add_argument("--batch-size", type=int, default=HeadConfig.batch_size)
-    p.add_argument("--max-epochs", type=int, default=HeadConfig.max_epochs)
-    p.add_argument("--hidden-dim", type=int, default=HeadConfig.hidden_dim)
-    p.add_argument("--patience", type=int, default=HeadConfig.patience)
+    p.add_argument("--batch-size", type=int, default=head["batch_size"])
+    p.add_argument("--max-epochs", type=int, default=head["max_epochs"])
+    p.add_argument("--hidden-dim", type=int, default=head["hidden_dim"])
+    p.add_argument("--patience", type=int, default=head["patience"])
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("report", help="aggregate a result store into summaries")

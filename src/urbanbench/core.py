@@ -8,13 +8,11 @@ evaluation runs.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence, TextIO, TYPE_CHECKING
 
@@ -91,8 +89,7 @@ def age_restricted(city: str, task: str) -> bool:
     return task == "AGE" and city in BENCHMARK_CITIES and city not in AGE_CITIES
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     """The atom of all aggregation; value may be NaN where the metric is undefined."""
 
     model_id: str
@@ -107,20 +104,44 @@ class ResultRecord:
 
 def stable_seed(*parts) -> int:
     """Portable 64-bit seed from arbitrary key parts (order-sensitive)."""
+    import hashlib  # here, not at module level: `report` takes no digest, and OpenSSL costs ~5 ms to load
+
     key = "|".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle in WGS84 degrees."""
+class CheckedRecord:
+    """A NamedTuple record that checks its fields. A record type subclasses
+    (CheckedRecord, its NamedTuple base) and defines `_check`, which raises a
+    ValidationError for bad fields; it runs on every construction and on every
+    `_replace` copy, so no unchecked record exists."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _replace(self, **changes):
+        copy = super()._replace(**changes)
+        copy._check()
+        return copy
+
+
+class _Rect(NamedTuple):
     x0: float
     y0: float
     x1: float
     y1: float
 
-    def __post_init__(self):
+
+class Rect(CheckedRecord, _Rect):
+    """Axis-aligned rectangle in WGS84 degrees."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not all(math.isfinite(v) for v in (self.x0, self.y0, self.x1, self.y1)):
             raise ValidationError("rectangle coordinates must be finite")
         if self.x1 < self.x0 or self.y1 < self.y0:
@@ -190,6 +211,12 @@ def class_count(labels: np.ndarray, n_classes: int | None) -> int:
     if n_classes is not None:
         return int(n_classes)
     return int(labels.max()) + 1 if labels.size else 0
+
+
+def too_few_classes(n_classes: int) -> str | None:
+    """The error for a class task with `n_classes` classes, or None: with
+    fewer than 2 there is nothing to predict, and every score is perfect."""
+    return f"a class task needs at least 2 classes, got {n_classes}" if n_classes < 2 else None
 
 
 def task_row_rules(unit_ids: Sequence[str], lons: np.ndarray, lats: np.ndarray, cell_extents: np.ndarray,
@@ -315,6 +342,8 @@ class TaskDataset:
             xs = lons.tolist() + cells[:, [0, 2]].ravel().tolist()
             ys = lats.tolist() + cells[:, [1, 3]].ravel().tolist()
             extent = Rect(min(xs), min(ys), max(xs), max(ys))
+        if kind == "class" and (error := too_few_classes(n_classes)):
+            raise ValidationError(error)
         self.extent = extent
         self.n_classes = n_classes
         if kind == "distribution":
@@ -535,6 +564,8 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
             except (TypeError, ValueError):
                 raise ValidationError(f"{path}:{line}: malformed '# {key}' line") from None
     extent, n_classes = given.get("extent"), given.get("classes")
+    if TASK_LABEL_KIND[task] == "class" and n_classes is not None and (error := too_few_classes(n_classes)):
+        raise ValidationError(f"{path}:{meta['classes'][0]}: {error}")
 
     header, header_line, rows, lines = rows[0], lines[0], rows[1:], lines[1:]
     if header[:3] != ["unit_id", "lon", "lat"]:
@@ -624,14 +655,7 @@ def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:
 # ---------------------------------------------------------------------------
 # Representation supports
 
-@dataclass(frozen=True)
-class RasterSupport:
-    """Regular lon/lat grid of embedding vectors; NaN marks invalid cells.
-
-    Row r covers y in [y0 + r*dy, y0 + (r+1)*dy); values has shape
-    (nrows, ncols, dim), row 0 at the south edge.
-    """
-
+class _RasterSupport(NamedTuple):
     x0: float
     y0: float
     dx: float
@@ -640,7 +664,17 @@ class RasterSupport:
     nrows: int
     values: np.ndarray
 
-    def __post_init__(self):
+
+class RasterSupport(CheckedRecord, _RasterSupport):
+    """Regular lon/lat grid of embedding vectors; NaN marks invalid cells.
+
+    Row r covers y in [y0 + r*dy, y0 + (r+1)*dy); values has shape
+    (nrows, ncols, dim), row 0 at the south edge.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         if not all(math.isfinite(v) for v in (self.x0, self.y0, self.dx, self.dy)):
             raise ValidationError("raster origin and cell sizes must be finite")
         if self.dx <= 0 or self.dy <= 0:
@@ -669,15 +703,18 @@ class RasterSupport:
         return inside, row, col
 
 
-@dataclass(frozen=True)
-class EntitySetSupport:
-    """Point entities (POI-like) each carrying an embedding vector."""
-
+class _EntitySetSupport(NamedTuple):
     lons: np.ndarray
     lats: np.ndarray
     vectors: np.ndarray
 
-    def __post_init__(self):
+
+class EntitySetSupport(CheckedRecord, _EntitySetSupport):
+    """Point entities (POI-like) each carrying an embedding vector."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not (len(self.lons) == len(self.lats) == len(self.vectors)):
             raise ValidationError("entity arrays must have equal length")
         if self.vectors.ndim != 2:
@@ -692,14 +729,17 @@ class EntitySetSupport:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
-class CellTableSupport:
-    """Embedding table keyed by hex cell id of `grid`; a None grid is the one alignment supplies."""
-
+class _CellTableSupport(NamedTuple):
     grid: HexGrid | None
     table: Mapping[tuple[int, int], np.ndarray]
 
-    def __post_init__(self):
+
+class CellTableSupport(CheckedRecord, _CellTableSupport):
+    """Embedding table keyed by hex cell id of `grid`; a None grid is the one alignment supplies."""
+
+    __slots__ = ()
+
+    def _check(self):
         dims = {v.shape[0] for v in self.table.values()}
         if len(dims) > 1:
             raise ValidationError(f"cell table has mixed vector lengths {sorted(dims)}")
@@ -711,8 +751,7 @@ class CellTableSupport:
         return 0
 
 
-@dataclass(frozen=True)
-class CoordinateEncoderSupport:
+class CoordinateEncoderSupport(NamedTuple):
     """A deterministic function of n coordinates: (lons, lats) -> (n, dim) embedding rows."""
 
     encoder_id: str
@@ -720,8 +759,7 @@ class CoordinateEncoderSupport:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """An embedding with a declared spatial support."""
 
     model_id: str
@@ -731,17 +769,15 @@ class Representation:
 # ---------------------------------------------------------------------------
 # Manifest
 
-@dataclass(frozen=True)
-class ManifestModel:
+class ManifestModel(NamedTuple):
     model_id: str
     dim: int
     support: str
-    files: Mapping[str, str] = field(default_factory=dict)
-    encoder: str | None = None
+    files: Mapping[str, str]
+    encoder: str | None
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """Run inputs: per-city task files and per-model embedding sources."""
 
     cities: Mapping[str, Mapping[str, str]]   # city -> task -> path
@@ -814,13 +850,12 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(cities=cities, models=models, base_dir=path.parent)
 
 
-@dataclass
-class ValidationReport:
-    tasks: list[tuple[str, str]] = field(default_factory=list)  # (city, task) files that run loads
-    resolvable: list[tuple[str, str, str]] = field(default_factory=list)  # (model, city, task)
-    gaps: list[tuple[str, str, str, str]] = field(default_factory=list)   # + reason
-    warnings: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    tasks: list[tuple[str, str]]  # (city, task) files that run loads
+    resolvable: list[tuple[str, str, str]]  # (model, city, task)
+    gaps: list[tuple[str, str, str, str]]   # + reason
+    warnings: list[str]
+    errors: list[str]
 
     @property
     def ok(self) -> bool:
@@ -840,7 +875,7 @@ def validate_manifest(manifest: Manifest) -> ValidationReport:
     which both `validate` and `run` load with the loaders they share."""
     from .pe_encoder import get_encoder
 
-    report = ValidationReport()
+    report = ValidationReport(tasks=[], resolvable=[], gaps=[], warnings=[], errors=[])
     for city in sorted(manifest.cities):
         for task in sorted(manifest.cities[city]):
             if task not in TASKS:

@@ -8,11 +8,11 @@ published mean res-8 edge length (461 m). All functions here are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Rect, ValidationError
+from .core import CheckedRecord, Rect, ValidationError
 
 EARTH_RADIUS_M = 6_371_000.0
 H3_RES8_EDGE_M = 461.0
@@ -21,15 +21,18 @@ PROJECTION_VALIDITY_M = 500_000.0
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class BlockGrid:
-    """nx*ny rectangular blocks tiling an extent; half-open, max edge closed."""
-
+class _BlockGrid(NamedTuple):
     extent: Rect
     nx: int
     ny: int
 
-    def __post_init__(self):
+
+class BlockGrid(CheckedRecord, _BlockGrid):
+    """nx*ny rectangular blocks tiling an extent; half-open, max edge closed."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.nx < 1 or self.ny < 1:
             raise ValidationError("block grid needs nx >= 1 and ny >= 1")
         if not self.extent.nondegenerate:
@@ -61,15 +64,18 @@ def assign_blocks(lons: np.ndarray, lats: np.ndarray, grid: BlockGrid) -> np.nda
 # ---------------------------------------------------------------------------
 # Local projection and hex cells
 
-@dataclass(frozen=True)
-class HexGrid:
-    """Pointy-top axial hex tessellation around a lon/lat anchor."""
-
+class _HexGrid(NamedTuple):
     lon0: float
     lat0: float
     edge_len_m: float = H3_RES8_EDGE_M
 
-    def __post_init__(self):
+
+class HexGrid(CheckedRecord, _HexGrid):
+    """Pointy-top axial hex tessellation around a lon/lat anchor."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not (math.isfinite(self.lon0) and math.isfinite(self.lat0)):
             raise ValidationError("hex grid anchor must be finite")
         if not (0 < self.edge_len_m < math.inf):

@@ -14,12 +14,12 @@ activations, their gradient and the ReLU mask into fixed buffers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .align import AlignedMatrix
-from .core import LABEL_KINDS, ValidationError
+from .core import LABEL_KINDS, CheckedRecord, ValidationError
 from .split import SplitAssignment, TRAIN, VAL
 
 ADAM_BETA1 = 0.9
@@ -31,8 +31,7 @@ GRADIENT_CHECK_STEP = 1e-5
 LEARNING_RATE = 1e-3
 
 
-@dataclass(frozen=True)
-class HeadConfig:
+class _HeadConfig(NamedTuple):
     kind: str = "mlp"                 # "linear" | "mlp"
     output: str = "scalar"            # the task's label kind: "scalar" | "class" | "distribution"
     n_out: int = 1                    # C for class, K for distribution
@@ -41,7 +40,11 @@ class HeadConfig:
     max_epochs: int = 100
     patience: int = 10
 
-    def __post_init__(self):
+
+class HeadConfig(CheckedRecord, _HeadConfig):
+    __slots__ = ()
+
+    def _check(self):
         if self.kind not in ("linear", "mlp"):
             raise ValidationError(f"unknown head kind {self.kind!r}")
         if self.output not in LABEL_KINDS:
@@ -53,8 +56,7 @@ class HeadConfig:
             raise ValidationError("patience must be < max_epochs")
 
 
-@dataclass(frozen=True)
-class TargetScaler:
+class TargetScaler(NamedTuple):
     """Train-set mean/std for scalar targets; population (divide-by-n) std."""
 
     mean: float = 0.0
@@ -265,8 +267,7 @@ class _Adam:
 # ---------------------------------------------------------------------------
 # Training
 
-@dataclass(frozen=True)
-class TrainedHead:
+class TrainedHead(NamedTuple):
     cfg: HeadConfig
     params: dict[str, np.ndarray]
     scaler: TargetScaler | None

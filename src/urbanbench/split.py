@@ -7,15 +7,14 @@ assignments are bit-identical across platforms and insertion orders.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import TaskDataset, ValidationError, stable_seed, write_atomic
+from .core import CheckedRecord, TaskDataset, ValidationError, stable_seed, write_atomic
 from .grid import BlockGrid, assign_blocks
 
 TRAIN, VAL, TEST = "train", "val", "test"
@@ -33,10 +32,7 @@ def _rng(city: str, task: str, protocol: str, seed: int) -> np.random.Generator:
     return np.random.default_rng(stable_seed(city, task, protocol, seed))
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    """Per-unit train/val/test labels for one (city, task, seed, protocol)."""
-
+class _SplitAssignment(NamedTuple):
     city: str
     task: str
     seed: int
@@ -45,7 +41,13 @@ class SplitAssignment:
     labels: np.ndarray
     grid_sig: tuple | None = None
 
-    def __post_init__(self):
+
+class SplitAssignment(CheckedRecord, _SplitAssignment):
+    """Per-unit train/val/test labels for one (city, task, seed, protocol).
+
+    No `__slots__`: the cached properties keep their values in the instance `__dict__`."""
+
+    def _check(self):
         if len(self.labels) != len(self.unit_ids):
             raise ValidationError("labels and unit_ids length mismatch")
         bad = set(self.labels.tolist()) - {TRAIN, VAL, TEST}
@@ -62,6 +64,8 @@ class SplitAssignment:
 
     @cached_property
     def assignment_hash(self) -> str:
+        import hashlib  # here, not at module level, as in `core.stable_seed`
+
         head = (f"{self.city}|{self.task}|{self.protocol}|{self.seed}|"
                 f"{DEFAULT_TEST_FRAC!r}|{DEFAULT_VAL_FRAC!r}|{self.grid_sig}\n")
         return hashlib.sha256((head + self.rows_text).encode()).hexdigest()

@@ -65,8 +65,8 @@ class SynthConfig:
             raise ValidationError("noise_sd must be >= 0")
         if self.n_classes < 1 or self.dim < 1:
             raise ValidationError("n_classes and dim must be positive")
-        if self.label_kind == "distribution" and self.n_classes < 2:
-            raise ValidationError(f"distribution labels need n_classes >= 2, got {self.n_classes}")
+        if self.label_kind != "scalar" and self.n_classes < 2:
+            raise ValidationError(f"{self.label_kind} labels need n_classes >= 2, got {self.n_classes}")
         if not self.extent.nondegenerate:
             raise ValidationError(f"extent needs positive area, got {self.extent}")
         # The embedding and label arrays are n x n x dim and n x n x n_classes:

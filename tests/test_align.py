@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,8 +220,8 @@ class TestAlignCellTable:
         table = CellTableSupport(grid=grid, table={hex_cell_of(0.0, 0.0, grid): np.array([7.0])})
         task = point_task([(0.0, 0.0)])
         assert align_cell_table(table, far, task).valid.tolist() == [True]
-        assert align_cell_table(replace(table, grid=None), far, task).valid.tolist() == [False]
-        assert align_cell_table(replace(table, grid=None), grid, task).valid.tolist() == [True]
+        assert align_cell_table(table._replace(grid=None), far, task).valid.tolist() == [False]
+        assert align_cell_table(table._replace(grid=None), grid, task).valid.tolist() == [True]
 
     def test_shared_support_identical_rows(self):
         grid = HexGrid(0.0, 0.0)
@@ -530,7 +529,7 @@ def _golden_cases():
         "entities_h3_first": lambda t: align_entities_h3_first(ents, hexgrid, t),
         "entities_direct": lambda t: align_entities_direct(ents, t),
         "cell_table": lambda t: align_cell_table(table, hexgrid, t),
-        "cell_table_fallback": lambda t: align_cell_table(replace(table, grid=None), hexgrid, t),
+        "cell_table_fallback": lambda t: align_cell_table(table._replace(grid=None), hexgrid, t),
         "coordinate_encoder": lambda t: align_coordinate_encoder(pe_support(), t),
     }
     return aligners, {"cells": cells, "points": points}

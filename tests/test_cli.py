@@ -79,18 +79,23 @@ RAGGED = b"key_or_lon,lat,v_0,v_1,v_2,v_3\n0.0,0.0,1.0,1.0,1.0,1.0\n0.01,0.01,1.
 
 
 def add_bad_task_city(bench, kind):
-    """A second city, sorted after synthA, whose POP file fails to load;
-    returns the expected message."""
+    """A second city, sorted after synthA, whose one task file fails to load;
+    returns the task and the expected message."""
     manifest = json.loads((bench / "manifest.json").read_text())
+    task = "POP"
     if kind == "metadata":  # synthA's file listed under synthB
         rel, message = "task.csv", "task.csv: task file metadata (synthA,POP) != manifest entry (synthB,POP)"
+    elif kind == "one-class":
+        (bench / "bad.csv").write_text("# task LUC\n# city synthB\n# extent 0 0 1 1\n# classes 1\n"
+                                       "unit_id,lon,lat,class\nu0,0.5,0.5,0\n")
+        task, rel, message = "LUC", "bad.csv", "bad.csv:4: a class task needs at least 2 classes, got 1"
     else:
         (bench / "bad.csv").write_text("# task POP\n# city synthB\n# extent 0 0 1 1\n"
                                        "unit_id,lon,lat,value\nu0,0.5,0.5,1\nu0,0.6,0.6,2\n")
         rel, message = "bad.csv", "bad.csv:6: duplicate unit_id 'u0'"
-    manifest["cities"]["synthB"] = {"tasks": {"POP": rel}}
+    manifest["cities"]["synthB"] = {"tasks": {task: rel}}
     (bench / "manifest.json").write_text(json.dumps(manifest))
-    return message
+    return task, message
 
 
 class TestRun:
@@ -1021,10 +1026,10 @@ class TestVerbs:
         assert ok == ran == {"field", "pe"}
         assert errors == {k.split("|")[0] for k, _ in out.failures} == {"ragged", "wide", "nan"}
 
-    @pytest.mark.parametrize("kind", ["metadata", "duplicate"])
+    @pytest.mark.parametrize("kind", ["metadata", "duplicate", "one-class"])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_bad_task_file_names_it(self, bench, capsys, kind, verb):
-        message = add_bad_task_city(bench, kind)
+        task, message = add_bad_task_city(bench, kind)
         args = ["--out", str(bench / "out"), "--seeds", "42"] if verb == "run" else []
         assert main([verb, str(bench / "manifest.json"), *args]) == 1
         captured = capsys.readouterr()
@@ -1033,7 +1038,7 @@ class TestVerbs:
             assert message in captured.err
             assert not (bench / "out").exists()
         else:
-            assert "error: city synthB, task POP: " in captured.out and message in captured.out
+            assert f"error: city synthB, task {task}: " in captured.out and message in captured.out
             assert "ok: field / synthA / POP\n" in captured.out and "ok: pe / synthB" not in captured.out
 
     def test_validate_bad_erf_dim_names_model_city_file(self, bench, capsys):
@@ -1144,6 +1149,7 @@ class TestVerbs:
          "cfg.json: n_classes and dim must be positive"),
         ('{"n": 8, "n_classes": 1, "label_kind": "distribution"}',
          "cfg.json: distribution labels need n_classes >= 2, got 1"),
+        ('{"n": 8, "n_classes": 1, "label_kind": "class"}', "cfg.json: class labels need n_classes >= 2, got 1"),
         ('{"n": 8, "extent": [0, 0, 0, 0.1]}', "cfg.json: extent needs positive area"),
         ('{"n": 10000000000}', "cfg.json: synthetic grid needs 8 <= n <= 2048, got 10000000000"),
         ('{"n": 8, "dim": 100000000000, "embedding_kind": "field_plus_noise", "noise_sd": 0.1}',
@@ -1181,7 +1187,8 @@ class TestVerbs:
 class TestImportPath:
     def test_run_and_report_load_no_scipy(self, bench):
         # scipy is only needed by synthetic-city generation and report --factors;
-        # numpy.ma by nothing, but a plain np.unique(x) imports it (numpy 2.4)
+        # numpy.ma by nothing, but a plain np.unique(x) imports it (numpy 2.4);
+        # dataclasses by `synth` alone: building a dataclass compiles its methods
         import urbanbench
 
         script = (
@@ -1191,13 +1198,31 @@ class TestImportPath:
             " '--seeds', '42', '--head', 'linear', '--batch-size', '64', '--max-epochs', '10',"
             " '--patience', '3']),\n"
             f"         main(['report', {str(bench / 'out')!r}])]\n"
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'dataclasses')))\n"
         )
         src = str(Path(urbanbench.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+    def test_report_loads_no_openssl(self, bench):
+        # `report` takes no digest, and loading OpenSSL's `_hashlib` costs its start-up about 5 ms
+        import urbanbench
+
+        run(quick_plan(bench, seeds=(42,)), log=lambda *a: None)
+        script = (
+            "import sys\n"
+            "from urbanbench.cli import main\n"
+            f"code = main(['report', {str(bench / 'out')!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')))\n"
+        )
+        src = str(Path(urbanbench.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_run_loads_neither_aggregate_nor_synth(self, bench):
         # `run` needs neither module; `report` needs aggregate but not synth

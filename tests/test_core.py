@@ -109,7 +109,10 @@ class TestLoadTaskDataset:
         ("unit_id,lon,lat,value\nu0,1,1,1.0\nu1,50,50,2.0\n", "6: unit u1 outside dataset extent"),
         ("# classes 2\nunit_id,lon,lat,class\nu0,1,1,2\n", "6: unit u0: class 2 outside [0,2)"),
         ("unit_id,lon,lat,value\nu0,1,1,nan\n", "5: unit u0: non-finite label"),
-    ], ids=["duplicate", "outside-extent", "class-index", "non-finite"])
+        # a class task needs two classes: a declared count names its line, one read from the labels the file
+        ("# classes 1\nunit_id,lon,lat,class\nu0,1,1,0\n", "4: a class task needs at least 2 classes, got 1"),
+        ("unit_id,lon,lat,class\nu0,1,1,0\nu1,2,2,0\n", " a class task needs at least 2 classes, got 1"),
+    ], ids=["duplicate", "outside-extent", "class-index", "non-finite", "declared-one-class", "read-one-class"])
     def test_dataset_error_names_file(self, tmp_path, body, message):
         p = tmp_path / "task.csv"
         task = "LUC" if "class" in body else "POP"
@@ -284,7 +287,9 @@ def _ref_load_task_dataset(path):
     and Rect per row, each row checked before the next. A row's field count
     and numbers come first, then its unit, its label, and the dataset rules (a
     repeated unit_id, a unit outside the `# extent`). Without `# classes`, the
-    class count is one more than the largest class of the rows that read."""
+    class count is one more than the largest class of the rows that read. A
+    class count below 2 fails at its `# classes` line, or, read from the rows,
+    in the dataset constructor."""
     meta, lines, rows = read_table(path)
     if not rows:
         raise ValidationError(f"{path}: no header row")
@@ -303,6 +308,8 @@ def _ref_load_task_dataset(path):
         n_classes = int(strict(meta["classes"][1])) if "classes" in meta else None
     except ValueError:
         raise ValidationError(f"{path}:{meta['classes'][0]}: malformed '# classes' line") from None
+    if TASK_LABEL_KIND[task] == "class" and n_classes is not None and n_classes < 2:
+        raise ValidationError(f"{path}:{meta['classes'][0]}: a class task needs at least 2 classes, got {n_classes}")
 
     header, header_line = rows[0], lines[0]
     if header[:3] != ["unit_id", "lon", "lat"]:
@@ -426,7 +433,7 @@ def task_csvs(draw):
     if extent is not None:
         lines.append(f"# extent {extent}")
     if kind == "class" and draw(st.booleans()):
-        lines.append(f"# classes {draw(st.sampled_from(['3', '3', '2', 'x']))}")
+        lines.append(f"# classes {draw(st.sampled_from(['3', '3', '2', '1', 'x']))}")
     header = ["unit_id", "lon", "lat"] + (["x0", "y0", "x1", "y1"] if cells else [])
     header += {"scalar": ["value"], "class": ["class"]}.get(kind, [f"p_{i}" for i in range(k)])
     lines.append(",".join(header))
@@ -787,3 +794,55 @@ class TestManifest:
                                  "encoder": "nope"}})
         report = validate_manifest(load_manifest(p))
         assert not report.ok
+
+
+def _records():
+    """One record of each type on the CLI path, a field of it, and, for a
+    checked record, a change that its check rejects."""
+    from pathlib import Path
+
+    from urbanbench.align import AlignedMatrix
+    from urbanbench.cli import LeakageResult, RunOutcome, RunPlan
+    from urbanbench.core import (CellTableSupport, CoordinateEncoderSupport, EntitySetSupport, Manifest,
+                                 ManifestModel, RasterSupport, Representation, ResultRecord, ValidationReport)
+    from urbanbench.grid import BlockGrid, HexGrid
+    from urbanbench.heads import HeadConfig, TargetScaler, TrainedHead
+    from urbanbench.split import SplitAssignment
+
+    encoder = CoordinateEncoderSupport("e", 1, lambda lons, lats: np.zeros((len(lons), 1)))
+    return [
+        (ResultRecord("m", "POP", "c", 42, "spatial", "r2", 0.5, 3), "value", None),
+        (Rect(0.0, 0.0, 1.0, 1.0), "x0", {"x1": -1.0}),
+        (RasterSupport(0.0, 0.0, 1.0, 1.0, 1, 1, np.zeros((1, 1, 2))), "dx", {"dx": 0.0}),
+        (EntitySetSupport(np.zeros(1), np.zeros(1), np.zeros((1, 2))), "lons", {"lats": np.zeros(2)}),
+        (CellTableSupport(grid=None, table={(0, 0): np.zeros(2)}), "grid",
+         {"table": {(0, 0): np.zeros(2), (0, 1): np.zeros(3)}}),
+        (encoder, "dim", None),
+        (Representation("m", encoder), "support", None),
+        (ManifestModel("m", 1, "raster", {}, None), "dim", None),
+        (Manifest({}, {}, Path(".")), "base_dir", None),
+        (ValidationReport([], [], [], [], []), "errors", None),
+        (BlockGrid(Rect(0.0, 0.0, 1.0, 1.0), 2, 2), "nx", {"ny": 0}),
+        (HexGrid(0.0, 0.0), "lon0", {"edge_len_m": 0.0}),
+        (AlignedMatrix(np.zeros((1, 2)), np.ones(1, dtype=bool)), "rows", {"rows": np.full((1, 2), np.nan)}),
+        (SplitAssignment("c", "POP", 42, "spatial", ("u0",), np.array(["train"])), "seed",
+         {"labels": np.array(["holdout"])}),
+        (HeadConfig(), "kind", {"patience": 100}),
+        (TargetScaler(), "mean", None),
+        (TrainedHead(HeadConfig(), {}, None, 0.0, 1), "epochs_run", None),
+        (RunPlan(Path("manifest.json"), Path("out")), "nx", {"protocols": ("spatial", "spatial")}),
+        (RunOutcome(0, 0, 0), "exit_code", None),
+        (LeakageResult((), ()), "spatial_r2", None),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record, field, bad", RECORDS, ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_records_are_frozen_and_copies_are_checked(record, field, bad):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    if bad is not None:  # `_replace` runs the same checks as the constructor
+        with pytest.raises(ValidationError):
+            record._replace(**bad)

@@ -123,6 +123,12 @@ class TestSynthCity:
         assert task.labels.shape == (256, 5)
         np.testing.assert_allclose(task.labels.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("label_kind", ["class", "distribution"])
+    def test_labels_need_two_classes(self, label_kind):
+        # one class leaves nothing to predict: every model would score a perfect 1.0
+        with pytest.raises(ValidationError, match=f"^{label_kind} labels need n_classes >= 2, got 1$"):
+            SynthConfig(label_kind=label_kind, n_classes=1)
+
     def test_sparse_entities_density(self):
         cfg = SynthConfig(n=32, seed=4, embedding_kind="sparse_entities", density=0.2)
         _, rep = synth_city(cfg)
