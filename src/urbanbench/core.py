@@ -376,24 +376,15 @@ def _fmt(v: float) -> str:
 WRITE_BLOCK_ROWS = 256  # rows per write: a writer holds one block's text, never the whole file's
 
 
-class _FloatText(dict):
-    """`_fmt` text by value, formatted on first use. Zeros are never stored,
-    because 0.0 == -0.0 while their texts differ, and neither is NaN, which
-    equals no key."""
-
-    def __missing__(self, v: float) -> str:
-        text = _fmt(v)
-        if v and v == v:
-            self[v] = text
-        return text
-
-
 def _fmt_columns(block) -> list[list[str]]:
     """The `_fmt` text of each column of a 2-D block of numbers, each distinct
-    value of the block formatted once: raster cells share their edges, and
-    labels and vectors repeat values."""
-    text = _FloatText().__getitem__
-    return [list(map(text, col)) for col in np.asarray(block, dtype=np.float64).T.tolist()]
+    float64 bit pattern of the block formatted once: raster cells share their
+    edges, and labels and vectors repeat values. The bit pattern tells 0.0 from
+    -0.0 and keeps every NaN apart, so each keeps its own text."""
+    values = np.asarray(block, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(_fmt, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse.reshape(values.shape)].T.tolist()
 
 
 def write_rows(f: TextIO, newline: str, values: np.ndarray, before: Sequence[Sequence[str]] = (),

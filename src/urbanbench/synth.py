@@ -147,7 +147,8 @@ def synth_city(cfg: SynthConfig) -> tuple[TaskDataset, Representation]:
     # and the rest are the float operations of one unit at a time, elementwise
     ix = np.tile(np.arange(n, dtype=np.float64), n)
     iy = np.repeat(np.arange(n, dtype=np.float64), n)
-    unit_ids = [f"c{r:03d}_{c:03d}" for r in range(n) for c in range(n)]
+    axis = [f"{i:03d}" for i in range(n)]
+    unit_ids = [f"c{r}_{c}" for r in axis for c in axis]
     lons = extent.x0 + (ix + 0.5) * dx
     lats = extent.y0 + (iy + 0.5) * dy
     cells = np.column_stack([extent.x0 + ix * dx, extent.y0 + iy * dy,

@@ -1,7 +1,8 @@
 """The block writers write the bytes of the one-row-at-a-time writers in
 `reference`: for signed zeros, NaN, infinities, subnormals, float32 vectors
-and values repeated across block boundaries; and the task files of a class
-and a distribution task stay pinned by digest."""
+and values repeated across block boundaries; a block formats each distinct
+float64 bit pattern once; and the task files of a class and a distribution
+task stay pinned by digest."""
 
 import hashlib
 import math
@@ -32,6 +33,13 @@ unit_values = st.lists(st.sampled_from(EDGE_VALUES) | st.floats(-1.0, 1.0), min_
 any_values = st.lists(st.sampled_from(EDGE_VALUES + NON_FINITE) | st.floats(width=32) | st.floats(),
                       min_size=1, max_size=6)
 blocks = st.integers(1, 4)  # rows per block, so that a few rows span several blocks
+
+# Raw float64 bit patterns: both zeros, which compare equal and print apart;
+# quiet and signalling NaNs of either sign with several payloads, which all
+# print as nan; both infinities; and the extreme subnormals.
+EDGE_BITS = [0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+             0xFFF80000DEADBEEF, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF, 0x7FF0000000000000,
+             0xFFF0000000000000, 0x1, 0x800FFFFFFFFFFFFF]
 
 
 def _bytes(tmp_path_factory, write, thing, block=core.WRITE_BLOCK_ROWS) -> tuple[bytes, bytes]:
@@ -111,6 +119,31 @@ def test_writers_at_the_default_block_size(tmp_path_factory):
     for write, thing in ((write_task_dataset, task), (write_entity_csv, ents), (write_cell_table_csv, table)):
         new, ref = _bytes(tmp_path_factory, write, thing)
         assert new == ref, write.__name__
+
+
+@SETTINGS
+@given(pool=st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_BITS), min_size=1, max_size=6),
+       rows=st.integers(0, 8), cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_fmt_columns_is_fmt_of_each_value(pool, rows, cols, seed):
+    # rows drawn from a small pool of raw bit patterns repeat them within and across columns
+    rng = np.random.default_rng(seed)
+    block = np.array(pool, dtype=np.uint64)[rng.integers(0, len(pool), size=(rows, cols))].view(np.float64)
+    assert core._fmt_columns(block) == [[core._fmt(v) for v in col] for col in block.T.tolist()]
+
+
+@pytest.mark.parametrize("block", [3, core.WRITE_BLOCK_ROWS])
+def test_writer_formats_each_bit_pattern_once_per_block(tmp_path_factory, block):
+    rng = np.random.default_rng(7)
+    bits = np.array(EDGE_BITS + [0x3FF0000000000000, 0xBFB999999999999A], dtype=np.uint64)
+    values = bits[rng.integers(0, len(bits), size=(2 * core.WRITE_BLOCK_ROWS + 5, 5))].view(np.float64)
+    ents = EntitySetSupport(values[:, 0], values[:, 1], values[:, 2:])
+    with mock.patch.object(core, "_fmt", wraps=core._fmt) as fmt:
+        new, ref = _bytes(tmp_path_factory, write_entity_csv, ents, block)
+    assert new == ref
+    distinct = [len(set(values[i:i + block].view(np.uint64).ravel().tolist()))
+                for i in range(0, len(values), block)]
+    assert fmt.call_count == sum(distinct)
+    assert fmt.call_count < values.size
 
 
 @pytest.mark.parametrize("kind, digest", [
