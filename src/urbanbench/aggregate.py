@@ -106,8 +106,8 @@ def spearman_factor_correlation(factors: Mapping[str, float],
 
     Lower-better metrics are sign-flipped first so positive rho always
     means larger factor values go with better performance. p-values use
-    the t-approximation and are reported raw and unadjusted. A city whose
-    factor or performance is not finite is left out.
+    the t-approximation (the exact t tail, df n - 2), raw and unadjusted.
+    A city whose factor or performance is not finite is left out.
     """
     common = sorted(c for c in set(factors) & set(perf)
                     if math.isfinite(factors[c]) and math.isfinite(perf[c]))
@@ -128,8 +128,19 @@ def spearman_factor_correlation(factors: Mapping[str, float],
     if abs(rho) >= 1.0:
         p_value = 0.0
     else:
-        from scipy import stats  # deferred: only `report --factors` needs scipy
-
-        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p_value = float(2.0 * stats.t.sf(abs(t), df=n - 2))
+        p_value = _t_two_sided_p(rho * math.sqrt((n - 2) / (1.0 - rho * rho)), n - 2)
     return rho, p_value, n
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with integer df: 1 - A(t|df) by the finite
+    series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df)."""
+    theta = math.atan(abs(t) / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    j = df % 2  # the series runs over the powers j, j + 2, ..., df - 2 of cos(theta)
+    term, total = (math.cos(theta) if j else 1.0), 0.0
+    while j <= df - 2:
+        total += term
+        term *= c2 * (j + 1) / (j + 2)
+        j += 2
+    return 1.0 - (2.0 / math.pi * (theta + math.sin(theta) * total) if df % 2 else math.sin(theta) * total)

@@ -72,7 +72,7 @@ try:
         write_atomic,
         write_task_dataset,
     )
-    from .grid import H3_RES8_EDGE_M, HexGrid, build_block_grid
+    from .grid import H3_RES8_EDGE_M, BlockGrid, HexGrid
     from .heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, LEARNING_RATE, HeadConfig,
                         gradient_check, predict, train_head)
     from .metrics import KL_EPSILON, classification_metrics, distribution_metrics, regression_metrics
@@ -281,7 +281,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
     splits: dict[tuple[str, str, str, int], object] = {}
     for (city, task_name), ds in datasets.items():
         try:
-            grids[(city, task_name)] = grid = build_block_grid(ds.extent, plan.nx, plan.ny)
+            grids[(city, task_name)] = grid = BlockGrid(ds.extent, plan.nx, plan.ny)
             for protocol in plan.protocols:
                 for seed in plan.seeds:
                     splits[(city, task_name, protocol, seed)] = (
@@ -466,7 +466,7 @@ def leakage_experiment(cfg: SynthConfig, head_cfg: HeadConfig,
         raise ValidationError("leakage experiment uses scalar labels")
     task, rep = synth_city(cfg)
     features = align_support(rep.support, task)
-    grid = build_block_grid(task.extent, nx, ny)
+    grid = BlockGrid(task.extent, nx, ny)
     r2: dict[str, list[float]] = {"spatial": [], "random": []}
     for seed in seeds:
         run_seed = stable_seed(cfg.city, cfg.embedding_kind, seed)

@@ -43,10 +43,6 @@ class BlockGrid(CheckedRecord, _BlockGrid):
         return (e.x0, e.y0, e.x1, e.y1, self.nx, self.ny)
 
 
-def build_block_grid(extent: Rect, nx: int, ny: int) -> BlockGrid:
-    return BlockGrid(extent, nx, ny)
-
-
 def assign_blocks(lons: np.ndarray, lats: np.ndarray, grid: BlockGrid) -> np.ndarray:
     """Block id of every point; points outside the extent clamp to the boundary.
 

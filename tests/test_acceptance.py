@@ -14,7 +14,7 @@ from urbanbench.aggregate import city_ranks, overall_rank
 from urbanbench.align import align_entities_direct, coverage, write_erf
 from urbanbench.cli import RunPlan, align_support, evaluate, leakage_experiment, read_result_store, run
 from urbanbench.core import HIGHER_BETTER, Rect, ValidationError, write_task_dataset
-from urbanbench.grid import build_block_grid
+from urbanbench.grid import BlockGrid
 from urbanbench.heads import HeadConfig, gradient_check
 from urbanbench.metrics import (
     KL_EPSILON,
@@ -115,7 +115,7 @@ class TestSplitProtocolConstants:
 
     def test_block_counts_and_reproducibility(self):
         task = self.grid_task()
-        grid = build_block_grid(task.extent, 10, 10)
+        grid = BlockGrid(task.extent, 10, 10)
         seeds = (42, 24, 7, 0, 100)
         for seed in seeds:
             a = spatial_split(task, grid, seed)
@@ -155,7 +155,7 @@ class TestModelInvarianceOfSplits:
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
         # exactly one hash per (city, task, protocol, seed): nothing per-model
         assert list(meta["splits"]) == ["synthA|POP|spatial|42"]
-        recomputed = spatial_split(task, build_block_grid(task.extent, 10, 10), 42)
+        recomputed = spatial_split(task, BlockGrid(task.extent, 10, 10), 42)
         assert meta["splits"]["synthA|POP|spatial|42"] == recomputed.assignment_hash
         ok("model invariance of splits (hash precedes models, identical across)")
 
@@ -211,7 +211,7 @@ class TestH3FirstCoverageDirection:
         m_direct = align_entities_direct(rep.support, task)
         cov_h3, cov_direct = coverage(m_h3), coverage(m_direct)
         assert cov_h3 > cov_direct
-        grid = build_block_grid(task.extent, 10, 10)
+        grid = BlockGrid(task.extent, 10, 10)
         wins = 0
         for seed in seeds:
             split = spatial_split(task, grid, seed)

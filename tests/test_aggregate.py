@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbanbench.aggregate import (
+    _t_two_sided_p,
     city_ranks,
     city_score,
     mean_city_rank,
@@ -199,3 +202,30 @@ class TestSpearman:
                                              [p[k] for k in sorted(p)])
             assert rho == pytest.approx(ref_rho, abs=1e-12)
             assert p_value == pytest.approx(ref_p, abs=1e-9)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_p_value_near_perfect_rho_matches_scipy(self, sign):
+        # one adjacent swap in n ranks: |rho| = 1 - 12 / (n^3 - n), df 1 to 60
+        from scipy import stats
+
+        for n in range(3, 63):
+            f = {f"c{i:02d}": float(i) for i in range(n)}
+            p = {c: sign * v for c, v in f.items()}
+            p["c00"], p["c01"] = p["c01"], p["c00"]
+            rho, p_value, _ = spearman_factor_correlation(f, p)
+            assert abs(rho) == pytest.approx(1.0 - 12.0 / (n ** 3 - n), abs=1e-12)
+            t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+            assert p_value == pytest.approx(2.0 * stats.t.sf(abs(t), n - 2), abs=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(df=st.integers(1, 60),
+       t=st.floats(0.0, 50.0) | st.sampled_from([0.0, 1e-300, 5e-324, 1e-8, 1.0, 49.999999999999]))
+def test_t_p_value_matches_scipy(df, t):
+    # t with one df is the Cauchy distribution: scipy's t.sf at df 1 is off by
+    # up to 3e-9 near t = 1e-8 (against mpmath), its cauchy.sf by under 1e-15
+    from scipy import stats
+
+    ref = 2.0 * (stats.cauchy.sf(t) if df == 1 else stats.t.sf(t, df))
+    assert _t_two_sided_p(t, df) == pytest.approx(ref, abs=1e-12)
+    assert _t_two_sided_p(-t, df) == pytest.approx(ref, abs=1e-12)

@@ -172,10 +172,10 @@ class TestRun:
                                        for p in ("spatial", "random") for s in (42, 24)}
         # recomputing the split from scratch reproduces the recorded hash
         from urbanbench.core import load_task_dataset
-        from urbanbench.grid import build_block_grid
+        from urbanbench.grid import BlockGrid
 
         ds = load_task_dataset(bench / "task.csv")
-        grid = build_block_grid(ds.extent, 10, 10)
+        grid = BlockGrid(ds.extent, 10, 10)
         a = spatial_split(ds, grid, 42)
         assert meta["splits"]["synthA|POP|spatial|42"] == a.assignment_hash
 
@@ -1151,6 +1151,8 @@ class TestVerbs:
          "cfg.json: distribution labels need n_classes >= 2, got 1"),
         ('{"n": 8, "n_classes": 1, "label_kind": "class"}', "cfg.json: class labels need n_classes >= 2, got 1"),
         ('{"n": 8, "extent": [0, 0, 0, 0.1]}', "cfg.json: extent needs positive area"),
+        ('{"n": 8, "length_scale": 1e9, "embedding_kind": "coordinate_pe"}',
+         "cfg.json: length_scale must be at most the extent's shorter side 0.2, got 1000000000.0"),
         ('{"n": 10000000000}', "cfg.json: synthetic grid needs 8 <= n <= 2048, got 10000000000"),
         ('{"n": 8, "dim": 100000000000, "embedding_kind": "field_plus_noise", "noise_sd": 0.1}',
          "cfg.json: synthetic arrays need n * n * max(dim, n_classes) <= 2**24, "
@@ -1186,7 +1188,7 @@ class TestVerbs:
 
 class TestImportPath:
     def test_run_and_report_load_no_scipy(self, bench):
-        # scipy is only needed by synthetic-city generation and report --factors;
+        # scipy is a test dependency only, for oracles (every verb: the test below);
         # numpy.ma by nothing, but a plain np.unique(x) imports it (numpy 2.4);
         # dataclasses by `synth` alone: building a dataclass compiles its methods
         import urbanbench
@@ -1206,6 +1208,38 @@ class TestImportPath:
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+    @pytest.mark.parametrize("verb", ["synth-scalar", "synth-distribution", "synth-class", "validate",
+                                      "report-factors", "gradcheck"])
+    def test_every_verb_loads_no_scipy(self, bench, verb):
+        import urbanbench
+
+        synth = {"synth-scalar": {"label_kind": "scalar", "embedding_kind": "field_plus_noise", "noise_sd": 0.5},
+                 "synth-distribution": {"label_kind": "distribution", "n_classes": 3,
+                                        "embedding_kind": "sparse_entities", "density": 0.3},
+                 "synth-class": {"label_kind": "class", "n_classes": 3, "embedding_kind": "coordinate_pe"}}
+        if verb in synth:
+            (bench / "cfg.json").write_text(json.dumps({"n": 16, **synth[verb]}))
+            args = ["synth", str(bench / "cfg.json"), "--out", str(bench / "city")]
+        elif verb == "validate":
+            args = ["validate", str(bench / "manifest.json")]
+        elif verb == "report-factors":
+            (bench / "store").mkdir()
+            _golden_store(bench / "store")  # twelve cities, so factor_corr.csv has p-values
+            args = ["report", str(bench / "store"), "--factors", str(bench / "store" / "factors.csv")]
+        else:
+            args = ["gradcheck"]
+        script = (
+            "import sys\n"
+            "from urbanbench.cli import main\n"
+            f"code = main({args!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(urbanbench.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_report_loads_no_openssl(self, bench):
         # `report` takes no digest, and loading OpenSSL's `_hashlib` costs its start-up about 5 ms

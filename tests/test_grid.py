@@ -13,7 +13,6 @@ from urbanbench.grid import (
     BlockGrid,
     HexGrid,
     assign_blocks,
-    build_block_grid,
     hex_cell_center_xy,
     hex_cell_of,
     hex_cell_of_xy,
@@ -42,46 +41,46 @@ def assign_block(unit: TaskUnit, grid: BlockGrid) -> int:
 
 class TestBlockGrid:
     def test_10x10_unit_blocks(self):
-        grid = build_block_grid(UNIT10, 10, 10)
+        grid = BlockGrid(UNIT10, 10, 10)
         assert n_blocks(grid) == 100
         b = block_extent(grid, 0)
         assert (b.width, b.height) == (1.0, 1.0)
 
     def test_single_block_equals_extent(self):
-        grid = build_block_grid(UNIT10, 1, 1)
+        grid = BlockGrid(UNIT10, 1, 1)
         assert n_blocks(grid) == 1
         assert block_extent(grid, 0) == UNIT10
 
     def test_20x20_gives_400_half_blocks(self):
-        grid = build_block_grid(UNIT10, 20, 20)
+        grid = BlockGrid(UNIT10, 20, 20)
         assert n_blocks(grid) == 400
         b = block_extent(grid, 0)
         assert (b.width, b.height) == (0.5, 0.5)
 
     def test_zero_area_extent_rejected(self):
         with pytest.raises(ValidationError):
-            build_block_grid(Rect(0, 0, 0, 5), 2, 2)
+            BlockGrid(Rect(0, 0, 0, 5), 2, 2)
 
     def test_containment_assignment(self):
-        grid = build_block_grid(UNIT10, 10, 10)
+        grid = BlockGrid(UNIT10, 10, 10)
         u = TaskUnit("u", 3.5, 7.2)
         assert block_colrow(grid, assign_block(u, grid)) == (3, 7)
 
     def test_internal_boundary_half_open(self):
-        grid = build_block_grid(UNIT10, 10, 10)
+        grid = BlockGrid(UNIT10, 10, 10)
         assert block_colrow(grid, assign_block_point(4.0, 0.5, grid))[0] == 4
 
     def test_max_corner_closed(self):
-        grid = build_block_grid(UNIT10, 10, 10)
+        grid = BlockGrid(UNIT10, 10, 10)
         assert assign_block_point(10.0, 10.0, grid) == 99
 
     def test_outside_points_clamp(self):
-        grid = build_block_grid(UNIT10, 10, 10)
+        grid = BlockGrid(UNIT10, 10, 10)
         assert assign_block_point(-5.0, -5.0, grid) == 0
         assert assign_block_point(99.0, 99.0, grid) == 99
 
     def test_partition_property(self):
-        grid = build_block_grid(UNIT10, 7, 3)
+        grid = BlockGrid(UNIT10, 7, 3)
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 10, size=(500, 2))
         ids = [assign_block_point(x, y, grid) for x, y in pts]
@@ -92,7 +91,7 @@ class TestBlockGrid:
             assert b.x0 <= x <= b.x1 and b.y0 <= y <= b.y1
 
     def test_deterministic(self):
-        grid = build_block_grid(UNIT10, 10, 10)
+        grid = BlockGrid(UNIT10, 10, 10)
         assert assign_block_point(1.23, 4.56, grid) == assign_block_point(1.23, 4.56, grid)
 
 
@@ -276,7 +275,7 @@ def test_array_paths_raise_the_first_scalar_error(grid, n, data):
        nx=st.integers(1, 12), ny=st.integers(1, 12),
        points=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=30))
 def test_assign_blocks_matches_assign_block_point(extent, nx, ny, points):
-    grid = build_block_grid(extent, nx, ny)
+    grid = BlockGrid(extent, nx, ny)
     # points given as fractions of the extent, block edges among them
     pts = [(extent.x0 + fx * extent.width, extent.y0 + fy * extent.height) for fx, fy in points]
     pts += [(extent.x0 + c * extent.width / nx, extent.y0 + c * extent.height / ny)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from reference import TaskUnit, block_colrow, dataset, units_of
 from urbanbench.core import Rect, ValidationError
-from urbanbench.grid import assign_blocks, build_block_grid
+from urbanbench.grid import BlockGrid, assign_blocks
 from urbanbench.split import (
     DEFAULT_SEEDS,
     DEFAULT_TEST_FRAC,
@@ -50,7 +50,7 @@ def assert_one_label_per_block(task, grid, a):
 class TestSpatialSplit:
     def test_default_fractions_100_blocks(self):
         task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         for seed in DEFAULT_SEEDS:
             a = spatial_split(task, grid, seed)
             assert_one_label_per_block(task, grid, a)
@@ -59,7 +59,7 @@ class TestSpatialSplit:
 
     def test_five_seeds_reproducible(self):
         task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         for seed in DEFAULT_SEEDS:
             a = spatial_split(task, grid, seed)
             b = spatial_split(task, grid, seed)
@@ -68,13 +68,13 @@ class TestSpatialSplit:
 
     def test_different_seeds_differ(self):
         task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         hashes = {spatial_split(task, grid, s).assignment_hash for s in DEFAULT_SEEDS}
         assert len(hashes) == 5
 
     def test_labels_partition_units(self):
         task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         a = spatial_split(task, grid, seed=7)
         counts = Counter(a.labels.tolist())
         assert set(counts) == {"train", "val", "test"}
@@ -82,7 +82,7 @@ class TestSpatialSplit:
 
     def test_block_sets_disjoint_and_cover_occupied(self):
         task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         a = spatial_split(task, grid, seed=24)
         assert_one_label_per_block(task, grid, a)
         sets = block_sets(task, grid, a)
@@ -96,7 +96,7 @@ class TestSpatialSplit:
         units = [v for i, u in enumerate(units_of(grid_task(5)))
                  for v in (u, TaskUnit(f"v{i}", u.lon + 0.25, u.lat - 0.25))]
         task = dataset("demo", "POP", units, np.zeros(len(units)), EXTENT)
-        grid = build_block_grid(EXTENT, 5, 5)
+        grid = BlockGrid(EXTENT, 5, 5)
         for seed in DEFAULT_SEEDS:
             a = spatial_split(task, grid, seed)
             label_of_block: dict[int, str] = {}
@@ -109,7 +109,7 @@ class TestSpatialSplit:
         from test_grid import assign_block
 
         task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         for seed in DEFAULT_SEEDS:
             a = spatial_split(task, grid, seed)
             train_blocks = {assign_block(u, grid) for u, l in zip(units_of(task), a.labels) if l == "train"}
@@ -121,7 +121,7 @@ class TestSpatialSplit:
         # occupied blocks, so no empty right-half block is drawn
         units = [TaskUnit(f"u{i}", 0.5 + (i % 5), 0.5 + (i // 5)) for i in range(50)]
         task = dataset("demo", "POP", units, np.zeros(50), EXTENT)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         a = spatial_split(task, grid, seed=42)
         sets = block_sets(task, grid, a)
         occupied = sets["train"] | sets["val"] | sets["test"]
@@ -132,7 +132,7 @@ class TestSpatialSplit:
     def test_fraction_accuracy(self):
         for n_side in (5, 7, 9):
             task = grid_task(n_side)
-            grid = build_block_grid(EXTENT, n_side, n_side)
+            grid = BlockGrid(EXTENT, n_side, n_side)
             for seed in (1, 2, 3):
                 a = spatial_split(task, grid, seed)
                 sets = block_sets(task, grid, a)
@@ -144,17 +144,17 @@ class TestSpatialSplit:
     def test_single_block_errors(self):
         units = [TaskUnit(f"u{i}", 0.5, 0.5) for i in range(10)]
         task = dataset("demo", "POP", units, np.zeros(10), EXTENT)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         with pytest.raises(ValidationError, match="3"):
             spatial_split(task, grid, seed=0)
 
     def test_model_invariance_hash_stability(self):
         # the hash depends only on (task, grid, seed); recomputation matches
         task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         h1 = spatial_split(task, grid, 42).assignment_hash
         task2 = grid_task(10)  # rebuilt from scratch
-        h2 = spatial_split(task2, build_block_grid(EXTENT, 10, 10), 42).assignment_hash
+        h2 = spatial_split(task2, BlockGrid(EXTENT, 10, 10), 42).assignment_hash
         assert h1 == h2
 
 
@@ -174,7 +174,7 @@ def test_spatial_split_gives_each_block_one_label(extent, nx, ny, seed, points):
     units = [TaskUnit(f"u{i}", extent.x0 + fx * extent.width, extent.y0 + fy * extent.height)
              for i, (fx, fy) in enumerate(points)]
     task = dataset("demo", "POP", units, np.zeros(len(units)), extent)
-    grid = build_block_grid(extent, nx, ny)
+    grid = BlockGrid(extent, nx, ny)
     n_occupied = len(set(assign_blocks(task.lons, task.lats, grid).tolist()))
     if n_occupied < 3:
         with pytest.raises(ValidationError, match="occupied blocks"):
@@ -211,7 +211,7 @@ class TestRandomSplit:
 
     def test_differs_from_spatial(self):
         task = grid_task(10)
-        grid = build_block_grid(EXTENT, 10, 10)
+        grid = BlockGrid(EXTENT, 10, 10)
         a = spatial_split(task, grid, 42)
         b = random_split(task, 42)
         assert a.assignment_hash != b.assignment_hash
@@ -226,7 +226,7 @@ class TestRandomSplit:
 class TestSplitCache:
     def test_write_and_read(self, tmp_path):
         task = grid_task(5)
-        grid = build_block_grid(EXTENT, 5, 5)
+        grid = BlockGrid(EXTENT, 5, 5)
         a = spatial_split(task, grid, 42)
         p = tmp_path / "split.csv"
         write_split_csv(p, a)

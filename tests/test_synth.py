@@ -11,7 +11,7 @@ from urbanbench.align import align_entities_direct, coverage
 from urbanbench.cli import align_support, leakage_experiment
 from urbanbench.core import Rect, ValidationError, write_task_dataset
 from urbanbench.heads import HeadConfig
-from urbanbench.synth import SynthConfig, generate_field, synth_city
+from urbanbench.synth import SynthConfig, gaussian_smooth, generate_field, synth_city
 
 EXTENT32 = Rect(-0.1, -0.1, 0.1, 0.1)
 CELL32 = 0.2 / 32  # one cell in extent units
@@ -53,6 +53,27 @@ def test_synth_columns_match_per_unit_loop(tmp_path_factory, n, x0, y0, w, h, la
     for path, ds in zip(paths, (task, ref)):
         write_task_dataset(path, ds)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _sigma(n):
+    # at and below ndimage's 1e-15 cut, just above it (a one-tap kernel), and
+    # from a twentieth of a cell to three grid widths, where the kernel is wider
+    # than the grid and the padding reflects more than once
+    return (st.sampled_from([0.0, 1e-300, 1e-16, 1e-15, 1.0000001e-15, n / 4.0, n / 4.0 + 1.0, 3.0 * n])
+            | st.floats(0.05, 3.0 * n))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data(), ny=st.integers(8, 89), nx=st.integers(8, 89), seed=st.integers(0, 2**32 - 1))
+def test_gaussian_smooth_is_ndimage_bit_for_bit(data, ny, nx, seed):
+    from scipy import ndimage
+
+    noise = np.random.default_rng(seed).standard_normal((ny, nx))
+    sigmas = (data.draw(_sigma(ny), label="sigma_y"), data.draw(_sigma(nx), label="sigma_x"))
+    ref = ndimage.gaussian_filter(noise, sigmas, mode="reflect")
+    got = gaussian_smooth(noise, sigmas)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestGenerateField:
