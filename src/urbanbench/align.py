@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     CellTableSupport,
-    CheckedRecord,
     CoordinateEncoderSupport,
     EntitySetSupport,
     RasterSupport,
@@ -31,6 +30,7 @@ from .core import (
     ValidationError,
     _fmt,
     check_rows,
+    checked,
     header_words,
     parse_field,
     parse_rows,
@@ -49,19 +49,16 @@ from .grid import (
 )
 
 
-class _AlignedMatrix(NamedTuple):
-    rows: np.ndarray
-    valid: np.ndarray
-
-
-class AlignedMatrix(CheckedRecord, _AlignedMatrix):
+@checked
+class AlignedMatrix(NamedTuple):
     """Per-task-unit feature rows with a validity mask.
 
     Rows with valid=False are excluded from all downstream training and
     metrics; valid rows are always finite.
     """
 
-    __slots__ = ()
+    rows: np.ndarray
+    valid: np.ndarray
 
     def _check(self):
         if self.rows.ndim != 2 or self.valid.shape != (self.rows.shape[0],):
@@ -294,12 +291,12 @@ def align_entities_direct(rep: EntitySetSupport, task: TaskDataset) -> AlignedMa
     return _read_only(rows, valid)
 
 
-def align_cell_table(rep: CellTableSupport, hexgrid: HexGrid, task: TaskDataset) -> AlignedMatrix:
-    """Look up each unit's containing hex cell (of the table's grid, else `hexgrid`) in the table."""
+def align_cell_table(rep: CellTableSupport, task: TaskDataset) -> AlignedMatrix:
+    """Look up each unit's containing hex cell of the table's grid in the table."""
     cells = sorted(rep.table)
     vectors = np.array([rep.table[c] for c in cells], dtype=np.float64).reshape(len(cells), rep.dim)
     keys = _cell_keys(*np.array(cells, dtype=np.int64).reshape(-1, 2).T)
-    at, valid = _lookup(keys, _cell_keys(*hex_cells_of(task.lons, task.lats, rep.grid or hexgrid)))
+    at, valid = _lookup(keys, _cell_keys(*hex_cells_of(task.lons, task.lats, rep.grid)))
     rows = np.zeros((task.n, rep.dim), dtype=np.float64)
     rows[valid] = vectors[at[valid]]
     return _read_only(rows, valid)
@@ -400,8 +397,7 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
     path = Path(path)
     g = rep.grid
     with path.open("w", encoding="utf-8", newline="") as f:
-        if g is not None:
-            f.write(f"# hexgrid {_fmt(g.lon0)} {_fmt(g.lat0)} {_fmt(g.edge_len_m)}\n")
+        f.write(f"# hexgrid {_fmt(g.lon0)} {_fmt(g.lat0)} {_fmt(g.edge_len_m)}\n")
         f.write(",".join(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)]) + "\r\n")
         cells = sorted(rep.table)
         vectors = np.array([rep.table[cell] for cell in cells], dtype=np.float64).reshape(len(cells), rep.dim)
@@ -409,18 +405,18 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
 
 
 def read_cell_table_csv(path: str | Path) -> CellTableSupport:
-    """A cell table keyed on the grid of its `# hexgrid` comment (None without one)."""
+    """A cell table keyed on the grid of its `# hexgrid` comment, which it must have."""
     path = Path(path)
     meta, lines, rows = read_table(path)
-    grid = None
-    if "hexgrid" in meta:
-        line, text = meta["hexgrid"]
-        try:
-            lon0, lat0, edge = (parse_field(float, w) for w in header_words(text))
-            grid = HexGrid(lon0, lat0, edge)
-        except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
-            raise ValidationError(
-                f"{path}:{line}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
+    if "hexgrid" not in meta:
+        raise ValidationError(f"{path}: missing '# hexgrid lon0 lat0 edge_len_m' comment")
+    line, text = meta["hexgrid"]
+    try:
+        lon0, lat0, edge = (parse_field(float, w) for w in header_words(text))
+        grid = HexGrid(lon0, lat0, edge)
+    except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
+        raise ValidationError(
+            f"{path}:{line}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
     if not rows:
         raise ValidationError(f"{path}: empty cell table")
     header, rows, lines = rows[0], rows[1:], lines[1:]

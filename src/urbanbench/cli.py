@@ -50,7 +50,6 @@ try:
         TASK_LABEL_KIND,
         TASK_PRIMARY_METRIC,
         CellTableSupport,
-        CheckedRecord,
         CoordinateEncoderSupport,
         EntitySetSupport,
         Manifest,
@@ -60,6 +59,7 @@ try:
         ValidationError,
         _fmt,
         check_rows,
+        checked,
         load_manifest,
         load_task_dataset,
         parse_rows,
@@ -146,7 +146,8 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
     return records
 
 
-class _RunPlan(NamedTuple):
+@checked
+class RunPlan(NamedTuple):
     manifest_path: Path
     out_dir: Path
     models: tuple[str, ...] | None = None
@@ -157,10 +158,6 @@ class _RunPlan(NamedTuple):
     nx: int = 10
     ny: int = 10
     head: HeadConfig = HeadConfig()  # output and n_out are set per task
-
-
-class RunPlan(CheckedRecord, _RunPlan):
-    __slots__ = ()
 
     def _check(self):
         bad = set(self.protocols) - set(PROTOCOLS)
@@ -189,8 +186,7 @@ def _load_task(manifest: Manifest, city: str, task: str) -> TaskDataset:
 
 def _load_support(manifest: Manifest, model_id: str, city: str):
     """A model's support for one city, checked against its declared dim. A cell
-    table's grid is its file's `# hexgrid` comment, else None (`align_support`
-    then keys it on the task-centred grid)."""
+    table's grid is its file's `# hexgrid` comment."""
     m = manifest.models[model_id]
     if m.support == "coordinate_encoder":
         support = get_encoder(m.encoder)
@@ -206,15 +202,14 @@ def _load_support(manifest: Manifest, model_id: str, city: str):
 
 
 def align_support(support, task: TaskDataset) -> AlignedMatrix:
-    """The one alignment dispatch: each support kind onto the task units, on the
-    grid centred on the task extent for entity sets and for a cell table without its own."""
-    hexgrid = HexGrid(*task.extent.center)
+    """The one alignment dispatch: each support kind onto the task units; entity
+    sets pool on the hex grid centred on the task extent, a cell table keeps its own."""
     if isinstance(support, RasterSupport):
         return align_raster(support, task)
     if isinstance(support, EntitySetSupport):
-        return align_entities_h3_first(support, hexgrid, task)
+        return align_entities_h3_first(support, HexGrid(*task.extent.center), task)
     if isinstance(support, CellTableSupport):
-        return align_cell_table(support, hexgrid, task)
+        return align_cell_table(support, task)
     if isinstance(support, CoordinateEncoderSupport):
         return align_coordinate_encoder(support, task)
     raise ValidationError(f"unsupported representation support {type(support).__name__}")
@@ -308,7 +303,7 @@ def run(plan: RunPlan, log=print) -> RunOutcome:
         },
         "constants": harness_constants(),
         "grids": {f"{c}|{t}": list(grid.signature()) for (c, t), grid in grids.items()},
-        "hexgrids": {f"{c}|{t}": list(HexGrid(*ds.extent.center).signature())
+        "hexgrids": {f"{c}|{t}": list(HexGrid(*ds.extent.center))
                      for (c, t), ds in datasets.items()},
         "splits": {"|".join(map(str, key)): a.assignment_hash for key, a in splits.items()},
     }

@@ -110,36 +110,35 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-class CheckedRecord:
-    """A NamedTuple record that checks its fields. A record type subclasses
-    (CheckedRecord, its NamedTuple base) and defines `_check`, which raises a
-    ValidationError for bad fields; it runs on every construction and on every
-    `_replace` copy, so no unchecked record exists."""
+def checked(cls):
+    """Class decorator for a NamedTuple record that checks its fields: the record
+    defines `_check`, which raises a ValidationError for bad fields, and it runs on
+    every record that `__new__` or `_make` builds. `_replace` copies through
+    `_make`, pickle and `copy` through `__new__`, so no unchecked record exists."""
+    new, make = cls.__new__, cls._make.__func__
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def checked_new(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
         self._check()
         return self
 
-    def _replace(self, **changes):
-        copy = super()._replace(**changes)
-        copy._check()
-        return copy
+    def checked_make(cls, iterable):
+        self = make(cls, iterable)
+        self._check()
+        return self
+
+    cls.__new__, cls._make = staticmethod(checked_new), classmethod(checked_make)
+    return cls
 
 
-class _Rect(NamedTuple):
+@checked
+class Rect(NamedTuple):
+    """Axis-aligned rectangle in WGS84 degrees."""
+
     x0: float
     y0: float
     x1: float
     y1: float
-
-
-class Rect(CheckedRecord, _Rect):
-    """Axis-aligned rectangle in WGS84 degrees."""
-
-    __slots__ = ()
 
     def _check(self):
         if not all(math.isfinite(v) for v in (self.x0, self.y0, self.x1, self.y1)):
@@ -646,7 +645,14 @@ def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:
 # ---------------------------------------------------------------------------
 # Representation supports
 
-class _RasterSupport(NamedTuple):
+@checked
+class RasterSupport(NamedTuple):
+    """Regular lon/lat grid of embedding vectors; NaN marks invalid cells.
+
+    Row r covers y in [y0 + r*dy, y0 + (r+1)*dy); values has shape
+    (nrows, ncols, dim), row 0 at the south edge.
+    """
+
     x0: float
     y0: float
     dx: float
@@ -654,16 +660,6 @@ class _RasterSupport(NamedTuple):
     ncols: int
     nrows: int
     values: np.ndarray
-
-
-class RasterSupport(CheckedRecord, _RasterSupport):
-    """Regular lon/lat grid of embedding vectors; NaN marks invalid cells.
-
-    Row r covers y in [y0 + r*dy, y0 + (r+1)*dy); values has shape
-    (nrows, ncols, dim), row 0 at the south edge.
-    """
-
-    __slots__ = ()
 
     def _check(self):
         if not all(math.isfinite(v) for v in (self.x0, self.y0, self.dx, self.dy)):
@@ -694,16 +690,13 @@ class RasterSupport(CheckedRecord, _RasterSupport):
         return inside, row, col
 
 
-class _EntitySetSupport(NamedTuple):
+@checked
+class EntitySetSupport(NamedTuple):
+    """Point entities (POI-like) each carrying an embedding vector."""
+
     lons: np.ndarray
     lats: np.ndarray
     vectors: np.ndarray
-
-
-class EntitySetSupport(CheckedRecord, _EntitySetSupport):
-    """Point entities (POI-like) each carrying an embedding vector."""
-
-    __slots__ = ()
 
     def _check(self):
         if not (len(self.lons) == len(self.lats) == len(self.vectors)):
@@ -720,17 +713,16 @@ class EntitySetSupport(CheckedRecord, _EntitySetSupport):
         return self.vectors.shape[1]
 
 
-class _CellTableSupport(NamedTuple):
-    grid: HexGrid | None
+@checked
+class CellTableSupport(NamedTuple):
+    """Embedding table keyed by hex cell id of its own `grid`."""
+
+    grid: HexGrid
     table: Mapping[tuple[int, int], np.ndarray]
 
-
-class CellTableSupport(CheckedRecord, _CellTableSupport):
-    """Embedding table keyed by hex cell id of `grid`; a None grid is the one alignment supplies."""
-
-    __slots__ = ()
-
     def _check(self):
+        if self.grid is None:
+            raise ValidationError("cell table needs the hex grid its keys are on")
         dims = {v.shape[0] for v in self.table.values()}
         if len(dims) > 1:
             raise ValidationError(f"cell table has mixed vector lengths {sorted(dims)}")

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CheckedRecord, Rect, ValidationError
+from .core import Rect, ValidationError, checked
 
 EARTH_RADIUS_M = 6_371_000.0
 H3_RES8_EDGE_M = 461.0
@@ -21,16 +21,13 @@ PROJECTION_VALIDITY_M = 500_000.0
 _SQRT3 = math.sqrt(3.0)
 
 
-class _BlockGrid(NamedTuple):
+@checked
+class BlockGrid(NamedTuple):
+    """nx*ny rectangular blocks tiling an extent; half-open, max edge closed."""
+
     extent: Rect
     nx: int
     ny: int
-
-
-class BlockGrid(CheckedRecord, _BlockGrid):
-    """nx*ny rectangular blocks tiling an extent; half-open, max edge closed."""
-
-    __slots__ = ()
 
     def _check(self):
         if self.nx < 1 or self.ny < 1:
@@ -60,25 +57,19 @@ def assign_blocks(lons: np.ndarray, lats: np.ndarray, grid: BlockGrid) -> np.nda
 # ---------------------------------------------------------------------------
 # Local projection and hex cells
 
-class _HexGrid(NamedTuple):
+@checked
+class HexGrid(NamedTuple):
+    """Pointy-top axial hex tessellation around a lon/lat anchor."""
+
     lon0: float
     lat0: float
     edge_len_m: float = H3_RES8_EDGE_M
-
-
-class HexGrid(CheckedRecord, _HexGrid):
-    """Pointy-top axial hex tessellation around a lon/lat anchor."""
-
-    __slots__ = ()
 
     def _check(self):
         if not (math.isfinite(self.lon0) and math.isfinite(self.lat0)):
             raise ValidationError("hex grid anchor must be finite")
         if not (0 < self.edge_len_m < math.inf):
             raise ValidationError("hex edge length must be positive and finite")
-
-    def signature(self) -> tuple:
-        return (self.lon0, self.lat0, self.edge_len_m)
 
 
 def project(grid: HexGrid, lon: float, lat: float) -> tuple[float, float]:

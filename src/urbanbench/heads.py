@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import AlignedMatrix
-from .core import LABEL_KINDS, CheckedRecord, ValidationError
+from .core import LABEL_KINDS, ValidationError, checked
 from .split import SplitAssignment, TRAIN, VAL
 
 ADAM_BETA1 = 0.9
@@ -31,7 +31,8 @@ GRADIENT_CHECK_STEP = 1e-5
 LEARNING_RATE = 1e-3
 
 
-class _HeadConfig(NamedTuple):
+@checked
+class HeadConfig(NamedTuple):
     kind: str = "mlp"                 # "linear" | "mlp"
     output: str = "scalar"            # the task's label kind: "scalar" | "class" | "distribution"
     n_out: int = 1                    # C for class, K for distribution
@@ -39,10 +40,6 @@ class _HeadConfig(NamedTuple):
     batch_size: int = 512
     max_epochs: int = 100
     patience: int = 10
-
-
-class HeadConfig(CheckedRecord, _HeadConfig):
-    __slots__ = ()
 
     def _check(self):
         if self.kind not in ("linear", "mlp"):

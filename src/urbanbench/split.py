@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CheckedRecord, TaskDataset, ValidationError, stable_seed, write_atomic
+from .core import TaskDataset, ValidationError, checked, stable_seed, write_atomic
 from .grid import BlockGrid, assign_blocks
 
 TRAIN, VAL, TEST = "train", "val", "test"
@@ -32,6 +32,7 @@ def _rng(city: str, task: str, protocol: str, seed: int) -> np.random.Generator:
     return np.random.default_rng(stable_seed(city, task, protocol, seed))
 
 
+@checked
 class _SplitAssignment(NamedTuple):
     city: str
     task: str
@@ -41,18 +42,22 @@ class _SplitAssignment(NamedTuple):
     labels: np.ndarray
     grid_sig: tuple | None = None
 
-
-class SplitAssignment(CheckedRecord, _SplitAssignment):
-    """Per-unit train/val/test labels for one (city, task, seed, protocol).
-
-    No `__slots__`: the cached properties keep their values in the instance `__dict__`."""
-
     def _check(self):
         if len(self.labels) != len(self.unit_ids):
             raise ValidationError("labels and unit_ids length mismatch")
         bad = set(self.labels.tolist()) - {TRAIN, VAL, TEST}
         if bad:
             raise ValidationError(f"unknown split labels {bad}")
+
+
+class SplitAssignment(_SplitAssignment):
+    """Per-unit train/val/test labels for one (city, task, seed, protocol).
+
+    The one checked record of two classes: `rows_text` and `assignment_hash` are
+    cached (`run` reads each split's hash twice), and a `cached_property` cannot
+    sit in a NamedTuple body, whose class has no instance `__dict__` and, on
+    Python 3.11, never gives the property its name. This subclass, with no
+    `__slots__`, keeps the cached values in its instance `__dict__`."""
 
     def mask(self, label: str) -> np.ndarray:
         return self.labels == label

@@ -192,15 +192,15 @@ def read_cell_table_csv(path) -> CellTableSupport:
     row has."""
     path = Path(path)
     meta, lines, rows = read_table(path)
-    grid = None
-    if "hexgrid" in meta:
-        line, text = meta["hexgrid"]
-        try:
-            lon0, lat0, edge = (float(strict(v)) for v in text.split(" "))
-            grid = HexGrid(lon0, lat0, edge)
-        except ValueError as e:
-            raise ValidationError(
-                f"{path}:{line}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
+    if "hexgrid" not in meta:
+        raise ValidationError(f"{path}: missing '# hexgrid lon0 lat0 edge_len_m' comment")
+    line, text = meta["hexgrid"]
+    try:
+        lon0, lat0, edge = (float(strict(v)) for v in text.split(" "))
+        grid = HexGrid(lon0, lat0, edge)
+    except ValueError as e:
+        raise ValidationError(
+            f"{path}:{line}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
     if not rows:
         raise ValidationError(f"{path}: empty cell table")
     header, data = rows[0], list(zip(lines[1:], rows[1:]))
@@ -318,8 +318,7 @@ def write_cell_table_csv(path, rep: CellTableSupport) -> None:
     """`align.write_cell_table_csv` through `csv.writer` (CRLF lines), one row at a time."""
     g = rep.grid
     with Path(path).open("w", encoding="utf-8", newline="") as f:
-        if g is not None:
-            f.write(f"# hexgrid {g.lon0!r} {g.lat0!r} {g.edge_len_m!r}\n")
+        f.write(f"# hexgrid {g.lon0!r} {g.lat0!r} {g.edge_len_m!r}\n")
         w = csv.writer(f)
         w.writerow(["key_or_lon", "lat"] + [f"v_{j}" for j in range(rep.dim)])
         for cell in sorted(rep.table):

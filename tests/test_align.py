@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,25 +211,26 @@ class TestAlignCellTable:
         c1 = hex_cell_of(0.0, 0.0, grid)
         table = CellTableSupport(grid=grid, table={c1: np.array([7.0])})
         lon2, lat2 = hex_cell_center((4, 4), grid)
-        m = align_cell_table(table, grid, point_task([(0.0, 0.0), (lon2, lat2)]))
+        m = align_cell_table(table, point_task([(0.0, 0.0), (lon2, lat2)]))
         assert m.valid.tolist() == [True, False]
         np.testing.assert_allclose(m.rows[0], [7.0])
 
-    def test_own_grid_before_supplied_grid(self):
-        # a table keyed on its own grid ignores the supplied one; a grid-less
-        # table is keyed on the supplied one
+    def test_keys_are_cells_of_the_table_grid(self):
+        # the same key is another place on another grid: a unit finds the row
+        # of its cell on the table's grid, wherever the task's extent is centred
         grid, far = HexGrid(0.0, 0.0), HexGrid(0.5, 0.5)
-        table = CellTableSupport(grid=grid, table={hex_cell_of(0.0, 0.0, grid): np.array([7.0])})
-        task = point_task([(0.0, 0.0)])
-        assert align_cell_table(table, far, task).valid.tolist() == [True]
-        assert align_cell_table(table._replace(grid=None), far, task).valid.tolist() == [False]
-        assert align_cell_table(table._replace(grid=None), grid, task).valid.tolist() == [True]
+        key = hex_cell_of(0.0, 0.0, grid)
+        task = point_task([(0.0, 0.0), hex_cell_center(key, far)])
+        for g, valid in ((grid, [True, False]), (far, [False, True])):
+            assert align_cell_table(CellTableSupport(g, {key: np.array([7.0])}), task).valid.tolist() == valid
+        with pytest.raises(ValidationError, match="cell table needs the hex grid its keys are on"):
+            CellTableSupport(None, {key: np.array([7.0])})
 
     def test_shared_support_identical_rows(self):
         grid = HexGrid(0.0, 0.0)
         c1 = hex_cell_of(0.0, 0.0, grid)
         table = CellTableSupport(grid=grid, table={c1: np.array([7.0, 8.0])})
-        m = align_cell_table(table, grid, point_task([(0.0, 0.0), (0.0001, 0.0001)]))
+        m = align_cell_table(table, point_task([(0.0, 0.0), (0.0001, 0.0001)]))
         np.testing.assert_array_equal(m.rows[0], m.rows[1])
 
 
@@ -401,7 +404,7 @@ class TestFileFormats:
         p = tmp_path / "table.csv"
         write_cell_table_csv(p, table)
         back = read_cell_table_csv(p)
-        assert back.grid.signature() == grid.signature()
+        assert back.grid == grid
         np.testing.assert_array_equal(back.table[(2, -1)], [5.0])
 
     def test_numpy_anchored_cell_table_round_trip(self, tmp_path):
@@ -410,16 +413,17 @@ class TestFileFormats:
         p = tmp_path / "table.csv"
         write_cell_table_csv(p, CellTableSupport(grid=grid, table={(2, -1): np.array([5.0])}))
         assert p.read_text().startswith("# hexgrid 0.1 -0.2 461.0\n")
-        assert read_cell_table_csv(p).grid.signature() == grid.signature()
+        assert read_cell_table_csv(p).grid == grid
 
-    def test_grid_less_cell_table_round_trip(self, tmp_path):
-        table = CellTableSupport(grid=None, table={(2, -1): np.array([5.0])})
+    def test_grid_less_cell_table_names_file(self, tmp_path):
+        # keys mean nothing without their grid, so a file without its `# hexgrid`
+        # comment is an error before its rows are read, even when it has none
         p = tmp_path / "table.csv"
-        write_cell_table_csv(p, table)
-        assert p.read_text().startswith("key_or_lon,lat,v_0")
-        back = read_cell_table_csv(p)
-        assert back.grid is None
-        np.testing.assert_array_equal(back.table[(2, -1)], [5.0])
+        for text in ("key_or_lon,lat,v_0\n2:-1,,5.0\n", "# made by hand\n", ""):
+            p.write_text(text)
+            with pytest.raises(ValidationError) as e:
+                read_cell_table_csv(p)
+            assert str(e.value) == f"{p}: missing '# hexgrid lon0 lat0 edge_len_m' comment"
 
     def test_cell_table_key_collision(self, tmp_path):
         p = tmp_path / "table.csv"
@@ -474,7 +478,7 @@ class TestFileFormats:
         p = tmp_path / "ct.csv"
         p.write_text("# hexgrid 0.0 0.0 461.0\n\nkey_or_lon,lat,v_0\n\n0:0,,1.0\n\n1:0,,2.0\n\n")
         rep = read_cell_table_csv(p)
-        assert rep.grid.signature() == HexGrid(0.0, 0.0, 461.0).signature()
+        assert rep.grid == HexGrid(0.0, 0.0, 461.0)
         assert {c: v.tolist() for c, v in rep.table.items()} == {(0, 0): [1.0], (1, 0): [2.0]}
 
     def test_cell_table_of_only_comments_is_empty(self, tmp_path):
@@ -528,11 +532,18 @@ def _golden_cases():
         "raster": lambda t: align_raster(ras, t),
         "entities_h3_first": lambda t: align_entities_h3_first(ents, hexgrid, t),
         "entities_direct": lambda t: align_entities_direct(ents, t),
-        "cell_table": lambda t: align_cell_table(table, hexgrid, t),
-        "cell_table_fallback": lambda t: align_cell_table(table._replace(grid=None), hexgrid, t),
+        "cell_table": lambda t: align_cell_table(table, t),
+        "cell_table_file": lambda t: align_cell_table(_through_file(table), t),
         "coordinate_encoder": lambda t: align_coordinate_encoder(pe_support(), t),
     }
     return aligners, {"cells": cells, "points": points}
+
+
+def _through_file(table):
+    """`table` written to a cell-table file and read back."""
+    with tempfile.TemporaryDirectory() as d:
+        write_cell_table_csv(Path(d) / "table.csv", table)
+        return read_cell_table_csv(Path(d) / "table.csv")
 
 
 def _aligned_digest(m) -> str:
@@ -561,10 +572,10 @@ class TestGoldenAlignment:
         assert _aligned_digest(aligners[aligner](tasks[task])) == GOLDEN_ALIGNED[case]
 
     @pytest.mark.parametrize("task", ["cells", "points"])
-    def test_grid_less_cell_table_on_supplied_grid(self, task):
-        # the pinned cell-table matrices, from a table without a grid of its own
+    def test_cell_table_file_keeps_pinned_rows(self, task):
+        # the pinned cell-table matrices, from the table read back from its file
         aligners, tasks = _golden_cases()
-        assert (_aligned_digest(aligners["cell_table_fallback"](tasks[task]))
+        assert (_aligned_digest(aligners["cell_table_file"](tasks[task]))
                 == GOLDEN_ALIGNED[f"cell_table/{task}"])
 
     def test_cases_are_partial(self):

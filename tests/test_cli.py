@@ -258,8 +258,8 @@ class TestRun:
     @pytest.mark.parametrize("file,support,content,line", [
         ("infent.csv", "entity_set", b"key_or_lon,lat,v_0,v_1,v_2,v_3\n0.0,0.0,1,1,1,1\n"
                                      b"0.01,0.01,1,inf,1,1\n", 3),
-        ("nantab.csv", "cell_table", b"key_or_lon,lat,v_0,v_1,v_2,v_3\n0:0,,1,1,1,1\n"
-                                     b"1:0,,1,1,nan,1\n", 3),
+        ("nantab.csv", "cell_table", b"# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0,v_1,v_2,v_3\n"
+                                     b"0:0,,1,1,1,1\n1:0,,1,1,nan,1\n", 4),
     ], ids=["entity-inf", "cell-table-nan"])
     def test_non_finite_component_names_file_line(self, bench, capsys, file, support, content, line):
         name = file.split(".")[0]
@@ -335,44 +335,43 @@ class TestRun:
         records = read_result_store(bench / "out" / "results.csv")
         assert {r.model_id for r in records} == {"field"}
 
-    def test_cell_table_grid_sources(self, bench):
-        # A table keyed on a grid anchored ~80 km from the task only aligns
-        # when that grid reaches the reader, through the file comment. The
-        # task-centred fallback serves a table keyed on the task's grid.
+    def test_cell_table_grid_sources(self, bench, capsys):
+        # A cell table's grid comes from its file alone. A table keyed on a grid
+        # anchored ~80 km from the task aligns through the file comment; the
+        # same file without that comment is an error that names it, in
+        # `validate` and in `run`, where the run goes on.
         from urbanbench.core import load_task_dataset
 
         task = load_task_dataset(bench / "task.csv")
-        far, centred = HexGrid(0.5, 0.5), HexGrid(*task.extent.center)
+        far = HexGrid(0.5, 0.5)
+        cells: dict = {}
+        for lon, lat, y in zip(task.lons.tolist(), task.lats.tolist(), task.labels):
+            cells.setdefault(hex_cell_of(lon, lat, far), []).append(y)
+        table = {c: np.full(2, np.mean(v)) for c, v in cells.items()}
+        write_cell_table_csv(bench / "ct_comment.csv", CellTableSupport(grid=far, table=table))
+        comment, _, rest = (bench / "ct_comment.csv").read_bytes().partition(b"\n")
+        assert comment.startswith(b"# hexgrid ")
+        add_model(bench, "ct_comment", "cell_table", 2, "ct_comment.csv")
+        add_model(bench, "ct_no_grid", "cell_table", 2, "ct_no_grid.csv", rest)
+        message = f"{bench / 'ct_no_grid.csv'}: missing '# hexgrid lon0 lat0 edge_len_m' comment"
 
-        def write_table(name, grid, comment):
-            cells: dict = {}
-            for lon, lat, y in zip(task.lons.tolist(), task.lats.tolist(), task.labels):
-                cells.setdefault(hex_cell_of(lon, lat, grid), []).append(y)
-            table = {c: np.full(2, np.mean(v)) for c, v in cells.items()}
-            path = bench / f"{name}.csv"
-            write_cell_table_csv(path, CellTableSupport(grid=grid if comment else None, table=table))
-            return {"dim": 2, "support": "cell_table", "files": {"synthA": path.name}}
-
-        manifest = json.loads((bench / "manifest.json").read_text())
-        manifest["models"].update({
-            "ct_comment": write_table("ct_comment", far, comment=True),
-            "ct_fallback": write_table("ct_fallback", centred, comment=False),
-            "ct_no_grid": write_table("ct_no_grid", far, comment=False),  # control
-        })
-        (bench / "manifest.json").write_text(json.dumps(manifest))
-        models = ("ct_comment", "ct_fallback", "ct_no_grid")
-        out = run(quick_plan(bench, models=models, seeds=(42,)), log=lambda *a: None)
+        assert main(["validate", str(bench / "manifest.json")]) == 1
+        out = capsys.readouterr().out
+        assert f"error: model ct_no_grid, city synthA: {message}\n" in out
+        assert "ok: ct_comment" in out and "ok: ct_no_grid" not in out
+        out = run(quick_plan(bench, models=("ct_comment", "ct_no_grid"), seeds=(42,)), log=lambda *a: None)
         assert out.exit_code == 2
-        assert {f[0].split("|")[0] for f in out.failures} == {"ct_no_grid"}
+        failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 2  # one per protocol
+        assert all(f.startswith("ct_no_grid|POP|synthA|42|") and f.endswith(message) for f in failures)
         records = read_result_store(bench / "out" / "results.csv")
-        per_model = {m: sum(r.model_id == m for r in records) for m in models}
-        assert per_model == {"ct_comment": 6, "ct_fallback": 6, "ct_no_grid": 0}
+        assert {r.model_id for r in records} == {"ct_comment"} and len(records) == 6
         assert all(r.n_test > 0 for r in records)
 
     def _two_task_city(self, bench, monkeypatch, entities):
         """POP (the bench task) and LUC on one city, their extents (so their
-        hex grids) apart, a raster, an entity and a grid-less cell-table
-        model; returns the per-reader call counts of a run."""
+        hex grids) apart, a raster, an entity and a cell-table model;
+        returns the per-reader call counts of a run."""
         from urbanbench.align import write_entity_csv
         from urbanbench.core import write_task_dataset
 
@@ -389,9 +388,9 @@ class TestRun:
         manifest["cities"]["synthA"]["tasks"]["LUC"] = "luc.csv"
         manifest["models"]["ents"] = {"dim": 4, "support": "entity_set",
                                       "files": {"synthA": "ents.csv"}}
-        # keys around both tasks' anchors, so the table serves either grid
+        # one grid for the city, its keys reaching past both tasks' extents
         rng = np.random.default_rng(0)
-        write_cell_table_csv(bench / "table.csv", CellTableSupport(grid=None, table={
+        write_cell_table_csv(bench / "table.csv", CellTableSupport(grid=HexGrid(0.01, 0.0), table={
             (q, r): rng.standard_normal(2) for q in range(-20, 21) for r in range(-20, 21)}))
         manifest["models"]["table"] = {"dim": 2, "support": "cell_table",
                                        "files": {"synthA": "table.csv"}}

@@ -815,7 +815,7 @@ def _records():
         (Rect(0.0, 0.0, 1.0, 1.0), "x0", {"x1": -1.0}),
         (RasterSupport(0.0, 0.0, 1.0, 1.0, 1, 1, np.zeros((1, 1, 2))), "dx", {"dx": 0.0}),
         (EntitySetSupport(np.zeros(1), np.zeros(1), np.zeros((1, 2))), "lons", {"lats": np.zeros(2)}),
-        (CellTableSupport(grid=None, table={(0, 0): np.zeros(2)}), "grid",
+        (CellTableSupport(grid=HexGrid(0.0, 0.0), table={(0, 0): np.zeros(2)}), "grid",
          {"table": {(0, 0): np.zeros(2), (0, 1): np.zeros(3)}}),
         (encoder, "dim", None),
         (Representation("m", encoder), "support", None),
@@ -843,6 +843,8 @@ RECORDS = _records()
 def test_records_are_frozen_and_copies_are_checked(record, field, bad):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
-    if bad is not None:  # `_replace` runs the same checks as the constructor
+    if bad is not None:  # `_replace` and `_make` run the same checks as the constructor
         with pytest.raises(ValidationError):
             record._replace(**bad)
+        with pytest.raises(ValidationError):
+            type(record)._make(tuple({**record._asdict(), **bad}.values()))

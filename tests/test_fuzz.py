@@ -156,7 +156,7 @@ def _outcome(read, path):
     if isinstance(out, EntitySetSupport):
         return ("ok", out.lons.tobytes(), out.lats.tobytes(), out.vectors.tobytes())
     if isinstance(out, CellTableSupport):
-        return ("ok", out.grid and out.grid.signature(),
+        return ("ok", tuple(out.grid),
                 sorted((c, v.tobytes()) for c, v in out.table.items()))
     return ("ok", out)
 

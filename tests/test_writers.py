@@ -70,14 +70,14 @@ def test_entity_writer_writes_reference_bytes(tmp_path_factory, pool, n, dim, fl
 
 @SETTINGS
 @given(pool=any_values, cells=st.sets(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=12),
-       dim=st.integers(1, 4), float32=st.booleans(), grid=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       block=blocks)
-def test_cell_table_writer_writes_reference_bytes(tmp_path_factory, pool, cells, dim, float32, grid, seed,
-                                                  block):
+       dim=st.integers(1, 4), float32=st.booleans(), seed=st.integers(0, 2**32 - 1), block=blocks,
+       anchor=st.tuples(st.floats(-180, 180), st.floats(-89, 89)))
+def test_cell_table_writer_writes_reference_bytes(tmp_path_factory, pool, cells, dim, float32, seed, block,
+                                                  anchor):
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         table = {cell: _pick(rng, pool, dim).astype(np.float32 if float32 else np.float64) for cell in cells}
-    rep = CellTableSupport(HexGrid(0.25, -0.5) if grid else None, table)
+    rep = CellTableSupport(HexGrid(*anchor), table)
     new, ref = _bytes(tmp_path_factory, write_cell_table_csv, rep, block)
     assert new == ref
 
@@ -115,7 +115,7 @@ def test_writers_at_the_default_block_size(tmp_path_factory):
     vectors = np.concatenate([vectors, vectors])
     ents = EntitySetSupport(np.resize(EDGE_VALUES, len(vectors)),
                             np.resize(EDGE_VALUES + NON_FINITE, len(vectors)), vectors)
-    table = CellTableSupport(None, {(i, -i): v for i, v in enumerate(vectors)})
+    table = CellTableSupport(HexGrid(0.25, -0.5), {(i, -i): v for i, v in enumerate(vectors)})
     for write, thing in ((write_task_dataset, task), (write_entity_csv, ents), (write_cell_table_csv, table)):
         new, ref = _bytes(tmp_path_factory, write, thing)
         assert new == ref, write.__name__
