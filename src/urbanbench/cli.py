@@ -42,8 +42,6 @@ try:
         read_cell_table_csv,
         read_entity_csv,
         read_erf,
-        write_entity_csv,
-        write_erf,
     )
     from .core import (
         METRICS_FOR_KIND,
@@ -70,7 +68,6 @@ try:
         task_direction,
         validate_manifest,
         write_atomic,
-        write_task_dataset,
     )
     from .grid import H3_RES8_EDGE_M, BlockGrid, HexGrid
     from .heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, LEARNING_RATE, HeadConfig,
@@ -185,19 +182,20 @@ def _load_task(manifest: Manifest, city: str, task: str) -> TaskDataset:
 
 
 def _load_support(manifest: Manifest, model_id: str, city: str):
-    """A model's support for one city, checked against its declared dim. A cell
-    table's grid is its file's `# hexgrid` comment."""
+    """A model's support for one city, checked against its declared dim (an encoder's
+    by `validate_manifest`). A cell table's grid is its file's `# hexgrid` comment."""
     m = manifest.models[model_id]
     if m.support == "coordinate_encoder":
-        support = get_encoder(m.encoder)
-    elif m.support == "raster":
-        support = read_erf(manifest.resolve(m.files[city]))
+        return get_encoder(m.encoder)
+    path = manifest.resolve(m.files[city])
+    if m.support == "raster":
+        support = read_erf(path)
     elif m.support == "entity_set":
-        support = read_entity_csv(manifest.resolve(m.files[city]))
+        support = read_entity_csv(path)
     else:
-        support = read_cell_table_csv(manifest.resolve(m.files[city]))
+        support = read_cell_table_csv(path)
     if support.dim != m.dim:
-        raise ValidationError(f"file dim {support.dim} != declared {m.dim}")
+        raise ValidationError(f"{path}: file dim {support.dim} != declared {m.dim}")
     return support
 
 
@@ -587,16 +585,20 @@ def report(out_dir: str | Path, factors_path: str | Path | None = None, log=prin
 
 
 def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
-    """CSV `city,<factor>,<factor>,...` -> factor name -> city -> value. Each row
-    holds the header's field count, a nonempty city of its own and finite
-    numbers; "" is missing."""
+    """CSV `city,<factor>,<factor>,...` -> factor name -> city -> value. Each
+    factor name is nonempty and unique; each row holds the header's field
+    count, a nonempty city of its own and finite numbers; "" is missing."""
     path = Path(path)
     _, lines, rows = read_table(path)
     header = rows[0] if rows else []
     if header[:1] != ["city"]:
         raise ValidationError(f"{path}: factors header must start with 'city'")
+    names, n = header[1:], len(rows) - 1
+    for j, name in enumerate(names):
+        if not name or name in names[:j]:
+            what = f"repeated factor {name!r}" if name else "empty factor name"
+            raise ValidationError(f"{path}:{lines[0]}: {what}")
     rows, lines = rows[1:], lines[1:]
-    names, n = header[1:], len(rows)
     columns, read_rules = parse_rows(header, rows, [None] + [_factor_value] * len(names))
     cities, values = columns[0], columns[1:]
     check_rows([
@@ -613,47 +615,6 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
 def _factor_value(text: str) -> float | None:
     """A factor field: a number, or None for an empty (missing) one."""
     return float(text) if text else None
-
-
-# ---------------------------------------------------------------------------
-# Synthetic-city persistence
-
-def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
-    """Persist a synthetic city in the standard formats plus a manifest, so
-    the instance is indistinguishable from loaded real data downstream."""
-    from .synth import synth_city
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    task, rep = synth_city(cfg)
-    task_path = out_dir / f"{cfg.city}_{task.task}.csv"
-    write_task_dataset(task_path, task)
-    model_entry: dict = {"dim": rep.support.dim, "support": None}
-    emb_path = None
-    if isinstance(rep.support, RasterSupport):
-        emb_path = out_dir / f"{rep.model_id}_{cfg.city}.erf"
-        write_erf(emb_path, rep.support)
-        model_entry["support"] = "raster"
-        model_entry["files"] = {cfg.city: emb_path.name}
-    elif isinstance(rep.support, EntitySetSupport):
-        emb_path = out_dir / f"{rep.model_id}_{cfg.city}.csv"
-        write_entity_csv(emb_path, rep.support)
-        model_entry["support"] = "entity_set"
-        model_entry["files"] = {cfg.city: emb_path.name}
-    else:
-        model_entry["support"] = "coordinate_encoder"
-        model_entry["encoder"] = PE_ENCODER_ID
-    manifest_doc = {
-        "cities": {cfg.city: {"tasks": {task.task: task_path.name}}},
-        "models": {rep.model_id: model_entry},
-    }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-    paths = {"task": task_path, "manifest": manifest_path}
-    if emb_path is not None:
-        paths["embedding"] = emb_path
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +691,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .synth import read_synth_config
+    from .synth import read_synth_config, write_synth_city
 
     paths = write_synth_city(read_synth_config(args.config), args.out)
     for name, p in sorted(paths.items()):

@@ -526,6 +526,17 @@ def parse_rows(header: Sequence[str], rows: list[list[str]], parsers: Sequence) 
                      (unread, errors.__getitem__)]
 
 
+# The task file's columns: the unit columns, the four cell-extent columns of
+# a raster-cell dataset, then the label columns of its kind.
+_UNIT_COLUMNS = ["unit_id", "lon", "lat"]
+_CELL_COLUMNS = ["x0", "y0", "x1", "y1"]
+
+
+def _label_columns(kind: str, k: int) -> list[str]:
+    """The label columns of a task of label kind `kind`; `k` is the class count of a distribution."""
+    return ["value"] if kind == "scalar" else ["class"] if kind == "class" else [f"p_{i}" for i in range(k)]
+
+
 def load_task_dataset(path: str | Path) -> TaskDataset:
     """Load a task dataset from its canonical CSV form, in the `read_table`
     dialect.
@@ -558,22 +569,16 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
         raise ValidationError(f"{path}:{meta['classes'][0]}: {error}")
 
     header, header_line, rows, lines = rows[0], lines[0], rows[1:], lines[1:]
-    if header[:3] != ["unit_id", "lon", "lat"]:
+    if header[:3] != _UNIT_COLUMNS:
         raise ValidationError(f"{path}:{header_line}: header must start with unit_id,lon,lat")
     rest = header[3:]
-    has_extent = rest[:4] == ["x0", "y0", "x1", "y1"]
+    has_extent = rest[:4] == _CELL_COLUMNS
     label_cols = rest[4:] if has_extent else rest
 
     kind = TASK_LABEL_KIND[task]
-    if kind == "scalar":
-        expected = ["value"]
-    elif kind == "class":
-        expected = ["class"]
-    else:
-        k = len(label_cols)
-        expected = [f"p_{i}" for i in range(k)]
-        if k < 2:
-            raise ValidationError(f"{path}:{header_line}: distribution needs >= 2 p_ columns")
+    if kind == "distribution" and len(label_cols) < 2:
+        raise ValidationError(f"{path}:{header_line}: distribution needs >= 2 p_ columns")
+    expected = _label_columns(kind, len(label_cols))
     if label_cols != expected:
         raise ValidationError(
             f"{path}:{header_line}: label columns {label_cols} do not match task {task} ({expected})"
@@ -624,16 +629,8 @@ def write_task_dataset(path: str | Path, ds: TaskDataset) -> None:
              f"# extent {_fmt(ds.extent.x0)} {_fmt(ds.extent.y0)} {_fmt(ds.extent.x1)} {_fmt(ds.extent.y1)}"]
     if ds.label_kind == "class":
         lines.append(f"# classes {ds.n_classes}")
-    header = ["unit_id", "lon", "lat"]
-    if has_extent:
-        header += ["x0", "y0", "x1", "y1"]
-    if ds.label_kind == "scalar":
-        header.append("value")
-    elif ds.label_kind == "class":
-        header.append("class")
-    else:
-        header += [f"p_{i}" for i in range(ds.n_classes)]
-    lines.append(",".join(header))
+    lines.append(",".join(_UNIT_COLUMNS + (_CELL_COLUMNS if has_extent else []) +
+                          _label_columns(ds.label_kind, ds.n_classes)))
     coords = [ds.lons, ds.lats, *(ds.cell_extents.T if has_extent else ())]
     classes = [list(map(str, ds.labels.tolist()))] if ds.label_kind == "class" else ()
     values = np.column_stack(coords if classes else [*coords, ds.labels])

@@ -1,21 +1,23 @@
 """Synthetic cities: autocorrelated label fields plus matching representations.
 
-This module only generates data. Writing a city to disk
-(`cli.write_synth_city`) and running it through the pipeline
-(`cli.leakage_experiment`) live in `cli`, so synthetic cities take the same
-alignment and evaluate step as loaded data. Fields are Gaussian-smoothed
+This module generates synthetic cities and writes them to disk in the
+standard input formats (`write_synth_city`). Running one through the
+pipeline (`cli.leakage_experiment`) lives in `cli`, so synthetic cities take
+the same alignment and evaluate step as loaded data. Fields are Gaussian-smoothed
 white noise standardized to mean 0, variance 1; the smoothing scale controls
 the spatial autocorrelation length.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .align import write_entity_csv, write_erf
 from .core import (
     LABEL_KINDS,
     EntitySetSupport,
@@ -27,12 +29,14 @@ from .core import (
     only_keys,
     read_json_object,
     stable_seed,
+    write_task_dataset,
 )
-from .pe_encoder import pe_support
+from .pe_encoder import PE_ENCODER_ID, pe_support
 
 EMBEDDING_KINDS = ("field_value", "field_plus_noise", "coordinate_pe", "sparse_entities")
 
 _TASK_FOR_KIND = {"scalar": "POP", "class": "LUC", "distribution": "AGE"}
+SMOOTHING_TAPS_MAX = 2**30  # kernel taps a config's fields may cost: about 1 s of numpy on one core
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,13 @@ class SynthConfig:
         if self.n * self.n * max(self.dim, self.n_classes) > 2**24:
             raise ValidationError(f"synthetic arrays need n * n * max(dim, n_classes) <= 2**24, "
                                   f"got {self.n} * {self.n} * {max(self.dim, self.n_classes)}")
+        # `gaussian_smooth` does n * n taps per kernel cell and axis: O(n**3) per field at sd = n cells
+        taps = sum(2 * int(4.0 * (self.length_scale / (side / self.n)) + 0.5) + 1
+                   for side in (self.extent.height, self.extent.width))
+        fields = self.n_classes if self.label_kind == "distribution" else 1
+        if fields * self.n * self.n * taps > SMOOTHING_TAPS_MAX:
+            raise ValidationError(f"synthetic fields need fields * n * n * kernel taps <= 2**30, "
+                                  f"got {fields} * {self.n} * {self.n} * {taps}")
 
     @property
     def task(self) -> str:
@@ -180,9 +191,9 @@ def synth_city(cfg: SynthConfig) -> tuple[TaskDataset, Representation]:
     elif cfg.label_kind == "class":
         labels = _quantile_bins(flat, cfg.n_classes)
     else:
-        stack = np.stack([
+        stack = np.stack([flat] + [  # field 0 is the label field drawn above
             generate_field(extent, n, cfg.length_scale, stable_seed(cfg.seed, "field", k)).reshape(-1)
-            for k in range(cfg.n_classes)
+            for k in range(1, cfg.n_classes)
         ], axis=1)
         z = stack - stack.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -209,3 +220,31 @@ def synth_city(cfg: SynthConfig) -> tuple[TaskDataset, Representation]:
         support = EntitySetSupport(lons=task.lons[keep], lats=task.lats[keep], vectors=base)
         rep = Representation(model_id="sparse_entities", support=support)
     return task, rep
+
+
+# A file-backed embedding's support type -> (manifest `support`, file suffix, writer)
+_EMBEDDING_FILES = {RasterSupport: ("raster", "erf", write_erf),
+                    EntitySetSupport: ("entity_set", "csv", write_entity_csv)}
+
+
+def write_synth_city(cfg: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
+    """Persist a synthetic city in the standard formats plus a manifest, so the instance is
+    indistinguishable from loaded real data downstream. Returns the paths written: `task`,
+    `manifest` and, unless the model is the coordinate encoder, `embedding`."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    task, rep = synth_city(cfg)
+    paths = {"task": out_dir / f"{cfg.city}_{task.task}.csv", "manifest": out_dir / "manifest.json"}
+    write_task_dataset(paths["task"], task)
+    model_entry: dict = {"dim": rep.support.dim}
+    if type(rep.support) in _EMBEDDING_FILES:
+        model_entry["support"], suffix, write = _EMBEDDING_FILES[type(rep.support)]
+        paths["embedding"] = out_dir / f"{rep.model_id}_{cfg.city}.{suffix}"
+        write(paths["embedding"], rep.support)
+        model_entry["files"] = {cfg.city: paths["embedding"].name}
+    else:
+        model_entry.update(support="coordinate_encoder", encoder=PE_ENCODER_ID)
+    manifest_doc = {"cities": {cfg.city: {"tasks": {task.task: paths["task"].name}}},
+                    "models": {rep.model_id: model_entry}}
+    paths["manifest"].write_text(json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return paths

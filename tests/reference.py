@@ -219,15 +219,22 @@ def read_cell_table_csv(path) -> CellTableSupport:
 
 
 def read_factors(path) -> dict[str, dict[str, float]]:
-    """`cli._read_factors` row by row: a row's fields (a city, then numbers or
-    empty for missing), a nonempty city, a city no earlier row names, then
-    each given value finite."""
+    """`cli._read_factors` row by row: each factor name nonempty and unique,
+    then a row's fields (a city, then numbers or empty for missing), a
+    nonempty city, a city no earlier row names, then each given value finite."""
     path = Path(path)
     _, lines, rows = read_table(path)
     header = rows[0] if rows else []
     if header[:1] != ["city"]:
         raise ValidationError(f"{path}: factors header must start with 'city'")
     names = header[1:]
+    seen_names = set()
+    for name in names:
+        if name == "":
+            raise ValidationError(f"{path}:{lines[0]}: empty factor name")
+        if name in seen_names:
+            raise ValidationError(f"{path}:{lines[0]}: repeated factor {name!r}")
+        seen_names.add(name)
     out: dict[str, dict[str, float]] = {n: {} for n in names}
     seen = set()
     for ln, r in zip(lines[1:], rows[1:]):

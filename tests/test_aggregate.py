@@ -193,15 +193,24 @@ class TestSpearman:
         from scipy import stats
 
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            n = int(rng.integers(4, 15))
-            f = {f"c{i}": float(v) for i, v in enumerate(rng.standard_normal(n))}
-            p = {f"c{i}": float(v) for i, v in enumerate(rng.standard_normal(n))}
-            rho, p_value, _ = spearman_factor_correlation(f, p)
-            ref_rho, ref_p = stats.spearmanr([f[k] for k in sorted(f)],
-                                             [p[k] for k in sorted(p)])
-            assert rho == pytest.approx(ref_rho, abs=1e-12)
-            assert p_value == pytest.approx(ref_p, abs=1e-9)
+        tied = 0
+        # distinct values, then rounded ones, whose ties take the average rank
+        for draw in (rng.standard_normal, lambda n: np.round(rng.standard_normal(n))):
+            for _ in range(50):
+                n = int(rng.integers(4, 15))
+                f = {f"c{i}": float(v) for i, v in enumerate(draw(n))}
+                p = {f"c{i}": float(v) for i, v in enumerate(draw(n))}
+                got = spearman_factor_correlation(f, p)
+                if got is None:  # a constant side, where rho is undefined
+                    assert len(set(f.values())) == 1 or len(set(p.values())) == 1
+                    continue
+                tied += len(set(f.values())) < n or len(set(p.values())) < n
+                rho, p_value, _ = got
+                ref_rho, ref_p = stats.spearmanr([f[k] for k in sorted(f)],
+                                                 [p[k] for k in sorted(p)])
+                assert rho == pytest.approx(ref_rho, abs=1e-12)
+                assert p_value == pytest.approx(ref_p, abs=1e-9)
+        assert tied >= 40
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_p_value_near_perfect_rho_matches_scipy(self, sign):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 import urbanbench.cli as cli
 from urbanbench.align import write_cell_table_csv, write_erf
 from urbanbench.cli import (
@@ -22,13 +23,12 @@ from urbanbench.cli import (
     read_result_store,
     report,
     run,
-    write_synth_city,
 )
 from urbanbench.core import AGE_CITIES, BENCHMARK_CITIES, CellTableSupport, Rect, ValidationError
 from urbanbench.grid import HexGrid, hex_cell_of
 from urbanbench.heads import HeadConfig
 from urbanbench.split import spatial_split
-from urbanbench.synth import SynthConfig, synth_city
+from urbanbench.synth import SynthConfig, synth_city, write_synth_city
 
 
 @pytest.fixture
@@ -204,6 +204,34 @@ class TestRun:
         out = run(plan, log=lambda *a: None)
         assert (out.exit_code, out.new_records) == (0, 6)
         assert not (bench / "out" / "failures.csv").exists()
+
+    def test_failed_group_is_one_failure_and_rerun_retries_it_alone(self, bench, monkeypatch):
+        # one group's head fails: that group alone is a failures.csv row, the pair's other
+        # groups are stored, and a rerun trains that group only, to the store of a clean run
+        train_head, trained, fail = cli.train_head, [], True
+
+        def train_head_failing(features, labels, split, cfg, run_seed):
+            trained.append((split.seed, split.protocol))
+            if trained[-1] == (24, "random") and fail:
+                raise ValidationError("head diverged")
+            return train_head(features, labels, split, cfg, run_seed)
+
+        monkeypatch.setattr(cli, "train_head", train_head_failing)
+        plan = quick_plan(bench, models=("field",))
+        out = run(plan, log=lambda *a: None)
+        assert (out.exit_code, out.new_records) == (2, 9)
+        assert out.failures == [("field|POP|synthA|24|random", "head diverged")]
+        assert (bench / "out" / "failures.csv").read_text().splitlines() == [
+            "run_key,error", "field|POP|synthA|24|random,head diverged"]
+        records = read_result_store(bench / "out" / "results.csv")
+        assert {(r.seed, r.protocol) for r in records} == {(42, "spatial"), (24, "spatial"), (42, "random")}
+        fail, trained[:] = False, []
+        out = run(plan, log=lambda *a: None)
+        assert (out.exit_code, out.new_records, out.skipped_groups) == (0, 3, 3)
+        assert trained == [(24, "random")]
+        assert not (bench / "out" / "failures.csv").exists()
+        run(quick_plan(bench, out="clean", models=("field",)), log=lambda *a: None)
+        assert (bench / "out" / "results.csv").read_bytes() == (bench / "clean" / "results.csv").read_bytes()
 
     def test_ragged_entity_row_fails_pair_and_run_continues(self, bench):
         manifest = json.loads((bench / "manifest.json").read_text())
@@ -437,7 +465,7 @@ class TestRun:
         (bench / "manifest.json").write_text(json.dumps(manifest))
         out = run(quick_plan(bench, models=("wide", "field"), seeds=(42,)), log=lambda *a: None)
         assert out.exit_code == 2
-        assert [f for _, f in out.failures] == ["file dim 4 != declared 5"] * 2
+        assert [f for _, f in out.failures] == [f"{bench / 'field.erf'}: file dim 4 != declared 5"] * 2
         assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
 
     def test_manifest_error_exits_1(self, bench, capsys):
@@ -778,13 +806,17 @@ class TestReport:
         ("city,a,b\nParis,1,x\nLondon,,y\n", "2: column 'b': could not convert string to float: 'x'"),
         ("city,a,b\nParis,1,2\nLondon,nan,x\n", "3: column 'b': could not convert string to float: 'x'"),
         ("city,a\nParis,1\nLondon,-inf\n", "3: factor 'a' value '-inf' is not a finite number"),
-    ], ids=["short", "long", "empty-city", "repeated-city", "value", "nan", "inf"])
+        ("city,a,a\nc1,1,5\n", "1: repeated factor 'a'"),
+        ("# a comment\n\ncity,,b\nc1,1,5\n", "3: empty factor name"),
+    ], ids=["short", "long", "empty-city", "repeated-city", "value", "nan", "inf", "repeated-factor",
+            "empty-factor"])
     def test_bad_factor_row_names_file_line(self, tmp_path, text, message):
         p = tmp_path / "factors.csv"
         p.write_text(text)
-        with pytest.raises(ValidationError) as e:
-            cli._read_factors(p)
-        assert str(e.value) == f"{p}:{message}"
+        for read in (cli._read_factors, reference.read_factors):
+            with pytest.raises(ValidationError) as e:
+                read(p)
+            assert str(e.value) == f"{p}:{message}"
 
     def test_factor_rows_load(self, tmp_path):
         p = tmp_path / "factors.csv"
@@ -1156,6 +1188,8 @@ class TestVerbs:
         ('{"n": 8, "dim": 100000000000, "embedding_kind": "field_plus_noise", "noise_sd": 0.1}',
          "cfg.json: synthetic arrays need n * n * max(dim, n_classes) <= 2**24, "
          "got 8 * 8 * 100000000000"),
+        ('{"n": 1024, "length_scale": 0.2}',
+         "cfg.json: synthetic fields need fields * n * n * kernel taps <= 2**30, got 1 * 1024 * 1024 * 16386"),
     ])
     def test_synth_bad_config_is_one_error_line(self, tmp_path, capsys, text, message):
         (tmp_path / "cfg.json").write_text(text)

@@ -766,7 +766,7 @@ class TestManifest:
                                  "files": {"demo_city": "emb.erf"}}})
         assert main(["validate", str(p)]) == 1
         out = capsys.readouterr().out
-        assert "error: model m, city demo_city: file dim 3 != declared 4\n" in out
+        assert f"error: model m, city demo_city: {tmp_path / 'emb.erf'}: file dim 3 != declared 4\n" in out
         assert "ok: " not in out
 
     def test_dim_mismatch_across_cities(self, tmp_path, capsys):
@@ -784,7 +784,7 @@ class TestManifest:
                                  "files": {"a_city": "a_city.erf", "b_city": "b_city.erf"}}})
         assert main(["validate", str(p)]) == 1
         out = capsys.readouterr().out
-        assert "error: model m, city b_city: file dim 5 != declared 3\n" in out
+        assert f"error: model m, city b_city: {tmp_path / 'b_city.erf'}: file dim 5 != declared 3\n" in out
         assert "ok: m / a_city / POP\n" in out and "ok: m / b_city" not in out
 
     def test_unknown_encoder_is_error(self, tmp_path):
@@ -794,6 +794,18 @@ class TestManifest:
                                  "encoder": "nope"}})
         report = validate_manifest(load_manifest(p))
         assert not report.ok
+
+    def test_encoder_dim_mismatch_is_error(self, tmp_path, capsys):
+        tasks = self._write_tasks(tmp_path, "demo_city", ["POP"])
+        p = make_manifest(tmp_path, {"demo_city": {"tasks": tasks}},
+                          {"m": {"dim": 8, "support": "coordinate_encoder",
+                                 "encoder": "pe_spherec_approx"}})
+        report = validate_manifest(load_manifest(p))
+        assert report.errors == ["model m: encoder dim 192 != declared 8"]
+        assert report.resolvable == [] and report.gaps == []
+        assert main(["validate", str(p)]) == 1
+        out = capsys.readouterr().out
+        assert "error: model m: encoder dim 192 != declared 8\n" in out and "ok: " not in out
 
 
 def _records():

@@ -9,9 +9,9 @@ from reference import dataset, synth_units
 
 from urbanbench.align import align_entities_direct, coverage
 from urbanbench.cli import align_support, leakage_experiment
-from urbanbench.core import Rect, ValidationError, write_task_dataset
+from urbanbench.core import Rect, TaskDataset, ValidationError, stable_seed, write_task_dataset
 from urbanbench.heads import HeadConfig
-from urbanbench.synth import SynthConfig, gaussian_smooth, generate_field, synth_city
+from urbanbench.synth import SMOOTHING_TAPS_MAX, SynthConfig, gaussian_smooth, generate_field, synth_city
 
 EXTENT32 = Rect(-0.1, -0.1, 0.1, 0.1)
 CELL32 = 0.2 / 32  # one cell in extent units
@@ -143,6 +143,39 @@ class TestSynthCity:
         task, _ = synth_city(cfg)
         assert task.labels.shape == (256, 5)
         np.testing.assert_allclose(task.labels.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_distribution_labels_are_softmax_of_k_fields(self):
+        # field k is drawn with seed stable_seed(seed, "field", k); field 0 is also the embedding's
+        cfg = SynthConfig(n=16, seed=2, label_kind="distribution", n_classes=3)
+        task, rep = synth_city(cfg)
+        fields = np.stack([generate_field(cfg.extent, 16, cfg.length_scale, stable_seed(2, "field", k)).reshape(-1)
+                           for k in range(3)], axis=1)
+        e = np.exp(fields - fields.max(axis=1, keepdims=True))
+        want = TaskDataset(cfg.city, cfg.task, task.unit_ids, task.lons, task.lats, task.cell_extents,
+                           e / e.sum(axis=1, keepdims=True), cfg.extent)
+        assert task.labels.tobytes() == want.labels.tobytes()
+        assert rep.support.values[:, :, 0].tobytes() == fields[:, 0].astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("n, width, length_scale, label_kind, n_classes, taps, over", [
+        (512, 0.2, 0.0999, "scalar", 4, 4094, False),       # sd 255.7 cells: r = 1023 on each axis
+        (512, 0.2, 0.1, "scalar", 4, 4098, True),           # sd 256 cells: r = 1024
+        (512, 0.4, 0.19, "scalar", 4, 5840, True),          # r = 1946 in y, 973 in x
+        (512, 0.2, 0.0999, "class", 8, 4094, False),        # one field, however many classes
+        (256, 0.2, 0.1999, "distribution", 4, 4094, False),  # one field per class, K in all
+        (256, 0.2, 0.1999, "distribution", 5, 4094, True),
+    ])
+    def test_smoothing_work_is_bounded(self, n, width, length_scale, label_kind, n_classes, taps, over):
+        # a kernel of 2r + 1 cells per axis, r = int(4 sd + 0.5), as `gaussian_smooth` builds it
+        fields = n_classes if label_kind == "distribution" else 1
+        assert (fields * n * n * taps > SMOOTHING_TAPS_MAX) == over
+        cfg = dict(n=n, extent=Rect(0.0, 0.0, width, 0.2), length_scale=length_scale, label_kind=label_kind,
+                   n_classes=n_classes, embedding_kind="coordinate_pe")
+        if not over:
+            SynthConfig(**cfg)
+            return
+        with pytest.raises(ValidationError, match=rf"^synthetic fields need fields \* n \* n \* kernel taps "
+                                                  rf"<= 2\*\*30, got {fields} \* {n} \* {n} \* {taps}$"):
+            SynthConfig(**cfg)
 
     @pytest.mark.parametrize("label_kind", ["class", "distribution"])
     def test_labels_need_two_classes(self, label_kind):
