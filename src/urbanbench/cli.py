@@ -29,7 +29,7 @@ try:
     import sys
     import time
     from pathlib import Path
-    from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+    from typing import Iterable, NamedTuple, Sequence
 
     import numpy as np
 
@@ -79,9 +79,6 @@ finally:
     gc.freeze()
     if _gc_was_enabled:
         gc.enable()
-
-if TYPE_CHECKING:
-    from .synth import SynthConfig
 
 PROTOCOLS = ("spatial", "random")
 STORE_HEADER = ("model", "task", "city", "seed", "protocol", "metric", "value", "n_test")
@@ -428,45 +425,6 @@ def harness_constants() -> dict:
         "raster_coarse_rule": "rep_cell_contains_representative_point",
         "rng": "numpy_pcg64_sha256_keyed",
     }
-
-
-# ---------------------------------------------------------------------------
-# Leakage experiment
-
-class LeakageResult(NamedTuple):
-    spatial_r2: tuple[float, ...]
-    random_r2: tuple[float, ...]
-
-    @property
-    def deltas(self) -> tuple[float, ...]:
-        return tuple(r - s for r, s in zip(self.random_r2, self.spatial_r2))
-
-    @property
-    def mean_delta(self) -> float:
-        return float(np.mean(self.deltas))
-
-
-def leakage_experiment(cfg: SynthConfig, head_cfg: HeadConfig,
-                       seeds=(42, 24, 7, 0, 100), nx: int = 10, ny: int = 10) -> LeakageResult:
-    """One synthetic city through `align_support` and `evaluate` under both
-    split protocols; returns the per-seed test R2.
-
-    mean_delta = mean(random R2 - spatial R2) is the leakage diagnostic.
-    """
-    from .synth import synth_city
-
-    if cfg.label_kind != "scalar":
-        raise ValidationError("leakage experiment uses scalar labels")
-    task, rep = synth_city(cfg)
-    features = align_support(rep.support, task)
-    grid = BlockGrid(task.extent, nx, ny)
-    r2: dict[str, list[float]] = {"spatial": [], "random": []}
-    for seed in seeds:
-        run_seed = stable_seed(cfg.city, cfg.embedding_kind, seed)
-        for split in (spatial_split(task, grid, seed), random_split(task, seed)):
-            records = evaluate(rep.model_id, task, features, split, head_cfg, run_seed)
-            r2[split.protocol].append(next(r.value for r in records if r.metric == "r2"))
-    return LeakageResult(spatial_r2=tuple(r2["spatial"]), random_r2=tuple(r2["random"]))
 
 
 # ---------------------------------------------------------------------------

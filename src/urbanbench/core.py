@@ -542,11 +542,15 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     dialect.
 
     Leading `# key value...` comment lines carry task, city, extent, and
-    (for class labels) the declared class count. Load is deterministic and
-    order-preserving; malformed rows and comments fail with their line number.
+    (for class labels) the declared class count; any other key is an error.
+    Load is deterministic and order-preserving; malformed rows and comments
+    fail with their line number.
     """
     path = Path(path)
     meta, lines, rows = read_table(path)
+    for key, (line, _) in meta.items():
+        if key not in ("task", "city", "extent", "classes"):
+            raise ValidationError(f"{path}:{line}: unknown key {key!r}")
     if not rows:
         raise ValidationError(f"{path}: no header row")
     if "task" not in meta or "city" not in meta:
@@ -555,6 +559,9 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     city = meta["city"][1]
     if task not in TASKS:
         raise ValidationError(f"{path}:{task_line}: unknown task {task!r}")
+    kind = TASK_LABEL_KIND[task]
+    if "classes" in meta and kind != "class":
+        raise ValidationError(f"{path}:{meta['classes'][0]}: '# classes' is only for a class task")
     given = {}  # without `# extent` or `# classes`, each is derived from the rows
     for key, parse in (("extent", lambda text: Rect(*(parse_field(float, w) for w in header_words(text)))),
                        ("classes", lambda text: parse_field(int, text))):
@@ -565,7 +572,7 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
             except (TypeError, ValueError):
                 raise ValidationError(f"{path}:{line}: malformed '# {key}' line") from None
     extent, n_classes = given.get("extent"), given.get("classes")
-    if TASK_LABEL_KIND[task] == "class" and n_classes is not None and (error := too_few_classes(n_classes)):
+    if n_classes is not None and (error := too_few_classes(n_classes)):
         raise ValidationError(f"{path}:{meta['classes'][0]}: {error}")
 
     header, header_line, rows, lines = rows[0], lines[0], rows[1:], lines[1:]
@@ -575,7 +582,6 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     has_extent = rest[:4] == _CELL_COLUMNS
     label_cols = rest[4:] if has_extent else rest
 
-    kind = TASK_LABEL_KIND[task]
     if kind == "distribution" and len(label_cols) < 2:
         raise ValidationError(f"{path}:{header_line}: distribution needs >= 2 p_ columns")
     expected = _label_columns(kind, len(label_cols))
@@ -803,7 +809,8 @@ def read_json_object(path: Path, what: str) -> dict:
 
 def load_manifest(path: str | Path) -> Manifest:
     """The manifest in a JSON file. A key it does not read is an error, as is a
-    value of the wrong JSON type; each ValidationError names the file."""
+    value of the wrong JSON type; each ValidationError names the file. A model
+    of a known support reads `files`, or `encoder` for a coordinate encoder."""
     path = Path(path)
     doc = only_keys(read_json_object(path, "manifest"), ("cities", "models"), str(path))
     cities = {}
@@ -812,11 +819,14 @@ def load_manifest(path: str | Path) -> Manifest:
         cities[city] = _json_paths(entry.get("tasks", {}), path, f"cities.{city}.tasks")
     models = {}
     for model_id, entry in _json_object(doc.get("models", {}), path, "models").items():
-        entry = only_keys(_json_object(entry, path, f"models.{model_id}"),
-                          ("dim", "support", "files", "encoder"), f"{path}: models.{model_id}")
+        at = f"{path}: models.{model_id}"
+        entry = only_keys(_json_object(entry, path, f"models.{model_id}"), ("dim", "support", "files", "encoder"), at)
         missing = [k for k in ("dim", "support") if k not in entry]
         if missing:
             raise ValidationError(f"{path}: model {model_id}: missing {', '.join(missing)}")
+        if entry["support"] in SUPPORT_KINDS:  # an unknown support is reported by validate_manifest
+            reads = "encoder" if entry["support"] == "coordinate_encoder" else "files"
+            only_keys(entry, ("dim", "support", reads), at)
         if isinstance(entry["dim"], bool) or not isinstance(entry["dim"], int):
             raise ValidationError(
                 f"{path}: model {model_id}: dim must be an integer, got {entry['dim']!r}")

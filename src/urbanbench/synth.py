@@ -1,9 +1,8 @@
 """Synthetic cities: autocorrelated label fields plus matching representations.
 
 This module generates synthetic cities and writes them to disk in the
-standard input formats (`write_synth_city`). Running one through the
-pipeline (`cli.leakage_experiment`) lives in `cli`, so synthetic cities take
-the same alignment and evaluate step as loaded data. Fields are Gaussian-smoothed
+standard input formats (`write_synth_city`); `cli` runs them, through the
+same alignment and evaluate step as loaded data. Fields are Gaussian-smoothed
 white noise standardized to mean 0, variance 1; the smoothing scale controls
 the spatial autocorrelation length.
 """
@@ -78,11 +77,14 @@ class SynthConfig:
         if self.length_scale > side:
             raise ValidationError(f"length_scale must be at most the extent's shorter side {side}, "
                                   f"got {self.length_scale}")
-        # The embedding and label arrays are n x n x dim and n x n x n_classes:
-        # 2**24 float64 values is 128 MiB per array.
-        if self.n * self.n * max(self.dim, self.n_classes) > 2**24:
-            raise ValidationError(f"synthetic arrays need n * n * max(dim, n_classes) <= 2**24, "
-                                  f"got {self.n} * {self.n} * {max(self.dim, self.n_classes)}")
+        # A field or entity embedding is n x n x dim, distribution labels are
+        # n x n x n_classes: 2**24 float64 values is 128 MiB per array.
+        widths = {"dim": self.dim if self.embedding_kind != "coordinate_pe" else 0,
+                  "n_classes": self.n_classes if self.label_kind == "distribution" else 0}
+        width = max(widths, key=widths.get)
+        if self.n * self.n * widths[width] > 2**24:
+            raise ValidationError(f"synthetic arrays need n * n * {width} <= 2**24, "
+                                  f"got {self.n} * {self.n} * {widths[width]}")
         # `gaussian_smooth` does n * n taps per kernel cell and axis: O(n**3) per field at sd = n cells
         taps = sum(2 * int(4.0 * (self.length_scale / (side / self.n)) + 0.5) + 1
                    for side in (self.extent.height, self.extent.width))

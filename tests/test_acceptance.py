@@ -12,7 +12,7 @@ import pytest
 
 from urbanbench.aggregate import city_ranks, overall_rank
 from urbanbench.align import align_entities_direct, coverage, write_erf
-from urbanbench.cli import RunPlan, align_support, evaluate, leakage_experiment, read_result_store, run
+from urbanbench.cli import RunPlan, align_support, evaluate, read_result_store, run
 from urbanbench.core import HIGHER_BETTER, Rect, ValidationError, write_task_dataset
 from urbanbench.grid import BlockGrid
 from urbanbench.heads import HeadConfig, gradient_check
@@ -32,6 +32,7 @@ from test_metrics import (
     random_distributions,
 )
 from test_split import assert_one_label_per_block, block_sets
+from test_synth import leakage_r2, mean_delta
 
 
 def ok(name):
@@ -190,14 +191,14 @@ class TestLeakageReproduction:
         seeds = (42, 24, 7, 0, 100)
         smooth = SynthConfig(n=40, extent=Rect(-0.1, -0.1, 0.1, 0.1), length_scale=0.05,
                              label_kind="scalar", embedding_kind="coordinate_pe", seed=3)
-        res_smooth = leakage_experiment(smooth, LINEAR_HEAD, seeds=seeds)
+        delta_smooth = mean_delta(leakage_r2(smooth, LINEAR_HEAD, seeds=seeds))
         white = SynthConfig(n=40, extent=Rect(-0.1, -0.1, 0.1, 0.1), length_scale=0.002,
                             label_kind="scalar", embedding_kind="coordinate_pe", seed=3)
-        res_white = leakage_experiment(white, LINEAR_HEAD, seeds=seeds)
-        assert res_smooth.mean_delta > 0
-        assert res_smooth.mean_delta - res_white.mean_delta >= 0.05
-        ok(f"leakage reproduction (delta {res_smooth.mean_delta:.3f} > 0, "
-           f"margin over white {res_smooth.mean_delta - res_white.mean_delta:.3f} >= 0.05)")
+        delta_white = mean_delta(leakage_r2(white, LINEAR_HEAD, seeds=seeds))
+        assert delta_smooth > 0
+        assert delta_smooth - delta_white >= 0.05
+        ok(f"leakage reproduction (delta {delta_smooth:.3f} > 0, "
+           f"margin over white {delta_smooth - delta_white:.3f} >= 0.05)")
 
 
 class TestH3FirstCoverageDirection:
@@ -255,11 +256,11 @@ class TestEndToEndSanity:
     def test_field_value_linear_head(self):
         cfg = SynthConfig(n=40, extent=Rect(-0.1, -0.1, 0.1, 0.1), length_scale=0.05,
                           label_kind="scalar", embedding_kind="field_value", dim=4, seed=3)
-        res = leakage_experiment(cfg, LINEAR_HEAD, seeds=(42, 24, 7))
-        assert min(res.spatial_r2) > 0.95
-        assert min(res.random_r2) > 0.95
-        ok(f"end-to-end sanity (spatial R2 >= {min(res.spatial_r2):.3f}, "
-           f"random R2 >= {min(res.random_r2):.3f}, both > 0.95)")
+        r2 = leakage_r2(cfg, LINEAR_HEAD, seeds=(42, 24, 7))
+        assert min(r2["spatial"]) > 0.95
+        assert min(r2["random"]) > 0.95
+        ok(f"end-to-end sanity (spatial R2 >= {min(r2['spatial']):.3f}, "
+           f"random R2 >= {min(r2['random']):.3f}, both > 0.95)")
 
 
 class TestFullRunDeterminism:

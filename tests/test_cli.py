@@ -233,6 +233,26 @@ class TestRun:
         run(quick_plan(bench, out="clean", models=("field",)), log=lambda *a: None)
         assert (bench / "out" / "results.csv").read_bytes() == (bench / "clean" / "results.csv").read_bytes()
 
+    def test_group_with_no_valid_test_units_is_one_failure(self, bench):
+        # a raster with no value on the test blocks of the seed-42 spatial split
+        from urbanbench.align import read_erf
+        from urbanbench.core import load_task_dataset
+        from urbanbench.grid import BlockGrid
+
+        plan = quick_plan(bench, models=("holey",))
+        task = load_task_dataset(bench / "task.csv")
+        test = spatial_split(task, BlockGrid(task.extent, plan.nx, plan.ny), 42).mask("test")
+        raster = read_erf(bench / "field.erf")
+        raster.values.reshape(-1, raster.dim)[test] = np.nan  # unit ix + n * iy is raster cell (iy, ix)
+        add_model(bench, "holey", "raster", 4, "holey.erf")
+        write_erf(bench / "holey.erf", raster)
+        out = run(plan, log=lambda *a: None)
+        assert (out.exit_code, out.new_records) == (2, 9)
+        assert (bench / "out" / "failures.csv").read_text().splitlines() == [
+            "run_key,error", "holey|POP|synthA|42|spatial,no valid test units"]
+        records = read_result_store(bench / "out" / "results.csv")
+        assert {(r.seed, r.protocol) for r in records} == {(24, "spatial"), (42, "random"), (24, "random")}
+
     def test_ragged_entity_row_fails_pair_and_run_continues(self, bench):
         manifest = json.loads((bench / "manifest.json").read_text())
         with open(bench / "ragged.csv", "w") as f:
@@ -992,7 +1012,11 @@ class TestVerbs:
          "models.field.files.synthA must be a path string, got 5"),
         (lambda m: m["cities"]["synthA"]["tasks"].update(POP=5),
          "cities.synthA.tasks.POP must be a path string, got 5"),
-    ], ids=["hexgrid-value", "hexgrid-int", "hexgrid-keys", "file-for-files", "files-list", "file-int", "task-int"])
+        # each support reads its files or its encoder, never both
+        (lambda m: m["models"]["field"].update(encoder="bogus"), "models.field: unknown key 'encoder'"),
+        (lambda m: m["models"]["pe"].update(files={"synthA": "missing.erf"}), "models.pe: unknown key 'files'"),
+    ], ids=["hexgrid-value", "hexgrid-int", "hexgrid-keys", "file-for-files", "files-list", "file-int", "task-int",
+            "encoder-on-raster", "files-on-encoder"])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_manifest_value_types(self, bench, capsys, edit, key, verb):
         manifest = json.loads((bench / "manifest.json").read_text())
@@ -1186,7 +1210,7 @@ class TestVerbs:
          "cfg.json: length_scale must be at most the extent's shorter side 0.2, got 1000000000.0"),
         ('{"n": 10000000000}', "cfg.json: synthetic grid needs 8 <= n <= 2048, got 10000000000"),
         ('{"n": 8, "dim": 100000000000, "embedding_kind": "field_plus_noise", "noise_sd": 0.1}',
-         "cfg.json: synthetic arrays need n * n * max(dim, n_classes) <= 2**24, "
+         "cfg.json: synthetic arrays need n * n * dim <= 2**24, "
          "got 8 * 8 * 100000000000"),
         ('{"n": 1024, "length_scale": 0.2}',
          "cfg.json: synthetic fields need fields * n * n * kernel taps <= 2**30, got 1 * 1024 * 1024 * 16386"),

@@ -142,9 +142,17 @@ class TestLoadTaskDataset:
         # each of these numbers reads, but the words are split only at the single space the writer emits
         *((f"# task POP\n# city demo\n# extent {extent}\nunit_id,lon,lat,value\n", "3: malformed '# extent' line")
           for extent in ("0\u00a00 1\u20031", "0\x1c0 1 1", "0  0 1 1", "0 0 1 1 ")),
+        # a key the loader does not read is an error, not a comment: a misspelt
+        # `# extent` would otherwise take the extent from the units
+        ("# task POP\n# city demo\n# extnet 0 0 10 10\nunit_id,lon,lat,value\n", "3: unknown key 'extnet'"),
+        ("# task POP\n# note made by hand\n# city demo\nunit_id,lon,lat,value\n", "2: unknown key 'note'"),
+        ("# task POP\n# city demo\n# classes 7\nunit_id,lon,lat,value\n", "3: '# classes' is only for a class task"),
+        ("# task AGE\n# city demo\n# classes 2\nunit_id,lon,lat,p_0,p_1\n",
+         "3: '# classes' is only for a class task"),
     ], ids=["task", "extent", "header", "extent-underscore", "extent-arabic-indic-digit",
             "classes-underscore", "classes-arabic-indic-digit", "extent-no-break-and-em-space",
-            "extent-file-separator", "extent-double-space", "extent-trailing-space"])
+            "extent-file-separator", "extent-double-space", "extent-trailing-space",
+            "unknown-key", "unknown-key-note", "classes-in-scalar-task", "classes-in-distribution-task"])
     def test_metadata_error_names_line(self, tmp_path, text, message):
         p = tmp_path / "task.csv"
         p.write_text(text + "u0,0.1,0.1,0\n", encoding="utf-8")
@@ -291,6 +299,9 @@ def _ref_load_task_dataset(path):
     class count below 2 fails at its `# classes` line, or, read from the rows,
     in the dataset constructor."""
     meta, lines, rows = read_table(path)
+    for key in meta:
+        if key not in {"task", "city", "extent", "classes"}:
+            raise ValidationError(f"{path}:{meta[key][0]}: unknown key {key!r}")
     if not rows:
         raise ValidationError(f"{path}: no header row")
     if "task" not in meta or "city" not in meta:
@@ -298,6 +309,8 @@ def _ref_load_task_dataset(path):
     (task_line, task), (_, city) = meta["task"], meta["city"]
     if task not in TASKS:
         raise ValidationError(f"{path}:{task_line}: unknown task {task!r}")
+    if "classes" in meta and TASK_LABEL_KIND[task] != "class":
+        raise ValidationError(f"{path}:{meta['classes'][0]}: '# classes' is only for a class task")
     extent = None
     if "extent" in meta:
         try:
@@ -308,7 +321,7 @@ def _ref_load_task_dataset(path):
         n_classes = int(strict(meta["classes"][1])) if "classes" in meta else None
     except ValueError:
         raise ValidationError(f"{path}:{meta['classes'][0]}: malformed '# classes' line") from None
-    if TASK_LABEL_KIND[task] == "class" and n_classes is not None and n_classes < 2:
+    if n_classes is not None and n_classes < 2:
         raise ValidationError(f"{path}:{meta['classes'][0]}: a class task needs at least 2 classes, got {n_classes}")
 
     header, header_line = rows[0], lines[0]
@@ -422,7 +435,9 @@ ODD_FIELDS = st.sampled_from([
 def task_csvs(draw):
     """Task CSV text near the canonical form: clean rows, up to two of them
     with one field replaced, dropped or doubled, blank lines between rows, and
-    the extent comment present, absent or malformed."""
+    the extent comment present, absent or malformed, and now and then a
+    `# classes` comment on a task that is not a class task or a comment key
+    that no task file has."""
     task = draw(st.sampled_from(["POP", "LUC", "AGE"]))
     kind = TASK_LABEL_KIND[task]
     cells = draw(st.booleans())
@@ -432,8 +447,10 @@ def task_csvs(draw):
                                    "0.25 0.25 1 1", None, None, "0 0 1", "nan 0 1 1"]))
     if extent is not None:
         lines.append(f"# extent {extent}")
-    if kind == "class" and draw(st.booleans()):
+    if (kind == "class" or draw(st.integers(0, 3)) == 0) and draw(st.booleans()):
         lines.append(f"# classes {draw(st.sampled_from(['3', '3', '2', '1', 'x']))}")
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# extnet 0 0 1 1", "# note"])))
     header = ["unit_id", "lon", "lat"] + (["x0", "y0", "x1", "y1"] if cells else [])
     header += {"scalar": ["value"], "class": ["class"]}.get(kind, [f"p_{i}" for i in range(k)])
     lines.append(",".join(header))
@@ -814,7 +831,7 @@ def _records():
     from pathlib import Path
 
     from urbanbench.align import AlignedMatrix
-    from urbanbench.cli import LeakageResult, RunOutcome, RunPlan
+    from urbanbench.cli import RunOutcome, RunPlan
     from urbanbench.core import (CellTableSupport, CoordinateEncoderSupport, EntitySetSupport, Manifest,
                                  ManifestModel, RasterSupport, Representation, ResultRecord, ValidationReport)
     from urbanbench.grid import BlockGrid, HexGrid
@@ -844,7 +861,6 @@ def _records():
         (TrainedHead(HeadConfig(), {}, None, 0.0, 1), "epochs_run", None),
         (RunPlan(Path("manifest.json"), Path("out")), "nx", {"protocols": ("spatial", "spatial")}),
         (RunOutcome(0, 0, 0), "exit_code", None),
-        (LeakageResult((), ()), "spatial_r2", None),
     ]
 
 

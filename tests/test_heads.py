@@ -156,6 +156,18 @@ class TestTraining:
         with pytest.raises(ValidationError, match="validation"):
             train_head(feats, y, split, cfg, run_seed=0)
 
+    @pytest.mark.parametrize("part, loss", [("train", "training"), ("val", "validation")])
+    def test_non_finite_loss_errors(self, part, loss):
+        # rows of 1e200 overflow the squared error of the units they hold (numpy's
+        # overflow warning, an error under this suite's settings, is silenced here)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((20, 2))
+        split = make_split(20, 4, 4, seed=1)
+        x[split.mask(part)] = 1e200
+        cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=4, max_epochs=5, patience=2)
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match=f"^non-finite {loss} loss at epoch 0$"):
+            train_head(matrix(x), rng.standard_normal(20), split, cfg, run_seed=0)
+
     def test_invalid_rows_excluded_from_training(self):
         # corrupt features on invalid rows must not affect the fit
         rng = np.random.default_rng(6)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from reference import dataset, synth_units
 
 from urbanbench.align import align_entities_direct, coverage
-from urbanbench.cli import align_support, leakage_experiment
+from urbanbench.cli import align_support, evaluate
 from urbanbench.core import Rect, TaskDataset, ValidationError, stable_seed, write_task_dataset
+from urbanbench.grid import BlockGrid
 from urbanbench.heads import HeadConfig
+from urbanbench.split import random_split, spatial_split
 from urbanbench.synth import SMOOTHING_TAPS_MAX, SynthConfig, gaussian_smooth, generate_field, synth_city
 
 EXTENT32 = Rect(-0.1, -0.1, 0.1, 0.1)
@@ -18,6 +20,26 @@ CELL32 = 0.2 / 32  # one cell in extent units
 
 LINEAR_HEAD = HeadConfig(kind="linear", output="scalar", n_out=1,
                          batch_size=128, max_epochs=150, patience=10)
+
+
+def leakage_r2(cfg, head_cfg, seeds, nx=10, ny=10):
+    """One synthetic city through `align_support` and `evaluate` under both
+    split protocols: the per-seed test R2 as {"spatial": [...], "random": [...]}."""
+    task, rep = synth_city(cfg)
+    features = align_support(rep.support, task)
+    grid = BlockGrid(task.extent, nx, ny)
+    r2 = {"spatial": [], "random": []}
+    for seed in seeds:
+        run_seed = stable_seed(cfg.city, cfg.embedding_kind, seed)
+        for split in (spatial_split(task, grid, seed), random_split(task, seed)):
+            records = evaluate(rep.model_id, task, features, split, head_cfg, run_seed)
+            r2[split.protocol].append(next(r.value for r in records if r.metric == "r2"))
+    return r2
+
+
+def mean_delta(r2):
+    """The leakage diagnostic: mean(random R2 - spatial R2) over seeds."""
+    return float(np.mean([r - s for r, s in zip(r2["random"], r2["spatial"])]))
 
 
 def lag1_autocorr(field: np.ndarray) -> float:
@@ -177,6 +199,28 @@ class TestSynthCity:
                                                   rf"<= 2\*\*30, got {fields} \* {n} \* {n} \* {taps}$"):
             SynthConfig(**cfg)
 
+    @pytest.mark.parametrize("label_kind, n_classes, embedding_kind, dim, counted", [
+        # at n = 2048 an array of width 4 is 2**24 values, width 5 is over
+        ("scalar", 5, "coordinate_pe", 5, None),  # no n x n x width array is built
+        ("class", 5, "coordinate_pe", 5, None),
+        ("distribution", 4, "coordinate_pe", 5, None),
+        ("distribution", 5, "coordinate_pe", 5, ("n_classes", 5)),
+        ("scalar", 5, "field_value", 4, None),
+        ("scalar", 2, "field_value", 5, ("dim", 5)),
+        ("class", 2, "field_plus_noise", 5, ("dim", 5)),
+        ("scalar", 2, "sparse_entities", 5, ("dim", 5)),
+        ("distribution", 5, "field_value", 6, ("dim", 6)),  # the wider of the two arrays
+    ])
+    def test_array_rule_counts_the_arrays_it_builds(self, label_kind, n_classes, embedding_kind, dim, counted):
+        cfg = dict(n=2048, length_scale=1e-4, label_kind=label_kind, n_classes=n_classes,
+                   embedding_kind=embedding_kind, dim=dim)
+        if counted is None:
+            SynthConfig(**cfg)
+            return
+        with pytest.raises(ValidationError, match=rf"^synthetic arrays need n \* n \* {counted[0]} <= 2\*\*24, "
+                                                  rf"got 2048 \* 2048 \* {counted[1]}$"):
+            SynthConfig(**cfg)
+
     @pytest.mark.parametrize("label_kind", ["class", "distribution"])
     def test_labels_need_two_classes(self, label_kind):
         # one class leaves nothing to predict: every model would score a perfect 1.0
@@ -208,22 +252,20 @@ class TestLeakage:
     def test_fully_informative_control(self):
         cfg = SynthConfig(n=40, extent=Rect(-0.1, -0.1, 0.1, 0.1), length_scale=0.05,
                           label_kind="scalar", embedding_kind="field_value", seed=3)
-        res = leakage_experiment(cfg, LINEAR_HEAD, seeds=(42, 24))
-        assert min(res.spatial_r2) > 0.95
-        assert min(res.random_r2) > 0.95
-        assert abs(res.mean_delta) < 0.05
+        r2 = leakage_r2(cfg, LINEAR_HEAD, seeds=(42, 24))
+        assert min(r2["spatial"]) > 0.95
+        assert min(r2["random"]) > 0.95
+        assert abs(mean_delta(r2)) < 0.05
 
     def test_pe_on_autocorrelated_field_leaks(self):
         cfg = SynthConfig(n=40, extent=Rect(-0.1, -0.1, 0.1, 0.1), length_scale=0.05,
                           label_kind="scalar", embedding_kind="coordinate_pe", seed=3)
-        res = leakage_experiment(cfg, LINEAR_HEAD, seeds=(42, 24))
-        assert res.mean_delta > 0
+        assert mean_delta(leakage_r2(cfg, LINEAR_HEAD, seeds=(42, 24))) > 0
 
     def test_white_field_no_leak(self):
         cfg = SynthConfig(n=40, extent=Rect(-0.1, -0.1, 0.1, 0.1), length_scale=0.002,
                           label_kind="scalar", embedding_kind="coordinate_pe", seed=3)
-        res = leakage_experiment(cfg, LINEAR_HEAD, seeds=(42, 24))
-        assert abs(res.mean_delta) < 0.05
+        assert abs(mean_delta(leakage_r2(cfg, LINEAR_HEAD, seeds=(42, 24)))) < 0.05
 
     def test_delta_monotone_in_length_scale(self):
         # pinned configuration: n=32, 5x5 blocks, synth seed 0; under 10x10
@@ -234,11 +276,5 @@ class TestLeakage:
         for cells in (1.0, 4.0, 8.0):  # n/32, n/8, n/4
             cfg = SynthConfig(n=32, extent=EXTENT32, length_scale=CELL32 * cells,
                               label_kind="scalar", embedding_kind="coordinate_pe", seed=0)
-            res = leakage_experiment(cfg, LINEAR_HEAD, seeds=(42, 24, 7, 0, 100), nx=5, ny=5)
-            deltas.append(res.mean_delta)
+            deltas.append(mean_delta(leakage_r2(cfg, LINEAR_HEAD, seeds=(42, 24, 7, 0, 100), nx=5, ny=5)))
         assert deltas[0] <= deltas[1] <= deltas[2]
-
-    def test_rejects_class_labels(self):
-        cfg = SynthConfig(n=16, label_kind="class", embedding_kind="coordinate_pe")
-        with pytest.raises(ValidationError):
-            leakage_experiment(cfg, LINEAR_HEAD, seeds=(42,))

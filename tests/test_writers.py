@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference
 from urbanbench import core
 from urbanbench.align import write_cell_table_csv, write_entity_csv
-from urbanbench.core import CellTableSupport, EntitySetSupport, Rect, TaskDataset, write_task_dataset
+from urbanbench.core import CellTableSupport, EntitySetSupport, Rect, TaskDataset, ValidationError, write_task_dataset
 from urbanbench.grid import HexGrid
 from urbanbench.synth import SynthConfig, synth_city
 
@@ -144,6 +144,17 @@ def test_writer_formats_each_bit_pattern_once_per_block(tmp_path_factory, block)
                 for i in range(0, len(values), block)]
     assert fmt.call_count == sum(distinct)
     assert fmt.call_count < values.size
+
+
+def test_task_writer_rejects_mixed_geometries(tmp_path):
+    # a task file has cell columns for every unit or for none: the first point unit is named
+    cells = np.array([[0.0, 0.0, 1.0, 1.0], [math.nan] * 4, [1.0, 1.0, 2.0, 2.0]])
+    ds = TaskDataset("c", "POP", ["u0", "u1", "u2"], np.array([0.5, 0.2, 1.5]), np.array([0.5, 0.2, 1.5]),
+                     cells, np.zeros(3), Rect(0.0, 0.0, 2.0, 2.0))
+    for write in (write_task_dataset, reference.write_task_dataset):
+        with pytest.raises(ValidationError, match="^unit u1: mixed geometries in raster_cell dataset$"):
+            write(tmp_path / "t.csv", ds)
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("kind, digest", [
