@@ -369,7 +369,7 @@ def write_entity_csv(path: str | Path, rep: EntitySetSupport) -> None:
 
 def read_entity_csv(path: str | Path) -> EntitySetSupport:
     path = Path(path)
-    _, lines, rows = read_table(path)
+    _, lines, rows = read_table(path, {})
     if not rows:
         raise ValidationError(f"{path}: empty entity file")
     header, rows, lines = rows[0], rows[1:], lines[1:]
@@ -405,18 +405,14 @@ def write_cell_table_csv(path: str | Path, rep: CellTableSupport) -> None:
 
 
 def read_cell_table_csv(path: str | Path) -> CellTableSupport:
-    """A cell table keyed on the grid of its `# hexgrid` comment, which it must have."""
+    """A cell table keyed on the grid of its `# hexgrid lon0 lat0 edge_len_m`
+    comment, which it must have; `read_table` applies the comment rule."""
     path = Path(path)
-    meta, lines, rows = read_table(path)
+    meta, lines, rows = read_table(path, {"hexgrid": lambda text: HexGrid._make(
+        parse_field(float, w) for w in header_words(text))})
     if "hexgrid" not in meta:
         raise ValidationError(f"{path}: missing '# hexgrid lon0 lat0 edge_len_m' comment")
-    line, text = meta["hexgrid"]
-    try:
-        lon0, lat0, edge = (parse_field(float, w) for w in header_words(text))
-        grid = HexGrid(lon0, lat0, edge)
-    except ValueError as e:  # a wrong count and a bad HexGrid are ValueErrors too
-        raise ValidationError(
-            f"{path}:{line}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
+    grid = meta["hexgrid"][1]
     if not rows:
         raise ValidationError(f"{path}: empty cell table")
     header, rows, lines = rows[0], rows[1:], lines[1:]

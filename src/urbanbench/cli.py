@@ -117,7 +117,7 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
     metric of the task's kind, n_test >= 1, and a (model, task, city, seed,
     protocol, metric) key that no earlier row has."""
     path = Path(path)
-    _, lines, rows = read_table(path)
+    _, lines, rows = read_table(path, {})
     if rows[:1] != [list(STORE_HEADER)]:
         raise ValidationError(f"{path}: unexpected result store header {rows[0] if rows else None}")
     rows, lines = rows[1:], lines[1:]
@@ -547,7 +547,7 @@ def _read_factors(path: str | Path) -> dict[str, dict[str, float]]:
     factor name is nonempty and unique; each row holds the header's field
     count, a nonempty city of its own and finite numbers; "" is missing."""
     path = Path(path)
-    _, lines, rows = read_table(path)
+    _, lines, rows = read_table(path, {})
     header = rows[0] if rows else []
     if header[:1] != ["city"]:
         raise ValidationError(f"{path}: factors header must start with 'city'")
@@ -621,22 +621,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"grid must look like 10x10, got {text!r}") from None
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
+def _comma_list(text: str, parse=str) -> tuple:
+    """The argparse type of every comma-list option: one or more nonempty items, each read by `parse`."""
     try:
-        return tuple(int(s) for s in text.split(","))
+        if "" in (items := text.split(",")):
+            raise ValueError
+        return tuple(map(parse, items))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seeds must look like 42,24,7, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of nonempty {parse.__name__} items") from None
 
 
 def _cmd_run(args) -> int:
     plan = RunPlan(
-        manifest_path=Path(args.manifest), out_dir=Path(args.out),
-        models=tuple(args.models.split(",")) if args.models else None,
-        cities=tuple(args.cities.split(",")) if args.cities else None,
-        tasks=tuple(args.tasks.split(",")) if args.tasks else None,
-        seeds=args.seeds,
-        protocols=tuple(args.protocols.split(",")),
-        nx=args.grid[0], ny=args.grid[1],
+        manifest_path=Path(args.manifest), out_dir=Path(args.out), models=args.models, cities=args.cities,
+        tasks=args.tasks, seeds=args.seeds, protocols=args.protocols, nx=args.grid[0], ny=args.grid[1],
         head=HeadConfig(kind=args.head, batch_size=args.batch_size, max_epochs=args.max_epochs,
                         hidden_dim=args.hidden_dim, patience=args.patience),
     )
@@ -697,13 +695,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="run the benchmark for a manifest")
     p.add_argument("manifest")
     p.add_argument("--grid", type=_parse_grid, default=(plan["nx"], plan["ny"]))
-    p.add_argument("--protocols", default=",".join(plan["protocols"]))
-    p.add_argument("--seeds", type=_parse_seeds, default=plan["seeds"])
+    p.add_argument("--protocols", type=_comma_list, default=plan["protocols"])
+    p.add_argument("--seeds", type=lambda text: _comma_list(text, int), default=plan["seeds"])
     p.add_argument("--head", choices=["linear", "mlp"], default=head["kind"])
     p.add_argument("--out", default="runs/out")
-    p.add_argument("--models", default=None)
-    p.add_argument("--cities", default=None)
-    p.add_argument("--tasks", default=None)
+    p.add_argument("--models", type=_comma_list)
+    p.add_argument("--cities", type=_comma_list)
+    p.add_argument("--tasks", type=_comma_list)
     p.add_argument("--batch-size", type=int, default=head["batch_size"])
     p.add_argument("--max-epochs", type=int, default=head["max_epochs"])
     p.add_argument("--hidden-dim", type=int, default=head["hidden_dim"])

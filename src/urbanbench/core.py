@@ -431,29 +431,38 @@ def header_words(line: str, maxsplit: int = -1) -> list[str]:
     return line.rstrip("\r\n").split(" ", maxsplit)
 
 
-def read_table(path: Path) -> tuple[dict[str, tuple[int, str]], Sequence[int], list[list[str]]]:
+def read_table(path: Path, keys: Mapping[str, Callable]) -> tuple[dict, Sequence[int], list[list[str]]]:
     """The one CSV dialect of every input table: UTF-8 text split into lines at
     CR, LF or CRLF only, blank lines skipped. Each `#` line before the header
-    is a comment, and `meta[key]` is the (line, value) of `# key value`, split
-    by `header_words`. A comment whose `#` is followed by whitespace other than
-    one space, or whose key is empty or holds whitespace, raises a
-    ValidationError naming path:line, so a key is never dropped unseen. The
-    header and each later line is one row, parsed on its own, so an open quote
-    never runs on into the next line. Returns (meta, lines, rows): `rows[0]` is
-    the header, and `lines[i]` is the physical line number of `rows[i]`. A line
-    the csv module rejects raises a ValidationError naming path:line."""
+    is a comment, under the one comment rule: `# key value`, split by
+    `header_words`, names a key of the format's key table `keys` at most once,
+    and `meta[key]` is (line, `keys[key](value)`). An unknown or repeated key, a
+    value whose parser raises ValueError or TypeError, and a `#` followed by
+    whitespace other than one space or a key that is empty or holds whitespace
+    raise a ValidationError naming path:line, in line order, before any header
+    rule; `#text` and a bare `#` are plain comments. The header and each later
+    line is one row, parsed on its own, so an open quote never runs on into the
+    next line. Returns (meta, lines, rows): `rows[0]` is the header, `lines[i]`
+    the physical line of `rows[i]`; a line the csv module rejects raises a
+    ValidationError naming path:line."""
     with open_text(path) as f:
         text = f.readlines()  # split at CR, LF or CRLF, endings kept
-    meta: dict[str, tuple[int, str]] = {}
+    meta = {}
     head = 0
     while head < len(text) and (text[head].startswith("#") or text[head] in ("\n", "\r\n", "\r")):
         words = header_words(text[head], 2)
         key = words[1] if words[0] == "#" and len(words) > 1 else None
-        if words[0][1:2].isspace() or (key is not None and (not key or any(map(str.isspace, key)))):
-            raise ValidationError(f"{path}:{head + 1}: malformed comment")
-        if key is not None:
-            meta[key] = (head + 1, words[2] if len(words) > 2 else "")
         head += 1
+        if key is None and not words[0][1:2].isspace():
+            continue  # a blank line, `#text` or a bare `#`
+        if not key or any(map(str.isspace, key)):
+            raise ValidationError(f"{path}:{head}: malformed comment")
+        if key not in keys or key in meta:
+            raise ValidationError(f"{path}:{head}: {'repeated' if key in meta else 'unknown'} key {key!r}")
+        try:
+            meta[key] = (head, keys[key](words[2] if len(words) > 2 else ""))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{path}:{head}: malformed '# {key}' line") from None
     body = text[head:]
     if body:  # so that a quote open on the last line closes with it, as on every other
         body[-1] = body[-1].rstrip("\r\n")
@@ -526,8 +535,11 @@ def parse_rows(header: Sequence[str], rows: list[list[str]], parsers: Sequence) 
                      (unread, errors.__getitem__)]
 
 
-# The task file's columns: the unit columns, the four cell-extent columns of
-# a raster-cell dataset, then the label columns of its kind.
+# The task file's comment keys with the parsers of their values, and its
+# columns: the unit columns, the four cell-extent columns of a raster-cell
+# dataset, then the label columns of its kind.
+_TASK_KEYS = {"task": str, "city": str, "classes": lambda text: parse_field(int, text),
+              "extent": lambda text: Rect._make(parse_field(float, w) for w in header_words(text))}
 _UNIT_COLUMNS = ["unit_id", "lon", "lat"]
 _CELL_COLUMNS = ["x0", "y0", "x1", "y1"]
 
@@ -539,41 +551,27 @@ def _label_columns(kind: str, k: int) -> list[str]:
 
 def load_task_dataset(path: str | Path) -> TaskDataset:
     """Load a task dataset from its canonical CSV form, in the `read_table`
-    dialect.
-
-    Leading `# key value...` comment lines carry task, city, extent, and
-    (for class labels) the declared class count; any other key is an error.
-    Load is deterministic and order-preserving; malformed rows and comments
-    fail with their line number.
+    dialect with the comment keys `_TASK_KEYS`: task, city, extent and (for
+    class labels) the declared class count. Load is deterministic and
+    order-preserving. A malformed comment or row fails at its line, comments
+    first: a malformed `# extent` comes before `no header row`.
     """
     path = Path(path)
-    meta, lines, rows = read_table(path)
-    for key, (line, _) in meta.items():
-        if key not in ("task", "city", "extent", "classes"):
-            raise ValidationError(f"{path}:{line}: unknown key {key!r}")
+    meta, lines, rows = read_table(path, _TASK_KEYS)
     if not rows:
         raise ValidationError(f"{path}: no header row")
     if "task" not in meta or "city" not in meta:
         raise ValidationError(f"{path}: missing '# task ...' / '# city ...' metadata")
-    task_line, task = meta["task"]
-    city = meta["city"][1]
+    (task_line, task), (_, city) = meta["task"], meta["city"]
     if task not in TASKS:
         raise ValidationError(f"{path}:{task_line}: unknown task {task!r}")
     kind = TASK_LABEL_KIND[task]
-    if "classes" in meta and kind != "class":
-        raise ValidationError(f"{path}:{meta['classes'][0]}: '# classes' is only for a class task")
-    given = {}  # without `# extent` or `# classes`, each is derived from the rows
-    for key, parse in (("extent", lambda text: Rect(*(parse_field(float, w) for w in header_words(text)))),
-                       ("classes", lambda text: parse_field(int, text))):
-        if key in meta:
-            line, text = meta[key]
-            try:
-                given[key] = parse(text)
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path}:{line}: malformed '# {key}' line") from None
-    extent, n_classes = given.get("extent"), given.get("classes")
+    extent = meta["extent"][1] if "extent" in meta else None  # without `# extent` or `# classes`,
+    classes_line, n_classes = meta.get("classes", (None, None))  # each is derived from the rows
+    if n_classes is not None and kind != "class":
+        raise ValidationError(f"{path}:{classes_line}: '# classes' is only for a class task")
     if n_classes is not None and (error := too_few_classes(n_classes)):
-        raise ValidationError(f"{path}:{meta['classes'][0]}: {error}")
+        raise ValidationError(f"{path}:{classes_line}: {error}")
 
     header, header_line, rows, lines = rows[0], lines[0], rows[1:], lines[1:]
     if header[:3] != _UNIT_COLUMNS:

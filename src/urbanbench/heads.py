@@ -332,23 +332,28 @@ def train_head(
     h_val = bufs.h[:len(x_val)] if cfg.kind == "mlp" and len(x_val) <= len(bufs.h) else None
     epochs = 0
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            sel = order[start:start + cfg.batch_size]
-            loss, _ = batch_gradients(params, cfg, x_train[sel], y_train[sel], bufs=bufs)
-            if not math.isfinite(loss):
-                raise ValidationError(f"non-finite training loss at epoch {epoch}")
-            adam.step(flat, bufs.grad)
-        val_loss = batch_loss(params, cfg, x_val, y_val, h=h_val)
-        if not math.isfinite(val_loss):
-            raise ValidationError(f"non-finite validation loss at epoch {epoch}")
-        epochs = epoch + 1
-        stop = stopper.update(val_loss)
-        if stopper.improved:
-            np.copyto(best, flat)
-        if stop:
-            break
+    try:  # an overflow raises, so that no inf reaches a loss or Adam's moments unseen
+        with np.errstate(over="raise"):
+            for epoch in range(cfg.max_epochs):
+                stage, order = "training", rng.permutation(n_train)
+                for start in range(0, n_train, cfg.batch_size):
+                    sel = order[start:start + cfg.batch_size]
+                    loss, _ = batch_gradients(params, cfg, x_train[sel], y_train[sel], bufs=bufs)
+                    if not math.isfinite(loss):
+                        raise ValidationError(f"non-finite training loss at epoch {epoch}")
+                    adam.step(flat, bufs.grad)
+                stage = "validation"
+                val_loss = batch_loss(params, cfg, x_val, y_val, h=h_val)
+                if not math.isfinite(val_loss):
+                    raise ValidationError(f"non-finite validation loss at epoch {epoch}")
+                epochs = epoch + 1
+                stop = stopper.update(val_loss)
+                if stopper.improved:
+                    np.copyto(best, flat)
+                if stop:
+                    break
+    except FloatingPointError:
+        raise ValidationError(f"float overflow in {stage} at epoch {epoch}") from None
 
     return TrainedHead(cfg=cfg, params=_flat_views(best, init), scaler=scaler,
                        best_val_loss=stopper.best, epochs_run=epochs)

@@ -161,7 +161,7 @@ def read_entity_csv(path) -> EntitySetSupport:
     """`align.read_entity_csv` row by row: a row's fields, the finiteness of
     its coordinates, then of its vector."""
     path = Path(path)
-    _, lines, rows = read_table(path)
+    _, lines, rows = read_table(path, {})
     if not rows:
         raise ValidationError(f"{path}: empty entity file")
     header, data = rows[0], list(zip(lines[1:], rows[1:]))
@@ -186,21 +186,21 @@ def _empty(text: str) -> str:
     return text
 
 
+def _hexgrid(text: str) -> HexGrid:
+    """The value of a `# hexgrid lon0 lat0 edge_len_m` comment: three numbers."""
+    lon0, lat0, edge = (float(strict(v)) for v in text.split(" "))
+    return HexGrid(lon0, lat0, edge)
+
+
 def read_cell_table_csv(path) -> CellTableSupport:
     """`align.read_cell_table_csv` row by row: a row's fields (a key, an
     empty lat, numbers), the finiteness of its vector, then a key no earlier
     row has."""
     path = Path(path)
-    meta, lines, rows = read_table(path)
+    meta, lines, rows = read_table(path, {"hexgrid": _hexgrid})
     if "hexgrid" not in meta:
         raise ValidationError(f"{path}: missing '# hexgrid lon0 lat0 edge_len_m' comment")
-    line, text = meta["hexgrid"]
-    try:
-        lon0, lat0, edge = (float(strict(v)) for v in text.split(" "))
-        grid = HexGrid(lon0, lat0, edge)
-    except ValueError as e:
-        raise ValidationError(
-            f"{path}:{line}: bad '# hexgrid lon0 lat0 edge_len_m' comment: {e}") from None
+    grid = meta["hexgrid"][1]
     if not rows:
         raise ValidationError(f"{path}: empty cell table")
     header, data = rows[0], list(zip(lines[1:], rows[1:]))
@@ -223,7 +223,7 @@ def read_factors(path) -> dict[str, dict[str, float]]:
     then a row's fields (a city, then numbers or empty for missing), a
     nonempty city, a city no earlier row names, then each given value finite."""
     path = Path(path)
-    _, lines, rows = read_table(path)
+    _, lines, rows = read_table(path, {})
     header = rows[0] if rows else []
     if header[:1] != ["city"]:
         raise ValidationError(f"{path}: factors header must start with 'city'")
@@ -257,7 +257,7 @@ def read_result_store(path) -> list[ResultRecord]:
     n_test, a float value), a known task and protocol, a metric of the task's
     kind, n_test >= 1, then a key no earlier row has."""
     path = Path(path)
-    _, lines, rows = read_table(path)
+    _, lines, rows = read_table(path, {})
     if rows[:1] != [list(STORE_HEADER)]:
         raise ValidationError(f"{path}: unexpected result store header {rows[0] if rows else None}")
     records, keys = [], set()

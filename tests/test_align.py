@@ -389,11 +389,11 @@ class TestFileFormats:
     def test_entity_csv_ragged_row_names_file_line(self, tmp_path):
         # the line number counts comment and blank lines too, so it points into the file
         p = tmp_path / "ents.csv"
-        p.write_text("# comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n\n0.3,0.4,1.0,9.0\n")
+        p.write_text("#comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n\n0.3,0.4,1.0,9.0\n")
         with pytest.raises(ValidationError, match=r"ents\.csv:5: expected 3 fields, got 4$"):
             read_entity_csv(p)
         # after the header a '#' line is a row like any other
-        p.write_text("# comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n#0.3,0.4,1.0\n")
+        p.write_text("#comment\nkey_or_lon,lat,v_0\n0.1,0.2,1.0\n#0.3,0.4,1.0\n")
         with pytest.raises(ValidationError,
                            match=r"ents\.csv:4: column 'key_or_lon': could not convert string to float: '#0\.3'$"):
             read_entity_csv(p)
@@ -419,7 +419,7 @@ class TestFileFormats:
         # keys mean nothing without their grid, so a file without its `# hexgrid`
         # comment is an error before its rows are read, even when it has none
         p = tmp_path / "table.csv"
-        for text in ("key_or_lon,lat,v_0\n2:-1,,5.0\n", "# made by hand\n", ""):
+        for text in ("key_or_lon,lat,v_0\n2:-1,,5.0\n", "#made by hand\n", ""):
             p.write_text(text)
             with pytest.raises(ValidationError) as e:
                 read_cell_table_csv(p)
@@ -469,7 +469,7 @@ class TestFileFormats:
     ], ids=["ragged", "malformed", "first-column", "non-finite", "non-finite-value", "nan-lon", "inf-lat"])
     def test_entity_bad_row_names_line(self, tmp_path, rows, message):
         p = tmp_path / "ents.csv"
-        p.write_text("# comment\nkey_or_lon,lat,v_0\n" + rows)
+        p.write_text("#comment\nkey_or_lon,lat,v_0\n" + rows)
         with pytest.raises(ValidationError) as e:
             read_entity_csv(p)
         assert str(e.value) == f"{p}:{message}"
@@ -483,7 +483,7 @@ class TestFileFormats:
 
     def test_cell_table_of_only_comments_is_empty(self, tmp_path):
         p = tmp_path / "table.csv"
-        p.write_text("# hexgrid 0.0 0.0 461.0\n# no header, no rows\n")
+        p.write_text("# hexgrid 0.0 0.0 461.0\n#no header, no rows\n")
         with pytest.raises(ValidationError, match=r"table\.csv: empty cell table$"):
             read_cell_table_csv(p)
 
@@ -496,8 +496,8 @@ class TestFileFormats:
     ])
     def test_cell_table_bad_hexgrid_comment_names_file_line(self, tmp_path, comment):
         p = tmp_path / "table.csv"
-        p.write_text(f"# made by hand\n{comment}\nkey_or_lon,lat,v_0\n0:0,,1.0\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=r"table\.csv:2: bad '# hexgrid"):
+        p.write_text(f"#made by hand\n{comment}\nkey_or_lon,lat,v_0\n0:0,,1.0\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"table\.csv:2: malformed '# hexgrid' line$"):
             read_cell_table_csv(p)
 
 

@@ -473,7 +473,7 @@ class TestRun:
 
     def test_empty_cell_table_fails_pair_and_run_continues(self, bench):
         add_model(bench, "empty", "cell_table", 4, "empty.csv",
-                  b"# hexgrid 0.0 0.0 461.0\n# nothing else\n")
+                  b"# hexgrid 0.0 0.0 461.0\n#nothing else\n")
         out = run(quick_plan(bench, models=("empty", "field"), seeds=(42,)), log=lambda *a: None)
         assert out.exit_code == 2
         assert [f for _, f in out.failures] == [f"{bench / 'empty.csv'}: empty cell table"] * 2
@@ -827,7 +827,7 @@ class TestReport:
         ("city,a,b\nParis,1,2\nLondon,nan,x\n", "3: column 'b': could not convert string to float: 'x'"),
         ("city,a\nParis,1\nLondon,-inf\n", "3: factor 'a' value '-inf' is not a finite number"),
         ("city,a,a\nc1,1,5\n", "1: repeated factor 'a'"),
-        ("# a comment\n\ncity,,b\nc1,1,5\n", "3: empty factor name"),
+        ("#a comment\n\ncity,,b\nc1,1,5\n", "3: empty factor name"),
     ], ids=["short", "long", "empty-city", "repeated-city", "value", "nan", "inf", "repeated-factor",
             "empty-factor"])
     def test_bad_factor_row_names_file_line(self, tmp_path, text, message):
@@ -1168,15 +1168,31 @@ class TestVerbs:
         assert main(["run", "m.json", "--out", "d", "--seeds", "3,-1"]) == 0
         assert plans[0].seeds == (3, -1)
 
-    @pytest.mark.parametrize("seeds", ["a,b", "1,,2", ""])
-    def test_run_bad_seeds_usage_error(self, monkeypatch, capsys, seeds):
+    @pytest.mark.parametrize("option, text", [
+        ("--seeds", "a,b"), ("--seeds", "1,,2"), ("--seeds", ""), ("--protocols", ""), ("--protocols", "spatial,"),
+        ("--models", ""), ("--models", "a,,b"), ("--cities", ""), ("--tasks", ""), ("--tasks", ",POP"),
+    ], ids=["a,b", "1,,2", "", "protocols=", "protocols=spatial,", "models=", "models=a,,b", "cities=", "tasks=",
+            "tasks=,POP"])
+    def test_run_bad_seeds_usage_error(self, monkeypatch, capsys, tmp_path, option, text):
+        # every comma-list option is read by one parser: an empty list or item is a
+        # usage error naming the option, never "no filter" or a RunPlan error
         monkeypatch.setattr(cli, "run", lambda plan: pytest.fail("run must not start"))
         with pytest.raises(SystemExit) as exc:
-            main(["run", "m.json", "--seeds", seeds])
+            main(["run", "m.json", "--out", str(tmp_path / "out"), f"{option}={text}"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "usage:" in err and f"seeds must look like 42,24,7, got {seeds!r}" in err
-        assert "Traceback" not in err
+        items = "int" if option == "--seeds" else "str"
+        assert "usage:" in err and f"argument {option}: {text!r} is not a comma list of nonempty {items} items" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    def test_run_comma_lists_parsed(self, monkeypatch):
+        plans = []
+        monkeypatch.setattr(cli, "run", lambda plan: plans.append(plan) or RunOutcome(0, 0, 0))
+        assert main(["run", "m.json", "--out", "d", "--protocols", "spatial", "--models", "a,b",
+                     "--cities", "c", "--tasks", "POP,LST"]) == 0
+        plan = plans[0]
+        assert (plan.protocols, plan.models, plan.cities, plan.tasks) == (("spatial",), ("a", "b"), ("c",),
+                                                                           ("POP", "LST"))
 
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck"]) == 0

@@ -128,6 +128,12 @@ class TestLoadTaskDataset:
         with pytest.raises(ValidationError, match=r"luc\.csv:4: malformed '# classes' line$"):
             load_task_dataset(p)
 
+    def test_comment_error_comes_before_header_rules(self, tmp_path):
+        p = tmp_path / "task.csv"
+        p.write_text("# task POP\n# city demo\n# extent 0 0 1\n")
+        with pytest.raises(ValidationError, match=r"task\.csv:3: malformed '# extent' line$"):
+            load_task_dataset(p)
+
     @pytest.mark.parametrize("text, message", [
         ("# task XYZ\n# city demo\nunit_id,lon,lat,value\n", "1: unknown task 'XYZ'"),
         ("\n# city demo\n\n# task POP\n# extent 0 0 1\nunit_id,lon,lat,value\n", "5: malformed '# extent' line"),
@@ -146,13 +152,14 @@ class TestLoadTaskDataset:
         # `# extent` would otherwise take the extent from the units
         ("# task POP\n# city demo\n# extnet 0 0 10 10\nunit_id,lon,lat,value\n", "3: unknown key 'extnet'"),
         ("# task POP\n# note made by hand\n# city demo\nunit_id,lon,lat,value\n", "2: unknown key 'note'"),
+        ("# task POP\n# city a\n# city b\nunit_id,lon,lat,value\n", "3: repeated key 'city'"),
         ("# task POP\n# city demo\n# classes 7\nunit_id,lon,lat,value\n", "3: '# classes' is only for a class task"),
         ("# task AGE\n# city demo\n# classes 2\nunit_id,lon,lat,p_0,p_1\n",
          "3: '# classes' is only for a class task"),
     ], ids=["task", "extent", "header", "extent-underscore", "extent-arabic-indic-digit",
             "classes-underscore", "classes-arabic-indic-digit", "extent-no-break-and-em-space",
             "extent-file-separator", "extent-double-space", "extent-trailing-space",
-            "unknown-key", "unknown-key-note", "classes-in-scalar-task", "classes-in-distribution-task"])
+            "unknown-key", "unknown-key-note", "repeated-key", "classes-in-scalar-task", "classes-in-distribution-task"])
     def test_metadata_error_names_line(self, tmp_path, text, message):
         p = tmp_path / "task.csv"
         p.write_text(text + "u0,0.1,0.1,0\n", encoding="utf-8")
@@ -297,11 +304,11 @@ def _ref_load_task_dataset(path):
     repeated unit_id, a unit outside the `# extent`). Without `# classes`, the
     class count is one more than the largest class of the rows that read. A
     class count below 2 fails at its `# classes` line, or, read from the rows,
-    in the dataset constructor."""
-    meta, lines, rows = read_table(path)
-    for key in meta:
-        if key not in {"task", "city", "extent", "classes"}:
-            raise ValidationError(f"{path}:{meta[key][0]}: unknown key {key!r}")
+    in the dataset constructor. The comment keys take `read_table`'s rule, with
+    value parsers of the oracle's own."""
+    meta, lines, rows = read_table(path, {
+        "task": str, "city": str, "classes": lambda text: int(strict(text)),
+        "extent": lambda text: Rect(*(float(strict(v)) for v in text.split(" ")))})
     if not rows:
         raise ValidationError(f"{path}: no header row")
     if "task" not in meta or "city" not in meta:
@@ -311,16 +318,8 @@ def _ref_load_task_dataset(path):
         raise ValidationError(f"{path}:{task_line}: unknown task {task!r}")
     if "classes" in meta and TASK_LABEL_KIND[task] != "class":
         raise ValidationError(f"{path}:{meta['classes'][0]}: '# classes' is only for a class task")
-    extent = None
-    if "extent" in meta:
-        try:
-            extent = Rect(*(float(strict(v)) for v in meta["extent"][1].split(" ")))
-        except (TypeError, ValueError):
-            raise ValidationError(f"{path}:{meta['extent'][0]}: malformed '# extent' line") from None
-    try:
-        n_classes = int(strict(meta["classes"][1])) if "classes" in meta else None
-    except ValueError:
-        raise ValidationError(f"{path}:{meta['classes'][0]}: malformed '# classes' line") from None
+    extent = meta["extent"][1] if "extent" in meta else None
+    n_classes = meta["classes"][1] if "classes" in meta else None
     if n_classes is not None and n_classes < 2:
         raise ValidationError(f"{path}:{meta['classes'][0]}: a class task needs at least 2 classes, got {n_classes}")
 
@@ -436,8 +435,8 @@ def task_csvs(draw):
     """Task CSV text near the canonical form: clean rows, up to two of them
     with one field replaced, dropped or doubled, blank lines between rows, and
     the extent comment present, absent or malformed, and now and then a
-    `# classes` comment on a task that is not a class task or a comment key
-    that no task file has."""
+    `# classes` comment on a task that is not a class task, a comment key
+    that no task file has, or a key given twice, with the same value or not."""
     task = draw(st.sampled_from(["POP", "LUC", "AGE"]))
     kind = TASK_LABEL_KIND[task]
     cells = draw(st.booleans())
@@ -450,7 +449,8 @@ def task_csvs(draw):
     if (kind == "class" or draw(st.integers(0, 3)) == 0) and draw(st.booleans()):
         lines.append(f"# classes {draw(st.sampled_from(['3', '3', '2', '1', 'x']))}")
     if draw(st.integers(0, 9)) == 0:
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# extnet 0 0 1 1", "# note"])))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["# extnet 0 0 1 1", "# note", "# city d", *lines])))
     header = ["unit_id", "lon", "lat"] + (["x0", "y0", "x1", "y1"] if cells else [])
     header += {"scalar": ["value"], "class": ["class"]}.get(kind, [f"p_{i}" for i in range(k)])
     lines.append(",".join(header))
@@ -640,21 +640,23 @@ def test_every_accepted_dataset_round_trips(tmp_path_factory, ids, data):
 
 
 class TestReadTable:
-    def _read(self, tmp_path, data: bytes):
+    def _read(self, tmp_path, data: bytes, keys=None):
         p = tmp_path / "t.csv"
         p.write_bytes(data)
-        meta, lines, rows = read_table(p)
+        meta, lines, rows = read_table(p, keys or {})
         return meta, list(lines), rows
 
     def test_comments_blank_lines_and_line_numbers(self, tmp_path):
-        meta, lines, rows = self._read(tmp_path, b"\n# task POP\r\n#\n# extent 0 0 1 1\r\nh1,h2\n\na,b\r\n#c,d\n")
+        meta, lines, rows = self._read(tmp_path, b"\n# task POP\r\n#\n# extent 0 0 1 1\r\nh1,h2\n\na,b\r\n#c,d\n",
+                                       {"task": str, "extent": str})
         assert meta == {"task": (2, "POP"), "extent": (4, "0 0 1 1")}
         assert lines == [5, 7, 8]
         assert rows == [["h1", "h2"], ["a", "b"], ["#c", "d"]]  # a '#' line after the header is a row
 
     @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
     def test_lines_end_at_cr_lf_or_crlf_only(self, tmp_path, ending):
-        meta, lines, rows = self._read(tmp_path, ending.join([b"# k v", b"h", b"a\x0bb\x0cc\x1c\xc2\x85\xe2\x80\xa8"]))
+        meta, lines, rows = self._read(tmp_path, ending.join([b"# k v", b"h", b"a\x0bb\x0cc\x1c\xc2\x85\xe2\x80\xa8"]),
+                                       {"k": str})
         assert meta == {"k": (1, "v")}
         assert lines == [2, 3]
         assert rows == [["h"], ["a\x0bb\x0cc\x1c\x85\u2028"]]
@@ -672,7 +674,7 @@ class TestReadTable:
         p = tmp_path / "task.csv"
         p.write_text(f"{line}\n# city demo\nunit_id,lon,lat,value\nu0,0.1,0.1,0\n", encoding="utf-8")
         if line == "#task POP":
-            meta = self._read(tmp_path, f"{line}\n# city demo\nh\n".encode())[0]
+            meta = self._read(tmp_path, f"{line}\n# city demo\nh\n".encode(), {"task": str, "city": str})[0]
             assert "task" not in meta and meta["city"] == (2, "demo")
             message = f"{p}: missing '# task ...' / '# city ...' metadata"
         else:
@@ -685,13 +687,16 @@ class TestReadTable:
         assert str(e.value) == message
 
     def test_only_comments(self, tmp_path):
-        assert self._read(tmp_path, b"# a 1\n\n# a 2\n") == ({"a": (3, "2")}, [], [])
+        assert self._read(tmp_path, b"# a 1\n\n#a 2\n", {"a": str}) == ({"a": (1, "1")}, [], [])
+        with pytest.raises(ValidationError) as e:  # a key is given once, never overridden by a later line
+            self._read(tmp_path, b"# a 1\n\n# a 2\n", {"a": str})
+        assert str(e.value) == f"{tmp_path / 't.csv'}:3: repeated key 'a'"
 
     def test_malformed_line_names_it(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_bytes(b"h\n\n" + b"9" * 200_001 + b"\n")
         with pytest.raises(ValidationError) as e:
-            read_table(p)
+            read_table(p, {})
         assert str(e.value).startswith(f"{p}:3: malformed CSV (field larger than field limit")
 
 

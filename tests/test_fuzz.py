@@ -227,6 +227,30 @@ def test_line_endings_and_blank_lines_change_nothing(workdir, reader, data):
     assert _outcome(READERS[reader], path) == expected
 
 
+@pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+def test_one_comment_rule_for_every_table(workdir, reader):
+    # `read_table` applies each format's key table: a key outside it is unknown
+    # and a key given twice is repeated, even with the same value, each at its
+    # line; `#note`, with no space, is a plain comment anywhere before the header
+    lines = VALID[TABLE_READERS[reader][0]].decode().splitlines(keepends=True)
+    k = sum(line.startswith("# ") for line in lines)  # the writers put every comment first
+    path = workdir / f"keys_{reader}"
+
+    def outcome(new_lines):
+        path.write_text("".join(new_lines))
+        return _outcome(READERS[reader], path)
+
+    loaded = outcome(lines)
+    assert loaded[0] == "ok"
+    for at in range(k + 1):
+        assert outcome([*lines[:at], "#note\n", *lines[at:]]) == loaded
+    assert outcome([*lines[:k], "# note x\n", *lines[k:]]) == ("error", f"{path}:{k + 1}: unknown key 'note'")
+    assert outcome(["# note x\n", "# note x\n", *lines]) == ("error", f"{path}:1: unknown key 'note'")
+    for i in range(k):
+        key = lines[i].split(" ")[1]
+        assert outcome([*lines[:k], lines[i], *lines[k:]]) == ("error", f"{path}:{k + 1}: repeated key {key!r}")
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),

@@ -2,10 +2,12 @@
 prediction, and gradient verification."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from urbanbench import heads
 from urbanbench.align import AlignedMatrix
 from urbanbench.core import ValidationError
 from urbanbench.heads import (
@@ -156,17 +158,34 @@ class TestTraining:
         with pytest.raises(ValidationError, match="validation"):
             train_head(feats, y, split, cfg, run_seed=0)
 
-    @pytest.mark.parametrize("part, loss", [("train", "training"), ("val", "validation")])
-    def test_non_finite_loss_errors(self, part, loss):
-        # rows of 1e200 overflow the squared error of the units they hold (numpy's
-        # overflow warning, an error under this suite's settings, is silenced here)
+    @pytest.mark.parametrize("part, loss, output", [
+        pytest.param(part, loss, output, id=f"{part}-{loss}" + ("" if output == "scalar" else f"-{output}"))
+        for output in ("scalar", "class", "distribution") for part, loss in [("train", "training"), ("val", "validation")]
+    ])
+    def test_non_finite_loss_errors(self, part, loss, output):
+        # rows of the largest float overflow the outputs of the units they hold:
+        # one ValidationError, and no numpy warning, which this suite makes an error
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 2))
         split = make_split(20, 4, 4, seed=1)
-        x[split.mask(part)] = 1e200
+        x[split.mask(part)] = np.finfo(np.float64).max
+        y = {"scalar": rng.standard_normal(20), "class": rng.integers(0, 3, 20),
+             "distribution": rng.dirichlet(np.ones(3), 20)}[output]
+        cfg = HeadConfig(kind="linear", output=output, n_out=1 if output == "scalar" else 3, batch_size=4,
+                         max_epochs=5, patience=2)
+        with pytest.raises(ValidationError, match=f"^float overflow in {loss} at epoch 0$"):
+            train_head(matrix(x), y, split, cfg, run_seed=0)
+
+    @pytest.mark.parametrize("step, nan, loss", [("batch_gradients", (math.nan, None), "training"),
+                                                 ("batch_loss", math.nan, "validation")], ids=["training", "validation"])
+    def test_nan_loss_errors(self, monkeypatch, step, nan, loss):
+        # a NaN loss raises no floating-point error, so the loss checks catch it
+        monkeypatch.setattr(heads, step, lambda *args, **kwargs: nan)
+        rng = np.random.default_rng(5)
         cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=4, max_epochs=5, patience=2)
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match=f"^non-finite {loss} loss at epoch 0$"):
-            train_head(matrix(x), rng.standard_normal(20), split, cfg, run_seed=0)
+        with pytest.raises(ValidationError, match=f"^non-finite {loss} loss at epoch 0$"):
+            train_head(matrix(rng.standard_normal((20, 2))), rng.standard_normal(20), make_split(20, 4, 4, seed=1),
+                       cfg, run_seed=0)
 
     def test_invalid_rows_excluded_from_training(self):
         # corrupt features on invalid rows must not affect the fit
