@@ -381,6 +381,8 @@ def read_entity_csv(path: str | Path) -> EntitySetSupport:
         *read_rules,
         (~np.isfinite(values[:, :2]).all(axis=1), lambda i: "non-finite coordinate"),
         (~np.isfinite(values[:, 2:]).all(axis=1), lambda i: "non-finite value"),
+        ((np.abs(values[:, 2:]) > np.finfo(np.float32).max).any(axis=1),
+         lambda i: "value outside the float32 range"),
     ], path, lines)
     return EntitySetSupport(lons=values[:, 0].copy(), lats=values[:, 1].copy(),
                             vectors=values[:, 2:].copy())
@@ -424,6 +426,8 @@ def read_cell_table_csv(path: str | Path) -> CellTableSupport:
     check_rows([
         *read_rules,
         (~np.isfinite(vectors).all(axis=1), lambda i: "non-finite value"),
+        ((np.abs(vectors) > np.finfo(np.float32).max).any(axis=1),
+         lambda i: "value outside the float32 range"),
         (repeats(cells), lambda i: f"duplicate key {rows[i][0]!r}"),
     ], path, lines)
     return CellTableSupport(grid=grid, table=dict(zip(cells, vectors)))

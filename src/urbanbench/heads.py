@@ -272,24 +272,6 @@ class TrainedHead(NamedTuple):
     epochs_run: int
 
 
-def _prepare_labels(labels, cfg: HeadConfig) -> np.ndarray:
-    labels = np.asarray(labels)
-    if cfg.output == "scalar":
-        if labels.ndim != 1:
-            raise ValidationError("scalar head expects 1-d labels")
-        return labels.astype(np.float64)
-    if cfg.output == "class":
-        if labels.ndim != 1:
-            raise ValidationError("class head expects 1-d class labels")
-        labels = labels.astype(np.int64)
-        if labels.size and (labels.min() < 0 or labels.max() >= cfg.n_out):
-            raise ValidationError(f"class labels outside [0,{cfg.n_out})")
-        return labels
-    if labels.ndim != 2 or labels.shape[1] != cfg.n_out:
-        raise ValidationError(f"distribution head expects (n,{cfg.n_out}) labels")
-    return labels.astype(np.float64)
-
-
 def train_head(
     features: AlignedMatrix,
     labels,
@@ -298,8 +280,10 @@ def train_head(
     run_seed: int,
 ) -> TrainedHead:
     """Train on valid train units, early-stop on valid val units, and return
-    the parameters at the best validation loss. Test labels are never read."""
-    labels = _prepare_labels(labels, cfg)
+    the parameters at the best validation loss. Test labels are never read.
+    `labels` are used as `TaskDataset` checked them (`(n,)` float64, `(n,)`
+    int64 ids in `[0, n_out)` or `(n, n_out)` float64), not checked again."""
+    labels = np.asarray(labels)
     if len(labels) != features.n or features.n != len(split.labels):
         raise ValidationError("features, labels, and split must be parallel")
 
@@ -359,14 +343,13 @@ def train_head(
                        best_val_loss=stopper.best, epochs_run=epochs)
 
 
-def predict(head: TrainedHead, features) -> np.ndarray:
-    """scalar -> inverse-scaled reals; class -> argmax class ids;
-    distribution -> softmax rows (each summing to 1 within 1e-9)."""
-    x = features.rows if isinstance(features, AlignedMatrix) else np.asarray(features, dtype=np.float64)
+def predict(head: TrainedHead, features: AlignedMatrix) -> np.ndarray:
+    """One output per row of `features.rows`: scalar -> inverse-scaled reals;
+    class -> argmax class ids; distribution -> softmax rows (each summing to 1 within 1e-9)."""
     input_dim = head.params["W" if head.cfg.kind == "linear" else "W1"].shape[0]
-    if x.ndim != 2 or x.shape[1] != input_dim:
-        raise ValidationError(f"feature dim {x.shape} does not match training dim {input_dim}")
-    z, _ = _forward(head.params, head.cfg, x)
+    if features.dim != input_dim:
+        raise ValidationError(f"feature dim {features.dim} does not match training dim {input_dim}")
+    z, _ = _forward(head.params, head.cfg, features.rows)
     if head.cfg.output == "scalar":
         out = z[:, 0]
         return head.scaler.inverse(out) if head.scaler is not None else out
@@ -382,9 +365,7 @@ def gradient_check(cfg: HeadConfig, batch: tuple[np.ndarray, np.ndarray], run_se
     """Max relative error between analytic gradients and central finite
     differences (step GRADIENT_CHECK_STEP) over every parameter element.
     Meant for small batches (<= 8) and small dims (<= 16)."""
-    x, y_raw = batch
-    x = np.asarray(x, dtype=np.float64)
-    y = _prepare_labels(y_raw, cfg)
+    x, y = np.asarray(batch[0], dtype=np.float64), np.asarray(batch[1])
     rng = np.random.default_rng(run_seed)
     params = _init_params(cfg, x.shape[1], rng)
     _, grads = batch_gradients(params, cfg, x, y)

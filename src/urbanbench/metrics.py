@@ -50,19 +50,13 @@ def classification_metrics(y, y_hat, n_classes: int) -> dict[str, float]:
         raise ValidationError("class arrays must be equal-length and nonempty")
     if y.min() < 0 or y.max() >= n_classes or y_hat.min() < 0 or y_hat.max() >= n_classes:
         raise ValidationError(f"class ids outside [0,{n_classes})")
-    precision = np.zeros(n_classes)
-    recall = np.zeros(n_classes)
-    f1 = np.zeros(n_classes)
-    for c in range(n_classes):
-        tp = int(np.count_nonzero((y == c) & (y_hat == c)))
-        fp = int(np.count_nonzero((y != c) & (y_hat == c)))
-        fn = int(np.count_nonzero((y == c) & (y_hat != c)))
-        if tp + fp > 0:
-            precision[c] = tp / (tp + fp)
-        if tp + fn > 0:
-            recall[c] = tp / (tp + fn)
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
+    hits = np.bincount(y[y == y_hat], minlength=n_classes)
+    predicted = np.bincount(y_hat, minlength=n_classes)
+    actual = np.bincount(y, minlength=n_classes)
+    precision = np.divide(hits, predicted, out=np.zeros(n_classes), where=predicted > 0)
+    recall = np.divide(hits, actual, out=np.zeros(n_classes), where=actual > 0)
+    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(n_classes),
+                   where=precision + recall > 0)
     return {"macro_f1": float(f1.mean()), "macro_precision": float(precision.mean()),
             "macro_recall": float(recall.mean())}
 

@@ -1,8 +1,9 @@
 """Reference code the tests check the package against: the checked per-unit
 `TaskUnit` that datasets were once built from, the per-unit synthetic-city
-loop, scalar geometry that only tests call, the CSV embedding, factor and
-result-store readers that check one row at a time, and the CSV writers that
-format one value and write one row at a time."""
+loop, scalar geometry that only tests call, a head trainer with fresh arrays
+and textbook Adam, the CSV embedding, factor and result-store readers that
+check one row at a time, and the CSV writers that format one value and write
+one row at a time."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from urbanbench.core import (METRICS_FOR_KIND, TASK_LABEL_KIND, CellTableSupport
                              ResultRecord, TaskDataset, ValidationError, _fmt, read_table)
 from urbanbench.grid import (EARTH_RADIUS_M, BlockGrid, HexGrid, hex_cell_center_xy, hex_cell_key,
                              parse_hex_cell_key)
+from urbanbench.heads import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EARLY_STOP_TOL, LEARNING_RATE
 
 
 def contains(rect: Rect, lon: float, lat: float) -> bool:
@@ -132,8 +135,112 @@ def hex_cell_center(cell: tuple[int, int], grid: HexGrid) -> tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
+# Head training with fresh arrays, a dict of parameters and textbook Adam
+
+class ReferenceHead(NamedTuple):
+    params: dict[str, np.ndarray]
+    best_val_loss: float
+    epochs_run: int
+    predictions: np.ndarray  # of every row of the features, valid or not
+
+
+def _head_forward(params: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Output and hidden activations (None for a linear head)."""
+    if "W" in params:
+        return x @ params["W"] + params["b"], None
+    h = np.maximum(x @ params["W1"] + params["b1"], 0.0)
+    return h @ params["W2"] + params["b2"], h
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+
+
+def _head_loss_and_dz(z: np.ndarray, y: np.ndarray, output: str) -> tuple[float, np.ndarray]:
+    """scalar: MSE; class: softmax cross-entropy; distribution: KL(y || softmax(z)), 0 log 0 = 0."""
+    n = len(z)
+    if output == "scalar":
+        diff = z[:, 0] - y
+        return np.sum(diff * diff) / n, 2.0 / n * diff[:, None]
+    log_q = _log_softmax(z)
+    if output == "class":
+        onehot = np.eye(z.shape[1])[y]
+        return -(np.sum(log_q[np.arange(n), y]) / n), (np.exp(log_q) - onehot) / n
+    y_log_y = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0)), 0.0)
+    return np.sum(np.sum(y_log_y - y * log_q, axis=1)) / n, (np.exp(log_q) - y) / n
+
+
+def _head_gradients(params: dict, x: np.ndarray, h: np.ndarray | None, dz: np.ndarray) -> dict:
+    if h is None:
+        return {"W": x.T @ dz, "b": dz.sum(axis=0)}
+    dh = (dz @ params["W2"].T) * (h > 0)
+    return {"W1": x.T @ dh, "b1": dh.sum(axis=0), "W2": h.T @ dz, "b2": dz.sum(axis=0)}
+
+
+def train_head_reference(features, labels, split, cfg, run_seed: int) -> ReferenceHead:
+    """`heads.train_head`, then `heads.predict` on every row, for labels as
+    `TaskDataset` holds them: the same RNG draws in the same order (the
+    weights, then one permutation per epoch) and each expression written
+    once. It applies no error rule."""
+    train = split.mask("train") & features.valid
+    val = split.mask("val") & features.valid
+    x_train, x_val = features.rows[train], features.rows[val]
+    y_train, y_val = labels[train], labels[val]
+    scale = None  # a scalar task's train-set (mean, population std), unless its targets are constant
+    if cfg.output == "scalar":
+        mean = float(y_train.mean())
+        std = float(np.sqrt(np.mean((y_train - mean) ** 2)))
+        if std > 0.0:
+            scale = (mean, std)
+            y_train, y_val = (y_train - mean) / std, (y_val - mean) / std
+    rng = np.random.default_rng(run_seed)
+    shapes = ([("W", "b", features.dim, cfg.n_out)] if cfg.kind == "linear" else
+              [("W1", "b1", features.dim, cfg.hidden_dim), ("W2", "b2", cfg.hidden_dim, cfg.n_out)])
+    params = {}
+    for w, b, fan_in, fan_out in shapes:
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        params[w] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        params[b] = np.zeros(fan_out)
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    best, best_params, stale, epochs, t = math.inf, params, 0, 0, 0
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(len(x_train))
+        for start in range(0, len(x_train), cfg.batch_size):
+            sel = order[start:start + cfg.batch_size]
+            x, y = x_train[sel], y_train[sel]
+            z, h = _head_forward(params, x)
+            _, dz = _head_loss_and_dz(z, y, cfg.output)
+            t += 1
+            updated = {}
+            for k, g in _head_gradients(params, x, h, dz).items():
+                m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+                v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * g * g
+                updated[k] = params[k] - LEARNING_RATE * (m[k] / (1.0 - ADAM_BETA1 ** t)) / (
+                    np.sqrt(v[k] / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
+            params = updated
+        val_loss, _ = _head_loss_and_dz(_head_forward(params, x_val)[0], y_val, cfg.output)
+        epochs = epoch + 1
+        if val_loss < best - EARLY_STOP_TOL:
+            best, best_params, stale = float(val_loss), params, 0
+        else:
+            stale += 1
+        if stale >= cfg.patience:
+            break
+    z, _ = _head_forward(best_params, features.rows)
+    if cfg.output == "scalar":
+        predictions = z[:, 0] if scale is None else z[:, 0] * scale[1] + scale[0]
+    else:
+        predictions = np.argmax(z, axis=1) if cfg.output == "class" else np.exp(_log_softmax(z))
+    return ReferenceHead(best_params, best, epochs, predictions)
+
+
+# ---------------------------------------------------------------------------
 # CSV readers, one row at a time: each row checked in full before the next.
 # Their dialect (comments, blank lines, line numbers) is `read_table`'s.
+
+FLOAT32_MAX = (2.0 - 2.0 ** -23) * 2.0 ** 127  # the largest finite IEEE binary32 value
 
 def strict(text: str) -> str:
     """A field a parser may read: printable ASCII other than space and '_'."""
@@ -159,7 +266,7 @@ def _read_row(path, ln: int, header, row: list[str], parsers) -> list:
 
 def read_entity_csv(path) -> EntitySetSupport:
     """`align.read_entity_csv` row by row: a row's fields, the finiteness of
-    its coordinates, then of its vector."""
+    its coordinates, then of its vector, then its vector's float32 range."""
     path = Path(path)
     _, lines, rows = read_table(path, {})
     if not rows:
@@ -175,6 +282,8 @@ def read_entity_csv(path) -> EntitySetSupport:
             raise ValidationError(f"{path}:{ln}: non-finite coordinate")
         if not all(map(math.isfinite, vec[2:])):
             raise ValidationError(f"{path}:{ln}: non-finite value")
+        if any(abs(v) > FLOAT32_MAX for v in vec[2:]):
+            raise ValidationError(f"{path}:{ln}: value outside the float32 range")
         values.append(vec)
     values = np.array(values, dtype=np.float64).reshape(len(data), dim + 2)
     return EntitySetSupport(lons=values[:, 0], lats=values[:, 1], vectors=values[:, 2:])
@@ -194,8 +303,8 @@ def _hexgrid(text: str) -> HexGrid:
 
 def read_cell_table_csv(path) -> CellTableSupport:
     """`align.read_cell_table_csv` row by row: a row's fields (a key, an
-    empty lat, numbers), the finiteness of its vector, then a key no earlier
-    row has."""
+    empty lat, numbers), the finiteness of its vector, its float32 range, then
+    a key no earlier row has."""
     path = Path(path)
     meta, lines, rows = read_table(path, {"hexgrid": _hexgrid})
     if "hexgrid" not in meta:
@@ -212,6 +321,8 @@ def read_cell_table_csv(path) -> CellTableSupport:
         cell, _, *vec = _read_row(path, ln, header, r, [parse_hex_cell_key, _empty] + [float] * dim)
         if not all(map(math.isfinite, vec)):
             raise ValidationError(f"{path}:{ln}: non-finite value")
+        if any(abs(v) > FLOAT32_MAX for v in vec):
+            raise ValidationError(f"{path}:{ln}: value outside the float32 range")
         if cell in table:
             raise ValidationError(f"{path}:{ln}: duplicate key {r[0]!r}")
         table[cell] = np.array(vec, dtype=np.float64)

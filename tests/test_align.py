@@ -474,6 +474,23 @@ class TestFileFormats:
             read_entity_csv(p)
         assert str(e.value) == f"{p}:{message}"
 
+    @pytest.mark.parametrize("value, loads", [("1e39", False), ("-1e39", False),
+                                              ("3.4e38", True), ("-3.4e38", True)])
+    @pytest.mark.parametrize("reader, text", [
+        (read_entity_csv, "#comment\nkey_or_lon,lat,v_0,v_1\n0.1,0.2,1.0,2.0\n0.3,0.4,2.0,{}\n"),
+        (read_cell_table_csv, "# hexgrid 0.0 0.0 461.0\nkey_or_lon,lat,v_0,v_1\n0:0,,1.0,2.0\n1:0,,2.0,{}\n"),
+    ], ids=["entity", "cell-table"])
+    def test_component_outside_float32_range_names_line(self, tmp_path, reader, text, value, loads):
+        # a vector component must fit a float32, as every `.erf` value does
+        p = tmp_path / "vectors.csv"
+        p.write_text(text.format(value))
+        if loads:
+            assert reader(p).dim == 2
+            return
+        with pytest.raises(ValidationError) as e:
+            reader(p)
+        assert str(e.value) == f"{p}:4: value outside the float32 range"
+
     def test_cell_table_blank_lines_load(self, tmp_path):
         p = tmp_path / "ct.csv"
         p.write_text("# hexgrid 0.0 0.0 461.0\n\nkey_or_lon,lat,v_0\n\n0:0,,1.0\n\n1:0,,2.0\n\n")

@@ -324,6 +324,20 @@ class TestRun:
         assert all(f.startswith(f"{name}|POP|synthA|42|") and message in f for f in failures)
         assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
 
+    def test_component_outside_float32_range_names_file_line(self, bench, capsys):
+        # such a component could overflow a head's loss; the reader stops it first
+        add_model(bench, "bigent", "entity_set", 4, "bigent.csv",
+                  b"key_or_lon,lat,v_0,v_1,v_2,v_3\n0.0,0.0,1,1,1,1\n0.01,0.01,1e39,1,1,1\n")
+        message = f"{bench / 'bigent.csv'}:3: value outside the float32 range"
+        assert main(["validate", str(bench / "manifest.json")]) == 1
+        assert f"error: model bigent, city synthA: {message}\n" in capsys.readouterr().out
+        out = run(quick_plan(bench, models=("bigent", "field"), seeds=(42,)), log=lambda *a: None)
+        assert out.exit_code == 2
+        failures = (bench / "out" / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 2  # one per protocol
+        assert all(f.startswith("bigent|POP|synthA|42|") and f.endswith(message) for f in failures)
+        assert {r.model_id for r in read_result_store(bench / "out" / "results.csv")} == {"field"}
+
     @pytest.mark.parametrize("text, message", [
         ("# extent 0 0 1 1\nunit_id,lon,lat,value\nu0,0.5,0.5,1\nu1,0.6,0.6,2\n",
          "need at least 3 occupied blocks to form three partitions, got 2"),

@@ -90,17 +90,25 @@ TOKENS = [b"nan", b"inf", b"-1", b"0", b"1e400", b"abc", b",", b"\n", b"\r", b"#
           b"# extent 1 2\n", b"# hexgrid 0 0\n", b"9" * 200_001]  # past the csv module's field size limit
 
 
+# Numbers at and past the float32 range, which an embedding CSV's vector must keep
+NUMBERS = [b"1e39", b"-1e39", b"3.4e38", b"3.4028234663852886e38", b"3.4028235e38", b"1e308"]
+
+
 @st.composite
 def mutated(draw, names=tuple(sorted(VALID))):
-    """A well-formed file of any format (of `names`) with a few bytes cut, changed or inserted."""
+    """A well-formed file of any format (of `names`) with a few bytes cut,
+    changed or inserted, or a number replaced."""
     data = bytearray(VALID[draw(st.sampled_from(names))])
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(data)))
-        op = draw(st.sampled_from(["cut", "set", "insert"]))
+        op = draw(st.sampled_from(["cut", "set", "insert", "number"]))
         if op == "cut":
             del data[i:i + draw(st.integers(1, 64))]
         elif op == "set" and i < len(data):
             data[i] = draw(st.integers(0, 255))
+        elif op == "number" and (numbers := [m.span() for m in re.finditer(rb"[0-9][0-9.e+-]*", data)]):
+            start, end = draw(st.sampled_from(numbers))
+            data[start:end] = draw(st.sampled_from(NUMBERS))
         else:
             data[i:i] = draw(st.sampled_from(TOKENS) | st.binary(min_size=1, max_size=4))
     return bytes(data)

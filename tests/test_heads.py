@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reference
 from urbanbench import heads
 from urbanbench.align import AlignedMatrix
-from urbanbench.core import ValidationError
+from urbanbench.core import LABEL_KINDS, ValidationError
 from urbanbench.heads import (
     LEARNING_RATE,
     EarlyStopper,
@@ -256,7 +259,7 @@ class TestPredict:
         head = TrainedHead(cfg=cfg, params={"W": np.zeros((3, 1)), "b": np.zeros(1)},
                            scaler=TargetScaler(mean=4.5, std=2.0),
                            best_val_loss=0.0, epochs_run=1)
-        preds = predict(head, np.ones((5, 3)))
+        preds = predict(head, matrix(np.ones((5, 3))))
         np.testing.assert_allclose(preds, 4.5)
 
     def test_dim_mismatch_errors(self):
@@ -265,7 +268,7 @@ class TestPredict:
         head = TrainedHead(cfg=cfg, params={"W": np.zeros((3, 1)), "b": np.zeros(1)},
                            scaler=None, best_val_loss=0.0, epochs_run=1)
         with pytest.raises(ValidationError, match="dim"):
-            predict(head, np.ones((5, 4)))
+            predict(head, matrix(np.ones((5, 4))))
 
 
 class TestGradientCheck:
@@ -328,14 +331,18 @@ def _golden_case(kind, output, n_out, n, dim, batch_size, seed):
     return matrix(x), y, split, cfg
 
 
-def _head_digest(head, features):
+def _digest(params, predictions, best_val_loss, epochs_run):
     h = hashlib.sha256()
-    for k in sorted(head.params):
+    for k in sorted(params):
         h.update(k.encode())
-        h.update(head.params[k].tobytes())
-    h.update(np.ascontiguousarray(predict(head, features)).tobytes())
-    h.update(repr((head.best_val_loss, head.epochs_run)).encode())
+        h.update(params[k].tobytes())
+    h.update(np.ascontiguousarray(predictions).tobytes())
+    h.update(repr((best_val_loss, epochs_run)).encode())
     return h.hexdigest()
+
+
+def _head_digest(head, features):
+    return _digest(head.params, predict(head, features), head.best_val_loss, head.epochs_run)
 
 
 class TestGoldenTraining:
@@ -373,6 +380,13 @@ class TestGoldenTraining:
         head = train_head(features, y, split, cfg, run_seed=args[-1])
         assert _head_digest(head, features) == digest
 
+    @pytest.mark.parametrize("args,digest", CASES)
+    def test_reference_trainer_digest(self, args, digest):
+        # the plain trainer of tests/reference.py gives every pinned digest
+        features, y, split, cfg = _golden_case(*args)
+        ref = reference.train_head_reference(features, y, split, cfg, run_seed=args[-1])
+        assert _digest(ref.params, ref.predictions, ref.best_val_loss, ref.epochs_run) == digest
+
     def test_forward_with_buffer_matches(self):
         from urbanbench.heads import _forward, _init_params
 
@@ -392,6 +406,47 @@ class TestGoldenTraining:
         features2, y2, split2, cfg2 = _golden_case("mlp", "scalar", 1, 300, 8, 64, 9)
         train_head(features2, y2, split2, cfg2, run_seed=9)
         assert _head_digest(first, features) == digest
+
+
+@st.composite
+def training_cases(draw):
+    """A head config, aligned features with some invalid (NaN) rows, labels
+    as `TaskDataset` holds them, a split and a run seed."""
+    output = draw(st.sampled_from(LABEL_KINDS))
+    max_epochs = draw(st.integers(2, 10))
+    cfg = HeadConfig(kind=draw(st.sampled_from(["linear", "mlp"])), output=output,
+                     n_out=1 if output == "scalar" else draw(st.integers(2, 6)),
+                     hidden_dim=draw(st.integers(4, 64)), batch_size=draw(st.integers(8, 512)),
+                     max_epochs=max_epochs, patience=draw(st.integers(1, max_epochs - 1)))
+    n, dim, seed = draw(st.integers(30, 400)), draw(st.integers(1, 39)), draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim)) * draw(st.sampled_from([0.01, 1.0, 30.0]))
+    if output == "scalar":
+        y = np.full(n, 2.5) if draw(st.booleans()) else x @ rng.standard_normal(dim) + rng.standard_normal(n)
+    elif output == "class":
+        y = rng.integers(0, cfg.n_out, size=n)
+    else:
+        p = rng.random((n, cfg.n_out)) * (rng.random((n, cfg.n_out)) > 0.3)  # some zero probabilities
+        p[:, 0] += 1e-3
+        y = p / p.sum(axis=1, keepdims=True)
+    y.setflags(write=False)
+    valid = rng.random(n) >= draw(st.sampled_from([0.0, 0.2]))
+    x[~valid] = np.nan
+    split = make_split(n, n // 6, n // 6, seed=seed)
+    assume(np.any(split.mask("train") & valid) and np.any(split.mask("val") & valid))
+    return AlignedMatrix(x, valid), y, split, cfg, seed
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(case=training_cases())
+def test_train_head_matches_reference_trainer(case):
+    # the same parameter bytes, best validation loss, epoch count and predictions
+    features, y, split, cfg, seed = case
+    head = train_head(features, y, split, cfg, run_seed=seed)
+    ref = reference.train_head_reference(features, y, split, cfg, run_seed=seed)
+    assert {k: v.tobytes() for k, v in head.params.items()} == {k: v.tobytes() for k, v in ref.params.items()}
+    assert (repr(head.best_val_loss), head.epochs_run) == (repr(ref.best_val_loss), ref.epochs_run)
+    assert predict(head, features).tobytes() == ref.predictions.tobytes()
 
 
 class TestBatchBuffers:
