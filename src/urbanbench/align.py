@@ -15,7 +15,6 @@ CSV entity-set / cell-table formats.
 from __future__ import annotations
 
 import math
-import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,11 +79,6 @@ def coverage(m: AlignedMatrix) -> float:
     if m.n == 0:
         raise ValidationError("coverage undefined for an empty matrix")
     return float(np.count_nonzero(m.valid)) / m.n
-
-
-def _none_valid(task: TaskDataset, dim: int) -> AlignedMatrix:
-    return _read_only(np.zeros((task.n, dim), dtype=np.float64),
-                      np.zeros(task.n, dtype=bool))
 
 
 def _read_only(rows: np.ndarray, valid: np.ndarray) -> AlignedMatrix:
@@ -247,9 +241,6 @@ def align_entities_h3_first(rep: EntitySetSupport, hexgrid: HexGrid, task: TaskD
     cells take the mean over intersecting hex cells that received
     entities. Units whose cell(s) received no entities become invalid.
     """
-    if rep.n == 0:
-        warnings.warn("empty entity set: all task units invalid", stacklevel=2)
-        return _none_valid(task, rep.dim)
     keys, pooled = _pool_entities_by_hex(rep, hexgrid)
     quads, extents = _raster_cell_units(task)
     corners = extents[:, [0, 1, 2, 1, 2, 3, 0, 3]].reshape(-1, 2)
@@ -276,9 +267,6 @@ def align_entities_direct(rep: EntitySetSupport, task: TaskDataset) -> AlignedMa
     Point units carry no containment region and are always invalid; this is
     the ablation arm that h3-first aggregation is compared against.
     """
-    if rep.n == 0:
-        warnings.warn("empty entity set: all task units invalid", stacklevel=2)
-        return _none_valid(task, rep.dim)
     lons = np.asarray(rep.lons, dtype=np.float64)
     lats = np.asarray(rep.lats, dtype=np.float64)
     rows = np.zeros((task.n, rep.dim), dtype=np.float64)

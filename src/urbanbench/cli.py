@@ -96,10 +96,7 @@ class ResultStore:
             self.records = read_result_store(self.path)
 
     def completed_groups(self) -> set[tuple]:
-        counts: dict[tuple, set[str]] = {}
-        for r in self.records:
-            counts.setdefault((r.model_id, r.task, r.city, r.seed, r.protocol), set()).add(r.metric)
-        return {k for k, metrics in counts.items() if len(metrics) >= 3}
+        return {r[:5] for r in self.records}  # (model, task, city, seed, protocol): each group is whole
 
     def add(self, records: list[ResultRecord]) -> None:
         self.records.extend(records)
@@ -115,7 +112,9 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
     """The records of a result store. Each row holds the header's field count,
     an int seed and n_test and a float value, a known task and protocol, a
     metric of the task's kind, n_test >= 1, and a (model, task, city, seed,
-    protocol, metric) key that no earlier row has."""
+    protocol, metric) key that no earlier row has. Once every row holds, each
+    (model, task, city, seed, protocol) group holds every metric of its task's
+    kind; a group that does not is named at its first row."""
     path = Path(path)
     _, lines, rows = read_table(path, {})
     if rows[:1] != [list(STORE_HEADER)]:
@@ -137,6 +136,11 @@ def read_result_store(path: str | Path) -> list[ResultRecord]:
         (repeats([(r.model_id, r.task, r.city, r.seed, r.protocol, r.metric) for r in records]),
          lambda i: "repeated (model, task, city, seed, protocol, metric) key"),
     ], path, lines)
+    groups: dict[tuple, list[str]] = {}  # each group's metrics without a row
+    for r in records:
+        groups.setdefault(r[:5], list(METRICS_FOR_KIND[TASK_LABEL_KIND[r.task]])).remove(r.metric)
+    check_rows([(breaks(lambda r: bool(groups[r[:5]])),
+                 lambda i: f"incomplete group: no {', '.join(groups[records[i][:5]])} row")], path, lines)
     return records
 
 

@@ -78,6 +78,7 @@ AGE_CITIES = frozenset({"London", "New York", "Singapore", "Sydney"})
 SUPPORT_KINDS = ("raster", "cell_table", "entity_set", "coordinate_encoder")
 
 DISTRIBUTION_SUM_TOL = 1e-6
+MAX_CLASSES = 1024  # a head's output layer at hidden width 1024 is then 8 MiB per float64 copy
 
 
 def task_direction(task: str) -> str:
@@ -212,9 +213,12 @@ def class_count(labels: np.ndarray, n_classes: int | None) -> int:
     return int(labels.max()) + 1 if labels.size else 0
 
 
-def too_few_classes(n_classes: int) -> str | None:
+def class_count_error(n_classes: int) -> str | None:
     """The error for a class task with `n_classes` classes, or None: with
-    fewer than 2 there is nothing to predict, and every score is perfect."""
+    fewer than 2 there is nothing to predict, and every score is perfect;
+    past MAX_CLASSES a head's output layer would not fit in memory."""
+    if n_classes > MAX_CLASSES:
+        return f"a class task may have at most {MAX_CLASSES} classes, got {n_classes}"
     return f"a class task needs at least 2 classes, got {n_classes}" if n_classes < 2 else None
 
 
@@ -341,7 +345,7 @@ class TaskDataset:
             xs = lons.tolist() + cells[:, [0, 2]].ravel().tolist()
             ys = lats.tolist() + cells[:, [1, 3]].ravel().tolist()
             extent = Rect(min(xs), min(ys), max(xs), max(ys))
-        if kind == "class" and (error := too_few_classes(n_classes)):
+        if kind == "class" and (error := class_count_error(n_classes)):
             raise ValidationError(error)
         self.extent = extent
         self.n_classes = n_classes
@@ -570,7 +574,7 @@ def load_task_dataset(path: str | Path) -> TaskDataset:
     classes_line, n_classes = meta.get("classes", (None, None))  # each is derived from the rows
     if n_classes is not None and kind != "class":
         raise ValidationError(f"{path}:{classes_line}: '# classes' is only for a class task")
-    if n_classes is not None and (error := too_few_classes(n_classes)):
+    if n_classes is not None and (error := class_count_error(n_classes)):
         raise ValidationError(f"{path}:{classes_line}: {error}")
 
     header, header_line, rows, lines = rows[0], lines[0], rows[1:], lines[1:]

@@ -2,12 +2,13 @@
 
 A head's output is its task's label kind (`core.LABEL_KINDS`): scalar
 (MSE), class (softmax cross-entropy, argmax prediction) or distribution
-(KL to the softmax). Protocol defaults: hidden 1024, batch 512, lr 1e-3,
-at most 100 epochs, validation early stopping with patience 10, regression
-targets standardized on the training units. Training is float64 throughout and
-bit-deterministic given the run seed. `train_head` allocates its arrays once
-per head: the parameters, their gradient and the Adam moments are flat
-vectors with a view per parameter, and every batch writes its hidden
+(KL to the softmax). Protocol defaults: hidden 1024, batch 512, lr 1e-3, at
+most 100 epochs, a stop once patience 10 epochs in a row miss the best
+validation loss by EARLY_STOP_TOL (the best epoch's parameters are kept), and
+non-constant scalar targets standardized on the training units. Training is
+float64 and bit-deterministic given the run seed. `train_head` allocates its
+arrays once per head: the parameters, their gradient and the Adam moments are
+flat vectors with a view per parameter, and every batch writes its hidden
 activations, their gradient and the ReLU mask into fixed buffers.
 """
 
@@ -58,44 +59,22 @@ class TargetScaler(NamedTuple):
 
     mean: float = 0.0
     std: float = 1.0
-    degenerate: bool = False  # constant targets: transform and inverse pass them through
 
     def transform(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64) if self.degenerate else (y - self.mean) / self.std
+        return (y - self.mean) / self.std
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64) if self.degenerate else y * self.std + self.mean
+        return y * self.std + self.mean
 
 
-def fit_scaler(train_labels) -> TargetScaler:
+def fit_scaler(train_labels) -> TargetScaler | None:
+    """The scaler of `train_labels`; None for constant targets, which stay unscaled."""
     y = np.asarray(train_labels, dtype=np.float64)
     if y.size == 0:
         raise ValidationError("cannot fit a scaler on an empty training set")
     mean = float(y.mean())
     std = float(np.sqrt(np.mean((y - mean) ** 2)))
-    if std == 0.0:
-        return TargetScaler(mean=mean, std=1.0, degenerate=True)
-    return TargetScaler(mean=mean, std=std)
-
-
-class EarlyStopper:
-    """Stops after `patience` epochs without an improvement of more than EARLY_STOP_TOL."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = math.inf
-        self.stale = 0
-        self.improved = False
-
-    def update(self, loss: float) -> bool:
-        """Record one validation loss; True means stop now."""
-        self.improved = loss < self.best - EARLY_STOP_TOL
-        if self.improved:
-            self.best = loss
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
+    return TargetScaler(mean=mean, std=std) if std > 0.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +280,7 @@ def train_head(
 
     scaler = fit_scaler(y_train) if cfg.output == "scalar" else None
     if scaler is not None:
-        y_train = scaler.transform(y_train)
-        y_val = scaler.transform(y_val)
+        y_train, y_val = scaler.transform(y_train), scaler.transform(y_val)
 
     rng = np.random.default_rng(run_seed)
     init = _init_params(cfg, features.dim, rng)
@@ -310,7 +288,7 @@ def train_head(
     params = _flat_views(flat, init)
     best = flat.copy()
     adam = _Adam(flat, LEARNING_RATE)
-    stopper = EarlyStopper(cfg.patience)
+    best_loss, stale = math.inf, 0
     n_train = x_train.shape[0]
     bufs = _BatchBuffers(params, cfg, min(cfg.batch_size, n_train))
     h_val = bufs.h[:len(x_val)] if cfg.kind == "mlp" and len(x_val) <= len(bufs.h) else None
@@ -331,16 +309,18 @@ def train_head(
                 if not math.isfinite(val_loss):
                     raise ValidationError(f"non-finite validation loss at epoch {epoch}")
                 epochs = epoch + 1
-                stop = stopper.update(val_loss)
-                if stopper.improved:
+                if val_loss < best_loss - EARLY_STOP_TOL:
+                    best_loss, stale = val_loss, 0
                     np.copyto(best, flat)
-                if stop:
+                else:
+                    stale += 1
+                if stale >= cfg.patience:
                     break
     except FloatingPointError:
         raise ValidationError(f"float overflow in {stage} at epoch {epoch}") from None
 
     return TrainedHead(cfg=cfg, params=_flat_views(best, init), scaler=scaler,
-                       best_val_loss=stopper.best, epochs_run=epochs)
+                       best_val_loss=best_loss, epochs_run=epochs)
 
 
 def predict(head: TrainedHead, features: AlignedMatrix) -> np.ndarray:

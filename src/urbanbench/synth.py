@@ -19,6 +19,7 @@ import numpy as np
 from .align import write_entity_csv, write_erf
 from .core import (
     LABEL_KINDS,
+    MAX_CLASSES,
     EntitySetSupport,
     RasterSupport,
     Rect,
@@ -70,6 +71,8 @@ class SynthConfig:
             raise ValidationError("n_classes and dim must be positive")
         if self.label_kind != "scalar" and self.n_classes < 2:
             raise ValidationError(f"{self.label_kind} labels need n_classes >= 2, got {self.n_classes}")
+        if self.label_kind == "class" and self.n_classes > MAX_CLASSES:
+            raise ValidationError(f"class labels need n_classes <= {MAX_CLASSES}, got {self.n_classes}")
         if not self.extent.nondegenerate:
             raise ValidationError(f"extent needs positive area, got {self.extent}")
         # a field correlated beyond the city is near constant; the kernel pads <= 4n cells a side

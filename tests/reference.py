@@ -366,7 +366,9 @@ def read_factors(path) -> dict[str, dict[str, float]]:
 def read_result_store(path) -> list[ResultRecord]:
     """`cli.read_result_store` row by row: a row's fields (an int seed and
     n_test, a float value), a known task and protocol, a metric of the task's
-    kind, n_test >= 1, then a key no earlier row has."""
+    kind, n_test >= 1, then a key no earlier row has. Once every row holds,
+    the first row of a (model, task, city, seed, protocol) group without a row
+    for each metric of its task's kind names the metrics it lacks."""
     path = Path(path)
     _, lines, rows = read_table(path, {})
     if rows[:1] != [list(STORE_HEADER)]:
@@ -388,6 +390,12 @@ def read_result_store(path) -> list[ResultRecord]:
             raise ValidationError(f"{path}:{ln}: repeated (model, task, city, seed, protocol, metric) key")
         keys.add(key)
         records.append(record)
+    for ln, record in zip(lines[1:], records):
+        group = record[:5]
+        have = {r.metric for r in records if r[:5] == group}
+        lacking = [m for m in METRICS_FOR_KIND[TASK_LABEL_KIND[record.task]] if m not in have]
+        if lacking:
+            raise ValidationError(f"{path}:{ln}: incomplete group: no {', '.join(lacking)} row")
     return records
 
 

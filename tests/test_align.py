@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,10 +152,15 @@ class TestAlignEntities:
     def test_empty_entity_set_warns_all_invalid(self):
         grid = HexGrid(0.0, 0.0)
         rep = EntitySetSupport(lons=np.array([]), lats=np.array([]),
-                               vectors=np.zeros((0, 1)))
-        with pytest.warns(UserWarning, match="empty entity set"):
-            m = align_entities_h3_first(rep, grid, point_task([(0.0, 0.0)]))
-        assert not m.valid.any()
+                               vectors=np.zeros((0, 2)))
+        # no entities: every unit is invalid on both arms, with no warning
+        for task in (point_task([(0.0, 0.0), (0.5, 0.5)]), cell_task([(0.0, 0.0, 1.0, 1.0)])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for m in (align_entities_h3_first(rep, grid, task), align_entities_direct(rep, task)):
+                    assert m.rows.shape == (task.n, 2) and not m.rows.any()
+                    assert m.valid.shape == (task.n,) and not m.valid.any()
+                    assert not m.rows.flags.writeable and not m.valid.flags.writeable
 
     def test_direct_mean_inside_extent(self):
         rep = EntitySetSupport(lons=np.array([0.2, 0.4]), lats=np.array([0.5, 0.5]),

@@ -192,6 +192,23 @@ class TestRun:
         assert out.exit_code == 2
         assert (bench / "out" / "failures.csv").exists()
 
+    def test_empty_entity_set_fails_its_groups_without_a_warning(self, bench):
+        # an entity file cut to its header leaves every unit invalid: each group is
+        # a failures.csv row, and the `run` process prints no Python warning
+        import urbanbench
+
+        add_model(bench, "empty", "entity_set", 4, "empty.csv", b"key_or_lon,lat,v_0,v_1,v_2,v_3\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(urbanbench.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-m", "urbanbench.cli", "run", str(bench / "manifest.json"),
+                               "--out", str(bench / "out"), "--models", "empty", "--seeds", "42",
+                               "--head", "linear", "--max-epochs", "3", "--patience", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert (bench / "out" / "failures.csv").read_text().splitlines() == [
+            "run_key,error", "empty|POP|synthA|42|random,empty training set after validity masking",
+            "empty|POP|synthA|42|spatial,empty training set after validity masking"]
+
     def test_run_without_failures_removes_failures_csv(self, bench):
         # a truncated embedding file fails every group; once it is restored, the
         # rerun succeeds and no failures.csv lists the old error
@@ -611,10 +628,11 @@ class TestResultStore:
 
         store = ResultStore(tmp_path / "results.csv")
         store.add([ResultRecord("m", "POP", "c", 42, "spatial", "r2", float("nan"), 5),
+                   ResultRecord("m", "POP", "c", 42, "spatial", "rmse", 0.5, 5),
                    ResultRecord("m", "POP", "c", 42, "spatial", "mae", 0.25, 5)])
         store.flush()
         back = read_result_store(tmp_path / "results.csv")
-        assert [r.metric for r in back] == ["r2", "mae"]  # canonical metric order
+        assert [r.metric for r in back] == ["r2", "mae", "rmse"]  # canonical metric order
         assert np.isnan(back[0].value)
         assert back[1].value == 0.25
 
@@ -679,13 +697,32 @@ class TestResultStore:
         assert snapshot(bench / "out") == before
 
 
+    def test_partial_group_stops_report_and_rerun(self, bench, capsys):
+        # a store without a group's mae row would rerun the group and append its
+        # r2 and rmse rows again: report and run name the group's first row instead
+        args = ["run", str(bench / "manifest.json"), "--out", str(bench / "out"), "--models", "field",
+                "--seeds", "42", "--head", "linear", "--max-epochs", "3", "--patience", "2"]
+        assert main(args) == 0
+        path = bench / "out" / "results.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[1].startswith("field,POP,synthA,42,random,r2,")
+        path.write_text("".join(line for line in lines if ",mae," not in line))
+        before = snapshot(bench / "out")
+        capsys.readouterr()
+        assert main(["report", str(path.parent)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: incomplete group: no mae row\n"
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: incomplete group: no mae row")
+        assert snapshot(bench / "out") == before
+
+
 class TestReportDirections:
     def test_kl_ranked_ascending(self, tmp_path):
         # hand-built store: lower KL must earn rank 1
         rows = ["model,task,city,seed,protocol,metric,value,n_test"]
         for model, kl in (("good", 0.02), ("bad", 0.04)):
             for seed in (42, 24):
-                rows.append(f"{model},AGE,London,{seed},spatial,kl,{kl},10")
+                rows += [f"{model},AGE,London,{seed},spatial,{metric},{kl},10" for metric in ("kl", "chebyshev", "l1")]
         (tmp_path / "results.csv").write_text("\n".join(rows) + "\n")
         paths = report(tmp_path, log=lambda *a: None)
         ranks = {r.split(",")[0]: float(r.split(",")[2])

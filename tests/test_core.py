@@ -97,6 +97,12 @@ class TestLoadTaskDataset:
         assert ds.n_classes == 3
         assert ds.labels.tolist() == [0, 2]
 
+    def test_class_count_ceiling_is_inclusive(self, tmp_path):
+        p = tmp_path / "luc.csv"
+        p.write_text("# task LUC\n# city demo\n# extent 0.0 0.0 1.0 1.0\n"
+                     "unit_id,lon,lat,class\nu0,0.1,0.1,0\nu1,0.2,0.2,1023\n")
+        assert load_task_dataset(p).n_classes == core.MAX_CLASSES == 1024
+
     def test_class_index_out_of_range(self, tmp_path):
         p = tmp_path / "luc.csv"
         p.write_text("# task LUC\n# city demo\n# extent 0.0 0.0 1.0 1.0\n# classes 2\n"
@@ -112,7 +118,12 @@ class TestLoadTaskDataset:
         # a class task needs two classes: a declared count names its line, one read from the labels the file
         ("# classes 1\nunit_id,lon,lat,class\nu0,1,1,0\n", "4: a class task needs at least 2 classes, got 1"),
         ("unit_id,lon,lat,class\nu0,1,1,0\nu1,2,2,0\n", " a class task needs at least 2 classes, got 1"),
-    ], ids=["duplicate", "outside-extent", "class-index", "non-finite", "declared-one-class", "read-one-class"])
+        # and at most MAX_CLASSES, so that a head's output layer fits in memory
+        ("# classes 100000000000\nunit_id,lon,lat,class\nu0,1,1,0\n",
+         "4: a class task may have at most 1024 classes, got 100000000000"),
+        ("unit_id,lon,lat,class\nu0,1,1,0\nu1,2,2,1024\n", " a class task may have at most 1024 classes, got 1025"),
+    ], ids=["duplicate", "outside-extent", "class-index", "non-finite", "declared-one-class", "read-one-class",
+            "declared-too-many-classes", "read-too-many-classes"])
     def test_dataset_error_names_file(self, tmp_path, body, message):
         p = tmp_path / "task.csv"
         task = "LUC" if "class" in body else "POP"
@@ -303,8 +314,8 @@ def _ref_load_task_dataset(path):
     and numbers come first, then its unit, its label, and the dataset rules (a
     repeated unit_id, a unit outside the `# extent`). Without `# classes`, the
     class count is one more than the largest class of the rows that read. A
-    class count below 2 fails at its `# classes` line, or, read from the rows,
-    in the dataset constructor. The comment keys take `read_table`'s rule, with
+    class count below 2 or above MAX_CLASSES fails at its `# classes` line,
+    or, read from the rows, in the dataset constructor. The comment keys take `read_table`'s rule, with
     value parsers of the oracle's own."""
     meta, lines, rows = read_table(path, {
         "task": str, "city": str, "classes": lambda text: int(strict(text)),
@@ -322,6 +333,9 @@ def _ref_load_task_dataset(path):
     n_classes = meta["classes"][1] if "classes" in meta else None
     if n_classes is not None and n_classes < 2:
         raise ValidationError(f"{path}:{meta['classes'][0]}: a class task needs at least 2 classes, got {n_classes}")
+    if n_classes is not None and n_classes > core.MAX_CLASSES:
+        raise ValidationError(f"{path}:{meta['classes'][0]}: a class task may have at most {core.MAX_CLASSES} "
+                              f"classes, got {n_classes}")
 
     header, header_line = rows[0], lines[0]
     if header[:3] != ["unit_id", "lon", "lat"]:

@@ -55,7 +55,8 @@ def _valid_files() -> dict[str, bytes]:
              for i in range(3)]
     probs = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
     rows = [ResultRecord("m", "POP", "c", 42, "spatial", "r2", 0.5, 7),
-            ResultRecord("m", "POP", "c", 42, "spatial", "mae", float("nan"), 7)]
+            ResultRecord("m", "POP", "c", 42, "spatial", "mae", float("nan"), 7),
+            ResultRecord("m", "POP", "c", 42, "spatial", "rmse", 1.5, 7)]
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
         pop = dataset("c", "POP", units, np.arange(4.0), Rect(0.0, 0.0, 1.0, 1.0))

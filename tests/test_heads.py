@@ -15,7 +15,6 @@ from urbanbench.align import AlignedMatrix
 from urbanbench.core import LABEL_KINDS, ValidationError
 from urbanbench.heads import (
     LEARNING_RATE,
-    EarlyStopper,
     HeadConfig,
     TrainedHead,
     batch_gradients,
@@ -50,9 +49,7 @@ class TestScaler:
         assert s.std == 1.0
 
     def test_constant_targets_degenerate(self):
-        s = fit_scaler([3.0, 3.0, 3.0])
-        assert s.degenerate
-        np.testing.assert_array_equal(s.transform(np.array([3.0])), [3.0])
+        assert fit_scaler([3.0, 3.0, 3.0]) is None
 
     def test_inverse_round_trip(self):
         s = fit_scaler([1.0, 5.0, -2.0, 0.5])
@@ -64,29 +61,54 @@ class TestScaler:
             fit_scaler([])
 
 
-class TestEarlyStopper:
-    def test_monotone_increasing_stops_at_patience_plus_one(self):
-        stopper = EarlyStopper(patience=10)
-        losses = [1.0 + 0.1 * e for e in range(100)]  # increasing by construction
-        stopped_at = None
-        for epoch, loss in enumerate(losses, start=1):
-            if stopper.update(loss):
-                stopped_at = epoch
-                break
-        assert stopped_at == 11  # epoch 1 improves from inf, then 10 stale epochs
+class TestEarlyStopping:
+    """`train_head`'s stopping rule, on validation losses scripted through
+    `batch_loss`, which also records the parameters after each epoch."""
 
-    def test_improvement_resets(self):
-        stopper = EarlyStopper(patience=2)
-        assert not stopper.update(1.0)
-        assert not stopper.update(1.5)
-        assert not stopper.update(0.5)   # reset
-        assert not stopper.update(0.6)
-        assert stopper.update(0.7)
+    @staticmethod
+    def scripted(monkeypatch, losses, patience, max_epochs=100):
+        script, after_epoch = iter(losses), []
 
-    def test_tolerance(self):
-        stopper = EarlyStopper(patience=1)
-        stopper.update(1.0)
-        assert stopper.update(1.0 - 1e-9)  # within tolerance: not an improvement
+        def val_loss(params, *args, **kwargs):
+            after_epoch.append({k: v.tobytes() for k, v in params.items()})
+            return next(script)
+
+        monkeypatch.setattr(heads, "batch_loss", val_loss)
+        rng = np.random.default_rng(5)
+        cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=4,
+                         max_epochs=max_epochs, patience=patience)
+        head = train_head(matrix(rng.standard_normal((20, 2))), rng.standard_normal(20),
+                          make_split(20, 4, 4, seed=1), cfg, run_seed=0)
+        assert len(after_epoch) == head.epochs_run
+        return head, after_epoch
+
+    @staticmethod
+    def assert_snapshot_of_epoch(head, after_epoch, epoch):
+        # byte for byte the parameters of a head trained for exactly `epoch` epochs
+        assert {k: v.tobytes() for k, v in head.params.items()} == after_epoch[epoch - 1]
+        assert after_epoch[epoch - 1] != after_epoch[-1]
+
+    def test_monotone_increasing_stops_at_patience_plus_one(self, monkeypatch):
+        head, after_epoch = self.scripted(monkeypatch, [1.0 + 0.1 * e for e in range(100)], patience=10)
+        assert head.epochs_run == 11  # epoch 1 improves from inf, then 10 stale epochs
+        assert head.best_val_loss == 1.0
+        self.assert_snapshot_of_epoch(head, after_epoch, 1)
+
+    def test_improvement_resets(self, monkeypatch):
+        head, after_epoch = self.scripted(monkeypatch, [1.0, 1.5, 0.5, 0.6, 0.7], patience=2)
+        assert head.epochs_run == 5
+        assert head.best_val_loss == 0.5
+        self.assert_snapshot_of_epoch(head, after_epoch, 3)
+        # the same bytes as a head whose training ends, improving, at epoch 3
+        short, _ = self.scripted(monkeypatch, [3.0, 2.0, 1.0], patience=2, max_epochs=3)
+        assert short.epochs_run == 3
+        assert all(head.params[k].tobytes() == short.params[k].tobytes() for k in head.params)
+
+    def test_tolerance(self, monkeypatch):
+        head, after_epoch = self.scripted(monkeypatch, [1.0, 1.0 - 1e-9], patience=1)
+        assert head.epochs_run == 2  # within tolerance: not an improvement
+        assert head.best_val_loss == 1.0
+        self.assert_snapshot_of_epoch(head, after_epoch, 1)
 
 
 class TestTraining:
@@ -118,6 +140,15 @@ class TestTraining:
         ss_res = np.sum((y[test] - preds[test]) ** 2)
         ss_tot = np.sum((y[test] - y[test].mean()) ** 2)
         assert 1.0 - ss_res / ss_tot > 0.99
+
+    def test_constant_targets_train_unscaled(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 2))
+        cfg = HeadConfig(kind="linear", output="scalar", n_out=1, batch_size=8, max_epochs=5, patience=2)
+        head = train_head(matrix(x), np.full(40, 3.0), make_split(40, 6, 8), cfg, run_seed=1)
+        assert head.scaler is None
+        z = x @ head.params["W"] + head.params["b"]
+        np.testing.assert_array_equal(predict(head, matrix(x)), z[:, 0])
 
     def test_determinism_bit_exact(self):
         rng = np.random.default_rng(3)

@@ -9,7 +9,7 @@ from reference import dataset, synth_units
 
 from urbanbench.align import align_entities_direct, coverage
 from urbanbench.cli import align_support, evaluate
-from urbanbench.core import Rect, TaskDataset, ValidationError, stable_seed, write_task_dataset
+from urbanbench.core import MAX_CLASSES, Rect, TaskDataset, ValidationError, stable_seed, write_task_dataset
 from urbanbench.grid import BlockGrid
 from urbanbench.heads import HeadConfig
 from urbanbench.split import random_split, spatial_split
@@ -226,6 +226,12 @@ class TestSynthCity:
         # one class leaves nothing to predict: every model would score a perfect 1.0
         with pytest.raises(ValidationError, match=f"^{label_kind} labels need n_classes >= 2, got 1$"):
             SynthConfig(label_kind=label_kind, n_classes=1)
+
+    def test_class_labels_at_most_max_classes(self):
+        # the loader rejects a class task past MAX_CLASSES, so synth never writes one
+        SynthConfig(label_kind="class", n_classes=MAX_CLASSES)
+        with pytest.raises(ValidationError, match="^class labels need n_classes <= 1024, got 1025$"):
+            SynthConfig(label_kind="class", n_classes=MAX_CLASSES + 1)
 
     def test_sparse_entities_density(self):
         cfg = SynthConfig(n=32, seed=4, embedding_kind="sparse_entities", density=0.2)
